@@ -13,9 +13,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
+from actknow.experiments import ablate_subgraph
 from actknow.scenarios import NOISY_SPEC, ensure_generated, noisy_experiment
-from actknow.training import evaluate
 
 
 def main() -> int:
@@ -26,33 +25,13 @@ def main() -> int:
 
     ensure_generated(NOISY_SPEC, args.data_dir)
     cfg = noisy_experiment(args.data_dir, args.out_dir)
-    pipe = load_pipeline(cfg)
-
-    rows = [["max_nodes", "accuracy"]]
-    accs: dict[int, float] = {}
-    for budget in cfg.node_budgets:
-        tc = training_config_for(cfg, max_nodes=budget)
-        train_qs = prepare_split(pipe, "train", tc)
-        dev_qs = prepare_split(pipe, "dev", tc)
-        test_qs = prepare_split(pipe, "test", tc)
-        model, result = run_training(pipe, tc, train_qs, dev_qs)
-        model.load_state_arrays(result.best_state)
-        accuracy, _ = evaluate(test_qs, model, tc)
-        accs[budget] = accuracy
-        rows.append([str(budget), repr(float(accuracy))])
-        print(f"max_nodes={budget} test_acc={accuracy:.4f}")
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, "ablation.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(",".join(r) for r in rows) + "\n")
+    accs = dict(ablate_subgraph(cfg))
 
     budgets = list(cfg.node_budgets)
     interior = budgets[1:-1]
     peak = max(interior, key=lambda b: accs[b])
     shape = "interior peak" if accs[peak] > max(accs[budgets[0]], accs[budgets[-1]]) else "no interior peak"
     print(f"{shape}: best interior budget {peak} at {accs[peak]:.4f}")
-    print(f"wrote {out_csv}")
     return 0
 
 

@@ -7,23 +7,13 @@ accuracies. Writes data under data/lowdata and results under runs/lowdata.
 import argparse
 import os
 import sys
-from math import comb
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
+from actknow.experiments import sign_test_p, sweep_fraction
 from actknow.scenarios import LOWDATA_SPEC, ensure_generated, lowdata_experiment
-from actknow.training import evaluate
-
-
-def sign_test_p(wins: int, losses: int) -> float:
-    """One-sided sign test over decided pairs; ties dropped."""
-    n = wins + losses
-    if n == 0:
-        return 1.0
-    return sum(comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
 def main() -> int:
@@ -34,30 +24,9 @@ def main() -> int:
 
     ensure_generated(LOWDATA_SPEC, args.data_dir)
     cfg = lowdata_experiment(args.data_dir, args.out_dir)
-    pipe = load_pipeline(cfg)
-    base_tc = training_config_for(cfg)
-    train_qs = prepare_split(pipe, "train", base_tc)
-    dev_qs = prepare_split(pipe, "dev", base_tc)
-    test_qs = prepare_split(pipe, "test", base_tc)
+    rows = sweep_fraction(cfg)
 
-    fraction = cfg.fractions[0]
-    acc: dict[str, list[float]] = {mode: [] for mode in cfg.modes}
-    rows = [["fraction", "mode", "seed", "accuracy"]]
-    for seed in cfg.seeds:
-        for mode in cfg.modes:
-            tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
-            model, result = run_training(pipe, tc, train_qs, dev_qs)
-            model.load_state_arrays(result.best_state)
-            accuracy, _ = evaluate(test_qs, model, tc)
-            acc[mode].append(accuracy)
-            rows.append([repr(float(fraction)), mode, str(seed), repr(float(accuracy))])
-            print(f"fraction={fraction} mode={mode} seed={seed} test_acc={accuracy:.4f}")
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_csv = os.path.join(args.out_dir, "sweep.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(",".join(r) for r in rows) + "\n")
-
+    acc = {mode: [a for _, m, _, a in rows if m == mode] for mode in cfg.modes}
     print()
     for mode, values in acc.items():
         print(f"{mode:10s} mean {np.mean(values):.4f}  per-seed {[round(v, 3) for v in values]}")
@@ -67,7 +36,6 @@ def main() -> int:
     print(f"base-know - text-only = {(np.mean(base) - np.mean(acc['text-only'])) * 100:.1f} points")
     print(f"act-know vs base-know: {wins} wins, {losses} losses, "
           f"{len(base) - wins - losses} ties, sign-test p = {sign_test_p(wins, losses):.4f}")
-    print(f"wrote {out_csv}")
     return 0
 
 

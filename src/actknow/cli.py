@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -15,16 +14,14 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import _coerce, _LIST_FIELDS, ExperimentConfig, resolve_config, train_config
+from .config import _coerce, _LIST_FIELDS, ExperimentConfig, env_seed, resolve_config, train_config
 from .errors import ConfigError
-from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
+from .experiments import ablate_subgraph, sweep_fraction
+from .pipeline import load_pipeline, prepare_split, run_training
 from .synth import SyntheticSpec, generate
-from .training import MODES, evaluate, model_from_state, write_stats_csv
+from .training import evaluate, model_from_state, write_stats_csv
 
 log = logging.getLogger(__name__)
-
-SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
-ABLATION_HEADER = ["max_nodes", "accuracy"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,58 +151,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep_fraction(args: argparse.Namespace) -> None:
-    cfg = _resolved(args)
-    cfg.require("kg", "corpus", "train", "test")
-    pipe = load_pipeline(cfg)
-    base_tc = train_config(cfg)
-    train_qs = prepare_split(pipe, "train", base_tc)
-    dev_qs = prepare_split(pipe, "dev", base_tc) if "dev" in pipe.items else None
-    test_qs = prepare_split(pipe, "test", base_tc)
-
-    rows = []
-    for fraction in cfg.fractions:
-        for mode in cfg.modes:
-            for seed in cfg.seeds:
-                tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
-                model, result = run_training(pipe, tc, train_qs, dev_qs)
-                model.load_state_arrays(result.best_state)
-                acc, _ = evaluate(test_qs, model, tc)
-                rows.append((fraction, mode, seed, acc))
-                print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
-
-    out_path = _out_path(cfg, "sweep.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for fraction, mode, seed, acc in rows:
-            writer.writerow([repr(float(fraction)), mode, seed, repr(acc)])
-    print(f"sweep {out_path}")
+    sweep_fraction(_resolved(args))
 
 
 def cmd_ablate_subgraph(args: argparse.Namespace) -> None:
-    cfg = _resolved(args)
-    cfg.require("kg", "corpus", "train", "test")
-    pipe = load_pipeline(cfg)
-
-    rows = []
-    for budget in cfg.node_budgets:
-        tc = training_config_for(cfg, max_nodes=budget)
-        train_qs = prepare_split(pipe, "train", tc)
-        dev_qs = prepare_split(pipe, "dev", tc) if "dev" in pipe.items else None
-        test_qs = prepare_split(pipe, "test", tc)
-        model, result = run_training(pipe, tc, train_qs, dev_qs)
-        model.load_state_arrays(result.best_state)
-        acc, _ = evaluate(test_qs, model, tc)
-        rows.append((budget, acc))
-        print(f"max_nodes {budget}: accuracy {acc:.4f}")
-
-    out_path = _out_path(cfg, "ablation.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_HEADER)
-        for budget, acc in rows:
-            writer.writerow([budget, repr(acc)])
-    print(f"ablation {out_path}")
+    ablate_subgraph(_resolved(args))
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> None:
@@ -215,12 +165,9 @@ def cmd_gen_synth(args: argparse.Namespace) -> None:
         if raw is not None:
             values[f.name] = raw
     if "seed" not in values:
-        env_seed = os.environ.get("ACTKNOW_SEED")
-        if env_seed is not None:
-            try:
-                values["seed"] = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"ACTKNOW_SEED must be an integer, got {env_seed!r}") from exc
+        seed = env_seed()
+        if seed is not None:
+            values["seed"] = seed
     spec = SyntheticSpec(**values)
     report = generate(spec, args.out_dir)
     print(

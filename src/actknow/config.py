@@ -112,17 +112,25 @@ def _coerce(name: str, raw: str) -> object:
     return raw
 
 
+def env_seed() -> int | None:
+    """The ACTKNOW_SEED environment variable as an integer, None when unset."""
+    raw = os.environ.get("ACTKNOW_SEED")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"ACTKNOW_SEED must be an integer, got {raw!r}") from exc
+
+
 def resolve_config(flag_values: dict[str, object], config_path: str | None) -> ExperimentConfig:
     """Merge flag overrides, an optional config file, the ACTKNOW_SEED
     environment variable, and defaults into a validated config."""
     merged: dict[str, object] = {}
 
-    env_seed = os.environ.get("ACTKNOW_SEED")
-    if env_seed is not None:
-        try:
-            merged["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"ACTKNOW_SEED must be an integer, got {env_seed!r}") from exc
+    seed = env_seed()
+    if seed is not None:
+        merged["seed"] = seed
 
     if config_path is not None:
         for key, raw in parse_config_file(config_path).items():

@@ -142,13 +142,14 @@ def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
     return h
 
 
-def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> Tensor:
-    """Softmax(text . node_k) weighted sum of node outputs."""
+def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor, Tensor]:
+    """Softmax(text . node_k) weighted sum of node outputs, and the (N,)
+    attention weights."""
     if node_outputs.data.ndim != 2 or node_outputs.data.shape[0] == 0:
         raise ValueError("graph_attention_pool: need a non-empty (N, d) matrix")
     scores = ad.matmul(node_outputs, text_vec)
     weights = ad.row_softmax(scores)
-    return ad.matmul(weights, node_outputs)
+    return ad.matmul(weights, node_outputs), weights
 
 
 def er_attention(

@@ -1,0 +1,104 @@
+"""The two headline experiments, shared by the command line, the runner
+scripts and the acceptance tests so every entry point writes the same bytes.
+
+* sweep_fraction: test accuracy for every training fraction x mode x seed
+  cell, written to `sweep.csv`.
+* ablate_subgraph: test accuracy for every subgraph node budget, written to
+  `ablation.csv`.
+
+Both CSVs go through csv.writer (CRLF line ends) with repr floats.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+from math import comb
+
+from .config import ExperimentConfig, train_config
+from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
+from .training import PreparedQuestion, TrainConfig, evaluate
+
+SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
+ABLATION_HEADER = ["max_nodes", "accuracy"]
+
+
+def _prepare_splits(
+    pipe: Pipeline, tc: TrainConfig
+) -> tuple[list[PreparedQuestion], list[PreparedQuestion] | None, list[PreparedQuestion]]:
+    """Train, dev (None when no dev split is supplied) and test questions."""
+    train_qs = prepare_split(pipe, "train", tc)
+    dev_qs = prepare_split(pipe, "dev", tc) if "dev" in pipe.items else None
+    return train_qs, dev_qs, prepare_split(pipe, "test", tc)
+
+
+def _train_and_score(
+    pipe: Pipeline,
+    tc: TrainConfig,
+    train_qs: list[PreparedQuestion],
+    dev_qs: list[PreparedQuestion] | None,
+    test_qs: list[PreparedQuestion],
+) -> float:
+    """Train one cell and return the test accuracy of its best state."""
+    model, result = run_training(pipe, tc, train_qs, dev_qs)
+    model.load_state_arrays(result.best_state)
+    accuracy, _ = evaluate(test_qs, model, tc)
+    return accuracy
+
+
+def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[list]) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"{kind}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"{kind} {path}")
+
+
+def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:
+    """Train every fraction x mode x seed cell, in that nesting order, on
+    splits prepared once; return (fraction, mode, seed, test accuracy) rows
+    and write them to `sweep.csv` in cfg.out_dir."""
+    cfg.require("kg", "corpus", "train", "test")
+    pipe = load_pipeline(cfg)
+    splits = _prepare_splits(pipe, train_config(cfg))
+
+    rows = []
+    for fraction in cfg.fractions:
+        for mode in cfg.modes:
+            for seed in cfg.seeds:
+                tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
+                acc = _train_and_score(pipe, tc, *splits)
+                rows.append((fraction, mode, seed, acc))
+                print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
+
+    _write_csv(cfg, "sweep", SWEEP_HEADER, [[repr(float(f)), m, s, repr(a)] for f, m, s, a in rows])
+    return rows
+
+
+def ablate_subgraph(cfg: ExperimentConfig) -> list[tuple[int, float]]:
+    """Prepare the splits and train once per node budget; return
+    (max_nodes, test accuracy) rows and write them to `ablation.csv` in
+    cfg.out_dir."""
+    cfg.require("kg", "corpus", "train", "test")
+    pipe = load_pipeline(cfg)
+
+    rows = []
+    for budget in cfg.node_budgets:
+        tc = training_config_for(cfg, max_nodes=budget)
+        acc = _train_and_score(pipe, tc, *_prepare_splits(pipe, tc))
+        rows.append((budget, acc))
+        print(f"max_nodes {budget}: accuracy {acc:.4f}")
+
+    _write_csv(cfg, "ablation", ABLATION_HEADER, [[b, repr(a)] for b, a in rows])
+    return rows
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """One-sided sign test over decided pairs, ties dropped: the chance of at
+    least `wins` successes in wins + losses fair coin flips."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    return sum(comb(n, k) for k in range(wins, n + 1)) / 2**n

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kg import FORWARD, KnowledgeGraph
+from .kg import KnowledgeGraph
 from .retrieval import tokenize
 
 
@@ -29,9 +29,7 @@ class ConceptMention:
 @dataclass
 class Subgraph:
     nodes: list[int]                      # entity ids, seeds first
-    edges: list[tuple[int, int, int]]     # (node_index, node_index, relation)
     adjacency: np.ndarray                 # C: symmetric 0/1, zero diagonal
-    adjacency_self: np.ndarray            # C + I
     norm_adjacency: np.ndarray            # D^-1/2 (C+I) D^-1/2
     paths: list[list[int]] = field(default_factory=list)  # selected seed-to-seed paths
 
@@ -132,28 +130,17 @@ def connect_concepts(
     index = {e: i for i, e in enumerate(nodes)}
     n = len(nodes)
     adjacency = np.zeros((n, n))
-    edges: list[tuple[int, int, int]] = []
     for e in nodes:
         i = index[e]
-        for nb, rel, direction in graph.adjacency[e]:
+        for nb, _rel, _direction in graph.adjacency[e]:
             j = index.get(nb)
             if j is None:
                 continue
-            if direction == FORWARD:  # count each stored triple once, from its head
-                edges.append((i, j, rel))
             adjacency[i, j] = 1.0
             adjacency[j, i] = 1.0
 
-    adjacency_self = adjacency + np.eye(n)
     norm = normalize_adjacency(adjacency)
-    return Subgraph(
-        nodes=nodes,
-        edges=edges,
-        adjacency=adjacency,
-        adjacency_self=adjacency_self,
-        norm_adjacency=norm,
-        paths=paths,
-    )
+    return Subgraph(nodes=nodes, adjacency=adjacency, norm_adjacency=norm, paths=paths)
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:

@@ -329,10 +329,7 @@ def score_question(
         text_vec = encode_text(choice.token_ids, params.text)
         choice_detail: dict = {}
         if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
-            node_outputs = gcn_forward(choice.subgraph, params.gcn)
-            scores = ad.matmul(node_outputs, text_vec)
-            attn = ad.row_softmax(scores)
-            graph_vec = ad.matmul(attn, node_outputs)
+            graph_vec, attn = graph_attention_pool(gcn_forward(choice.subgraph, params.gcn), text_vec)
             if details is not None:
                 choice_detail["node_attention"] = {
                     int(e): float(w) for e, w in zip(choice.subgraph.nodes, attn.data)
@@ -445,17 +442,15 @@ def _batch_loss(
     return ad.mean(ad.concat(losses))
 
 
-def _eval_loss(
-    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
-) -> float:
-    """Mean cross-entropy of the predict-path logits, eval mode."""
+def _mean_loss(rows: list[dict]) -> float:
+    """Mean cross-entropy of the logits in `evaluate`'s rows."""
     total = 0.0
-    for pq in questions:
-        _, logits, _ = predict(pq, params, config)
+    for row in rows:
+        logits = np.array(row["logits"])
         z = logits - np.max(logits)
         lse = np.log(np.sum(np.exp(z)))
-        total += lse - z[pq.answer_index]
-    return float(total / len(questions))
+        total += lse - z[row["gold"]]
+    return float(total / len(rows))
 
 
 def _measure_entropies(
@@ -557,7 +552,7 @@ def _train_loop(
                     "split": "dev",
                     "accuracy": dev_acc,
                     "mean_entropy": float(np.mean([r["entropy"] for r in dev_rows])),
-                    "loss": _eval_loss(dev_qs, model, config),
+                    "loss": _mean_loss(dev_rows),
                 }
             )
             select_acc = dev_acc

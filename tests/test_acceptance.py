@@ -24,14 +24,13 @@ from actknow import autodiff as ad
 from actknow.autodiff import Tensor, backward, sample_gumbel
 from actknow.cli import main
 from actknow.encoders import GCNParams, build_vocab, gcn_forward
+from actknow.experiments import ablate_subgraph, sign_test_p, sweep_fraction
 from actknow.kg import graph_from_triples
 from actknow.nli import QAItem, make_hypothesis
-from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from actknow.retrieval import build_index, corpus_from_sentences, retrieve
 from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.subgraph import Subgraph, connect_concepts, identify_concepts, normalize_adjacency
 from actknow.training import (
-    evaluate,
     prepare_questions,
     question_entropy,
     score_question,
@@ -231,14 +230,7 @@ def test_criterion_2_normalization_oracles():
         d0, d1, d2 = 5, 7, 3
         features = rng.normal(size=(n, d0))
         w1, w2 = rng.normal(size=(d0, d1)), rng.normal(size=(d1, d2))
-        sub = Subgraph(
-            nodes=list(range(n)),
-            edges=[],
-            adjacency=c,
-            adjacency_self=c + np.eye(n),
-            norm_adjacency=norm,
-            paths=[],
-        )
+        sub = Subgraph(nodes=list(range(n)), adjacency=c, norm_adjacency=norm, paths=[])
         params = GCNParams(layers=[Tensor(w1), Tensor(w2)], node_features=Tensor(features))
         got = gcn_forward(sub, params).data
         want = dense_gcn(dense_normalize(c), features, [w1, w2])
@@ -431,36 +423,17 @@ def test_criterion_6_retrieval_oracle():
 # criterion 7: low-data directional result on the bundled task
 
 
-def _sign_test_p(wins: int, losses: int) -> float:
-    n = wins + losses
-    if n == 0:
-        return 1.0
-    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
-
-
 def test_criterion_7_lowdata_directional(lowdata_dir, tmp_path):
     start = time.monotonic()
     cfg = lowdata_experiment(lowdata_dir, str(tmp_path))
-    pipe = load_pipeline(cfg)
-    base_tc = training_config_for(cfg)
-    train_qs = prepare_split(pipe, "train", base_tc)
-    dev_qs = prepare_split(pipe, "dev", base_tc)
-    test_qs = prepare_split(pipe, "test", base_tc)
-
-    acc: dict[str, list[float]] = {mode: [] for mode in cfg.modes}
-    for seed in cfg.seeds:
-        for mode in cfg.modes:
-            tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=cfg.fractions[0])
-            model, result = run_training(pipe, tc, train_qs, dev_qs)
-            model.load_state_arrays(result.best_state)
-            accuracy, _ = evaluate(test_qs, model, tc)
-            acc[mode].append(accuracy)
+    rows = sweep_fraction(cfg)
+    acc = {mode: [a for _, m, _, a in rows if m == mode] for mode in cfg.modes}
 
     elapsed = time.monotonic() - start
     gap = float(np.mean(acc["base-know"]) - np.mean(acc["text-only"]))
     wins = sum(a > b for a, b in zip(acc["act-know"], acc["base-know"]))
     losses = sum(b > a for a, b in zip(acc["act-know"], acc["base-know"]))
-    p = _sign_test_p(wins, losses)
+    p = sign_test_p(wins, losses)
 
     ok = gap >= 0.05 and p < 0.1 and elapsed < 900.0
     _report(7, "low-data gains", ok,
@@ -474,17 +447,7 @@ def test_criterion_7_lowdata_directional(lowdata_dir, tmp_path):
 
 def test_criterion_8_budget_ablation(noisy_dir, tmp_path):
     cfg = noisy_experiment(noisy_dir, str(tmp_path))
-    pipe = load_pipeline(cfg)
-    accs: dict[int, float] = {}
-    for budget in cfg.node_budgets:
-        tc = training_config_for(cfg, max_nodes=budget)
-        train_qs = prepare_split(pipe, "train", tc)
-        dev_qs = prepare_split(pipe, "dev", tc)
-        test_qs = prepare_split(pipe, "test", tc)
-        model, result = run_training(pipe, tc, train_qs, dev_qs)
-        model.load_state_arrays(result.best_state)
-        accuracy, _ = evaluate(test_qs, model, tc)
-        accs[budget] = accuracy
+    accs = dict(ablate_subgraph(cfg))
 
     low, mid, high = cfg.node_budgets
     ok = accs[mid] > accs[low] and accs[mid] > accs[high]

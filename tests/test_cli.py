@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from actknow.cli import ABLATION_HEADER, SWEEP_HEADER, main
+from actknow.cli import main
 from actknow.config import ExperimentConfig
+from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER
 from actknow.pipeline import load_pipeline
 from actknow.training import STATS_HEADER
 
@@ -75,6 +76,13 @@ def test_gen_synth_seed_from_environment(tmp_path, monkeypatch, capsys):
     a = open(os.path.join(env_dir, "kg.tsv"), "rb").read()
     b = open(os.path.join(explicit, "kg.tsv"), "rb").read()
     assert a == b
+
+
+def test_gen_synth_rejects_non_integer_env_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ACTKNOW_SEED", "lots")
+    flags = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12", "--node-dim", "8"]
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "env"), *flags]) == 1
+    assert "ACTKNOW_SEED" in capsys.readouterr().err
 
 
 def test_train_writes_checkpoint_and_stats(trained_dir):

@@ -157,7 +157,7 @@ def test_gcn_pooled_output_permutation_invariant():
         feats = np.stack([base[ord(graph.entities[e]) - ord("a")] for e in range(graph.n_entities)])
         params = GCNParams(layers=[Tensor(np.eye(3)), Tensor(SECOND_LAYER)], node_features=Tensor(feats))
         node_out = gcn_forward(sub, params)
-        outputs.append(graph_attention_pool(node_out, Tensor(text)).data)
+        outputs.append(graph_attention_pool(node_out, Tensor(text))[0].data)
     assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
 
 
@@ -179,7 +179,7 @@ def test_gcn_gradient_matches_fd():
     w = np.random.default_rng(11).normal(size=3)
 
     def forward():
-        pooled = graph_attention_pool(gcn_forward(sub, params), text)
+        pooled, _ = graph_attention_pool(gcn_forward(sub, params), text)
         return matmul(pooled, Tensor(w))
 
     backward(forward())
@@ -194,25 +194,26 @@ def test_gcn_gradient_matches_fd():
 
 def test_pool_single_node_returns_it():
     node = RNG.normal(size=(1, 4))
-    out = graph_attention_pool(Tensor(node), Tensor(RNG.normal(size=4)))
+    out, _ = graph_attention_pool(Tensor(node), Tensor(RNG.normal(size=4)))
     assert np.allclose(out.data, node[0], atol=1e-12)
 
 
 def test_pool_orthogonal_nodes_average():
     nodes = np.eye(3) * 2.0
     text = np.zeros(3)  # all scores zero, weights uniform
-    out = graph_attention_pool(Tensor(nodes), Tensor(text))
+    out, _ = graph_attention_pool(Tensor(nodes), Tensor(text))
     assert np.allclose(out.data, nodes.mean(axis=0), atol=1e-12)
 
 
 def test_pool_matches_brute_force():
     nodes = RNG.normal(size=(5, 6))
     text = RNG.normal(size=6)
-    out = graph_attention_pool(Tensor(nodes), Tensor(text)).data
+    out, attn = graph_attention_pool(Tensor(nodes), Tensor(text))
     scores = nodes @ text
     e = np.exp(scores - scores.max())
     weights = e / e.sum()
-    assert np.max(np.abs(out - weights @ nodes)) < 1e-10
+    assert np.max(np.abs(out.data - weights @ nodes)) < 1e-10
+    assert np.max(np.abs(attn.data - weights)) < 1e-10
 
 
 def test_pool_rejects_empty():
