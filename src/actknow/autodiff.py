@@ -87,17 +87,23 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """numpy matmul semantics for the 1-D/2-D operand combinations."""
+    """numpy matmul semantics for the 1-D/2-D operand combinations, plus the
+    batched (S, n, k) @ (S, k, m) product of two 3-D stacks."""
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise ValueError("matmul: operands must be at least 1-D")
+    an, bn = a.data.ndim, b.data.ndim
+    if max(an, bn) > 2 and (an, bn) != (3, 3):
+        raise ValueError(f"matmul: a 3-D operand needs a 3-D partner, got {a.shape} @ {b.shape}")
+    if an == 3 and a.shape[0] != b.shape[0]:
+        raise ValueError(f"matmul: batch sizes differ {a.shape} @ {b.shape}")
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
-    an, bn = a.data.ndim, b.data.ndim
-
     def pullback(g: Array):
+        if an == 3:
+            return g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g
         if an == 2 and bn == 2:
             return g @ b.data.T, a.data.T @ g
         if an == 2 and bn == 1:
@@ -110,18 +116,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), pullback)
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors along axis 0."""
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ValueError("transpose: input must be 2-D")
+    return _result(a.data.T, (a,), lambda g: (g.T,))
+
+
+def add_row(a: Tensor, row: Tensor) -> Tensor:
+    """(n, d) + (d,): the same row added to every row of a."""
+    if a.data.ndim != 2 or row.data.ndim != 1 or a.shape[1] != row.shape[0]:
+        raise ValueError(f"add_row: need (n, d) + (d,), got {a.shape} + {row.shape}")
+    return _result(a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0)))
+
+
+def row_dot(a: Tensor, v: Tensor) -> Tensor:
+    """(n, d) . (d,) -> (n,): each row's dot product with v. Every row is
+    summed the same way, so equal rows give bit-equal results wherever they
+    sit; a BLAS matrix-vector product does not promise that."""
+    if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
+        raise ValueError(f"row_dot: need (n, d) . (d,), got {a.shape} . {v.shape}")
+    return _result(np.sum(a.data * v.data, axis=1), (a, v), lambda g: (np.outer(g, v.data), g @ a.data))
+
+
+def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors of equal rank along `axis`."""
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValueError("concat: all inputs must be 1-D")
-    data = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    ndim = parts[0].data.ndim
+    if ndim == 0 or any(p.data.ndim != ndim for p in parts) or not 0 <= axis < ndim:
+        raise ValueError(f"concat: need tensors of one rank >= 1 and an axis below it, got axis {axis}")
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as exc:
+        raise ValueError(f"concat: shapes {[p.shape for p in parts]} differ off axis {axis}") from exc
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def pullback(g: Array):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        index = [slice(None)] * ndim
+        grads = []
+        for i in range(len(parts)):
+            index[axis] = slice(offsets[i], offsets[i + 1])
+            grads.append(g[tuple(index)])
+        return tuple(grads)
 
     return _result(data, tuple(parts), pullback)
 
@@ -213,6 +249,77 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
         return (grad * g,)
 
     return _result(np.asarray(lse - logits.data[target]), (logits,), pullback)
+
+
+def masked_softmax(a: Tensor, mask: Array) -> Tensor:
+    """Softmax over the last axis of a 2-D tensor, taken only over the
+    entries where mask is True; masked-out entries get weight exactly 0.
+    Every row needs at least one unmasked entry."""
+    mask = np.asarray(mask, dtype=bool)
+    if a.data.ndim != 2 or mask.shape != a.shape:
+        raise ValueError(f"masked_softmax: need a 2-D tensor and a mask of its shape, got {a.shape}, {mask.shape}")
+    if not np.all(mask.any(axis=1)):
+        raise ValueError("masked_softmax: a row has no unmasked entry")
+    top = np.max(np.where(mask, a.data, -np.inf), axis=1, keepdims=True)
+    e = np.exp(np.where(mask, a.data - top, -np.inf))
+    out = e / np.sum(e, axis=1, keepdims=True)
+
+    def pullback(g: Array):
+        dot = np.sum(g * out, axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return _result(out, (a,), pullback)
+
+
+# ---------------------------------------------------------------------------
+# segment ops: rows grouped into consecutive non-empty segments given by
+# their start offsets, e.g. the tokens of each choice or the choices of each
+# question
+
+
+def _segment_counts(starts: Array, total: int) -> Array:
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.size == 0 or not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError("segment starts must be a non-empty 1-D integer array")
+    counts = np.diff(np.append(starts, total))
+    if starts[0] != 0 or np.any(counts < 1):
+        raise ValueError("segment starts must begin at 0 and increase strictly below the row count")
+    return counts
+
+
+def segment_mean(a: Tensor, starts: Array) -> Tensor:
+    """Mean of each segment of rows: (T, ...) -> (n_segments, ...)."""
+    if a.data.ndim == 0:
+        raise ValueError("segment_mean: input must be at least 1-D")
+    counts = _segment_counts(starts, a.shape[0])
+    scale = counts.reshape((-1,) + (1,) * (a.data.ndim - 1))
+    data = np.add.reduceat(a.data, starts, axis=0) / scale
+    return _result(data, (a,), lambda g: (np.repeat(g / scale, counts, axis=0),))
+
+
+def segment_cross_entropy(logits: Tensor, starts: Array, targets: Array) -> Tensor:
+    """Per-segment -log softmax(segment)[target] of a flat 1-D logit vector:
+    (C,) -> (n_segments,). targets index within their segment."""
+    if logits.data.ndim != 1:
+        raise ValueError("segment_cross_entropy: logits must be 1-D")
+    counts = _segment_counts(starts, logits.shape[0])
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != counts.shape:
+        raise ValueError(f"segment_cross_entropy: {targets.size} targets for {counts.size} segments")
+    if np.any(targets < 0) or np.any(targets >= counts):
+        raise IndexError("segment_cross_entropy: target out of range for its segment")
+    z = logits.data
+    zmax = np.maximum.reduceat(z, starts)
+    lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, counts)), starts))
+    picked = starts + targets
+    probs = np.exp(z - np.repeat(lse, counts))
+
+    def pullback(g: Array):
+        grad = probs.copy()
+        grad[picked] -= 1.0
+        return (grad * np.repeat(g, counts),)
+
+    return _result(lse - z[picked], (logits,), pullback)
 
 
 # ---------------------------------------------------------------------------

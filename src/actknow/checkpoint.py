@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError
 
 Array = np.ndarray
@@ -29,7 +30,7 @@ def save_checkpoint(path: str, named: dict[str, Array]) -> None:
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"{name} {arr.ndim} {dims}".rstrip())
         lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import _coerce, _LIST_FIELDS, ExperimentConfig, env_seed, resolve_config, train_config
 from .errors import ConfigError
@@ -143,7 +144,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     questions = prepare_split(pipe, cfg.split, tc)
     acc, rows = evaluate(questions, model, tc, with_details=True)
     out_path = _out_path(cfg, "eval.jsonl")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     print(f"{cfg.split} accuracy {acc:.4f} over {len(rows)} questions")

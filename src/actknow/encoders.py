@@ -6,6 +6,10 @@ Three per-choice representations feed the classifier:
   knowledge_vec  concat of attention-pooled projected entity and relation
                  tables, dim 2d; entity attention uses Gumbel softmax while
                  training and plain softmax at eval time
+
+Each forward pass takes a batch of choices at once and returns one row per
+choice, so a batch costs a few array ops rather than one small tape per
+choice.
 """
 
 from __future__ import annotations
@@ -116,65 +120,87 @@ def init_er_params(
 
 
 # ---------------------------------------------------------------------------
-# forward passes
+# forward passes, each over a batch of choices stacked along the first axis
 
 
-def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
-    if token_ids.size == 0:
-        raise ValueError("encode_text: empty token sequence")
-    embedded = ad.gather(params.token_embedding, token_ids)
-    pooled = ad.mean(embedded, axis=0)
-    return ad.relu(ad.add(ad.matmul(params.projection, pooled), params.bias))
+def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
+    """relu(P @ mean(token embeddings) + bias) per token sequence: (C, d)."""
+    if not sequences or any(ids.size == 0 for ids in sequences):
+        raise ValueError("encode_text: need at least one sequence, none of them empty")
+    starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
+    embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
+    pooled = ad.segment_mean(embedded, starts)
+    return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
 
-def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
-    """Stacked propagation: H' = act(A_norm @ H @ W), relu between layers,
-    identity after the last. Returns the (N, d) node matrix."""
-    if sub.n_nodes == 0:
-        raise ValueError("gcn_forward: empty subgraph")
-    a_norm = Tensor(sub.norm_adjacency)
-    h = ad.gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
+def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray]:
+    """Stacked propagation per subgraph: H' = act(A_norm @ H @ W), relu
+    between layers, identity after the last.
+
+    Subgraphs are padded to the largest one: returns the (S, N, d) node
+    outputs, whose padded rows are exact zeros, and the (S, N) mask of
+    real nodes."""
+    if not subgraphs or any(sub.n_nodes == 0 for sub in subgraphs):
+        raise ValueError("gcn_forward: need at least one subgraph, none of them empty")
+    n = max(sub.n_nodes for sub in subgraphs)
+    adjacency = np.zeros((len(subgraphs), n, n))
+    mask = np.zeros((len(subgraphs), n), dtype=bool)
+    for i, sub in enumerate(subgraphs):
+        adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
+        mask[i, : sub.n_nodes] = True
+    # node features are fixed inputs, so the padded stack is a constant
+    features = np.zeros(mask.shape + (params.node_features.shape[1],))
+    features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
+    a_norm, h = Tensor(adjacency), Tensor(features)
     last = len(params.layers) - 1
     for i, w in enumerate(params.layers):
-        h = ad.matmul(ad.matmul(a_norm, h), w)
+        h = ad.matmul(a_norm, h)
+        rows = ad.matmul(ad.reshape(h, (-1, h.shape[2])), w)
+        h = ad.reshape(rows, (len(subgraphs), n, w.shape[1]))
         if i != last:
             h = ad.relu(h)
-    return h
+    return h, mask
 
 
-def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax(text . node_k) weighted sum of node outputs, and the (N,)
-    attention weights."""
-    if node_outputs.data.ndim != 2 or node_outputs.data.shape[0] == 0:
-        raise ValueError("graph_attention_pool: need a non-empty (N, d) matrix")
-    scores = ad.matmul(node_outputs, text_vec)
-    weights = ad.row_softmax(scores)
-    return ad.matmul(weights, node_outputs), weights
+def graph_attention_pool(node_outputs: Tensor, mask: np.ndarray, text_vecs: Tensor) -> tuple[Tensor, Tensor]:
+    """Per subgraph, the softmax(text . node_k) weighted sum of its node
+    outputs: (S, d), and the (S, N) attention weights, 0 on padding."""
+    if node_outputs.data.ndim != 3 or node_outputs.shape[0] == 0:
+        raise ValueError("graph_attention_pool: need a non-empty (S, N, d) stack")
+    s, n, d = node_outputs.shape
+    if text_vecs.shape != (s, d):
+        raise ValueError(f"graph_attention_pool: text vectors {text_vecs.shape} do not match ({s}, {d})")
+    scores = ad.reshape(ad.matmul(node_outputs, ad.reshape(text_vecs, (s, d, 1))), (s, n))
+    weights = ad.masked_softmax(scores, mask)
+    pooled = ad.matmul(ad.reshape(weights, (s, 1, n)), node_outputs)
+    return ad.reshape(pooled, (s, d)), weights
 
 
 def er_attention(
-    text_vec: Tensor,
+    text_vecs: Tensor,
     params: ERAttentionParams,
     temperature: float,
     train: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Concat of attention-weighted projected entity and relation vectors.
+    """Per text vector, the concat of attention-weighted projected entity and
+    relation vectors: (C, d) -> (C, 2d). The tables are projected once.
 
-    Entity weights are Gumbel-softmax samples in train mode (rng required)
-    and plain softmax at eval; relation weights are always plain softmax.
+    Entity weights are Gumbel-softmax samples in train mode (rng required;
+    one row of noise per text vector, drawn in row order) and plain softmax
+    at eval; relation weights are always plain softmax.
     """
     projected_entities = ad.matmul(params.entity_table, params.entity_proj)
-    entity_scores = ad.matmul(projected_entities, text_vec)
+    entity_scores = ad.matmul(text_vecs, ad.transpose(projected_entities))
     if train:
         if rng is None:
             raise ValueError("er_attention: train mode needs an rng")
         entity_weights = ad.gumbel_softmax(entity_scores, temperature, rng)
     else:
         entity_weights = ad.row_softmax(entity_scores)
-    entity_vec = ad.matmul(entity_weights, projected_entities)
+    entity_vecs = ad.matmul(entity_weights, projected_entities)
 
     projected_relations = ad.matmul(params.relation_table, params.relation_proj)
-    relation_weights = ad.row_softmax(ad.matmul(projected_relations, text_vec))
-    relation_vec = ad.matmul(relation_weights, projected_relations)
-    return ad.concat([entity_vec, relation_vec])
+    relation_weights = ad.row_softmax(ad.matmul(text_vecs, ad.transpose(projected_relations)))
+    relation_vecs = ad.matmul(relation_weights, projected_relations)
+    return ad.concat([entity_vecs, relation_vecs], axis=1)

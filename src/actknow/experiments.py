@@ -15,6 +15,7 @@ import csv
 import os
 from math import comb
 
+from .atomic import atomic_write
 from .config import ExperimentConfig, train_config
 from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
 from .training import PreparedQuestion, TrainConfig, evaluate
@@ -49,7 +50,7 @@ def _train_and_score(
 def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[list]) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{kind}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

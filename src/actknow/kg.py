@@ -161,11 +161,6 @@ class EmbeddingTable:
     vectors: np.ndarray  # (n_items, dim) float64
 
 
-def triple_score(ent: np.ndarray, rel: np.ndarray, triple: Triple) -> float:
-    """Bilinear-diagonal score: sum_k e_h[k] * r[k] * e_t[k]."""
-    return float(np.sum(ent[triple.head] * rel[triple.relation] * ent[triple.tail]))
-
-
 def train_kg_embeddings(
     graph: KnowledgeGraph,
     dim: int,

@@ -4,21 +4,27 @@ Both trainers share one loop skeleton of master epochs each containing
 sub-epochs of Adam updates. The plain trainer applies fixed per-question
 weights; the active trainer re-measures every training question's
 prediction entropy at the start of each master epoch (parameters frozen,
-eval-mode forward) and uses it to scale the graph and knowledge features
-for, and only for, that epoch's updates. Entropy never carries gradient.
+eval-mode forward; from the second epoch on, the end-of-epoch evaluation
+has already measured it on the same parameters) and uses it to scale the
+graph and knowledge features for, and only for, that epoch's updates.
+Entropy never carries gradient.
+
+Scoring is choice-stacked: score_batch runs every choice of a batch of
+questions through each encoder at once.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_write
 from .autodiff import Tensor
 from .encoders import (
     ERAttentionParams,
@@ -303,8 +309,63 @@ def sample_fraction(items: list, fraction: float, seed: int) -> list:
 # forward scoring
 
 
-def _zero_vec(n: int) -> Tensor:
-    return Tensor(np.zeros(n))
+def score_batch(
+    questions: list[PreparedQuestion],
+    params: ModelParams,
+    weights: list[tuple[float, float]],
+    config: TrainConfig,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    details: list | None = None,
+) -> tuple[Tensor, np.ndarray]:
+    """Logits of every choice of a stack of questions, flat in question
+    order: (n_choices,), plus the start offset of each question's choices.
+
+    weights holds one (graph, knowledge) pair per question, scaling that
+    question's graph and knowledge features before the classifier product;
+    (1, 1) is the plain model and (0, 0) reduces it to text-only. text-only
+    mode skips the graph side and feeds zeros in its place. With details,
+    one dict per choice is appended, holding the node attention weights
+    of choices that have a subgraph.
+    """
+    choices = [c for pq in questions for c in pq.choices]
+    counts = np.array([len(pq.choices) for pq in questions])
+    starts = np.cumsum(counts) - counts
+    scale = np.repeat(np.asarray(weights, dtype=np.float64).reshape(len(questions), 2), counts, axis=0)
+    d = params.dim
+    text = encode_text([c.token_ids for c in choices], params.text)
+    with_graph = config.mode != "text-only"
+
+    graph = Tensor(np.zeros((len(choices), d)))
+    rows = [i for i, c in enumerate(choices) if c.subgraph is not None and c.subgraph.n_nodes > 0]
+    choice_details: list[dict] = [{} for _ in choices]
+    if with_graph and config.use_gcn and rows:
+        subgraphs = [choices[i].subgraph for i in rows]
+        nodes, mask = gcn_forward(subgraphs, params.gcn)
+        pooled, attn = graph_attention_pool(nodes, mask, ad.gather(text, np.array(rows)))
+        # choices without a subgraph read the zero row appended after the pooled ones
+        slot = np.full(len(choices), len(rows))
+        slot[rows] = np.arange(len(rows))
+        graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
+        if details is not None:
+            for i, sub, w in zip(rows, subgraphs, attn.data):
+                choice_details[i]["node_attention"] = {int(e): float(x) for e, x in zip(sub.nodes, w)}
+    if with_graph and config.use_er:
+        knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
+    else:
+        knowledge = Tensor(np.zeros((len(choices), 2 * d)))
+
+    feats = ad.concat(
+        [
+            text,
+            ad.mul(graph, Tensor(np.broadcast_to(scale[:, :1], graph.shape))),
+            ad.mul(knowledge, Tensor(np.broadcast_to(scale[:, 1:], knowledge.shape))),
+        ],
+        axis=1,
+    )
+    if details is not None:
+        details.extend(choice_details)
+    return ad.row_dot(feats, params.classifier), starts
 
 
 def score_question(
@@ -316,38 +377,8 @@ def score_question(
     rng: np.random.Generator | None = None,
     details: list | None = None,
 ) -> Tensor:
-    """Logit vector over the question's choices.
-
-    weights scales the graph and knowledge features (in that order) before
-    the classifier dot product; (1, 1) is the plain model and (0, 0) reduces
-    it to text-only.
-    """
-    graph_scale, knowledge_scale = weights
-    d = params.dim
-    parts = []
-    for choice in pq.choices:
-        text_vec = encode_text(choice.token_ids, params.text)
-        choice_detail: dict = {}
-        if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
-            graph_vec, attn = graph_attention_pool(gcn_forward(choice.subgraph, params.gcn), text_vec)
-            if details is not None:
-                choice_detail["node_attention"] = {
-                    int(e): float(w) for e, w in zip(choice.subgraph.nodes, attn.data)
-                }
-        else:
-            graph_vec = _zero_vec(d)
-        if config.use_er:
-            knowledge_vec = er_attention(text_vec, params.er, config.gumbel_temperature, train, rng)
-        else:
-            knowledge_vec = _zero_vec(2 * d)
-        feats = ad.concat(
-            [text_vec, ad.scalar_mul(graph_vec, graph_scale), ad.scalar_mul(knowledge_vec, knowledge_scale)]
-        )
-        logit = ad.matmul(params.classifier, feats)
-        parts.append(ad.reshape(logit, (1,)))
-        if details is not None:
-            details.append(choice_detail)
-    return ad.concat(parts)
+    """Logit vector over one question's choices: score_batch on one question."""
+    return score_batch([pq], params, [weights], config, train, rng, details)[0]
 
 
 def question_entropy(logits: np.ndarray) -> float:
@@ -365,6 +396,38 @@ def question_entropy(logits: np.ndarray) -> float:
 # prediction and evaluation
 
 
+def _chunks(questions: list[PreparedQuestion], size: int) -> Iterator[list[PreparedQuestion]]:
+    for start in range(0, len(questions), size):
+        yield questions[start : start + size]
+
+
+def _eval_logits(
+    questions: list[PreparedQuestion],
+    params: ModelParams,
+    weights: list[tuple[float, float]],
+    config: TrainConfig,
+    details: list | None = None,
+) -> list[np.ndarray]:
+    """Eval-mode logits of each question, one array per question."""
+    logits, starts = score_batch(questions, params, weights, config, details=details)
+    return np.split(logits.data, starts[1:])
+
+
+def _predict_batch(
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
+) -> list[tuple[int, np.ndarray, float]]:
+    """predict() for a stack of questions, scored together."""
+    if config.mode == "act-know":
+        ones = [(1.0, 1.0)] * len(questions)
+        entropies = [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
+        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
+    else:
+        w = (0.0, 0.0) if config.mode == "text-only" else (1.0, 1.0)
+        logits = _eval_logits(questions, params, [w] * len(questions), config, details)
+        entropies = [question_entropy(z) for z in logits]
+    return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
+
+
 def predict(
     pq: PreparedQuestion, params: ModelParams, config: TrainConfig, details: list | None = None
 ) -> tuple[int, np.ndarray, float]:
@@ -373,15 +436,7 @@ def predict(
     The active mode runs two eval passes: an unweighted one to measure the
     question's entropy, then a pass with features scaled by that entropy.
     """
-    if config.mode == "act-know":
-        first = score_question(pq, params, (1.0, 1.0), config, train=False).data
-        entropy = question_entropy(first)
-        logits = score_question(pq, params, (entropy, entropy), config, train=False, details=details).data
-    else:
-        w = (0.0, 0.0) if config.mode == "text-only" else (1.0, 1.0)
-        logits = score_question(pq, params, w, config, train=False, details=details).data
-        entropy = question_entropy(logits)
-    return int(np.argmax(logits)), logits, entropy
+    return _predict_batch([pq], params, config, details)[0]
 
 
 def evaluate(
@@ -390,27 +445,31 @@ def evaluate(
     config: TrainConfig,
     with_details: bool = False,
 ) -> tuple[float, list[dict]]:
-    """Accuracy plus one record per question."""
+    """Accuracy plus one record per question, scored config.batch_size
+    questions at a time. In act-know mode a record's entropy is that of the
+    unweighted pass, the entropy the active trainer weights by."""
     if not questions:
         raise ConfigError("evaluate: empty question list")
     rows = []
     correct = 0
-    for pq in questions:
+    for chunk in _chunks(questions, config.batch_size):
         details: list | None = [] if with_details else None
-        pred, logits, entropy = predict(pq, params, config, details=details)
-        hit = pred == pq.answer_index
-        correct += hit
-        row = {
-            "id": pq.qid,
-            "predicted": pred,
-            "gold": pq.answer_index,
-            "correct": bool(hit),
-            "entropy": entropy,
-            "logits": [float(v) for v in logits],
-        }
-        if with_details:
-            row["attention"] = details
-        rows.append(row)
+        offset = 0
+        for pq, (pred, logits, entropy) in zip(chunk, _predict_batch(chunk, params, config, details)):
+            hit = pred == pq.answer_index
+            correct += hit
+            row = {
+                "id": pq.qid,
+                "predicted": pred,
+                "gold": pq.answer_index,
+                "correct": bool(hit),
+                "entropy": entropy,
+                "logits": [float(v) for v in logits],
+            }
+            if with_details:
+                row["attention"] = details[offset : offset + len(pq.choices)]
+                offset += len(pq.choices)
+            rows.append(row)
     return correct / len(questions), rows
 
 
@@ -435,11 +494,11 @@ def _batch_loss(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> Tensor:
-    losses = []
-    for pq in batch:
-        logits = score_question(pq, params, weights_by_qid[pq.qid], config, train=True, rng=rng)
-        losses.append(ad.reshape(ad.cross_entropy(logits, pq.answer_index), (1,)))
-    return ad.mean(ad.concat(losses))
+    """Mean over the batch's questions of each question's cross-entropy."""
+    weights = [weights_by_qid[pq.qid] for pq in batch]
+    logits, starts = score_batch(batch, params, weights, config, train=True, rng=rng)
+    targets = [pq.answer_index for pq in batch]
+    return ad.mean(ad.segment_cross_entropy(logits, starts, targets))
 
 
 def _mean_loss(rows: list[dict]) -> float:
@@ -456,11 +515,13 @@ def _mean_loss(rows: list[dict]) -> float:
 def _measure_entropies(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
 ) -> dict[str, float]:
-    """Eval-mode unweighted forward per question; no gradients, no RNG use."""
+    """Eval-mode unweighted forward, chunked as in evaluate(); no gradients,
+    no RNG use."""
     out = {}
-    for pq in questions:
-        logits = score_question(pq, params, (1.0, 1.0), config, train=False).data
-        out[pq.qid] = question_entropy(logits)
+    for chunk in _chunks(questions, config.batch_size):
+        ones = [(1.0, 1.0)] * len(chunk)
+        for pq, logits in zip(chunk, _eval_logits(chunk, params, ones, config)):
+            out[pq.qid] = question_entropy(logits)
     return out
 
 
@@ -475,6 +536,9 @@ def _train_loop(
     config.validate()
     if not train_qs:
         raise ConfigError("no training questions")
+    measure = active and entropy_override is None
+    if measure and config.entropy_split == "dev" and not dev_qs:
+        raise ConfigError("entropy_split=dev requires a dev set")
 
     shuffle_rng = _stream(config.seed, 1)
     gumbel_rng = _stream(config.seed, 2)
@@ -505,6 +569,9 @@ def _train_loop(
             _run_updates(train_qs, model, ones, config, pre_opt, shuffle_rng, gumbel_rng)
 
     result = TrainResult(params=model, best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
+    # entropies of the last evaluate() on the entropy split; they equal a
+    # fresh _measure_entropies, since the parameters have not moved since
+    last_entropies: dict[str, float] | None = None
 
     for master in range(1, config.master_epochs + 1):
         if active:
@@ -512,14 +579,12 @@ def _train_loop(
                 weights = {pq.qid: (entropy_override, entropy_override) for pq in train_qs}
                 measured = {pq.qid: entropy_override for pq in train_qs}
             elif config.entropy_split == "dev":
-                if not dev_qs:
-                    raise ConfigError("entropy_split=dev requires a dev set")
-                dev_ent = _measure_entropies(dev_qs, model, config)
+                dev_ent = last_entropies or _measure_entropies(dev_qs, model, config)
                 shared = float(np.mean(list(dev_ent.values())))
                 weights = {pq.qid: (shared, shared) for pq in train_qs}
                 measured = {pq.qid: shared for pq in train_qs}
             else:
-                measured = _measure_entropies(train_qs, model, config)
+                measured = last_entropies or _measure_entropies(train_qs, model, config)
                 weights = {qid: (e, e) for qid, e in measured.items()}
             result.entropy_history.append(measured)
         elif config.mode == "text-only":
@@ -556,6 +621,9 @@ def _train_loop(
                 }
             )
             select_acc = dev_acc
+        if measure:
+            entropy_rows = dev_rows if config.entropy_split == "dev" else train_rows
+            last_entropies = {row["id"]: row["entropy"] for row in entropy_rows}
         if select_acc > result.best_accuracy:
             result.best_accuracy = select_acc
             result.best_epoch = master
@@ -617,7 +685,7 @@ def train_act_know(
 
 
 def write_stats_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_HEADER)
         for row in rows:

@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written directly from the defining formulas with plain
-loops and dense matrices, deliberately sharing no code with src/.
+Everything up to the per-choice scorer is written directly from the
+defining formulas with plain loops and dense matrices, deliberately sharing
+no code with src/. The per-choice scorer at the end is the model path that
+choice-stacked scoring replaced; it runs on the package's autodiff tape so
+that gradients can be compared too.
 """
 
 from __future__ import annotations
@@ -10,6 +13,12 @@ import math
 import re
 
 import numpy as np
+
+from actknow import autodiff as ad
+from actknow.autodiff import Tensor
+from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams
+from actknow.subgraph import Subgraph
+from actknow.training import ModelParams, PreparedQuestion, TrainConfig
 
 _TOKEN = re.compile(r"\w+")
 
@@ -122,3 +131,117 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(diff / scale))
+
+
+# ---------------------------------------------------------------------------
+# the per-choice scorer the package replaced with choice-stacked scoring:
+# one small tape per choice, built from the same autodiff primitives. It is
+# the reference the batched forward and backward are compared against.
+
+
+def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
+    if token_ids.size == 0:
+        raise ValueError("encode_text: empty token sequence")
+    embedded = ad.gather(params.token_embedding, token_ids)
+    pooled = ad.mean(embedded, axis=0)
+    return ad.relu(ad.add(ad.matmul(params.projection, pooled), params.bias))
+
+
+def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
+    """Stacked propagation: H' = act(A_norm @ H @ W), relu between layers,
+    identity after the last. Returns the (N, d) node matrix."""
+    if sub.n_nodes == 0:
+        raise ValueError("gcn_forward: empty subgraph")
+    a_norm = Tensor(sub.norm_adjacency)
+    h = ad.gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
+    last = len(params.layers) - 1
+    for i, w in enumerate(params.layers):
+        h = ad.matmul(ad.matmul(a_norm, h), w)
+        if i != last:
+            h = ad.relu(h)
+    return h
+
+
+def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor, Tensor]:
+    """Softmax(text . node_k) weighted sum of node outputs, and the (N,)
+    attention weights."""
+    if node_outputs.data.ndim != 2 or node_outputs.data.shape[0] == 0:
+        raise ValueError("graph_attention_pool: need a non-empty (N, d) matrix")
+    scores = ad.matmul(node_outputs, text_vec)
+    weights = ad.row_softmax(scores)
+    return ad.matmul(weights, node_outputs), weights
+
+
+def er_attention(
+    text_vec: Tensor,
+    params: ERAttentionParams,
+    temperature: float,
+    train: bool,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Concat of attention-weighted projected entity and relation vectors.
+
+    Entity weights are Gumbel-softmax samples in train mode (rng required)
+    and plain softmax at eval; relation weights are always plain softmax.
+    """
+    projected_entities = ad.matmul(params.entity_table, params.entity_proj)
+    entity_scores = ad.matmul(projected_entities, text_vec)
+    if train:
+        if rng is None:
+            raise ValueError("er_attention: train mode needs an rng")
+        entity_weights = ad.gumbel_softmax(entity_scores, temperature, rng)
+    else:
+        entity_weights = ad.row_softmax(entity_scores)
+    entity_vec = ad.matmul(entity_weights, projected_entities)
+
+    projected_relations = ad.matmul(params.relation_table, params.relation_proj)
+    relation_weights = ad.row_softmax(ad.matmul(projected_relations, text_vec))
+    relation_vec = ad.matmul(relation_weights, projected_relations)
+    return ad.concat([entity_vec, relation_vec])
+
+
+def _zero_vec(n: int) -> Tensor:
+    return Tensor(np.zeros(n))
+
+
+def score_question(
+    pq: PreparedQuestion,
+    params: ModelParams,
+    weights: tuple[float, float],
+    config: TrainConfig,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    details: list | None = None,
+) -> Tensor:
+    """Logit vector over the question's choices.
+
+    weights scales the graph and knowledge features (in that order) before
+    the classifier dot product; (1, 1) is the plain model and (0, 0) reduces
+    it to text-only.
+    """
+    graph_scale, knowledge_scale = weights
+    d = params.dim
+    parts = []
+    for choice in pq.choices:
+        text_vec = encode_text(choice.token_ids, params.text)
+        choice_detail: dict = {}
+        if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
+            graph_vec, attn = graph_attention_pool(gcn_forward(choice.subgraph, params.gcn), text_vec)
+            if details is not None:
+                choice_detail["node_attention"] = {
+                    int(e): float(w) for e, w in zip(choice.subgraph.nodes, attn.data)
+                }
+        else:
+            graph_vec = _zero_vec(d)
+        if config.use_er:
+            knowledge_vec = er_attention(text_vec, params.er, config.gumbel_temperature, train, rng)
+        else:
+            knowledge_vec = _zero_vec(2 * d)
+        feats = ad.concat(
+            [text_vec, ad.scalar_mul(graph_vec, graph_scale), ad.scalar_mul(knowledge_vec, knowledge_scale)]
+        )
+        logit = ad.matmul(params.classifier, feats)
+        parts.append(ad.reshape(logit, (1,)))
+        if details is not None:
+            details.append(choice_detail)
+    return ad.concat(parts)

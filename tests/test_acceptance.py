@@ -154,8 +154,44 @@ def _primitive_factories():
             rng.normal(size=4),
         )
 
+    def f_transpose(rng):
+        w = rng.normal(size=6)
+        return lambda leaf: _project(ad.transpose(leaf), w), rng.normal(size=(2, 3))
+
+    def f_add_row(rng):
+        row, w = rng.normal(size=3), rng.normal(size=6)
+        return lambda leaf: _project(ad.add_row(leaf, Tensor(row)), w), rng.normal(size=(2, 3))
+
+    def f_concat_axis(rng):
+        other, w = rng.normal(size=(2, 2)), rng.normal(size=10)
+        return lambda leaf: _project(ad.concat([Tensor(other), leaf], axis=1), w), rng.normal(size=(2, 3))
+
+    def f_batched_matmul(rng):
+        b, w = rng.normal(size=(2, 3, 2)), rng.normal(size=8)
+        return lambda leaf: _project(ad.matmul(leaf, Tensor(b)), w), rng.normal(size=(2, 2, 3))
+
+    def f_row_dot(rng):
+        v, w = rng.normal(size=4), rng.normal(size=3)
+        return lambda leaf: _project(ad.row_dot(leaf, Tensor(v)), w), rng.normal(size=(3, 4))
+
+    def f_masked_softmax(rng):
+        mask = np.array([[True, False, True, True], [False, True, True, False]])
+        w = rng.normal(size=8)
+        return lambda leaf: _project(ad.masked_softmax(leaf, mask), w), rng.normal(size=(2, 4))
+
+    def f_segment_mean(rng):
+        starts, w = np.array([0, 1, 4]), rng.normal(size=6)
+        return lambda leaf: _project(ad.segment_mean(leaf, starts), w), rng.normal(size=(5, 2))
+
+    def f_segment_cross_entropy(rng):
+        starts, targets = np.array([0, 4, 6]), rng.integers(0, 2, size=3)
+        w = rng.normal(size=3)
+        return lambda leaf: _project(ad.segment_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
+
     return [f_add, f_mul, f_scalar_mul, f_matmul, f_concat, f_reshape, f_relu,
-            f_log, f_exp, f_mean, f_gather, f_row_softmax, f_cross_entropy, f_gumbel]
+            f_log, f_exp, f_mean, f_gather, f_row_softmax, f_cross_entropy, f_gumbel,
+            f_transpose, f_add_row, f_concat_axis, f_batched_matmul, f_row_dot,
+            f_masked_softmax, f_segment_mean, f_segment_cross_entropy]
 
 
 def test_criterion_1_gradient_suite():
@@ -232,7 +268,7 @@ def test_criterion_2_normalization_oracles():
         w1, w2 = rng.normal(size=(d0, d1)), rng.normal(size=(d1, d2))
         sub = Subgraph(nodes=list(range(n)), adjacency=c, norm_adjacency=norm, paths=[])
         params = GCNParams(layers=[Tensor(w1), Tensor(w2)], node_features=Tensor(features))
-        got = gcn_forward(sub, params).data
+        got = gcn_forward([sub], params)[0].data[0]
         want = dense_gcn(dense_normalize(c), features, [w1, w2])
         worst_gcn = max(worst_gcn, float(np.max(np.abs(got - want))))
 

@@ -6,6 +6,7 @@ import pytest
 from actknow.autodiff import (
     Tensor,
     add,
+    add_row,
     backward,
     concat,
     cross_entropy,
@@ -14,13 +15,18 @@ from actknow.autodiff import (
     gumbel_softmax,
     gumbel_softmax_with_noise,
     log,
+    masked_softmax,
     matmul,
     mean,
     mul,
     relu,
     reshape,
+    row_dot,
     row_softmax,
     scalar_mul,
+    segment_cross_entropy,
+    segment_mean,
+    transpose,
 )
 from actknow.errors import ConfigError
 
@@ -87,6 +93,120 @@ def test_concat_grad():
     w = RNG.normal(size=5)
     grad_check(lambda t: project(concat([t, Tensor(tail)]), w), RNG.normal(size=2))
     grad_check(lambda t: project(concat([Tensor(tail), t]), w), RNG.normal(size=2))
+
+
+def test_concat_along_axes():
+    a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 1))
+    assert np.array_equal(concat([Tensor(a), Tensor(b)], axis=1).data, np.hstack([a, b]))
+    assert concat([Tensor(a), Tensor(a)]).shape == (4, 3)
+    with pytest.raises(ValueError):
+        concat([Tensor(a), Tensor(b)])  # column counts differ off axis 0
+    with pytest.raises(ValueError):
+        concat([Tensor(a)], axis=2)
+    w = RNG.normal(size=8)
+    grad_check(lambda t: project(concat([Tensor(a), t], axis=1), w), RNG.normal(size=(2, 1)))
+    grad_check(lambda t: project(concat([t, Tensor(b)], axis=1), w), RNG.normal(size=(2, 3)))
+
+
+def test_batched_matmul():
+    a, b = RNG.normal(size=(3, 2, 4)), RNG.normal(size=(3, 4, 5))
+    out = matmul(Tensor(a), Tensor(b))
+    assert out.shape == (3, 2, 5)
+    assert np.max(np.abs(out.data[1] - a[1] @ b[1])) < 1e-12
+    with pytest.raises(ValueError):
+        matmul(Tensor(a), Tensor(b[:2]))  # batch sizes differ
+    with pytest.raises(ValueError):
+        matmul(Tensor(a), Tensor(b[0]))  # 3-D needs a 3-D partner
+    w = RNG.normal(size=30)
+    grad_check(lambda t: project(matmul(t, Tensor(b)), w), a, tol=1e-5)
+    grad_check(lambda t: project(matmul(Tensor(a), t), w), b, tol=1e-5)
+
+
+def test_transpose():
+    a = RNG.normal(size=(2, 3))
+    assert np.array_equal(transpose(Tensor(a)).data, a.T)
+    with pytest.raises(ValueError):
+        transpose(Tensor(np.ones(3)))
+    w = RNG.normal(size=6)
+    grad_check(lambda t: project(transpose(t), w), a)
+
+
+def test_add_row():
+    a, row = RNG.normal(size=(3, 2)), RNG.normal(size=2)
+    assert np.array_equal(add_row(Tensor(a), Tensor(row)).data, a + row)
+    with pytest.raises(ValueError):
+        add_row(Tensor(a), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        add_row(Tensor(np.ones(2)), Tensor(np.ones(2)))
+    w = RNG.normal(size=6)
+    grad_check(lambda t: project(add_row(t, Tensor(row)), w), a)
+    grad_check(lambda t: project(add_row(Tensor(a), t), w), row)
+
+
+def test_row_dot():
+    a, v = RNG.normal(size=(4, 3)), RNG.normal(size=3)
+    out = row_dot(Tensor(a), Tensor(v))
+    assert out.shape == (4,)
+    assert np.max(np.abs(out.data - a @ v)) < 1e-12
+    with pytest.raises(ValueError):
+        row_dot(Tensor(a), Tensor(np.ones(4)))
+    w = RNG.normal(size=4)
+    grad_check(lambda t: project(row_dot(t, Tensor(v)), w), a)
+    grad_check(lambda t: project(row_dot(Tensor(a), t), w), v)
+
+
+def test_row_dot_equal_rows_are_bit_equal():
+    row = RNG.normal(size=64)
+    v = RNG.normal(size=64)
+    results = set()
+    for n in range(1, 12):
+        a = RNG.normal(size=(n, 64))
+        a[n // 2] = row
+        results.add(row_dot(Tensor(a), Tensor(v)).data[n // 2])
+    assert len(results) == 1
+
+
+def test_masked_softmax():
+    a = RNG.normal(size=(2, 4))
+    mask = np.array([[True, True, False, True], [True, False, False, False]])
+    out = masked_softmax(Tensor(a), mask).data
+    assert np.all(out[~mask] == 0.0)
+    e = np.exp(a[0, [0, 1, 3]] - a[0, [0, 1, 3]].max())
+    assert np.max(np.abs(out[0, [0, 1, 3]] - e / e.sum())) < 1e-12
+    assert out[1, 0] == 1.0
+    with pytest.raises(ValueError):
+        masked_softmax(Tensor(a), np.zeros((2, 4), bool))  # a row with nothing unmasked
+    with pytest.raises(ValueError):
+        masked_softmax(Tensor(a), mask[:, :3])
+    w = RNG.normal(size=8)
+    grad_check(lambda t: project(masked_softmax(t, mask), w), a)
+
+
+def test_segment_mean():
+    a = RNG.normal(size=(5, 2))
+    out = segment_mean(Tensor(a), np.array([0, 2, 3]))
+    assert out.shape == (3, 2)
+    assert np.max(np.abs(out.data - np.stack([a[:2].mean(0), a[2], a[3:].mean(0)]))) < 1e-12
+    for bad in (np.array([1, 3]), np.array([0, 3, 3]), np.array([0, 5]), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            segment_mean(Tensor(a), bad)
+    w = RNG.normal(size=6)
+    grad_check(lambda t: project(segment_mean(t, np.array([0, 2, 3])), w), a)
+
+
+def test_segment_cross_entropy():
+    z = RNG.normal(size=7)
+    starts, targets = np.array([0, 3]), np.array([2, 0])
+    out = segment_cross_entropy(Tensor(z), starts, targets)
+    want = [cross_entropy(Tensor(z[:3]), 2).item(), cross_entropy(Tensor(z[3:]), 0).item()]
+    assert np.max(np.abs(out.data - want)) < 1e-12
+    with pytest.raises(IndexError):
+        segment_cross_entropy(Tensor(z), starts, np.array([3, 0]))  # only 3 choices in the first
+    with pytest.raises(ValueError):
+        segment_cross_entropy(Tensor(z), starts, np.array([0]))
+    with pytest.raises(ValueError):
+        segment_cross_entropy(Tensor(z.reshape(7, 1)), starts, targets)
+    grad_check(lambda t: project(segment_cross_entropy(t, starts, targets), [0.7, -1.3]), z)
 
 
 def test_reshape_grad():
@@ -202,7 +322,7 @@ def test_shape_and_domain_errors():
     with pytest.raises(ValueError):
         concat([])
     with pytest.raises(ValueError):
-        concat([Tensor(np.ones((2, 2)))])
+        concat([Tensor(np.ones((2, 2))), Tensor(np.ones(2))])
     with pytest.raises(IndexError):
         gather(Tensor(np.ones((3, 2))), np.array([3]))
     with pytest.raises(IndexError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from actknow.autodiff import Tensor, backward, matmul
+from actknow.autodiff import Tensor, backward, matmul, reshape
 from actknow.encoders import (
     GCNParams,
     SEP_ID,
@@ -76,15 +76,17 @@ def test_encode_pair_empty_hypothesis_rejected():
 def test_encode_text_deterministic_for_same_ids():
     params = init_text_params(vocab_size=10, dim=6, rng=np.random.default_rng(0))
     ids = np.array([2, 5, 3])
-    a = encode_text(ids, params).data
-    b = encode_text(ids.copy(), params).data
+    a = encode_text([ids], params).data
+    b = encode_text([ids.copy()], params).data
     assert np.array_equal(a, b)
 
 
 def test_encode_text_rejects_empty():
     params = init_text_params(vocab_size=4, dim=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        encode_text(np.array([], dtype=np.int64), params)
+        encode_text([np.array([1]), np.array([], dtype=np.int64)], params)
+    with pytest.raises(ValueError):
+        encode_text([], params)
 
 
 def test_encode_text_gradient_matches_fd():
@@ -94,12 +96,22 @@ def test_encode_text_gradient_matches_fd():
     w = rng.normal(size=5)
 
     def loss_value():
-        return matmul(encode_text(ids, params), Tensor(w)).item()
+        return matmul(reshape(encode_text([ids], params), (-1,)), Tensor(w)).item()
 
-    backward(matmul(encode_text(ids, params), Tensor(w)))
+    backward(matmul(reshape(encode_text([ids], params), (-1,)), Tensor(w)))
     for leaf in (params.token_embedding, params.projection, params.bias):
         numeric = fd_gradient(loss_value, leaf.data)
         assert max_rel_error(leaf.grad, numeric) < 1e-5
+
+
+def test_encode_text_batch_rows_match_single_sequences():
+    params = init_text_params(vocab_size=10, dim=6, rng=np.random.default_rng(2))
+    sequences = [np.array([2, 5, 3]), np.array([7]), np.array([1, 1, 9, 4, 0])]
+    batch = encode_text(sequences, params).data
+    assert batch.shape == (3, 6)
+    for row, ids in zip(batch, sequences):
+        alone = encode_text([ids], params).data[0]
+        assert np.max(np.abs(row - alone)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +122,7 @@ def test_gcn_isolated_node_identity_weights():
     graph, sub = make_subgraph([("a", "r", "b"), ("x", "r", "y")], ["a"])
     feats = embedding(graph.n_entities, 3, seed=2)
     params = GCNParams(layers=[Tensor(np.eye(3))], node_features=Tensor(feats.vectors))
-    out = gcn_forward(sub, params).data
+    out = gcn_forward([sub], params)[0].data[0]
     # single node: normalized adjacency is the 1x1 identity
     assert np.allclose(out, feats.vectors[sub.nodes[0]], atol=1e-12)
 
@@ -119,7 +131,7 @@ def test_gcn_two_connected_nodes_average():
     graph, sub = make_subgraph([("a", "r", "b")], ["a", "b"])
     feats = embedding(graph.n_entities, 4, seed=3)
     params = GCNParams(layers=[Tensor(np.eye(4))], node_features=Tensor(feats.vectors))
-    out = gcn_forward(sub, params).data
+    out = gcn_forward([sub], params)[0].data[0]
     expected = 0.5 * (feats.vectors[sub.nodes[0]] + feats.vectors[sub.nodes[1]])
     assert np.max(np.abs(out[0] - expected)) < 1e-12
     assert np.max(np.abs(out[1] - expected)) < 1e-12
@@ -131,13 +143,33 @@ def test_gcn_matches_dense_oracle():
     feats = embedding(graph.n_entities, 5, seed=4)
     rng = np.random.default_rng(5)
     params = init_gcn_params([5, 7, 4], feats, rng)
-    out = gcn_forward(sub, params).data
+    out = gcn_forward([sub], params)[0].data[0]
     expected = dense_gcn(
         sub.norm_adjacency,
         feats.vectors[np.asarray(sub.nodes)],
         [w.data for w in params.layers],
     )
     assert np.max(np.abs(out - expected)) < 1e-10
+
+
+def test_gcn_batch_pads_with_exact_zeros():
+    triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("a", "s", "d"), ("b", "s", "e")]
+    subs = [make_subgraph(triples, seeds)[1] for seeds in (["a", "c", "e"], ["a"], ["b", "d"])]
+    graph = graph_from_triples(triples)
+    feats = embedding(graph.n_entities, 5, seed=4)
+    params = init_gcn_params([5, 7, 4], feats, np.random.default_rng(5))
+    out, mask = gcn_forward(subs, params)
+    n = max(sub.n_nodes for sub in subs)
+    assert out.shape == (3, n, 4)
+    for i, sub in enumerate(subs):
+        assert list(mask[i]) == [True] * sub.n_nodes + [False] * (n - sub.n_nodes)
+        assert np.all(out.data[i, sub.n_nodes:] == 0.0)
+        expected = dense_gcn(
+            sub.norm_adjacency,
+            feats.vectors[np.asarray(sub.nodes)],
+            [w.data for w in params.layers],
+        )
+        assert np.max(np.abs(out.data[i, : sub.n_nodes] - expected)) < 1e-10
 
 
 SECOND_LAYER = np.random.default_rng(60).normal(size=(3, 4))
@@ -156,8 +188,8 @@ def test_gcn_pooled_output_permutation_invariant():
         base = embedding(3, 3, seed=6).vectors
         feats = np.stack([base[ord(graph.entities[e]) - ord("a")] for e in range(graph.n_entities)])
         params = GCNParams(layers=[Tensor(np.eye(3)), Tensor(SECOND_LAYER)], node_features=Tensor(feats))
-        node_out = gcn_forward(sub, params)
-        outputs.append(graph_attention_pool(node_out, Tensor(text))[0].data)
+        node_out, mask = gcn_forward([sub], params)
+        outputs.append(graph_attention_pool(node_out, mask, Tensor(text[None]))[0].data[0])
     assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
 
 
@@ -175,12 +207,12 @@ def test_gcn_gradient_matches_fd():
     graph, sub = make_subgraph([("a", "r", "b"), ("b", "r", "c")], ["a", "c"])
     feats = embedding(graph.n_entities, 3, seed=8)
     params = init_gcn_params([3, 4, 3], feats, np.random.default_rng(9))
-    text = Tensor(np.random.default_rng(10).normal(size=3))
+    text = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
     w = np.random.default_rng(11).normal(size=3)
 
     def forward():
-        pooled, _ = graph_attention_pool(gcn_forward(sub, params), text)
-        return matmul(pooled, Tensor(w))
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text)
+        return matmul(reshape(pooled, (-1,)), Tensor(w))
 
     backward(forward())
     for leaf in params.layers:
@@ -193,32 +225,48 @@ def test_gcn_gradient_matches_fd():
 
 
 def test_pool_single_node_returns_it():
-    node = RNG.normal(size=(1, 4))
-    out, _ = graph_attention_pool(Tensor(node), Tensor(RNG.normal(size=4)))
-    assert np.allclose(out.data, node[0], atol=1e-12)
+    node = RNG.normal(size=(1, 1, 4))
+    out, _ = graph_attention_pool(Tensor(node), np.ones((1, 1), bool), Tensor(RNG.normal(size=(1, 4))))
+    assert np.allclose(out.data[0], node[0, 0], atol=1e-12)
 
 
 def test_pool_orthogonal_nodes_average():
     nodes = np.eye(3) * 2.0
     text = np.zeros(3)  # all scores zero, weights uniform
-    out, _ = graph_attention_pool(Tensor(nodes), Tensor(text))
-    assert np.allclose(out.data, nodes.mean(axis=0), atol=1e-12)
+    out, _ = graph_attention_pool(Tensor(nodes[None]), np.ones((1, 3), bool), Tensor(text[None]))
+    assert np.allclose(out.data[0], nodes.mean(axis=0), atol=1e-12)
 
 
 def test_pool_matches_brute_force():
     nodes = RNG.normal(size=(5, 6))
     text = RNG.normal(size=6)
-    out, attn = graph_attention_pool(Tensor(nodes), Tensor(text))
+    out, attn = graph_attention_pool(Tensor(nodes[None]), np.ones((1, 5), bool), Tensor(text[None]))
     scores = nodes @ text
     e = np.exp(scores - scores.max())
     weights = e / e.sum()
-    assert np.max(np.abs(out.data - weights @ nodes)) < 1e-10
-    assert np.max(np.abs(attn.data - weights)) < 1e-10
+    assert np.max(np.abs(out.data[0] - weights @ nodes)) < 1e-10
+    assert np.max(np.abs(attn.data[0] - weights)) < 1e-10
+
+
+def test_pool_ignores_padding():
+    nodes = RNG.normal(size=(2, 4, 3))
+    nodes[1, 2:] = 0.0
+    mask = np.array([[True] * 4, [True, True, False, False]])
+    text = RNG.normal(size=(2, 3))
+    out, attn = graph_attention_pool(Tensor(nodes), mask, Tensor(text))
+    assert np.all(attn.data[1, 2:] == 0.0)
+    for i, k in ((0, 4), (1, 2)):
+        scores = nodes[i, :k] @ text[i]
+        e = np.exp(scores - scores.max())
+        weights = e / e.sum()
+        assert np.max(np.abs(out.data[i] - weights @ nodes[i, :k])) < 1e-10
 
 
 def test_pool_rejects_empty():
     with pytest.raises(ValueError):
-        graph_attention_pool(Tensor(np.zeros((0, 3))), Tensor(np.zeros(3)))
+        graph_attention_pool(Tensor(np.zeros((0, 2, 3))), np.zeros((0, 2), bool), Tensor(np.zeros((0, 3))))
+    with pytest.raises(ValueError):
+        graph_attention_pool(Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2), bool), Tensor(np.zeros((1, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +285,11 @@ def make_er_params(n_entities=6, n_relations=3, kg_dim=4, d=5, seed=12):
 
 def test_er_single_entry_tables_get_full_weight():
     params = make_er_params(n_entities=1, n_relations=1)
-    out = er_attention(Tensor(RNG.normal(size=5)), params, temperature=1.0, train=False)
+    out = er_attention(Tensor(RNG.normal(size=(1, 5))), params, temperature=1.0, train=False)
     proj_e = params.entity_table.data @ params.entity_proj.data
     proj_r = params.relation_table.data @ params.relation_proj.data
-    assert np.max(np.abs(out.data[:5] - proj_e[0])) < 1e-12
-    assert np.max(np.abs(out.data[5:] - proj_r[0])) < 1e-12
+    assert np.max(np.abs(out.data[0, :5] - proj_e[0])) < 1e-12
+    assert np.max(np.abs(out.data[0, 5:] - proj_r[0])) < 1e-12
 
 
 def softmax_np(scores):
@@ -255,7 +303,7 @@ def test_er_eval_matches_brute_force():
     pr = params.relation_table.data @ params.relation_proj.data
     text = RNG.normal(size=4)
     expected = np.concatenate([softmax_np(pe @ text) @ pe, softmax_np(pr @ text) @ pr])
-    out = er_attention(Tensor(text), params, temperature=1.0, train=False).data
+    out = er_attention(Tensor(text[None]), params, temperature=1.0, train=False).data[0]
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
@@ -268,13 +316,13 @@ def test_er_eval_weights_concentrate_on_aligned_entity():
     weights = softmax_np(pe @ text)
     winner = int(weights.argmax())
     assert weights[winner] > 0.99  # the construction gives a decisive margin
-    out = er_attention(Tensor(text), params, temperature=1.0, train=False).data
+    out = er_attention(Tensor(text[None]), params, temperature=1.0, train=False).data[0]
     assert np.max(np.abs(out[:4] - weights @ pe)) < 1e-9
 
 
 def test_er_train_mode_is_seeded_and_reproducible():
     params = make_er_params()
-    text = Tensor(RNG.normal(size=5))
+    text = Tensor(RNG.normal(size=(1, 5)))
     a = er_attention(text, params, 1.0, train=True, rng=np.random.default_rng(33)).data
     b = er_attention(text, params, 1.0, train=True, rng=np.random.default_rng(33)).data
     assert np.array_equal(a, b)
@@ -282,25 +330,38 @@ def test_er_train_mode_is_seeded_and_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_er_batch_rows_match_single_rows_in_draw_order():
+    """A batch draws one row of Gumbel noise per text vector, in row order:
+    the same stream as one call per row with a shared rng."""
+    params = make_er_params()
+    texts = RNG.normal(size=(3, 5))
+    for train in (False, True):
+        batch = er_attention(Tensor(texts), params, 0.7, train=train, rng=np.random.default_rng(40)).data
+        shared = np.random.default_rng(40)
+        for row, text in zip(batch, texts):
+            alone = er_attention(Tensor(text[None]), params, 0.7, train=train, rng=shared).data[0]
+            assert np.max(np.abs(row - alone)) < 1e-12
+
+
 def test_er_train_mode_requires_rng():
     params = make_er_params()
     with pytest.raises(ValueError):
-        er_attention(Tensor(np.zeros(5)), params, 1.0, train=True)
+        er_attention(Tensor(np.zeros((1, 5))), params, 1.0, train=True)
 
 
 def test_er_output_shape_is_twice_d():
     params = make_er_params(d=5)
-    out = er_attention(Tensor(np.zeros(5)), params, 1.0, train=False)
-    assert out.shape == (10,)
+    out = er_attention(Tensor(np.zeros((3, 5))), params, 1.0, train=False)
+    assert out.shape == (3, 10)
 
 
 def test_er_gradient_matches_fd():
     params = make_er_params(n_entities=4, n_relations=2, kg_dim=3, d=3)
-    text = Tensor(np.random.default_rng(14).normal(size=3))
+    text = Tensor(np.random.default_rng(14).normal(size=(1, 3)))
     w = np.random.default_rng(15).normal(size=6)
 
     def forward():
-        return matmul(er_attention(text, params, 1.0, train=False), Tensor(w))
+        return matmul(reshape(er_attention(text, params, 1.0, train=False), (-1,)), Tensor(w))
 
     backward(forward())
     for leaf in (params.entity_proj, params.relation_proj):

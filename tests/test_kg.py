@@ -12,7 +12,6 @@ from actknow.kg import (
     neighbors,
     normalize_label,
     train_kg_embeddings,
-    triple_score,
 )
 
 
@@ -97,6 +96,11 @@ def test_every_triple_visible_from_both_ends(raw):
     for triple in graph.triples:
         assert any(nb == triple.tail for nb, _, _ in neighbors(graph, triple.head))
         assert any(nb == triple.head for nb, _, _ in neighbors(graph, triple.tail))
+
+
+def triple_score(ent: np.ndarray, rel: np.ndarray, triple) -> float:
+    """Bilinear-diagonal score: sum_k e_h[k] * r[k] * e_t[k]."""
+    return float(np.sum(ent[triple.head] * rel[triple.relation] * ent[triple.tail]))
 
 
 def test_embedding_margin_positive():

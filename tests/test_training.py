@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actknow import autodiff as ad
+from actknow import training
 from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
 from actknow.kg import graph_from_triples
@@ -54,20 +55,21 @@ def build_task(items=None, **overrides):
 
 
 def manual_logits(pq, model, weights, config):
-    """Assemble per-choice logits from the individual encoder calls."""
+    """Assemble per-choice logits from the individual encoder calls, each on
+    a batch of one choice."""
     out = []
     for choice in pq.choices:
-        text = encode_text(choice.token_ids, model.text)
-        t = text.data
+        text = encode_text([choice.token_ids], model.text)
+        t = text.data[0]
         if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
-            nodes = gcn_forward(choice.subgraph, model.gcn).data
+            nodes = gcn_forward([choice.subgraph], model.gcn)[0].data[0]
             scores = nodes @ t
             e = np.exp(scores - scores.max())
             g = (e / e.sum()) @ nodes
         else:
             g = np.zeros(model.dim)
         if config.use_er:
-            k = er_attention(text, model.er, config.gumbel_temperature, train=False).data
+            k = er_attention(text, model.er, config.gumbel_temperature, train=False).data[0]
         else:
             k = np.zeros(2 * model.dim)
         feats = np.concatenate([t, weights[0] * g, weights[1] * k])
@@ -392,3 +394,48 @@ def test_stats_csv_roundtrip(tmp_path):
         assert float(fields[2]) == row["accuracy"]
         assert float(fields[3]) == row["mean_entropy"]
         assert float(fields[4]) == row["loss"]
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
+    """Master epoch k+1 weights by the entropies evaluate() measured at the
+    end of epoch k; only epoch 1 runs _measure_entropies."""
+    task = build_task(master_epochs=4, mode="act-know", entropy_split=split)
+    train_qs, dev_qs = task.prepared[:3], task.prepared[1:]
+    measure = training._measure_entropies
+    calls = []
+    checked = []
+
+    def counting_measure(*args, **kwargs):
+        calls.append(args[0])
+        return measure(*args, **kwargs)
+
+    run_updates = training._run_updates
+
+    def checking_run_updates(qs, model, weights, config, *rest):
+        fresh = measure(dev_qs if split == "dev" else train_qs, model, config)
+        if split == "dev":
+            shared = float(np.mean(list(fresh.values())))
+            fresh = {pq.qid: shared for pq in qs}
+        assert weights == {qid: (h, h) for qid, h in fresh.items()}
+        checked.append(weights)
+        return run_updates(qs, model, weights, config, *rest)
+
+    monkeypatch.setattr(training, "_measure_entropies", counting_measure)
+    monkeypatch.setattr(training, "_run_updates", checking_run_updates)
+    train_act_know(task.model, train_qs, dev_qs, task.config)
+    assert len(calls) == 1
+    assert len(checked) == 4
+
+
+def test_text_only_never_runs_the_graph_side(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text-only mode ran a graph-side encoder")
+
+    monkeypatch.setattr(training, "gcn_forward", refuse)
+    monkeypatch.setattr(training, "er_attention", refuse)
+    task = build_task(mode="text-only", master_epochs=2, pretrain_epochs=1)
+    result = train_base_know(task.model, task.prepared, task.prepared[:2], task.config)
+    acc, rows = evaluate(task.prepared, task.model, task.config, with_details=True)
+    assert len(result.stats) == 4 and len(rows) == len(task.prepared)
+    assert all(choice == {} for row in rows for choice in row["attention"])
