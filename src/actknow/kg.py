@@ -45,6 +45,10 @@ class KnowledgeGraph:
     # per entity: sorted tuples (neighbor, relation, direction)
     adjacency: list[tuple[tuple[int, int, int], ...]] = field(repr=False)
     max_label_tokens: int = 1
+    # (src, dst, max_len) -> first DFS path or None, filled by subgraph.connect_concepts
+    path_memo: dict[tuple[int, int, int], tuple[int, ...] | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_entities(self) -> int:

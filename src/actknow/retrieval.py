@@ -3,13 +3,21 @@
 The whole corpus is one sentence per line; scores use the always-positive
 idf variant ln(1 + (N - df + 0.5) / (df + 0.5)), and duplicate query tokens
 count once. Ties break by ascending sentence id.
+
+Scoring is impact-based: the first query that uses a token turns its postings
+into numpy arrays of sentence ids and impacts (idf times tf saturation),
+which the index keeps for every later query. A query adds the impacts of its
+tokens in sorted-token order, so each score is the same float sum as adding
+idf * weight posting by posting.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -47,6 +55,8 @@ class InvertedIndex:
     doc_lengths: list[int]
     avg_doc_length: float
     doc_count: int
+    # token -> (sentence ids, impacts), filled by the first query using the token
+    impacts: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -80,19 +90,32 @@ def bm25_term_weight(tf: int, doc_length: int, avg_doc_length: float) -> float:
     return tf * (K1 + 1.0) / (tf + norm)
 
 
+def _token_impacts(index: InvertedIndex, tok: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The token's posting ids and their BM25 impacts, built on first use;
+    None for a token no sentence contains."""
+    cached = index.impacts.get(tok)
+    if cached is None and tok in index.postings:
+        plist = index.postings[tok]
+        ids, tfs = np.array(plist, dtype=np.int64).T
+        lengths = np.array([index.doc_lengths[sid] for sid, _ in plist], dtype=np.int64)
+        weights = bm25_term_weight(tfs, lengths, index.avg_doc_length)
+        cached = index.impacts[tok] = (ids, bm25_idf(index.doc_count, len(plist)) * weights)
+    return cached
+
+
 def retrieve(index: InvertedIndex, query: str, k: int) -> list[tuple[int, float]]:
     """Top-k (sentence_id, score) for the query; only sentences sharing at
     least one query token are candidates."""
     if k < 1:
         raise ConfigError(f"retrieve: k must be >= 1, got {k}")
-    scores: dict[int, float] = {}
+    scores = np.zeros(index.doc_count)
     for tok in sorted(set(tokenize(query))):
-        plist = index.postings.get(tok)
-        if not plist:
-            continue
-        idf = bm25_idf(index.doc_count, len(plist))
-        for sid, tf in plist:
-            w = idf * bm25_term_weight(tf, index.doc_lengths[sid], index.avg_doc_length)
-            scores[sid] = scores.get(sid, 0.0) + w
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+        hit = _token_impacts(index, tok)
+        if hit is not None:
+            ids, impacts = hit
+            scores[ids] += impacts
+    # every impact is > 0 (the idf variant is positive), so the nonzero
+    # scores are exactly the sentences sharing a query token
+    candidates = np.flatnonzero(scores)
+    top = candidates[np.lexsort((candidates, -scores[candidates]))][:k]
+    return [(int(sid), float(scores[sid])) for sid in top]

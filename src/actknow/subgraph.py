@@ -99,7 +99,9 @@ def connect_concepts(
 
     Seed pairs are processed in sorted order; a pair's path is added only if
     the node budget still fits, and construction stops once it does not.
-    Seeds are always included, connected or not.
+    Seeds are always included, connected or not. A pair's path depends only
+    on the graph, the pair and max_path_len, never on max_nodes, so it is
+    searched once per graph and memoised in graph.path_memo.
     """
     if max_path_len < 1:
         raise ConfigError(f"max_path_len must be >= 1, got {max_path_len}")
@@ -116,7 +118,11 @@ def connect_concepts(
     for a, b in itertools.combinations(seed_list, 2):
         if len(nodes) >= max_nodes:
             break
-        path = _dfs_path(graph, a, b, max_path_len)
+        key = (a, b, max_path_len)
+        if key not in graph.path_memo:
+            found = _dfs_path(graph, a, b, max_path_len)
+            graph.path_memo[key] = None if found is None else tuple(found)
+        path = graph.path_memo[key]
         if path is None:
             continue
         new = [p for p in path if p not in node_set]
@@ -125,7 +131,7 @@ def connect_concepts(
         for p in new:
             nodes.append(p)
             node_set.add(p)
-        paths.append(path)
+        paths.append(list(path))
 
     index = {e: i for i, e in enumerate(nodes)}
     n = len(nodes)

@@ -2,8 +2,10 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. The per-choice scorer at the end is the model path that
-choice-stacked scoring replaced; it runs on the package's autodiff tape so
+no code with src/. Two package paths that faster ones replaced follow at
+the end, kept as the references those are compared against: the dict-loop
+BM25 `retrieve` that impact scoring replaced, and the per-choice scorer that
+choice-stacked scoring replaced, which runs on the package's autodiff tape so
 that gradients can be compared too.
 """
 
@@ -17,6 +19,8 @@ import numpy as np
 from actknow import autodiff as ad
 from actknow.autodiff import Tensor
 from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams
+from actknow.errors import ConfigError
+from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
 from actknow.training import ModelParams, PreparedQuestion, TrainConfig
 
@@ -131,6 +135,30 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float(np.max(diff / scale))
+
+
+# ---------------------------------------------------------------------------
+# the dict-loop BM25 scorer the package replaced with impact scoring: idf and
+# tf saturation recomputed for every posting of every query token. Its float
+# sums are the reference impact scoring must match exactly.
+
+
+def retrieve(index: InvertedIndex, query: str, k: int) -> list[tuple[int, float]]:
+    """Top-k (sentence_id, score) for the query; only sentences sharing at
+    least one query token are candidates."""
+    if k < 1:
+        raise ConfigError(f"retrieve: k must be >= 1, got {k}")
+    scores: dict[int, float] = {}
+    for tok in sorted(set(tokenize(query))):
+        plist = index.postings.get(tok)
+        if not plist:
+            continue
+        idf = bm25_idf(index.doc_count, len(plist))
+        for sid, tf in plist:
+            w = idf * bm25_term_weight(tf, index.doc_lengths[sid], index.avg_doc_length)
+            scores[sid] = scores.get(sid, 0.0) + w
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:k]
 
 
 # ---------------------------------------------------------------------------

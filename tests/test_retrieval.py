@@ -1,10 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import bm25_scan
+from _oracles import retrieve as dict_loop_retrieve
 from actknow.errors import ConfigError
+from actknow.nli import load_qa_jsonl
 from actknow.retrieval import build_index, corpus_from_sentences, load_corpus, retrieve, tokenize
 
 WORDS = ["ant", "bee", "cat", "dog", "elm", "fox", "gnu", "hen", "ibis", "jay"]
@@ -88,6 +92,55 @@ def test_ties_broken_by_sentence_id():
     sentences = ["ant bee", "ant bee", "ant bee"]
     index = build_index(corpus_from_sentences(sentences))
     assert [sid for sid, _ in retrieve(index, "ant", k=3)] == [0, 1, 2]
+
+
+def assert_same_as_dict_loop(index, query, k):
+    got = retrieve(index, query, k)
+    assert got == dict_loop_retrieve(index, query, k)
+    assert all(type(sid) is int and type(score) is float for sid, score in got)
+
+
+@pytest.mark.parametrize("task", ["lowdata_dir", "noisy_dir"])
+def test_bundled_queries_match_dict_loop_exactly(task, request):
+    data_dir = request.getfixturevalue(task)
+    index = build_index(load_corpus(os.path.join(data_dir, "corpus.txt")))
+    for split in ("train", "dev", "test"):
+        for item in load_qa_jsonl(os.path.join(data_dir, f"{split}.jsonl")):
+            for choice in item.choices:
+                for k in (5, index.doc_count):
+                    assert_same_as_dict_loop(index, item.stem + " " + choice, k)
+
+
+def test_random_corpora_match_dict_loop_exactly():
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        sentences = random_corpus(rng, int(rng.integers(1, 30)))
+        sentences += [sentences[0]] * int(rng.integers(1, 4))  # tied documents
+        if trial % 2:
+            sentences = [s + " kea" for s in sentences]  # df = N, the smallest idf
+        index = build_index(corpus_from_sentences(sentences))
+        n = len(sentences)
+        queries = [
+            " ".join(rng.choice(WORDS + ["kea"], size=int(rng.integers(1, 7)))),  # repeats likely
+            "ant ant ANT bee",
+            "zebu ant quokka",
+            "zebu",
+            "?! ...",
+            "kea",
+        ]
+        for query in queries:
+            for k in (1, 3, n, n + 7):
+                assert_same_as_dict_loop(index, query, k)
+
+
+def test_impacts_are_built_on_first_use():
+    index = build_index(corpus_from_sentences(["ant bee", "bee cat"]))
+    assert index.impacts == {}
+    retrieve(index, "bee zebu", k=2)
+    assert sorted(index.impacts) == ["bee"]
+    ids, _impacts = index.impacts["bee"]
+    assert ids.tolist() == [0, 1]
+    assert index == build_index(corpus_from_sentences(["ant bee", "bee cat"]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,12 +1,16 @@
 """Mention scanning, bounded subgraph construction, adjacency normalization."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actknow.errors import ConfigError
-from actknow.kg import graph_from_triples
+from actknow.kg import graph_from_triples, load_triples
+from actknow.nli import convert, load_qa_jsonl
+from actknow.retrieval import build_index, load_corpus
 from actknow.subgraph import connect_concepts, identify_concepts, normalize_adjacency
 
 from _oracles import all_simple_paths, dense_normalize
@@ -235,3 +239,67 @@ def test_subgraph_keeps_all_internal_edges():
     assert np.triu(sub.adjacency).sum() == 3
     assert np.array_equal(sub.adjacency, sub.adjacency.T)
     assert np.all(np.diag(sub.adjacency) == 0.0)
+
+
+def noisy_seed_sets(data_dir, graph):
+    """Sorted seed entities of every choice of the noisy task, as training prepares them."""
+    corpus = load_corpus(os.path.join(data_dir, "corpus.txt"))
+    index = build_index(corpus)
+    seed_sets = []
+    for split in ("train", "dev", "test"):
+        for item in load_qa_jsonl(os.path.join(data_dir, f"{split}.jsonl")):
+            for pair in convert(item, index, corpus, 5):
+                mentions = identify_concepts(pair.premise, graph, "premise")
+                mentions += identify_concepts(pair.hypothesis, graph, "hypothesis")
+                if mentions:
+                    seed_sets.append(sorted({m.entity for m in mentions}))
+    return seed_sets
+
+
+def assert_same_subgraph(got, want):
+    assert got.nodes == want.nodes
+    assert np.array_equal(got.adjacency, want.adjacency)
+    assert np.array_equal(got.norm_adjacency, want.norm_adjacency)
+    assert got.paths == want.paths
+
+
+def test_path_memo_matches_a_fresh_graph_in_any_budget_order(noisy_dir):
+    kg_path = os.path.join(noisy_dir, "kg.tsv")
+    cold = load_triples(kg_path)
+    seed_sets = noisy_seed_sets(noisy_dir, cold)
+    budgets = (3, 20, 60)
+
+    def build(graph, budget):
+        return [connect_concepts(graph, seeds[:budget], 2, budget) for seeds in seed_sets]
+
+    def build_cold(budget):
+        out = []
+        for seeds in seed_sets:
+            cold.path_memo.clear()
+            out.append(connect_concepts(cold, seeds[:budget], 2, budget))
+        return out
+
+    want = {budget: build_cold(budget) for budget in budgets}
+    for order in (budgets, budgets[::-1]):
+        warm = load_triples(kg_path)
+        for budget in order:
+            for got, expected in zip(build(warm, budget), want[budget]):
+                assert_same_subgraph(got, expected)
+        assert warm.path_memo
+        assert warm == load_triples(kg_path)
+
+    # a caller editing a returned path list must not reach the memo
+    for sub in build(warm, 60):
+        for path in sub.paths:
+            path.append(-1)
+        sub.paths.clear()
+    for got, expected in zip(build(warm, 60), want[60]):
+        assert_same_subgraph(got, expected)
+
+
+def test_path_memo_keys_on_path_length():
+    graph = graph_from_triples([("a", "r", "b"), ("b", "r", "c")])
+    a, c = graph.entity_ids["a"], graph.entity_ids["c"]
+    assert connect_concepts(graph, [a, c], max_path_len=2).paths == [[a, graph.entity_ids["b"], c]]
+    assert connect_concepts(graph, [a, c], max_path_len=1).paths == []
+    assert graph.path_memo == {(a, c, 2): (a, graph.entity_ids["b"], c), (a, c, 1): None}
