@@ -15,7 +15,7 @@ import sys
 
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import _coerce, _LIST_FIELDS, ExperimentConfig, env_seed, resolve_config, train_config
+from .config import _coerce, _LIST_FIELDS, ExperimentConfig, env_seed, resolve_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, sweep_fraction
 from .pipeline import load_pipeline, prepare_split, run_training
@@ -104,11 +104,10 @@ def cmd_train(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "train")
     pipe = load_pipeline(cfg)
-    tc = train_config(cfg)
-    train_qs = prepare_split(pipe, "train", tc)
-    dev_qs = prepare_split(pipe, "dev", tc) if "dev" in pipe.items else None
+    train_qs = prepare_split(pipe, "train", cfg)
+    dev_qs = prepare_split(pipe, "dev", cfg) if "dev" in pipe.items else None
 
-    model, result = run_training(pipe, tc, train_qs, dev_qs)
+    model, result = run_training(pipe, cfg, train_qs, dev_qs)
 
     ckpt_path = _out_path(cfg, "checkpoint.txt")
     save_checkpoint(ckpt_path, result.best_state)
@@ -119,8 +118,8 @@ def cmd_train(args: argparse.Namespace) -> None:
 
     if "test" in pipe.items:
         model.load_state_arrays(result.best_state)
-        test_qs = prepare_split(pipe, "test", tc)
-        acc, _ = evaluate(test_qs, model, tc)
+        test_qs = prepare_split(pipe, "test", cfg)
+        acc, _ = evaluate(test_qs, model, cfg)
         print(f"test accuracy {acc:.4f}")
     print(f"checkpoint {ckpt_path}")
     print(f"stats {stats_path}")
@@ -130,7 +129,6 @@ def cmd_eval(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "checkpoint", cfg.split)
     pipe = load_pipeline(cfg)
-    tc = train_config(cfg)
     model = model_from_state(load_checkpoint(cfg.checkpoint))
     if model.text.token_embedding.data.shape[0] != len(pipe.vocab.tokens):
         raise ConfigError(
@@ -141,8 +139,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if model.er.entity_table.data.shape[0] != pipe.graph.n_entities:
         raise ConfigError("checkpoint entity table does not match the supplied graph")
 
-    questions = prepare_split(pipe, cfg.split, tc)
-    acc, rows = evaluate(questions, model, tc, with_details=True)
+    questions = prepare_split(pipe, cfg.split, cfg)
+    acc, rows = evaluate(questions, model, cfg, with_details=True)
     out_path = _out_path(cfg, "eval.jsonl")
     with atomic_write(out_path) as fh:
         for row in rows:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .training import MODES, TrainConfig, config_field_names
+from .training import MODES, TrainConfig
 
 
 @dataclass
@@ -143,9 +143,3 @@ def resolve_config(flag_values: dict[str, object], config_path: str | None) -> E
     cfg = ExperimentConfig(**merged)
     cfg.validate()
     return cfg
-
-
-def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    """Project the experiment config down to the trainer's fields."""
-    values = {name: getattr(cfg, name) for name in config_field_names()}
-    return TrainConfig(**values)

@@ -16,7 +16,7 @@ import os
 from math import comb
 
 from .atomic import atomic_write
-from .config import ExperimentConfig, train_config
+from .config import ExperimentConfig
 from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
 from .training import PreparedQuestion, TrainConfig, evaluate
 
@@ -63,7 +63,7 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
     and write them to `sweep.csv` in cfg.out_dir."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
-    splits = _prepare_splits(pipe, train_config(cfg))
+    splits = _prepare_splits(pipe, cfg)
 
     rows = []
     for fraction in cfg.fractions:

@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .atomic import atomic_write
 from .errors import ConfigError
 from .retrieval import Corpus, InvertedIndex, retrieve
 
@@ -97,7 +98,7 @@ def load_qa_jsonl(path: str) -> list[QAItem]:
 
 
 def save_qa_jsonl(path: str, items: list[QAItem]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for item in items:
             fh.write(
                 json.dumps(

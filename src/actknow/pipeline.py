@@ -7,9 +7,9 @@ run the identical pipeline.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .config import ExperimentConfig, train_config
+from .config import ExperimentConfig
 from .encoders import Vocab, build_vocab
 from .errors import ConfigError
 from .kg import EmbeddingTable, KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
@@ -23,8 +23,7 @@ from .training import (
     init_model,
     prepare_questions,
     sample_fraction,
-    train_act_know,
-    train_base_know,
+    train,
 )
 
 log = logging.getLogger(__name__)
@@ -116,16 +115,11 @@ def run_training(
         train_qs = sample_fraction(train_qs, tc.data_fraction, tc.seed)
         log.info("training on %d questions after fraction sampling", len(train_qs))
     model = build_model(pipe, tc)
-    if tc.mode == "act-know":
-        result = train_act_know(model, train_qs, dev_qs, tc)
-    else:
-        result = train_base_know(model, train_qs, dev_qs, tc)
-    return model, result
+    return model, train(model, train_qs, dev_qs, tc)
 
 
-def training_config_for(cfg: ExperimentConfig, **overrides) -> TrainConfig:
-    tc = train_config(cfg)
-    for name, value in overrides.items():
-        setattr(tc, name, value)
+def training_config_for(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """A validated copy of cfg with `overrides` applied; cfg is unchanged."""
+    tc = replace(cfg, **overrides)
     tc.validate()
     return tc

@@ -46,7 +46,8 @@ _FILES = ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.jsonl
 
 
 def ensure_generated(spec: SyntheticSpec, data_dir: str) -> dict | None:
-    """Generate the task files unless they are all present already."""
+    """Generate the task files unless they are all present already. Each
+    file is written atomically, so one that exists is complete."""
     if all(os.path.exists(os.path.join(data_dir, name)) for name in _FILES):
         return None
     return generate(spec, data_dir)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError
 from .kg import KnowledgeGraph, load_triples, normalize_label
 from .nli import QAItem, load_qa_jsonl, save_qa_jsonl
@@ -205,7 +206,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
             made += 1
 
     kg_path = os.path.join(out_dir, "kg.tsv")
-    with open(kg_path, "w", encoding="utf-8") as fh:
+    with atomic_write(kg_path) as fh:
         for h, r, t in triples:
             fh.write(f"{h}\t{r}\t{t}\n")
 
@@ -289,7 +290,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         sentences.append(f"entry {i} the weather stayed calm and the road was long")
     deduped = list(dict.fromkeys(sentences))
     corpus_path = os.path.join(out_dir, "corpus.txt")
-    with open(corpus_path, "w", encoding="utf-8") as fh:
+    with atomic_write(corpus_path) as fh:
         fh.write("\n".join(deduped) + "\n")
 
     # ----- node features: clustered per entity role, standing in for
@@ -313,7 +314,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         vec = rng.normal(0.0, 1.0, size=spec.node_dim)
         centers[pool] = vec / np.linalg.norm(vec)
     features_path = os.path.join(out_dir, "node_features.txt")
-    with open(features_path, "w", encoding="utf-8") as fh:
+    with atomic_write(features_path) as fh:
         for label, pool in pools.items():
             level = rng.uniform(0.0, spec.feature_noise)
             vec = centers[pool] + rng.normal(0.0, level, size=spec.node_dim)

@@ -1,13 +1,13 @@
-"""Question scoring, entropy weighting, and the two training loops.
+"""Question scoring, entropy weighting, and the training loop.
 
-Both trainers share one loop skeleton of master epochs each containing
-sub-epochs of Adam updates. The plain trainer applies fixed per-question
-weights; the active trainer re-measures every training question's
-prediction entropy at the start of each master epoch (parameters frozen,
-eval-mode forward; from the second epoch on, the end-of-epoch evaluation
-has already measured it on the same parameters) and uses it to scale the
-graph and knowledge features for, and only for, that epoch's updates.
-Entropy never carries gradient.
+One loop of master epochs, each containing sub-epochs of Adam updates,
+serves all three modes. base-know and text-only weight every question's
+graph and knowledge features by 1 (text-only feeds zeros in their place).
+act-know re-measures every training question's prediction entropy at the
+start of each master epoch (parameters frozen, eval-mode forward; from the
+second epoch on, the end-of-epoch evaluation has already measured it on the
+same parameters) and uses it to scale those features for, and only for,
+that epoch's updates. Entropy never carries gradient.
 
 Scoring is choice-stacked: score_batch runs every choice of a batch of
 questions through each encoder at once.
@@ -19,7 +19,7 @@ import csv
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class TrainConfig:
             raise ConfigError(f"gumbel_temperature must be positive, got {self.gumbel_temperature}")
         if self.entropy_split not in ("train", "dev"):
             raise ConfigError(f"entropy_split must be 'train' or 'dev', got {self.entropy_split!r}")
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(TrainConfig)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,6 @@ def init_model(
 class PreparedChoice:
     token_ids: np.ndarray
     subgraph: Subgraph | None
-    premise: str
-    hypothesis: str
 
 
 @dataclass
@@ -263,14 +257,7 @@ def prepare_questions(
             sub = None
             if seeds:
                 sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes)
-            choices.append(
-                PreparedChoice(
-                    token_ids=token_ids,
-                    subgraph=sub,
-                    premise=pair.premise,
-                    hypothesis=pair.hypothesis,
-                )
-            )
+            choices.append(PreparedChoice(token_ids=token_ids, subgraph=sub))
         prepared.append(PreparedQuestion(qid=item.id, answer_index=item.answer_index, choices=choices))
     return prepared
 
@@ -413,30 +400,30 @@ def _eval_logits(
     return np.split(logits.data, starts[1:])
 
 
+def _entropies(
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
+) -> list[float]:
+    """Entropy of each question's eval-mode logits under unit weights."""
+    ones = [(1.0, 1.0)] * len(questions)
+    return [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
+
+
 def _predict_batch(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
 ) -> list[tuple[int, np.ndarray, float]]:
-    """predict() for a stack of questions, scored together."""
-    if config.mode == "act-know":
-        ones = [(1.0, 1.0)] * len(questions)
-        entropies = [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
-        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
-    else:
-        w = (0.0, 0.0) if config.mode == "text-only" else (1.0, 1.0)
-        logits = _eval_logits(questions, params, [w] * len(questions), config, details)
-        entropies = [question_entropy(z) for z in logits]
-    return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
+    """(chosen index, final logits, entropy) of each question of a stack,
+    scored together. Ties resolve to the lowest index.
 
-
-def predict(
-    pq: PreparedQuestion, params: ModelParams, config: TrainConfig, details: list | None = None
-) -> tuple[int, np.ndarray, float]:
-    """(chosen index, final logits, entropy). Ties resolve to the lowest index.
-
-    The active mode runs two eval passes: an unweighted one to measure the
+    act-know runs two eval passes: an unweighted one to measure each
     question's entropy, then a pass with features scaled by that entropy.
     """
-    return _predict_batch([pq], params, config, details)[0]
+    if config.mode == "act-know":
+        entropies = _entropies(questions, params, config)
+        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
+    else:
+        logits = _eval_logits(questions, params, [(1.0, 1.0)] * len(questions), config, details)
+        entropies = [question_entropy(z) for z in logits]
+    return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
 
 
 def evaluate(
@@ -447,7 +434,7 @@ def evaluate(
 ) -> tuple[float, list[dict]]:
     """Accuracy plus one record per question, scored config.batch_size
     questions at a time. In act-know mode a record's entropy is that of the
-    unweighted pass, the entropy the active trainer weights by."""
+    unweighted pass, the entropy act-know training weights by."""
     if not questions:
         raise ConfigError("evaluate: empty question list")
     rows = []
@@ -479,7 +466,6 @@ def evaluate(
 
 @dataclass
 class TrainResult:
-    params: ModelParams
     best_state: dict[str, np.ndarray]
     best_epoch: int
     best_accuracy: float
@@ -519,21 +505,28 @@ def _measure_entropies(
     no RNG use."""
     out = {}
     for chunk in _chunks(questions, config.batch_size):
-        ones = [(1.0, 1.0)] * len(chunk)
-        for pq, logits in zip(chunk, _eval_logits(chunk, params, ones, config)):
-            out[pq.qid] = question_entropy(logits)
+        out.update(zip((pq.qid for pq in chunk), _entropies(chunk, params, config)))
     return out
 
 
-def _train_loop(
+def train(
     model: ModelParams,
     train_qs: list[PreparedQuestion],
     dev_qs: list[PreparedQuestion] | None,
     config: TrainConfig,
-    active: bool,
     entropy_override: float | None = None,
 ) -> TrainResult:
+    """Train `model` in place and keep the state of the master epoch with
+    the best dev accuracy (train accuracy without a dev split).
+
+    act-know weights every question by its measured entropy;
+    entropy_override pins every weight to a constant, which reduces the loop
+    to the fixed-weight one. The other modes weight every question by 1.
+    """
     config.validate()
+    active = config.mode == "act-know"
+    if entropy_override is not None and not active:
+        raise ConfigError("entropy_override requires mode=act-know")
     if not train_qs:
         raise ConfigError("no training questions")
     measure = active and entropy_override is None
@@ -543,54 +536,45 @@ def _train_loop(
     shuffle_rng = _stream(config.seed, 1)
     gumbel_rng = _stream(config.seed, 2)
 
-    opt = Adam(
-        model.trainable(),
-        lr=config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-        weight_decay=config.weight_decay,
-        warmup_steps=config.warmup_steps,
-    )
-
-    graph_active = config.mode != "text-only" and (config.use_gcn or config.use_er)
-    if config.pretrain_epochs > 0 and graph_active:
-        # graph-side warm start: text encoder frozen at its random init
-        pre_opt = Adam(
-            model.graph_trainable(),
+    def adam(params: list[Tensor], warmup_steps: int) -> Adam:
+        return Adam(
+            params,
             lr=config.learning_rate,
             beta1=config.adam_beta1,
             beta2=config.adam_beta2,
             eps=config.adam_eps,
             weight_decay=config.weight_decay,
+            warmup_steps=warmup_steps,
         )
-        ones = {pq.qid: (1.0, 1.0) for pq in train_qs}
-        for _ in range(config.pretrain_epochs):
-            _run_updates(train_qs, model, ones, config, pre_opt, shuffle_rng, gumbel_rng)
 
-    result = TrainResult(params=model, best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
+    opt = adam(model.trainable(), config.warmup_steps)
+    unit = {pq.qid: (1.0, 1.0) for pq in train_qs}
+
+    graph_active = config.mode != "text-only" and (config.use_gcn or config.use_er)
+    if config.pretrain_epochs > 0 and graph_active:
+        # graph-side warm start: text encoder frozen at its random init
+        pre_opt = adam(model.graph_trainable(), 0)
+        for _ in range(config.pretrain_epochs):
+            _run_updates(train_qs, model, unit, config, pre_opt, shuffle_rng, gumbel_rng)
+
+    result = TrainResult(best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
     # entropies of the last evaluate() on the entropy split; they equal a
     # fresh _measure_entropies, since the parameters have not moved since
     last_entropies: dict[str, float] | None = None
 
     for master in range(1, config.master_epochs + 1):
+        weights = unit
         if active:
             if entropy_override is not None:
-                weights = {pq.qid: (entropy_override, entropy_override) for pq in train_qs}
                 measured = {pq.qid: entropy_override for pq in train_qs}
             elif config.entropy_split == "dev":
                 dev_ent = last_entropies or _measure_entropies(dev_qs, model, config)
                 shared = float(np.mean(list(dev_ent.values())))
-                weights = {pq.qid: (shared, shared) for pq in train_qs}
                 measured = {pq.qid: shared for pq in train_qs}
             else:
                 measured = last_entropies or _measure_entropies(train_qs, model, config)
-                weights = {qid: (e, e) for qid, e in measured.items()}
             result.entropy_history.append(measured)
-        elif config.mode == "text-only":
-            weights = {pq.qid: (0.0, 0.0) for pq in train_qs}
-        else:
-            weights = {pq.qid: (1.0, 1.0) for pq in train_qs}
+            weights = {qid: (h, h) for qid, h in measured.items()}
 
         epoch_losses = []
         for _ in range(config.sub_epochs):
@@ -656,32 +640,6 @@ def _run_updates(
         opt.step()
         losses.append(value)
     return float(np.mean(losses))
-
-
-def train_base_know(
-    model: ModelParams,
-    train_qs: list[PreparedQuestion],
-    dev_qs: list[PreparedQuestion] | None,
-    config: TrainConfig,
-) -> TrainResult:
-    """Fixed-weight training: every question contributes unscaled features."""
-    if config.mode == "act-know":
-        raise ConfigError("train_base_know cannot run with mode=act-know")
-    return _train_loop(model, train_qs, dev_qs, config, active=False)
-
-
-def train_act_know(
-    model: ModelParams,
-    train_qs: list[PreparedQuestion],
-    dev_qs: list[PreparedQuestion] | None,
-    config: TrainConfig,
-    entropy_override: float | None = None,
-) -> TrainResult:
-    """Entropy-weighted training. entropy_override pins every question's
-    weight to a constant, which reduces the loop to the fixed-weight one."""
-    if config.mode != "act-know":
-        raise ConfigError("train_act_know requires mode=act-know")
-    return _train_loop(model, train_qs, dev_qs, config, active=True, entropy_override=entropy_override)
 
 
 def write_stats_csv(path: str, rows: list[dict]) -> None:

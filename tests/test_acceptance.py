@@ -34,8 +34,7 @@ from actknow.training import (
     prepare_questions,
     question_entropy,
     score_question,
-    train_act_know,
-    train_base_know,
+    train,
 )
 
 
@@ -333,8 +332,8 @@ def test_criterion_4_infusion_neutralization():
     _, prepared_a, model_a = _small_task(mode="act-know", master_epochs=3, seed=5)
     model_b = tiny_model(graph_from_triples([(s, "hunts", o) for s, o in zip(SUBJECTS, OBJECTS)]),
                          cfg_base, vocab_size=model_a.text.token_embedding.data.shape[0])
-    result_a = train_act_know(model_a, prepared_a, None, cfg_act, entropy_override=1.0)
-    result_b = train_base_know(model_b, prepared_a, None, cfg_base)
+    result_a = train(model_a, prepared_a, None, cfg_act, entropy_override=1.0)
+    result_b = train(model_b, prepared_a, None, cfg_base)
     losses_a = [r["loss"] for r in result_a.stats if r["split"] == "train"]
     losses_b = [r["loss"] for r in result_b.stats if r["split"] == "train"]
     loss_gap = max(abs(a - b) for a, b in zip(losses_a, losses_b))

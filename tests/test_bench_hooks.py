@@ -1,0 +1,44 @@
+"""The traced benchmark run (bench/layers.py) wraps actknow functions at their
+call sites and binds some of their arguments by name. A rename or a removal
+of one of them breaks that run, so these checks keep it in the tier-1 suite."""
+
+import importlib
+import inspect
+import os
+
+import pytest
+
+from actknow import checkpoint, nli, pipeline, training
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    return importlib.import_module("layers"), importlib.import_module("spans")
+
+
+def test_instrument_wraps_every_call_site_and_restores_it(bench):
+    layers, spans = bench
+    tracer = spans.Tracer()
+    with layers.instrument(tracer):
+        patches = list(tracer._patches)
+        assert all(getattr(owner, attr) is not original for owner, attr, original in patches)
+    assert patches
+    for owner, attr, original in patches:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "fn, names",
+    [
+        (nli.retrieve, {"query", "k"}),
+        (training.connect_concepts, {"seeds"}),
+        (pipeline.train_kg_embeddings, {"graph"}),
+        (training.score_question, {"weights", "train", "config"}),
+        (checkpoint.save_checkpoint, {"path"}),
+    ],
+)
+def test_bound_arguments_keep_their_names(fn, names):
+    assert names <= set(inspect.signature(fn).parameters)

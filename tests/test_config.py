@@ -2,9 +2,9 @@
 
 import pytest
 
-from actknow.config import ExperimentConfig, parse_config_file, resolve_config, train_config
+from actknow.config import ExperimentConfig, parse_config_file, resolve_config
 from actknow.errors import ConfigError
-from actknow.training import TrainConfig
+from actknow.pipeline import training_config_for
 
 
 def write_config(tmp_path, text):
@@ -125,12 +125,10 @@ def test_require_names_the_flag():
         cfg.require("node_features")
 
 
-def test_train_config_projection():
+def test_training_config_for_overrides_a_copy():
     cfg = ExperimentConfig(mode="act-know", learning_rate=0.75, max_nodes=9, kg="x.tsv")
-    tc = train_config(cfg)
-    assert isinstance(tc, TrainConfig)
-    assert type(tc) is TrainConfig
-    assert tc.mode == "act-know"
-    assert tc.learning_rate == 0.75
-    assert tc.max_nodes == 9
-    assert not hasattr(tc, "kg")
+    tc = training_config_for(cfg, max_nodes=4, seed=3)
+    assert (tc.mode, tc.learning_rate, tc.max_nodes, tc.seed, tc.kg) == ("act-know", 0.75, 4, 3, "x.tsv")
+    assert (cfg.max_nodes, cfg.seed) == (9, 0)
+    with pytest.raises(ConfigError):
+        training_config_for(cfg, max_nodes=0)

@@ -92,6 +92,26 @@ def test_loss_and_gradients_match_per_choice_oracle(name, train, lowdata_task):
     assert all(np.any(g != 0.0) for g in got)  # every group, the graph side too, got gradient
 
 
+@pytest.mark.parametrize("train", [False, True])
+def test_text_only_logits_and_gradients_ignore_the_weights(train):
+    """text-only feeds zero graph and knowledge columns, so every weight pair
+    gives bit-equal logits and gradients; training weights it by 1."""
+    task = build_task(mode="text-only")
+    questions, model, config = task.prepared, task.model, task.config
+    outputs = []
+    for w in ((0.0, 0.0), (1.0, 1.0), (0.3, 1.7)):
+        weights = {pq.qid: w for pq in questions}
+        rng = np.random.default_rng(17) if train else None
+        logits = score_batch(questions, model, [w] * len(questions), config, train, rng)[0].data
+        loss, grads = _grads(lambda: _batched_loss(questions, model, weights, config, train), model)
+        outputs.append((logits, loss, grads))
+    want_logits, want_loss, want_grads = outputs[0]
+    for logits, loss, grads in outputs[1:]:
+        assert np.array_equal(logits, want_logits)
+        assert loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
 def test_batch_loss_is_the_mean_question_cross_entropy():
     task = build_task()
     weights = _mixed_weights(task.prepared)

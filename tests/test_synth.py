@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from actknow import synth
 from actknow.errors import ConfigError
-from actknow.nli import load_qa_jsonl
+from actknow.nli import QAItem, load_qa_jsonl, save_qa_jsonl
 from actknow.retrieval import load_corpus, tokenize
 from actknow.scenarios import LOWDATA_SPEC, NOISY_SPEC, ensure_generated
 from actknow.synth import SyntheticSpec, generate
@@ -144,6 +145,29 @@ def test_ensure_generated_skips_existing(tmp_path):
     stamps = {name: os.path.getmtime(os.path.join(out, name)) for name in FILES}
     ensure_generated(SMALL, out)
     assert stamps == {name: os.path.getmtime(os.path.join(out, name)) for name in FILES}
+
+
+def test_interrupted_generation_leaves_no_partial_file(tmp_path, monkeypatch):
+    """A split whose write fails part way is absent, not truncated, so
+    ensure_generated generates the task again instead of loading it."""
+    out = str(tmp_path / "task")
+
+    def failing_save(path, items):
+        # the unserialisable last item fails after the real ones are written
+        unserialisable = QAItem(id="bad", stem="s", choices=[object(), "x"], answer_index=0)
+        save_qa_jsonl(path, items + [unserialisable] if path.endswith("test.jsonl") else items)
+
+    monkeypatch.setattr(synth, "save_qa_jsonl", failing_save)
+    with pytest.raises(TypeError):
+        ensure_generated(SMALL, out)
+    assert not os.path.exists(os.path.join(out, "test.jsonl"))
+    assert not any(name.endswith(".tmp") for name in os.listdir(out))
+
+    monkeypatch.undo()
+    assert ensure_generated(SMALL, out) is not None
+    fresh = str(tmp_path / "fresh")
+    generate(SMALL, fresh)
+    assert read_all(out) == read_all(fresh)
 
 
 def test_bundled_scenario_specs_are_valid():

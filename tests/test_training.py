@@ -1,4 +1,4 @@
-"""Question scoring, entropy weighting, training loops, evaluation accounting."""
+"""Question scoring, entropy weighting, the training loop, evaluation accounting."""
 
 from types import SimpleNamespace
 
@@ -18,13 +18,11 @@ from actknow.training import (
     PreparedQuestion,
     STATS_HEADER,
     evaluate,
-    predict,
     prepare_questions,
     question_entropy,
     sample_fraction,
     score_question,
-    train_act_know,
-    train_base_know,
+    train,
     write_stats_csv,
 )
 
@@ -95,8 +93,8 @@ def test_zero_weights_match_text_only_mode():
     pq = task.prepared[0]
     zeroed = score_question(pq, task.model, (0.0, 0.0), task.config).data
     text_cfg = tiny_config(mode="text-only")
-    _, logits, _ = predict(pq, task.model, text_cfg)
-    assert np.array_equal(zeroed, logits)
+    _, rows = evaluate([pq], task.model, text_cfg)
+    assert np.array_equal(zeroed, rows[0]["logits"])
 
 
 def test_zero_weights_ignore_graph_tables():
@@ -217,9 +215,9 @@ def test_sample_fraction_full_and_invalid():
 def test_predict_tie_breaks_to_lowest_index():
     items = [QAItem(id="q", stem="what hums ?", choices=["moss", "moss", "moss"], answer_index=2)]
     task = build_task(items=items)
-    pred, logits, _ = predict(task.prepared[0], task.model, task.config)
-    assert np.allclose(logits, logits[0])
-    assert pred == 0
+    _, rows = evaluate(task.prepared, task.model, task.config)
+    assert np.allclose(rows[0]["logits"], rows[0]["logits"][0])
+    assert rows[0]["predicted"] == 0
 
 
 def test_predict_act_mode_uses_two_passes():
@@ -228,10 +226,10 @@ def test_predict_act_mode_uses_two_passes():
     first = score_question(pq, task.model, (1.0, 1.0), task.config).data
     h = question_entropy(first)
     expected = score_question(pq, task.model, (h, h), task.config).data
-    pred, logits, entropy = predict(pq, task.model, task.config)
-    assert entropy == h
-    assert np.array_equal(logits, expected)
-    assert pred == int(np.argmax(expected))
+    _, rows = evaluate([pq], task.model, task.config)
+    assert rows[0]["entropy"] == h
+    assert np.array_equal(rows[0]["logits"], expected)
+    assert rows[0]["predicted"] == int(np.argmax(expected))
 
 
 def test_evaluate_records_each_question():
@@ -250,7 +248,7 @@ def test_evaluate_records_each_question():
 
 def test_evaluate_all_correct_is_one():
     task = build_task()
-    preds = [predict(pq, task.model, task.config)[0] for pq in task.prepared]
+    preds = [evaluate([pq], task.model, task.config)[1][0]["predicted"] for pq in task.prepared]
     for pq, p in zip(task.prepared, preds):
         pq.answer_index = p
     acc, _ = evaluate(task.prepared, task.model, task.config)
@@ -279,13 +277,13 @@ def test_untrained_model_scores_like_chance_on_random_golds():
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# training loop
 
 
 def test_overfits_single_question():
     # er attention injects gumbel noise while training, so leave it off here
     task = build_task(master_epochs=50, learning_rate=1e-2, use_er=False)
-    result = train_base_know(task.model, task.prepared[:1], None, task.config)
+    result = train(task.model, task.prepared[:1], None, task.config)
     train_rows = [r for r in result.stats if r["split"] == "train"]
     assert train_rows[-1]["accuracy"] == 1.0
     assert train_rows[-1]["loss"] < 0.1
@@ -295,7 +293,7 @@ def test_overfits_single_question():
 def test_training_is_deterministic():
     def run():
         task = build_task(master_epochs=2)
-        result = train_base_know(task.model, task.prepared, task.prepared[:2], task.config)
+        result = train(task.model, task.prepared, task.prepared[:2], task.config)
         return result
 
     a, b = run(), run()
@@ -309,9 +307,9 @@ def test_act_with_pinned_weight_one_matches_plain_training():
     """Pinning every question's weight to 1 makes the active loop identical to
     the fixed-weight one, update for update."""
     base_task = build_task(master_epochs=3)
-    base = train_base_know(base_task.model, base_task.prepared, None, base_task.config)
+    base = train(base_task.model, base_task.prepared, None, base_task.config)
     act_task = build_task(master_epochs=3, mode="act-know")
-    act = train_act_know(act_task.model, act_task.prepared, None, act_task.config, entropy_override=1.0)
+    act = train(act_task.model, act_task.prepared, None, act_task.config, entropy_override=1.0)
     base_losses = [r["loss"] for r in base.stats if r["split"] == "train"]
     act_losses = [r["loss"] for r in act.stats if r["split"] == "train"]
     assert len(base_losses) == len(act_losses) == 3
@@ -323,7 +321,7 @@ def test_act_with_pinned_weight_one_matches_plain_training():
 
 def test_act_records_entropy_history():
     task = build_task(master_epochs=2, mode="act-know")
-    result = train_act_know(task.model, task.prepared, None, task.config)
+    result = train(task.model, task.prepared, None, task.config)
     assert len(result.entropy_history) == 2
     for epoch in result.entropy_history:
         assert set(epoch) == {pq.qid for pq in task.prepared}
@@ -333,7 +331,7 @@ def test_act_records_entropy_history():
 
 def test_act_dev_entropy_is_shared():
     task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
-    result = train_act_know(task.model, task.prepared[:3], task.prepared[3:], task.config)
+    result = train(task.model, task.prepared[:3], task.prepared[3:], task.config)
     values = set(result.entropy_history[0].values())
     assert len(values) == 1
 
@@ -341,22 +339,19 @@ def test_act_dev_entropy_is_shared():
 def test_act_dev_entropy_requires_dev_set():
     task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
     with pytest.raises(ConfigError, match="dev"):
-        train_act_know(task.model, task.prepared, None, task.config)
+        train(task.model, task.prepared, None, task.config)
 
 
-def test_trainers_validate_mode():
-    task = build_task(mode="act-know")
-    with pytest.raises(ConfigError):
-        train_base_know(task.model, task.prepared, None, task.config)
-    plain = build_task()
-    with pytest.raises(ConfigError):
-        train_act_know(plain.model, plain.prepared, None, plain.config)
+def test_entropy_override_requires_act_know():
+    task = build_task()
+    with pytest.raises(ConfigError, match="act-know"):
+        train(task.model, task.prepared, None, task.config, entropy_override=1.0)
 
 
 def test_training_rejects_empty_set():
     task = build_task()
     with pytest.raises(ConfigError):
-        train_base_know(task.model, [], None, task.config)
+        train(task.model, [], None, task.config)
 
 
 def test_config_validation():
@@ -423,7 +418,7 @@ def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
 
     monkeypatch.setattr(training, "_measure_entropies", counting_measure)
     monkeypatch.setattr(training, "_run_updates", checking_run_updates)
-    train_act_know(task.model, train_qs, dev_qs, task.config)
+    train(task.model, train_qs, dev_qs, task.config)
     assert len(calls) == 1
     assert len(checked) == 4
 
@@ -435,7 +430,7 @@ def test_text_only_never_runs_the_graph_side(monkeypatch):
     monkeypatch.setattr(training, "gcn_forward", refuse)
     monkeypatch.setattr(training, "er_attention", refuse)
     task = build_task(mode="text-only", master_epochs=2, pretrain_epochs=1)
-    result = train_base_know(task.model, task.prepared, task.prepared[:2], task.config)
+    result = train(task.model, task.prepared, task.prepared[:2], task.config)
     acc, rows = evaluate(task.prepared, task.model, task.config, with_details=True)
     assert len(result.stats) == 4 and len(rows) == len(task.prepared)
     assert all(choice == {} for row in rows for choice in row["attention"])
