@@ -78,7 +78,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def pullback(g: Array):
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
+
+    return _result(a.data * b.data, (a, b), pullback)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -101,17 +105,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
+    # each pullback computes a gradient only for an operand that needs one
+    if an == 3:
+        grad_a = lambda g: g @ b.data.swapaxes(1, 2)
+        grad_b = lambda g: a.data.swapaxes(1, 2) @ g
+    elif an == 2 and bn == 2:
+        grad_a = lambda g: g @ b.data.T
+        grad_b = lambda g: a.data.T @ g
+    elif an == 2 and bn == 1:
+        grad_a = lambda g: np.outer(g, b.data)
+        grad_b = lambda g: a.data.T @ g
+    elif an == 1 and bn == 2:
+        grad_a = lambda g: b.data @ g
+        grad_b = lambda g: np.outer(a.data, g)
+    else:  # 1-D @ 1-D -> scalar
+        grad_a = lambda g: g * b.data
+        grad_b = lambda g: g * a.data
+
     def pullback(g: Array):
-        if an == 3:
-            return g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g
-        if an == 2 and bn == 2:
-            return g @ b.data.T, a.data.T @ g
-        if an == 2 and bn == 1:
-            return np.outer(g, b.data), a.data.T @ g
-        if an == 1 and bn == 2:
-            return b.data @ g, np.outer(a.data, g)
-        # 1-D @ 1-D -> scalar
-        return g * b.data, g * a.data
+        return (grad_a(g) if a.requires_grad else None, grad_b(g) if b.requires_grad else None)
 
     return _result(data, (a, b), pullback)
 
@@ -211,6 +223,26 @@ def gather(table: Tensor, ids: Array) -> Tensor:
         acc = np.zeros(shape)
         np.add.at(acc, ids, g)
         return (acc,)
+
+    return _result(table.data[ids], (table,), pullback)
+
+
+def take_distinct_rows(table: Tensor, ids: Array) -> Tensor:
+    """Row lookup for strictly increasing ids: out[i] = table[ids[i]]. No row
+    repeats, so the pullback writes g into its rows with no scatter-add."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("take_distinct_rows: ids must be a non-empty 1-D integer array")
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("take_distinct_rows: ids must be strictly increasing")
+    if ids[0] < 0 or ids[-1] >= table.data.shape[0]:
+        raise IndexError("take_distinct_rows: id out of range")
+    shape = table.data.shape
+
+    def pullback(g: Array):
+        out = np.zeros(shape)
+        out[ids] = g
+        return (out,)
 
     return _result(table.data[ids], (table,), pullback)
 

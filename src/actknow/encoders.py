@@ -1,7 +1,9 @@
 """Text, graph, and entity/relation encoders built on the autodiff tensors.
 
 Three per-choice representations feed the classifier:
-  text_vec       relu(P @ mean(token embeddings) + bias), dim d
+  text_vec       relu(P @ mean(token embeddings) + bias), dim d; the means
+                 of a batch are one bag-of-words product over the table
+                 rows of the batch's distinct tokens
   graph_vec      text-attention pooling over GCN node outputs, dim d
   knowledge_vec  concat of attention-pooled projected entity and relation
                  tables, dim 2d; entity attention uses Gumbel softmax while
@@ -124,12 +126,31 @@ def init_er_params(
 
 
 def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
-    """relu(P @ mean(token embeddings) + bias) per token sequence: (C, d)."""
-    if not sequences or any(ids.size == 0 for ids in sequences):
+    """relu(P @ mean(token embeddings) + bias) per token sequence: (C, d).
+
+    The means are one product bag @ rows, where rows are the table rows of
+    the U distinct ids in the batch and bag is the constant (C, U) matrix
+    whose row c holds count(token in c) / len(c). The product's cost grows
+    with the batch's tokens, not the vocabulary, and backward writes the
+    rows' gradient bag.T @ g into the table's with no scatter-add."""
+    lengths = np.array([seq.size for seq in sequences], dtype=np.int64)
+    if lengths.size == 0 or lengths.min() == 0:
         raise ValueError("encode_text: need at least one sequence, none of them empty")
-    starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
-    embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
-    pooled = ad.segment_mean(embedded, starts)
+    ids = np.concatenate(sequences)
+    vocab = params.token_embedding.shape[0]
+    if ids.min() < 0 or ids.max() >= vocab:
+        raise IndexError("encode_text: token id out of range")
+    # the distinct ids in increasing order and each id's bag column, by
+    # counting: a few times faster than np.unique's sort on ~3,000 tokens
+    distinct = np.flatnonzero(np.bincount(ids, minlength=vocab))
+    column = np.zeros(vocab, dtype=np.int64)
+    column[distinct] = np.arange(distinct.size)
+    n_seq, n_distinct = len(sequences), distinct.size
+    rows = np.repeat(np.arange(n_seq), lengths)
+    weights = np.repeat(1.0 / lengths, lengths)
+    bag = np.bincount(rows * n_distinct + column[ids], weights=weights, minlength=n_seq * n_distinct)
+    table_rows = ad.take_distinct_rows(params.token_embedding, distinct)
+    pooled = ad.matmul(Tensor(bag.reshape(n_seq, n_distinct)), table_rows)
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
 

@@ -145,7 +145,9 @@ def connect_concepts(
             adjacency[i, j] = 1.0
             adjacency[j, i] = 1.0
 
-    norm = normalize_adjacency(adjacency)
+    # symmetric and 0/1 as built above, with a zero diagonal because
+    # graph_from_triples drops self-loops, so the input checks are skipped
+    norm = _normalize(adjacency)
     return Subgraph(nodes=nodes, adjacency=adjacency, norm_adjacency=norm, paths=paths)
 
 
@@ -164,7 +166,12 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency entries must be 0 or 1")
     if np.any(np.diag(c) != 0.0):
         raise ValueError("adjacency diagonal must be zero")
-    with_self = c + np.eye(n)
+    return _normalize(c)
+
+
+def _normalize(c: np.ndarray) -> np.ndarray:
+    """normalize_adjacency's math on a float64 adjacency known to be valid."""
+    with_self = c + np.eye(c.shape[0])
     degrees = with_self.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     return with_self * np.outer(inv_sqrt, inv_sqrt)

@@ -2,11 +2,12 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Two package paths that faster ones replaced follow at
+no code with src/. Three package paths that faster ones replaced follow at
 the end, kept as the references those are compared against: the dict-loop
-BM25 `retrieve` that impact scoring replaced, and the per-choice scorer that
-choice-stacked scoring replaced, which runs on the package's autodiff tape so
-that gradients can be compared too.
+BM25 `retrieve` that impact scoring replaced, the per-choice scorer that
+choice-stacked scoring replaced, and the gather + segment-mean text encoder
+that the bag-of-words product replaced. The last two run on the package's
+autodiff tape so that gradients can be compared too.
 """
 
 from __future__ import annotations
@@ -273,3 +274,16 @@ def score_question(
         if details is not None:
             details.append(choice_detail)
     return ad.concat(parts)
+
+
+# ---------------------------------------------------------------------------
+# the batched text encoder before the bag-of-words product: token rows
+# gathered from the table and averaged per sequence, whose backward
+# scatter-adds into the table
+
+
+def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
+    starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
+    embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
+    pooled = ad.segment_mean(embedded, starts)
+    return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))

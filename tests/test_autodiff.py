@@ -26,6 +26,7 @@ from actknow.autodiff import (
     scalar_mul,
     segment_cross_entropy,
     segment_mean,
+    take_distinct_rows,
     transpose,
 )
 from actknow.errors import ConfigError
@@ -86,6 +87,57 @@ def test_matmul_grad_all_rank_pairs():
     grad_check(lambda t: project(matmul(t, Tensor(m22)), v4), v3, tol=1e-5)
     # 1-D @ 1-D is already scalar
     grad_check(lambda t: matmul(t, Tensor(v4)), RNG.normal(size=4), tol=1e-5)
+
+
+def _constant_operand_cases():
+    """(a, b, explicit grad of a, explicit grad of b) per matmul rank pair,
+    each formula taking the upstream gradient g."""
+    m, k, n = 3, 4, 2
+    a2, b2 = RNG.normal(size=(m, k)), RNG.normal(size=(k, n))
+    a3, b3 = RNG.normal(size=(2, m, k)), RNG.normal(size=(2, k, n))
+    u, v = RNG.normal(size=m), RNG.normal(size=k)
+    return [
+        (a3, b3, lambda g: g @ b3.swapaxes(1, 2), lambda g: a3.swapaxes(1, 2) @ g),
+        (a2, b2, lambda g: g @ b2.T, lambda g: a2.T @ g),
+        (a2, v, lambda g: np.outer(g, v), lambda g: a2.T @ g),
+        (u, a2, lambda g: a2 @ g, lambda g: np.outer(u, g)),
+        (v, v[::-1].copy(), lambda g: g * v[::-1], lambda g: g * v),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["3d@3d", "2d@2d", "2d@1d", "1d@2d", "1d@1d"])
+@pytest.mark.parametrize("trainable", [0, 1])
+def test_matmul_skips_the_constant_operand(case, trainable):
+    a, b, grad_a, grad_b = _constant_operand_cases()[case]
+    ta, tb = Tensor(a, requires_grad=trainable == 0), Tensor(b, requires_grad=trainable == 1)
+    out = matmul(ta, tb)
+    g = RNG.normal(size=out.shape)
+    pulled = out._pullback(g)
+    assert pulled[1 - trainable] is None
+    assert np.array_equal(pulled[trainable], (grad_a, grad_b)[trainable](g))
+    # through backward: the constant gets no .grad, the leaf the same bits
+    w = RNG.normal(size=out.size)
+    backward(project(out, w) if out.shape else mul(out, Tensor(w[0])))
+    leaf, const = (ta, tb) if trainable == 0 else (tb, ta)
+    assert const.grad is None
+    upstream = w.reshape(out.shape) if out.shape else np.asarray(w[0])
+    assert np.array_equal(leaf.grad, (grad_a, grad_b)[trainable](upstream))
+
+
+@pytest.mark.parametrize("trainable", [0, 1])
+def test_mul_skips_the_constant_operand(trainable):
+    a, b = RNG.normal(size=(3, 2)), RNG.normal(size=(3, 2))
+    ta, tb = Tensor(a, requires_grad=trainable == 0), Tensor(b, requires_grad=trainable == 1)
+    out = mul(ta, tb)
+    g = RNG.normal(size=out.shape)
+    other = (b, a)[trainable]
+    pulled = out._pullback(g)
+    assert pulled[1 - trainable] is None
+    assert np.array_equal(pulled[trainable], g * other)
+    w = RNG.normal(size=out.size)
+    backward(project(out, w))
+    assert (tb, ta)[trainable].grad is None
+    assert np.array_equal((ta, tb)[trainable].grad, w.reshape(out.shape) * other)
 
 
 def test_concat_grad():
@@ -247,6 +299,23 @@ def test_gather_grad_accumulates_repeats():
     grad_check(lambda t: project(gather(t, ids), w), RNG.normal(size=(4, 2)))
 
 
+def test_take_distinct_rows_grad_matches_gather():
+    ids = np.array([0, 2, 5])
+    w = RNG.normal(size=(3, 2)).reshape(-1)
+    grad_check(lambda t: project(take_distinct_rows(t, ids), w), RNG.normal(size=(6, 2)))
+    x = RNG.normal(size=(6, 2))
+    a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    backward(project(take_distinct_rows(a, ids), w))
+    backward(project(gather(b, ids), w))
+    assert np.array_equal(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("ids", [[1, 1], [2, 1], []])
+def test_take_distinct_rows_requires_increasing_ids(ids):
+    with pytest.raises(ValueError):
+        take_distinct_rows(Tensor(np.ones((3, 2))), np.array(ids, dtype=np.int64))
+
+
 def test_row_softmax_uniform_logits():
     out = row_softmax(Tensor(np.zeros(4)))
     assert np.allclose(out.data, 0.25, atol=1e-15)
@@ -325,6 +394,8 @@ def test_shape_and_domain_errors():
         concat([Tensor(np.ones((2, 2))), Tensor(np.ones(2))])
     with pytest.raises(IndexError):
         gather(Tensor(np.ones((3, 2))), np.array([3]))
+    with pytest.raises(IndexError):
+        take_distinct_rows(Tensor(np.ones((3, 2))), np.array([1, 3]))
     with pytest.raises(IndexError):
         cross_entropy(Tensor(np.zeros(4)), 4)
     with pytest.raises(ValueError):

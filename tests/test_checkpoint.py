@@ -49,6 +49,14 @@ def test_rejects_whitespace_in_name(tmp_path):
         save_checkpoint(str(tmp_path / "x.txt"), {"bad name": np.zeros(2)})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "x.txt"
+    with pytest.raises(ValueError, match="tensor w has a non-finite value"):
+        save_checkpoint(str(path), {"v": np.zeros(2), "w": np.array([1.0, value])})
+    assert not path.exists()
+
+
 def test_rejects_non_checkpoint_file(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("hello\n")
@@ -75,7 +83,44 @@ def test_rejects_wrong_value_count(tmp_path):
 def test_rejects_bad_value(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("tensors 1\nw 1 2\n1.0 oops\n")
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ConfigError, match=r"x\.txt:3: bad value in tensor w"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "x.txt"
+    path.write_text(f"tensors 2\nv 1 1\n0.5\nw 1 2\n1.0 {value}\n")
+    with pytest.raises(ConfigError, match=r"x\.txt:5: non-finite value in tensor w"):
+        load_checkpoint(str(path))
+
+
+def test_rejects_lines_after_the_counted_tensors(tmp_path):
+    path = tmp_path / "x.txt"
+    save_checkpoint(str(path), {"w": np.arange(2.0)})
+    path.write_text(path.read_text() + "junk\n")
+    with pytest.raises(ConfigError, match=r"x\.txt:4: unexpected line after the 1 tensors"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("hello\n", 1),
+        ("tensors two\n", 1),
+        ("tensors -1\n", 1),
+        ("tensors 2\nw 1 1\n1.0\n", 4),
+        ("tensors 1\nw\n1.0\n", 2),
+        ("tensors 1\nw 2 3\n1.0\n", 2),
+        ("tensors 1\nw 1 2\n", 3),
+        ("tensors 1\nw 1 3\n1.0 2.0\n", 3),
+        ("tensors 2\nw 1 1\n1.0\nw 1 1\n2.0\n", 4),
+    ],
+)
+def test_every_load_error_names_its_line(tmp_path, text, line):
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"x\.txt:{line}: "):
         load_checkpoint(str(path))
 
 

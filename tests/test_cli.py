@@ -141,6 +141,20 @@ def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, capsys):
+    lines = open(os.path.join(trained_dir, "checkpoint.txt")).read().splitlines()
+    values = lines[2].split()
+    lines[2] = " ".join(["nan"] + values[1:])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "eval", *data_flags(task_dir), *TINY_FLAGS, "--seed", "0",
+        "--checkpoint", str(bad), "--out-dir", str(tmp_path / "evalbad"),
+    ])
+    assert rc == 1
+    assert f"{bad}:3: non-finite value" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_file_exits_two(task_dir, tmp_path, capsys):
     rc = main([
         "eval", *data_flags(task_dir), *TINY_FLAGS,

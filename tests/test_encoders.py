@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from actknow import autodiff
 from actknow.autodiff import Tensor, backward, matmul, reshape
 from actknow.encoders import (
     GCNParams,
@@ -22,7 +23,7 @@ from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
-from _oracles import dense_gcn, fd_gradient, max_rel_error
+from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, max_rel_error
 
 RNG = np.random.default_rng(21)
 
@@ -112,6 +113,70 @@ def test_encode_text_batch_rows_match_single_sequences():
     for row, ids in zip(batch, sequences):
         alone = encode_text([ids], params).data[0]
         assert np.max(np.abs(row - alone)) < 1e-12
+
+
+def _text_loss(out, w):
+    return matmul(reshape(out, (-1,)), Tensor(w.reshape(-1)))
+
+
+def test_bag_product_matches_gather_and_segment_mean():
+    rng = np.random.default_rng(5)
+    vocab, dim = 13, 6
+    last = vocab - 1
+    sequences = [
+        np.array([UNK_ID]), np.array([SEP_ID]), np.array([last]), np.array([4, 4, 4]),
+        np.array([UNK_ID, 3, SEP_ID, 3, last, last, UNK_ID]),
+    ]
+    sequences += [rng.integers(0, vocab, size=rng.integers(1, 12)) for _ in range(40)]
+    for trial in range(3):
+        params = init_text_params(vocab, dim, np.random.default_rng(trial))
+        ref = init_text_params(vocab, dim, np.random.default_rng(trial))
+        out, expected = encode_text(sequences, params), encode_text_by_gather(sequences, ref)
+        assert out.shape == (len(sequences), dim)
+        assert np.max(np.abs(out.data - expected.data)) <= 1e-12
+        w = rng.normal(size=out.shape)
+        backward(_text_loss(out, w))
+        backward(_text_loss(expected, w))
+        for name in ("token_embedding", "projection", "bias"):
+            got, want = getattr(params, name).grad, getattr(ref, name).grad
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def test_encode_text_backward_does_no_scatter(monkeypatch):
+    def no_gather(*args, **kwargs):
+        raise AssertionError("the text encoder must not gather token rows")
+
+    monkeypatch.setattr(autodiff, "gather", no_gather)
+    params = init_text_params(vocab_size=9, dim=4, rng=np.random.default_rng(3))
+    out = encode_text([np.array([2, 8, 2]), np.array([SEP_ID])], params)
+    backward(_text_loss(out, np.ones(out.shape)))
+    assert params.token_embedding.grad.shape == (9, 4)
+    assert np.all(params.token_embedding.grad[[0, 3, 4, 5, 6, 7]] == 0.0)
+
+
+def test_encode_text_bag_spans_only_the_batch_tokens(monkeypatch):
+    """The bag has one column per distinct id in the batch, not per vocabulary
+    entry, so a large vocabulary costs nothing beyond the gradient's table."""
+    bag_shapes = []
+    real_matmul = autodiff.matmul
+
+    def recording_matmul(a, b):
+        bag_shapes.append(a.shape)
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(autodiff, "matmul", recording_matmul)
+    params = init_text_params(vocab_size=50_000, dim=4, rng=np.random.default_rng(1))
+    out = encode_text([np.array([7, 49_999, 7]), np.array([SEP_ID, 7])], params)
+    assert bag_shapes[0] == (2, 3)
+    backward(_text_loss(out, np.ones(out.shape)))
+    assert params.token_embedding.grad.shape == (50_000, 4)
+
+
+def test_encode_text_rejects_out_of_range_ids():
+    params = init_text_params(vocab_size=4, dim=3, rng=np.random.default_rng(0))
+    for bad in (np.array([1, 4]), np.array([-1])):
+        with pytest.raises(IndexError):
+            encode_text([np.array([2]), bad], params)
 
 
 # ---------------------------------------------------------------------------

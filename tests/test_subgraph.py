@@ -297,6 +297,15 @@ def test_path_memo_matches_a_fresh_graph_in_any_budget_order(noisy_dir):
         assert_same_subgraph(got, expected)
 
 
+def test_unchecked_normalization_matches_the_checked_one(noisy_dir):
+    """connect_concepts skips normalize_adjacency's input checks; on every
+    choice subgraph of the noisy task the checks pass and the bits agree."""
+    graph = load_triples(os.path.join(noisy_dir, "kg.tsv"))
+    for seeds in noisy_seed_sets(noisy_dir, graph):
+        sub = connect_concepts(graph, seeds[:60], 2, 60)
+        assert np.array_equal(sub.norm_adjacency, normalize_adjacency(sub.adjacency))
+
+
 def test_path_memo_keys_on_path_length():
     graph = graph_from_triples([("a", "r", "b"), ("b", "r", "c")])
     a, c = graph.entity_ids["a"], graph.entity_ids["c"]
