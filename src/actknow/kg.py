@@ -49,6 +49,11 @@ class KnowledgeGraph:
     path_memo: dict[tuple[int, int, int], tuple[int, ...] | None] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # (dim, epochs, seed, lr, margin) -> read-only (entity, relation) tables,
+    # filled by train_kg_embeddings
+    embedding_memo: dict[tuple, tuple[EmbeddingTable, EmbeddingTable]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_entities(self) -> int:
@@ -174,11 +179,17 @@ def train_kg_embeddings(
     margin: float = 1.0,
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
     """Train entity/relation tables with a margin loss against uniformly
-    sampled corruptions. epochs=0 returns the seeded random init unchanged."""
+    sampled corruptions. epochs=0 returns the seeded random init unchanged.
+
+    The tables are trained once per graph and argument set: later calls
+    return the same tables, whose arrays are read-only."""
     if dim < 2:
         raise ConfigError(f"embedding dim must be >= 2, got {dim}")
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
+    key = (dim, epochs, seed, lr, margin)
+    if key in graph.embedding_memo:
+        return graph.embedding_memo[key]
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     ent = rng.normal(0.0, scale, size=(graph.n_entities, dim))
@@ -218,7 +229,10 @@ def train_kg_embeddings(
 
     if not (np.all(np.isfinite(ent)) and np.all(np.isfinite(rel))):
         raise FloatingPointError("embedding training produced non-finite values")
-    return EmbeddingTable(dim, ent), EmbeddingTable(dim, rel)
+    ent.flags.writeable = False
+    rel.flags.writeable = False
+    graph.embedding_memo[key] = (EmbeddingTable(dim, ent), EmbeddingTable(dim, rel))
+    return graph.embedding_memo[key]
 
 
 # ---------------------------------------------------------------------------

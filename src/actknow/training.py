@@ -9,8 +9,12 @@ second epoch on, the end-of-epoch evaluation has already measured it on the
 same parameters) and uses it to scale those features for, and only for,
 that epoch's updates. Entropy never carries gradient.
 
-Scoring is choice-stacked: score_batch runs every choice of a batch of
-questions through each encoder at once.
+Scoring is choice-stacked: encode_batch runs every choice of a batch of
+questions through each encoder at once, and classify applies the
+per-question weights and the classifier to those features. Training runs
+one of each per batch (score_batch). Evaluation runs one encoder pass per
+chunk and, in act-know, two classifier products on it: unit weights for
+the entropies, then the entropy weights for the final logits.
 """
 
 from __future__ import annotations
@@ -296,29 +300,35 @@ def sample_fraction(items: list, fraction: float, seed: int) -> list:
 # forward scoring
 
 
-def score_batch(
+@dataclass
+class Features:
+    """Encoder outputs of a stack of questions, one row per choice in
+    question order, before the per-question weights are applied."""
+
+    text: Tensor       # (n_choices, d)
+    graph: Tensor      # (n_choices, d), zero rows where no graph feature
+    knowledge: Tensor  # (n_choices, 2d)
+    counts: np.ndarray  # choices per question
+    starts: np.ndarray  # offset of each question's first choice
+
+
+def encode_batch(
     questions: list[PreparedQuestion],
     params: ModelParams,
-    weights: list[tuple[float, float]],
     config: TrainConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
     details: list | None = None,
-) -> tuple[Tensor, np.ndarray]:
-    """Logits of every choice of a stack of questions, flat in question
-    order: (n_choices,), plus the start offset of each question's choices.
+) -> Features:
+    """Run every choice of a stack of questions through the text encoder,
+    the GCN with text-attention pooling and ER attention, each once.
 
-    weights holds one (graph, knowledge) pair per question, scaling that
-    question's graph and knowledge features before the classifier product;
-    (1, 1) is the plain model and (0, 0) reduces it to text-only. text-only
-    mode skips the graph side and feeds zeros in its place. With details,
-    one dict per choice is appended, holding the node attention weights
-    of choices that have a subgraph.
+    text-only mode skips the graph side and feeds zeros in its place. With
+    details, one dict per choice is appended, holding the node attention
+    weights of choices that have a subgraph.
     """
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
-    starts = np.cumsum(counts) - counts
-    scale = np.repeat(np.asarray(weights, dtype=np.float64).reshape(len(questions), 2), counts, axis=0)
     d = params.dim
     text = encode_text([c.token_ids for c in choices], params.text)
     with_graph = config.mode != "text-only"
@@ -342,17 +352,47 @@ def score_batch(
     else:
         knowledge = Tensor(np.zeros((len(choices), 2 * d)))
 
-    feats = ad.concat(
+    if details is not None:
+        details.extend(choice_details)
+    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts)
+
+
+def classify(feats: Features, classifier: Tensor, weights: list[tuple[float, float]]) -> Tensor:
+    """Logit of every choice: the classifier's dot product with
+    concat(text, graph * w_graph, knowledge * w_knowledge), where weights
+    holds one (w_graph, w_knowledge) pair per question."""
+    scale = np.repeat(np.asarray(weights, dtype=np.float64).reshape(len(feats.counts), 2), feats.counts, axis=0)
+    graph, knowledge = feats.graph, feats.knowledge
+    rows = ad.concat(
         [
-            text,
+            feats.text,
             ad.mul(graph, Tensor(np.broadcast_to(scale[:, :1], graph.shape))),
             ad.mul(knowledge, Tensor(np.broadcast_to(scale[:, 1:], knowledge.shape))),
         ],
         axis=1,
     )
-    if details is not None:
-        details.extend(choice_details)
-    return ad.row_dot(feats, params.classifier), starts
+    return ad.row_dot(rows, classifier)
+
+
+def score_batch(
+    questions: list[PreparedQuestion],
+    params: ModelParams,
+    weights: list[tuple[float, float]],
+    config: TrainConfig,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    details: list | None = None,
+) -> tuple[Tensor, np.ndarray]:
+    """Logits of every choice of a stack of questions, flat in question
+    order: (n_choices,), plus the start offset of each question's choices.
+
+    One encoder pass (encode_batch) and one classifier product (classify).
+    weights holds one (graph, knowledge) pair per question, scaling that
+    question's graph and knowledge features before the classifier product;
+    (1, 1) is the plain model and (0, 0) reduces it to text-only.
+    """
+    feats = encode_batch(questions, params, config, train, rng, details)
+    return classify(feats, params.classifier, weights), feats.starts
 
 
 def score_question(
@@ -388,41 +428,26 @@ def _chunks(questions: list[PreparedQuestion], size: int) -> Iterator[list[Prepa
         yield questions[start : start + size]
 
 
-def _eval_logits(
-    questions: list[PreparedQuestion],
-    params: ModelParams,
-    weights: list[tuple[float, float]],
-    config: TrainConfig,
-    details: list | None = None,
-) -> list[np.ndarray]:
-    """Eval-mode logits of each question, one array per question."""
-    logits, starts = score_batch(questions, params, weights, config, details=details)
-    return np.split(logits.data, starts[1:])
-
-
-def _entropies(
-    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
-) -> list[float]:
-    """Entropy of each question's eval-mode logits under unit weights."""
-    ones = [(1.0, 1.0)] * len(questions)
-    return [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
-
-
 def _predict_batch(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
 ) -> list[tuple[int, np.ndarray, float]]:
     """(chosen index, final logits, entropy) of each question of a stack,
-    scored together. Ties resolve to the lowest index.
+    scored together in eval mode. Ties resolve to the lowest index.
 
-    act-know runs two eval passes: an unweighted one to measure each
-    question's entropy, then a pass with features scaled by that entropy.
+    One encoder pass, then the classifier product with unit weights, whose
+    logits give each question's entropy. act-know then runs a second
+    classifier product with the features scaled by that entropy; the
+    weights enter only after the encoders, so it shares their pass.
     """
+    feats = encode_batch(questions, params, config, details=details)
+
+    def logits_by_question(weights: list[tuple[float, float]]) -> list[np.ndarray]:
+        return np.split(classify(feats, params.classifier, weights).data, feats.starts[1:])
+
+    logits = logits_by_question([(1.0, 1.0)] * len(questions))
+    entropies = [question_entropy(z) for z in logits]
     if config.mode == "act-know":
-        entropies = _entropies(questions, params, config)
-        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
-    else:
-        logits = _eval_logits(questions, params, [(1.0, 1.0)] * len(questions), config, details)
-        entropies = [question_entropy(z) for z in logits]
+        logits = logits_by_question([(h, h) for h in entropies])
     return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
 
 
@@ -501,11 +526,11 @@ def _mean_loss(rows: list[dict]) -> float:
 def _measure_entropies(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
 ) -> dict[str, float]:
-    """Eval-mode unweighted forward, chunked as in evaluate(); no gradients,
-    no RNG use."""
+    """Each question's entropy as evaluate() records it: eval-mode, unit
+    weights, chunked alike; no gradients, no RNG use."""
     out = {}
     for chunk in _chunks(questions, config.batch_size):
-        out.update(zip((pq.qid for pq in chunk), _entropies(chunk, params, config)))
+        out.update((pq.qid, h) for pq, (_, _, h) in zip(chunk, _predict_batch(chunk, params, config)))
     return out
 
 

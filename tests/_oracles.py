@@ -2,12 +2,14 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Three package paths that faster ones replaced follow at
+no code with src/. Four package paths that faster ones replaced follow at
 the end, kept as the references those are compared against: the dict-loop
 BM25 `retrieve` that impact scoring replaced, the per-choice scorer that
-choice-stacked scoring replaced, and the gather + segment-mean text encoder
-that the bag-of-words product replaced. The last two run on the package's
-autodiff tape so that gradients can be compared too.
+choice-stacked scoring replaced, the gather + segment-mean text encoder
+that the bag-of-words product replaced, and the two-pass act-know
+prediction that one encoder pass with two classifier products replaced.
+The middle two run on the package's autodiff tape so that gradients can be
+compared too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams
 from actknow.errors import ConfigError
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
-from actknow.training import ModelParams, PreparedQuestion, TrainConfig
+from actknow.training import ModelParams, PreparedQuestion, TrainConfig, question_entropy, score_batch
 
 _TOKEN = re.compile(r"\w+")
 
@@ -287,3 +289,47 @@ def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams
     embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
     pooled = ad.segment_mean(embedded, starts)
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
+
+
+# ---------------------------------------------------------------------------
+# prediction of a stack of questions before the encoders ran once per
+# chunk: act-know scored the whole stack twice, once with unit weights for
+# the entropies and once with the entropy weights
+
+
+def _eval_logits(
+    questions: list[PreparedQuestion],
+    params: ModelParams,
+    weights: list[tuple[float, float]],
+    config: TrainConfig,
+    details: list | None = None,
+) -> list[np.ndarray]:
+    """Eval-mode logits of each question, one array per question."""
+    logits, starts = score_batch(questions, params, weights, config, details=details)
+    return np.split(logits.data, starts[1:])
+
+
+def _entropies(
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
+) -> list[float]:
+    """Entropy of each question's eval-mode logits under unit weights."""
+    ones = [(1.0, 1.0)] * len(questions)
+    return [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
+
+
+def predict_batch(
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
+) -> list[tuple[int, np.ndarray, float]]:
+    """(chosen index, final logits, entropy) of each question of a stack,
+    scored together. Ties resolve to the lowest index.
+
+    act-know runs two eval passes: an unweighted one to measure each
+    question's entropy, then a pass with features scaled by that entropy.
+    """
+    if config.mode == "act-know":
+        entropies = _entropies(questions, params, config)
+        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
+    else:
+        logits = _eval_logits(questions, params, [(1.0, 1.0)] * len(questions), config, details)
+        entropies = [question_entropy(z) for z in logits]
+    return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from actknow import checkpoint, nli, pipeline, training
+from test_training import build_task
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -42,3 +43,16 @@ def test_instrument_wraps_every_call_site_and_restores_it(bench):
 )
 def test_bound_arguments_keep_their_names(fn, names):
     assert names <= set(inspect.signature(fn).parameters)
+
+
+def test_the_tracer_sees_each_encoder_once_per_eval_chunk(bench):
+    """The per-layer encoder metrics come from the wrappers on `training`'s
+    module attributes; scoring that bypassed them would report zeros."""
+    layers, spans = bench
+    task = build_task(mode="act-know", batch_size=3)  # 4 questions: 2 chunks
+    tracer = spans.Tracer()
+    with layers.instrument(tracer):
+        training.evaluate(task.prepared, task.model, task.config)
+    names = [span.name for span in tracer.spans]
+    for name in ("encoders.encode_text", "encoders.gcn_forward", "encoders.er_attention"):
+        assert names.count(name) == 2, name

@@ -1,0 +1,109 @@
+"""Evaluation against the two-pass act-know prediction it replaced, and the
+number of encoder calls one evaluation makes.
+
+The oracle in _oracles.py scores every chunk twice, once with unit weights
+for the entropies and once with the entropy weights. evaluate() runs the
+encoders once per chunk and only the classifier product twice, so every
+row must be equal to the oracle's, not just close.
+"""
+
+import dataclasses
+
+import pytest
+
+import _oracles
+from actknow import training
+from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
+from actknow.scenarios import lowdata_experiment
+from test_training import build_task
+
+ENCODERS = ("encode_text", "gcn_forward", "er_attention")
+VARIANTS = {"full": {}, "no-gcn": {"use_gcn": False}, "no-er": {"use_er": False}}
+
+
+@pytest.fixture(scope="module")
+def lowdata_model(lowdata_dir, tmp_path_factory):
+    """An act-know model trained for one master epoch on the lowdata
+    fraction, and the prepared train, dev and test splits."""
+    cfg = lowdata_experiment(lowdata_dir, str(tmp_path_factory.mktemp("out")))
+    config = training_config_for(cfg, mode="act-know", data_fraction=0.2, master_epochs=1)
+    pipe = load_pipeline(cfg)
+    splits = {split: prepare_split(pipe, split, config) for split in ("train", "dev", "test")}
+    model, _ = run_training(pipe, config, splits["train"], splits["dev"])
+    return config, model, splits
+
+
+def _oracle_rows(questions, model, config):
+    rows = []
+    for start in range(0, len(questions), config.batch_size):
+        chunk = questions[start : start + config.batch_size]
+        details, offset = [], 0
+        for pq, (pred, logits, entropy) in zip(chunk, _oracles.predict_batch(chunk, model, config, details)):
+            rows.append({
+                "predicted": pred,
+                "logits": [float(v) for v in logits],
+                "entropy": entropy,
+                "attention": details[offset : offset + len(pq.choices)],
+            })
+            offset += len(pq.choices)
+    return rows
+
+
+def _assert_rows_equal(questions, model, config):
+    _, rows = training.evaluate(questions, model, config, with_details=True)
+    want = _oracle_rows(questions, model, config)
+    assert len(rows) == len(want) == len(questions)
+    for got, expected in zip(rows, want):
+        for key, value in expected.items():
+            assert got[key] == value, (got["id"], key)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "split, variant",
+    [("train", "full"), ("dev", "full"), ("test", "full"), ("dev", "no-gcn"), ("dev", "no-er")],
+)
+def test_act_know_rows_equal_the_two_pass_oracle_on_lowdata(split, variant, lowdata_model):
+    config, model, splits = lowdata_model
+    config = dataclasses.replace(config, **VARIANTS[variant])
+    rows = _assert_rows_equal(splits[split], model, config)
+    assert len({row["entropy"] for row in rows}) > 1  # the entropy weights differ by question
+    with_attention = any("node_attention" in choice for row in rows for choice in row["attention"])
+    assert with_attention == config.use_gcn
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task(variant):
+    task = build_task(mode="act-know", batch_size=3, **VARIANTS[variant])  # 4 questions: a full and a part chunk
+    _assert_rows_equal(task.prepared, task.model, task.config)
+
+
+def _count_encoder_calls(monkeypatch):
+    counts = dict.fromkeys(ENCODERS, 0)
+    for name in ENCODERS:
+        fn = getattr(training, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("mode, graph_calls", [("act-know", 1), ("base-know", 1), ("text-only", 0)])
+def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatch):
+    task = build_task(mode=mode, batch_size=3)
+    counts = _count_encoder_calls(monkeypatch)
+    training.evaluate(task.prepared, task.model, task.config, with_details=True)
+    chunks = 2  # 4 questions, 3 a chunk
+    assert counts == {"encode_text": chunks, "gcn_forward": graph_calls * chunks, "er_attention": graph_calls * chunks}
+
+
+def test_measuring_entropies_runs_each_encoder_once_per_chunk(monkeypatch):
+    task = build_task(mode="act-know", batch_size=3)
+    counts = _count_encoder_calls(monkeypatch)
+    entropies = training._measure_entropies(task.prepared, task.model, task.config)
+    _, rows = training.evaluate(task.prepared, task.model, task.config)
+    assert entropies == {row["id"]: row["entropy"] for row in rows}
+    assert counts == dict.fromkeys(ENCODERS, 4)  # two chunks for each of the two calls

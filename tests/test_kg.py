@@ -122,17 +122,18 @@ def test_embedding_margin_positive():
 
 
 def test_zero_epochs_returns_seeded_init():
-    graph = graph_from_triples([("a", "r", "b"), ("b", "r", "c")])
-    first = train_kg_embeddings(graph, dim=4, epochs=0, seed=3)
-    second = train_kg_embeddings(graph, dim=4, epochs=0, seed=3)
+    triples = [("a", "r", "b"), ("b", "r", "c")]
+    # two graphs, so the second call trains rather than reads the first's memo
+    first = train_kg_embeddings(graph_from_triples(triples), dim=4, epochs=0, seed=3)
+    second = train_kg_embeddings(graph_from_triples(triples), dim=4, epochs=0, seed=3)
     assert np.array_equal(first[0].vectors, second[0].vectors)
     assert np.array_equal(first[1].vectors, second[1].vectors)
 
 
 def test_embedding_determinism_and_finiteness():
-    graph = graph_from_triples([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")])
-    one = train_kg_embeddings(graph, dim=6, epochs=30, seed=11)
-    two = train_kg_embeddings(graph, dim=6, epochs=30, seed=11)
+    triples = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")]
+    one = train_kg_embeddings(graph_from_triples(triples), dim=6, epochs=30, seed=11)
+    two = train_kg_embeddings(graph_from_triples(triples), dim=6, epochs=30, seed=11)
     assert np.array_equal(one[0].vectors, two[0].vectors)
     assert np.array_equal(one[1].vectors, two[1].vectors)
     assert np.all(np.isfinite(one[0].vectors))
@@ -143,3 +144,33 @@ def test_embedding_dim_validation():
     graph = graph_from_triples([("a", "r", "b")])
     with pytest.raises(ConfigError):
         train_kg_embeddings(graph, dim=1, epochs=1, seed=0)
+
+
+def test_tables_are_trained_once_per_graph_and_arguments():
+    triples = [("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")]
+    graph = graph_from_triples(triples)
+    first = train_kg_embeddings(graph, dim=4, epochs=5, seed=1)
+    assert train_kg_embeddings(graph, dim=4, epochs=5, seed=1) is first
+    others = [
+        train_kg_embeddings(graph, dim=4, epochs=5, seed=2),
+        train_kg_embeddings(graph, dim=6, epochs=5, seed=1),
+        train_kg_embeddings(graph, dim=4, epochs=6, seed=1),
+        train_kg_embeddings(graph, dim=4, epochs=5, seed=1, lr=0.1),
+        train_kg_embeddings(graph, dim=4, epochs=5, seed=1, margin=2.0),
+    ]
+    assert len(graph.embedding_memo) == 6
+    assert all(other is not first for other in others)
+    assert not np.array_equal(others[0][0].vectors, first[0].vectors)
+    # another graph with the same triples trains its own, equal, tables
+    fresh = train_kg_embeddings(graph_from_triples(triples), dim=4, epochs=5, seed=1)
+    assert fresh is not first and np.array_equal(fresh[0].vectors, first[0].vectors)
+
+
+def test_returned_tables_are_read_only():
+    graph = graph_from_triples([("a", "r", "b"), ("b", "s", "c")])
+    ent, rel = train_kg_embeddings(graph, dim=4, epochs=3, seed=0)
+    for table in (ent, rel):
+        with pytest.raises(ValueError):
+            table.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.vectors += 1.0

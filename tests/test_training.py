@@ -11,13 +11,14 @@ from actknow import autodiff as ad
 from actknow import training
 from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
-from actknow.kg import graph_from_triples
+from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
 from actknow.retrieval import build_index, corpus_from_sentences
 from actknow.training import (
     PreparedQuestion,
     STATS_HEADER,
     evaluate,
+    init_model,
     prepare_questions,
     question_entropy,
     sample_fraction,
@@ -421,6 +422,23 @@ def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
     train(task.model, train_qs, dev_qs, task.config)
     assert len(calls) == 1
     assert len(checked) == 4
+
+
+def test_training_leaves_the_shared_kg_tables_unchanged():
+    """Models built on one graph share its memoised ER tables; training one
+    of them changes neither the tables nor the other model's copy."""
+    task = build_task(mode="act-know", master_epochs=2, pretrain_epochs=1)
+    ent, rel = train_kg_embeddings(task.graph, task.config.kg_dim, 5, task.config.seed)
+    before = ent.vectors.copy(), rel.vectors.copy()
+    nodes = EmbeddingTable(task.config.node_dim, np.ones((task.graph.n_entities, task.config.node_dim)))
+    trained, other = (init_model(len(task.vocab), ent, rel, nodes, task.config) for _ in range(2))
+    train(trained, task.prepared, task.prepared[:2], task.config)
+    again = train_kg_embeddings(task.graph, task.config.kg_dim, 5, task.config.seed)
+    assert again[0] is ent and again[1] is rel
+    for model in (trained, other):
+        assert np.array_equal(model.er.entity_table.data, before[0])
+        assert np.array_equal(model.er.relation_table.data, before[1])
+    assert np.array_equal(ent.vectors, before[0]) and np.array_equal(rel.vectors, before[1])
 
 
 def test_text_only_never_runs_the_graph_side(monkeypatch):
