@@ -2,20 +2,22 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Four package paths that faster ones replaced follow at
-the end, kept as the references those are compared against: the dict-loop
-BM25 `retrieve` that impact scoring replaced, the per-choice scorer that
-choice-stacked scoring replaced, the gather + segment-mean text encoder
-that the bag-of-words product replaced, and the two-pass act-know
-prediction that one encoder pass with two classifier products replaced.
-The middle two run on the package's autodiff tape so that gradients can be
-compared too.
+no code with src/. Five package paths that simpler or faster ones
+replaced follow at the end, kept as the references those are compared
+against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
+per-choice scorer that choice-stacked scoring replaced, the gather +
+segment-mean text encoder that the bag-of-words product replaced, the
+two-pass act-know prediction that one encoder pass with two classifier
+products replaced, and the functional Adam step that the in-place `Adam`
+replaced. The second and third run on the package's autodiff tape so that
+gradients can be compared too.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,3 +335,66 @@ def predict_batch(
         logits = _eval_logits(questions, params, [(1.0, 1.0)] * len(questions), config, details)
         entropies = [question_entropy(z) for z in logits]
     return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
+
+
+# ---------------------------------------------------------------------------
+# the functional Adam step the in-place `optim.Adam` replaced: new arrays for
+# the parameters and both moments on every step. Its float expressions are
+# the reference the in-place update must match exactly.
+
+
+@dataclass
+class AdamState:
+    """First/second moment estimates plus the shared step counter."""
+
+    step: int
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+
+
+def init_adam_state(params: list[np.ndarray]) -> AdamState:
+    return AdamState(
+        step=0,
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
+    )
+
+
+def adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    state: AdamState,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.98,
+    eps: float = 1e-6,
+    weight_decay: float = 0.1,
+) -> tuple[list[np.ndarray], AdamState]:
+    """One update. Weight decay is decoupled: applied to params, not grads."""
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if len(params) != len(grads):
+        raise ValueError("adam_step: params and grads length mismatch")
+    t = state.step + 1
+    new_params: list[np.ndarray] = []
+    new_m: list[np.ndarray] = []
+    new_v: list[np.ndarray] = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if p.shape != g.shape:
+            raise ValueError(f"adam_step: grad shape {g.shape} does not match param {p.shape}")
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_params.append(p - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, AdamState(step=t, m=new_m, v=new_v)
+
+
+def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
+    """Learning rate of update number `step` (from 1): linear ramp over the
+    first warmup_steps updates, then constant."""
+    if warmup_steps > 0 and step <= warmup_steps:
+        return lr * step / warmup_steps
+    return lr

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import _oracles
 from actknow.autodiff import Tensor, add, backward, mean, mul
 from actknow.errors import ConfigError
 from actknow.optim import Adam, adam_step, init_adam_state
+from test_training import build_task
 
 
 def test_first_step_hand_check():
@@ -117,3 +119,28 @@ def test_minimizes_quadratic():
         backward(mean(mul(diff, diff)))
         opt.step()
     assert np.max(np.abs(x.data - target)) < 0.05
+
+
+def test_adam_matches_the_functional_oracle():
+    """Twenty steps on a model's trainable tensors, with warm-up, decoupled
+    decay and some tensors without a gradient on some steps: every tensor
+    equals the functional reference step bitwise after every step."""
+    model = build_task(mode="act-know").model
+    params = model.trainable()
+    settings = dict(beta1=0.85, beta2=0.97, eps=1e-7, weight_decay=0.1)
+    opt = Adam(params, lr=0.02, warmup_steps=6, **settings)
+    arrays = [p.data.copy() for p in params]
+    state = _oracles.init_adam_state(arrays)
+    rng = np.random.default_rng(5)
+    for step in range(1, 21):
+        opt.zero_grad()
+        grads = []
+        for i, p in enumerate(params):
+            g = rng.normal(size=p.data.shape)
+            missing = (i + step) % 3 == 0
+            p.grad = None if missing else g
+            grads.append(np.zeros_like(p.data) if missing else g)
+        opt.step()
+        arrays, state = _oracles.adam_step(arrays, grads, state, _oracles.warmup_lr(0.02, step, 6), **settings)
+        for p, expected in zip(params, arrays):
+            assert np.array_equal(p.data, expected)
