@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay and optional linear learning-rate warm-up."""
+"""Adam with decoupled weight decay (AdamW) and optional linear learning-rate
+warm-up, stepping a fixed list of leaf tensors in place."""
 
 from __future__ import annotations
 
@@ -9,61 +10,12 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 
-Array = np.ndarray
-
-
-@dataclass
-class AdamState:
-    """First/second moment estimates plus the shared step counter."""
-
-    step: int
-    m: list[Array]
-    v: list[Array]
-
-
-def init_adam_state(params: list[Array]) -> AdamState:
-    return AdamState(
-        step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
-
-
-def adam_step(
-    params: list[Array],
-    grads: list[Array],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    eps: float = 1e-6,
-    weight_decay: float = 0.1,
-) -> tuple[list[Array], AdamState]:
-    """One update. Weight decay is decoupled: applied to params, not grads."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(grads):
-        raise ValueError("adam_step: params and grads length mismatch")
-    t = state.step + 1
-    new_params: list[Array] = []
-    new_m: list[Array] = []
-    new_v: list[Array] = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"adam_step: grad shape {g.shape} does not match param {p.shape}")
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params.append(p - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
-
 
 @dataclass
 class Adam:
-    """Stateful wrapper stepping a fixed list of leaf tensors in place."""
+    """First and second moment estimates per tensor plus the shared step
+    counter. A tensor without a gradient steps as if its gradient were zero,
+    so it still decays."""
 
     params: list[Tensor]
     lr: float
@@ -72,41 +24,42 @@ class Adam:
     eps: float = 1e-6
     weight_decay: float = 0.1
     warmup_steps: int = 0
-    state: AdamState = field(init=False)
+    steps: int = field(init=False, default=0)
+    m: list[np.ndarray] = field(init=False)
+    v: list[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be >= 0")
-        self.state = init_adam_state([p.data for p in self.params])
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def effective_lr(self) -> float:
         """Learning rate for the upcoming step, ramping linearly during warm-up."""
-        next_step = self.state.step + 1
+        next_step = self.steps + 1
         if self.warmup_steps > 0 and next_step <= self.warmup_steps:
             return self.lr * next_step / self.warmup_steps
         return self.lr
 
     def step(self) -> None:
-        grads = []
-        for p in self.params:
-            if p.grad is None:
-                grads.append(np.zeros_like(p.data))
-            else:
-                grads.append(p.grad)
-        new_data, self.state = adam_step(
-            [p.data for p in self.params],
-            grads,
-            self.state,
-            lr=self.effective_lr(),
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-        )
-        for p, d in zip(self.params, new_data):
-            p.data = d
+        """One update of every tensor. Weight decay is decoupled: applied to
+        the parameters, not the gradients. A gradient of the wrong shape
+        raises before any tensor moves."""
+        grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self.params]
+        for p, g in zip(self.params, grads):
+            if p.data.shape != g.shape:
+                raise ValueError(f"Adam: grad shape {g.shape} does not match param {p.data.shape}")
+        lr = self.effective_lr()
+        self.steps += 1
+        t = self.steps
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / (1.0 - self.beta1**t)
+            v_hat = self.v[i] / (1.0 - self.beta2**t)
+            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,15 +107,6 @@ class _Chain:
     answer: str
     middle: str | None
     relations: list[str]
-
-
-@dataclass
-class GeneratedTask:
-    kg_path: str
-    corpus_path: str
-    features_path: str
-    split_paths: dict[str, str]
-    chains: list[_Chain] = field(repr=False, default_factory=list)
 
 
 def _pseudowords(rng: np.random.Generator, count: int, taken: set[str]) -> list[str]:

@@ -3,11 +3,12 @@
 One loop of master epochs, each containing sub-epochs of Adam updates,
 serves all three modes. base-know and text-only weight every question's
 graph and knowledge features by 1 (text-only feeds zeros in their place).
-act-know re-measures every training question's prediction entropy at the
-start of each master epoch (parameters frozen, eval-mode forward; from the
-second epoch on, the end-of-epoch evaluation has already measured it on the
-same parameters) and uses it to scale those features for, and only for,
-that epoch's updates. Entropy never carries gradient.
+act-know scales those features, for and only for one master epoch's
+updates, by the prediction entropies that the last evaluate() of the
+entropy split recorded: one evaluation after pretraining for the first
+epoch, the end-of-epoch evaluation for each later one. The parameters have
+not moved since, so these are the entropies of the current model. Entropy
+never carries gradient.
 
 Scoring is choice-stacked: encode_batch runs every choice of a batch of
 questions through each encoder at once, and classify applies the
@@ -107,6 +108,13 @@ class TrainConfig:
             raise ConfigError(f"gumbel_temperature must be positive, got {self.gumbel_temperature}")
         if self.entropy_split not in ("train", "dev"):
             raise ConfigError(f"entropy_split must be 'train' or 'dev', got {self.entropy_split!r}")
+        # a beta of 1 zeroes the bias correction's divisor, and an eps of 0
+        # divides 0 by 0 where a gradient is 0: either leaves nan parameters
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +531,6 @@ def _mean_loss(rows: list[dict]) -> float:
     return float(total / len(rows))
 
 
-def _measure_entropies(
-    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
-) -> dict[str, float]:
-    """Each question's entropy as evaluate() records it: eval-mode, unit
-    weights, chunked alike; no gradients, no RNG use."""
-    out = {}
-    for chunk in _chunks(questions, config.batch_size):
-        out.update((pq.qid, h) for pq, (_, _, h) in zip(chunk, _predict_batch(chunk, params, config)))
-    return out
-
-
 def train(
     model: ModelParams,
     train_qs: list[PreparedQuestion],
@@ -544,8 +541,8 @@ def train(
     """Train `model` in place and keep the state of the master epoch with
     the best dev accuracy (train accuracy without a dev split).
 
-    act-know weights every question by its measured entropy;
-    entropy_override pins every weight to a constant, which reduces the loop
+    act-know weights every question by the entropy the last evaluate() of
+    the entropy split recorded; entropy_override pins every weight to a constant, which reduces the loop
     to the fixed-weight one. The other modes weight every question by 1.
     """
     config.validate()
@@ -583,21 +580,21 @@ def train(
             _run_updates(train_qs, model, unit, config, pre_opt, shuffle_rng, gumbel_rng)
 
     result = TrainResult(best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
-    # entropies of the last evaluate() on the entropy split; they equal a
-    # fresh _measure_entropies, since the parameters have not moved since
-    last_entropies: dict[str, float] | None = None
+    # rows of the last evaluate() on the entropy split
+    entropy_rows = []
+    if measure:
+        entropy_rows = evaluate(dev_qs if config.entropy_split == "dev" else train_qs, model, config)[1]
 
     for master in range(1, config.master_epochs + 1):
         weights = unit
         if active:
             if entropy_override is not None:
                 measured = {pq.qid: entropy_override for pq in train_qs}
-            elif config.entropy_split == "dev":
-                dev_ent = last_entropies or _measure_entropies(dev_qs, model, config)
-                shared = float(np.mean(list(dev_ent.values())))
-                measured = {pq.qid: shared for pq in train_qs}
             else:
-                measured = last_entropies or _measure_entropies(train_qs, model, config)
+                measured = {row["id"]: row["entropy"] for row in entropy_rows}
+                if config.entropy_split == "dev":
+                    shared = float(np.mean(list(measured.values())))
+                    measured = {pq.qid: shared for pq in train_qs}
             result.entropy_history.append(measured)
             weights = {qid: (h, h) for qid, h in measured.items()}
 
@@ -606,35 +603,29 @@ def train(
             sub_loss = _run_updates(train_qs, model, weights, config, opt, shuffle_rng, gumbel_rng)
             epoch_losses.append(sub_loss)
 
-        train_acc, train_rows = evaluate(train_qs, model, config)
-        mean_train_entropy = float(np.mean([r["entropy"] for r in train_rows]))
-        result.stats.append(
-            {
-                "epoch": master,
-                "split": "train",
-                "accuracy": train_acc,
-                "mean_entropy": mean_train_entropy,
-                "loss": float(np.mean(epoch_losses)),
-            }
-        )
-        select_acc = train_acc
+        splits = [("train", train_qs)]
         if dev_qs:
-            dev_acc, dev_rows = evaluate(dev_qs, model, config)
+            splits.append(("dev", dev_qs))
+        for split, questions in splits:
+            accuracy, rows = evaluate(questions, model, config)
+            if split == "train":
+                loss = float(np.mean(epoch_losses))
+            else:
+                loss = _mean_loss(rows)
             result.stats.append(
                 {
                     "epoch": master,
-                    "split": "dev",
-                    "accuracy": dev_acc,
-                    "mean_entropy": float(np.mean([r["entropy"] for r in dev_rows])),
-                    "loss": _mean_loss(dev_rows),
+                    "split": split,
+                    "accuracy": accuracy,
+                    "mean_entropy": float(np.mean([r["entropy"] for r in rows])),
+                    "loss": loss,
                 }
             )
-            select_acc = dev_acc
-        if measure:
-            entropy_rows = dev_rows if config.entropy_split == "dev" else train_rows
-            last_entropies = {row["id"]: row["entropy"] for row in entropy_rows}
-        if select_acc > result.best_accuracy:
-            result.best_accuracy = select_acc
+            if split == config.entropy_split:
+                entropy_rows = rows
+        # model selection reads the last split: dev when there is one
+        if accuracy > result.best_accuracy:
+            result.best_accuracy = accuracy
             result.best_epoch = master
             result.best_state = model.state_arrays()
 

@@ -350,23 +350,6 @@ def test_grad_accumulates_when_tensor_reused():
     assert np.allclose(t.grad, 2.0 * x0 / 3.0, atol=1e-15)
 
 
-def test_detached_tensor_gets_no_grad():
-    t = Tensor(np.ones(3), requires_grad=True)
-    d = t.detach()
-    loss = mean(d)
-    backward(loss)
-    assert t.grad is None
-    assert d.grad is None
-
-
-def test_zero_grad_clears():
-    t = Tensor(np.ones(3), requires_grad=True)
-    backward(mean(t))
-    assert t.grad is not None
-    t.zero_grad()
-    assert t.grad is None
-
-
 def test_backward_twice_rejected():
     t = Tensor(np.ones(2), requires_grad=True)
     loss = mean(t)

@@ -217,6 +217,15 @@ def test_ablate_rejects_zero_budget(task_dir, tmp_path, capsys):
     assert "node_budgets" in capsys.readouterr().err
 
 
+def test_train_rejects_a_beta_of_one(task_dir, tmp_path, capsys):
+    config = tmp_path / "adam.cfg"
+    config.write_text("adam_beta1 = 1.0\n")
+    rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, "--config", str(config),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "adam_beta1" in capsys.readouterr().err
+
+
 def test_split_count_warning(task_dir, caplog):
     cfg = ExperimentConfig(
         kg=f"{task_dir}/kg.tsv",

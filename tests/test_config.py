@@ -132,3 +132,10 @@ def test_training_config_for_overrides_a_copy():
     assert (cfg.max_nodes, cfg.seed) == (9, 0)
     with pytest.raises(ConfigError):
         training_config_for(cfg, max_nodes=0)
+
+
+@pytest.mark.parametrize("line", ["adam_beta1 = 1.0", "adam_beta2 = 1.0", "adam_eps = 0"])
+def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
+    name = line.split()[0]
+    with pytest.raises(ConfigError, match=name):
+        resolve_config({}, write_config(tmp_path, line + "\n"))

@@ -99,11 +99,3 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
     chunks = 2  # 4 questions, 3 a chunk
     assert counts == {"encode_text": chunks, "gcn_forward": graph_calls * chunks, "er_attention": graph_calls * chunks}
 
-
-def test_measuring_entropies_runs_each_encoder_once_per_chunk(monkeypatch):
-    task = build_task(mode="act-know", batch_size=3)
-    counts = _count_encoder_calls(monkeypatch)
-    entropies = training._measure_entropies(task.prepared, task.model, task.config)
-    _, rows = training.evaluate(task.prepared, task.model, task.config)
-    assert entropies == {row["id"]: row["entropy"] for row in rows}
-    assert counts == dict.fromkeys(ENCODERS, 4)  # two chunks for each of the two calls

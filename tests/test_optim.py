@@ -6,72 +6,68 @@ import pytest
 import _oracles
 from actknow.autodiff import Tensor, add, backward, mean, mul
 from actknow.errors import ConfigError
-from actknow.optim import Adam, adam_step, init_adam_state
+from actknow.optim import Adam
 from test_training import build_task
+
+
+def _stepped(value, grad, steps=1, **settings):
+    """A one-tensor Adam after `steps` updates with the same gradient."""
+    t = Tensor(np.array(value, dtype=float), requires_grad=True)
+    opt = Adam([t], **settings)
+    for _ in range(steps):
+        t.grad = np.array(grad, dtype=float)
+        opt.step()
+    return t, opt
 
 
 def test_first_step_hand_check():
     # bias correction makes the first step lr * g/(|g| + eps) regardless of betas
-    params = [np.array([1.0])]
-    state = init_adam_state(params)
-    new, state = adam_step(params, [np.array([1.0])], state, lr=0.1, weight_decay=0.0)
-    assert abs(new[0][0] - 0.9) < 1e-6
-    assert state.step == 1
-    assert np.allclose(state.m[0], [(1.0 - 0.9) * 1.0])
-    assert np.allclose(state.v[0], [(1.0 - 0.98) * 1.0])
+    t, opt = _stepped([1.0], [1.0], lr=0.1, weight_decay=0.0)
+    assert abs(t.data[0] - 0.9) < 1e-6
+    assert opt.steps == 1
+    assert np.allclose(opt.m[0], [(1.0 - 0.9) * 1.0])
+    assert np.allclose(opt.v[0], [(1.0 - 0.98) * 1.0])
 
 
 def test_zero_grad_leaves_param_unchanged():
-    params = [np.array([0.3, -1.7])]
-    state = init_adam_state(params)
-    new, _ = adam_step(params, [np.zeros(2)], state, lr=0.5, weight_decay=0.0)
-    assert np.array_equal(new[0], params[0])
+    t, _ = _stepped([0.3, -1.7], [0.0, 0.0], lr=0.5, weight_decay=0.0)
+    assert np.array_equal(t.data, [0.3, -1.7])
 
 
 def test_weight_decay_is_decoupled():
     # with zero gradient the whole update is the decay term lr * wd * p
-    params = [np.array([2.0])]
-    state = init_adam_state(params)
-    new, _ = adam_step(params, [np.zeros(1)], state, lr=0.1, weight_decay=0.1)
-    assert abs(new[0][0] - 2.0 * (1.0 - 0.01)) < 1e-15
+    t, _ = _stepped([2.0], [0.0], lr=0.1, weight_decay=0.1)
+    assert abs(t.data[0] - 2.0 * (1.0 - 0.01)) < 1e-15
 
 
 def test_second_step_uses_new_bias_correction():
-    params = [np.array([1.0])]
-    grads = [np.array([1.0])]
-    state = init_adam_state(params)
-    after_one, state = adam_step(params, grads, state, lr=0.1, weight_decay=0.0)
-    after_two, state = adam_step(after_one, grads, state, lr=0.1, weight_decay=0.0)
-    assert state.step == 2
+    t, opt = _stepped([1.0], [1.0], steps=2, lr=0.1, weight_decay=0.0)
+    assert opt.steps == 2
     # constant unit gradient keeps m_hat/sqrt(v_hat) near 1, so roughly -lr each step
-    assert abs(after_two[0][0] - 0.8) < 1e-3
+    assert abs(t.data[0] - 0.8) < 1e-3
 
 
 def test_rejects_bad_learning_rate():
-    params = [np.array([1.0])]
-    with pytest.raises(ConfigError):
-        adam_step(params, [np.array([1.0])], init_adam_state(params), lr=0.0)
-    with pytest.raises(ConfigError):
-        Adam([Tensor(np.ones(2), requires_grad=True)], lr=-1.0)
+    for lr in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            Adam([Tensor(np.ones(2), requires_grad=True)], lr=lr)
 
 
 def test_rejects_mismatched_shapes():
-    params = [np.ones(2)]
-    state = init_adam_state(params)
+    # the check runs before any tensor moves
+    first = Tensor(np.ones(2), requires_grad=True)
+    second = Tensor(np.ones(2), requires_grad=True)
+    opt = Adam([first, second], lr=0.1)
+    first.grad, second.grad = np.ones(2), np.ones(3)
     with pytest.raises(ValueError):
-        adam_step(params, [np.ones(3)], state, lr=0.1)
-    with pytest.raises(ValueError):
-        adam_step(params, [], state, lr=0.1)
+        opt.step()
+    assert np.array_equal(first.data, np.ones(2))
+    assert opt.steps == 0
 
 
 def test_steps_are_deterministic():
     def run():
-        p = [np.array([0.5, -0.25])]
-        s = init_adam_state(p)
-        g = np.array([0.3, 0.7])
-        for _ in range(5):
-            p, s = adam_step(p, [g], s, lr=0.05)
-        return p[0]
+        return _stepped([0.5, -0.25], [0.3, 0.7], steps=5, lr=0.05)[0].data
 
     assert np.array_equal(run(), run())
 

@@ -394,22 +394,17 @@ def test_stats_csv_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("split", ["train", "dev"])
 def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
-    """Master epoch k+1 weights by the entropies evaluate() measured at the
-    end of epoch k; only epoch 1 runs _measure_entropies."""
+    """Every master epoch weights its updates by the entropies a fresh
+    evaluate() of the entropy split measures on the current parameters."""
     task = build_task(master_epochs=4, mode="act-know", entropy_split=split)
     train_qs, dev_qs = task.prepared[:3], task.prepared[1:]
-    measure = training._measure_entropies
-    calls = []
+    evaluate = training.evaluate
+    run_updates = training._run_updates
     checked = []
 
-    def counting_measure(*args, **kwargs):
-        calls.append(args[0])
-        return measure(*args, **kwargs)
-
-    run_updates = training._run_updates
-
     def checking_run_updates(qs, model, weights, config, *rest):
-        fresh = measure(dev_qs if split == "dev" else train_qs, model, config)
+        _, rows = evaluate(dev_qs if split == "dev" else train_qs, model, config)
+        fresh = {row["id"]: row["entropy"] for row in rows}
         if split == "dev":
             shared = float(np.mean(list(fresh.values())))
             fresh = {pq.qid: shared for pq in qs}
@@ -417,11 +412,33 @@ def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
         checked.append(weights)
         return run_updates(qs, model, weights, config, *rest)
 
-    monkeypatch.setattr(training, "_measure_entropies", counting_measure)
     monkeypatch.setattr(training, "_run_updates", checking_run_updates)
     train(task.model, train_qs, dev_qs, task.config)
-    assert len(calls) == 1
-    assert len(checked) == 4
+    assert len(checked) == 4 * task.config.sub_epochs
+
+
+@pytest.mark.parametrize("has_dev", [False, True])
+@pytest.mark.parametrize(
+    "mode, override, extra",
+    [("act-know", None, 1), ("act-know", 0.5, 0), ("base-know", None, 0), ("text-only", None, 0)],
+)
+def test_training_evaluates_each_split_once_per_epoch(mode, override, extra, has_dev, monkeypatch):
+    """One evaluate() per split and master epoch; measuring act-know adds
+    one on the entropy split after pretraining, for the first epoch."""
+    task = build_task(master_epochs=3, mode=mode)
+    dev_qs = task.prepared[1:] if has_dev else None
+    evaluate = training.evaluate
+    calls = []
+
+    def counting_evaluate(qs, *args, **kwargs):
+        calls.append(qs)
+        return evaluate(qs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counting_evaluate)
+    train(task.model, task.prepared, dev_qs, task.config, entropy_override=override)
+    assert len(calls) == extra + 3 * (1 + has_dev)
+    if extra:
+        assert calls[0] is task.prepared
 
 
 def test_training_leaves_the_shared_kg_tables_unchanged():
