@@ -41,7 +41,6 @@ class KnowledgeGraph:
     relations: list[str]
     triples: list[Triple]
     entity_ids: dict[str, int] = field(repr=False)
-    relation_ids: dict[str, int] = field(repr=False)
     # per entity: sorted tuples (neighbor, relation, direction)
     adjacency: list[tuple[tuple[int, int, int], ...]] = field(repr=False)
     max_label_tokens: int = 1
@@ -64,7 +63,7 @@ class KnowledgeGraph:
         return len(self.relations)
 
 
-def _build_graph(entities, relations, entity_ids, relation_ids, triples) -> KnowledgeGraph:
+def _build_graph(entities, relations, entity_ids, triples) -> KnowledgeGraph:
     adj: list[list[tuple[int, int, int]]] = [[] for _ in entities]
     for t in triples:
         adj[t.head].append((t.tail, t.relation, FORWARD))
@@ -76,7 +75,6 @@ def _build_graph(entities, relations, entity_ids, relation_ids, triples) -> Know
         relations=relations,
         triples=triples,
         entity_ids=entity_ids,
-        relation_ids=relation_ids,
         adjacency=adjacency,
         max_label_tokens=max_tokens,
     )
@@ -126,7 +124,7 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
         raise ConfigError("no usable triples")
     if skipped_self:
         log.info("skipped %d self-loop triples", skipped_self)
-    return _build_graph(entities, relations, entity_ids, relation_ids, triples)
+    return _build_graph(entities, relations, entity_ids, triples)
 
 
 def load_triples(path: str) -> KnowledgeGraph:

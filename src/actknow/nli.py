@@ -30,7 +30,6 @@ class QAItem:
 class NLIPair:
     premise: str
     hypothesis: str
-    choice_index: int
 
 
 def _strip_trailing_question_mark(text: str) -> str:
@@ -57,10 +56,10 @@ def convert(item: QAItem, index: InvertedIndex, corpus: Corpus, k: int) -> list[
     nothing yields an empty premise.
     """
     pairs = []
-    for i, choice in enumerate(item.choices):
+    for choice in item.choices:
         hits = retrieve(index, item.stem + " " + choice, k)
         premise = " ".join(corpus.sentences[sid] for sid, _ in hits)
-        pairs.append(NLIPair(premise=premise, hypothesis=make_hypothesis(item.stem, choice), choice_index=i))
+        pairs.append(NLIPair(premise=premise, hypothesis=make_hypothesis(item.stem, choice)))
     return pairs
 
 

@@ -3,8 +3,9 @@
 Mentions are KG entity labels found in text by greedy longest-match-first
 n-gram scanning. A subgraph starts from the mentioned entities (seeds),
 adds the first depth-limited DFS path between each seed pair, then keeps
-every KG edge among the included nodes. The symmetric adjacency is
-degree-normalized for the graph encoder.
+every KG edge among the included nodes. A subgraph keeps only the
+degree-normalized adjacency the graph encoder reads, and its paths are the
+graph's memoised tuples, shared by every subgraph that selects them.
 """
 
 from __future__ import annotations
@@ -23,22 +24,21 @@ from .retrieval import tokenize
 class ConceptMention:
     entity: int
     span: tuple[int, int]  # token offsets [start, end) in the tokenized text
-    source: str            # "premise" or "hypothesis"
 
 
 @dataclass
 class Subgraph:
     nodes: list[int]                      # entity ids, seeds first
-    adjacency: np.ndarray                 # C: symmetric 0/1, zero diagonal
-    norm_adjacency: np.ndarray            # D^-1/2 (C+I) D^-1/2
-    paths: list[list[int]] = field(default_factory=list)  # selected seed-to-seed paths
+    norm_adjacency: np.ndarray            # D^-1/2 (C+I) D^-1/2, C the 0/1 KG edges among nodes
+    # selected seed-to-seed paths: graph.path_memo's own tuples, not copies
+    paths: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
 
-def identify_concepts(text: str, graph: KnowledgeGraph, source: str = "premise") -> list[ConceptMention]:
+def identify_concepts(text: str, graph: KnowledgeGraph) -> list[ConceptMention]:
     """Scan tokenized text for entity labels, longest n-grams first,
     non-overlapping, earliest occurrence wins within a length."""
     tokens = tokenize(text)
@@ -57,7 +57,7 @@ def identify_concepts(text: str, graph: KnowledgeGraph, source: str = "premise")
                 continue
             for i in range(start, start + n):
                 used[i] = True
-            found.append(ConceptMention(entity=entity, span=(start, start + n), source=source))
+            found.append(ConceptMention(entity=entity, span=(start, start + n)))
     found.sort(key=lambda m: m.span)
     return found
 
@@ -114,7 +114,7 @@ def connect_concepts(
 
     nodes: list[int] = list(seed_list)
     node_set = set(nodes)
-    paths: list[list[int]] = []
+    paths: list[tuple[int, ...]] = []
     for a, b in itertools.combinations(seed_list, 2):
         if len(nodes) >= max_nodes:
             break
@@ -131,7 +131,7 @@ def connect_concepts(
         for p in new:
             nodes.append(p)
             node_set.add(p)
-        paths.append(list(path))
+        paths.append(path)
 
     index = {e: i for i, e in enumerate(nodes)}
     n = len(nodes)
@@ -148,7 +148,7 @@ def connect_concepts(
     # symmetric and 0/1 as built above, with a zero diagonal because
     # graph_from_triples drops self-loops, so the input checks are skipped
     norm = _normalize(adjacency)
-    return Subgraph(nodes=nodes, adjacency=adjacency, norm_adjacency=norm, paths=paths)
+    return Subgraph(nodes=nodes, norm_adjacency=norm, paths=paths)
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:

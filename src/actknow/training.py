@@ -133,15 +133,7 @@ class ModelParams:
         return self.text.bias.data.shape[0]
 
     def trainable(self) -> list[Tensor]:
-        return [
-            self.text.token_embedding,
-            self.text.projection,
-            self.text.bias,
-            *self.gcn.layers,
-            self.er.entity_proj,
-            self.er.relation_proj,
-            self.classifier,
-        ]
+        return [self.text.token_embedding, self.text.projection, self.text.bias, *self.graph_trainable()]
 
     def graph_trainable(self) -> list[Tensor]:
         return [*self.gcn.layers, self.er.entity_proj, self.er.relation_proj, self.classifier]
@@ -261,8 +253,8 @@ def prepare_questions(
         choices = []
         for pair in convert(item, index, corpus, config.retrieve_k):
             token_ids = encode_pair_tokens(vocab, pair.premise, pair.hypothesis)
-            mentions = identify_concepts(pair.premise, graph, "premise")
-            mentions += identify_concepts(pair.hypothesis, graph, "hypothesis")
+            mentions = identify_concepts(pair.premise, graph)
+            mentions += identify_concepts(pair.hypothesis, graph)
             seeds = sorted({m.entity for m in mentions})
             if len(seeds) > config.max_nodes:
                 seeds = seeds[: config.max_nodes]

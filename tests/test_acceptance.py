@@ -265,7 +265,7 @@ def test_criterion_2_normalization_oracles():
         d0, d1, d2 = 5, 7, 3
         features = rng.normal(size=(n, d0))
         w1, w2 = rng.normal(size=(d0, d1)), rng.normal(size=(d1, d2))
-        sub = Subgraph(nodes=list(range(n)), adjacency=c, norm_adjacency=norm, paths=[])
+        sub = Subgraph(nodes=list(range(n)), norm_adjacency=norm, paths=[])
         params = GCNParams(layers=[Tensor(w1), Tensor(w2)], node_features=Tensor(features))
         got = gcn_forward([sub], params)[0].data[0]
         want = dense_gcn(dense_normalize(c), features, [w1, w2])
@@ -380,7 +380,7 @@ def test_criterion_5_subgraph_paths():
             path_total += 1
             if len(path) - 1 > max_path_len:
                 failures.append(f"trial {trial}: path length {len(path) - 1} > {max_path_len}")
-            if path not in all_simple_paths(adj, path[0], path[-1], max_path_len):
+            if list(path) not in all_simple_paths(adj, path[0], path[-1], max_path_len):
                 failures.append(f"trial {trial}: path {path} not in enumeration")
 
         # the mention path into the same guarantee: scanned concepts are kept

@@ -57,7 +57,7 @@ def test_neighbors_inverse_direction():
     graph = graph_from_triples([("a", "r", "b")])
     b = graph.entity_ids["b"]
     a = graph.entity_ids["a"]
-    r = graph.relation_ids["r"]
+    r = graph.relations.index("r")
     assert neighbors(graph, b) == ((a, r, INVERSE),)
     assert neighbors(graph, a) == ((b, r, FORWARD),)
 
