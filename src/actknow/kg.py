@@ -3,6 +3,8 @@
 Triples load from tab-separated files (head, relation, tail per line).
 Entity labels are normalized so free text can be matched against them:
 lowercase, trimmed, underscores to spaces, runs of whitespace collapsed.
+The typed facts live in `triples`; `adjacency` keeps only each entity's
+neighbor ids, which is all subgraph search reads.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ import numpy as np
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
-
-# neighbor direction flags
-FORWARD = 0   # entity is the head of the stored triple
-INVERSE = 1   # entity is the tail
 
 _WS = re.compile(r"\s+")
 
@@ -41,8 +39,8 @@ class KnowledgeGraph:
     relations: list[str]
     triples: list[Triple]
     entity_ids: dict[str, int] = field(repr=False)
-    # per entity: sorted tuples (neighbor, relation, direction)
-    adjacency: list[tuple[tuple[int, int, int], ...]] = field(repr=False)
+    # per entity: the distinct entities sharing a triple with it, ascending ids
+    adjacency: list[tuple[int, ...]] = field(repr=False)
     max_label_tokens: int = 1
     # (src, dst, max_len) -> first DFS path or None, filled by subgraph.connect_concepts
     path_memo: dict[tuple[int, int, int], tuple[int, ...] | None] = field(
@@ -61,23 +59,6 @@ class KnowledgeGraph:
     @property
     def n_relations(self) -> int:
         return len(self.relations)
-
-
-def _build_graph(entities, relations, entity_ids, triples) -> KnowledgeGraph:
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in entities]
-    for t in triples:
-        adj[t.head].append((t.tail, t.relation, FORWARD))
-        adj[t.tail].append((t.head, t.relation, INVERSE))
-    adjacency = [tuple(sorted(entries)) for entries in adj]
-    max_tokens = max((label.count(" ") + 1 for label in entities), default=1)
-    return KnowledgeGraph(
-        entities=entities,
-        relations=relations,
-        triples=triples,
-        entity_ids=entity_ids,
-        adjacency=adjacency,
-        max_label_tokens=max_tokens,
-    )
 
 
 def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
@@ -124,7 +105,18 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
         raise ConfigError("no usable triples")
     if skipped_self:
         log.info("skipped %d self-loop triples", skipped_self)
-    return _build_graph(entities, relations, entity_ids, triples)
+    partners: list[set[int]] = [set() for _ in entities]
+    for t in triples:
+        partners[t.head].add(t.tail)
+        partners[t.tail].add(t.head)
+    return KnowledgeGraph(
+        entities=entities,
+        relations=relations,
+        triples=triples,
+        entity_ids=entity_ids,
+        adjacency=[tuple(sorted(p)) for p in partners],
+        max_label_tokens=max((label.count(" ") + 1 for label in entities), default=1),
+    )
 
 
 def load_triples(path: str) -> KnowledgeGraph:
@@ -148,14 +140,6 @@ def load_triples(path: str) -> KnowledgeGraph:
         path, graph.n_entities, graph.n_relations, len(graph.triples),
     )
     return graph
-
-
-def neighbors(graph: KnowledgeGraph, entity: int) -> tuple[tuple[int, int, int], ...]:
-    """All (neighbor, relation, direction) entries for an entity, both directions,
-    sorted ascending. Isolated entities yield an empty tuple."""
-    if not 0 <= entity < graph.n_entities:
-        raise KeyError(f"entity id {entity} out of range")
-    return graph.adjacency[entity]
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,14 @@ def identify_concepts(text: str, graph: KnowledgeGraph) -> list[ConceptMention]:
 
 def _dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[int] | None:
     """First simple path src->dst with at most max_len edges, visiting
-    neighbors in ascending (entity, relation) order."""
+    neighbors in ascending id order."""
     path = [src]
     on_path = {src}
 
     def explore(node: int, budget: int) -> bool:
         if budget == 0:
             return False
-        for nb, _rel, _direction in graph.adjacency[node]:
+        for nb in graph.adjacency[node]:
             if nb in on_path:
                 continue
             path.append(nb)
@@ -136,17 +136,15 @@ def connect_concepts(
     index = {e: i for i, e in enumerate(nodes)}
     n = len(nodes)
     adjacency = np.zeros((n, n))
-    for e in nodes:
-        i = index[e]
-        for nb, _rel, _direction in graph.adjacency[e]:
+    for i, e in enumerate(nodes):
+        for nb in graph.adjacency[e]:
             j = index.get(nb)
-            if j is None:
-                continue
-            adjacency[i, j] = 1.0
-            adjacency[j, i] = 1.0
+            if j is not None:
+                adjacency[i, j] = 1.0
 
-    # symmetric and 0/1 as built above, with a zero diagonal because
-    # graph_from_triples drops self-loops, so the input checks are skipped
+    # symmetric because every neighbor list holds its partner's id, 0/1 as
+    # built above, with a zero diagonal because graph_from_triples drops
+    # self-loops, so the input checks are skipped
     norm = _normalize(adjacency)
     return Subgraph(nodes=nodes, norm_adjacency=norm, paths=paths)
 

@@ -342,7 +342,7 @@ def _paths_up_to(graph: KnowledgeGraph, src: int, max_len: int) -> dict[int, set
     def walk(node: int, visited: tuple[int, ...], depth: int) -> None:
         if depth == max_len:
             return
-        for nb, _rel, _direction in graph.adjacency[node]:
+        for nb in graph.adjacency[node]:
             if nb in visited:
                 continue
             reach[depth + 1].add(nb)

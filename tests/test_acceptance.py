@@ -375,7 +375,7 @@ def test_criterion_5_subgraph_paths():
         if not set(seeds) <= set(sub.nodes):
             failures.append(f"trial {trial}: seed dropped")
             continue
-        adj = {i: {nb for nb, _, _ in graph.adjacency[i]} for i in range(graph.n_entities)}
+        adj = {i: set(graph.adjacency[i]) for i in range(graph.n_entities)}
         for path in sub.paths:
             path_total += 1
             if len(path) - 1 > max_path_len:

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from actknow.errors import ConfigError
 from actknow.kg import (
-    FORWARD,
-    INVERSE,
     graph_from_triples,
     load_triples,
-    neighbors,
     normalize_label,
     train_kg_embeddings,
 )
+from actknow.subgraph import connect_concepts
 
 
 def write_kg(tmp_path, lines):
@@ -53,34 +51,45 @@ def test_label_normalization():
     assert normalize_label("a\t b") == "a b"
 
 
-def test_neighbors_inverse_direction():
+def test_triple_links_both_ends():
     graph = graph_from_triples([("a", "r", "b")])
     b = graph.entity_ids["b"]
     a = graph.entity_ids["a"]
-    r = graph.relations.index("r")
-    assert neighbors(graph, b) == ((a, r, INVERSE),)
-    assert neighbors(graph, a) == ((b, r, FORWARD),)
+    assert graph.adjacency[a] == (b,)
+    assert graph.adjacency[b] == (a,)
 
 
 def test_isolated_node_empty_neighbors():
     graph = graph_from_triples([("a", "r", "b"), ("c", "r", "c")])
     # self-loop on c is dropped, leaving it isolated
     c = graph.entity_ids["c"]
-    assert neighbors(graph, c) == ()
+    assert graph.adjacency[c] == ()
 
 
 def test_neighbors_sorted_by_id():
     graph = graph_from_triples([("x", "r", "c"), ("x", "r", "a"), ("x", "s", "b")])
     x = graph.entity_ids["x"]
-    out = neighbors(graph, x)
+    out = graph.adjacency[x]
     assert len(out) == 3
-    assert [nb for nb, _, _ in out] == sorted(nb for nb, _, _ in out)
+    assert all(u < v for u, v in zip(out, out[1:]))
 
 
-def test_neighbors_unknown_id():
-    graph = graph_from_triples([("a", "r", "b")])
-    with pytest.raises(KeyError):
-        neighbors(graph, 99)
+def test_pair_joined_by_several_triples_is_one_neighbor():
+    """Several triples on one pair, either way round, are one neighbor for
+    subgraph search, while every triple stays for embedding training."""
+    raw = [("a", "r", "b"), ("b", "r", "a"), ("a", "s", "b"), ("b", "r", "c")]
+    graph = graph_from_triples(raw)
+    assert len(graph.triples) == 4
+    a, b, c = (graph.entity_ids[x] for x in "abc")
+    assert graph.adjacency[a] == (b,)
+
+    single = graph_from_triples([("a", "r", "b"), ("b", "r", "c")])
+    assert [single.entity_ids[x] for x in "abc"] == [a, b, c]
+    got = connect_concepts(graph, [a, c])
+    want = connect_concepts(single, [a, c])
+    assert got.nodes == want.nodes
+    assert got.paths == want.paths
+    assert np.array_equal(got.norm_adjacency, want.norm_adjacency)
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,9 +102,11 @@ def test_every_triple_visible_from_both_ends(raw):
     if not named:
         return
     graph = graph_from_triples(named)
+    partners = [set() for _ in range(graph.n_entities)]
     for triple in graph.triples:
-        assert any(nb == triple.tail for nb, _, _ in neighbors(graph, triple.head))
-        assert any(nb == triple.head for nb, _, _ in neighbors(graph, triple.tail))
+        partners[triple.head].add(triple.tail)
+        partners[triple.tail].add(triple.head)
+    assert graph.adjacency == [tuple(sorted(p)) for p in partners]
 
 
 def triple_score(ent: np.ndarray, rel: np.ndarray, triple) -> float:
