@@ -95,9 +95,9 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_text_params(vocab_size: int, dim: int, rng: np.random.Generator) -> TextEncoderParams:
     return TextEncoderParams(
-        token_embedding=Tensor(rng.normal(0.0, 0.1, size=(vocab_size, dim)), requires_grad=True),
-        projection=Tensor(_xavier(rng, dim, dim), requires_grad=True),
-        bias=Tensor(np.zeros(dim), requires_grad=True),
+        token_embedding=Tensor(rng.normal(0.0, 0.1, size=(vocab_size, dim))),
+        projection=Tensor(_xavier(rng, dim, dim)),
+        bias=Tensor(np.zeros(dim)),
     )
 
 
@@ -106,7 +106,7 @@ def init_gcn_params(dims: list[int], node_features: EmbeddingTable, rng: np.rand
         raise ConfigError("gcn needs at least one layer (two dims)")
     if dims[0] != node_features.dim:
         raise ConfigError(f"gcn input dim {dims[0]} does not match node features ({node_features.dim})")
-    layers = [Tensor(_xavier(rng, dims[i], dims[i + 1]), requires_grad=True) for i in range(len(dims) - 1)]
+    layers = [Tensor(_xavier(rng, dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
     return GCNParams(layers=layers, node_features=Tensor(node_features.vectors))
 
 
@@ -116,8 +116,8 @@ def init_er_params(
     return ERAttentionParams(
         entity_table=Tensor(entities.vectors),
         relation_table=Tensor(relations.vectors),
-        entity_proj=Tensor(_xavier(rng, entities.dim, dim), requires_grad=True),
-        relation_proj=Tensor(_xavier(rng, relations.dim, dim), requires_grad=True),
+        entity_proj=Tensor(_xavier(rng, entities.dim, dim)),
+        relation_proj=Tensor(_xavier(rng, relations.dim, dim)),
     )
 
 

@@ -16,6 +16,13 @@ per-question weights and the classifier to those features. Training runs
 one of each per batch (score_batch). Evaluation runs one encoder pass per
 chunk and, in act-know, two classifier products on it: unit weights for
 the entropies, then the entropy weights for the final logits.
+
+Parameters are inert outside _run_updates: it marks exactly its
+optimizer's tensors trainable while the batches run, so evaluation builds
+no tape. Each phase's list is ModelParams.trainable: graph-side
+pretraining trains the classifier and the graph side encode_batch runs
+(GCN layers with use_gcn, ER projections with use_er; none in text-only)
+with the text encoder frozen, and the main updates add the text encoder.
 """
 
 from __future__ import annotations
@@ -132,11 +139,17 @@ class ModelParams:
     def dim(self) -> int:
         return self.text.bias.data.shape[0]
 
-    def trainable(self) -> list[Tensor]:
-        return [self.text.token_embedding, self.text.projection, self.text.bias, *self.graph_trainable()]
-
-    def graph_trainable(self) -> list[Tensor]:
-        return [*self.gcn.layers, self.er.entity_proj, self.er.relation_proj, self.classifier]
+    def trainable(self, config: TrainConfig, with_text: bool = True) -> list[Tensor]:
+        """The tensors an update phase trains: those that reach a logit
+        under config, by the conditions encode_batch reads. The text encoder
+        trains only with_text; graph-side pretraining freezes it."""
+        with_graph = config.mode != "text-only"
+        return [
+            *((self.text.token_embedding, self.text.projection, self.text.bias) if with_text else ()),
+            *(self.gcn.layers if with_graph and config.use_gcn else ()),
+            *((self.er.entity_proj, self.er.relation_proj) if with_graph and config.use_er else ()),
+            self.classifier,
+        ]
 
     def named(self) -> dict[str, Tensor]:
         out = {
@@ -178,21 +191,21 @@ def model_from_state(state: dict[str, np.ndarray]) -> ModelParams:
     try:
         params = ModelParams(
             text=TextEncoderParams(
-                token_embedding=Tensor(state["text.token_embedding"], requires_grad=True),
-                projection=Tensor(state["text.projection"], requires_grad=True),
-                bias=Tensor(state["text.bias"], requires_grad=True),
+                token_embedding=Tensor(state["text.token_embedding"]),
+                projection=Tensor(state["text.projection"]),
+                bias=Tensor(state["text.bias"]),
             ),
             gcn=GCNParams(
-                layers=[Tensor(state[n], requires_grad=True) for n in layer_names],
+                layers=[Tensor(state[n]) for n in layer_names],
                 node_features=Tensor(state["gcn.node_features"]),
             ),
             er=ERAttentionParams(
                 entity_table=Tensor(state["er.entity_table"]),
                 relation_table=Tensor(state["er.relation_table"]),
-                entity_proj=Tensor(state["er.entity_proj"], requires_grad=True),
-                relation_proj=Tensor(state["er.relation_proj"], requires_grad=True),
+                entity_proj=Tensor(state["er.entity_proj"]),
+                relation_proj=Tensor(state["er.relation_proj"]),
             ),
-            classifier=Tensor(state["classifier"], requires_grad=True),
+            classifier=Tensor(state["classifier"]),
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint is missing tensor {exc}") from exc
@@ -218,7 +231,7 @@ def init_model(
     dims = [config.node_dim] + [config.gcn_hidden] * (config.gcn_layers - 1) + [d]
     gcn = init_gcn_params(dims, node_features, rng)
     er = init_er_params(entity_table, relation_table, d, rng)
-    classifier = Tensor(rng.normal(0.0, 0.1, size=(4 * d,)), requires_grad=True)
+    classifier = Tensor(rng.normal(0.0, 0.1, size=(4 * d,)))
     return ModelParams(text=text, gcn=gcn, er=er, classifier=classifier)
 
 
@@ -561,13 +574,13 @@ def train(
             warmup_steps=warmup_steps,
         )
 
-    opt = adam(model.trainable(), config.warmup_steps)
+    opt = adam(model.trainable(config), config.warmup_steps)
     unit = {pq.qid: (1.0, 1.0) for pq in train_qs}
 
     graph_active = config.mode != "text-only" and (config.use_gcn or config.use_er)
     if config.pretrain_epochs > 0 and graph_active:
         # graph-side warm start: text encoder frozen at its random init
-        pre_opt = adam(model.graph_trainable(), 0)
+        pre_opt = adam(model.trainable(config, with_text=False), 0)
         for _ in range(config.pretrain_epochs):
             _run_updates(train_qs, model, unit, config, pre_opt, shuffle_rng, gumbel_rng)
 
@@ -634,19 +647,29 @@ def _run_updates(
     gumbel_rng: np.random.Generator,
 ) -> float:
     """One pass over the training questions in shuffled batches; returns the
-    mean batch loss."""
+    mean batch loss.
+
+    The optimizer's tensors are the only ones that require a gradient, and
+    only while the batches run, so the tape reaches exactly what this phase
+    trains."""
     order = shuffle_rng.permutation(len(train_qs))
     losses = []
-    for start in range(0, len(order), config.batch_size):
-        batch = [train_qs[i] for i in order[start : start + config.batch_size]]
-        loss = _batch_loss(batch, model, weights, config, gumbel_rng)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise FloatingPointError("training loss is not finite")
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
-        losses.append(value)
+    for p in opt.params:
+        p.requires_grad = True
+    try:
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_qs[i] for i in order[start : start + config.batch_size]]
+            loss = _batch_loss(batch, model, weights, config, gumbel_rng)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise FloatingPointError("training loss is not finite")
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
+            losses.append(value)
+    finally:
+        for p in opt.params:
+            p.requires_grad = False
     return float(np.mean(losses))
 
 

@@ -51,6 +51,16 @@ def tiny_config(**overrides) -> TrainConfig:
     return cfg
 
 
+def mark_leaves(*tensors):
+    """Mark tensors as gradient leaves and return them in a list. Parameters
+    are built inert, and training marks only its optimizer's tensors while
+    the updates run, so a test that differentiates through freshly built
+    parameters marks the ones it reads itself."""
+    for t in tensors:
+        t.requires_grad = True
+    return list(tensors)
+
+
 def tiny_model(graph, config: TrainConfig, vocab_size: int = 20):
     rng = np.random.default_rng(7)
     entities = EmbeddingTable(

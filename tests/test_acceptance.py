@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import tiny_config, tiny_model
+from conftest import mark_leaves, tiny_config, tiny_model
 
 from _oracles import (
     all_simple_paths,
@@ -209,7 +209,7 @@ def test_criterion_1_gradient_suite():
             failures.append(f"{factory.__name__} instance {i}: rel err {err:.3g}")
 
     config, prepared, model = _small_task()
-    tensors = model.trainable()
+    tensors = mark_leaves(*model.trainable(config))
     for i in range(16):
         pq = prepared[i % len(prepared)]
         tensor = tensors[i % len(tensors)]
@@ -313,7 +313,7 @@ def test_criterion_4_infusion_neutralization():
     # zero weights must cut all graph-side gradients for that question
     config, prepared, model = _small_task()
     assert any(c.subgraph is not None and c.subgraph.n_nodes > 0 for c in prepared[0].choices)
-    for t in model.trainable():
+    for t in mark_leaves(*model.trainable(config)):
         t.grad = None
     loss = ad.cross_entropy(
         score_question(prepared[0], model, (0.0, 0.0), config, train=True, rng=np.random.default_rng(3)),

@@ -24,6 +24,7 @@ from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
 from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, max_rel_error
+from conftest import mark_leaves
 
 RNG = np.random.default_rng(21)
 
@@ -93,6 +94,7 @@ def test_encode_text_rejects_empty():
 def test_encode_text_gradient_matches_fd():
     rng = np.random.default_rng(1)
     params = init_text_params(vocab_size=8, dim=5, rng=rng)
+    mark_leaves(params.token_embedding, params.projection, params.bias)
     ids = np.array([1, 4, 4, 7])
     w = rng.normal(size=5)
 
@@ -131,6 +133,8 @@ def test_bag_product_matches_gather_and_segment_mean():
     for trial in range(3):
         params = init_text_params(vocab, dim, np.random.default_rng(trial))
         ref = init_text_params(vocab, dim, np.random.default_rng(trial))
+        for text in (params, ref):
+            mark_leaves(text.token_embedding, text.projection, text.bias)
         out, expected = encode_text(sequences, params), encode_text_by_gather(sequences, ref)
         assert out.shape == (len(sequences), dim)
         assert np.max(np.abs(out.data - expected.data)) <= 1e-12
@@ -148,6 +152,7 @@ def test_encode_text_backward_does_no_scatter(monkeypatch):
 
     monkeypatch.setattr(autodiff, "gather", no_gather)
     params = init_text_params(vocab_size=9, dim=4, rng=np.random.default_rng(3))
+    mark_leaves(params.token_embedding, params.projection, params.bias)
     out = encode_text([np.array([2, 8, 2]), np.array([SEP_ID])], params)
     backward(_text_loss(out, np.ones(out.shape)))
     assert params.token_embedding.grad.shape == (9, 4)
@@ -166,6 +171,7 @@ def test_encode_text_bag_spans_only_the_batch_tokens(monkeypatch):
 
     monkeypatch.setattr(autodiff, "matmul", recording_matmul)
     params = init_text_params(vocab_size=50_000, dim=4, rng=np.random.default_rng(1))
+    mark_leaves(params.token_embedding, params.projection, params.bias)
     out = encode_text([np.array([7, 49_999, 7]), np.array([SEP_ID, 7])], params)
     assert bag_shapes[0] == (2, 3)
     backward(_text_loss(out, np.ones(out.shape)))
@@ -272,6 +278,7 @@ def test_gcn_gradient_matches_fd():
     graph, sub = make_subgraph([("a", "r", "b"), ("b", "r", "c")], ["a", "c"])
     feats = embedding(graph.n_entities, 3, seed=8)
     params = init_gcn_params([3, 4, 3], feats, np.random.default_rng(9))
+    mark_leaves(*params.layers)
     text = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
     w = np.random.default_rng(11).normal(size=3)
 
@@ -422,6 +429,7 @@ def test_er_output_shape_is_twice_d():
 
 def test_er_gradient_matches_fd():
     params = make_er_params(n_entities=4, n_relations=2, kg_dim=3, d=3)
+    mark_leaves(params.entity_proj, params.relation_proj)
     text = Tensor(np.random.default_rng(14).normal(size=(1, 3)))
     w = np.random.default_rng(15).normal(size=6)
 

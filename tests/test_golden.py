@@ -36,7 +36,7 @@ PINS = {
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "b23cd8c7c43d2a935b11da6419c69ef624f3435e10cbf25908cf5cdfebe386f2",
+        "checkpoint.txt": "8ed279fe2e4a3a076230fc49fc6db300df801dfac07eed3215968457b7e07fc3",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {

@@ -121,8 +121,8 @@ def test_adam_matches_the_functional_oracle():
     """Twenty steps on a model's trainable tensors, with warm-up, decoupled
     decay and some tensors without a gradient on some steps: every tensor
     equals the functional reference step bitwise after every step."""
-    model = build_task(mode="act-know").model
-    params = model.trainable()
+    task = build_task(mode="act-know")
+    params = task.model.trainable(task.config)
     settings = dict(beta1=0.85, beta2=0.97, eps=1e-7, weight_decay=0.1)
     opt = Adam(params, lr=0.02, warmup_steps=6, **settings)
     arrays = [p.data.copy() for p in params]

@@ -15,6 +15,7 @@ from actknow import autodiff as ad
 from actknow.pipeline import build_model, load_pipeline, training_config_for
 from actknow.scenarios import lowdata_experiment
 from actknow.training import _batch_loss, prepare_questions, score_batch
+from conftest import mark_leaves
 from test_training import build_task
 
 TOL = 1e-12
@@ -44,12 +45,12 @@ def _mixed_weights(questions):
     return weights
 
 
-def _grads(loss_fn, model):
-    for t in model.trainable():
+def _grads(loss_fn, tensors):
+    for t in tensors:
         t.grad = None
     loss = loss_fn()
     ad.backward(loss)
-    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in model.trainable()]
+    return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
 
 @pytest.mark.parametrize("name", ["tiny", "lowdata"])
@@ -84,10 +85,11 @@ def _oracle_loss(questions, model, weights, config, train):
 def test_loss_and_gradients_match_per_choice_oracle(name, train, lowdata_task):
     config, questions, model = _tasks(name, lowdata_task)
     weights = _mixed_weights(questions)
-    got_loss, got = _grads(lambda: _batched_loss(questions, model, weights, config, train), model)
-    want_loss, want = _grads(lambda: _oracle_loss(questions, model, weights, config, train), model)
+    tensors = mark_leaves(*model.trainable(config))
+    got_loss, got = _grads(lambda: _batched_loss(questions, model, weights, config, train), tensors)
+    want_loss, want = _grads(lambda: _oracle_loss(questions, model, weights, config, train), tensors)
     assert abs(got_loss - want_loss) <= TOL
-    for tensor, g, w in zip(model.trainable(), got, want):
+    for tensor, g, w in zip(tensors, got, want):
         assert np.max(np.abs(g - w)) <= TOL, tensor
     assert all(np.any(g != 0.0) for g in got)  # every group, the graph side too, got gradient
 
@@ -98,12 +100,13 @@ def test_text_only_logits_and_gradients_ignore_the_weights(train):
     gives bit-equal logits and gradients; training weights it by 1."""
     task = build_task(mode="text-only")
     questions, model, config = task.prepared, task.model, task.config
+    tensors = mark_leaves(*model.trainable(config))
     outputs = []
     for w in ((0.0, 0.0), (1.0, 1.0), (0.3, 1.7)):
         weights = {pq.qid: w for pq in questions}
         rng = np.random.default_rng(17) if train else None
         logits = score_batch(questions, model, [w] * len(questions), config, train, rng)[0].data
-        loss, grads = _grads(lambda: _batched_loss(questions, model, weights, config, train), model)
+        loss, grads = _grads(lambda: _batched_loss(questions, model, weights, config, train), tensors)
         outputs.append((logits, loss, grads))
     want_logits, want_loss, want_grads = outputs[0]
     for logits, loss, grads in outputs[1:]:

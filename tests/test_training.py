@@ -27,7 +27,7 @@ from actknow.training import (
     write_stats_csv,
 )
 
-from conftest import tiny_config, tiny_model
+from conftest import mark_leaves, tiny_config, tiny_model
 
 SUBJECTS = ["lynx", "heron", "otter", "viper"]
 OBJECTS = ["moss", "reed", "clam", "mouse"]
@@ -110,6 +110,7 @@ def test_zero_weights_ignore_graph_tables():
 
 def test_zero_entropy_weight_blocks_graph_gradients():
     task = build_task()
+    mark_leaves(*task.model.trainable(task.config))
     pq = task.prepared[0]
     logits = score_question(
         pq, task.model, (0.0, 0.0), task.config, train=True, rng=np.random.default_rng(0)
@@ -469,3 +470,104 @@ def test_text_only_never_runs_the_graph_side(monkeypatch):
     acc, rows = evaluate(task.prepared, task.model, task.config, with_details=True)
     assert len(result.stats) == 4 and len(rows) == len(task.prepared)
     assert all(choice == {} for row in rows for choice in row["attention"])
+
+
+# ---------------------------------------------------------------------------
+# what each phase trains
+
+
+def _marked(model):
+    return sorted(name for name, t in model.named().items() if t.requires_grad)
+
+
+def test_evaluation_builds_no_tape(monkeypatch):
+    """Inside train() and after it, every eval-mode encoder pass and every
+    classifier product on its features yields tensors without a pullback;
+    the update batches do record one."""
+    real_encode, real_classify = training.encode_batch, training.classify
+    eval_feats, taped, train_tapes = [], [], []
+
+    def encode(questions, params, config, train=False, rng=None, details=None):
+        feats = real_encode(questions, params, config, train, rng, details)
+        outputs = (feats.text, feats.graph, feats.knowledge)
+        if train:
+            train_tapes.append(any(t._pullback is not None for t in outputs))
+        else:
+            eval_feats.append(feats)
+            taped.extend(t for t in outputs if t.requires_grad or t._pullback is not None)
+        return feats
+
+    def classify(feats, classifier, weights):
+        logits = real_classify(feats, classifier, weights)
+        if any(feats is f for f in eval_feats) and (logits.requires_grad or logits._pullback is not None):
+            taped.append(logits)
+        return logits
+
+    monkeypatch.setattr(training, "encode_batch", encode)
+    monkeypatch.setattr(training, "classify", classify)
+    task = build_task(mode="act-know", master_epochs=2, pretrain_epochs=1)
+    train(task.model, task.prepared, task.prepared[:2], task.config)
+    evaluate(task.prepared, task.model, task.config, with_details=True)
+    assert eval_feats and train_tapes and all(train_tapes)
+    assert taped == []
+
+
+def test_parameters_are_inert_outside_the_update_loop(monkeypatch):
+    task = build_task(mode="act-know", master_epochs=2, pretrain_epochs=1)
+    assert _marked(task.model) == []
+    train(task.model, task.prepared, None, task.config)
+    assert _marked(task.model) == []
+    assert _marked(training.model_from_state(task.model.state_arrays())) == []
+
+    # a non-finite loss raises out of the first update batch
+    seen = []
+
+    def nan_loss(batch, params, *rest):
+        seen.append(_marked(params))
+        return ad.Tensor(np.array(np.nan))
+
+    monkeypatch.setattr(training, "_batch_loss", nan_loss)
+    task = build_task(mode="base-know", pretrain_epochs=0)
+    with pytest.raises(FloatingPointError):
+        train(task.model, task.prepared, None, task.config)
+    assert seen == [["classifier", "er.entity_proj", "er.relation_proj", "gcn.layer0", "gcn.layer1",
+                     "text.bias", "text.projection", "text.token_embedding"]]
+    assert _marked(task.model) == []
+
+
+def test_pretraining_computes_no_text_gradient(monkeypatch):
+    """The tiny task is one batch per epoch: two pretraining backward passes,
+    then the main loop's. Only the main loop's reach the text encoder."""
+    task = build_task(mode="act-know", master_epochs=1, pretrain_epochs=2)
+    text = [task.model.text.token_embedding, task.model.text.projection, task.model.text.bias]
+    real_backward = ad.backward
+    grads = []
+
+    def recording_backward(loss):
+        real_backward(loss)
+        grads.append(([t.grad is not None for t in text], task.model.classifier.grad is not None))
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    train(task.model, task.prepared, None, task.config)
+    assert grads == [([False] * 3, True)] * 2 + [([True] * 3, True)]
+
+
+@pytest.mark.parametrize(
+    "overrides, unused",
+    [
+        ({"mode": "text-only"}, ("gcn.layer0", "gcn.layer1", "er.entity_proj", "er.relation_proj")),
+        ({"use_gcn": False}, ("gcn.layer0", "gcn.layer1")),
+        ({"use_er": False}, ("er.entity_proj", "er.relation_proj")),
+    ],
+    ids=["text-only", "no-gcn", "no-er"],
+)
+def test_unused_tensors_keep_their_init_values(overrides, unused):
+    """Weight decay would move a tensor the optimizer steps without a
+    gradient; a tensor that reaches no logit is never stepped, in
+    pretraining or after it."""
+    task = build_task(master_epochs=2, pretrain_epochs=1, weight_decay=0.1, **overrides)
+    init = task.model.state_arrays()
+    result = train(task.model, task.prepared, None, task.config)
+    fixed = {"gcn.node_features", "er.entity_table", "er.relation_table", *unused}
+    for name, value in result.best_state.items():
+        assert np.array_equal(value, init[name]) == (name in fixed), name
