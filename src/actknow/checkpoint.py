@@ -18,6 +18,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import ConfigError
+from .textfile import read_lines
 
 Array = np.ndarray
 
@@ -41,8 +42,7 @@ def load_checkpoint(path: str) -> dict[str, Array]:
     """Read a checkpoint written by save_checkpoint. Anything else, including
     a non-finite value, a repeated tensor name or a line after the counted
     tensors, raises ConfigError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("tensors "):
         raise ConfigError(f"{path}:1: not a checkpoint file (missing header)")
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .textfile import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -122,16 +123,15 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
 def load_triples(path: str) -> KnowledgeGraph:
     """Load a graph from a TSV file of head<TAB>relation<TAB>tail lines."""
     raw: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            if any(not p.strip() for p in parts):
-                raise ConfigError(f"{path}:{lineno}: empty field in triple")
-            raw.append((parts[0], parts[1], parts[2]))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        if any(not p.strip() for p in parts):
+            raise ConfigError(f"{path}:{lineno}: empty field in triple")
+        raw.append((parts[0], parts[1], parts[2]))
     if not raw:
         raise ConfigError(f"{path}: no triples found")
     graph = graph_from_triples(raw)
@@ -233,22 +233,21 @@ def load_text_embeddings(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Read a `token v1 v2 ... vd` text embedding file."""
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ConfigError(f"{path}:{lineno}: expected token followed by values")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad embedding value") from exc
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ConfigError(f"{path}:{lineno}: dimension mismatch ({vec.size} vs {dim})")
-            table[normalize_label(parts[0])] = vec
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ConfigError(f"{path}:{lineno}: expected token followed by values")
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad embedding value") from exc
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ConfigError(f"{path}:{lineno}: dimension mismatch ({vec.size} vs {dim})")
+        table[normalize_label(parts[0])] = vec
     if dim is None:
         raise ConfigError(f"{path}: empty embedding file")
     return table, dim

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .atomic import atomic_write
 from .errors import ConfigError
 from .retrieval import Corpus, InvertedIndex, retrieve
+from .textfile import read_lines
 
 _WH = re.compile(r"\b(what|which|where|who|when|why|how)\b", re.IGNORECASE)
 
@@ -68,29 +69,34 @@ def convert(item: QAItem, index: InvertedIndex, corpus: Corpus, k: int) -> list[
 
 
 def load_qa_jsonl(path: str) -> list[QAItem]:
+    """Questions in file order. Ids must be unique: act-know keys each
+    question's entropy weight by its id."""
     items: list[QAItem] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            try:
-                item = QAItem(
-                    id=str(obj["id"]),
-                    stem=str(obj["question"]),
-                    choices=[str(c) for c in obj["choices"]],
-                    answer_index=int(obj["answer_index"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
-            if len(item.choices) < 2:
-                raise ConfigError(f"{path}:{lineno}: need at least 2 choices")
-            if not 0 <= item.answer_index < len(item.choices):
-                raise ConfigError(f"{path}:{lineno}: answer_index {item.answer_index} out of range")
-            items.append(item)
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        try:
+            qid, stem, choices, answer = str(obj["id"]), str(obj["question"]), obj["choices"], obj["answer_index"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
+        # a string is iterable and a bool is an int: neither may stand in
+        if not isinstance(choices, list):
+            raise ConfigError(f"{path}:{lineno}: choices must be a list, got {choices!r}")
+        if isinstance(answer, bool) or not isinstance(answer, int):
+            raise ConfigError(f"{path}:{lineno}: answer_index must be an integer, got {answer!r}")
+        if qid in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate id {qid!r}, first on line {first_line[qid]}")
+        first_line[qid] = lineno
+        if len(choices) < 2:
+            raise ConfigError(f"{path}:{lineno}: need at least 2 choices")
+        if not 0 <= answer < len(choices):
+            raise ConfigError(f"{path}:{lineno}: answer_index {answer} out of range")
+        items.append(QAItem(id=qid, stem=stem, choices=[str(c) for c in choices], answer_index=answer))
     if not items:
         raise ConfigError(f"{path}: no questions found")
     return items

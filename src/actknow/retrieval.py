@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .textfile import read_lines
 
 K1 = 1.2
 B = 0.75
@@ -42,8 +43,7 @@ def corpus_from_sentences(sentences: list[str]) -> Corpus:
 
 
 def load_corpus(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        sentences = [line.rstrip("\n") for line in fh if line.strip()]
+    sentences = [line for line in read_lines(path) if line.strip()]
     if not sentences:
         raise ConfigError(f"{path}: empty corpus")
     return corpus_from_sentences(sentences)

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, outputs, exit codes, determinism."""
 
+import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -155,14 +157,66 @@ def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, cap
     assert f"{bad}:3: non-finite value" in capsys.readouterr().err
 
 
-def test_eval_missing_checkpoint_file_exits_two(task_dir, tmp_path, capsys):
-    rc = main([
-        "eval", *data_flags(task_dir), *TINY_FLAGS,
-        "--checkpoint", str(tmp_path / "nope.txt"),
-        "--out-dir", str(tmp_path / "out"),
-    ])
-    assert rc == 2
-    assert "failure:" in capsys.readouterr().err
+def _edit_second_question(edit):
+    """Corrupt a .jsonl file by applying edit(question, first question) to its
+    second question."""
+    def corrupt(data):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        question = json.loads(lines[1])
+        edit(question, json.loads(lines[0]))
+        lines[1] = json.dumps(question) + "\n"
+        return "".join(lines).encode("utf-8")
+    return corrupt
+
+
+def _bad_byte_on_line_two(data):
+    start = data.index(b"\n") + 1
+    return data[:start] + b"\xff" + data[start:]
+
+
+INPUT_FLAGS = ("--kg", "--corpus", "--node-features", "--train", "--dev", "--test", "--checkpoint")
+
+# (case, flag, corrupt the file's bytes or None to remove the file, what
+# follows "error: <path>:" on stderr)
+BAD_INPUTS = [
+    ("duplicate-id", "--train", _edit_second_question(lambda q, first: q.update(id=first["id"])),
+     "2: duplicate id"),
+    ("fractional-answer", "--train", _edit_second_question(lambda q, _: q.update(answer_index=1.7)),
+     "2: answer_index must be an integer"),
+    ("boolean-answer", "--test", _edit_second_question(lambda q, _: q.update(answer_index=True)),
+     "2: answer_index must be an integer"),
+    ("string-choices", "--train", _edit_second_question(lambda q, _: q.update(choices="pq")),
+     "2: choices must be a list"),
+    *[(f"{flag[2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
+    *[(f"{flag[2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
+]
+
+
+@pytest.mark.parametrize("flag, corrupt, message", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, trained_dir, tmp_path, capsys,
+                                            caplog):
+    """Every input file `eval` reads: a malformed, non-UTF-8 or missing file
+    exits 1 with a message naming the file (and the line), and no
+    traceback."""
+    copy = tmp_path / "task"
+    shutil.copytree(task_dir, copy)
+    shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
+    argv = ["eval", *data_flags(str(copy)), "--checkpoint", str(copy / "checkpoint.txt"), *TINY_FLAGS,
+            "--seed", "0", "--out-dir", str(tmp_path / "out")]
+    path = argv[argv.index(flag) + 1]
+    if corrupt is None:
+        os.remove(path)
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(corrupt(data))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {path}:{message}" in err
+    assert "Traceback" not in err and not any(r.exc_info for r in caplog.records)
 
 
 def test_sweep_fraction_csv(task_dir, tmp_path, capsys):
