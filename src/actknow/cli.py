@@ -15,7 +15,7 @@ import sys
 
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import _coerce, _LIST_FIELDS, ExperimentConfig, env_seed, resolve_config
+from .config import ExperimentConfig, env_seed, parse_setting, resolve_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, sweep_fraction
 from .pipeline import load_pipeline, prepare_split, run_training
@@ -36,25 +36,22 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value settings file")
     for f in dataclasses.fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _LIST_FIELDS:
+        if isinstance(f.default, tuple):
             parser.add_argument(flag, dest=f.name, metavar="LIST", help="comma separated values")
-        elif f.default is True or f.default is False:
+        elif isinstance(f.default, bool):
             parser.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction, default=None)
-        elif isinstance(f.default, int) and not isinstance(f.default, bool):
-            parser.add_argument(flag, dest=f.name, type=int)
-        elif isinstance(f.default, float):
-            parser.add_argument(flag, dest=f.name, type=float)
         else:
             parser.add_argument(flag, dest=f.name)
 
 
 def _flag_values(args: argparse.Namespace) -> dict[str, object]:
+    """Each given flag's value typed by config.parse_setting; a bool flag is
+    already typed by its action."""
     values: dict[str, object] = {}
     for f in dataclasses.fields(ExperimentConfig):
         raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        values[f.name] = _coerce(f.name, raw) if f.name in _LIST_FIELDS else raw
+        if raw is not None:
+            values[f.name] = raw if isinstance(raw, bool) else parse_setting(f.name, raw)
     return values
 
 

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .textfile import read_lines
 from .training import MODES, TrainConfig
 
 
@@ -52,18 +53,39 @@ class ExperimentConfig(TrainConfig):
                 raise ConfigError(f"missing required setting {name} (flag {flag})")
 
 
-_LIST_FIELDS = {"fractions", "seeds", "node_budgets", "modes"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blank lines skipped."""
+def parse_setting(name: str, raw: str) -> object:
+    """The value of setting `name` written as text, typed like its default:
+    a tuple default takes comma-separated values of its first element's type,
+    a bool takes true/1/yes/on or false/0/no/off, an int or float default
+    takes its own type, and any other setting stays a string."""
+    default = _DEFAULTS[name]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(default, tuple):
+            parts = [p.strip() for p in raw.split(",") if p.strip()]
+            if not parts:
+                raise ValueError("needs at least one value")
+            return tuple(type(default[0])(p) for p in parts)
+        if isinstance(default, bool):
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"expected a boolean, got {raw!r}")
+            return _BOOLS[raw.lower()]
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"setting {name}: {exc}") from exc
+    return raw
+
+
+def parse_config_file(path: str) -> dict[str, object]:
+    """Typed values of `key = value` lines; '#' starts a comment, blank lines
+    are skipped, and every error names path:line."""
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -74,42 +96,13 @@ def parse_config_file(path: str) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        if key not in {f.name for f in dataclasses.fields(ExperimentConfig)}:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        values[key] = value
-    return values
-
-
-def _coerce(name: str, raw: str) -> object:
-    if name in _LIST_FIELDS:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"setting {name} needs at least one value")
         try:
-            if name == "fractions":
-                return tuple(float(p) for p in parts)
-            if name == "modes":
-                return tuple(parts)
-            return tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"setting {name}: {exc}") from exc
-    default = ExperimentConfig()
-    current = getattr(default, name)
-    try:
-        if isinstance(current, bool):
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ConfigError(f"setting {name}: expected a boolean, got {raw!r}")
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"setting {name}: {exc}") from exc
-    return raw
+            values[key] = parse_setting(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return values
 
 
 def env_seed() -> int | None:
@@ -133,8 +126,7 @@ def resolve_config(flag_values: dict[str, object], config_path: str | None) -> E
         merged["seed"] = seed
 
     if config_path is not None:
-        for key, raw in parse_config_file(config_path).items():
-            merged[key] = _coerce(key, raw)
+        merged.update(parse_config_file(config_path))
 
     for key, value in flag_values.items():
         if value is not None:

@@ -243,6 +243,8 @@ def load_text_embeddings(path: str) -> tuple[dict[str, np.ndarray], int]:
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad embedding value") from exc
+        if not np.isfinite(vec).all():
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

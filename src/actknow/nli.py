@@ -81,12 +81,18 @@ def load_qa_jsonl(path: str) -> list[QAItem]:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         try:
-            qid, stem, choices, answer = str(obj["id"]), str(obj["question"]), obj["choices"], obj["answer_index"]
+            qid, stem, choices, answer = obj["id"], obj["question"], obj["choices"], obj["answer_index"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: missing or malformed field: {exc}") from exc
-        # a string is iterable and a bool is an int: neither may stand in
+        # a string is iterable and a bool is an int: neither may stand in,
+        # and no other JSON value is turned into text
+        for field, value in (("id", qid), ("question", stem)):
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}:{lineno}: {field} must be a string, got {value!r}")
         if not isinstance(choices, list):
             raise ConfigError(f"{path}:{lineno}: choices must be a list, got {choices!r}")
+        if not all(isinstance(c, str) for c in choices):
+            raise ConfigError(f"{path}:{lineno}: choices must be strings, got {choices!r}")
         if isinstance(answer, bool) or not isinstance(answer, int):
             raise ConfigError(f"{path}:{lineno}: answer_index must be an integer, got {answer!r}")
         if qid in first_line:
@@ -96,7 +102,7 @@ def load_qa_jsonl(path: str) -> list[QAItem]:
             raise ConfigError(f"{path}:{lineno}: need at least 2 choices")
         if not 0 <= answer < len(choices):
             raise ConfigError(f"{path}:{lineno}: answer_index {answer} out of range")
-        items.append(QAItem(id=qid, stem=stem, choices=[str(c) for c in choices], answer_index=answer))
+        items.append(QAItem(id=qid, stem=stem, choices=choices, answer_index=answer))
     if not items:
         raise ConfigError(f"{path}: no questions found")
     return items

@@ -174,7 +174,14 @@ def _bad_byte_on_line_two(data):
     return data[:start] + b"\xff" + data[start:]
 
 
-INPUT_FLAGS = ("--kg", "--corpus", "--node-features", "--train", "--dev", "--test", "--checkpoint")
+def _nan_on_line_two(data):
+    lines = data.split(b"\n")
+    token, _, values = lines[1].partition(b" ")
+    lines[1] = token + b" nan" + values[values.index(b" "):]
+    return b"\n".join(lines)
+
+
+INPUT_FLAGS = ("--kg", "--corpus", "--node-features", "--train", "--dev", "--test", "--checkpoint", "--config")
 
 # (case, flag, corrupt the file's bytes or None to remove the file, what
 # follows "error: <path>:" on stderr)
@@ -187,6 +194,12 @@ BAD_INPUTS = [
      "2: answer_index must be an integer"),
     ("string-choices", "--train", _edit_second_question(lambda q, _: q.update(choices="pq")),
      "2: choices must be a list"),
+    ("integer-id", "--train", _edit_second_question(lambda q, _: q.update(id=7)),
+     "2: id must be a string"),
+    ("null-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], None])),
+     "2: choices must be strings"),
+    ("non-finite-feature", "--node-features", _nan_on_line_two, "2: non-finite value"),
+    ("config-bad-seed", "--config", lambda _: b"seed = abc\n", "1: setting seed:"),
     *[(f"{flag[2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag[2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
 ]
@@ -196,14 +209,15 @@ BAD_INPUTS = [
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, trained_dir, tmp_path, capsys,
                                             caplog):
-    """Every input file `eval` reads: a malformed, non-UTF-8 or missing file
-    exits 1 with a message naming the file (and the line), and no
-    traceback."""
+    """Every input file `eval` reads, its settings file too: a malformed,
+    non-UTF-8 or missing file exits 1 with a message naming the file (and the
+    line), and no traceback."""
     copy = tmp_path / "task"
     shutil.copytree(task_dir, copy)
     shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
+    (copy / "run.conf").write_text("# a valid settings file\nsplit = test\n")
     argv = ["eval", *data_flags(str(copy)), "--checkpoint", str(copy / "checkpoint.txt"), *TINY_FLAGS,
-            "--seed", "0", "--out-dir", str(tmp_path / "out")]
+            "--config", str(copy / "run.conf"), "--seed", "0", "--out-dir", str(tmp_path / "out")]
     path = argv[argv.index(flag) + 1]
     if corrupt is None:
         os.remove(path)

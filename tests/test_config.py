@@ -1,8 +1,13 @@
-"""Config file parsing, value coercion, and setting precedence."""
+"""Config file parsing, setting parsing, and setting precedence."""
+
+import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from actknow.config import ExperimentConfig, parse_config_file, resolve_config
+from actknow.cli import _flag_values, build_parser
+from actknow.config import ExperimentConfig, parse_config_file, parse_setting, resolve_config
 from actknow.errors import ConfigError
 from actknow.pipeline import training_config_for
 
@@ -27,10 +32,10 @@ def test_parse_key_value_lines(tmp_path):
     )
     values = parse_config_file(path)
     assert values == {
-        "seed": "7",
+        "seed": 7,
         "mode": "act-know",
-        "learning_rate": "0.5",
-        "fractions": "0.1, 0.2",
+        "learning_rate": 0.5,
+        "fractions": (0.1, 0.2),
     }
 
 
@@ -81,6 +86,73 @@ def test_coercion_rejects_bad_values(tmp_path):
         resolve_config({}, write_config(tmp_path, "use_gcn = maybe\n"))
     with pytest.raises(ConfigError):
         resolve_config({}, write_config(tmp_path, "seeds = 1,x\n"))
+
+
+def test_bad_value_names_its_line_and_setting_once(tmp_path):
+    path = write_config(tmp_path, "seed = 1\nuse_gcn = maybe\n")
+    with pytest.raises(ConfigError) as info:
+        resolve_config({}, path)
+    assert str(info.value).startswith(f"{path}:2: setting use_gcn: expected a boolean")
+    assert str(info.value).count("use_gcn") == 1
+
+
+@pytest.mark.parametrize("raw, value", [*[(t, True) for t in ("true", "1", "yes", "on", "TRUE", "On")],
+                                        *[(t, False) for t in ("false", "0", "no", "off", "FALSE", "Off")]])
+def test_boolean_spellings(raw, value):
+    assert parse_setting("use_gcn", raw) is value
+
+
+# every character a config-file value may hold: a line ends at "\r" or "\n",
+# a comment at "#", and the value is stripped
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="#\r\n"), min_size=1).map(str.strip).filter(bool)
+
+
+def _setting(default):
+    """A strategy of (value, the text that writes it) for a setting with
+    this default."""
+    if isinstance(default, tuple):
+        element = _setting(default[0]).filter(lambda pair: "," not in pair[1])
+        return st.lists(element, min_size=1, max_size=4).map(
+            lambda pairs: (tuple(v for v, _ in pairs), ",".join(t for _, t in pairs)))
+    if isinstance(default, bool):
+        return st.booleans().map(lambda v: (v, str(v).lower()))
+    if isinstance(default, int):
+        return st.integers().map(lambda v: (v, str(v)))
+    if isinstance(default, float):
+        return st.floats(allow_nan=False).map(lambda v: (v, repr(v)))
+    return _TEXT.map(lambda v: (v, v))
+
+
+def _flag(name, value, text):
+    """The command-line argument that sets name: a bool by its flag's form,
+    any other setting by its text."""
+    if isinstance(value, bool):
+        return ("--" if value else "--no-") + name.replace("_", "-")
+    return f"--{name.replace('_', '-')}={text}"
+
+
+_FIELDS = dataclasses.fields(ExperimentConfig)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(*[_setting(f.default) for f in _FIELDS]))
+def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, pairs):
+    """Each setting written as text parses back to its value, and the same
+    text gives the same config as a --flag and as a config-file line."""
+    values = {f.name: value for f, (value, _) in zip(_FIELDS, pairs)}
+    texts = {f.name: text for f, (_, text) in zip(_FIELDS, pairs)}
+    for name, text in texts.items():
+        assert parse_setting(name, text) == values[name]
+
+    path = tmp_path / "all.conf"
+    path.write_text("".join(f"{name} = {text}\n" for name, text in texts.items()), encoding="utf-8")
+    from_file = parse_config_file(str(path))
+
+    flags = [_flag(name, values[name], text) for name, text in texts.items()]
+    from_flags = _flag_values(build_parser().parse_args(["train", *flags]))
+
+    assert from_file == from_flags == values
+    assert ExperimentConfig(**from_file) == ExperimentConfig(**from_flags) == ExperimentConfig(**values)
 
 
 def test_env_seed_is_weakest(tmp_path, monkeypatch):
