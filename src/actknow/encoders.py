@@ -24,7 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .kg import EmbeddingTable
-from .retrieval import tokenize
 from .subgraph import Subgraph
 
 UNK_ID = 0
@@ -44,23 +43,26 @@ class Vocab:
         return self.ids.get(token, UNK_ID)
 
 
-def build_vocab(texts: list[str]) -> Vocab:
+def build_vocab(token_lists: list[list[str]]) -> Vocab:
     """Sorted-unique token vocabulary with reserved unknown and separator ids."""
     seen: set[str] = set()
-    for text in texts:
-        seen.update(tokenize(text))
+    for token_list in token_lists:
+        if isinstance(token_list, str):
+            raise TypeError("build_vocab takes token lists, not strs")
+        seen.update(token_list)
     tokens = list(_RESERVED) + sorted(seen)
     return Vocab(tokens=tokens, ids={t: i for i, t in enumerate(tokens)})
 
 
-def encode_pair_tokens(vocab: Vocab, premise: str, hypothesis: str) -> np.ndarray:
+def encode_pair_tokens(vocab: Vocab, premise_tokens: list[str], hypothesis_tokens: list[str]) -> np.ndarray:
     """Token id sequence `premise [SEP] hypothesis`. The premise may be empty
     (the sequence then starts at the separator); the hypothesis may not."""
-    hyp = [vocab.lookup(t) for t in tokenize(hypothesis)]
-    if not hyp:
+    if isinstance(premise_tokens, str) or isinstance(hypothesis_tokens, str):
+        raise TypeError("encode_pair_tokens takes token lists, not strs")
+    if not hypothesis_tokens:
         raise ValueError("hypothesis must be non-empty")
-    prem = [vocab.lookup(t) for t in tokenize(premise)]
-    return np.array(prem + [SEP_ID] + hyp, dtype=np.int64)
+    ids = [vocab.lookup(t) for t in premise_tokens] + [SEP_ID] + [vocab.lookup(t) for t in hypothesis_tokens]
+    return np.array(ids, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

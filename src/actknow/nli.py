@@ -2,7 +2,11 @@
 
 The hypothesis swaps the first WH word of the stem for the candidate answer
 and drops the trailing question mark. Premises come from BM25 retrieval
-over the sentence corpus, top sentences joined by single spaces.
+over the sentence corpus. Text stops here: a pair holds token lists, the
+premise the retrieved sentences' corpus tokens in rank order, and the
+hypothesis tokenized once. Concatenating per-sentence tokens gives the
+tokens of the sentences joined by spaces: a token is a run of word
+characters, so none spans a space.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .atomic import atomic_write
 from .errors import ConfigError
-from .retrieval import Corpus, InvertedIndex, retrieve
+from .retrieval import Corpus, InvertedIndex, retrieve, tokenize
 from .textfile import read_lines
 
 _WH = re.compile(r"\b(what|which|where|who|when|why|how)\b", re.IGNORECASE)
@@ -29,8 +33,8 @@ class QAItem:
 
 @dataclass
 class NLIPair:
-    premise: str
-    hypothesis: str
+    premise: list[str]     # tokens of the retrieved sentences, best first
+    hypothesis: list[str]  # tokens of make_hypothesis(stem, choice)
 
 
 def _strip_trailing_question_mark(text: str) -> str:
@@ -59,8 +63,8 @@ def convert(item: QAItem, index: InvertedIndex, corpus: Corpus, k: int) -> list[
     pairs = []
     for choice in item.choices:
         hits = retrieve(index, item.stem + " " + choice, k)
-        premise = " ".join(corpus.sentences[sid] for sid, _ in hits)
-        pairs.append(NLIPair(premise=premise, hypothesis=make_hypothesis(item.stem, choice)))
+        premise = [tok for sid, _ in hits for tok in corpus.tokenized[sid]]
+        pairs.append(NLIPair(premise=premise, hypothesis=tokenize(make_hypothesis(item.stem, choice))))
     return pairs
 
 

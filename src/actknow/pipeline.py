@@ -14,7 +14,7 @@ from .encoders import Vocab, build_vocab
 from .errors import ConfigError
 from .kg import EmbeddingTable, KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
 from .nli import QAItem, load_qa_jsonl
-from .retrieval import Corpus, InvertedIndex, build_index, load_corpus
+from .retrieval import Corpus, InvertedIndex, build_index, load_corpus, tokenize
 from .training import (
     ModelParams,
     PreparedQuestion,
@@ -63,12 +63,8 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
     if cfg.dataset_name:
         _check_split_counts(cfg.dataset_name, items)
 
-    texts = list(corpus.sentences)
-    for split_items in items.values():
-        for item in split_items:
-            texts.append(item.stem)
-            texts.extend(item.choices)
-    vocab = build_vocab(texts)
+    texts = [text for split_items in items.values() for item in split_items for text in (item.stem, *item.choices)]
+    vocab = build_vocab(corpus.tokenized + [tokenize(text) for text in texts])
 
     node_features = node_feature_table(graph, cfg.node_dim, cfg.seed, cfg.node_features)
     return Pipeline(

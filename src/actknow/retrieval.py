@@ -1,8 +1,10 @@
 """In-memory inverted index with BM25 ranking (k1=1.2, b=0.75).
 
-The whole corpus is one sentence per line; scores use the always-positive
-idf variant ln(1 + (N - df + 0.5) / (df + 0.5)), and duplicate query tokens
-count once. Ties break by ascending sentence id.
+The whole corpus is one sentence per line, kept only as its tokens: a
+premise is the concatenation of its sentences' token lists, never re-joined
+text. Scores use the always-positive idf variant
+ln(1 + (N - df + 0.5) / (df + 0.5)), and duplicate query tokens count once.
+Ties break by ascending sentence id.
 
 Scoring is impact-based: the first query that uses a token turns its postings
 into numpy arrays of sentence ids and impacts (idf times tf saturation),
@@ -34,12 +36,11 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Corpus:
-    sentences: list[str]
-    tokenized: list[list[str]]
+    tokenized: list[list[str]]  # one token list per sentence, in file order
 
 
 def corpus_from_sentences(sentences: list[str]) -> Corpus:
-    return Corpus(sentences=list(sentences), tokenized=[tokenize(s) for s in sentences])
+    return Corpus(tokenized=[tokenize(s) for s in sentences])
 
 
 def load_corpus(path: str) -> Corpus:
@@ -60,7 +61,7 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    if not corpus.sentences:
+    if not corpus.tokenized:
         raise ConfigError("cannot index an empty corpus")
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths = []

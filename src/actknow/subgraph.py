@@ -1,7 +1,8 @@
 """Concept mention scanning and bounded question subgraphs.
 
-Mentions are KG entity labels found in text by greedy longest-match-first
-n-gram scanning. A subgraph starts from the mentioned entities (seeds),
+Mentions are KG entity labels found in a token list by greedy
+longest-match-first n-gram scanning; a scan returns the mentioned entity
+ids in text order. A subgraph starts from the mentioned entities (seeds),
 adds the first depth-limited DFS path between each seed pair, then keeps
 every KG edge among the included nodes. A subgraph keeps only the
 degree-normalized adjacency the graph encoder reads, and its paths are the
@@ -17,13 +18,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .kg import KnowledgeGraph
-from .retrieval import tokenize
-
-
-@dataclass(frozen=True)
-class ConceptMention:
-    entity: int
-    span: tuple[int, int]  # token offsets [start, end) in the tokenized text
 
 
 @dataclass
@@ -38,28 +32,26 @@ class Subgraph:
         return len(self.nodes)
 
 
-def identify_concepts(text: str, graph: KnowledgeGraph) -> list[ConceptMention]:
-    """Scan tokenized text for entity labels, longest n-grams first,
-    non-overlapping, earliest occurrence wins within a length."""
-    tokens = tokenize(text)
-    if not tokens:
-        return []
+def identify_concepts(tokens: list[str], graph: KnowledgeGraph) -> list[int]:
+    """Entity ids of the labels found in a token list, in text order.
+    Longest n-grams first, non-overlapping, earliest occurrence wins within
+    a length."""
+    if isinstance(tokens, str):
+        raise TypeError("identify_concepts takes a token list, not a str")
     used = [False] * len(tokens)
-    found: list[ConceptMention] = []
-    max_n = min(graph.max_label_tokens, len(tokens))
-    for n in range(max_n, 0, -1):
+    found: list[tuple[int, int]] = []  # (start token, entity)
+    for n in range(min(graph.max_label_tokens, len(tokens)), 0, -1):
         for start in range(0, len(tokens) - n + 1):
             if any(used[start : start + n]):
                 continue
-            candidate = " ".join(tokens[start : start + n])
-            entity = graph.entity_ids.get(candidate)
+            entity = graph.entity_ids.get(" ".join(tokens[start : start + n]))
             if entity is None:
                 continue
             for i in range(start, start + n):
                 used[i] = True
-            found.append(ConceptMention(entity=entity, span=(start, start + n)))
-    found.sort(key=lambda m: m.span)
-    return found
+            found.append((start, entity))
+    found.sort()
+    return [entity for _, entity in found]
 
 
 def _dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[int] | None:

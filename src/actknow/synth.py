@@ -10,11 +10,7 @@ in the corpus. Solving the task requires following the graph.
 
 Optional noise knobs add extra entities mentioned alongside the stem
 entity, plus random edges among them, to study how the subgraph node
-budget trades signal against clutter. An unsupported_fraction of chains
-can be left out of the corpus entirely: their subgraphs never connect, and
-their answer tokens (never reused as distractors) are the only way to get
-those questions right, which makes the two evidence channels complementary
-instead of redundant.
+budget trades signal against clutter.
 
 Entity and relation names are pseudowords so nothing leaks from real text.
 """
@@ -62,7 +58,6 @@ class SyntheticSpec:
     premise_noise: int = 0
     node_dim: int = 32
     feature_noise: float = 0.3
-    unsupported_fraction: float = 0.0
     train_fraction: float = 0.7
     dev_fraction: float = 0.1
     split_by_chain: bool = False
@@ -80,8 +75,6 @@ class SyntheticSpec:
             raise ConfigError("node_dim must be >= 1")
         if self.feature_noise < 0:
             raise ConfigError("feature_noise must be >= 0")
-        if not 0 <= self.unsupported_fraction < 1:
-            raise ConfigError("unsupported_fraction must be in [0, 1)")
         if self.noise_entities < 0 or self.noise_edges < 0 or self.premise_noise < 0:
             raise ConfigError("noise knobs must be >= 0")
         if self.noise_edges > 0 and self.noise_entities < 2:
@@ -152,21 +145,13 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         rels = [relations[int(rng.integers(0, spec.n_relations))] for _ in range(spec.hop_depth)]
         chains.append(_Chain(stem=stem_labels[i], answer=answer_labels[i], middle=middle_labels[i], relations=rels))
 
-    # unsupported chains never appear in the corpus, so their subgraphs stay
-    # disconnected and their questions are answerable only by remembering the
-    # answer token; those answers never serve as distractors elsewhere, which
-    # keeps the token a clean correctness signal
-    n_dark = int(round(spec.unsupported_fraction * n_chains))
-    if n_chains - n_dark < spec.distractor_count:
+    if n_chains < spec.distractor_count:
         raise ConfigError(
-            f"unsupported_fraction={spec.unsupported_fraction} leaves too few supported chains "
-            f"to supply {spec.distractor_count - 1} distractors per question"
+            f"{n_chains} chains are too few to supply {spec.distractor_count - 1} distractors per question"
         )
-    dark = set(rng.permutation(n_chains)[:n_dark].tolist())
-    # unsupported chains get their own relation words, so their stems share
-    # no informative tokens with the corpus at all
-    for ci in sorted(dark):
-        chains[ci].relations = _pseudowords(rng, spec.hop_depth, taken)
+    # an unused draw: every file generated after this point depends on the
+    # RNG stream it advances, so removing it would change them all
+    rng.permutation(n_chains)
 
     # ----- knowledge graph triples, in id-significant order: ids follow first
     # appearance, and both seed truncation and seed-pair processing prefer
@@ -202,10 +187,10 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
             fh.write(f"{h}\t{r}\t{t}\n")
 
     # ----- questions: every chain contributes its share, distractors drawn
-    # from the supported chains' answers, then a seeded question-level split
+    # from the other chains' answers, then a seeded question-level split
     base_q = spec.n_questions // n_chains
     extra_q = spec.n_questions % n_chains
-    pool = [c.answer for ci, c in enumerate(chains) if ci not in dark]
+    pool = [c.answer for c in chains]
 
     qid = 0
     bait_sentences: list[str] = []
@@ -231,15 +216,14 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
             )
             qid += 1
             chain_of.append(ci)
-            if ci not in dark:
-                line = f"the {chain.stem} can {chain.relations[0]} near the {bait} at night"
-                if spec.premise_noise:
-                    # noise entities ride along in the lines retrieval favors,
-                    # so they end up mentioned in most premises
-                    picks = rng.permutation(len(noise_labels))[: spec.premise_noise]
-                    parts = " and ".join(f"the {noise_labels[i]}" for i in picks)
-                    line += f" while {parts} watched"
-                bait_sentences.append(line)
+            line = f"the {chain.stem} can {chain.relations[0]} near the {bait} at night"
+            if spec.premise_noise:
+                # noise entities ride along in the lines retrieval favors,
+                # so they end up mentioned in most premises
+                picks = rng.permutation(len(noise_labels))[: spec.premise_noise]
+                parts = " and ".join(f"the {noise_labels[i]}" for i in picks)
+                line += f" while {parts} watched"
+            bait_sentences.append(line)
 
     if spec.split_by_chain:
         # hold out whole chains: test questions share no entities with
@@ -271,11 +255,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
 
     # ----- corpus: per-chain support lines (the final hop and the answer are
     # never stated), per-question bait lines, plus fixed filler
-    sentences: list[str] = []
-    for ci, chain in enumerate(chains):
-        if ci in dark:
-            continue
-        sentences.append(f"people say the {chain.stem} can {chain.relations[0]} really fast")
+    sentences = [f"people say the {chain.stem} can {chain.relations[0]} really fast" for chain in chains]
     sentences.extend(bait_sentences)
     for i in range(25):
         sentences.append(f"entry {i} the weather stayed calm and the road was long")
@@ -373,11 +353,11 @@ def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_dept
     for path in split_paths:
         for item in load_qa_jsonl(path):
             total += 1
-            mentions = identify_concepts(item.stem, graph)
-            if len({m.entity for m in mentions}) != 1:
+            mentions = identify_concepts(tokenize(item.stem), graph)
+            if len(set(mentions)) != 1:
                 failures.append(f"{item.id}: stem should mention exactly one entity")
                 continue
-            src = mentions[0].entity
+            src = mentions[0]
             reach = _paths_up_to(graph, src, hop_depth)
             within = set().union(*reach.values())
 

@@ -20,9 +20,10 @@ the entropies, then the entropy weights for the final logits.
 Parameters are inert outside _run_updates: it marks exactly its
 optimizer's tensors trainable while the batches run, so evaluation builds
 no tape. Each phase's list is ModelParams.trainable: graph-side
-pretraining trains the classifier and the graph side encode_batch runs
-(GCN layers with use_gcn, ER projections with use_er; none in text-only)
-with the text encoder frozen, and the main updates add the text encoder.
+pretraining trains the classifier and the graph-side encoders that
+TrainConfig.graph_encoders runs (GCN layers, ER projections; none in
+text-only) with the text encoder frozen, and the main updates add the text
+encoder.
 """
 
 from __future__ import annotations
@@ -107,12 +108,14 @@ class TrainConfig:
             raise ConfigError(f"kg_dim must be >= 2, got {self.kg_dim}")
         if self.pretrain_epochs < 0 or self.warmup_steps < 0 or self.kg_epochs < 0:
             raise ConfigError("pretrain_epochs, warmup_steps and kg_epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # written as ranges that nan falls outside of
+        for name in ("learning_rate", "gumbel_temperature"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.data_fraction <= 1:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
-        if self.gumbel_temperature <= 0:
-            raise ConfigError(f"gumbel_temperature must be positive, got {self.gumbel_temperature}")
         if self.entropy_split not in ("train", "dev"):
             raise ConfigError(f"entropy_split must be 'train' or 'dev', got {self.entropy_split!r}")
         # a beta of 1 zeroes the bias correction's divisor, and an eps of 0
@@ -122,6 +125,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.adam_eps > 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+
+    @property
+    def graph_encoders(self) -> tuple[bool, bool]:
+        """Whether the GCN and the ER attention run: each by its use_ flag,
+        neither in text-only. encode_batch, the trainable sets and graph-side
+        pretraining all read this."""
+        with_graph = self.mode != "text-only"
+        return with_graph and self.use_gcn, with_graph and self.use_er
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +152,13 @@ class ModelParams:
 
     def trainable(self, config: TrainConfig, with_text: bool = True) -> list[Tensor]:
         """The tensors an update phase trains: those that reach a logit
-        under config, by the conditions encode_batch reads. The text encoder
-        trains only with_text; graph-side pretraining freezes it."""
-        with_graph = config.mode != "text-only"
+        under config, by config.graph_encoders. The text encoder trains only
+        with_text; graph-side pretraining freezes it."""
+        gcn, er = config.graph_encoders
         return [
             *((self.text.token_embedding, self.text.projection, self.text.bias) if with_text else ()),
-            *(self.gcn.layers if with_graph and config.use_gcn else ()),
-            *((self.er.entity_proj, self.er.relation_proj) if with_graph and config.use_er else ()),
+            *(self.gcn.layers if gcn else ()),
+            *((self.er.entity_proj, self.er.relation_proj) if er else ()),
             self.classifier,
         ]
 
@@ -260,20 +271,16 @@ def prepare_questions(
     vocab: Vocab,
     config: TrainConfig,
 ) -> list[PreparedQuestion]:
-    """Retrieve premises, build token sequences and subgraphs once per choice."""
+    """Retrieve premises, build token sequences and subgraphs once per choice.
+    Seeds are the entity ids mentioned in the premise and hypothesis tokens."""
     prepared = []
     for item in items:
         choices = []
         for pair in convert(item, index, corpus, config.retrieve_k):
             token_ids = encode_pair_tokens(vocab, pair.premise, pair.hypothesis)
-            mentions = identify_concepts(pair.premise, graph)
-            mentions += identify_concepts(pair.hypothesis, graph)
-            seeds = sorted({m.entity for m in mentions})
-            if len(seeds) > config.max_nodes:
-                seeds = seeds[: config.max_nodes]
-            sub = None
-            if seeds:
-                sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes)
+            mentions = identify_concepts(pair.premise, graph) + identify_concepts(pair.hypothesis, graph)
+            seeds = sorted(set(mentions))[: config.max_nodes]
+            sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes) if seeds else None
             choices.append(PreparedChoice(token_ids=token_ids, subgraph=sub))
         prepared.append(PreparedQuestion(qid=item.id, answer_index=item.answer_index, choices=choices))
     return prepared
@@ -344,12 +351,13 @@ def encode_batch(
     counts = np.array([len(pq.choices) for pq in questions])
     d = params.dim
     text = encode_text([c.token_ids for c in choices], params.text)
-    with_graph = config.mode != "text-only"
+    use_gcn, use_er = config.graph_encoders
 
     graph = Tensor(np.zeros((len(choices), d)))
-    rows = [i for i, c in enumerate(choices) if c.subgraph is not None and c.subgraph.n_nodes > 0]
+    # a built subgraph holds at least its seeds
+    rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
     choice_details: list[dict] = [{} for _ in choices]
-    if with_graph and config.use_gcn and rows:
+    if use_gcn and rows:
         subgraphs = [choices[i].subgraph for i in rows]
         nodes, mask = gcn_forward(subgraphs, params.gcn)
         pooled, attn = graph_attention_pool(nodes, mask, ad.gather(text, np.array(rows)))
@@ -360,7 +368,7 @@ def encode_batch(
         if details is not None:
             for i, sub, w in zip(rows, subgraphs, attn.data):
                 choice_details[i]["node_attention"] = {int(e): float(x) for e, x in zip(sub.nodes, w)}
-    if with_graph and config.use_er:
+    if use_er:
         knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
     else:
         knowledge = Tensor(np.zeros((len(choices), 2 * d)))
@@ -577,8 +585,7 @@ def train(
     opt = adam(model.trainable(config), config.warmup_steps)
     unit = {pq.qid: (1.0, 1.0) for pq in train_qs}
 
-    graph_active = config.mode != "text-only" and (config.use_gcn or config.use_er)
-    if config.pretrain_epochs > 0 and graph_active:
+    if config.pretrain_epochs > 0 and any(config.graph_encoders):
         # graph-side warm start: text encoder frozen at its random init
         pre_opt = adam(model.trainable(config, with_text=False), 0)
         for _ in range(config.pretrain_epochs):

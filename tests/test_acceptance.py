@@ -27,7 +27,7 @@ from actknow.encoders import GCNParams, build_vocab, gcn_forward
 from actknow.experiments import ablate_subgraph, sign_test_p, sweep_fraction
 from actknow.kg import graph_from_triples
 from actknow.nli import QAItem, make_hypothesis
-from actknow.retrieval import build_index, corpus_from_sentences, retrieve
+from actknow.retrieval import build_index, corpus_from_sentences, retrieve, tokenize
 from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.subgraph import Subgraph, connect_concepts, identify_concepts, normalize_adjacency
 from actknow.training import (
@@ -61,7 +61,7 @@ def _small_task(**overrides):
     graph = graph_from_triples(triples)
     corpus = corpus_from_sentences(sentences)
     index = build_index(corpus)
-    vocab = build_vocab(sentences + [it.stem for it in items] + OBJECTS)
+    vocab = build_vocab([tokenize(t) for t in sentences + [it.stem for it in items] + OBJECTS])
     config = tiny_config(**overrides)
     prepared = prepare_questions(items, corpus, index, graph, vocab, config)
     model = tiny_model(graph, config, vocab_size=len(vocab.tokens))
@@ -385,12 +385,14 @@ def test_criterion_5_subgraph_paths():
 
         # the mention path into the same guarantee: scanned concepts are kept
         labels = [graph.entities[int(i)] for i in rng.choice(graph.n_entities, size=2, replace=False)]
-        mentions = identify_concepts(f"the {labels[0]} sits near the {labels[1]}", graph)
-        mention_seeds = sorted({m.entity for m in mentions})
-        if mention_seeds:
-            msub = connect_concepts(graph, mention_seeds, max_path_len, max(len(mention_seeds), 10))
-            if not set(mention_seeds) <= set(msub.nodes):
-                failures.append(f"trial {trial}: mention dropped")
+        mentions = identify_concepts(tokenize(f"the {labels[0]} sits near the {labels[1]}"), graph)
+        mention_seeds = sorted(set(mentions))
+        if mention_seeds != sorted(graph.entity_ids[label] for label in labels):
+            failures.append(f"trial {trial}: mentions {mentions} for labels {labels}")
+            continue
+        msub = connect_concepts(graph, mention_seeds, max_path_len, max(len(mention_seeds), 10))
+        if not set(mention_seeds) <= set(msub.nodes):
+            failures.append(f"trial {trial}: mention dropped")
 
     ok = not failures
     detail = f"100 graphs, {path_total} paths verified"

@@ -114,6 +114,16 @@ def test_bad_subcommand_exits_one(capsys):
     assert main(["fly"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--gumbel-temperature", "inf"),
+                                         ("--weight-decay", "-0.1")])
+def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_path, capsys, caplog):
+    rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, flag, value, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {flag[2:].replace('-', '_')} must be" in err
+    assert "Traceback" not in err and not any(r.exc_info for r in caplog.records)
+
+
 def test_eval_reports_accuracy(task_dir, trained_dir, tmp_path, capsys):
     out = str(tmp_path / "eval")
     rc = main([
@@ -311,10 +321,14 @@ def test_split_count_warning(task_dir, caplog):
 
 def test_module_entry_point(task_dir, tmp_path):
     out = str(tmp_path / "module_gen")
+    # the child finds the package the way this process does, from a checkout too
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "actknow", "gen-synth", "--out-dir", out, *GEN_FLAGS],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "kg.tsv"))

@@ -211,3 +211,13 @@ def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
     name = line.split()[0]
     with pytest.raises(ConfigError, match=name):
         resolve_config({}, write_config(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(name, value) for name in ("learning_rate", "gumbel_temperature") for value in ("nan", "inf")],
+    ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-0.1"),
+])
+def test_rejects_a_non_finite_or_negative_rate(tmp_path, name, value):
+    """nan compares false with every bound, so each check is a range it must lie in."""
+    with pytest.raises(ConfigError, match=name):
+        resolve_config({}, write_config(tmp_path, f"{name} = {value}\n"))

@@ -44,7 +44,7 @@ def embedding(n, dim, seed):
 
 
 def test_vocab_reserves_special_ids():
-    vocab = build_vocab(["b a", "a c"])
+    vocab = build_vocab([["b", "a"], ["a", "c"]])
     assert vocab.tokens[:2] == ["<unk>", "<sep>"]
     assert vocab.tokens[2:] == ["a", "b", "c"]
     assert vocab.lookup("a") == 2
@@ -52,23 +52,23 @@ def test_vocab_reserves_special_ids():
 
 
 def test_encode_pair_layout():
-    vocab = build_vocab(["sun warms soil"])
-    ids = encode_pair_tokens(vocab, "sun warms", "soil warms")
+    vocab = build_vocab([["sun", "warms", "soil"]])
+    ids = encode_pair_tokens(vocab, ["sun", "warms"], ["soil", "warms"])
     sep = list(ids).index(SEP_ID)
     assert sep == 2
     assert ids[-2] == vocab.lookup("soil")
 
 
 def test_encode_pair_empty_premise_ok():
-    vocab = build_vocab(["a b"])
-    ids = encode_pair_tokens(vocab, "", "a")
+    vocab = build_vocab([["a", "b"]])
+    ids = encode_pair_tokens(vocab, [], ["a"])
     assert list(ids) == [SEP_ID, vocab.lookup("a")]
 
 
 def test_encode_pair_empty_hypothesis_rejected():
-    vocab = build_vocab(["a"])
+    vocab = build_vocab([["a"]])
     with pytest.raises(ValueError):
-        encode_pair_tokens(vocab, "a", "")
+        encode_pair_tokens(vocab, ["a"], [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Question-to-hypothesis rewriting and premise retrieval."""
 
+import os
+
 import pytest
 
+from actknow.encoders import build_vocab, encode_pair_tokens
 from actknow.errors import ConfigError
 from actknow.nli import QAItem, convert, load_qa_jsonl, make_hypothesis, save_qa_jsonl
-from actknow.retrieval import build_index, corpus_from_sentences
+from actknow.retrieval import build_index, corpus_from_sentences, load_corpus, retrieve, tokenize
+from actknow.scenarios import lowdata_experiment, noisy_experiment
+from actknow.subgraph import identify_concepts
+from actknow.textfile import read_lines
 
 
 def test_wh_replacement_mid_sentence():
@@ -68,10 +74,10 @@ def test_convert_one_pair_per_choice_in_order():
     )
     pairs = convert(item, index, corpus, k=2)
     assert len(pairs) == 4
-    assert pairs[0].hypothesis == "erosion moves soil"
-    assert pairs[1].hypothesis == "rocks moves soil"
+    assert pairs[0].hypothesis == ["erosion", "moves", "soil"]
+    assert pairs[1].hypothesis == ["rocks", "moves", "soil"]
     # "soil erosion moves earth" shares three tokens with the first query
-    assert "soil erosion moves earth" in pairs[0].premise
+    assert pairs[0].premise[:4] == ["soil", "erosion", "moves", "earth"]
 
 
 def test_convert_unmatched_query_gives_empty_premise():
@@ -79,19 +85,58 @@ def test_convert_unmatched_query_gives_empty_premise():
     index = build_index(corpus)
     item = QAItem(id="q", stem="what melts ice ?", choices=["salt", "sand"], answer_index=0)
     pairs = convert(item, index, corpus, k=3)
-    assert pairs[0].premise == ""
-    assert pairs[1].premise == ""
+    assert pairs[0].premise == []
+    assert pairs[1].premise == []
 
 
-def test_convert_premise_joins_top_sentences_with_spaces():
+def test_convert_premise_concatenates_top_sentences_tokens():
     sentences = ["ice melts fast", "salt melts ice", "dogs bark"]
     corpus = corpus_from_sentences(sentences)
     index = build_index(corpus)
     item = QAItem(id="q", stem="what melts ice ?", choices=["salt"], answer_index=0)
     # dataclass validation lives in the loader, so the 1-choice item is fine here
     pairs = convert(item, index, corpus, k=2)
-    assert pairs[0].premise.count(" melts ") == 2
-    assert "dogs bark" not in pairs[0].premise
+    assert pairs[0].premise == ["salt", "melts", "ice", "ice", "melts", "fast"]
+
+
+@pytest.mark.parametrize("data, experiment", [("lowdata_dir", lowdata_experiment), ("noisy_dir", noisy_experiment)],
+                         ids=["lowdata", "noisy"])
+def test_convert_tokens_equal_the_tokens_of_the_joined_text(data, experiment, request, tmp_path):
+    """Every choice of a bundled task at its retrieve_k, plus one question
+    that retrieves nothing: the premise is the token list of the retrieved
+    sentences joined by spaces, and the hypothesis that of make_hypothesis."""
+    data_dir = request.getfixturevalue(data)
+    k = experiment(data_dir, str(tmp_path)).retrieve_k
+    path = os.path.join(data_dir, "corpus.txt")
+    sentences = [line for line in read_lines(path) if line.strip()]
+    corpus = load_corpus(path)
+    index = build_index(corpus)
+    items = [item for split in ("train", "dev", "test")
+             for item in load_qa_jsonl(os.path.join(data_dir, f"{split}.jsonl"))]
+    items.append(QAItem(id="unmatched", stem="what is zqx ?", choices=["vwq", "jxk"], answer_index=0))
+    empty = 0
+    for item in items:
+        pairs = convert(item, index, corpus, k)
+        assert len(pairs) == len(item.choices)
+        for choice, pair in zip(item.choices, pairs):
+            hits = retrieve(index, item.stem + " " + choice, k)
+            assert pair.premise == tokenize(" ".join(sentences[sid] for sid, _ in hits))
+            assert pair.hypothesis == tokenize(make_hypothesis(item.stem, choice))
+            empty += not pair.premise
+    assert empty == 2
+
+
+def test_token_functions_reject_a_str(chain_graph):
+    """A str where tokens are expected would be scanned character by character."""
+    vocab = build_vocab([["a", "b"]])
+    with pytest.raises(TypeError, match="identify_concepts"):
+        identify_concepts("a b", chain_graph)
+    with pytest.raises(TypeError, match="encode_pair_tokens"):
+        encode_pair_tokens(vocab, "a", ["b"])
+    with pytest.raises(TypeError, match="encode_pair_tokens"):
+        encode_pair_tokens(vocab, ["a"], "b")
+    with pytest.raises(TypeError, match="build_vocab"):
+        build_vocab(["a b"])
 
 
 def test_qa_jsonl_roundtrip(tmp_path):

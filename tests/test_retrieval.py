@@ -168,4 +168,4 @@ def test_load_corpus_roundtrip(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("ant bee\ncat dog\n", encoding="utf-8")
     corpus = load_corpus(str(path))
-    assert corpus.sentences == ["ant bee", "cat dog"]
+    assert corpus.tokenized == [["ant", "bee"], ["cat", "dog"]]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from actknow.errors import ConfigError
 from actknow.kg import graph_from_triples, load_triples
 from actknow.nli import convert, load_qa_jsonl
-from actknow.retrieval import build_index, load_corpus
+from actknow.retrieval import build_index, load_corpus, tokenize
 from actknow.subgraph import connect_concepts, identify_concepts, normalize_adjacency
 
 from _oracles import all_simple_paths, dense_normalize
@@ -34,28 +34,31 @@ def assert_edges(sub, n_edges):
 
 
 def test_identify_concepts_finds_both_mentions(chain_graph):
-    mentions = identify_concepts("the a touched b today", chain_graph)
-    labels = [chain_graph.entities[m.entity] for m in mentions]
-    assert labels == ["a", "b"]
+    mentions = identify_concepts(tokenize("the a touched b today"), chain_graph)
+    assert mentions == [chain_graph.entity_ids["a"], chain_graph.entity_ids["b"]]
 
 
 def test_identify_concepts_prefers_longest_match():
     graph = graph_from_triples([("ice", "r", "water"), ("ice cream", "r", "milk")])
-    mentions = identify_concepts("ice cream melts", graph)
-    assert [graph.entities[m.entity] for m in mentions] == ["ice cream"]
-    assert mentions[0].span == (0, 2)
+    assert identify_concepts(tokenize("ice cream melts"), graph) == [graph.entity_ids["ice cream"]]
 
 
 def test_identify_concepts_no_overlap():
     graph = graph_from_triples([("ice cream", "r", "milk"), ("cream soda", "r", "sugar")])
-    mentions = identify_concepts("ice cream soda", graph)
     # "ice cream" claims tokens 0-1, leaving "soda" alone which is no entity
-    assert [graph.entities[m.entity] for m in mentions] == ["ice cream"]
+    assert identify_concepts(tokenize("ice cream soda"), graph) == [graph.entity_ids["ice cream"]]
+
+
+def test_identify_concepts_lists_mentions_in_text_order():
+    graph = graph_from_triples([("ice cream", "r", "milk"), ("salt", "r", "sea")])
+    # the two-token label is found first, yet "salt" precedes it in the text
+    mentions = identify_concepts(tokenize("salt on ice cream and more salt"), graph)
+    assert mentions == [graph.entity_ids["salt"], graph.entity_ids["ice cream"], graph.entity_ids["salt"]]
 
 
 def test_identify_concepts_empty_text(chain_graph):
-    assert identify_concepts("", chain_graph) == []
-    assert identify_concepts("nothing known here", chain_graph) == []
+    assert identify_concepts([], chain_graph) == []
+    assert identify_concepts(tokenize("nothing known here"), chain_graph) == []
 
 
 def test_chain_subgraph_nodes_and_edges(chain_graph):
@@ -256,10 +259,9 @@ def noisy_seed_sets(data_dir, graph):
     for split in ("train", "dev", "test"):
         for item in load_qa_jsonl(os.path.join(data_dir, f"{split}.jsonl")):
             for pair in convert(item, index, corpus, 5):
-                mentions = identify_concepts(pair.premise, graph)
-                mentions += identify_concepts(pair.hypothesis, graph)
+                mentions = identify_concepts(pair.premise, graph) + identify_concepts(pair.hypothesis, graph)
                 if mentions:
-                    seed_sets.append(sorted({m.entity for m in mentions}))
+                    seed_sets.append(sorted(set(mentions)))
     return seed_sets
 
 

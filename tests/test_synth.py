@@ -128,8 +128,6 @@ def test_spec_validation():
         dataclasses.replace(SMALL, feature_noise=-0.1).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(SMALL, train_fraction=0.9, dev_fraction=0.2).validate()
-    with pytest.raises(ConfigError):
-        dataclasses.replace(SMALL, unsupported_fraction=1.0).validate()
 
 
 def test_chain_split_needs_enough_chains(tmp_path):
@@ -175,3 +173,9 @@ def test_bundled_scenario_specs_are_valid():
     NOISY_SPEC.validate()
     assert LOWDATA_SPEC.split_by_chain is False
     assert NOISY_SPEC.split_by_chain is True
+
+
+def test_too_few_chains_for_the_distractors(tmp_path):
+    # six chains cannot supply six distractors other than the answer
+    with pytest.raises(ConfigError, match="chains"):
+        generate(dataclasses.replace(SMALL, distractor_count=7), str(tmp_path))

@@ -13,7 +13,7 @@ from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
-from actknow.retrieval import build_index, corpus_from_sentences
+from actknow.retrieval import build_index, corpus_from_sentences, tokenize
 from actknow.training import (
     PreparedQuestion,
     STATS_HEADER,
@@ -44,7 +44,7 @@ def build_task(items=None, **overrides):
     graph = graph_from_triples(triples)
     corpus = corpus_from_sentences(sentences)
     index = build_index(corpus)
-    vocab = build_vocab(sentences + [it.stem for it in items] + OBJECTS)
+    vocab = build_vocab([tokenize(t) for t in sentences + [it.stem for it in items] + OBJECTS])
     config = tiny_config(**overrides)
     prepared = prepare_questions(items, corpus, index, graph, vocab, config)
     model = tiny_model(graph, config, vocab_size=len(vocab))
