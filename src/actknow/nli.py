@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .atomic import atomic_write
 from .errors import ConfigError
-from .retrieval import Corpus, InvertedIndex, retrieve, tokenize
+from .retrieval import Corpus, InvertedIndex, has_token, retrieve, tokenize
 from .textfile import read_lines
 
 _WH = re.compile(r"\b(what|which|where|who|when|why|how)\b", re.IGNORECASE)
@@ -73,8 +73,9 @@ def convert(item: QAItem, index: InvertedIndex, corpus: Corpus, k: int) -> list[
 
 
 def load_qa_jsonl(path: str) -> list[QAItem]:
-    """Questions in file order. Ids must be unique: act-know keys each
-    question's entropy weight by its id."""
+    """Questions in file order. Ids must be unique, so that each row of an
+    evaluation names one question. The question and every choice must hold a
+    word token: a choice of "?" would have no text of its own to score."""
     items: list[QAItem] = []
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -97,6 +98,10 @@ def load_qa_jsonl(path: str) -> list[QAItem]:
             raise ConfigError(f"{path}:{lineno}: choices must be a list, got {choices!r}")
         if not all(isinstance(c, str) for c in choices):
             raise ConfigError(f"{path}:{lineno}: choices must be strings, got {choices!r}")
+        if not has_token(stem):
+            raise ConfigError(f"{path}:{lineno}: question has no word token, got {stem!r}")
+        if not all(map(has_token, choices)):
+            raise ConfigError(f"{path}:{lineno}: every choice needs a word token, got {choices!r}")
         if isinstance(answer, bool) or not isinstance(answer, int):
             raise ConfigError(f"{path}:{lineno}: answer_index must be an integer, got {answer!r}")
         if qid in first_line:

@@ -63,8 +63,10 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
     if cfg.dataset_name:
         _check_split_counts(cfg.dataset_name, items)
 
+    # one tokenize over the stems and choices joined by spaces yields the
+    # tokens of each in turn, since no token spans a space (nli.py)
     texts = [text for split_items in items.values() for item in split_items for text in (item.stem, *item.choices)]
-    vocab = build_vocab(corpus.tokenized + [tokenize(text) for text in texts])
+    vocab = build_vocab(corpus.tokenized + [tokenize(" ".join(texts))])
 
     node_features = node_feature_table(graph, cfg.node_dim, cfg.seed, cfg.node_features)
     return Pipeline(

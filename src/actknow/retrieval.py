@@ -34,6 +34,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def has_token(text: str) -> bool:
+    """Whether tokenize(text) is non-empty, without building the list:
+    lowercasing never makes or unmakes a word character."""
+    return _TOKEN.search(text) is not None
+
+
 @dataclass
 class Corpus:
     tokenized: list[list[str]]  # one token list per sentence, in file order

@@ -17,7 +17,6 @@ Entity and relation names are pseudowords so nothing leaks from real text.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -26,8 +25,8 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import ConfigError
 from .kg import KnowledgeGraph, load_triples, normalize_label
-from .nli import QAItem, load_qa_jsonl, save_qa_jsonl
-from .retrieval import build_index, load_corpus, retrieve, tokenize
+from .nli import QAItem, convert, load_qa_jsonl, save_qa_jsonl
+from .retrieval import build_index, load_corpus, tokenize
 from .subgraph import identify_concepts
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -378,12 +377,9 @@ def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_dept
                 kg_answerable += 1
 
             bait_here = False
-            for i, choice in enumerate(item.choices):
-                hits = retrieve(index, item.stem + " " + choice, k)
-                premise_tokens = set(
-                    itertools.chain.from_iterable(corpus.tokenized[sid] for sid, _ in hits)
-                )
-                overlap = bool(set(tokenize(choice)) & premise_tokens)
+            # the premise the model reads for each choice
+            for i, (choice, pair) in enumerate(zip(item.choices, convert(item, index, corpus, k))):
+                overlap = bool(set(tokenize(choice)) & set(pair.premise))
                 if i == item.answer_index:
                     if overlap:
                         lexically_answerable += 1

@@ -1,11 +1,13 @@
 """Question scoring, entropy weighting, and the training loop.
 
 One loop of master epochs, each containing sub-epochs of Adam updates,
-serves all three modes. base-know and text-only weight every question's
-graph and knowledge features by 1 (text-only feeds zeros in their place).
-act-know scales those features, for and only for one master epoch's
-updates, by the prediction entropies that the last evaluate() of the
-entropy split recorded: one evaluation after pretraining for the first
+serves all three modes. Every question carries one infusion weight that
+scales its graph and knowledge features alike; the weights of a list of
+questions are one array aligned with it. base-know and text-only weight
+every question by 1 (text-only feeds zeros in place of those features).
+act-know weights each question, for and only for one master epoch's
+updates, by the prediction entropy that the last evaluate() of the entropy
+split recorded for it: one evaluation after pretraining for the first
 epoch, the end-of-epoch evaluation for each later one. The parameters have
 not moved since, so these are the entropies of the current model. Entropy
 never carries gradient.
@@ -13,7 +15,7 @@ never carries gradient.
 Scoring is choice-stacked: encode_batch runs every choice of a batch of
 questions through each encoder at once, and classify applies the
 per-question weights and the classifier to those features. Training runs
-one of each per batch (score_batch). Evaluation runs one encoder pass per
+one of each per batch (score_batch). evaluate() runs one encoder pass per
 chunk and, in act-know, two classifier products on it: unit weights for
 the entropies, then the entropy weights for the final logits.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,10 @@ class TrainConfig:
             raise ConfigError(f"kg_dim must be >= 2, got {self.kg_dim}")
         if self.pretrain_epochs < 0 or self.warmup_steps < 0 or self.kg_epochs < 0:
             raise ConfigError("pretrain_epochs, warmup_steps and kg_epochs must be >= 0")
-        # written as ranges that nan falls outside of
-        for name in ("learning_rate", "gumbel_temperature"):
+        # written as ranges that nan falls outside of. An adam_eps of 0
+        # divides 0 by 0 where a gradient is 0, and an infinite one zeroes
+        # every update, leaving only weight decay to move a tensor
+        for name in ("learning_rate", "gumbel_temperature", "adam_eps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.weight_decay < math.inf:
@@ -118,13 +121,10 @@ class TrainConfig:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
         if self.entropy_split not in ("train", "dev"):
             raise ConfigError(f"entropy_split must be 'train' or 'dev', got {self.entropy_split!r}")
-        # a beta of 1 zeroes the bias correction's divisor, and an eps of 0
-        # divides 0 by 0 where a gradient is 0: either leaves nan parameters
+        # a beta of 1 zeroes the bias correction's divisor: nan parameters
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
 
     @property
     def graph_encoders(self) -> tuple[bool, bool]:
@@ -330,6 +330,9 @@ class Features:
     knowledge: Tensor  # (n_choices, 2d)
     counts: np.ndarray  # choices per question
     starts: np.ndarray  # offset of each question's first choice
+    # per choice: (subgraph nodes, their pooling attention weights), or None
+    # where the GCN did not pool a subgraph
+    node_attention: list[tuple[np.ndarray, np.ndarray] | None]
 
 
 def encode_batch(
@@ -338,14 +341,11 @@ def encode_batch(
     config: TrainConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    details: list | None = None,
 ) -> Features:
     """Run every choice of a stack of questions through the text encoder,
     the GCN with text-attention pooling and ER attention, each once.
 
-    text-only mode skips the graph side and feeds zeros in its place. With
-    details, one dict per choice is appended, holding the node attention
-    weights of choices that have a subgraph.
+    text-only mode skips the graph side and feeds zeros in its place.
     """
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
@@ -356,7 +356,7 @@ def encode_batch(
     graph = Tensor(np.zeros((len(choices), d)))
     # a built subgraph holds at least its seeds
     rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
-    choice_details: list[dict] = [{} for _ in choices]
+    node_attention: list = [None] * len(choices)
     if use_gcn and rows:
         subgraphs = [choices[i].subgraph for i in rows]
         nodes, mask = gcn_forward(subgraphs, params.gcn)
@@ -365,30 +365,26 @@ def encode_batch(
         slot = np.full(len(choices), len(rows))
         slot[rows] = np.arange(len(rows))
         graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
-        if details is not None:
-            for i, sub, w in zip(rows, subgraphs, attn.data):
-                choice_details[i]["node_attention"] = {int(e): float(x) for e, x in zip(sub.nodes, w)}
+        for i, sub, w in zip(rows, subgraphs, attn.data):
+            node_attention[i] = (sub.nodes, w)
     if use_er:
         knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
     else:
         knowledge = Tensor(np.zeros((len(choices), 2 * d)))
-
-    if details is not None:
-        details.extend(choice_details)
-    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts)
+    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, node_attention)
 
 
-def classify(feats: Features, classifier: Tensor, weights: list[tuple[float, float]]) -> Tensor:
+def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor:
     """Logit of every choice: the classifier's dot product with
-    concat(text, graph * w_graph, knowledge * w_knowledge), where weights
-    holds one (w_graph, w_knowledge) pair per question."""
-    scale = np.repeat(np.asarray(weights, dtype=np.float64).reshape(len(feats.counts), 2), feats.counts, axis=0)
+    concat(text, graph * w, knowledge * w), where weights holds one w per
+    question."""
+    scale = np.repeat(np.asarray(weights, dtype=np.float64), feats.counts)[:, None]
     graph, knowledge = feats.graph, feats.knowledge
     rows = ad.concat(
         [
             feats.text,
-            ad.mul(graph, Tensor(np.broadcast_to(scale[:, :1], graph.shape))),
-            ad.mul(knowledge, Tensor(np.broadcast_to(scale[:, 1:], knowledge.shape))),
+            ad.mul(graph, Tensor(np.broadcast_to(scale, graph.shape))),
+            ad.mul(knowledge, Tensor(np.broadcast_to(scale, knowledge.shape))),
         ],
         axis=1,
     )
@@ -398,35 +394,34 @@ def classify(feats: Features, classifier: Tensor, weights: list[tuple[float, flo
 def score_batch(
     questions: list[PreparedQuestion],
     params: ModelParams,
-    weights: list[tuple[float, float]],
+    weights: np.ndarray,
     config: TrainConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    details: list | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Logits of every choice of a stack of questions, flat in question
     order: (n_choices,), plus the start offset of each question's choices.
 
     One encoder pass (encode_batch) and one classifier product (classify).
-    weights holds one (graph, knowledge) pair per question, scaling that
-    question's graph and knowledge features before the classifier product;
-    (1, 1) is the plain model and (0, 0) reduces it to text-only.
+    weights holds one weight per question, scaling that question's graph
+    and knowledge features before the classifier product; 1 is the plain
+    model and 0 reduces it to text-only.
     """
-    feats = encode_batch(questions, params, config, train, rng, details)
+    feats = encode_batch(questions, params, config, train, rng)
     return classify(feats, params.classifier, weights), feats.starts
 
 
 def score_question(
     pq: PreparedQuestion,
     params: ModelParams,
-    weights: tuple[float, float],
+    weights: float,
     config: TrainConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    details: list | None = None,
 ) -> Tensor:
-    """Logit vector over one question's choices: score_batch on one question."""
-    return score_batch([pq], params, [weights], config, train, rng, details)[0]
+    """Logit vector over one question's choices: score_batch on one
+    question, whose one weight is `weights`."""
+    return score_batch([pq], params, [weights], config, train, rng)[0]
 
 
 def question_entropy(logits: np.ndarray) -> float:
@@ -441,35 +436,7 @@ def question_entropy(logits: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# prediction and evaluation
-
-
-def _chunks(questions: list[PreparedQuestion], size: int) -> Iterator[list[PreparedQuestion]]:
-    for start in range(0, len(questions), size):
-        yield questions[start : start + size]
-
-
-def _predict_batch(
-    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
-) -> list[tuple[int, np.ndarray, float]]:
-    """(chosen index, final logits, entropy) of each question of a stack,
-    scored together in eval mode. Ties resolve to the lowest index.
-
-    One encoder pass, then the classifier product with unit weights, whose
-    logits give each question's entropy. act-know then runs a second
-    classifier product with the features scaled by that entropy; the
-    weights enter only after the encoders, so it shares their pass.
-    """
-    feats = encode_batch(questions, params, config, details=details)
-
-    def logits_by_question(weights: list[tuple[float, float]]) -> list[np.ndarray]:
-        return np.split(classify(feats, params.classifier, weights).data, feats.starts[1:])
-
-    logits = logits_by_question([(1.0, 1.0)] * len(questions))
-    entropies = [question_entropy(z) for z in logits]
-    if config.mode == "act-know":
-        logits = logits_by_question([(h, h) for h in entropies])
-    return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
+# evaluation
 
 
 def evaluate(
@@ -479,31 +446,42 @@ def evaluate(
     with_details: bool = False,
 ) -> tuple[float, list[dict]]:
     """Accuracy plus one record per question, scored config.batch_size
-    questions at a time. In act-know mode a record's entropy is that of the
-    unweighted pass, the entropy act-know training weights by."""
+    questions at a time. Ties resolve to the lowest index.
+
+    Each chunk runs the encoders once, then the classifier product with unit
+    weights, whose logits give each question's entropy: the entropy a record
+    holds, and the one act-know training weights by. act-know then runs a
+    second classifier product with the features scaled by that entropy; the
+    weights enter only after the encoders, so it shares their pass. With
+    details, a record also holds each choice's node attention.
+    """
     if not questions:
         raise ConfigError("evaluate: empty question list")
     rows = []
-    correct = 0
-    for chunk in _chunks(questions, config.batch_size):
-        details: list | None = [] if with_details else None
-        offset = 0
-        for pq, (pred, logits, entropy) in zip(chunk, _predict_batch(chunk, params, config, details)):
-            hit = pred == pq.answer_index
-            correct += hit
+    for start in range(0, len(questions), config.batch_size):
+        chunk = questions[start : start + config.batch_size]
+        feats = encode_batch(chunk, params, config)
+        logits = np.split(classify(feats, params.classifier, np.ones(len(chunk))).data, feats.starts[1:])
+        entropies = [question_entropy(z) for z in logits]
+        if config.mode == "act-know":
+            logits = np.split(classify(feats, params.classifier, np.array(entropies)).data, feats.starts[1:])
+        for pq, z, entropy, first in zip(chunk, logits, entropies, feats.starts):
+            pred = int(np.argmax(z))
             row = {
                 "id": pq.qid,
                 "predicted": pred,
                 "gold": pq.answer_index,
-                "correct": bool(hit),
+                "correct": bool(pred == pq.answer_index),
                 "entropy": entropy,
-                "logits": [float(v) for v in logits],
+                "logits": [float(v) for v in z],
             }
             if with_details:
-                row["attention"] = details[offset : offset + len(pq.choices)]
-                offset += len(pq.choices)
+                row["attention"] = [
+                    {} if a is None else {"node_attention": {int(e): float(x) for e, x in zip(*a)}}
+                    for a in feats.node_attention[first : first + len(pq.choices)]
+                ]
             rows.append(row)
-    return correct / len(questions), rows
+    return sum(row["correct"] for row in rows) / len(questions), rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +494,19 @@ class TrainResult:
     best_epoch: int
     best_accuracy: float
     stats: list[dict] = field(default_factory=list)
-    entropy_history: list[dict[str, float]] = field(default_factory=list)
+    # act-know: each master epoch's weights, aligned with the training questions
+    entropy_history: list[np.ndarray] = field(default_factory=list)
 
 
 def _batch_loss(
     batch: list[PreparedQuestion],
     params: ModelParams,
-    weights_by_qid: dict[str, tuple[float, float]],
+    weights: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> Tensor:
-    """Mean over the batch's questions of each question's cross-entropy."""
-    weights = [weights_by_qid[pq.qid] for pq in batch]
+    """Mean over the batch's questions of each question's cross-entropy,
+    each question's features scaled by its weight."""
     logits, starts = score_batch(batch, params, weights, config, train=True, rng=rng)
     targets = [pq.answer_index for pq in batch]
     return ad.mean(ad.segment_cross_entropy(logits, starts, targets))
@@ -554,9 +533,11 @@ def train(
     """Train `model` in place and keep the state of the master epoch with
     the best dev accuracy (train accuracy without a dev split).
 
-    act-know weights every question by the entropy the last evaluate() of
-    the entropy split recorded; entropy_override pins every weight to a constant, which reduces the loop
-    to the fixed-weight one. The other modes weight every question by 1.
+    act-know weights each question by the entropy the last evaluate() of
+    the entropy split recorded for it (with entropy_split=dev, every
+    question by the mean dev entropy); entropy_override pins every weight to a constant, which
+    reduces the loop to the fixed-weight one. The other modes weight every
+    question by 1.
     """
     config.validate()
     active = config.mode == "act-know"
@@ -583,7 +564,7 @@ def train(
         )
 
     opt = adam(model.trainable(config), config.warmup_steps)
-    unit = {pq.qid: (1.0, 1.0) for pq in train_qs}
+    unit = np.ones(len(train_qs))
 
     if config.pretrain_epochs > 0 and any(config.graph_encoders):
         # graph-side warm start: text encoder frozen at its random init
@@ -601,14 +582,12 @@ def train(
         weights = unit
         if active:
             if entropy_override is not None:
-                measured = {pq.qid: entropy_override for pq in train_qs}
+                weights = np.full(len(train_qs), float(entropy_override))
             else:
-                measured = {row["id"]: row["entropy"] for row in entropy_rows}
+                weights = np.array([row["entropy"] for row in entropy_rows])
                 if config.entropy_split == "dev":
-                    shared = float(np.mean(list(measured.values())))
-                    measured = {pq.qid: shared for pq in train_qs}
-            result.entropy_history.append(measured)
-            weights = {qid: (h, h) for qid, h in measured.items()}
+                    weights = np.full(len(train_qs), weights.mean())
+            result.entropy_history.append(weights)
 
         epoch_losses = []
         for _ in range(config.sub_epochs):
@@ -647,14 +626,14 @@ def train(
 def _run_updates(
     train_qs: list[PreparedQuestion],
     model: ModelParams,
-    weights: dict[str, tuple[float, float]],
+    weights: np.ndarray,
     config: TrainConfig,
     opt: Adam,
     shuffle_rng: np.random.Generator,
     gumbel_rng: np.random.Generator,
 ) -> float:
-    """One pass over the training questions in shuffled batches; returns the
-    mean batch loss.
+    """One pass over the training questions in shuffled batches, weights
+    aligned with them; returns the mean batch loss.
 
     The optimizer's tensors are the only ones that require a gradient, and
     only while the batches run, so the tape reaches exactly what this phase
@@ -665,8 +644,8 @@ def _run_updates(
         p.requires_grad = True
     try:
         for start in range(0, len(order), config.batch_size):
-            batch = [train_qs[i] for i in order[start : start + config.batch_size]]
-            loss = _batch_loss(batch, model, weights, config, gumbel_rng)
+            idx = order[start : start + config.batch_size]
+            loss = _batch_loss([train_qs[i] for i in idx], model, weights[idx], config, gumbel_rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise FloatingPointError("training loss is not finite")

@@ -240,7 +240,7 @@ def _zero_vec(n: int) -> Tensor:
 def score_question(
     pq: PreparedQuestion,
     params: ModelParams,
-    weights: tuple[float, float],
+    weight: float,
     config: TrainConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
@@ -248,11 +248,10 @@ def score_question(
 ) -> Tensor:
     """Logit vector over the question's choices.
 
-    weights scales the graph and knowledge features (in that order) before
-    the classifier dot product; (1, 1) is the plain model and (0, 0) reduces
-    it to text-only.
+    weight scales the graph and knowledge features alike before the
+    classifier dot product; 1 is the plain model and 0 reduces it to
+    text-only.
     """
-    graph_scale, knowledge_scale = weights
     d = params.dim
     parts = []
     for choice in pq.choices:
@@ -271,7 +270,7 @@ def score_question(
         else:
             knowledge_vec = _zero_vec(2 * d)
         feats = ad.concat(
-            [text_vec, ad.scalar_mul(graph_vec, graph_scale), ad.scalar_mul(knowledge_vec, knowledge_scale)]
+            [text_vec, ad.scalar_mul(graph_vec, weight), ad.scalar_mul(knowledge_vec, weight)]
         )
         logit = ad.matmul(params.classifier, feats)
         parts.append(ad.reshape(logit, (1,)))
@@ -302,12 +301,11 @@ def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams
 def _eval_logits(
     questions: list[PreparedQuestion],
     params: ModelParams,
-    weights: list[tuple[float, float]],
+    weights: np.ndarray,
     config: TrainConfig,
-    details: list | None = None,
 ) -> list[np.ndarray]:
     """Eval-mode logits of each question, one array per question."""
-    logits, starts = score_batch(questions, params, weights, config, details=details)
+    logits, starts = score_batch(questions, params, weights, config)
     return np.split(logits.data, starts[1:])
 
 
@@ -315,12 +313,12 @@ def _entropies(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
 ) -> list[float]:
     """Entropy of each question's eval-mode logits under unit weights."""
-    ones = [(1.0, 1.0)] * len(questions)
+    ones = np.ones(len(questions))
     return [question_entropy(z) for z in _eval_logits(questions, params, ones, config)]
 
 
 def predict_batch(
-    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig, details: list | None = None
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
 ) -> list[tuple[int, np.ndarray, float]]:
     """(chosen index, final logits, entropy) of each question of a stack,
     scored together. Ties resolve to the lowest index.
@@ -330,9 +328,9 @@ def predict_batch(
     """
     if config.mode == "act-know":
         entropies = _entropies(questions, params, config)
-        logits = _eval_logits(questions, params, [(h, h) for h in entropies], config, details)
+        logits = _eval_logits(questions, params, np.array(entropies), config)
     else:
-        logits = _eval_logits(questions, params, [(1.0, 1.0)] * len(questions), config, details)
+        logits = _eval_logits(questions, params, np.ones(len(questions)), config)
         entropies = [question_entropy(z) for z in logits]
     return [(int(np.argmax(z)), z, h) for z, h in zip(logits, entropies)]
 

@@ -217,14 +217,14 @@ def test_criterion_1_gradient_suite():
 
         def loss_value():
             noise_rng = np.random.default_rng(1000 + i) if train else None
-            logits = score_question(pq, model, (1.0, 1.0), config, train=train, rng=noise_rng)
+            logits = score_question(pq, model, 1.0, config, train=train, rng=noise_rng)
             return ad.cross_entropy(logits, pq.answer_index).item()
 
         for t in tensors:
             t.grad = None
         noise_rng = np.random.default_rng(1000 + i) if train else None
         loss = ad.cross_entropy(
-            score_question(pq, model, (1.0, 1.0), config, train=train, rng=noise_rng),
+            score_question(pq, model, 1.0, config, train=train, rng=noise_rng),
             pq.answer_index,
         )
         backward(loss)
@@ -316,7 +316,7 @@ def test_criterion_4_infusion_neutralization():
     for t in mark_leaves(*model.trainable(config)):
         t.grad = None
     loss = ad.cross_entropy(
-        score_question(prepared[0], model, (0.0, 0.0), config, train=True, rng=np.random.default_rng(3)),
+        score_question(prepared[0], model, 0.0, config, train=True, rng=np.random.default_rng(3)),
         prepared[0].answer_index,
     )
     backward(loss)

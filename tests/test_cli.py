@@ -208,6 +208,11 @@ BAD_INPUTS = [
      "2: id must be a string"),
     ("null-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], None])),
      "2: choices must be strings"),
+    ("wordless-question", "--train",
+     _edit_second_question(lambda q, _: q.update(question="", choices=["?", "!"], answer_index=0)),
+     "2: question has no word token"),
+    ("wordless-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], "?"])),
+     "2: every choice needs a word token"),
     ("non-finite-feature", "--node-features", _nan_on_line_two, "2: non-finite value"),
     ("config-bad-seed", "--config", lambda _: b"seed = abc\n", "1: setting seed:"),
     *[(f"{flag[2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],

@@ -214,7 +214,7 @@ def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
 
 
 @pytest.mark.parametrize("name, value", [
-    *[(name, value) for name in ("learning_rate", "gumbel_temperature") for value in ("nan", "inf")],
+    *[(name, value) for name in ("learning_rate", "gumbel_temperature", "adam_eps") for value in ("nan", "inf")],
     ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-0.1"),
 ])
 def test_rejects_a_non_finite_or_negative_rate(tmp_path, name, value):

@@ -4,7 +4,9 @@ number of encoder calls one evaluation makes.
 The oracle in _oracles.py scores every chunk twice, once with unit weights
 for the entropies and once with the entropy weights. evaluate() runs the
 encoders once per chunk and only the classifier product twice, so every
-row must be equal to the oracle's, not just close.
+row's prediction, logits and entropy must be equal to the oracle's, not
+just close. Each choice's node attention is checked against the per-choice
+scorer's, to 1e-12.
 """
 
 import dataclasses
@@ -37,25 +39,29 @@ def _oracle_rows(questions, model, config):
     rows = []
     for start in range(0, len(questions), config.batch_size):
         chunk = questions[start : start + config.batch_size]
-        details, offset = [], 0
-        for pq, (pred, logits, entropy) in zip(chunk, _oracles.predict_batch(chunk, model, config, details)):
-            rows.append({
-                "predicted": pred,
-                "logits": [float(v) for v in logits],
-                "entropy": entropy,
-                "attention": details[offset : offset + len(pq.choices)],
-            })
-            offset += len(pq.choices)
+        for pred, logits, entropy in _oracles.predict_batch(chunk, model, config):
+            rows.append({"predicted": pred, "logits": [float(v) for v in logits], "entropy": entropy})
     return rows
+
+
+def _assert_attention_close(got, pq, model, config):
+    want: list[dict] = []
+    _oracles.score_question(pq, model, 1.0, config, details=want)
+    assert [choice.keys() for choice in got] == [choice.keys() for choice in want]
+    for g, w in zip(got, want):
+        if w:
+            assert list(g["node_attention"]) == list(w["node_attention"])
+            assert max(abs(g["node_attention"][e] - x) for e, x in w["node_attention"].items()) <= 1e-12
 
 
 def _assert_rows_equal(questions, model, config):
     _, rows = training.evaluate(questions, model, config, with_details=True)
     want = _oracle_rows(questions, model, config)
     assert len(rows) == len(want) == len(questions)
-    for got, expected in zip(rows, want):
+    for got, expected, pq in zip(rows, want, questions):
         for key, value in expected.items():
             assert got[key] == value, (got["id"], key)
+        _assert_attention_close(got["attention"], pq, model, config)
     return rows
 
 

@@ -9,7 +9,7 @@ from _oracles import bm25_scan
 from _oracles import retrieve as dict_loop_retrieve
 from actknow.errors import ConfigError
 from actknow.nli import load_qa_jsonl
-from actknow.retrieval import build_index, corpus_from_sentences, load_corpus, retrieve, tokenize
+from actknow.retrieval import build_index, corpus_from_sentences, has_token, load_corpus, retrieve, tokenize
 
 WORDS = ["ant", "bee", "cat", "dog", "elm", "fox", "gnu", "hen", "ibis", "jay"]
 
@@ -23,6 +23,16 @@ def random_corpus(rng, n_sentences, vocab=WORDS):
 
 def test_tokenize_lowercases():
     assert tokenize("The Goat, eats GRASS!") == ["the", "goat", "eats", "grass"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(), max_size=6))
+def test_has_token_and_joined_tokens_agree_with_tokenize(texts):
+    """has_token(t) says whether tokenize(t) is non-empty, and tokenizing
+    texts joined by spaces gives each one's tokens in turn: no token spans a
+    space. The question loader and the vocabulary rely on these."""
+    assert [has_token(t) for t in texts] == [bool(tokenize(t)) for t in texts]
+    assert tokenize(" ".join(texts)) == [tok for t in texts for tok in tokenize(t)]
 
 
 def test_postings_example():

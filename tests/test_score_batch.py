@@ -38,10 +38,9 @@ def _tasks(name, lowdata_task):
 
 
 def _mixed_weights(questions):
-    rng = np.random.default_rng(8)
-    weights = {pq.qid: tuple(rng.uniform(0.0, 1.5, size=2)) for pq in questions}
-    weights[questions[0].qid] = (0.0, 0.0)
-    weights[questions[-1].qid] = (1.0, 1.0)
+    """One weight per question, aligned with them; 0 and 1 among them."""
+    weights = np.random.default_rng(8).uniform(0.0, 1.5, size=len(questions))
+    weights[0], weights[-1] = 0.0, 1.0
     return weights
 
 
@@ -57,16 +56,16 @@ def _grads(loss_fn, tensors):
 def test_eval_logits_match_per_choice_oracle(name, lowdata_task):
     config, questions, model = _tasks(name, lowdata_task)
     weights = _mixed_weights(questions)
-    logits, starts = score_batch(questions, model, [weights[pq.qid] for pq in questions], config)
+    logits, starts = score_batch(questions, model, weights, config)
     assert list(starts) == list(np.cumsum([0] + [len(pq.choices) for pq in questions[:-1]]))
-    want = np.concatenate([_oracles.score_question(pq, model, weights[pq.qid], config).data for pq in questions])
+    want = np.concatenate([_oracles.score_question(pq, model, w, config).data for pq, w in zip(questions, weights)])
     assert logits.shape == want.shape
     assert np.max(np.abs(logits.data - want)) <= TOL
 
 
 def _batched_loss(questions, model, weights, config, train):
     rng = np.random.default_rng(17) if train else None
-    logits, starts = score_batch(questions, model, [weights[pq.qid] for pq in questions], config, train, rng)
+    logits, starts = score_batch(questions, model, weights, config, train, rng)
     return ad.mean(ad.segment_cross_entropy(logits, starts, [pq.answer_index for pq in questions]))
 
 
@@ -74,8 +73,8 @@ def _oracle_loss(questions, model, weights, config, train):
     rng = np.random.default_rng(17) if train else None
     losses = [
         ad.reshape(ad.cross_entropy(
-            _oracles.score_question(pq, model, weights[pq.qid], config, train, rng), pq.answer_index), (1,))
-        for pq in questions
+            _oracles.score_question(pq, model, w, config, train, rng), pq.answer_index), (1,))
+        for pq, w in zip(questions, weights)
     ]
     return ad.mean(ad.concat(losses))
 
@@ -96,16 +95,16 @@ def test_loss_and_gradients_match_per_choice_oracle(name, train, lowdata_task):
 
 @pytest.mark.parametrize("train", [False, True])
 def test_text_only_logits_and_gradients_ignore_the_weights(train):
-    """text-only feeds zero graph and knowledge columns, so every weight pair
+    """text-only feeds zero graph and knowledge columns, so every weight
     gives bit-equal logits and gradients; training weights it by 1."""
     task = build_task(mode="text-only")
     questions, model, config = task.prepared, task.model, task.config
     tensors = mark_leaves(*model.trainable(config))
     outputs = []
-    for w in ((0.0, 0.0), (1.0, 1.0), (0.3, 1.7)):
-        weights = {pq.qid: w for pq in questions}
+    for w in (0.0, 1.0, 0.3, 1.7):
+        weights = np.full(len(questions), w)
         rng = np.random.default_rng(17) if train else None
-        logits = score_batch(questions, model, [w] * len(questions), config, train, rng)[0].data
+        logits = score_batch(questions, model, weights, config, train, rng)[0].data
         loss, grads = _grads(lambda: _batched_loss(questions, model, weights, config, train), tensors)
         outputs.append((logits, loss, grads))
     want_logits, want_loss, want_grads = outputs[0]
@@ -125,11 +124,11 @@ def test_batch_loss_is_the_mean_question_cross_entropy():
 
 def test_train_mode_draws_the_oracles_gumbel_stream():
     task = build_task()
-    weights = [(1.0, 1.0)] * len(task.prepared)
+    weights = np.ones(len(task.prepared))
     rng_batch, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
     got = score_batch(task.prepared, task.model, weights, task.config, train=True, rng=rng_batch)[0].data
     want = np.concatenate([
-        _oracles.score_question(pq, task.model, (1.0, 1.0), task.config, train=True, rng=rng_oracle).data
+        _oracles.score_question(pq, task.model, 1.0, task.config, train=True, rng=rng_oracle).data
         for pq in task.prepared
     ])
     assert np.max(np.abs(got - want)) <= TOL

@@ -53,7 +53,7 @@ def build_task(items=None, **overrides):
     )
 
 
-def manual_logits(pq, model, weights, config):
+def manual_logits(pq, model, weight, config):
     """Assemble per-choice logits from the individual encoder calls, each on
     a batch of one choice."""
     out = []
@@ -71,7 +71,7 @@ def manual_logits(pq, model, weights, config):
             k = er_attention(text, model.er, config.gumbel_temperature, train=False).data[0]
         else:
             k = np.zeros(2 * model.dim)
-        feats = np.concatenate([t, weights[0] * g, weights[1] * k])
+        feats = np.concatenate([t, weight * g, weight * k])
         out.append(model.classifier.data @ feats)
     return np.array(out)
 
@@ -83,16 +83,16 @@ def manual_logits(pq, model, weights, config):
 def test_score_question_matches_manual_assembly():
     task = build_task()
     pq = task.prepared[1]
-    for weights in ((1.0, 1.0), (0.3, 1.7), (0.0, 0.0)):
-        got = score_question(pq, task.model, weights, task.config).data
-        want = manual_logits(pq, task.model, weights, task.config)
+    for weight in (1.0, 0.3, 1.7, 0.0):
+        got = score_question(pq, task.model, weight, task.config).data
+        want = manual_logits(pq, task.model, weight, task.config)
         assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_zero_weights_match_text_only_mode():
     task = build_task()
     pq = task.prepared[0]
-    zeroed = score_question(pq, task.model, (0.0, 0.0), task.config).data
+    zeroed = score_question(pq, task.model, 0.0, task.config).data
     text_cfg = tiny_config(mode="text-only")
     _, rows = evaluate([pq], task.model, text_cfg)
     assert np.array_equal(zeroed, rows[0]["logits"])
@@ -101,10 +101,10 @@ def test_zero_weights_match_text_only_mode():
 def test_zero_weights_ignore_graph_tables():
     task = build_task()
     pq = task.prepared[2]
-    before = score_question(pq, task.model, (0.0, 0.0), task.config).data
+    before = score_question(pq, task.model, 0.0, task.config).data
     task.model.gcn.node_features.data = task.model.gcn.node_features.data[::-1].copy()
     task.model.er.entity_table.data = -task.model.er.entity_table.data
-    after = score_question(pq, task.model, (0.0, 0.0), task.config).data
+    after = score_question(pq, task.model, 0.0, task.config).data
     assert np.array_equal(before, after)
 
 
@@ -113,7 +113,7 @@ def test_zero_entropy_weight_blocks_graph_gradients():
     mark_leaves(*task.model.trainable(task.config))
     pq = task.prepared[0]
     logits = score_question(
-        pq, task.model, (0.0, 0.0), task.config, train=True, rng=np.random.default_rng(0)
+        pq, task.model, 0.0, task.config, train=True, rng=np.random.default_rng(0)
     )
     ad.backward(ad.cross_entropy(logits, pq.answer_index))
     named = task.model.named()
@@ -130,7 +130,7 @@ def test_prepared_subgraph_is_none_without_mentions():
     task = build_task(items=items)
     pq = task.prepared[0]
     assert all(c.subgraph is None for c in pq.choices)
-    logits = score_question(pq, task.model, (1.0, 1.0), task.config).data
+    logits = score_question(pq, task.model, 1.0, task.config).data
     assert logits.shape == (2,)
     assert np.all(np.isfinite(logits))
 
@@ -225,9 +225,9 @@ def test_predict_tie_breaks_to_lowest_index():
 def test_predict_act_mode_uses_two_passes():
     task = build_task(mode="act-know")
     pq = task.prepared[1]
-    first = score_question(pq, task.model, (1.0, 1.0), task.config).data
+    first = score_question(pq, task.model, 1.0, task.config).data
     h = question_entropy(first)
-    expected = score_question(pq, task.model, (h, h), task.config).data
+    expected = score_question(pq, task.model, h, task.config).data
     _, rows = evaluate([pq], task.model, task.config)
     assert rows[0]["entropy"] == h
     assert np.array_equal(rows[0]["logits"], expected)
@@ -326,16 +326,37 @@ def test_act_records_entropy_history():
     result = train(task.model, task.prepared, None, task.config)
     assert len(result.entropy_history) == 2
     for epoch in result.entropy_history:
-        assert set(epoch) == {pq.qid for pq in task.prepared}
-        for h in epoch.values():
-            assert 0.0 <= h <= np.log(4.0) + 1e-9
+        assert epoch.shape == (len(task.prepared),)
+        assert np.all((0.0 <= epoch) & (epoch <= np.log(4.0) + 1e-9))
 
 
 def test_act_dev_entropy_is_shared():
     task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
     result = train(task.model, task.prepared[:3], task.prepared[3:], task.config)
-    values = set(result.entropy_history[0].values())
-    assert len(values) == 1
+    weights = result.entropy_history[0]
+    assert weights.shape == (3,) and len(set(weights)) == 1
+
+
+def test_act_weights_each_question_by_its_own_entropy_under_a_shared_id(monkeypatch):
+    """No weight is keyed by question id: questions built in memory with one
+    id between them each train with the entropy evaluate() measured for it."""
+    items = [QAItem(id="q", stem=f"what does the {s} hunts ?", choices=list(OBJECTS), answer_index=i)
+             for i, s in enumerate(SUBJECTS)]
+    task = build_task(items=items, mode="act-know", master_epochs=1, pretrain_epochs=0)
+    entropies = [row["entropy"] for row in evaluate(task.prepared, task.model, task.config)[1]]
+    assert len(set(entropies)) == len(entropies)
+    real_score_batch = training.score_batch
+    weight_of = {}
+
+    def recording_score_batch(questions, params, weights, config, train=False, rng=None):
+        if train:
+            weight_of.update((id(pq), w) for pq, w in zip(questions, weights))
+        return real_score_batch(questions, params, weights, config, train, rng)
+
+    monkeypatch.setattr(training, "score_batch", recording_score_batch)
+    result = train(task.model, task.prepared, None, task.config)
+    assert list(result.entropy_history[0]) == entropies
+    assert [weight_of[id(pq)] for pq in task.prepared] == entropies
 
 
 def test_act_dev_entropy_requires_dev_set():
@@ -405,11 +426,10 @@ def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
 
     def checking_run_updates(qs, model, weights, config, *rest):
         _, rows = evaluate(dev_qs if split == "dev" else train_qs, model, config)
-        fresh = {row["id"]: row["entropy"] for row in rows}
+        fresh = np.array([row["entropy"] for row in rows])
         if split == "dev":
-            shared = float(np.mean(list(fresh.values())))
-            fresh = {pq.qid: shared for pq in qs}
-        assert weights == {qid: (h, h) for qid, h in fresh.items()}
+            fresh = np.full(len(qs), np.mean(fresh))
+        assert np.array_equal(weights, fresh)
         checked.append(weights)
         return run_updates(qs, model, weights, config, *rest)
 
@@ -487,8 +507,8 @@ def test_evaluation_builds_no_tape(monkeypatch):
     real_encode, real_classify = training.encode_batch, training.classify
     eval_feats, taped, train_tapes = [], [], []
 
-    def encode(questions, params, config, train=False, rng=None, details=None):
-        feats = real_encode(questions, params, config, train, rng, details)
+    def encode(questions, params, config, train=False, rng=None):
+        feats = real_encode(questions, params, config, train, rng)
         outputs = (feats.text, feats.graph, feats.knowledge)
         if train:
             train_tapes.append(any(t._pullback is not None for t in outputs))
