@@ -15,7 +15,7 @@ import sys
 
 from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, env_seed, parse_setting, resolve_config
+from .config import ExperimentConfig, parse_setting, resolve_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, sweep_fraction
 from .pipeline import load_pipeline, prepare_split, run_training
@@ -31,10 +31,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ConfigError(message)
 
+    # Python 3.11's argparse drops a lone "--" from an option's values, so
+    # --name=-- would hand on [] instead of the text "--"
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        if arg_strings == ["--"] and action.nargs is None:
+            return "--"
+        return super()._get_values(action, arg_strings)
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value settings file")
-    for f in dataclasses.fields(ExperimentConfig):
+
+def _add_config_flags(parser: argparse.ArgumentParser, settings: type) -> None:
+    """One flag per field of the dataclass `settings`, named after it."""
+    parser.set_defaults(settings=settings)
+    for f in dataclasses.fields(settings):
         flag = "--" + f.name.replace("_", "-")
         if isinstance(f.default, tuple):
             parser.add_argument(flag, dest=f.name, metavar="LIST", help="comma separated values")
@@ -44,19 +52,19 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=f.name)
 
 
-def _flag_values(args: argparse.Namespace) -> dict[str, object]:
+def _flag_values(settings: type, args: argparse.Namespace) -> dict[str, object]:
     """Each given flag's value typed by config.parse_setting; a bool flag is
     already typed by its action."""
     values: dict[str, object] = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        raw = getattr(args, f.name, None)
+    for f in dataclasses.fields(settings):
+        raw = getattr(args, f.name)
         if raw is not None:
-            values[f.name] = raw if isinstance(raw, bool) else parse_setting(f.name, raw)
+            values[f.name] = raw if isinstance(raw, bool) else parse_setting(settings, f.name, raw)
     return values
 
 
-def _resolved(args: argparse.Namespace) -> ExperimentConfig:
-    return resolve_config(_flag_values(args), args.config)
+def _resolved(args: argparse.Namespace) -> ExperimentConfig | SyntheticSpec:
+    return resolve_config(args.settings, _flag_values(args.settings, args), args.config)
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
@@ -67,33 +75,18 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="actknow", description="knowledge-infused multiple choice QA experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train one model and save the best checkpoint")
-    _add_config_flags(p_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint on one split")
-    _add_config_flags(p_eval)
-
-    p_sweep = sub.add_parser("sweep-fraction", help="accuracy across training-set fractions, modes and seeds")
-    _add_config_flags(p_sweep)
-
-    p_ablate = sub.add_parser("ablate-subgraph", help="accuracy across subgraph node budgets")
-    _add_config_flags(p_ablate)
+    for command, about in (("train", "train one model and save the best checkpoint"),
+                           ("eval", "evaluate a saved checkpoint on one split"),
+                           ("sweep-fraction", "accuracy across training-set fractions, modes and seeds"),
+                           ("ablate-subgraph", "accuracy across subgraph node budgets")):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="key = value settings file")
+        _add_config_flags(p, ExperimentConfig)
 
     p_gen = sub.add_parser("gen-synth", help="generate and verify a synthetic task")
     p_gen.add_argument("--out-dir", required=True)
-    p_gen.add_argument("--n-entities", type=int)
-    p_gen.add_argument("--n-relations", type=int)
-    p_gen.add_argument("--n-questions", type=int)
-    p_gen.add_argument("--hop-depth", type=int)
-    p_gen.add_argument("--distractors", type=int, dest="distractor_count")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--noise-entities", type=int)
-    p_gen.add_argument("--noise-edges", type=int)
-    p_gen.add_argument("--premise-noise", type=int)
-    p_gen.add_argument("--node-dim", type=int)
-    p_gen.add_argument("--train-fraction", type=float)
-    p_gen.add_argument("--dev-fraction", type=float)
+    p_gen.set_defaults(config=None)
+    _add_config_flags(p_gen, SyntheticSpec)
     return parser
 
 
@@ -155,16 +148,7 @@ def cmd_ablate_subgraph(args: argparse.Namespace) -> None:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> None:
-    values = {}
-    for f in dataclasses.fields(SyntheticSpec):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            values[f.name] = raw
-    if "seed" not in values:
-        seed = env_seed()
-        if seed is not None:
-            values["seed"] = seed
-    spec = SyntheticSpec(**values)
+    spec = _resolved(args)
     report = generate(spec, args.out_dir)
     print(
         f"generated {report['questions']} questions over {report['chains']} chains "

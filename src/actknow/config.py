@@ -1,4 +1,5 @@
-"""Experiment configuration: dataclass, config-file parsing, precedence.
+"""Experiment configuration, and the settings of any dataclass read from
+text: one typed parser for flags and config-file lines, and one resolver.
 
 Values merge as: command-line flag > config file > ACTKNOW_SEED environment
 variable (seed only) > built-in default.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import ConfigError
 from .textfile import read_lines
@@ -53,17 +55,18 @@ class ExperimentConfig(TrainConfig):
                 raise ConfigError(f"missing required setting {name} (flag {flag})")
 
 
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_Settings = TypeVar("_Settings")
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
 
-def parse_setting(name: str, raw: str) -> object:
-    """The value of setting `name` written as text, typed like its default:
-    a tuple default takes comma-separated values of its first element's type,
-    a bool takes true/1/yes/on or false/0/no/off, an int or float default
-    takes its own type, and any other setting stays a string."""
-    default = _DEFAULTS[name]
+def parse_setting(settings: type, name: str, raw: str) -> object:
+    """The value of field `name` of the dataclass `settings` written as text,
+    typed like the field's default: a tuple default takes comma-separated
+    values of its first element's type, a bool takes true/1/yes/on or
+    false/0/no/off, an int or float default takes its own type, and any other
+    setting stays a string."""
+    default = getattr(settings, name)  # a field's default is its class attribute
     try:
         if isinstance(default, tuple):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
@@ -81,9 +84,11 @@ def parse_setting(name: str, raw: str) -> object:
     return raw
 
 
-def parse_config_file(path: str) -> dict[str, object]:
-    """Typed values of `key = value` lines; '#' starts a comment, blank lines
-    are skipped, and every error names path:line."""
+def parse_config_file(settings: type, path: str) -> dict[str, object]:
+    """Typed values of `key = value` lines naming fields of the dataclass
+    `settings`; '#' starts a comment, blank lines are skipped, and every
+    error names path:line."""
+    names = {f.name for f in dataclasses.fields(settings)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -96,42 +101,30 @@ def parse_config_file(path: str) -> dict[str, object]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        if key not in _DEFAULTS:
+        if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[key] = parse_setting(key, value)
+            values[key] = parse_setting(settings, key, value)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
-def env_seed() -> int | None:
-    """The ACTKNOW_SEED environment variable as an integer, None when unset."""
-    raw = os.environ.get("ACTKNOW_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ACTKNOW_SEED must be an integer, got {raw!r}") from exc
-
-
-def resolve_config(flag_values: dict[str, object], config_path: str | None) -> ExperimentConfig:
-    """Merge flag overrides, an optional config file, the ACTKNOW_SEED
-    environment variable, and defaults into a validated config."""
+def resolve_config(settings: type[_Settings], flag_values: dict[str, object],
+                   config_path: str | None) -> _Settings:
+    """An instance of the dataclass `settings`, validated, from typed flag
+    values over an optional config file over the ACTKNOW_SEED environment
+    variable over the defaults."""
     merged: dict[str, object] = {}
-
-    seed = env_seed()
+    seed = os.environ.get("ACTKNOW_SEED")
     if seed is not None:
-        merged["seed"] = seed
-
+        try:
+            merged["seed"] = int(seed)
+        except ValueError as exc:
+            raise ConfigError(f"ACTKNOW_SEED must be an integer, got {seed!r}") from exc
     if config_path is not None:
-        merged.update(parse_config_file(config_path))
-
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-
-    cfg = ExperimentConfig(**merged)
-    cfg.validate()
-    return cfg
+        merged.update(parse_config_file(settings, config_path))
+    merged.update(flag_values)
+    resolved = settings(**merged)
+    resolved.validate()
+    return resolved

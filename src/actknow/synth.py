@@ -17,6 +17,7 @@ Entity and relation names are pseudowords so nothing leaks from real text.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -72,8 +73,9 @@ class SyntheticSpec:
             raise ConfigError("distractor_count must be >= 1")
         if self.node_dim < 1:
             raise ConfigError("node_dim must be >= 1")
-        if self.feature_noise < 0:
-            raise ConfigError("feature_noise must be >= 0")
+        # a range that nan falls outside of
+        if not 0 <= self.feature_noise < math.inf:
+            raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
         if self.noise_entities < 0 or self.noise_edges < 0 or self.premise_noise < 0:
             raise ConfigError("noise knobs must be >= 0")
         if self.noise_edges > 0 and self.noise_entities < 2:

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -13,7 +14,10 @@ from actknow.cli import main
 from actknow.config import ExperimentConfig
 from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER
 from actknow.pipeline import load_pipeline
+from actknow.scenarios import NOISY_SPEC
 from actknow.training import STATS_HEADER
+
+TASK_FILES = ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.jsonl", "test.jsonl")
 
 GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
              "--seed", "3", "--node-dim", "8"]
@@ -54,7 +58,7 @@ def trained_dir(task_dir, tmp_path_factory):
 
 
 def test_gen_synth_writes_task_files(task_dir, capsys):
-    for name in ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.jsonl", "test.jsonl"):
+    for name in TASK_FILES:
         assert os.path.exists(os.path.join(task_dir, name)), name
 
 
@@ -65,6 +69,20 @@ def test_gen_synth_is_deterministic(task_dir, tmp_path):
         a = open(os.path.join(task_dir, name), "rb").read()
         b = open(os.path.join(again, name), "rb").read()
         assert a == b, name
+
+
+def test_gen_synth_flags_reproduce_the_noisy_task(noisy_dir, tmp_path):
+    """Every field of NOISY_SPEC given as a gen-synth flag writes the bundled
+    noisy task byte for byte."""
+    flags = []
+    for f in dataclasses.fields(NOISY_SPEC):
+        value = getattr(NOISY_SPEC, f.name)
+        flag = f.name.replace("_", "-")
+        flags.append((f"--{flag}" if value else f"--no-{flag}") if isinstance(value, bool) else f"--{flag}={value}")
+    out = tmp_path / "noisy"
+    assert main(["gen-synth", "--out-dir", str(out), *flags]) == 0
+    for name in TASK_FILES:
+        assert (out / name).read_bytes() == open(os.path.join(noisy_dir, name), "rb").read(), name
 
 
 def test_gen_synth_seed_from_environment(tmp_path, monkeypatch, capsys):
@@ -193,8 +211,9 @@ def _nan_on_line_two(data):
 
 INPUT_FLAGS = ("--kg", "--corpus", "--node-features", "--train", "--dev", "--test", "--checkpoint", "--config")
 
-# (case, flag, corrupt the file's bytes or None to remove the file, what
-# follows "error: <path>:" on stderr)
+# (case, flag, corrupt the file's bytes, None to remove the file or the
+# flag's own text, what follows "error: <path>:" on stderr for a file and
+# "error: " for a text); a flag of gen-synth's is written "gen-synth --flag"
 BAD_INPUTS = [
     ("duplicate-id", "--train", _edit_second_question(lambda q, first: q.update(id=first["id"])),
      "2: duplicate id"),
@@ -217,6 +236,11 @@ BAD_INPUTS = [
     ("config-bad-seed", "--config", lambda _: b"seed = abc\n", "1: setting seed:"),
     *[(f"{flag[2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag[2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
+    ("kg-dashes", "--kg", "--", "--: cannot read"),
+    ("seeds-dashes", "--seeds", "--", "setting seeds: "),
+    ("gen-synth-nan-feature-noise", "gen-synth --feature-noise", "nan", "feature_noise must be finite"),
+    ("gen-synth-inf-feature-noise", "gen-synth --feature-noise", "inf", "feature_noise must be finite"),
+    ("gen-synth-text-n-entities", "gen-synth --n-entities", "x", "setting n_entities: "),
 ]
 
 
@@ -226,25 +250,34 @@ def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, tr
                                             caplog):
     """Every input file `eval` reads, its settings file too: a malformed,
     non-UTF-8 or missing file exits 1 with a message naming the file (and the
-    line), and no traceback."""
-    copy = tmp_path / "task"
-    shutil.copytree(task_dir, copy)
-    shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
-    (copy / "run.conf").write_text("# a valid settings file\nsplit = test\n")
-    argv = ["eval", *data_flags(str(copy)), "--checkpoint", str(copy / "checkpoint.txt"), *TINY_FLAGS,
-            "--config", str(copy / "run.conf"), "--seed", "0", "--out-dir", str(tmp_path / "out")]
-    path = argv[argv.index(flag) + 1]
-    if corrupt is None:
-        os.remove(path)
+    line), and no traceback. So does a flag text that its setting rejects."""
+    if flag.startswith("gen-synth "):
+        flag = flag.split()[1]
+        argv = ["gen-synth", "--out-dir", str(tmp_path / "out"), *GEN_FLAGS]
     else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(corrupt(data))
+        copy = tmp_path / "task"
+        shutil.copytree(task_dir, copy)
+        shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
+        (copy / "run.conf").write_text("# a valid settings file\nsplit = test\n")
+        argv = ["eval", *data_flags(str(copy)), "--checkpoint", str(copy / "checkpoint.txt"), *TINY_FLAGS,
+                "--config", str(copy / "run.conf"), "--seed", "0", "--out-dir", str(tmp_path / "out")]
+    if isinstance(corrupt, str):
+        argv.append(f"{flag}={corrupt}")
+        expected = message
+    else:
+        path = argv[argv.index(flag) + 1]
+        if corrupt is None:
+            os.remove(path)
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(corrupt(data))
+        expected = path + ":" + message
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1, err
-    assert f"error: {path}:{message}" in err
+    assert f"error: {expected}" in err
     assert "Traceback" not in err and not any(r.exc_info for r in caplog.records)
 
 

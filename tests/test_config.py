@@ -10,6 +10,7 @@ from actknow.cli import _flag_values, build_parser
 from actknow.config import ExperimentConfig, parse_config_file, parse_setting, resolve_config
 from actknow.errors import ConfigError
 from actknow.pipeline import training_config_for
+from actknow.synth import SyntheticSpec
 
 
 def write_config(tmp_path, text):
@@ -30,7 +31,7 @@ def test_parse_key_value_lines(tmp_path):
         fractions = 0.1, 0.2
         """,
     )
-    values = parse_config_file(path)
+    values = parse_config_file(ExperimentConfig, path)
     assert values == {
         "seed": 7,
         "mode": "act-know",
@@ -42,24 +43,24 @@ def test_parse_key_value_lines(tmp_path):
 def test_parse_rejects_unknown_key(tmp_path):
     path = write_config(tmp_path, "bogus = 1\n")
     with pytest.raises(ConfigError, match=r":1: unknown setting"):
-        parse_config_file(path)
+        parse_config_file(ExperimentConfig, path)
 
 
 def test_parse_rejects_missing_equals(tmp_path):
     path = write_config(tmp_path, "seed 7\n")
     with pytest.raises(ConfigError, match=r":1:"):
-        parse_config_file(path)
+        parse_config_file(ExperimentConfig, path)
 
 
 def test_parse_rejects_empty_value(tmp_path):
     path = write_config(tmp_path, "seed =\n")
     with pytest.raises(ConfigError, match=r":1:"):
-        parse_config_file(path)
+        parse_config_file(ExperimentConfig, path)
 
 
 def test_parse_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        parse_config_file("/nonexistent/run.conf")
+        parse_config_file(ExperimentConfig, "/nonexistent/run.conf")
 
 
 def test_coercion_types(tmp_path):
@@ -68,7 +69,7 @@ def test_coercion_types(tmp_path):
         "seed = 3\nlearning_rate = 0.25\nuse_gcn = false\nuse_er = yes\n"
         "fractions = 0.5,1.0\nseeds = 4, 5\nmodes = text-only\nnode_budgets = 2,8\n",
     )
-    cfg = resolve_config({}, path)
+    cfg = resolve_config(ExperimentConfig, {}, path)
     assert cfg.seed == 3
     assert cfg.learning_rate == 0.25
     assert cfg.use_gcn is False
@@ -81,17 +82,17 @@ def test_coercion_types(tmp_path):
 
 def test_coercion_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "seed = seven\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "seed = seven\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "use_gcn = maybe\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "use_gcn = maybe\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "seeds = 1,x\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "seeds = 1,x\n"))
 
 
 def test_bad_value_names_its_line_and_setting_once(tmp_path):
     path = write_config(tmp_path, "seed = 1\nuse_gcn = maybe\n")
     with pytest.raises(ConfigError) as info:
-        resolve_config({}, path)
+        resolve_config(ExperimentConfig, {}, path)
     assert str(info.value).startswith(f"{path}:2: setting use_gcn: expected a boolean")
     assert str(info.value).count("use_gcn") == 1
 
@@ -99,7 +100,7 @@ def test_bad_value_names_its_line_and_setting_once(tmp_path):
 @pytest.mark.parametrize("raw, value", [*[(t, True) for t in ("true", "1", "yes", "on", "TRUE", "On")],
                                         *[(t, False) for t in ("false", "0", "no", "off", "FALSE", "Off")]])
 def test_boolean_spellings(raw, value):
-    assert parse_setting("use_gcn", raw) is value
+    assert parse_setting(ExperimentConfig, "use_gcn", raw) is value
 
 
 # every character a config-file value may hold: a line ends at "\r" or "\n",
@@ -131,62 +132,66 @@ def _flag(name, value, text):
     return f"--{name.replace('_', '-')}={text}"
 
 
-_FIELDS = dataclasses.fields(ExperimentConfig)
+# each settings dataclass with the command line that reads it as flags
+COMMANDS = [(ExperimentConfig, ["train"]), (SyntheticSpec, ["gen-synth", "--out-dir=unused"])]
 
 
+@pytest.mark.parametrize("cls, command", COMMANDS, ids=[c[0] for _, c in COMMANDS])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.tuples(*[_setting(f.default) for f in _FIELDS]))
-def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, pairs):
+@given(st.data())
+def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, cls, command, data):
     """Each setting written as text parses back to its value, and the same
-    text gives the same config as a --flag and as a config-file line."""
-    values = {f.name: value for f, (value, _) in zip(_FIELDS, pairs)}
-    texts = {f.name: text for f, (_, text) in zip(_FIELDS, pairs)}
+    text gives the same settings as a --flag and as a config-file line."""
+    fields = dataclasses.fields(cls)
+    pairs = data.draw(st.tuples(*[_setting(f.default) for f in fields]))
+    values = {f.name: value for f, (value, _) in zip(fields, pairs)}
+    texts = {f.name: text for f, (_, text) in zip(fields, pairs)}
     for name, text in texts.items():
-        assert parse_setting(name, text) == values[name]
+        assert parse_setting(cls, name, text) == values[name]
 
     path = tmp_path / "all.conf"
     path.write_text("".join(f"{name} = {text}\n" for name, text in texts.items()), encoding="utf-8")
-    from_file = parse_config_file(str(path))
+    from_file = parse_config_file(cls, str(path))
 
     flags = [_flag(name, values[name], text) for name, text in texts.items()]
-    from_flags = _flag_values(build_parser().parse_args(["train", *flags]))
+    from_flags = _flag_values(cls, build_parser().parse_args([*command, *flags]))
 
     assert from_file == from_flags == values
-    assert ExperimentConfig(**from_file) == ExperimentConfig(**from_flags) == ExperimentConfig(**values)
+    assert cls(**from_file) == cls(**from_flags) == cls(**values)
 
 
 def test_env_seed_is_weakest(tmp_path, monkeypatch):
     monkeypatch.setenv("ACTKNOW_SEED", "9")
-    assert resolve_config({}, None).seed == 9
+    assert resolve_config(ExperimentConfig, {}, None).seed == 9
     path = write_config(tmp_path, "seed = 4\n")
-    assert resolve_config({}, path).seed == 4
-    assert resolve_config({"seed": 2}, path).seed == 2
+    assert resolve_config(ExperimentConfig, {}, path).seed == 4
+    assert resolve_config(ExperimentConfig, {"seed": 2}, path).seed == 2
 
 
 def test_env_seed_must_be_integer(monkeypatch):
     monkeypatch.setenv("ACTKNOW_SEED", "lots")
     with pytest.raises(ConfigError, match="ACTKNOW_SEED"):
-        resolve_config({}, None)
+        resolve_config(ExperimentConfig, {}, None)
 
 
 def test_flags_override_file(tmp_path):
     path = write_config(tmp_path, "learning_rate = 0.5\nmode = base-know\n")
-    cfg = resolve_config({"learning_rate": 0.125}, path)
+    cfg = resolve_config(ExperimentConfig, {"learning_rate": 0.125}, path)
     assert cfg.learning_rate == 0.125
     assert cfg.mode == "base-know"
 
 
 def test_resolved_config_is_validated(tmp_path):
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "mode = sideways\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "mode = sideways\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "fractions = 0.0\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "fractions = 0.0\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "node_budgets = 0\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "node_budgets = 0\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "split = validation\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "split = validation\n"))
     with pytest.raises(ConfigError):
-        resolve_config({}, write_config(tmp_path, "modes = nonsense\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "modes = nonsense\n"))
 
 
 def test_require_names_the_flag():
@@ -210,7 +215,7 @@ def test_training_config_for_overrides_a_copy():
 def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
     name = line.split()[0]
     with pytest.raises(ConfigError, match=name):
-        resolve_config({}, write_config(tmp_path, line + "\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, line + "\n"))
 
 
 @pytest.mark.parametrize("name, value", [
@@ -220,4 +225,4 @@ def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
 def test_rejects_a_non_finite_or_negative_rate(tmp_path, name, value):
     """nan compares false with every bound, so each check is a range it must lie in."""
     with pytest.raises(ConfigError, match=name):
-        resolve_config({}, write_config(tmp_path, f"{name} = {value}\n"))
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, f"{name} = {value}\n"))
