@@ -60,10 +60,14 @@ def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[l
 def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:
     """Train every fraction x mode x seed cell, in that nesting order, on
     splits prepared once; return (fraction, mode, seed, test accuracy) rows
-    and write them to `sweep.csv` in cfg.out_dir."""
+    and write them to `sweep.csv` in cfg.out_dir.
+
+    The splits carry subgraphs when any mode's GCN reads them; the cells
+    that run no GCN ignore them."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
-    splits = _prepare_splits(pipe, cfg)
+    configs = [training_config_for(cfg, mode=mode) for mode in cfg.modes]
+    splits = _prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), cfg))
 
     rows = []
     for fraction in cfg.fractions:

@@ -4,7 +4,8 @@ Triples load from tab-separated files (head, relation, tail per line).
 Entity labels are normalized so free text can be matched against them:
 lowercase, trimmed, underscores to spaces, runs of whitespace collapsed.
 The typed facts live in `triples`; `adjacency` keeps only each entity's
-neighbor ids, which is all subgraph search reads.
+neighbor ids, which is all subgraph search reads, and `label_trie`, built by
+the first mention scan, holds the labels token by token.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ class KnowledgeGraph:
     entity_ids: dict[str, int] = field(repr=False)
     # per entity: the distinct entities sharing a triple with it, ascending ids
     adjacency: list[tuple[int, ...]] = field(repr=False)
-    max_label_tokens: int = 1
+    # token trie of the entity labels, filled on the first
+    # subgraph.identify_concepts scan: token -> child node, and None -> the
+    # entity whose label ends at that node
+    label_trie: dict = field(default_factory=dict, repr=False, compare=False)
     # (src, dst, max_len) -> first DFS path or None, filled by subgraph.connect_concepts
     path_memo: dict[tuple[int, int, int], tuple[int, ...] | None] = field(
         default_factory=dict, repr=False, compare=False
@@ -116,7 +120,6 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
         triples=triples,
         entity_ids=entity_ids,
         adjacency=[tuple(sorted(p)) for p in partners],
-        max_label_tokens=max((label.count(" ") + 1 for label in entities), default=1),
     )
 
 

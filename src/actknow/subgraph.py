@@ -1,12 +1,14 @@
 """Concept mention scanning and bounded question subgraphs.
 
-Mentions are KG entity labels found in a token list by greedy
-longest-match-first n-gram scanning; a scan returns the mentioned entity
-ids in text order. A subgraph starts from the mentioned entities (seeds),
-adds the first depth-limited DFS path between each seed pair, then keeps
-every KG edge among the included nodes. A subgraph keeps only the
-degree-normalized adjacency the graph encoder reads, and its paths are the
-graph's memoised tuples, shared by every subgraph that selects them.
+Mentions are KG entity labels found in a token list: a walk of the graph's
+label trie from each token finds every label occurrence, and where
+occurrences overlap the longest wins, then the earliest; a scan returns
+the mentioned entity ids in text order. A subgraph starts from the
+mentioned entities (seeds), adds the first depth-limited DFS path between
+each seed pair, then keeps every KG edge among the included nodes. A
+subgraph keeps only the degree-normalized adjacency the graph encoder
+reads, and its paths are the graph's memoised tuples, shared by every
+subgraph that selects them.
 """
 
 from __future__ import annotations
@@ -34,24 +36,45 @@ class Subgraph:
 
 def identify_concepts(tokens: list[str], graph: KnowledgeGraph) -> list[int]:
     """Entity ids of the labels found in a token list, in text order.
-    Longest n-grams first, non-overlapping, earliest occurrence wins within
-    a length."""
+    Longest labels first, non-overlapping, earliest occurrence wins within
+    a length. Tokens hold no spaces, as retrieval.tokenize makes them."""
     if isinstance(tokens, str):
         raise TypeError("identify_concepts takes a token list, not a str")
+    trie = graph.label_trie or _build_label_trie(graph)
+    # (length, start, entity) of every label occurrence, in start order
+    hits: list[tuple[int, int, int]] = []
+    for start, token in enumerate(tokens):
+        node = trie.get(token)
+        end = start + 1
+        while node is not None:
+            entity = node.get(None)
+            if entity is not None:
+                hits.append((end - start, start, entity))
+            node = node.get(tokens[end]) if end < len(tokens) else None
+            end += 1
+    if all(length == 1 for length, _, _ in hits):
+        # one-token occurrences never overlap
+        return [entity for _, _, entity in hits]
     used = [False] * len(tokens)
     found: list[tuple[int, int]] = []  # (start token, entity)
-    for n in range(min(graph.max_label_tokens, len(tokens)), 0, -1):
-        for start in range(0, len(tokens) - n + 1):
-            if any(used[start : start + n]):
-                continue
-            entity = graph.entity_ids.get(" ".join(tokens[start : start + n]))
-            if entity is None:
-                continue
-            for i in range(start, start + n):
-                used[i] = True
-            found.append((start, entity))
+    for length, start, entity in sorted(hits, key=lambda hit: (-hit[0], hit[1])):
+        if any(used[start : start + length]):
+            continue
+        used[start : start + length] = [True] * length
+        found.append((start, entity))
     found.sort()
     return [entity for _, entity in found]
+
+
+def _build_label_trie(graph: KnowledgeGraph) -> dict:
+    """Fill graph.label_trie from the entity labels, whose tokens are
+    separated by single spaces (kg.normalize_label)."""
+    for label, entity in graph.entity_ids.items():
+        node = graph.label_trie
+        for token in label.split(" "):
+            node = node.setdefault(token, {})
+        node[None] = entity
+    return graph.label_trie
 
 
 def _dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[int] | None:
@@ -63,6 +86,12 @@ def _dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[i
     def explore(node: int, budget: int) -> bool:
         if budget == 0:
             return False
+        if budget == 1:
+            # the last hop can only end at dst
+            if dst in on_path or dst not in graph.adjacency[node]:
+                return False
+            path.append(dst)
+            return True
         for nb in graph.adjacency[node]:
             if nb in on_path:
                 continue

@@ -253,6 +253,8 @@ def init_model(
 @dataclass
 class PreparedChoice:
     token_ids: np.ndarray
+    # None where no entity is mentioned, and for every choice of a question
+    # prepared without its graph side
     subgraph: Subgraph | None
 
 
@@ -261,6 +263,9 @@ class PreparedQuestion:
     qid: str
     answer_index: int
     choices: list[PreparedChoice]
+    # whether prepare_questions scanned mentions and built subgraphs: only
+    # for a config whose GCN runs, the one reader of subgraphs
+    graph_side: bool
 
 
 def prepare_questions(
@@ -271,18 +276,27 @@ def prepare_questions(
     vocab: Vocab,
     config: TrainConfig,
 ) -> list[PreparedQuestion]:
-    """Retrieve premises, build token sequences and subgraphs once per choice.
-    Seeds are the entity ids mentioned in the premise and hypothesis tokens."""
+    """Retrieve premises and build token sequences once per choice, and,
+    when config runs the GCN, its subgraph. Seeds are the entity ids
+    mentioned in the premise and hypothesis tokens. Without the GCN no
+    mention is scanned and every subgraph is None: encode_batch reads only
+    the text then, and refuses these questions under a config that runs
+    the GCN."""
+    graph_side = config.graph_encoders[0]
     prepared = []
     for item in items:
         choices = []
         for pair in convert(item, index, corpus, config.retrieve_k):
             token_ids = encode_pair_tokens(vocab, pair.premise, pair.hypothesis)
-            mentions = identify_concepts(pair.premise, graph) + identify_concepts(pair.hypothesis, graph)
-            seeds = sorted(set(mentions))[: config.max_nodes]
-            sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes) if seeds else None
+            sub = None
+            if graph_side:
+                mentions = identify_concepts(pair.premise, graph) + identify_concepts(pair.hypothesis, graph)
+                seeds = sorted(set(mentions))[: config.max_nodes]
+                if seeds:
+                    sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes)
             choices.append(PreparedChoice(token_ids=token_ids, subgraph=sub))
-        prepared.append(PreparedQuestion(qid=item.id, answer_index=item.answer_index, choices=choices))
+        prepared.append(PreparedQuestion(qid=item.id, answer_index=item.answer_index, choices=choices,
+                                         graph_side=graph_side))
     return prepared
 
 
@@ -345,13 +359,16 @@ def encode_batch(
     """Run every choice of a stack of questions through the text encoder,
     the GCN with text-attention pooling and ER attention, each once.
 
-    text-only mode skips the graph side and feeds zeros in its place.
+    text-only mode skips the graph side and feeds zeros in its place. A
+    GCN run on a question prepared without its graph side is a ValueError.
     """
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
     d = params.dim
-    text = encode_text([c.token_ids for c in choices], params.text)
     use_gcn, use_er = config.graph_encoders
+    if use_gcn and not all(pq.graph_side for pq in questions):
+        raise ValueError("encode_batch: the GCN runs on questions prepared without their subgraphs")
+    text = encode_text([c.token_ids for c in choices], params.text)
 
     graph = Tensor(np.zeros((len(choices), d)))
     # a built subgraph holds at least its seeds

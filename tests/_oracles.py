@@ -2,14 +2,15 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Five package paths that simpler or faster ones
+no code with src/. Seven package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the gather +
 segment-mean text encoder that the bag-of-words product replaced, the
 two-pass act-know prediction that one encoder pass with two classifier
-products replaced, and the functional Adam step that the in-place `Adam`
-replaced. The second and third run on the package's autodiff tape so that
+products replaced, the functional Adam step that the in-place `Adam`
+replaced, and the n-gram mention scan and neighbor-loop DFS that the label
+trie and the last-hop membership test replaced. The second and third run on the package's autodiff tape so that
 gradients can be compared too.
 """
 
@@ -25,6 +26,7 @@ from actknow import autodiff as ad
 from actknow.autodiff import Tensor
 from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams
 from actknow.errors import ConfigError
+from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
 from actknow.training import ModelParams, PreparedQuestion, TrainConfig, question_entropy, score_batch
@@ -396,3 +398,62 @@ def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
     if warmup_steps > 0 and step <= warmup_steps:
         return lr * step / warmup_steps
     return lr
+
+
+# ---------------------------------------------------------------------------
+# the mention scan and the DFS path search before the label trie and the
+# last-hop membership test: an n-gram re-join for every length up to the
+# longest label, looked up in `entity_ids`, and a neighbor loop at every
+# depth. The scan computes the graph's longest label, which the graph no
+# longer stores; otherwise both are the package code verbatim, the
+# references the faster paths must match exactly.
+
+
+def identify_concepts(tokens: list[str], graph: KnowledgeGraph) -> list[int]:
+    """Entity ids of the labels found in a token list, in text order.
+    Longest n-grams first, non-overlapping, earliest occurrence wins within
+    a length."""
+    if isinstance(tokens, str):
+        raise TypeError("identify_concepts takes a token list, not a str")
+    max_label_tokens = max((label.count(" ") + 1 for label in graph.entities), default=1)
+    used = [False] * len(tokens)
+    found: list[tuple[int, int]] = []  # (start token, entity)
+    for n in range(min(max_label_tokens, len(tokens)), 0, -1):
+        for start in range(0, len(tokens) - n + 1):
+            if any(used[start : start + n]):
+                continue
+            entity = graph.entity_ids.get(" ".join(tokens[start : start + n]))
+            if entity is None:
+                continue
+            for i in range(start, start + n):
+                used[i] = True
+            found.append((start, entity))
+    found.sort()
+    return [entity for _, entity in found]
+
+
+def dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[int] | None:
+    """First simple path src->dst with at most max_len edges, visiting
+    neighbors in ascending id order."""
+    path = [src]
+    on_path = {src}
+
+    def explore(node: int, budget: int) -> bool:
+        if budget == 0:
+            return False
+        for nb in graph.adjacency[node]:
+            if nb in on_path:
+                continue
+            path.append(nb)
+            if nb == dst:
+                return True
+            on_path.add(nb)
+            if explore(nb, budget - 1):
+                return True
+            on_path.discard(nb)
+            path.pop()
+        return False
+
+    if explore(src, max_len):
+        return path
+    return None

@@ -56,3 +56,17 @@ def test_the_tracer_sees_each_encoder_once_per_eval_chunk(bench):
     names = [span.name for span in tracer.spans]
     for name in ("encoders.encode_text", "encoders.gcn_forward", "encoders.er_attention"):
         assert names.count(name) == 2, name
+
+
+@pytest.mark.parametrize("mode", ["base-know", "text-only"])
+def test_the_tracer_sees_preparation_build_subgraphs_only_with_a_gcn(bench, mode):
+    """Preparation scans mentions and builds subgraphs through `training`'s
+    module attributes whenever the GCN runs; only text-only skips them."""
+    layers, spans = bench
+    tracer = spans.Tracer()
+    with layers.instrument(tracer):
+        build_task(mode=mode)
+    names = {span.name for span in tracer.spans}
+    assert "nli.convert" in names
+    graph_side = {"subgraph.identify_concepts", "subgraph.connect_concepts"}
+    assert graph_side <= names if mode == "base-know" else not graph_side & names

@@ -312,6 +312,22 @@ def test_sweep_rerun_is_byte_identical(task_dir, tmp_path):
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
 
 
+def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path):
+    """The sweep prepares its splits once for every mode. Prepared under a
+    text-only --mode they must still carry the subgraphs that the
+    base-know cells' GCN reads, so the CSV matches the default mode's."""
+    argv = lambda out, *mode: [
+        "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, *mode,
+        "--fractions", "1.0", "--modes", "text-only,base-know", "--seeds", "0",
+        "--out-dir", out,
+    ]
+    a = str(tmp_path / "a")
+    b = str(tmp_path / "b")
+    assert main(argv(a, "--mode", "text-only")) == 0
+    assert main(argv(b)) == 0
+    assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
+
+
 def test_ablate_subgraph_csv(task_dir, tmp_path):
     out = str(tmp_path / "ablate")
     argv = [

@@ -11,8 +11,9 @@ from actknow.errors import ConfigError
 from actknow.kg import graph_from_triples, load_triples
 from actknow.nli import convert, load_qa_jsonl
 from actknow.retrieval import build_index, load_corpus, tokenize
-from actknow.subgraph import connect_concepts, identify_concepts, normalize_adjacency
+from actknow.subgraph import _dfs_path, connect_concepts, identify_concepts, normalize_adjacency
 
+import _oracles
 from _oracles import all_simple_paths, dense_normalize
 
 
@@ -59,6 +60,86 @@ def test_identify_concepts_lists_mentions_in_text_order():
 def test_identify_concepts_empty_text(chain_graph):
     assert identify_concepts([], chain_graph) == []
     assert identify_concepts(tokenize("nothing known here"), chain_graph) == []
+
+
+def test_identify_concepts_keeps_the_longest_overlapping_label():
+    graph = graph_from_triples([("a b", "r", "b c d")])
+    # a left-to-right greedy scan would keep "a b"; the longest label wins
+    assert identify_concepts(["a", "b", "c", "d"], graph) == [graph.entity_ids["b c d"]]
+    assert identify_concepts(["a", "b", "c", "d"], graph) == _oracles.identify_concepts(["a", "b", "c", "d"], graph)
+
+
+def test_label_trie_is_built_by_the_first_scan_and_left_out_of_equality():
+    graph = graph_from_triples([("ice cream", "r", "milk")])
+    assert graph.label_trie == {}
+    assert identify_concepts(["ice", "cream"], graph) == [graph.entity_ids["ice cream"]]
+    assert graph.label_trie
+    assert graph == graph_from_triples([("ice cream", "r", "milk")])
+
+
+LABEL_TOKENS = st.sampled_from(["a", "b", "c"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(st.lists(LABEL_TOKENS, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=8,
+                    unique=True),
+    data=st.data(),
+)
+def test_identify_concepts_matches_the_ngram_scan(labels, data):
+    """Multi-token labels of different lengths, written next to each other
+    so that they overlap, among single tokens: the trie scan returns exactly
+    the n-gram scan's ids."""
+    others = labels[1:] or ["zz"]
+    graph = graph_from_triples([(labels[0], "r", other) for other in others])
+    pieces = data.draw(st.lists(st.sampled_from(labels).map(str.split) | LABEL_TOKENS.map(lambda t: [t]),
+                                max_size=8))
+    tokens = [token for piece in pieces for token in piece]
+    assert identify_concepts(tokens, graph) == _oracles.identify_concepts(tokens, graph)
+
+
+def test_identify_concepts_matches_the_ngram_scan_on_the_bundled_tasks(lowdata_dir, noisy_dir):
+    for data_dir in (lowdata_dir, noisy_dir):
+        graph = load_triples(os.path.join(data_dir, "kg.tsv"))
+        corpus = load_corpus(os.path.join(data_dir, "corpus.txt"))
+        texts = list(corpus.tokenized)
+        for split in ("train", "dev", "test"):
+            for item in load_qa_jsonl(os.path.join(data_dir, f"{split}.jsonl")):
+                texts += [tokenize(item.stem), *(tokenize(c) for c in item.choices)]
+        assert any(identify_concepts(t, graph) for t in texts)
+        for t in texts:
+            assert identify_concepts(t, graph) == _oracles.identify_concepts(t, graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=24),
+    src=st.integers(0, 7),
+    dst=st.integers(0, 7),
+    max_len=st.integers(0, 4),
+)
+def test_dfs_path_matches_the_neighbor_loop(edges, src, dst, max_len):
+    """The last-hop membership test finds exactly the path the loop over
+    every neighbor at every depth finds, src == dst included (no path)."""
+    triples = [(f"e{h}", "r", f"e{t}") for h, t in edges if h != t] or [("e0", "r", "e1")]
+    graph = graph_from_triples(triples)
+    src, dst = src % graph.n_entities, dst % graph.n_entities
+    got = _dfs_path(graph, src, dst, max_len)
+    assert got == _oracles.dfs_path(graph, src, dst, max_len)
+    if src == dst:
+        assert got is None
+
+
+def test_dfs_path_matches_the_neighbor_loop_on_the_noisy_graph(noisy_dir):
+    graph = load_triples(os.path.join(noisy_dir, "kg.tsv"))
+    pairs = {(a, b) for seeds in noisy_seed_sets(noisy_dir, graph) for a, b in zip(seeds, seeds[1:])}
+    found = 0
+    for a, b in sorted(pairs):
+        for max_len in (2, 3):
+            got = _dfs_path(graph, a, b, max_len)
+            assert got == _oracles.dfs_path(graph, a, b, max_len)
+            found += got is not None
+    assert found
 
 
 def test_chain_subgraph_nodes_and_edges(chain_graph):

@@ -1,5 +1,6 @@
 """Question scoring, entropy weighting, the training loop, evaluation accounting."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from actknow import autodiff as ad
 from actknow import training
+from actknow.checkpoint import save_checkpoint
 from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
+from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from actknow.retrieval import build_index, corpus_from_sentences, tokenize
+from actknow.scenarios import lowdata_experiment
 from actknow.training import (
     PreparedQuestion,
     STATS_HEADER,
@@ -74,6 +78,64 @@ def manual_logits(pq, model, weight, config):
         feats = np.concatenate([t, weight * g, weight * k])
         out.append(model.classifier.data @ feats)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# preparation
+
+NO_GCN = [pytest.param({"mode": "text-only"}, id="text-only"),
+          pytest.param({"mode": "base-know", "use_gcn": False}, id="base-know-no-gcn")]
+
+
+@pytest.mark.parametrize("overrides", NO_GCN)
+def test_preparation_without_a_gcn_scans_no_mention(overrides, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph side prepared for a config without a GCN")
+
+    monkeypatch.setattr(training, "identify_concepts", refuse)
+    monkeypatch.setattr(training, "connect_concepts", refuse)
+    task = build_task(**overrides)
+    assert not any(pq.graph_side for pq in task.prepared)
+    assert all(c.subgraph is None for pq in task.prepared for c in pq.choices)
+
+
+def test_preparation_with_a_gcn_builds_subgraphs():
+    task = build_task()
+    assert all(pq.graph_side for pq in task.prepared)
+    assert any(c.subgraph is not None for pq in task.prepared for c in pq.choices)
+
+
+def test_the_gcn_refuses_questions_prepared_without_it():
+    task = build_task(mode="text-only")
+    with pytest.raises(ValueError, match="without their subgraphs"):
+        training.encode_batch(task.prepared, task.model, tiny_config())
+    with pytest.raises(ValueError, match="without their subgraphs"):
+        evaluate(task.prepared, task.model, tiny_config(mode="act-know"))
+    # without the GCN only the text is read
+    training.encode_batch(task.prepared, task.model, tiny_config(use_gcn=False))
+
+
+@pytest.mark.parametrize("overrides", NO_GCN)
+def test_cells_without_a_gcn_train_the_same_bytes_from_either_preparation(overrides, lowdata_dir, tmp_path):
+    """A cell that runs no GCN never reads subgraphs, so training it from
+    questions prepared without them writes the same stats.csv, checkpoint
+    and test rows as training it from questions prepared with them."""
+    cfg = training_config_for(lowdata_experiment(lowdata_dir, str(tmp_path)), data_fraction=0.2, **overrides)
+    pipe = load_pipeline(cfg)
+    outputs = []
+    for prep in (cfg, training_config_for(cfg, mode="base-know", use_gcn=True)):
+        train_qs, dev_qs, test_qs = (prepare_split(pipe, split, prep) for split in ("train", "dev", "test"))
+        built = [c.subgraph is not None for pq in train_qs for c in pq.choices]
+        assert any(built) == train_qs[0].graph_side == prep.graph_encoders[0]
+        model, result = run_training(pipe, cfg, train_qs, dev_qs)
+        out = tmp_path / str(len(outputs))
+        out.mkdir()
+        save_checkpoint(str(out / "checkpoint.txt"), result.best_state)
+        write_stats_csv(str(out / "stats.csv"), result.stats)
+        model.load_state_arrays(result.best_state)
+        rows = evaluate(test_qs, model, cfg)[1]
+        outputs.append(((out / "stats.csv").read_bytes(), (out / "checkpoint.txt").read_bytes(), json.dumps(rows)))
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +332,7 @@ def test_untrained_model_scores_like_chance_on_random_golds():
     base = task.prepared[0]
     golds = np.random.default_rng(123).integers(0, 4, size=1000)
     questions = [
-        PreparedQuestion(qid=f"g{i}", answer_index=int(g), choices=base.choices)
+        PreparedQuestion(qid=f"g{i}", answer_index=int(g), choices=base.choices, graph_side=base.graph_side)
         for i, g in enumerate(golds)
     ]
     acc, rows = evaluate(questions, task.model, task.config)
