@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_setting, resolve_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, sweep_fraction
-from .pipeline import load_pipeline, prepare_split, run_training
+from .pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from .synth import SyntheticSpec, generate
 from .training import evaluate, model_from_state, write_stats_csv
 
@@ -129,7 +129,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if model.er.entity_table.data.shape[0] != pipe.graph.n_entities:
         raise ConfigError("checkpoint entity table does not match the supplied graph")
 
-    questions = prepare_split(pipe, cfg.split, cfg)
+    # the whole split: data_fraction draws only the questions training reads
+    questions = prepare_split(pipe, cfg.split, training_config_for(cfg, data_fraction=1.0))
     acc, rows = evaluate(questions, model, cfg, with_details=True)
     out_path = _out_path(cfg, "eval.jsonl")
     with atomic_write(out_path) as fh:

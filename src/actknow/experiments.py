@@ -17,7 +17,7 @@ from math import comb
 
 from .atomic import atomic_write
 from .config import ExperimentConfig
-from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
+from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for, training_sample
 from .training import PreparedQuestion, TrainConfig, evaluate
 
 SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
@@ -62,19 +62,21 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
     splits prepared once; return (fraction, mode, seed, test accuracy) rows
     and write them to `sweep.csv` in cfg.out_dir.
 
-    The splits carry subgraphs when any mode's GCN reads them; the cells
-    that run no GCN ignore them."""
+    The whole train split is prepared once, and each cell draws its
+    fraction sample from it. The splits carry subgraphs when any mode's GCN
+    reads them; the cells that run no GCN ignore them."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
-    configs = [training_config_for(cfg, mode=mode) for mode in cfg.modes]
-    splits = _prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), cfg))
+    whole = training_config_for(cfg, data_fraction=1.0)
+    configs = [training_config_for(whole, mode=mode) for mode in cfg.modes]
+    train_qs, dev_qs, test_qs = _prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), whole))
 
     rows = []
     for fraction in cfg.fractions:
         for mode in cfg.modes:
             for seed in cfg.seeds:
                 tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
-                acc = _train_and_score(pipe, tc, *splits)
+                acc = _train_and_score(pipe, tc, training_sample(train_qs, tc), dev_qs, test_qs)
                 rows.append((fraction, mode, seed, acc))
                 print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
 

@@ -92,9 +92,27 @@ def _check_split_counts(name: str, items: dict[str, list[QAItem]]) -> None:
 
 
 def prepare_split(pipe: Pipeline, split: str, tc: TrainConfig) -> list[PreparedQuestion]:
+    """The prepared questions of `split`; for "train", only the
+    tc.data_fraction sample that training reads."""
     if split not in pipe.items:
         raise ConfigError(f"no {split} split was supplied")
-    return prepare_questions(pipe.items[split], pipe.corpus, pipe.index, pipe.graph, pipe.vocab, tc)
+    items = pipe.items[split]
+    if split == "train":
+        items = training_sample(items, tc)
+    return prepare_questions(items, pipe.corpus, pipe.index, pipe.graph, pipe.vocab, tc)
+
+
+def training_sample(questions: list, tc: TrainConfig) -> list:
+    """The tc.data_fraction sample of a train split, drawn by
+    sample_fraction; it reads only answer_index and list order, so it draws
+    the same questions from QAItems as from their prepared questions."""
+    if tc.data_fraction == 1.0:
+        return questions
+    sample = sample_fraction(questions, tc.data_fraction, tc.seed)
+    if not sample:
+        raise ConfigError(f"data_fraction {tc.data_fraction} selects none of the {len(questions)} train questions")
+    log.info("training on %d questions after fraction sampling", len(sample))
+    return sample
 
 
 def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:
@@ -109,9 +127,8 @@ def run_training(
     train_qs: list[PreparedQuestion],
     dev_qs: list[PreparedQuestion] | None,
 ) -> tuple[ModelParams, TrainResult]:
-    if tc.data_fraction < 1.0:
-        train_qs = sample_fraction(train_qs, tc.data_fraction, tc.seed)
-        log.info("training on %d questions after fraction sampling", len(train_qs))
+    """Build a model and train it on exactly `train_qs`: prepare_split has
+    already drawn the tc.data_fraction sample."""
     model = build_model(pipe, tc)
     return model, train(model, train_qs, dev_qs, tc)
 

@@ -157,6 +157,34 @@ def test_eval_reports_accuracy(task_dir, trained_dir, tmp_path, capsys):
     assert len(rows) == len(test_rows)
 
 
+def test_eval_scores_the_whole_split_under_any_data_fraction(task_dir, trained_dir, tmp_path, capsys):
+    """data_fraction draws the questions training reads; eval still scores
+    every question of its split."""
+    out = str(tmp_path / "eval")
+    rc = main([
+        "eval", *data_flags(task_dir), *TINY_FLAGS, "--seed", "0", "--data-fraction", "0.5",
+        "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
+        "--split", "train", "--out-dir", out,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    train_rows = open(os.path.join(task_dir, "train.jsonl")).read().strip().split("\n")
+    rows = open(os.path.join(out, "eval.jsonl")).read().strip().split("\n")
+    assert [json.loads(row)["id"] for row in rows] == [json.loads(row)["id"] for row in train_rows]
+    assert f"over {len(train_rows)} questions" in captured.out
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep-fraction", "--fractions", "1.0,0.1"]])
+def test_a_fraction_that_selects_no_question_exits_one(command, task_dir, tmp_path, capsys, caplog):
+    n_train = len(open(os.path.join(task_dir, "train.jsonl")).read().strip().split("\n"))
+    fraction = ["--data-fraction", "0.1"] if command == ["train"] else []
+    rc = main([*command, *data_flags(task_dir), *TINY_FLAGS, *fraction, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: data_fraction 0.1 selects none of the {n_train} train questions" in err
+    assert "Traceback" not in err and not any(r.exc_info for r in caplog.records)
+
+
 def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, capsys):
     other = str(tmp_path / "other_task")
     assert main(["gen-synth", "--out-dir", other, "--n-entities", "23",
@@ -310,6 +338,26 @@ def test_sweep_rerun_is_byte_identical(task_dir, tmp_path):
     assert main(argv(a)) == 0
     assert main(argv(b)) == 0
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
+
+
+def test_sweep_prepares_the_whole_train_split_under_any_data_fraction(task_dir, tmp_path, caplog):
+    """Each sweep cell draws its own fraction from one preparation of the
+    whole train split, so --data-fraction changes neither the sample sizes
+    logged nor the CSV."""
+    caplog.set_level(logging.INFO, logger="actknow.pipeline")
+    argv = lambda out, *fraction: [
+        "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, *fraction,
+        "--fractions", "0.5,1.0", "--modes", "text-only", "--seeds", "0",
+        "--out-dir", out,
+    ]
+    runs = []
+    for name, fraction in (("a", ["--data-fraction", "0.5"]), ("b", [])):
+        caplog.clear()
+        assert main(argv(str(tmp_path / name), *fraction)) == 0
+        sampled = [r.getMessage() for r in caplog.records if "fraction sampling" in r.getMessage()]
+        runs.append((sampled, (tmp_path / name / "sweep.csv").read_bytes()))
+    assert runs[0][0] == ["training on 4 questions after fraction sampling"]
+    assert runs[0] == runs[1]
 
 
 def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path):

@@ -272,6 +272,35 @@ def test_sample_fraction_full_and_invalid():
         sample_fraction(items, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("mode", ["base-know", "text-only"])
+def test_train_split_prepares_the_sample_of_the_whole_preparation(mode, lowdata_dir, tmp_path):
+    """prepare_split draws the data_fraction sample before preparing it; the
+    result equals the sample drawn from the whole split prepared at
+    fraction 1.0. Each sample is prepared on a fresh pipeline, so the path
+    memo and label trie start cold there and warm on the whole split."""
+    cfg = training_config_for(lowdata_experiment(lowdata_dir, str(tmp_path)), mode=mode)
+    whole = prepare_split(load_pipeline(cfg), "train", training_config_for(cfg, data_fraction=1.0))
+    assert len({pq.qid for pq in whole}) == len(whole)
+    for fraction in (0.05, 0.2, 0.5, 1.0):
+        for seed in (0, 3):
+            tc = training_config_for(cfg, data_fraction=fraction, seed=seed)
+            got = prepare_split(load_pipeline(cfg), "train", tc)
+            want = sample_fraction(whole, fraction, seed)
+            assert [(pq.qid, pq.answer_index) for pq in got] == [(pq.qid, pq.answer_index) for pq in want]
+            for g, w in zip(got, want):
+                assert g.graph_side == w.graph_side == (mode == "base-know")
+                assert len(g.choices) == len(w.choices)
+                for gc, wc in zip(g.choices, w.choices):
+                    assert gc.token_ids.dtype == wc.token_ids.dtype
+                    assert np.array_equal(gc.token_ids, wc.token_ids)
+                    assert (gc.subgraph is None) == (wc.subgraph is None)
+                    if gc.subgraph is not None:
+                        assert gc.subgraph.nodes == wc.subgraph.nodes
+                        assert gc.subgraph.paths == wc.subgraph.paths
+                        assert gc.subgraph.norm_adjacency.tobytes() == wc.subgraph.norm_adjacency.tobytes()
+                        assert gc.subgraph.norm_adjacency.shape == wc.subgraph.norm_adjacency.shape
+
+
 # ---------------------------------------------------------------------------
 # prediction and evaluation
 
