@@ -18,9 +18,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, parse_setting, resolve_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, sweep_fraction
-from .pipeline import load_pipeline, prepare_split, run_training, training_config_for
+from .pipeline import load_pipeline, prepare_split, run_training
 from .synth import SyntheticSpec, generate
-from .training import evaluate, model_from_state, write_stats_csv
+from .training import TrainConfig, evaluate, model_from_state, write_stats_csv
 
 log = logging.getLogger(__name__)
 
@@ -39,10 +39,30 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, settings: type) -> None:
-    """One flag per field of the dataclass `settings`, named after it."""
-    parser.set_defaults(settings=settings)
+_FILES = ("kg", "corpus", "train", "dev", "test", "dataset_name", "out_dir")
+_TRAIN = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+# the ExperimentConfig fields each subcommand reads, and so its flags and
+# the config-file keys it accepts. eval scores with the checkpoint's own
+# weights, node features included; each sweep cell sets the fields its
+# loop varies
+READS = {
+    "train": (*_FILES, "node_features", *_TRAIN),
+    "eval": (*_FILES, "checkpoint", "split", "mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len",
+             "use_gcn", "use_er"),
+    "sweep-fraction": (*_FILES, "node_features", *(n for n in _TRAIN if n not in ("mode", "seed", "data_fraction")),
+                       "fractions", "modes", "seeds"),
+    "ablate-subgraph": (*_FILES, "node_features", *(n for n in _TRAIN if n != "max_nodes"), "node_budgets"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, settings: type, reads: tuple[str, ...]) -> None:
+    """One flag per field of the dataclass `settings` named in `reads`, in
+    field order, named after it."""
+    parser.set_defaults(settings=settings, reads=reads)
     for f in dataclasses.fields(settings):
+        if f.name not in reads:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if isinstance(f.default, tuple):
             parser.add_argument(flag, dest=f.name, metavar="LIST", help="comma separated values")
@@ -52,19 +72,19 @@ def _add_config_flags(parser: argparse.ArgumentParser, settings: type) -> None:
             parser.add_argument(flag, dest=f.name)
 
 
-def _flag_values(settings: type, args: argparse.Namespace) -> dict[str, object]:
+def _flag_values(args: argparse.Namespace) -> dict[str, object]:
     """Each given flag's value typed by config.parse_setting; a bool flag is
     already typed by its action."""
     values: dict[str, object] = {}
-    for f in dataclasses.fields(settings):
-        raw = getattr(args, f.name)
+    for name in args.reads:
+        raw = getattr(args, name)
         if raw is not None:
-            values[f.name] = raw if isinstance(raw, bool) else parse_setting(settings, f.name, raw)
+            values[name] = raw if isinstance(raw, bool) else parse_setting(args.settings, name, raw)
     return values
 
 
 def _resolved(args: argparse.Namespace) -> ExperimentConfig | SyntheticSpec:
-    return resolve_config(args.settings, _flag_values(args.settings, args), args.config)
+    return resolve_config(args.settings, _flag_values(args), args.config, args.command, args.reads)
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
@@ -73,20 +93,23 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="actknow", description="knowledge-infused multiple choice QA experiments")
+    # no flag abbreviations: sweep-fraction would read --seed as --seeds
+    # and --mode as --modes
+    parser = _Parser(prog="actknow", description="knowledge-infused multiple choice QA experiments",
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, about in (("train", "train one model and save the best checkpoint"),
                            ("eval", "evaluate a saved checkpoint on one split"),
                            ("sweep-fraction", "accuracy across training-set fractions, modes and seeds"),
                            ("ablate-subgraph", "accuracy across subgraph node budgets")):
-        p = sub.add_parser(command, help=about)
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
         p.add_argument("--config", help="key = value settings file")
-        _add_config_flags(p, ExperimentConfig)
+        _add_config_flags(p, ExperimentConfig, READS[command])
 
-    p_gen = sub.add_parser("gen-synth", help="generate and verify a synthetic task")
+    p_gen = sub.add_parser("gen-synth", help="generate and verify a synthetic task", allow_abbrev=False)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.set_defaults(config=None)
-    _add_config_flags(p_gen, SyntheticSpec)
+    _add_config_flags(p_gen, SyntheticSpec, tuple(f.name for f in dataclasses.fields(SyntheticSpec)))
     return parser
 
 
@@ -129,8 +152,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if model.er.entity_table.data.shape[0] != pipe.graph.n_entities:
         raise ConfigError("checkpoint entity table does not match the supplied graph")
 
-    # the whole split: data_fraction draws only the questions training reads
-    questions = prepare_split(pipe, cfg.split, training_config_for(cfg, data_fraction=1.0))
+    # eval cannot set data_fraction, so at its default of 1 a train split is
+    # scored whole
+    questions = prepare_split(pipe, cfg.split, cfg)
     acc, rows = evaluate(questions, model, cfg, with_details=True)
     out_path = _out_path(cfg, "eval.jsonl")
     with atomic_write(out_path) as fh:

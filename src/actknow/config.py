@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -84,10 +85,12 @@ def parse_setting(settings: type, name: str, raw: str) -> object:
     return raw
 
 
-def parse_config_file(settings: type, path: str) -> dict[str, object]:
+def parse_config_file(settings: type, path: str, command: str | None = None,
+                      reads: Collection[str] | None = None) -> dict[str, object]:
     """Typed values of `key = value` lines naming fields of the dataclass
     `settings`; '#' starts a comment, blank lines are skipped, and every
-    error names path:line."""
+    error names path:line. With `reads`, a line naming a field outside it is
+    an error too: `command` does not read that setting."""
     names = {f.name for f in dataclasses.fields(settings)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
@@ -103,6 +106,8 @@ def parse_config_file(settings: type, path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        if reads is not None and key not in reads:
+            raise ConfigError(f"{path}:{lineno}: {command} does not read setting {key!r}")
         try:
             values[key] = parse_setting(settings, key, value)
         except ConfigError as exc:
@@ -110,20 +115,21 @@ def parse_config_file(settings: type, path: str) -> dict[str, object]:
     return values
 
 
-def resolve_config(settings: type[_Settings], flag_values: dict[str, object],
-                   config_path: str | None) -> _Settings:
+def resolve_config(settings: type[_Settings], flag_values: dict[str, object], config_path: str | None,
+                   command: str | None = None, reads: Collection[str] | None = None) -> _Settings:
     """An instance of the dataclass `settings`, validated, from typed flag
     values over an optional config file over the ACTKNOW_SEED environment
-    variable over the defaults."""
+    variable over the defaults. With `reads`, the config file may set only
+    those fields, and ACTKNOW_SEED applies only when they include seed."""
     merged: dict[str, object] = {}
     seed = os.environ.get("ACTKNOW_SEED")
-    if seed is not None:
+    if seed is not None and (reads is None or "seed" in reads):
         try:
             merged["seed"] = int(seed)
         except ValueError as exc:
             raise ConfigError(f"ACTKNOW_SEED must be an integer, got {seed!r}") from exc
     if config_path is not None:
-        merged.update(parse_config_file(settings, config_path))
+        merged.update(parse_config_file(settings, config_path, command, reads))
     merged.update(flag_values)
     resolved = settings(**merged)
     resolved.validate()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .config import ExperimentConfig
 from .encoders import Vocab, build_vocab
 from .errors import ConfigError
-from .kg import EmbeddingTable, KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
+from .kg import KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
 from .nli import QAItem, load_qa_jsonl
 from .retrieval import Corpus, InvertedIndex, build_index, load_corpus, tokenize
 from .training import (
@@ -43,13 +43,14 @@ class Pipeline:
     corpus: Corpus
     index: InvertedIndex
     vocab: Vocab
-    node_features: EmbeddingTable
+    node_features_path: str | None  # read by build_model
     items: dict[str, list[QAItem]]
 
 
 def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    """Load graph, corpus and question splits; build the retrieval index,
-    vocabulary and node features shared by every run."""
+    """Load graph, corpus and question splits; build the retrieval index and
+    vocabulary shared by every run. Reads input files only, no model
+    setting."""
     cfg.require("kg", "corpus")
     graph = load_triples(cfg.kg)
     corpus = load_corpus(cfg.corpus)
@@ -67,14 +68,12 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
     # tokens of each in turn, since no token spans a space (nli.py)
     texts = [text for split_items in items.values() for item in split_items for text in (item.stem, *item.choices)]
     vocab = build_vocab(corpus.tokenized + [tokenize(" ".join(texts))])
-
-    node_features = node_feature_table(graph, cfg.node_dim, cfg.seed, cfg.node_features)
     return Pipeline(
         graph=graph,
         corpus=corpus,
         index=index,
         vocab=vocab,
-        node_features=node_features,
+        node_features_path=cfg.node_features,
         items=items,
     )
 
@@ -116,9 +115,12 @@ def training_sample(questions: list, tc: TrainConfig) -> list:
 
 
 def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:
-    """Seeded model init on top of freshly trained graph embedding tables."""
+    """Seeded model init on top of freshly trained graph embedding tables
+    and the node features: the file's rows, and rows drawn from tc.seed for
+    the entities it does not name."""
+    node_features = node_feature_table(pipe.graph, tc.node_dim, tc.seed, pipe.node_features_path)
     ent_table, rel_table = train_kg_embeddings(pipe.graph, tc.kg_dim, tc.kg_epochs, tc.seed)
-    return init_model(len(pipe.vocab.tokens), ent_table, rel_table, pipe.node_features, tc)
+    return init_model(len(pipe.vocab.tokens), ent_table, rel_table, node_features, tc)
 
 
 def run_training(

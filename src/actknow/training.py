@@ -545,25 +545,20 @@ def train(
     train_qs: list[PreparedQuestion],
     dev_qs: list[PreparedQuestion] | None,
     config: TrainConfig,
-    entropy_override: float | None = None,
 ) -> TrainResult:
     """Train `model` in place and keep the state of the master epoch with
     the best dev accuracy (train accuracy without a dev split).
 
     act-know weights each question by the entropy the last evaluate() of
     the entropy split recorded for it (with entropy_split=dev, every
-    question by the mean dev entropy); entropy_override pins every weight to a constant, which
-    reduces the loop to the fixed-weight one. The other modes weight every
+    question by the mean dev entropy). The other modes weight every
     question by 1.
     """
     config.validate()
     active = config.mode == "act-know"
-    if entropy_override is not None and not active:
-        raise ConfigError("entropy_override requires mode=act-know")
     if not train_qs:
         raise ConfigError("no training questions")
-    measure = active and entropy_override is None
-    if measure and config.entropy_split == "dev" and not dev_qs:
+    if active and config.entropy_split == "dev" and not dev_qs:
         raise ConfigError("entropy_split=dev requires a dev set")
 
     shuffle_rng = _stream(config.seed, 1)
@@ -592,18 +587,15 @@ def train(
     result = TrainResult(best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
     # rows of the last evaluate() on the entropy split
     entropy_rows = []
-    if measure:
+    if active:
         entropy_rows = evaluate(dev_qs if config.entropy_split == "dev" else train_qs, model, config)[1]
 
     for master in range(1, config.master_epochs + 1):
         weights = unit
         if active:
-            if entropy_override is not None:
-                weights = np.full(len(train_qs), float(entropy_override))
-            else:
-                weights = np.array([row["entropy"] for row in entropy_rows])
-                if config.entropy_split == "dev":
-                    weights = np.full(len(train_qs), weights.mean())
+            weights = np.array([row["entropy"] for row in entropy_rows])
+            if config.entropy_split == "dev":
+                weights = np.full(len(train_qs), weights.mean())
             result.entropy_history.append(weights)
 
         epoch_losses = []

@@ -21,6 +21,7 @@ from _oracles import (
     max_rel_error,
 )
 from actknow import autodiff as ad
+from actknow import training
 from actknow.autodiff import Tensor, backward, sample_gumbel
 from actknow.cli import main
 from actknow.encoders import GCNParams, build_vocab, gcn_forward
@@ -309,7 +310,7 @@ def test_criterion_3_entropy_bounds():
 # criterion 4: infusion weight neutralization
 
 
-def test_criterion_4_infusion_neutralization():
+def test_criterion_4_infusion_neutralization(monkeypatch):
     # zero weights must cut all graph-side gradients for that question
     config, prepared, model = _small_task()
     assert any(c.subgraph is not None and c.subgraph.n_nodes > 0 for c in prepared[0].choices)
@@ -326,13 +327,16 @@ def test_criterion_4_infusion_neutralization():
     )
     text_norm = float(np.linalg.norm(model.classifier.grad))
 
-    # unit weights for every question must reproduce fixed-weight training
+    # unit weights for every question must reproduce fixed-weight training:
+    # act-know weights each question by its entropy, pinned here to 1
     cfg_act = tiny_config(mode="act-know", master_epochs=3, seed=5)
     cfg_base = tiny_config(mode="base-know", master_epochs=3, seed=5)
     _, prepared_a, model_a = _small_task(mode="act-know", master_epochs=3, seed=5)
     model_b = tiny_model(graph_from_triples([(s, "hunts", o) for s, o in zip(SUBJECTS, OBJECTS)]),
                          cfg_base, vocab_size=model_a.text.token_embedding.data.shape[0])
-    result_a = train(model_a, prepared_a, None, cfg_act, entropy_override=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(training, "question_entropy", lambda logits: 1.0)
+        result_a = train(model_a, prepared_a, None, cfg_act)
     result_b = train(model_b, prepared_a, None, cfg_base)
     losses_a = [r["loss"] for r in result_a.stats if r["split"] == "train"]
     losses_b = [r["loss"] for r in result_b.stats if r["split"] == "train"]
@@ -498,11 +502,12 @@ def test_criterion_8_budget_ablation(noisy_dir, tmp_path):
 
 GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
              "--seed", "3", "--node-dim", "8"]
+# the settings all three commands read; sweep-fraction takes its seed from
+# --seeds and ablate-subgraph its node budget from --node-budgets
 TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
               "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
               "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-              "--max-nodes", "10", "--retrieve-k", "3", "--weight-decay", "0.01",
-              "--learning-rate", "0.01", "--seed", "1"]
+              "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
 
 
 def test_criterion_9_deterministic_reruns(tmp_path, monkeypatch):
@@ -518,10 +523,11 @@ def test_criterion_9_deterministic_reruns(tmp_path, monkeypatch):
         train_out = str(tmp_path / f"train_{run}")
         sweep_out = str(tmp_path / f"sweep_{run}")
         ablate_out = str(tmp_path / f"ablate_{run}")
-        assert main(["train", *data, *TINY_FLAGS, "--out-dir", train_out]) == 0
-        assert main(["sweep-fraction", *data, *TINY_FLAGS, "--fractions", "0.5,1.0",
+        assert main(["train", *data, *TINY_FLAGS, "--max-nodes", "10", "--seed", "1",
+                     "--out-dir", train_out]) == 0
+        assert main(["sweep-fraction", *data, *TINY_FLAGS, "--max-nodes", "10", "--fractions", "0.5,1.0",
                      "--modes", "act-know", "--seeds", "1", "--out-dir", sweep_out]) == 0
-        assert main(["ablate-subgraph", *data, *TINY_FLAGS, "--node-budgets", "3,6",
+        assert main(["ablate-subgraph", *data, *TINY_FLAGS, "--seed", "1", "--node-budgets", "3,6",
                      "--out-dir", ablate_out]) == 0
         outputs[run] = {
             "stats": open(os.path.join(train_out, "stats.csv"), "rb").read(),

@@ -10,10 +10,10 @@ import sys
 
 import pytest
 
-from actknow.cli import main
+from actknow.cli import READS, _resolved, build_parser, main
 from actknow.config import ExperimentConfig
-from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER
-from actknow.pipeline import load_pipeline
+from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER, sweep_fraction
+from actknow.pipeline import load_pipeline, training_config_for
 from actknow.scenarios import NOISY_SPEC
 from actknow.training import STATS_HEADER
 
@@ -22,11 +22,14 @@ TASK_FILES = ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.j
 GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
              "--seed", "3", "--node-dim", "8"]
 
-TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
-              "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
-              "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-              "--max-nodes", "10", "--retrieve-k", "3", "--weight-decay", "0.01",
-              "--learning-rate", "0.01"]
+# ablate-subgraph sets max_nodes from --node-budgets, so it takes no --max-nodes
+ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
+                "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
+                "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
+                "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
+TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
+# the preparation and scoring settings of TINY_FLAGS, the ones eval reads
+EVAL_FLAGS = ["--batch-size", "4", "--max-nodes", "10", "--retrieve-k", "3"]
 
 
 def data_flags(task_dir, with_features=True):
@@ -132,6 +135,28 @@ def test_bad_subcommand_exits_one(capsys):
     assert main(["fly"]) == 1
 
 
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    """34 + 16 + 34 + 34 (subcommand, setting) pairs, each an ExperimentConfig
+    field named once."""
+    assert {command: len(names) for command, names in READS.items()} == {
+        "train": 34, "eval": 16, "sweep-fraction": 34, "ablate-subgraph": 34}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for names in READS.values():
+        assert len(set(names)) == len(names) and set(names) <= fields
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--fractions=0.5"), ("train", "--checkpoint=x"),
+    ("eval", "--gcn-layers=3"), ("eval", "--learning-rate=0.1"), ("eval", "--seed=1"),
+    ("sweep-fraction", "--seed=9"), ("sweep-fraction", "--mode=text-only"),
+    ("sweep-fraction", "--data-fraction=0.5"), ("ablate-subgraph", "--max-nodes=5"),
+    ("ablate-subgraph", "--split=dev"),
+])
+def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
+    assert main([command, flag]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--gumbel-temperature", "inf"),
                                          ("--weight-decay", "-0.1")])
 def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_path, capsys, caplog):
@@ -145,7 +170,7 @@ def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_pat
 def test_eval_reports_accuracy(task_dir, trained_dir, tmp_path, capsys):
     out = str(tmp_path / "eval")
     rc = main([
-        "eval", *data_flags(task_dir), *TINY_FLAGS, "--seed", "0",
+        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--split", "test", "--out-dir", out,
     ])
@@ -158,14 +183,17 @@ def test_eval_reports_accuracy(task_dir, trained_dir, tmp_path, capsys):
 
 
 def test_eval_scores_the_whole_split_under_any_data_fraction(task_dir, trained_dir, tmp_path, capsys):
-    """data_fraction draws the questions training reads; eval still scores
-    every question of its split."""
+    """data_fraction draws the questions training reads; eval takes no
+    --data-fraction and scores every question of its split."""
     out = str(tmp_path / "eval")
-    rc = main([
-        "eval", *data_flags(task_dir), *TINY_FLAGS, "--seed", "0", "--data-fraction", "0.5",
+    argv = lambda *fraction: [
+        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS, *fraction,
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--split", "train", "--out-dir", out,
-    ])
+    ]
+    assert main(argv("--data-fraction", "0.5")) == 1
+    assert "unrecognized arguments: --data-fraction 0.5" in capsys.readouterr().err
+    rc = main(argv())
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     train_rows = open(os.path.join(task_dir, "train.jsonl")).read().strip().split("\n")
@@ -191,7 +219,7 @@ def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, cap
                  "--n-relations", "3", "--n-questions", "12", "--seed", "8",
                  "--node-dim", "8"]) == 0
     rc = main([
-        "eval", *data_flags(other), *TINY_FLAGS, "--seed", "0",
+        "eval", *data_flags(other, with_features=False), *EVAL_FLAGS,
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--out-dir", str(tmp_path / "evalx"),
     ])
@@ -206,7 +234,7 @@ def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, cap
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     rc = main([
-        "eval", *data_flags(task_dir), *TINY_FLAGS, "--seed", "0",
+        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
         "--checkpoint", str(bad), "--out-dir", str(tmp_path / "evalbad"),
     ])
     assert rc == 1
@@ -237,11 +265,12 @@ def _nan_on_line_two(data):
     return b"\n".join(lines)
 
 
-INPUT_FLAGS = ("--kg", "--corpus", "--node-features", "--train", "--dev", "--test", "--checkpoint", "--config")
+# eval reads every input file but the node features, which train reads
+INPUT_FLAGS = ("--kg", "--corpus", "train --node-features", "--train", "--dev", "--test", "--checkpoint", "--config")
 
 # (case, flag, corrupt the file's bytes, None to remove the file or the
 # flag's own text, what follows "error: <path>:" on stderr for a file and
-# "error: " for a text); a flag of gen-synth's is written "gen-synth --flag"
+# "error: " for a text); a flag is eval's unless written "<command> --flag"
 BAD_INPUTS = [
     ("duplicate-id", "--train", _edit_second_question(lambda q, first: q.update(id=first["id"])),
      "2: duplicate id"),
@@ -260,12 +289,16 @@ BAD_INPUTS = [
      "2: question has no word token"),
     ("wordless-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], "?"])),
      "2: every choice needs a word token"),
-    ("non-finite-feature", "--node-features", _nan_on_line_two, "2: non-finite value"),
-    ("config-bad-seed", "--config", lambda _: b"seed = abc\n", "1: setting seed:"),
-    *[(f"{flag[2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
-    *[(f"{flag[2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
+    ("non-finite-feature", "train --node-features", _nan_on_line_two, "2: non-finite value"),
+    ("config-bad-seed", "train --config", lambda _: b"seed = abc\n", "1: setting seed:"),
+    ("config-unread-setting", "--config", lambda _: b"learning_rate = 0.1\n",
+     "1: eval does not read setting 'learning_rate'"),
+    ("eval-node-features", "--node-features", "node_features.txt",
+     "unrecognized arguments: --node-features=node_features.txt"),
+    *[(f"{flag.split()[-1][2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
+    *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),
-    ("seeds-dashes", "--seeds", "--", "setting seeds: "),
+    ("seeds-dashes", "sweep-fraction --seeds", "--", "setting seeds: "),
     ("gen-synth-nan-feature-noise", "gen-synth --feature-noise", "nan", "feature_noise must be finite"),
     ("gen-synth-inf-feature-noise", "gen-synth --feature-noise", "inf", "feature_noise must be finite"),
     ("gen-synth-text-n-entities", "gen-synth --n-entities", "x", "setting n_entities: "),
@@ -276,19 +309,25 @@ BAD_INPUTS = [
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, trained_dir, tmp_path, capsys,
                                             caplog):
-    """Every input file `eval` reads, its settings file too: a malformed,
-    non-UTF-8 or missing file exits 1 with a message naming the file (and the
-    line), and no traceback. So does a flag text that its setting rejects."""
-    if flag.startswith("gen-synth "):
-        flag = flag.split()[1]
+    """Every input file `eval` reads, its settings file too, and the node
+    features `train` reads: a malformed, non-UTF-8 or missing file exits 1
+    with a message naming the file (and the line), and no traceback. So does
+    a flag text that its setting rejects, a flag the command does not read,
+    and a settings-file line naming a setting it does not read."""
+    command, _, flag = flag.rpartition(" ")
+    if command == "gen-synth":
         argv = ["gen-synth", "--out-dir", str(tmp_path / "out"), *GEN_FLAGS]
     else:
         copy = tmp_path / "task"
         shutil.copytree(task_dir, copy)
         shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
-        (copy / "run.conf").write_text("# a valid settings file\nsplit = test\n")
-        argv = ["eval", *data_flags(str(copy)), "--checkpoint", str(copy / "checkpoint.txt"), *TINY_FLAGS,
-                "--config", str(copy / "run.conf"), "--seed", "0", "--out-dir", str(tmp_path / "out")]
+        (copy / "run.conf").write_text("# a valid settings file\nbatch_size = 4\n")
+        if command:
+            argv = [command, *data_flags(str(copy)), *TINY_FLAGS]
+        else:
+            argv = ["eval", *data_flags(str(copy), with_features=False), "--checkpoint",
+                    str(copy / "checkpoint.txt"), *EVAL_FLAGS]
+        argv += ["--config", str(copy / "run.conf"), "--out-dir", str(tmp_path / "out")]
     if isinstance(corrupt, str):
         argv.append(f"{flag}={corrupt}")
         expected = message
@@ -340,30 +379,40 @@ def test_sweep_rerun_is_byte_identical(task_dir, tmp_path):
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
 
 
-def test_sweep_prepares_the_whole_train_split_under_any_data_fraction(task_dir, tmp_path, caplog):
+def _cli_config(argv):
+    """The ExperimentConfig that the command line `argv` resolves to."""
+    return _resolved(build_parser().parse_args(argv))
+
+
+def test_sweep_prepares_the_whole_train_split_under_any_data_fraction(task_dir, tmp_path, caplog, capsys):
     """Each sweep cell draws its own fraction from one preparation of the
-    whole train split, so --data-fraction changes neither the sample sizes
-    logged nor the CSV."""
+    whole train split, so a data_fraction in the sweep's config changes
+    neither the sample sizes logged nor the CSV. The command line cannot
+    set one."""
     caplog.set_level(logging.INFO, logger="actknow.pipeline")
     argv = lambda out, *fraction: [
         "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, *fraction,
         "--fractions", "0.5,1.0", "--modes", "text-only", "--seeds", "0",
         "--out-dir", out,
     ]
+    assert main(argv(str(tmp_path / "x"), "--data-fraction", "0.5")) == 1
+    assert "unrecognized arguments: --data-fraction 0.5" in capsys.readouterr().err
     runs = []
-    for name, fraction in (("a", ["--data-fraction", "0.5"]), ("b", [])):
+    for name, fraction in (("a", 0.5), ("b", None)):
         caplog.clear()
-        assert main(argv(str(tmp_path / name), *fraction)) == 0
+        cfg = _cli_config(argv(str(tmp_path / name)))
+        sweep_fraction(cfg if fraction is None else training_config_for(cfg, data_fraction=fraction))
         sampled = [r.getMessage() for r in caplog.records if "fraction sampling" in r.getMessage()]
         runs.append((sampled, (tmp_path / name / "sweep.csv").read_bytes()))
     assert runs[0][0] == ["training on 4 questions after fraction sampling"]
     assert runs[0] == runs[1]
 
 
-def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path):
+def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path, capsys):
     """The sweep prepares its splits once for every mode. Prepared under a
-    text-only --mode they must still carry the subgraphs that the
-    base-know cells' GCN reads, so the CSV matches the default mode's."""
+    text-only mode in the sweep's config they must still carry the subgraphs
+    that the base-know cells' GCN reads, so the CSV matches the default
+    mode's. The command line cannot set a mode."""
     argv = lambda out, *mode: [
         "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, *mode,
         "--fractions", "1.0", "--modes", "text-only,base-know", "--seeds", "0",
@@ -371,7 +420,9 @@ def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path):
     ]
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
-    assert main(argv(a, "--mode", "text-only")) == 0
+    assert main(argv(a, "--mode", "text-only")) == 1
+    assert "unrecognized arguments: --mode text-only" in capsys.readouterr().err
+    sweep_fraction(training_config_for(_cli_config(argv(a)), mode="text-only"))
     assert main(argv(b)) == 0
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
 
@@ -379,7 +430,7 @@ def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path):
 def test_ablate_subgraph_csv(task_dir, tmp_path):
     out = str(tmp_path / "ablate")
     argv = [
-        "ablate-subgraph", *data_flags(task_dir), *TINY_FLAGS,
+        "ablate-subgraph", *data_flags(task_dir), *ABLATE_FLAGS,
         "--node-budgets", "3,6", "--out-dir", out,
     ]
     assert main(argv) == 0
@@ -390,7 +441,7 @@ def test_ablate_subgraph_csv(task_dir, tmp_path):
 
 def test_ablate_rejects_zero_budget(task_dir, tmp_path, capsys):
     rc = main([
-        "ablate-subgraph", *data_flags(task_dir), *TINY_FLAGS,
+        "ablate-subgraph", *data_flags(task_dir), *ABLATE_FLAGS,
         "--node-budgets", "0", "--out-dir", str(tmp_path),
     ])
     assert rc == 1

@@ -132,17 +132,20 @@ def _flag(name, value, text):
     return f"--{name.replace('_', '-')}={text}"
 
 
-# each settings dataclass with the command line that reads it as flags
-COMMANDS = [(ExperimentConfig, ["train"]), (SyntheticSpec, ["gen-synth", "--out-dir=unused"])]
+# each subcommand with the settings dataclass it reads its flags into
+COMMANDS = [(ExperimentConfig, [command]) for command in ("train", "eval", "sweep-fraction", "ablate-subgraph")]
+COMMANDS.append((SyntheticSpec, ["gen-synth", "--out-dir=unused"]))
 
 
 @pytest.mark.parametrize("cls, command", COMMANDS, ids=[c[0] for _, c in COMMANDS])
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, cls, command, data):
-    """Each setting written as text parses back to its value, and the same
-    text gives the same settings as a --flag and as a config-file line."""
-    fields = dataclasses.fields(cls)
+    """Each setting the command reads, written as text, parses back to its
+    value, and the same text gives the same settings as a --flag and as a
+    config-file line."""
+    reads = build_parser().parse_args(command).reads
+    fields = [f for f in dataclasses.fields(cls) if f.name in reads]
     pairs = data.draw(st.tuples(*[_setting(f.default) for f in fields]))
     values = {f.name: value for f, (value, _) in zip(fields, pairs)}
     texts = {f.name: text for f, (_, text) in zip(fields, pairs)}
@@ -151,10 +154,10 @@ def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, cls, command,
 
     path = tmp_path / "all.conf"
     path.write_text("".join(f"{name} = {text}\n" for name, text in texts.items()), encoding="utf-8")
-    from_file = parse_config_file(cls, str(path))
+    from_file = parse_config_file(cls, str(path), command[0], reads)
 
     flags = [_flag(name, values[name], text) for name, text in texts.items()]
-    from_flags = _flag_values(cls, build_parser().parse_args([*command, *flags]))
+    from_flags = _flag_values(build_parser().parse_args([*command, *flags]))
 
     assert from_file == from_flags == values
     assert cls(**from_file) == cls(**from_flags) == cls(**values)
@@ -166,6 +169,21 @@ def test_env_seed_is_weakest(tmp_path, monkeypatch):
     path = write_config(tmp_path, "seed = 4\n")
     assert resolve_config(ExperimentConfig, {}, path).seed == 4
     assert resolve_config(ExperimentConfig, {"seed": 2}, path).seed == 2
+
+
+def test_env_seed_applies_only_where_seed_is_read(monkeypatch):
+    monkeypatch.setenv("ACTKNOW_SEED", "lots")
+    assert resolve_config(ExperimentConfig, {}, None, "eval", ("split",)).seed == 0
+
+
+def test_a_file_line_the_command_does_not_read_names_its_line(tmp_path):
+    path = write_config(tmp_path, "split = dev\nlearning_rate = 0.1\n")
+    assert resolve_config(ExperimentConfig, {}, path, "train", ("split", "learning_rate")).split == "dev"
+    with pytest.raises(ConfigError) as info:
+        resolve_config(ExperimentConfig, {}, path, "eval", ("split",))
+    assert str(info.value) == f"{path}:2: eval does not read setting 'learning_rate'"
+    with pytest.raises(ConfigError, match=r":1: unknown setting 'bogus'"):
+        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "bogus = 1\n"), "eval", ("split",))
 
 
 def test_env_seed_must_be_integer(monkeypatch):

@@ -10,11 +10,13 @@ scorer's, to 1e-12.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 import _oracles
 from actknow import training
+from actknow.cli import READS
 from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from actknow.scenarios import lowdata_experiment
 from test_training import build_task
@@ -105,3 +107,37 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
     chunks = 2  # 4 questions, 3 a chunk
     assert counts == {"encode_text": chunks, "gcn_forward": graph_calls * chunks, "er_attention": graph_calls * chunks}
 
+
+
+# a non-default value for every TrainConfig field that eval does not read
+UNREAD_BY_EVAL = {
+    "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "seed": 9, "data_fraction": 0.3,
+    "gumbel_temperature": 0.25, "pretrain_epochs": 7, "warmup_steps": 11, "text_dim": 3, "node_dim": 5,
+    "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4, "kg_epochs": 1, "entropy_split": "dev",
+    "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 0.125, "weight_decay": 0.0,
+}
+
+
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_eval_reads_only_its_own_settings(split, lowdata_model):
+    """prepare_split and evaluate of one model give byte-identical rows
+    under the defaults and under a non-default value of every TrainConfig
+    field outside eval's seven. The train split is left out: there
+    prepare_split draws the data_fraction sample that training reads, and
+    eval always leaves data_fraction at 1."""
+    config, model, _ = lowdata_model
+    read = {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
+    assert read == {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len", "use_gcn", "use_er"}
+    assert set(UNREAD_BY_EVAL) == {f.name for f in dataclasses.fields(training.TrainConfig)} - read
+    defaults = training_config_for(
+        dataclasses.replace(config, **{f.name: f.default for f in dataclasses.fields(training.TrainConfig)
+                                       if f.name not in read}))
+    unread = training_config_for(config, **UNREAD_BY_EVAL)
+    assert all(getattr(unread, name) != getattr(defaults, name) for name in UNREAD_BY_EVAL)
+    pipe = load_pipeline(config)
+
+    def rows(tc):
+        _, rows = training.evaluate(prepare_split(pipe, split, tc), model, tc, with_details=True)
+        return json.dumps(rows).encode("utf-8")
+
+    assert rows(unread) == rows(defaults)

@@ -396,13 +396,14 @@ def test_training_is_deterministic():
         assert np.array_equal(arr, b.best_state[name]), name
 
 
-def test_act_with_pinned_weight_one_matches_plain_training():
-    """Pinning every question's weight to 1 makes the active loop identical to
-    the fixed-weight one, update for update."""
+def test_act_with_pinned_weight_one_matches_plain_training(monkeypatch):
+    """Pinning every question's entropy, and so its weight, to 1 makes the
+    active loop identical to the fixed-weight one, update for update."""
     base_task = build_task(master_epochs=3)
     base = train(base_task.model, base_task.prepared, None, base_task.config)
     act_task = build_task(master_epochs=3, mode="act-know")
-    act = train(act_task.model, act_task.prepared, None, act_task.config, entropy_override=1.0)
+    monkeypatch.setattr(training, "question_entropy", lambda logits: 1.0)
+    act = train(act_task.model, act_task.prepared, None, act_task.config)
     base_losses = [r["loss"] for r in base.stats if r["split"] == "train"]
     act_losses = [r["loss"] for r in act.stats if r["split"] == "train"]
     assert len(base_losses) == len(act_losses) == 3
@@ -454,12 +455,6 @@ def test_act_dev_entropy_requires_dev_set():
     task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
     with pytest.raises(ConfigError, match="dev"):
         train(task.model, task.prepared, None, task.config)
-
-
-def test_entropy_override_requires_act_know():
-    task = build_task()
-    with pytest.raises(ConfigError, match="act-know"):
-        train(task.model, task.prepared, None, task.config, entropy_override=1.0)
 
 
 def test_training_rejects_empty_set():
@@ -531,13 +526,16 @@ def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
 
 @pytest.mark.parametrize("has_dev", [False, True])
 @pytest.mark.parametrize(
-    "mode, override, extra",
-    [("act-know", None, 1), ("act-know", 0.5, 0), ("base-know", None, 0), ("text-only", None, 0)],
+    "mode, pin, extra",
+    [("act-know", None, 1), ("act-know", 0.5, 1), ("base-know", None, 0), ("text-only", None, 0)],
 )
-def test_training_evaluates_each_split_once_per_epoch(mode, override, extra, has_dev, monkeypatch):
+def test_training_evaluates_each_split_once_per_epoch(mode, pin, extra, has_dev, monkeypatch):
     """One evaluate() per split and master epoch; measuring act-know adds
-    one on the entropy split after pretraining, for the first epoch."""
+    one on the entropy split after pretraining, for the first epoch, also
+    when every entropy is pinned to one value."""
     task = build_task(master_epochs=3, mode=mode)
+    if pin is not None:
+        monkeypatch.setattr(training, "question_entropy", lambda logits: pin)
     dev_qs = task.prepared[1:] if has_dev else None
     evaluate = training.evaluate
     calls = []
@@ -547,7 +545,7 @@ def test_training_evaluates_each_split_once_per_epoch(mode, override, extra, has
         return evaluate(qs, *args, **kwargs)
 
     monkeypatch.setattr(training, "evaluate", counting_evaluate)
-    train(task.model, task.prepared, dev_qs, task.config, entropy_override=override)
+    train(task.model, task.prepared, dev_qs, task.config)
     assert len(calls) == extra + 3 * (1 + has_dev)
     if extra:
         assert calls[0] is task.prepared
