@@ -3,8 +3,9 @@
 
 Small budgets truncate the planted reasoning path, large ones flood the
 subgraph with clutter paths between noise mentions, so accuracy should
-peak at an interior budget. Writes data under data/noisy and the CSV under
-runs/noisy.
+peak at an interior budget. Writes data under data/noisy, and under
+runs/noisy the ablation.csv plus one directory per budget (max-nodes-<b>/)
+holding its checkpoint.txt, stats.csv and test_predictions.jsonl.
 """
 
 import argparse

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run the bundled low-data experiment: three training modes at a 20% data
 fraction across five seeds, then a sign-test summary of the per-seed
-accuracies. Writes data under data/lowdata and results under runs/lowdata.
+accuracies. Writes data under data/lowdata, and under runs/lowdata the
+sweep.csv plus one directory per cell (fraction-0.2-<mode>-seed-<seed>/)
+holding its checkpoint.txt, stats.csv and test_predictions.jsonl.
 """
 
 import argparse

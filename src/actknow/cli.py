@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 
-from .atomic import atomic_write
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .config import ExperimentConfig, parse_setting, resolve_config
 from .errors import ConfigError
-from .experiments import ablate_subgraph, sweep_fraction
-from .pipeline import load_pipeline, prepare_split, run_training
+from .experiments import ablate_subgraph, prepare_splits, run_cell, sweep_fraction, write_jsonl
+from .pipeline import load_pipeline, prepare_split
 from .synth import SyntheticSpec, generate
-from .training import TrainConfig, evaluate, model_from_state, write_stats_csv
+from .training import TrainConfig, evaluate, model_from_state
 
 log = logging.getLogger(__name__)
 
@@ -87,11 +85,6 @@ def _resolved(args: argparse.Namespace) -> ExperimentConfig | SyntheticSpec:
     return resolve_config(args.settings, _flag_values(args), args.config, args.command, args.reads)
 
 
-def _out_path(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # no flag abbreviations: sweep-fraction would read --seed as --seeds
     # and --mode as --modes
@@ -117,25 +110,12 @@ def cmd_train(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "train")
     pipe = load_pipeline(cfg)
-    train_qs = prepare_split(pipe, "train", cfg)
-    dev_qs = prepare_split(pipe, "dev", cfg) if "dev" in pipe.items else None
-
-    model, result = run_training(pipe, cfg, train_qs, dev_qs)
-
-    ckpt_path = _out_path(cfg, "checkpoint.txt")
-    save_checkpoint(ckpt_path, result.best_state)
-    stats_path = _out_path(cfg, "stats.csv")
-    write_stats_csv(stats_path, result.stats)
-    select = "dev" if dev_qs else "train"
+    result, test_accuracy = run_cell(pipe, cfg, *prepare_splits(pipe, cfg), cfg.out_dir)
+    select = "dev" if "dev" in pipe.items else "train"
     print(f"best {select} accuracy {result.best_accuracy:.4f} at epoch {result.best_epoch}")
-
-    if "test" in pipe.items:
-        model.load_state_arrays(result.best_state)
-        test_qs = prepare_split(pipe, "test", cfg)
-        acc, _ = evaluate(test_qs, model, cfg)
-        print(f"test accuracy {acc:.4f}")
-    print(f"checkpoint {ckpt_path}")
-    print(f"stats {stats_path}")
+    if test_accuracy is not None:
+        print(f"test accuracy {test_accuracy:.4f}")
+    print(f"files in {cfg.out_dir}")
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
@@ -156,10 +136,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
     # scored whole
     questions = prepare_split(pipe, cfg.split, cfg)
     acc, rows = evaluate(questions, model, cfg, with_details=True)
-    out_path = _out_path(cfg, "eval.jsonl")
-    with atomic_write(out_path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    out_path = os.path.join(cfg.out_dir, "eval.jsonl")
+    write_jsonl(out_path, rows)
     print(f"{cfg.split} accuracy {acc:.4f} over {len(rows)} questions")
     print(f"details {out_path}")
 

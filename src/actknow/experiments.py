@@ -1,6 +1,8 @@
-"""The two headline experiments, shared by the command line, the runner
-scripts and the acceptance tests so every entry point writes the same bytes.
+"""The cell runner and the two headline experiments, shared by the command
+line, the runner scripts and the acceptance tests so every entry point
+writes the same bytes.
 
+* run_cell: train one cell and write its files into one directory.
 * sweep_fraction: test accuracy for every training fraction x mode x seed
   cell, written to `sweep.csv`.
 * ablate_subgraph: test accuracy for every subgraph node budget, written to
@@ -12,39 +14,51 @@ Both CSVs go through csv.writer (CRLF line ends) with repr floats.
 from __future__ import annotations
 
 import csv
+import json
 import os
 from math import comb
 
 from .atomic import atomic_write
+from .checkpoint import save_checkpoint
 from .config import ExperimentConfig
 from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for, training_sample
-from .training import PreparedQuestion, TrainConfig, evaluate
+from .training import PreparedQuestion, TrainConfig, TrainResult, evaluate, write_stats_csv
 
 SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
 ABLATION_HEADER = ["max_nodes", "accuracy"]
 
 
-def _prepare_splits(
+def prepare_splits(
     pipe: Pipeline, tc: TrainConfig
-) -> tuple[list[PreparedQuestion], list[PreparedQuestion] | None, list[PreparedQuestion]]:
-    """Train, dev (None when no dev split is supplied) and test questions."""
+) -> tuple[list[PreparedQuestion], list[PreparedQuestion] | None, list[PreparedQuestion] | None]:
+    """Train, dev and test questions; None for a split that is not supplied."""
     train_qs = prepare_split(pipe, "train", tc)
-    dev_qs = prepare_split(pipe, "dev", tc) if "dev" in pipe.items else None
-    return train_qs, dev_qs, prepare_split(pipe, "test", tc)
+    dev_qs, test_qs = (prepare_split(pipe, split, tc) if split in pipe.items else None for split in ("dev", "test"))
+    return train_qs, dev_qs, test_qs
 
 
-def _train_and_score(
-    pipe: Pipeline,
-    tc: TrainConfig,
-    train_qs: list[PreparedQuestion],
-    dev_qs: list[PreparedQuestion] | None,
-    test_qs: list[PreparedQuestion],
-) -> float:
-    """Train one cell and return the test accuracy of its best state."""
+def write_jsonl(path: str, rows: list[dict]) -> None:
+    with atomic_write(path) as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+def run_cell(pipe: Pipeline, tc: TrainConfig, train_qs: list[PreparedQuestion], dev_qs: list[PreparedQuestion] | None,
+             test_qs: list[PreparedQuestion] | None, cell_dir: str) -> tuple[TrainResult, float | None]:
+    """Train one cell on exactly `train_qs` and write `checkpoint.txt` (the
+    best state) and `stats.csv` into cell_dir. With test questions, score
+    the best state on them and write the rows to `test_predictions.jsonl`.
+    Returns the training result and the test accuracy (None without test
+    questions)."""
     model, result = run_training(pipe, tc, train_qs, dev_qs)
+    os.makedirs(cell_dir, exist_ok=True)
+    save_checkpoint(os.path.join(cell_dir, "checkpoint.txt"), result.best_state)
+    write_stats_csv(os.path.join(cell_dir, "stats.csv"), result.stats)
+    if test_qs is None:
+        return result, None
     model.load_state_arrays(result.best_state)
-    accuracy, _ = evaluate(test_qs, model, tc)
-    return accuracy
+    accuracy, rows = evaluate(test_qs, model, tc)
+    write_jsonl(os.path.join(cell_dir, "test_predictions.jsonl"), rows)
+    return result, accuracy
 
 
 def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[list]) -> None:
@@ -60,7 +74,8 @@ def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[l
 def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:
     """Train every fraction x mode x seed cell, in that nesting order, on
     splits prepared once; return (fraction, mode, seed, test accuracy) rows
-    and write them to `sweep.csv` in cfg.out_dir.
+    and write them to `sweep.csv` in cfg.out_dir, and each cell's files
+    (run_cell) to `fraction-<repr(fraction)>-<mode>-seed-<seed>/` there.
 
     The whole train split is prepared once, and each cell draws its
     fraction sample from it. The splits carry subgraphs when any mode's GCN
@@ -69,14 +84,15 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
     pipe = load_pipeline(cfg)
     whole = training_config_for(cfg, data_fraction=1.0)
     configs = [training_config_for(whole, mode=mode) for mode in cfg.modes]
-    train_qs, dev_qs, test_qs = _prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), whole))
+    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), whole))
 
     rows = []
     for fraction in cfg.fractions:
         for mode in cfg.modes:
             for seed in cfg.seeds:
                 tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
-                acc = _train_and_score(pipe, tc, training_sample(train_qs, tc), dev_qs, test_qs)
+                cell_dir = os.path.join(cfg.out_dir, f"fraction-{float(fraction)!r}-{mode}-seed-{seed}")
+                _, acc = run_cell(pipe, tc, training_sample(train_qs, tc), dev_qs, test_qs, cell_dir)
                 rows.append((fraction, mode, seed, acc))
                 print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
 
@@ -87,14 +103,15 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
 def ablate_subgraph(cfg: ExperimentConfig) -> list[tuple[int, float]]:
     """Prepare the splits and train once per node budget; return
     (max_nodes, test accuracy) rows and write them to `ablation.csv` in
-    cfg.out_dir."""
+    cfg.out_dir, and each cell's files (run_cell) to `max-nodes-<budget>/`
+    there."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
 
     rows = []
     for budget in cfg.node_budgets:
         tc = training_config_for(cfg, max_nodes=budget)
-        acc = _train_and_score(pipe, tc, *_prepare_splits(pipe, tc))
+        _, acc = run_cell(pipe, tc, *prepare_splits(pipe, tc), os.path.join(cfg.out_dir, f"max-nodes-{budget}"))
         rows.append((budget, acc))
         print(f"max_nodes {budget}: accuracy {acc:.4f}")
 

@@ -379,6 +379,57 @@ def test_sweep_rerun_is_byte_identical(task_dir, tmp_path):
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
 
 
+CELL_FILES = ["checkpoint.txt", "stats.csv", "test_predictions.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def swept_dir(task_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("swept"))
+    # three epochs, so that a cell's best state need not be its last
+    assert main(["sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, "--master-epochs", "3", "--fractions",
+                 "0.5,1.0", "--modes", "text-only,act-know", "--seeds", "1", "--out-dir", out]) == 0
+    return out
+
+
+def test_each_command_writes_its_csv_and_one_directory_per_cell(task_dir, swept_dir, tmp_path):
+    """sweep-fraction and ablate-subgraph write their CSV and one directory
+    per cell holding exactly the cell's checkpoint, stats and test rows;
+    train writes those three files into its out dir, the test rows only
+    when a test split is given."""
+    sweep_cells = [f"fraction-{f}-{m}-seed-1" for f in ("0.5", "1.0") for m in ("act-know", "text-only")]
+    assert sorted(os.listdir(swept_dir)) == [*sweep_cells, "sweep.csv"]
+    ablated = tmp_path / "ablate"
+    assert main(["ablate-subgraph", *data_flags(task_dir), *ABLATE_FLAGS, "--node-budgets", "3,6",
+                 "--out-dir", str(ablated)]) == 0
+    assert sorted(os.listdir(ablated)) == ["ablation.csv", "max-nodes-3", "max-nodes-6"]
+    for cell_dir in [os.path.join(swept_dir, c) for c in sweep_cells] + [ablated / f"max-nodes-{b}" for b in (3, 6)]:
+        assert sorted(os.listdir(cell_dir)) == CELL_FILES, cell_dir
+
+    with_test = data_flags(task_dir)
+    at = with_test.index("--test")
+    for flags, files in ((with_test, CELL_FILES), (with_test[:at] + with_test[at + 2:], CELL_FILES[:2])):
+        out = tmp_path / f"train-{len(files)}"
+        assert main(["train", *flags, *TINY_FLAGS, "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == files
+
+
+@pytest.mark.parametrize("mode", ["act-know", "text-only"])
+def test_eval_of_a_sweep_cell_checkpoint_reproduces_its_test_predictions(mode, task_dir, swept_dir, tmp_path):
+    """A sweep cell's checkpoint, evaluated by `eval` with the sweep's
+    preparation settings, the same batch size (a question's logits depend
+    on its chunk-mates) and the cell's mode, scores every test question
+    exactly as the cell's own test_predictions.jsonl records."""
+    cell_dir = os.path.join(swept_dir, f"fraction-0.5-{mode}-seed-1")
+    out = tmp_path / "eval"
+    assert main(["eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS, "--mode", mode,
+                 "--checkpoint", os.path.join(cell_dir, "checkpoint.txt"), "--split", "test",
+                 "--out-dir", str(out)]) == 0
+    fields = lambda path: [{k: row[k] for k in ("id", "predicted", "gold", "entropy", "logits")}
+                           for row in map(json.loads, open(path, encoding="utf-8"))]
+    want = fields(os.path.join(cell_dir, "test_predictions.jsonl"))
+    assert want and fields(out / "eval.jsonl") == want
+
+
 def _cli_config(argv):
     """The ExperimentConfig that the command line `argv` resolves to."""
     return _resolved(build_parser().parse_args(argv))

@@ -1,6 +1,5 @@
 """Question scoring, entropy weighting, the training loop, evaluation accounting."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,12 +9,12 @@ from hypothesis import strategies as st
 
 from actknow import autodiff as ad
 from actknow import training
-from actknow.checkpoint import save_checkpoint
 from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
+from actknow.experiments import run_cell
 from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
-from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
+from actknow.pipeline import load_pipeline, prepare_split, training_config_for
 from actknow.retrieval import build_index, corpus_from_sentences, tokenize
 from actknow.scenarios import lowdata_experiment
 from actknow.training import (
@@ -127,14 +126,10 @@ def test_cells_without_a_gcn_train_the_same_bytes_from_either_preparation(overri
         train_qs, dev_qs, test_qs = (prepare_split(pipe, split, prep) for split in ("train", "dev", "test"))
         built = [c.subgraph is not None for pq in train_qs for c in pq.choices]
         assert any(built) == train_qs[0].graph_side == prep.graph_encoders[0]
-        model, result = run_training(pipe, cfg, train_qs, dev_qs)
         out = tmp_path / str(len(outputs))
-        out.mkdir()
-        save_checkpoint(str(out / "checkpoint.txt"), result.best_state)
-        write_stats_csv(str(out / "stats.csv"), result.stats)
-        model.load_state_arrays(result.best_state)
-        rows = evaluate(test_qs, model, cfg)[1]
-        outputs.append(((out / "stats.csv").read_bytes(), (out / "checkpoint.txt").read_bytes(), json.dumps(rows)))
+        run_cell(pipe, cfg, train_qs, dev_qs, test_qs, str(out))
+        outputs.append(tuple((out / name).read_bytes()
+                             for name in ("stats.csv", "checkpoint.txt", "test_predictions.jsonl")))
     assert outputs[0] == outputs[1]
 
 
