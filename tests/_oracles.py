@@ -2,15 +2,17 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Seven package paths that simpler or faster ones
+no code with src/. Eight package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the gather +
 segment-mean text encoder that the bag-of-words product replaced, the
 two-pass act-know prediction that one encoder pass with two classifier
 products replaced, the functional Adam step that the in-place `Adam`
-replaced, and the n-gram mention scan and neighbor-loop DFS that the label
-trie and the last-hop membership test replaced. The second and third run on the package's autodiff tape so that
+replaced, the n-gram mention scan and neighbor-loop DFS that the label
+trie and the last-hop membership test replaced, and the KG embedding loop
+that drew its corruptions per triple before one draw per epoch replaced
+it. The second and third run on the package's autodiff tape so that
 gradients can be compared too.
 """
 
@@ -457,3 +459,59 @@ def dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[in
     if explore(src, max_len):
         return path
     return None
+
+
+# ---------------------------------------------------------------------------
+# KG embedding training before the corruptions were drawn once per epoch:
+# two scalar draws and the whole margin step per triple. The package code
+# verbatim, without the memo and the read-only marking; the trainer must
+# match it exactly.
+
+
+def train_kg_embeddings(
+    graph: KnowledgeGraph,
+    dim: int,
+    epochs: int,
+    seed: int,
+    lr: float = 0.05,
+    margin: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(entity, relation) tables trained with a margin loss against
+    uniformly sampled corruptions, drawn one triple at a time."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(dim)
+    ent = rng.normal(0.0, scale, size=(graph.n_entities, dim))
+    rel = rng.normal(0.0, scale, size=(graph.n_relations, dim))
+
+    n_ent = graph.n_entities
+    for _ in range(epochs):
+        order = rng.permutation(len(graph.triples))
+        for idx in order:
+            t = graph.triples[idx]
+            corrupt_head = bool(rng.integers(0, 2))
+            repl = int(rng.integers(0, n_ent))
+            if corrupt_head and repl == t.head or not corrupt_head and repl == t.tail:
+                repl = (repl + 1) % n_ent
+            if corrupt_head:
+                nh, nt = repl, t.tail
+            else:
+                nh, nt = t.head, repl
+
+            r = rel[t.relation]
+            pos = np.sum(ent[t.head] * r * ent[t.tail])
+            neg = np.sum(ent[nh] * r * ent[nt])
+            if margin - pos + neg <= 0:
+                continue
+            # ascend the positive score, descend the negative one
+            gh = r * ent[t.tail]
+            gt = r * ent[t.head]
+            gr_pos = ent[t.head] * ent[t.tail]
+            gnh = r * ent[nt]
+            gnt = r * ent[nh]
+            gr_neg = ent[nh] * ent[nt]
+            ent[t.head] += lr * gh
+            ent[t.tail] += lr * gt
+            ent[nh] -= lr * gnh
+            ent[nt] -= lr * gnt
+            rel[t.relation] += lr * (gr_pos - gr_neg)
+    return ent, rel

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from actknow.errors import ConfigError
 from actknow.kg import (
     graph_from_triples,
@@ -10,6 +11,7 @@ from actknow.kg import (
     normalize_label,
     train_kg_embeddings,
 )
+from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.subgraph import connect_concepts
 
 
@@ -185,3 +187,66 @@ def test_returned_tables_are_read_only():
             table.vectors[0, 0] = 1.0
         with pytest.raises(ValueError):
             table.vectors += 1.0
+
+
+def test_one_array_draw_is_the_stream_of_alternating_scalar_draws():
+    """train_kg_embeddings draws an epoch's corruption coins and replacement
+    entities in one call; its tables equal the per-triple loop's only while
+    numpy keeps this stream, and the state after it, equal."""
+    for n in (2, 200, 2**31 - 1, 2**32 + 5):
+        for seed in range(3):
+            for m in (1, 7, 140):
+                batched = np.random.default_rng(seed)
+                scalar = np.random.default_rng(seed)
+                drawn = batched.integers(0, np.tile([2, n], m))
+                expected = []
+                for _ in range(m):
+                    expected.append(int(scalar.integers(0, 2)))
+                    expected.append(int(scalar.integers(0, n)))
+                assert drawn.tolist() == expected, (n, seed, m)
+                assert batched.integers(0, n) == scalar.integers(0, n), (n, seed, m)
+
+
+def assert_matches_per_triple_loop(graph, dim, epochs, seed, lr=0.05, margin=1.0):
+    ent, rel = train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
+    want_ent, want_rel = _oracles.train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
+    assert np.array_equal(ent.vectors, want_ent)
+    assert np.array_equal(rel.vectors, want_rel)
+
+
+@pytest.mark.parametrize(
+    "data_dir, experiment",
+    [("lowdata_dir", lowdata_experiment), ("noisy_dir", noisy_experiment)],
+)
+def test_bundled_graphs_train_the_per_triple_tables(data_dir, experiment, request, tmp_path):
+    cfg = experiment(request.getfixturevalue(data_dir), str(tmp_path))
+    graph = load_triples(cfg.kg)
+    for seed in range(5):
+        assert_matches_per_triple_loop(graph, cfg.kg_dim, cfg.kg_epochs, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, n - 1)),
+            min_size=1, max_size=15,
+        ),
+    )),
+    st.sampled_from([2, 5, 32]),
+    st.sampled_from([0, 1, 3]),
+    st.sampled_from([0.01, 0.05, 0.5]),
+    st.sampled_from([0.0, 1.0, 4.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_small_graphs_train_the_per_triple_tables(entities_and_triples, dim, epochs, lr, margin, seed):
+    """Random small graphs, every setting of the step. With 2 entities each
+    corruption lands on the other entity, half of them by the clash wrap."""
+    n_entities, raw = entities_and_triples
+    # every entity appears in the graph, with loops dropped as load_triples does
+    named = [(f"e{i}", "r0", f"e{(i + 1) % n_entities}") for i in range(n_entities)]
+    named += [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in raw if h != t]
+    graph = graph_from_triples(named)
+    assert graph.n_entities == n_entities
+    assert_matches_per_triple_loop(graph, dim, epochs, seed, lr=lr, margin=margin)
