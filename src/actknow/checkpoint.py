@@ -24,18 +24,19 @@ Array = np.ndarray
 
 
 def save_checkpoint(path: str, named: dict[str, Array]) -> None:
-    lines = [f"tensors {len(named)}"]
-    for name in named:
-        if " " in name or "\n" in name:
-            raise ValueError(f"tensor name may not contain whitespace: {name!r}")
-        arr = np.asarray(named[name], dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {name} has a non-finite value; load_checkpoint would reject it")
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"{name} {arr.ndim} {dims}".rstrip())
-        lines.append(" ".join(repr(float(v)) for v in arr.reshape(-1)))
+    """Write `named` to `path`, one tensor's two lines at a time. A rejected
+    tensor leaves `path` as it was (atomic_write drops the partial file)."""
     with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"tensors {len(named)}\n")
+        for name in named:
+            if " " in name or "\n" in name:
+                raise ValueError(f"tensor name may not contain whitespace: {name!r}")
+            arr = np.asarray(named[name], dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"tensor {name} has a non-finite value; load_checkpoint would reject it")
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"{name} {arr.ndim} {dims}".rstrip() + "\n")
+            fh.write(" ".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
 
 
 def load_checkpoint(path: str) -> dict[str, Array]:

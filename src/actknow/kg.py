@@ -6,6 +6,10 @@ lowercase, trimmed, underscores to spaces, runs of whitespace collapsed.
 The typed facts live in `triples`; `adjacency` keeps only each entity's
 neighbor ids, which is all subgraph search reads, and `label_trie`, built by
 the first mention scan, holds the labels token by token.
+
+Embedding training draws each epoch's corruptions in one call before its
+SGD loop, so the loop does only row arithmetic; the tables are
+bit-identical to drawing two scalars per triple.
 """
 
 from __future__ import annotations
@@ -166,6 +170,12 @@ def train_kg_embeddings(
     """Train entity/relation tables with a margin loss against uniformly
     sampled corruptions. epochs=0 returns the seeded random init unchanged.
 
+    Each epoch draws its triple order, then every corruption coin and
+    replacement entity in one `integers` call, the same stream as two scalar
+    draws per triple. The SGD step keeps the per-triple loop's operands and
+    order, so the tables are bit-identical to it (tests/_oracles.py holds
+    that loop).
+
     The tables are trained once per graph and argument set: later calls
     return the same tables, whose arrays are read-only."""
     if dim < 2:
@@ -181,36 +191,51 @@ def train_kg_embeddings(
     rel = rng.normal(0.0, scale, size=(graph.n_relations, dim))
 
     n_ent = graph.n_entities
+    n_triples = len(graph.triples)
+    heads = np.array([t.head for t in graph.triples], dtype=np.int64)
+    rels = np.array([t.relation for t in graph.triples], dtype=np.int64)
+    tails = np.array([t.tail for t in graph.triples], dtype=np.int64)
+    # one draw of (coin, replacement) pairs, the same stream as two scalar
+    # draws per triple (tests/test_kg.py checks numpy keeps it so)
+    highs = np.tile([2, n_ent], n_triples)
+    add = np.add.reduce
+    # row views and a 0-d step: cheaper to index and to multiply by than
+    # ent[i] and a Python float, with the same products
+    ent_rows, rel_rows = list(ent), list(rel)
+    step = np.asarray(lr, dtype=np.float64)
     for _ in range(epochs):
-        order = rng.permutation(len(graph.triples))
-        for idx in order:
-            t = graph.triples[idx]
-            corrupt_head = bool(rng.integers(0, 2))
-            repl = int(rng.integers(0, n_ent))
-            if corrupt_head and repl == t.head or not corrupt_head and repl == t.tail:
-                repl = (repl + 1) % n_ent
-            if corrupt_head:
-                nh, nt = repl, t.tail
-            else:
-                nh, nt = t.head, repl
+        order = rng.permutation(n_triples)
+        draws = rng.integers(0, highs)
+        corrupt_head = draws[0::2] == 1
+        repl = draws[1::2]
+        h, r_ids, t = heads[order], rels[order], tails[order]
+        # a replacement equal to the entity it replaces moves to the next id
+        repl = np.where(repl == np.where(corrupt_head, h, t), (repl + 1) % n_ent, repl)
+        nh = np.where(corrupt_head, repl, h)
+        nt = np.where(corrupt_head, t, repl)
 
-            r = rel[t.relation]
-            pos = np.sum(ent[t.head] * r * ent[t.tail])
-            neg = np.sum(ent[nh] * r * ent[nt])
+        for hi, ri, ti, nhi, nti in zip(h.tolist(), r_ids.tolist(), t.tolist(), nh.tolist(), nt.tolist()):
+            # views: a tail corruption makes nhi == hi, so the writes below
+            # must go through in this order
+            e_h, e_t, e_nh, e_nt, r = ent_rows[hi], ent_rows[ti], ent_rows[nhi], ent_rows[nti], rel_rows[ri]
+            e_h_r = e_h * r
+            e_nh_r = e_nh * r
+            pos = add(e_h_r * e_t)
+            neg = add(e_nh_r * e_nt)
             if margin - pos + neg <= 0:
                 continue
-            # ascend the positive score, descend the negative one
-            gh = r * ent[t.tail]
-            gt = r * ent[t.head]
-            gr_pos = ent[t.head] * ent[t.tail]
-            gnh = r * ent[nt]
-            gnt = r * ent[nh]
-            gr_neg = ent[nh] * ent[nt]
-            ent[t.head] += lr * gh
-            ent[t.tail] += lr * gt
-            ent[nh] -= lr * gnh
-            ent[nt] -= lr * gnt
-            rel[t.relation] += lr * (gr_pos - gr_neg)
+            # ascend the positive score, descend the negative one; every
+            # gradient is taken before the first write, and the tails'
+            # gradients r * e_h and r * e_nh are e_h_r and e_nh_r
+            gh = r * e_t
+            gr_pos = e_h * e_t
+            gnh = r * e_nt
+            gr_neg = e_nh * e_nt
+            e_h += step * gh
+            e_t += step * e_h_r
+            e_nh -= step * gnh
+            e_nt -= step * e_nh_r
+            r += step * (gr_pos - gr_neg)
 
     if not (np.all(np.isfinite(ent)) and np.all(np.isfinite(rel))):
         raise FloatingPointError("embedding training produced non-finite values")

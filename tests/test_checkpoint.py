@@ -57,6 +57,19 @@ def test_save_rejects_non_finite_value(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [{"w": np.array([1.0, np.nan])}, {"bad name": np.zeros(2)}])
+def test_rejected_later_tensor_keeps_the_old_file(tmp_path, bad):
+    """The tensors before the rejected one are already written to the
+    temporary file; the old checkpoint stays and no temporary file is left."""
+    path = tmp_path / "ck.txt"
+    save_checkpoint(str(path), sample_state())
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), {**sample_state(), **bad})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+
+
 def test_rejects_non_checkpoint_file(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("hello\n")
