@@ -53,12 +53,6 @@ def _result(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
     return out
 
 
-def _check_finite(data: Array, op: str) -> Array:
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"{op} produced a non-finite value")
-    return data
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -178,17 +172,6 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-    return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def exp(a: Tensor) -> Tensor:
-    data = _check_finite(np.exp(a.data), "exp")
-    return _result(data, (a,), lambda g: (g * data,))
-
-
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
     if a.data.size == 0:
         raise ValueError("mean: empty input")
@@ -258,25 +241,6 @@ def row_softmax(a: Tensor) -> Tensor:
     return _result(out, (a,), pullback)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-D logit vector."""
-    if logits.data.ndim != 1:
-        raise ValueError("cross_entropy: logits must be 1-D")
-    m = logits.data.shape[0]
-    if not 0 <= target < m:
-        raise IndexError(f"cross_entropy: target {target} out of range for {m} logits")
-    zmax = np.max(logits.data)
-    lse = zmax + np.log(np.sum(np.exp(logits.data - zmax)))
-    probs = np.exp(logits.data - lse)
-
-    def pullback(g: Array):
-        grad = probs.copy()
-        grad[target] -= 1.0
-        return (grad * g,)
-
-    return _result(np.asarray(lse - logits.data[target]), (logits,), pullback)
-
-
 def masked_softmax(a: Tensor, mask: Array) -> Tensor:
     """Softmax over the last axis of a 2-D tensor, taken only over the
     entries where mask is True; masked-out entries get weight exactly 0.
@@ -311,16 +275,6 @@ def _segment_counts(starts: Array, total: int) -> Array:
     if starts[0] != 0 or np.any(counts < 1):
         raise ValueError("segment starts must begin at 0 and increase strictly below the row count")
     return counts
-
-
-def segment_mean(a: Tensor, starts: Array) -> Tensor:
-    """Mean of each segment of rows: (T, ...) -> (n_segments, ...)."""
-    if a.data.ndim == 0:
-        raise ValueError("segment_mean: input must be at least 1-D")
-    counts = _segment_counts(starts, a.shape[0])
-    scale = counts.reshape((-1,) + (1,) * (a.data.ndim - 1))
-    data = np.add.reduceat(a.data, starts, axis=0) / scale
-    return _result(data, (a,), lambda g: (np.repeat(g / scale, counts, axis=0),))
 
 
 def segment_cross_entropy(logits: Tensor, starts: Array, targets: Array) -> Tensor:
@@ -369,8 +323,6 @@ def gumbel_softmax_with_noise(logits: Tensor, noise: Array, temperature: float) 
 
 def gumbel_softmax(logits: Tensor, temperature: float, rng: np.random.Generator) -> Tensor:
     """Soft sample from a categorical defined by logits (reparameterized)."""
-    if temperature <= 0:
-        raise ConfigError(f"gumbel temperature must be positive, got {temperature}")
     return gumbel_softmax_with_noise(logits, sample_gumbel(logits.shape, rng), temperature)
 
 

@@ -41,8 +41,8 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError(f"split must be train, dev or test, got {self.split!r}")
         if not self.fractions or any(not 0 < f <= 1 for f in self.fractions):
             raise ConfigError("fractions must be values in (0, 1]")
-        if not self.seeds:
-            raise ConfigError("seeds must list at least one seed")
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be one or more integers >= 0, got {self.seeds}")
         if not self.node_budgets or any(b < 1 for b in self.node_budgets):
             raise ConfigError("node_budgets must be positive integers")
         bad = [m for m in self.modes if m not in MODES]

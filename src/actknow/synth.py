@@ -73,6 +73,8 @@ class SyntheticSpec:
             raise ConfigError("distractor_count must be >= 1")
         if self.node_dim < 1:
             raise ConfigError("node_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # a range that nan falls outside of
         if not 0 <= self.feature_noise < math.inf:
             raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")

@@ -2,18 +2,19 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Eight package paths that simpler or faster ones
+no code with src/. Ten package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
-per-choice scorer that choice-stacked scoring replaced, the gather +
-segment-mean text encoder that the bag-of-words product replaced, the
-two-pass act-know prediction that one encoder pass with two classifier
-products replaced, the functional Adam step that the in-place `Adam`
-replaced, the n-gram mention scan and neighbor-loop DFS that the label
-trie and the last-hop membership test replaced, and the KG embedding loop
-that drew its corruptions per triple before one draw per epoch replaced
-it. The second and third run on the package's autodiff tape so that
-gradients can be compared too.
+per-choice scorer that choice-stacked scoring replaced, the per-question
+`cross_entropy` that `segment_cross_entropy` replaced, the `segment_mean`
+op and the gather + segment-mean text encoder built on it that the
+bag-of-words product replaced, the two-pass act-know prediction that one
+encoder pass with two classifier products replaced, the functional Adam
+step that the in-place `Adam` replaced, the n-gram mention scan and
+neighbor-loop DFS that the label trie and the last-hop membership test
+replaced, and the KG embedding loop that drew its corruptions per triple
+before one draw per epoch replaced it. The second to fifth run on the
+package's autodiff tape so that gradients can be compared too.
 """
 
 from __future__ import annotations
@@ -283,16 +284,46 @@ def score_question(
     return ad.concat(parts)
 
 
+def cross_entropy(logits: Tensor, target: int) -> Tensor:
+    """-log softmax(logits)[target] for a 1-D logit vector: the per-question
+    loss before segment_cross_entropy took every question of a batch at once."""
+    if logits.data.ndim != 1:
+        raise ValueError("cross_entropy: logits must be 1-D")
+    m = logits.data.shape[0]
+    if not 0 <= target < m:
+        raise IndexError(f"cross_entropy: target {target} out of range for {m} logits")
+    zmax = np.max(logits.data)
+    lse = zmax + np.log(np.sum(np.exp(logits.data - zmax)))
+    probs = np.exp(logits.data - lse)
+
+    def pullback(g: np.ndarray):
+        grad = probs.copy()
+        grad[target] -= 1.0
+        return (grad * g,)
+
+    return ad._result(np.asarray(lse - logits.data[target]), (logits,), pullback)
+
+
 # ---------------------------------------------------------------------------
 # the batched text encoder before the bag-of-words product: token rows
 # gathered from the table and averaged per sequence, whose backward
 # scatter-adds into the table
 
 
+def segment_mean(a: Tensor, starts: np.ndarray) -> Tensor:
+    """Mean of each segment of rows: (T, ...) -> (n_segments, ...)."""
+    if a.data.ndim == 0:
+        raise ValueError("segment_mean: input must be at least 1-D")
+    counts = ad._segment_counts(starts, a.shape[0])
+    scale = counts.reshape((-1,) + (1,) * (a.data.ndim - 1))
+    data = np.add.reduceat(a.data, starts, axis=0) / scale
+    return ad._result(data, (a,), lambda g: (np.repeat(g / scale, counts, axis=0),))
+
+
 def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
     starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
     embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
-    pooled = ad.segment_mean(embedded, starts)
+    pooled = segment_mean(embedded, starts)
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
 

@@ -9,12 +9,9 @@ from actknow.autodiff import (
     add_row,
     backward,
     concat,
-    cross_entropy,
-    exp,
     gather,
     gumbel_softmax,
     gumbel_softmax_with_noise,
-    log,
     masked_softmax,
     matmul,
     mean,
@@ -25,13 +22,12 @@ from actknow.autodiff import (
     row_softmax,
     scalar_mul,
     segment_cross_entropy,
-    segment_mean,
     take_distinct_rows,
     transpose,
 )
 from actknow.errors import ConfigError
 
-from _oracles import fd_gradient, max_rel_error
+from _oracles import cross_entropy, fd_gradient, max_rel_error, segment_mean
 
 RNG = np.random.default_rng(42)
 
@@ -234,6 +230,10 @@ def test_masked_softmax():
     grad_check(lambda t: project(masked_softmax(t, mask), w), a)
 
 
+# segment_mean and cross_entropy live in _oracles.py: the references that
+# the bag-of-words text encoder and segment_cross_entropy are checked against
+
+
 def test_segment_mean():
     a = RNG.normal(size=(5, 2))
     out = segment_mean(Tensor(a), np.array([0, 2, 3]))
@@ -270,16 +270,6 @@ def test_relu_grad_away_from_kink():
     x0 = np.array([1.5, -2.0, 0.8, -0.4])
     w = RNG.normal(size=4)
     grad_check(lambda t: project(relu(t), w), x0)
-
-
-def test_log_grad():
-    w = RNG.normal(size=4)
-    grad_check(lambda t: project(log(t), w), RNG.uniform(0.5, 3.0, size=4))
-
-
-def test_exp_grad():
-    w = RNG.normal(size=4)
-    grad_check(lambda t: project(exp(t), w), RNG.normal(size=4))
 
 
 def test_mean_full_grad_is_uniform():
@@ -370,8 +360,6 @@ def test_shape_and_domain_errors():
     with pytest.raises(ValueError):
         mul(Tensor(np.ones(2)), Tensor(np.ones((2, 1))))
     with pytest.raises(ValueError):
-        log(Tensor(np.array([1.0, 0.0])))
-    with pytest.raises(ValueError):
         concat([])
     with pytest.raises(ValueError):
         concat([Tensor(np.ones((2, 2))), Tensor(np.ones(2))])
@@ -380,7 +368,7 @@ def test_shape_and_domain_errors():
     with pytest.raises(IndexError):
         take_distinct_rows(Tensor(np.ones((3, 2))), np.array([1, 3]))
     with pytest.raises(IndexError):
-        cross_entropy(Tensor(np.zeros(4)), 4)
+        segment_cross_entropy(Tensor(np.zeros(4)), np.array([0]), np.array([4]))
     with pytest.raises(ValueError):
         row_softmax(Tensor(np.zeros((2, 2, 2))))
 
@@ -443,7 +431,7 @@ def test_composed_graph_grad():
         rows = gather(table, ids)            # (3, 2)
         h = relu(matmul(rows, Tensor(w1)))   # (3, 3)
         flat = reshape(h, (-1,))
-        full = concat([flat, log(Tensor(extra))])
-        return cross_entropy(full, 4)
+        full = concat([flat, Tensor(np.log(extra))])
+        return mean(segment_cross_entropy(full, np.array([0]), np.array([4])))
 
     grad_check(build, RNG.normal(size=(4, 2)) + 0.1, tol=1e-4)

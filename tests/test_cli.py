@@ -158,7 +158,7 @@ def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--gumbel-temperature", "inf"),
-                                         ("--weight-decay", "-0.1")])
+                                         ("--weight-decay", "-0.1"), ("--seed", "-1")])
 def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_path, capsys, caplog):
     rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, flag, value, "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -299,6 +299,8 @@ BAD_INPUTS = [
     *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),
     ("seeds-dashes", "sweep-fraction --seeds", "--", "setting seeds: "),
+    ("negative-seeds", "sweep-fraction --seeds", "0,-1", "seeds must be one or more integers >= 0"),
+    ("gen-synth-negative-seed", "gen-synth --seed", "-1", "seed must be >= 0"),
     ("gen-synth-nan-feature-noise", "gen-synth --feature-noise", "nan", "feature_noise must be finite"),
     ("gen-synth-inf-feature-noise", "gen-synth --feature-noise", "inf", "feature_noise must be finite"),
     ("gen-synth-text-n-entities", "gen-synth --n-entities", "x", "setting n_entities: "),

@@ -72,7 +72,7 @@ def _batched_loss(questions, model, weights, config, train):
 def _oracle_loss(questions, model, weights, config, train):
     rng = np.random.default_rng(17) if train else None
     losses = [
-        ad.reshape(ad.cross_entropy(
+        ad.reshape(_oracles.cross_entropy(
             _oracles.score_question(pq, model, w, config, train, rng), pq.answer_index), (1,))
         for pq, w in zip(questions, weights)
     ]
