@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -208,8 +208,15 @@ def test_one_array_draw_is_the_stream_of_alternating_scalar_draws():
 
 
 def assert_matches_per_triple_loop(graph, dim, epochs, seed, lr=0.05, margin=1.0):
+    """The package's tables equal the per-triple loop's. Where that loop
+    overflows (a large step and margin can), the package raises instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_ent, want_rel = _oracles.train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
+    if not (np.all(np.isfinite(want_ent)) and np.all(np.isfinite(want_rel))):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
+        return
     ent, rel = train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
-    want_ent, want_rel = _oracles.train_kg_embeddings(graph, dim, epochs, seed, lr=lr, margin=margin)
     assert np.array_equal(ent.vectors, want_ent)
     assert np.array_equal(rel.vectors, want_rel)
 
@@ -240,9 +247,12 @@ def test_bundled_graphs_train_the_per_triple_tables(data_dir, experiment, reques
     st.sampled_from([0.0, 1.0, 4.0]),
     st.integers(0, 2**32 - 1),
 )
+# a graph whose tables overflow at this step and margin, in the loop and the package alike
+@example((11, [(0, 0, 2), (0, 1, 1), (0, 2, 2), (1, 0, 0), (2, 0, 0)]), 2, 3, 0.5, 4.0, 434)
 def test_small_graphs_train_the_per_triple_tables(entities_and_triples, dim, epochs, lr, margin, seed):
     """Random small graphs, every setting of the step. With 2 entities each
-    corruption lands on the other entity, half of them by the clash wrap."""
+    corruption lands on the other entity, half of them by the clash wrap.
+    Some settings overflow, and must raise as the loop's tables overflow."""
     n_entities, raw = entities_and_triples
     # every entity appears in the graph, with loops dropped as load_triples does
     named = [(f"e{i}", "r0", f"e{(i + 1) % n_entities}") for i in range(n_entities)]
