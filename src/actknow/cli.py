@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-_FILES = ("kg", "corpus", "train", "dev", "test", "dataset_name", "out_dir")
+_FILES = ("kg", "corpus", "train", "dev", "test", "out_dir")
 _TRAIN = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 # the ExperimentConfig fields each subcommand reads, and so its flags and

@@ -1,14 +1,12 @@
 """Experiment configuration, and the settings of any dataclass read from
 text: one typed parser for flags and config-file lines, and one resolver.
 
-Values merge as: command-line flag > config file > ACTKNOW_SEED environment
-variable (seed only) > built-in default.
+Values merge as: command-line flag > config file > built-in default.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections.abc import Collection
 from dataclasses import dataclass
 from typing import TypeVar
@@ -27,7 +25,6 @@ class ExperimentConfig(TrainConfig):
     test: str | None = None
     node_features: str | None = None
     out_dir: str = "runs/out"
-    dataset_name: str | None = None
     checkpoint: str | None = None
     split: str = "test"
     fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -85,12 +82,10 @@ def parse_setting(settings: type, name: str, raw: str) -> object:
     return raw
 
 
-def parse_config_file(settings: type, path: str, command: str | None = None,
-                      reads: Collection[str] | None = None) -> dict[str, object]:
+def parse_config_file(settings: type, path: str, command: str, reads: Collection[str]) -> dict[str, object]:
     """Typed values of `key = value` lines naming fields of the dataclass
-    `settings`; '#' starts a comment, blank lines are skipped, and every
-    error names path:line. With `reads`, a line naming a field outside it is
-    an error too: `command` does not read that setting."""
+    `settings` that `command` reads (`reads`); '#' starts a comment, blank
+    lines are skipped, and every error names path:line."""
     names = {f.name for f in dataclasses.fields(settings)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
@@ -106,7 +101,7 @@ def parse_config_file(settings: type, path: str, command: str | None = None,
             raise ConfigError(f"{path}:{lineno}: empty key or value")
         if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        if reads is not None and key not in reads:
+        if key not in reads:
             raise ConfigError(f"{path}:{lineno}: {command} does not read setting {key!r}")
         try:
             values[key] = parse_setting(settings, key, value)
@@ -116,20 +111,11 @@ def parse_config_file(settings: type, path: str, command: str | None = None,
 
 
 def resolve_config(settings: type[_Settings], flag_values: dict[str, object], config_path: str | None,
-                   command: str | None = None, reads: Collection[str] | None = None) -> _Settings:
+                   command: str, reads: Collection[str]) -> _Settings:
     """An instance of the dataclass `settings`, validated, from typed flag
-    values over an optional config file over the ACTKNOW_SEED environment
-    variable over the defaults. With `reads`, the config file may set only
-    those fields, and ACTKNOW_SEED applies only when they include seed."""
-    merged: dict[str, object] = {}
-    seed = os.environ.get("ACTKNOW_SEED")
-    if seed is not None and (reads is None or "seed" in reads):
-        try:
-            merged["seed"] = int(seed)
-        except ValueError as exc:
-            raise ConfigError(f"ACTKNOW_SEED must be an integer, got {seed!r}") from exc
-    if config_path is not None:
-        merged.update(parse_config_file(settings, config_path, command, reads))
+    values over an optional config file over the defaults. The config file
+    may set only the fields `command` reads (`reads`)."""
+    merged = {} if config_path is None else parse_config_file(settings, config_path, command, reads)
     merged.update(flag_values)
     resolved = settings(**merged)
     resolved.validate()

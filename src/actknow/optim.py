@@ -1,5 +1,5 @@
-"""Adam with decoupled weight decay (AdamW) and optional linear learning-rate
-warm-up, stepping a fixed list of leaf tensors in place."""
+"""Adam with decoupled weight decay (AdamW) at a constant learning rate,
+stepping a fixed list of leaf tensors in place."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ class Adam:
     beta2: float = 0.98
     eps: float = 1e-6
     weight_decay: float = 0.1
-    warmup_steps: int = 0
     steps: int = field(init=False, default=0)
     m: list[np.ndarray] = field(init=False)
     v: list[np.ndarray] = field(init=False)
@@ -31,17 +30,8 @@ class Adam:
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be >= 0")
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def effective_lr(self) -> float:
-        """Learning rate for the upcoming step, ramping linearly during warm-up."""
-        next_step = self.steps + 1
-        if self.warmup_steps > 0 and next_step <= self.warmup_steps:
-            return self.lr * next_step / self.warmup_steps
-        return self.lr
 
     def step(self) -> None:
         """One update of every tensor. Weight decay is decoupled: applied to
@@ -51,7 +41,6 @@ class Adam:
         for p, g in zip(self.params, grads):
             if p.data.shape != g.shape:
                 raise ValueError(f"Adam: grad shape {g.shape} does not match param {p.data.shape}")
-        lr = self.effective_lr()
         self.steps += 1
         t = self.steps
         for i, (p, g) in enumerate(zip(self.params, grads)):
@@ -59,7 +48,7 @@ class Adam:
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             m_hat = self.m[i] / (1.0 - self.beta1**t)
             v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -28,15 +28,6 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
-# published split sizes for the common science QA benchmarks; a mismatch in
-# supplied data gets a warning, not an error
-KNOWN_SPLIT_COUNTS = {
-    "arc-easy": (2251, 570, 2376),
-    "arc-challenge": (1119, 299, 1172),
-    "openbookqa": (4957, 500, 500),
-}
-
-
 @dataclass
 class Pipeline:
     graph: KnowledgeGraph
@@ -61,8 +52,6 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
         path = getattr(cfg, split)
         if path:
             items[split] = load_qa_jsonl(path)
-    if cfg.dataset_name:
-        _check_split_counts(cfg.dataset_name, items)
 
     # one tokenize over the stems and choices joined by spaces yields the
     # tokens of each in turn, since no token spans a space (nli.py)
@@ -76,18 +65,6 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
         node_features_path=cfg.node_features,
         items=items,
     )
-
-
-def _check_split_counts(name: str, items: dict[str, list[QAItem]]) -> None:
-    expected = KNOWN_SPLIT_COUNTS.get(name.lower())
-    if expected is None:
-        return
-    actual = tuple(len(items.get(split, [])) for split in ("train", "dev", "test"))
-    if actual != expected:
-        log.warning(
-            "dataset %s: split sizes %s do not match the published %s",
-            name, actual, expected,
-        )
 
 
 def prepare_split(pipe: Pipeline, split: str, tc: TrainConfig) -> list[PreparedQuestion]:

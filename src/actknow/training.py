@@ -84,14 +84,12 @@ class TrainConfig:
     use_gcn: bool = True
     use_er: bool = True
     pretrain_epochs: int = 2
-    warmup_steps: int = 0
     text_dim: int = 64
     node_dim: int = 32
     kg_dim: int = 32
     gcn_hidden: int = 64
     gcn_layers: int = 2
     kg_epochs: int = 30
-    entropy_split: str = "train"  # train | dev
     adam_beta1: float = 0.9
     adam_beta2: float = 0.98
     adam_eps: float = 1e-6
@@ -109,8 +107,8 @@ class TrainConfig:
             raise ConfigError(f"kg_dim must be >= 2, got {self.kg_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.pretrain_epochs < 0 or self.warmup_steps < 0 or self.kg_epochs < 0:
-            raise ConfigError("pretrain_epochs, warmup_steps and kg_epochs must be >= 0")
+        if self.pretrain_epochs < 0 or self.kg_epochs < 0:
+            raise ConfigError("pretrain_epochs and kg_epochs must be >= 0")
         # written as ranges that nan falls outside of. An adam_eps of 0
         # divides 0 by 0 where a gradient is 0, and an infinite one zeroes
         # every update, leaving only weight decay to move a tensor
@@ -121,8 +119,6 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.data_fraction <= 1:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
-        if self.entropy_split not in ("train", "dev"):
-            raise ConfigError(f"entropy_split must be 'train' or 'dev', got {self.entropy_split!r}")
         # a beta of 1 zeroes the bias correction's divisor: nan parameters
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
@@ -555,21 +551,18 @@ def train(
     the best dev accuracy (train accuracy without a dev split).
 
     act-know weights each question by the entropy the last evaluate() of
-    the entropy split recorded for it (with entropy_split=dev, every
-    question by the mean dev entropy). The other modes weight every
-    question by 1.
+    the train split recorded for it. The other modes weight every question
+    by 1.
     """
     config.validate()
     active = config.mode == "act-know"
     if not train_qs:
         raise ConfigError("no training questions")
-    if active and config.entropy_split == "dev" and not dev_qs:
-        raise ConfigError("entropy_split=dev requires a dev set")
 
     shuffle_rng = _stream(config.seed, 1)
     gumbel_rng = _stream(config.seed, 2)
 
-    def adam(params: list[Tensor], warmup_steps: int) -> Adam:
+    def adam(params: list[Tensor]) -> Adam:
         return Adam(
             params,
             lr=config.learning_rate,
@@ -577,30 +570,27 @@ def train(
             beta2=config.adam_beta2,
             eps=config.adam_eps,
             weight_decay=config.weight_decay,
-            warmup_steps=warmup_steps,
         )
 
-    opt = adam(model.trainable(config), config.warmup_steps)
+    opt = adam(model.trainable(config))
     unit = np.ones(len(train_qs))
 
     if config.pretrain_epochs > 0 and any(config.graph_encoders):
         # graph-side warm start: text encoder frozen at its random init
-        pre_opt = adam(model.trainable(config, with_text=False), 0)
+        pre_opt = adam(model.trainable(config, with_text=False))
         for _ in range(config.pretrain_epochs):
             _run_updates(train_qs, model, unit, config, pre_opt, shuffle_rng, gumbel_rng)
 
     result = TrainResult(best_state=model.state_arrays(), best_epoch=0, best_accuracy=-1.0)
-    # rows of the last evaluate() on the entropy split
+    # rows of the last evaluate() on the train split
     entropy_rows = []
     if active:
-        entropy_rows = evaluate(dev_qs if config.entropy_split == "dev" else train_qs, model, config)[1]
+        entropy_rows = evaluate(train_qs, model, config)[1]
 
     for master in range(1, config.master_epochs + 1):
         weights = unit
         if active:
             weights = np.array([row["entropy"] for row in entropy_rows])
-            if config.entropy_split == "dev":
-                weights = np.full(len(train_qs), weights.mean())
             result.entropy_history.append(weights)
 
         epoch_losses = []
@@ -615,6 +605,7 @@ def train(
             accuracy, rows = evaluate(questions, model, config)
             if split == "train":
                 loss = float(np.mean(epoch_losses))
+                entropy_rows = rows
             else:
                 loss = _mean_loss(rows)
             result.stats.append(
@@ -626,8 +617,6 @@ def train(
                     "loss": loss,
                 }
             )
-            if split == config.entropy_split:
-                entropy_rows = rows
         # model selection reads the last split: dev when there is one
         if accuracy > result.best_accuracy:
             result.best_accuracy = accuracy

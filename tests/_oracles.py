@@ -425,14 +425,6 @@ def adam_step(
     return new_params, AdamState(step=t, m=new_m, v=new_v)
 
 
-def warmup_lr(lr: float, step: int, warmup_steps: int) -> float:
-    """Learning rate of update number `step` (from 1): linear ramp over the
-    first warmup_steps updates, then constant."""
-    if warmup_steps > 0 and step <= warmup_steps:
-        return lr * step / warmup_steps
-    return lr
-
-
 # ---------------------------------------------------------------------------
 # the mention scan and the DFS path search before the label trie and the
 # last-hop membership test: an n-gram re-join for every length up to the

@@ -490,8 +490,7 @@ TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidd
               "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
 
 
-def test_criterion_9_deterministic_reruns(tmp_path, monkeypatch):
-    monkeypatch.delenv("ACTKNOW_SEED", raising=False)
+def test_criterion_9_deterministic_reruns(tmp_path):
     task = str(tmp_path / "task")
     assert main(["gen-synth", "--out-dir", task, *GEN_FLAGS]) == 0
     data = ["--kg", f"{task}/kg.tsv", "--corpus", f"{task}/corpus.txt",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from actknow.cli import _flag_values, build_parser
+from actknow.cli import READS, _flag_values, build_parser
 from actknow.config import ExperimentConfig, parse_config_file, parse_setting, resolve_config
 from actknow.errors import ConfigError
 from actknow.pipeline import training_config_for
@@ -19,6 +19,12 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def resolve(path, command="train", flag_values=None):
+    """resolve_config as `command` calls it: the settings it reads, flag
+    values over the file at path."""
+    return resolve_config(ExperimentConfig, flag_values or {}, path, command, READS[command])
+
+
 def test_parse_key_value_lines(tmp_path):
     path = write_config(
         tmp_path,
@@ -28,71 +34,69 @@ def test_parse_key_value_lines(tmp_path):
         mode = act-know  # trailing comment
         learning_rate = 0.5
 
-        fractions = 0.1, 0.2
+        node_budgets = 3, 20
         """,
     )
-    values = parse_config_file(ExperimentConfig, path)
+    values = parse_config_file(ExperimentConfig, path, "ablate-subgraph", READS["ablate-subgraph"])
     assert values == {
         "seed": 7,
         "mode": "act-know",
         "learning_rate": 0.5,
-        "fractions": (0.1, 0.2),
+        "node_budgets": (3, 20),
     }
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    path = write_config(tmp_path, "bogus = 1\n")
-    with pytest.raises(ConfigError, match=r":1: unknown setting"):
-        parse_config_file(ExperimentConfig, path)
+    for line in ("bogus = 1", "warmup_steps = 3"):
+        path = write_config(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match=r":1: unknown setting"):
+            parse_config_file(ExperimentConfig, path, "train", READS["train"])
 
 
 def test_parse_rejects_missing_equals(tmp_path):
     path = write_config(tmp_path, "seed 7\n")
     with pytest.raises(ConfigError, match=r":1:"):
-        parse_config_file(ExperimentConfig, path)
+        parse_config_file(ExperimentConfig, path, "train", READS["train"])
 
 
 def test_parse_rejects_empty_value(tmp_path):
     path = write_config(tmp_path, "seed =\n")
     with pytest.raises(ConfigError, match=r":1:"):
-        parse_config_file(ExperimentConfig, path)
+        parse_config_file(ExperimentConfig, path, "train", READS["train"])
 
 
 def test_parse_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        parse_config_file(ExperimentConfig, "/nonexistent/run.conf")
+        parse_config_file(ExperimentConfig, "/nonexistent/run.conf", "train", READS["train"])
 
 
 def test_coercion_types(tmp_path):
-    path = write_config(
-        tmp_path,
-        "seed = 3\nlearning_rate = 0.25\nuse_gcn = false\nuse_er = yes\n"
-        "fractions = 0.5,1.0\nseeds = 4, 5\nmodes = text-only\nnode_budgets = 2,8\n",
-    )
-    cfg = resolve_config(ExperimentConfig, {}, path)
+    cfg = resolve(write_config(tmp_path, "seed = 3\nlearning_rate = 0.25\nuse_gcn = false\nuse_er = yes\n"
+                                         "node_budgets = 2,8\n"), "ablate-subgraph")
     assert cfg.seed == 3
     assert cfg.learning_rate == 0.25
     assert cfg.use_gcn is False
     assert cfg.use_er is True
+    assert cfg.node_budgets == (2, 8)
+    cfg = resolve(write_config(tmp_path, "fractions = 0.5,1.0\nseeds = 4, 5\nmodes = text-only\n"), "sweep-fraction")
     assert cfg.fractions == (0.5, 1.0)
     assert cfg.seeds == (4, 5)
     assert cfg.modes == ("text-only",)
-    assert cfg.node_budgets == (2, 8)
 
 
 def test_coercion_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "seed = seven\n"))
+        resolve(write_config(tmp_path, "seed = seven\n"))
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "use_gcn = maybe\n"))
+        resolve(write_config(tmp_path, "use_gcn = maybe\n"))
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "seeds = 1,x\n"))
+        resolve(write_config(tmp_path, "seeds = 1,x\n"), "sweep-fraction")
 
 
 def test_bad_value_names_its_line_and_setting_once(tmp_path):
     path = write_config(tmp_path, "seed = 1\nuse_gcn = maybe\n")
     with pytest.raises(ConfigError) as info:
-        resolve_config(ExperimentConfig, {}, path)
+        resolve(path)
     assert str(info.value).startswith(f"{path}:2: setting use_gcn: expected a boolean")
     assert str(info.value).count("use_gcn") == 1
 
@@ -163,19 +167,6 @@ def test_every_setting_round_trips_as_flag_and_file_line(tmp_path, cls, command,
     assert cls(**from_file) == cls(**from_flags) == cls(**values)
 
 
-def test_env_seed_is_weakest(tmp_path, monkeypatch):
-    monkeypatch.setenv("ACTKNOW_SEED", "9")
-    assert resolve_config(ExperimentConfig, {}, None).seed == 9
-    path = write_config(tmp_path, "seed = 4\n")
-    assert resolve_config(ExperimentConfig, {}, path).seed == 4
-    assert resolve_config(ExperimentConfig, {"seed": 2}, path).seed == 2
-
-
-def test_env_seed_applies_only_where_seed_is_read(monkeypatch):
-    monkeypatch.setenv("ACTKNOW_SEED", "lots")
-    assert resolve_config(ExperimentConfig, {}, None, "eval", ("split",)).seed == 0
-
-
 def test_a_file_line_the_command_does_not_read_names_its_line(tmp_path):
     path = write_config(tmp_path, "split = dev\nlearning_rate = 0.1\n")
     assert resolve_config(ExperimentConfig, {}, path, "train", ("split", "learning_rate")).split == "dev"
@@ -186,30 +177,24 @@ def test_a_file_line_the_command_does_not_read_names_its_line(tmp_path):
         resolve_config(ExperimentConfig, {}, write_config(tmp_path, "bogus = 1\n"), "eval", ("split",))
 
 
-def test_env_seed_must_be_integer(monkeypatch):
-    monkeypatch.setenv("ACTKNOW_SEED", "lots")
-    with pytest.raises(ConfigError, match="ACTKNOW_SEED"):
-        resolve_config(ExperimentConfig, {}, None)
-
-
 def test_flags_override_file(tmp_path):
     path = write_config(tmp_path, "learning_rate = 0.5\nmode = base-know\n")
-    cfg = resolve_config(ExperimentConfig, {"learning_rate": 0.125}, path)
+    cfg = resolve(path, flag_values={"learning_rate": 0.125})
     assert cfg.learning_rate == 0.125
     assert cfg.mode == "base-know"
 
 
 def test_resolved_config_is_validated(tmp_path):
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "mode = sideways\n"))
+        resolve(write_config(tmp_path, "mode = sideways\n"))
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "fractions = 0.0\n"))
+        resolve(write_config(tmp_path, "fractions = 0.0\n"), "sweep-fraction")
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "node_budgets = 0\n"))
+        resolve(write_config(tmp_path, "node_budgets = 0\n"), "ablate-subgraph")
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "split = validation\n"))
+        resolve(write_config(tmp_path, "split = validation\n"), "eval")
     with pytest.raises(ConfigError):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, "modes = nonsense\n"))
+        resolve(write_config(tmp_path, "modes = nonsense\n"), "sweep-fraction")
 
 
 def test_require_names_the_flag():
@@ -233,7 +218,7 @@ def test_training_config_for_overrides_a_copy():
 def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
     name = line.split()[0]
     with pytest.raises(ConfigError, match=name):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, line + "\n"))
+        resolve(write_config(tmp_path, line + "\n"))
 
 
 @pytest.mark.parametrize("name, value", [
@@ -243,4 +228,4 @@ def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
 def test_rejects_a_non_finite_or_negative_rate(tmp_path, name, value):
     """nan compares false with every bound, so each check is a range it must lie in."""
     with pytest.raises(ConfigError, match=name):
-        resolve_config(ExperimentConfig, {}, write_config(tmp_path, f"{name} = {value}\n"))
+        resolve(write_config(tmp_path, f"{name} = {value}\n"))

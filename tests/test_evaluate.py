@@ -112,8 +112,8 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 # a non-default value for every TrainConfig field that eval does not read
 UNREAD_BY_EVAL = {
     "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "seed": 9, "data_fraction": 0.3,
-    "gumbel_temperature": 0.25, "pretrain_epochs": 7, "warmup_steps": 11, "text_dim": 3, "node_dim": 5,
-    "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4, "kg_epochs": 1, "entropy_split": "dev",
+    "gumbel_temperature": 0.25, "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5,
+    "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4, "kg_epochs": 1,
     "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 0.125, "weight_decay": 0.0,
 }
 

@@ -1,4 +1,4 @@
-"""Adam update rule, decoupled decay, warm-up schedule."""
+"""Adam update rule and decoupled decay."""
 
 import numpy as np
 import pytest
@@ -72,21 +72,6 @@ def test_steps_are_deterministic():
     assert np.array_equal(run(), run())
 
 
-def test_warmup_ramps_linearly():
-    t = Tensor(np.zeros(1), requires_grad=True)
-    opt = Adam([t], lr=0.4, weight_decay=0.0, warmup_steps=4)
-    seen = []
-    for _ in range(6):
-        seen.append(opt.effective_lr())
-        opt.step()
-    assert np.allclose(seen, [0.1, 0.2, 0.3, 0.4, 0.4, 0.4])
-
-
-def test_no_warmup_uses_full_rate():
-    opt = Adam([Tensor(np.zeros(1), requires_grad=True)], lr=0.2, warmup_steps=0)
-    assert opt.effective_lr() == 0.2
-
-
 def test_wrapper_updates_in_place_and_clears_grads():
     t = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([t], lr=0.1, weight_decay=0.0)
@@ -118,13 +103,13 @@ def test_minimizes_quadratic():
 
 
 def test_adam_matches_the_functional_oracle():
-    """Twenty steps on a model's trainable tensors, with warm-up, decoupled
-    decay and some tensors without a gradient on some steps: every tensor
-    equals the functional reference step bitwise after every step."""
+    """Twenty steps on a model's trainable tensors, with decoupled decay and
+    some tensors without a gradient on some steps: every tensor equals the
+    functional reference step bitwise after every step."""
     task = build_task(mode="act-know")
     params = task.model.trainable(task.config)
     settings = dict(beta1=0.85, beta2=0.97, eps=1e-7, weight_decay=0.1)
-    opt = Adam(params, lr=0.02, warmup_steps=6, **settings)
+    opt = Adam(params, lr=0.02, **settings)
     arrays = [p.data.copy() for p in params]
     state = _oracles.init_adam_state(arrays)
     rng = np.random.default_rng(5)
@@ -137,6 +122,6 @@ def test_adam_matches_the_functional_oracle():
             p.grad = None if missing else g
             grads.append(np.zeros_like(p.data) if missing else g)
         opt.step()
-        arrays, state = _oracles.adam_step(arrays, grads, state, _oracles.warmup_lr(0.02, step, 6), **settings)
+        arrays, state = _oracles.adam_step(arrays, grads, state, 0.02, **settings)
         for p, expected in zip(params, arrays):
             assert np.array_equal(p.data, expected)

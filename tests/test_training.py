@@ -417,13 +417,6 @@ def test_act_records_entropy_history():
         assert np.all((0.0 <= epoch) & (epoch <= np.log(4.0) + 1e-9))
 
 
-def test_act_dev_entropy_is_shared():
-    task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
-    result = train(task.model, task.prepared[:3], task.prepared[3:], task.config)
-    weights = result.entropy_history[0]
-    assert weights.shape == (3,) and len(set(weights)) == 1
-
-
 def test_act_weights_each_question_by_its_own_entropy_under_a_shared_id(monkeypatch):
     """No weight is keyed by question id: questions built in memory with one
     id between them each train with the entropy evaluate() measured for it."""
@@ -444,12 +437,6 @@ def test_act_weights_each_question_by_its_own_entropy_under_a_shared_id(monkeypa
     result = train(task.model, task.prepared, None, task.config)
     assert list(result.entropy_history[0]) == entropies
     assert [weight_of[id(pq)] for pq in task.prepared] == entropies
-
-
-def test_act_dev_entropy_requires_dev_set():
-    task = build_task(master_epochs=1, mode="act-know", entropy_split="dev")
-    with pytest.raises(ConfigError, match="dev"):
-        train(task.model, task.prepared, None, task.config)
 
 
 def test_training_rejects_empty_set():
@@ -473,8 +460,6 @@ def test_config_validation():
         tiny_config(kg_dim=1)
     with pytest.raises(ConfigError):
         tiny_config(gumbel_temperature=0.0)
-    with pytest.raises(ConfigError):
-        tiny_config(entropy_split="test")
 
 
 def test_stats_csv_roundtrip(tmp_path):
@@ -495,21 +480,18 @@ def test_stats_csv_roundtrip(tmp_path):
         assert float(fields[4]) == row["loss"]
 
 
-@pytest.mark.parametrize("split", ["train", "dev"])
-def test_act_reuses_the_entropies_evaluate_measured(split, monkeypatch):
+def test_act_reuses_the_entropies_evaluate_measured(monkeypatch):
     """Every master epoch weights its updates by the entropies a fresh
-    evaluate() of the entropy split measures on the current parameters."""
-    task = build_task(master_epochs=4, mode="act-know", entropy_split=split)
+    evaluate() of the train split measures on the current parameters."""
+    task = build_task(master_epochs=4, mode="act-know")
     train_qs, dev_qs = task.prepared[:3], task.prepared[1:]
     evaluate = training.evaluate
     run_updates = training._run_updates
     checked = []
 
     def checking_run_updates(qs, model, weights, config, *rest):
-        _, rows = evaluate(dev_qs if split == "dev" else train_qs, model, config)
+        _, rows = evaluate(train_qs, model, config)
         fresh = np.array([row["entropy"] for row in rows])
-        if split == "dev":
-            fresh = np.full(len(qs), np.mean(fresh))
         assert np.array_equal(weights, fresh)
         checked.append(weights)
         return run_updates(qs, model, weights, config, *rest)
