@@ -179,6 +179,20 @@ def test_transpose():
     grad_check(lambda t: project(transpose(t), w), a)
 
 
+def test_a_row_of_a_contiguous_product_has_the_same_bits_for_every_row_count():
+    """Chunk-invariant scoring rests on this BLAS property: with contiguous
+    operands, a row of (M, k) @ (k, n) does not depend on the M - 1 rows
+    multiplied with it, for M >= 2 (M = 1 takes the gemv path). A strided
+    B.T view does not have it on OpenBLAS 0.3.31: row 0 moves from M = 7 up.
+    Shapes: a (200, 64) table against rows of width 64."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(129, 64))
+    bt = np.ascontiguousarray(rng.normal(size=(200, 64)).T)
+    row = (a[:2] @ bt)[0]
+    moved = [m for m in range(3, 130) if not np.array_equal((a[:m] @ bt)[0], row)]
+    assert not moved, f"row 0 of a[:M] @ bt changes its bits at M = {moved}"
+
+
 def test_add_row():
     a, row = RNG.normal(size=(3, 2)), RNG.normal(size=2)
     assert np.array_equal(add_row(Tensor(a), Tensor(row)).data, a + row)

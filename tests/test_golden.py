@@ -46,7 +46,7 @@ PINS = {
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "8ed279fe2e4a3a076230fc49fc6db300df801dfac07eed3215968457b7e07fc3",
+        "checkpoint.txt": "d86954a79410d0fb76a67c421b315e821294dc4996ce4d59d21d889a3910d698",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
