@@ -241,26 +241,6 @@ def row_softmax(a: Tensor) -> Tensor:
     return _result(out, (a,), pullback)
 
 
-def masked_softmax(a: Tensor, mask: Array) -> Tensor:
-    """Softmax over the last axis of a 2-D tensor, taken only over the
-    entries where mask is True; masked-out entries get weight exactly 0.
-    Every row needs at least one unmasked entry."""
-    mask = np.asarray(mask, dtype=bool)
-    if a.data.ndim != 2 or mask.shape != a.shape:
-        raise ValueError(f"masked_softmax: need a 2-D tensor and a mask of its shape, got {a.shape}, {mask.shape}")
-    if not np.all(mask.any(axis=1)):
-        raise ValueError("masked_softmax: a row has no unmasked entry")
-    top = np.max(np.where(mask, a.data, -np.inf), axis=1, keepdims=True)
-    e = np.exp(np.where(mask, a.data - top, -np.inf))
-    out = e / np.sum(e, axis=1, keepdims=True)
-
-    def pullback(g: Array):
-        dot = np.sum(g * out, axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _result(out, (a,), pullback)
-
-
 # ---------------------------------------------------------------------------
 # segment ops: rows grouped into consecutive non-empty segments given by
 # their start offsets, e.g. the tokens of each choice or the choices of each

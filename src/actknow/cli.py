@@ -46,8 +46,7 @@ _TRAIN = tuple(f.name for f in dataclasses.fields(TrainConfig))
 # loop varies
 READS = {
     "train": (*_FILES, "node_features", *_TRAIN),
-    "eval": (*_FILES, "checkpoint", "split", "mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len",
-             "use_gcn", "use_er"),
+    "eval": (*_FILES, "checkpoint", "split", "mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"),
     "sweep-fraction": (*_FILES, "node_features", *(n for n in _TRAIN if n not in ("mode", "seed", "data_fraction")),
                        "fractions", "modes", "seeds"),
     "ablate-subgraph": (*_FILES, "node_features", *(n for n in _TRAIN if n != "max_nodes"), "node_budgets"),
@@ -122,7 +121,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "checkpoint", cfg.split)
     pipe = load_pipeline(cfg)
-    model = model_from_state(load_checkpoint(cfg.checkpoint))
+    state = load_checkpoint(cfg.checkpoint)
+    try:
+        model = model_from_state(state)
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg.checkpoint}: {exc}") from exc
     if model.text.token_embedding.data.shape[0] != len(pipe.vocab.tokens):
         raise ConfigError(
             f"checkpoint vocabulary has {model.text.token_embedding.data.shape[0]} tokens "

@@ -193,8 +193,11 @@ def graph_attention_pool(node_outputs: Tensor, mask: np.ndarray, text_vecs: Tens
     s, n, d = node_outputs.shape
     if text_vecs.shape != (s, d):
         raise ValueError(f"graph_attention_pool: text vectors {text_vecs.shape} do not match ({s}, {d})")
+    if mask.shape != (s, n) or not mask.any(axis=1).all():
+        raise ValueError(f"graph_attention_pool: need a ({s}, {n}) mask with a real node in every row")
     scores = ad.reshape(ad.matmul(node_outputs, ad.reshape(text_vecs, (s, d, 1))), (s, n))
-    weights = ad.masked_softmax(scores, mask)
+    # padding scores -inf, so its softmax weight is exactly 0
+    weights = ad.row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
     pooled = ad.matmul(ad.reshape(weights, (s, 1, n)), node_outputs)
     return ad.reshape(pooled, (s, d)), weights
 

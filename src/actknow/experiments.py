@@ -78,13 +78,13 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
     (run_cell) to `fraction-<repr(fraction)>-<mode>-seed-<seed>/` there.
 
     The whole train split is prepared once, and each cell draws its
-    fraction sample from it. The splits carry subgraphs when any mode's GCN
-    reads them; the cells that run no GCN ignore them."""
+    fraction sample from it. The splits carry subgraphs when any mode
+    other than text-only is swept; text-only cells ignore them."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
     whole = training_config_for(cfg, data_fraction=1.0)
     configs = [training_config_for(whole, mode=mode) for mode in cfg.modes]
-    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_encoders[0]), whole))
+    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_side), whole))
 
     rows = []
     for fraction in cfg.fractions:

@@ -1,8 +1,9 @@
 """Knowledge-graph triple store and bilinear embedding training.
 
 Triples load from tab-separated files (head, relation, tail per line).
-Entity labels are normalized so free text can be matched against them:
-lowercase, trimmed, underscores to spaces, runs of whitespace collapsed.
+Entity labels are normalized to the tokens free text is split into
+(retrieval.tokenize, underscores read as spaces), joined by single spaces,
+so a mention in text matches its label token by token.
 The typed facts live in `triples`; `adjacency` keeps only each entity's
 neighbor ids, which is all subgraph search reads, and `label_trie`, built by
 the first mention scan, holds the labels token by token.
@@ -15,21 +16,19 @@ bit-identical to drawing two scalars per triple.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .retrieval import tokenize
 from .textfile import read_lines
 
 log = logging.getLogger(__name__)
 
-_WS = re.compile(r"\s+")
-
 
 def normalize_label(raw: str) -> str:
-    return _WS.sub(" ", raw.strip().lower().replace("_", " "))
+    return " ".join(tokenize(raw.replace("_", " ")))
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,11 @@ class KnowledgeGraph:
         return len(self.relations)
 
 
-def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Build a graph from (head, relation, tail) label strings."""
+def graph_from_triples(raw_triples: list[tuple[str, str, str]], sources: list[str] | None = None) -> KnowledgeGraph:
+    """Build a graph from (head, relation, tail) label strings. An empty
+    relation, or an entity label with no word token, is a ConfigError naming
+    sources[i] for the i-th triple (load_triples passes path:line), or the
+    triple itself without sources."""
     entities: list[str] = []
     relations: list[str] = []
     entity_ids: dict[str, int] = {}
@@ -92,12 +94,13 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
             relations.append(label)
         return relation_ids[label]
 
-    for head_raw, rel_raw, tail_raw in raw_triples:
-        head = normalize_label(head_raw)
-        tail = normalize_label(tail_raw)
-        rel = rel_raw.strip()
-        if not head or not rel or not tail:
-            raise ConfigError(f"triple has an empty field: {(head_raw, rel_raw, tail_raw)!r}")
+    for i, (head_raw, rel_raw, tail_raw) in enumerate(raw_triples):
+        head, rel, tail = normalize_label(head_raw), rel_raw.strip(), normalize_label(tail_raw)
+        if not (head and rel and tail):
+            where = sources[i] if sources else repr((head_raw, rel_raw, tail_raw))
+            if not rel:
+                raise ConfigError(f"{where}: empty relation")
+            raise ConfigError(f"{where}: entity label {tail_raw if head else head_raw!r} has no word token")
         if head == tail:
             # the entity stays in the vocabulary, just without the loop edge
             ent_id(head)
@@ -130,6 +133,7 @@ def graph_from_triples(raw_triples: list[tuple[str, str, str]]) -> KnowledgeGrap
 def load_triples(path: str) -> KnowledgeGraph:
     """Load a graph from a TSV file of head<TAB>relation<TAB>tail lines."""
     raw: list[tuple[str, str, str]] = []
+    sources: list[str] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
@@ -139,9 +143,10 @@ def load_triples(path: str) -> KnowledgeGraph:
         if any(not p.strip() for p in parts):
             raise ConfigError(f"{path}:{lineno}: empty field in triple")
         raw.append((parts[0], parts[1], parts[2]))
+        sources.append(f"{path}:{lineno}")
     if not raw:
         raise ConfigError(f"{path}: no triples found")
-    graph = graph_from_triples(raw)
+    graph = graph_from_triples(raw, sources)
     log.info(
         "loaded %s: %d entities, %d relations, %d triples",
         path, graph.n_entities, graph.n_relations, len(graph.triples),

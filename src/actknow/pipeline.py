@@ -95,10 +95,10 @@ def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:
     """Seeded model init on top of the graph embedding tables and the node
     features: the file's rows, and rows drawn from tc.seed for the entities
     it does not name. The tables are trained for tc.kg_epochs only where ER
-    attention, their one reader, runs (tc.graph_encoders[1]); elsewhere
-    (text-only, use_er off) they are the seeded init of 0 epochs."""
+    attention, their one reader, runs (tc.graph_side); in text-only they
+    are the seeded init of 0 epochs."""
     node_features = node_feature_table(pipe.graph, tc.node_dim, tc.seed, pipe.node_features_path)
-    kg_epochs = tc.kg_epochs if tc.graph_encoders[1] else 0
+    kg_epochs = tc.kg_epochs if tc.graph_side else 0
     ent_table, rel_table = train_kg_embeddings(pipe.graph, tc.kg_dim, kg_epochs, tc.seed)
     return init_model(len(pipe.vocab.tokens), ent_table, rel_table, node_features, tc)
 

@@ -22,10 +22,9 @@ the entropies, then the entropy weights for the final logits.
 Parameters are inert outside _run_updates: it marks exactly its
 optimizer's tensors trainable while the batches run, so evaluation builds
 no tape. Each phase's list is ModelParams.trainable: graph-side
-pretraining trains the classifier and the graph-side encoders that
-TrainConfig.graph_encoders runs (GCN layers, ER projections; none in
-text-only) with the text encoder frozen, and the main updates add the text
-encoder.
+pretraining trains the classifier and the graph-side encoders (GCN layers
+and ER projections, outside text-only) with the text encoder frozen, and
+the main updates add the text encoder.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ class TrainConfig:
     max_path_len: int = 2
     max_nodes: int = 50
     retrieve_k: int = 5
-    use_gcn: bool = True
-    use_er: bool = True
     pretrain_epochs: int = 2
     text_dim: int = 64
     node_dim: int = 32
@@ -125,12 +122,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
-    def graph_encoders(self) -> tuple[bool, bool]:
-        """Whether the GCN and the ER attention run: each by its use_ flag,
-        neither in text-only. encode_batch, the trainable sets and graph-side
-        pretraining all read this."""
-        with_graph = self.mode != "text-only"
-        return with_graph and self.use_gcn, with_graph and self.use_er
+    def graph_side(self) -> bool:
+        """Whether the GCN and the ER attention run: in every mode but
+        text-only. Preparation, encode_batch, the trainable sets, graph-side
+        pretraining and the KG-table build all read this."""
+        return self.mode != "text-only"
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +146,11 @@ class ModelParams:
 
     def trainable(self, config: TrainConfig, with_text: bool = True) -> list[Tensor]:
         """The tensors an update phase trains: those that reach a logit
-        under config, by config.graph_encoders. The text encoder trains only
+        under config, by config.graph_side. The text encoder trains only
         with_text; graph-side pretraining freezes it."""
-        gcn, er = config.graph_encoders
         return [
             *((self.text.token_embedding, self.text.projection, self.text.bias) if with_text else ()),
-            *(self.gcn.layers if gcn else ()),
-            *((self.er.entity_proj, self.er.relation_proj) if er else ()),
+            *((*self.gcn.layers, self.er.entity_proj, self.er.relation_proj) if config.graph_side else ()),
             self.classifier,
         ]
 
@@ -193,10 +187,13 @@ class ModelParams:
 
 
 def model_from_state(state: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild a model straight from checkpoint arrays."""
-    layer_names = sorted(
-        (n for n in state if n.startswith("gcn.layer")), key=lambda n: int(n.removeprefix("gcn.layer"))
-    )
+    """Rebuild a model straight from checkpoint arrays. A missing or unknown
+    tensor, or one whose shape does not chain with the others, is a
+    ConfigError naming it."""
+    n_layers = 0
+    while f"gcn.layer{n_layers}" in state:
+        n_layers += 1
+    layer_names = [f"gcn.layer{i}" for i in range(n_layers)]
     try:
         params = ModelParams(
             text=TextEncoderParams(
@@ -218,9 +215,40 @@ def model_from_state(state: dict[str, np.ndarray]) -> ModelParams:
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint is missing tensor {exc}") from exc
-    if not params.gcn.layers:
+    named = params.named()
+    if set(state) - set(named):
+        raise ConfigError(f"checkpoint holds tensors no model has: {sorted(set(state) - set(named))}")
+    if not n_layers:
         raise ConfigError("checkpoint has no gcn layers")
+    _check_shapes({name: t.data.shape for name, t in named.items()}, n_layers)
     return params
+
+
+def _check_shapes(shape: dict[str, tuple[int, ...]], n_layers: int) -> None:
+    """Each tensor's shape against the dims the others fix: the text width d
+    (text.bias), the entity count (er.entity_table), the node feature width
+    (gcn.node_features) and the KG table widths."""
+    for name, dims in shape.items():
+        rank = 1 if name in ("text.bias", "classifier") else 2
+        if len(dims) != rank:
+            raise ConfigError(f"checkpoint tensor {name} has shape {dims}, expected {rank} dimensions")
+    d = shape["text.bias"][0]
+    expected = {
+        "text.token_embedding": (shape["text.token_embedding"][0], d),
+        "text.projection": (d, d),
+        "gcn.node_features": (shape["er.entity_table"][0], shape["gcn.node_features"][1]),
+        "er.entity_proj": (shape["er.entity_table"][1], d),
+        "er.relation_proj": (shape["er.relation_table"][1], d),
+        "classifier": (4 * d,),
+    }
+    fan_in = shape["gcn.node_features"][1]
+    for i in range(n_layers):
+        fan_out = d if i == n_layers - 1 else shape[f"gcn.layer{i}"][1]
+        expected[f"gcn.layer{i}"] = fan_in, fan_out
+        fan_in = fan_out
+    for name, want in expected.items():
+        if shape[name] != want:
+            raise ConfigError(f"checkpoint tensor {name} has shape {shape[name]}, expected {want}")
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -262,7 +290,7 @@ class PreparedQuestion:
     answer_index: int
     choices: list[PreparedChoice]
     # whether prepare_questions scanned mentions and built subgraphs: only
-    # for a config whose GCN runs, the one reader of subgraphs
+    # for a config with a graph side, whose GCN is the one reader of subgraphs
     graph_side: bool
 
 
@@ -275,12 +303,11 @@ def prepare_questions(
     config: TrainConfig,
 ) -> list[PreparedQuestion]:
     """Retrieve premises and build token sequences once per choice, and,
-    when config runs the GCN, its subgraph. Seeds are the entity ids
-    mentioned in the premise and hypothesis tokens. Without the GCN no
-    mention is scanned and every subgraph is None: encode_batch reads only
-    the text then, and refuses these questions under a config that runs
-    the GCN."""
-    graph_side = config.graph_encoders[0]
+    outside text-only, its subgraph. Seeds are the entity ids mentioned in
+    the premise and hypothesis tokens. In text-only no mention is scanned
+    and every subgraph is None: encode_batch reads only the text then, and
+    refuses these questions under a config with a graph side."""
+    graph_side = config.graph_side
     prepared = []
     for item in items:
         choices = []
@@ -358,34 +385,33 @@ def encode_batch(
     the GCN with text-attention pooling and ER attention, each once.
 
     text-only mode skips the graph side and feeds zeros in its place. A
-    GCN run on a question prepared without its graph side is a ValueError.
+    graph-side run on a question prepared without its graph side is a
+    ValueError.
     """
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
     d = params.dim
-    use_gcn, use_er = config.graph_encoders
-    if use_gcn and not all(pq.graph_side for pq in questions):
+    if config.graph_side and not all(pq.graph_side for pq in questions):
         raise ValueError("encode_batch: the GCN runs on questions prepared without their subgraphs")
     text = encode_text([c.token_ids for c in choices], params.text)
 
     graph = Tensor(np.zeros((len(choices), d)))
-    # a built subgraph holds at least its seeds
-    rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
+    knowledge = Tensor(np.zeros((len(choices), 2 * d)))
     node_attention: list = [None] * len(choices)
-    if use_gcn and rows:
-        subgraphs = [choices[i].subgraph for i in rows]
-        nodes, mask = gcn_forward(subgraphs, params.gcn)
-        pooled, attn = graph_attention_pool(nodes, mask, ad.gather(text, np.array(rows)))
-        # choices without a subgraph read the zero row appended after the pooled ones
-        slot = np.full(len(choices), len(rows))
-        slot[rows] = np.arange(len(rows))
-        graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
-        for i, sub, w in zip(rows, subgraphs, attn.data):
-            node_attention[i] = (sub.nodes, w)
-    if use_er:
+    if config.graph_side:
+        # a built subgraph holds at least its seeds
+        rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
+        if rows:
+            subgraphs = [choices[i].subgraph for i in rows]
+            nodes, mask = gcn_forward(subgraphs, params.gcn)
+            pooled, attn = graph_attention_pool(nodes, mask, ad.gather(text, np.array(rows)))
+            # choices without a subgraph read the zero row appended after the pooled ones
+            slot = np.full(len(choices), len(rows))
+            slot[rows] = np.arange(len(rows))
+            graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
+            for i, sub, w in zip(rows, subgraphs, attn.data):
+                node_attention[i] = (sub.nodes, w)
         knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
-    else:
-        knowledge = Tensor(np.zeros((len(choices), 2 * d)))
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, node_attention)
 
 
@@ -575,7 +601,7 @@ def train(
     opt = adam(model.trainable(config))
     unit = np.ones(len(train_qs))
 
-    if config.pretrain_epochs > 0 and any(config.graph_encoders):
+    if config.pretrain_epochs > 0 and config.graph_side:
         # graph-side warm start: text encoder frozen at its random init
         pre_opt = adam(model.trainable(config, with_text=False))
         for _ in range(config.pretrain_epochs):

@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Ten package paths that simpler or faster ones
+no code with src/. Eleven package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -12,9 +12,11 @@ bag-of-words product replaced, the two-pass act-know prediction that one
 encoder pass with two classifier products replaced, the functional Adam
 step that the in-place `Adam` replaced, the n-gram mention scan and
 neighbor-loop DFS that the label trie and the last-hop membership test
-replaced, and the KG embedding loop that drew its corruptions per triple
-before one draw per epoch replaced it. The second to fifth run on the
-package's autodiff tape so that gradients can be compared too.
+replaced, the KG embedding loop that drew its corruptions per triple
+before one draw per epoch replaced it, and the masked softmax op that the
+pool's row softmax over -inf padding scores replaced. The second to
+fifth and the last run on the package's autodiff tape so that gradients
+can be compared too.
 """
 
 from __future__ import annotations
@@ -258,11 +260,12 @@ def score_question(
     text-only.
     """
     d = params.dim
+    graph_side = config.mode != "text-only"
     parts = []
     for choice in pq.choices:
         text_vec = encode_text(choice.token_ids, params.text)
         choice_detail: dict = {}
-        if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
+        if graph_side and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
             graph_vec, attn = graph_attention_pool(gcn_forward(choice.subgraph, params.gcn), text_vec)
             if details is not None:
                 choice_detail["node_attention"] = {
@@ -270,7 +273,7 @@ def score_question(
                 }
         else:
             graph_vec = _zero_vec(d)
-        if config.use_er:
+        if graph_side:
             knowledge_vec = er_attention(text_vec, params.er, config.gumbel_temperature, train, rng)
         else:
             knowledge_vec = _zero_vec(2 * d)
@@ -538,3 +541,23 @@ def train_kg_embeddings(
             ent[nt] -= lr * gnt
             rel[t.relation] += lr * (gr_pos - gr_neg)
     return ent, rel
+
+
+def softmax_over_mask(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis of a 2-D tensor, taken only over the
+    entries where mask is True; masked-out entries get weight exactly 0.
+    Every row needs at least one unmasked entry."""
+    mask = np.asarray(mask, dtype=bool)
+    if a.data.ndim != 2 or mask.shape != a.shape:
+        raise ValueError(f"softmax_over_mask: need a 2-D tensor and a mask of its shape, got {a.shape}, {mask.shape}")
+    if not np.all(mask.any(axis=1)):
+        raise ValueError("softmax_over_mask: a row has no unmasked entry")
+    top = np.max(np.where(mask, a.data, -np.inf), axis=1, keepdims=True)
+    e = np.exp(np.where(mask, a.data - top, -np.inf))
+    out = e / np.sum(e, axis=1, keepdims=True)
+
+    def pullback(g: np.ndarray):
+        dot = np.sum(g * out, axis=1, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad._result(out, (a,), pullback)

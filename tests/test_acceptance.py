@@ -162,11 +162,6 @@ def _primitive_factories():
         v, w = rng.normal(size=4), rng.normal(size=3)
         return lambda leaf: _project(ad.row_dot(leaf, Tensor(v)), w), rng.normal(size=(3, 4))
 
-    def f_masked_softmax(rng):
-        mask = np.array([[True, False, True, True], [False, True, True, False]])
-        w = rng.normal(size=8)
-        return lambda leaf: _project(ad.masked_softmax(leaf, mask), w), rng.normal(size=(2, 4))
-
     def f_segment_cross_entropy(rng):
         starts, targets = np.array([0, 4, 6]), rng.integers(0, 2, size=3)
         w = rng.normal(size=3)
@@ -174,8 +169,7 @@ def _primitive_factories():
 
     return [f_add, f_mul, f_scalar_mul, f_matmul, f_concat, f_reshape, f_relu,
             f_mean, f_gather, f_row_softmax, f_gumbel, f_transpose, f_add_row,
-            f_concat_axis, f_batched_matmul, f_row_dot, f_masked_softmax,
-            f_segment_cross_entropy]
+            f_concat_axis, f_batched_matmul, f_row_dot, f_segment_cross_entropy]
 
 
 def test_criterion_1_gradient_suite():

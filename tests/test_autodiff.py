@@ -12,7 +12,6 @@ from actknow.autodiff import (
     gather,
     gumbel_softmax,
     gumbel_softmax_with_noise,
-    masked_softmax,
     matmul,
     mean,
     mul,
@@ -27,6 +26,7 @@ from actknow.autodiff import (
 )
 from actknow.errors import ConfigError
 
+import _oracles
 from _oracles import cross_entropy, fd_gradient, max_rel_error, segment_mean
 
 RNG = np.random.default_rng(42)
@@ -228,20 +228,31 @@ def test_row_dot_equal_rows_are_bit_equal():
     assert len(results) == 1
 
 
-def test_masked_softmax():
-    a = RNG.normal(size=(2, 4))
-    mask = np.array([[True, True, False, True], [True, False, False, False]])
-    out = masked_softmax(Tensor(a), mask).data
-    assert np.all(out[~mask] == 0.0)
-    e = np.exp(a[0, [0, 1, 3]] - a[0, [0, 1, 3]].max())
-    assert np.max(np.abs(out[0, [0, 1, 3]] - e / e.sum())) < 1e-12
+def test_row_softmax_over_an_infinite_mask_matches_the_mask_oracle():
+    """The pool's masked softmax, row_softmax over the scores plus 0 on real
+    entries and -inf on masked ones, equals the masked softmax op it
+    replaced (_oracles.softmax_over_mask) bit for bit, in values and in
+    gradients."""
+    a = RNG.normal(size=(64, 9))
+    mask = RNG.random(size=a.shape) < 0.6
+    mask[:, 0] |= ~mask.any(axis=1)  # every row keeps a real entry
+    mask[1] = [True] + [False] * 8
+    w = RNG.normal(size=a.size)
+
+    def pool_form(t):
+        return row_softmax(add(t, Tensor(np.where(mask, 0.0, -np.inf))))
+
+    results = []
+    for softmax in (pool_form, lambda t: _oracles.softmax_over_mask(t, mask)):
+        leaf = Tensor(a, requires_grad=True)
+        out = softmax(leaf)
+        backward(project(out, w))
+        results.append((out.data, leaf.grad))
+    (out, grad), (want_out, want_grad) = results
+    assert np.array_equal(out, want_out) and np.array_equal(grad, want_grad)
+    assert np.all(out[~mask] == 0.0) and np.all(grad[~mask] == 0.0)
     assert out[1, 0] == 1.0
-    with pytest.raises(ValueError):
-        masked_softmax(Tensor(a), np.zeros((2, 4), bool))  # a row with nothing unmasked
-    with pytest.raises(ValueError):
-        masked_softmax(Tensor(a), mask[:, :3])
-    w = RNG.normal(size=8)
-    grad_check(lambda t: project(masked_softmax(t, mask), w), a)
+    grad_check(lambda t: project(pool_form(t), w), a)
 
 
 # segment_mean and cross_entropy live in _oracles.py: the references that

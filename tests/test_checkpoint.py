@@ -1,5 +1,7 @@
 """Text checkpoint round trips and model state restoration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,35 @@ def test_model_from_state_requires_all_tensors():
     state = build_model().state_arrays()
     del state["classifier"]
     with pytest.raises(ConfigError, match="classifier"):
+        model_from_state(state)
+
+
+@pytest.mark.parametrize("extra, dropped", [("mystery", None), ("gcn.layer_extra", None), (None, "gcn.layer0")])
+def test_model_from_state_rejects_a_tensor_no_model_has(extra, dropped):
+    """GCN layers are read from gcn.layer0 up, so a layer after a gap is as
+    unknown as any other stray tensor."""
+    state = build_model().state_arrays()
+    if extra:
+        state[extra] = np.zeros(2)
+    if dropped:
+        del state[dropped]
+    unknown = [extra] if extra else ["gcn.layer1"]
+    with pytest.raises(ConfigError, match=re.escape(f"tensors no model has: {unknown}")):
+        model_from_state(state)
+
+
+UNCHAINED = [("classifier", (31,)), ("gcn.layer1", (7, 8)), ("gcn.layer0", (5, 8)), ("text.projection", (8, 7)),
+             ("text.token_embedding", (12, 9)), ("gcn.node_features", (2, 6)), ("er.entity_proj", (5, 8)),
+             ("er.relation_proj", (4,))]
+
+
+@pytest.mark.parametrize("name, shape", UNCHAINED, ids=[name for name, _ in UNCHAINED])
+def test_model_from_state_checks_that_shapes_chain(name, shape):
+    """text_dim 8, node_dim 6, kg_dim 4, gcn_hidden 8, 3 entities: each
+    tensor cut to a shape that does not chain with the others is named."""
+    state = build_model().state_arrays()
+    state[name] = np.zeros(shape)
+    with pytest.raises(ConfigError, match=rf"checkpoint tensor {re.escape(name)} has shape"):
         model_from_state(state)
 
 

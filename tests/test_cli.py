@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -116,10 +117,10 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    """31 + 15 + 31 + 31 (subcommand, setting) pairs, each an ExperimentConfig
+    """29 + 13 + 29 + 29 (subcommand, setting) pairs, each an ExperimentConfig
     field named once."""
     assert {command: len(names) for command, names in READS.items()} == {
-        "train": 31, "eval": 15, "sweep-fraction": 31, "ablate-subgraph": 31}
+        "train": 29, "eval": 13, "sweep-fraction": 29, "ablate-subgraph": 29}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for names in READS.values():
         assert len(set(names)) == len(names) and set(names) <= fields
@@ -132,6 +133,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     ("sweep-fraction", "--data-fraction=0.5"), ("ablate-subgraph", "--max-nodes=5"),
     ("ablate-subgraph", "--split=dev"), ("train", "--entropy-split=dev"),
     ("sweep-fraction", "--warmup-steps=3"), ("eval", "--dataset-name=arc-easy"),
+    ("train", "--use-gcn"), ("eval", "--no-use-er"), ("sweep-fraction", "--use-er"),
 ])
 def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
     assert main([command, flag]) == 1
@@ -222,6 +224,28 @@ def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, cap
     assert f"{bad}:3: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, shape", [("classifier", (31,)), ("gcn.layer1", (7, 8))],
+                         ids=["short-classifier", "broken-gcn-chain"])
+def test_eval_rejects_a_checkpoint_whose_shapes_do_not_chain(name, shape, task_dir, trained_dir, tmp_path,
+                                                             capsys, caplog):
+    """A checkpoint that parses but holds `name` cut to `shape` exits 1
+    naming the file and the tensor, before any product runs."""
+    lines = open(os.path.join(trained_dir, "checkpoint.txt")).read().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == name)
+    lines[at] = f"{name} {len(shape)} " + " ".join(map(str, shape))
+    lines[at + 1] = " ".join(lines[at + 1].split()[: math.prod(shape)])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
+        "--checkpoint", str(bad), "--out-dir", str(tmp_path / "evalbad"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"error: {bad}: checkpoint tensor {name} has shape {shape}, expected" in err
+    assert "Traceback" not in err and not any(r.exc_info for r in caplog.records)
+
+
 def _edit_second_question(edit):
     """Corrupt a .jsonl file by applying edit(question, first question) to its
     second question."""
@@ -243,6 +267,12 @@ def _nan_on_line_two(data):
     lines = data.split(b"\n")
     token, _, values = lines[1].partition(b" ")
     lines[1] = token + b" nan" + values[values.index(b" "):]
+    return b"\n".join(lines)
+
+
+def _wordless_label_on_line_two(data):
+    lines = data.split(b"\n")
+    lines[1] = b"--\t" + lines[1].split(b"\t", 1)[1]
     return b"\n".join(lines)
 
 
@@ -271,6 +301,7 @@ BAD_INPUTS = [
     ("wordless-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], "?"])),
      "2: every choice needs a word token"),
     ("non-finite-feature", "train --node-features", _nan_on_line_two, "2: non-finite value"),
+    ("wordless-label", "--kg", _wordless_label_on_line_two, "2: entity label '--' has no word token"),
     ("config-bad-seed", "train --config", lambda _: b"seed = abc\n", "1: setting seed:"),
     ("config-unread-setting", "--config", lambda _: b"learning_rate = 0.1\n",
      "1: eval does not read setting 'learning_rate'"),

@@ -25,6 +25,11 @@ def resolve(path, command="train", flag_values=None):
     return resolve_config(ExperimentConfig, flag_values or {}, path, command, READS[command])
 
 
+def resolve_spec(path):
+    """resolve_config as gen-synth calls it, on the file at path."""
+    return resolve_config(SyntheticSpec, {}, path, "gen-synth", [f.name for f in dataclasses.fields(SyntheticSpec)])
+
+
 def test_parse_key_value_lines(tmp_path):
     path = write_config(
         tmp_path,
@@ -47,9 +52,9 @@ def test_parse_key_value_lines(tmp_path):
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    for line in ("bogus = 1", "warmup_steps = 3"):
+    for line in ("bogus = 1", "warmup_steps = 3", "use_er = false"):
         path = write_config(tmp_path, line + "\n")
-        with pytest.raises(ConfigError, match=r":1: unknown setting"):
+        with pytest.raises(ConfigError, match=rf":1: unknown setting '{line.split()[0]}'"):
             parse_config_file(ExperimentConfig, path, "train", READS["train"])
 
 
@@ -71,13 +76,12 @@ def test_parse_missing_file():
 
 
 def test_coercion_types(tmp_path):
-    cfg = resolve(write_config(tmp_path, "seed = 3\nlearning_rate = 0.25\nuse_gcn = false\nuse_er = yes\n"
-                                         "node_budgets = 2,8\n"), "ablate-subgraph")
+    cfg = resolve(write_config(tmp_path, "seed = 3\nlearning_rate = 0.25\nnode_budgets = 2,8\n"), "ablate-subgraph")
     assert cfg.seed == 3
     assert cfg.learning_rate == 0.25
-    assert cfg.use_gcn is False
-    assert cfg.use_er is True
     assert cfg.node_budgets == (2, 8)
+    assert resolve_spec(write_config(tmp_path, "split_by_chain = yes\n")).split_by_chain is True
+    assert resolve_spec(write_config(tmp_path, "split_by_chain = false\n")).split_by_chain is False
     cfg = resolve(write_config(tmp_path, "fractions = 0.5,1.0\nseeds = 4, 5\nmodes = text-only\n"), "sweep-fraction")
     assert cfg.fractions == (0.5, 1.0)
     assert cfg.seeds == (4, 5)
@@ -88,23 +92,23 @@ def test_coercion_rejects_bad_values(tmp_path):
     with pytest.raises(ConfigError):
         resolve(write_config(tmp_path, "seed = seven\n"))
     with pytest.raises(ConfigError):
-        resolve(write_config(tmp_path, "use_gcn = maybe\n"))
+        resolve_spec(write_config(tmp_path, "split_by_chain = maybe\n"))
     with pytest.raises(ConfigError):
         resolve(write_config(tmp_path, "seeds = 1,x\n"), "sweep-fraction")
 
 
 def test_bad_value_names_its_line_and_setting_once(tmp_path):
-    path = write_config(tmp_path, "seed = 1\nuse_gcn = maybe\n")
+    path = write_config(tmp_path, "seed = 1\nsplit_by_chain = maybe\n")
     with pytest.raises(ConfigError) as info:
-        resolve(path)
-    assert str(info.value).startswith(f"{path}:2: setting use_gcn: expected a boolean")
-    assert str(info.value).count("use_gcn") == 1
+        resolve_spec(path)
+    assert str(info.value).startswith(f"{path}:2: setting split_by_chain: expected a boolean")
+    assert str(info.value).count("split_by_chain") == 1
 
 
 @pytest.mark.parametrize("raw, value", [*[(t, True) for t in ("true", "1", "yes", "on", "TRUE", "On")],
                                         *[(t, False) for t in ("false", "0", "no", "off", "FALSE", "Off")]])
 def test_boolean_spellings(raw, value):
-    assert parse_setting(ExperimentConfig, "use_gcn", raw) is value
+    assert parse_setting(SyntheticSpec, "split_by_chain", raw) is value
 
 
 # every character a config-file value may hold: a line ends at "\r" or "\n",

@@ -339,6 +339,8 @@ def test_pool_rejects_empty():
         graph_attention_pool(Tensor(np.zeros((0, 2, 3))), np.zeros((0, 2), bool), Tensor(np.zeros((0, 3))))
     with pytest.raises(ValueError):
         graph_attention_pool(Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2), bool), Tensor(np.zeros((1, 3))))
+    with pytest.raises(ValueError):  # a mask of the wrong shape
+        graph_attention_pool(Tensor(np.zeros((1, 2, 3))), np.ones((1, 3), bool), Tensor(np.zeros((1, 3))))
 
 
 # ---------------------------------------------------------------------------

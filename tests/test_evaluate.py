@@ -22,7 +22,6 @@ from actknow.scenarios import lowdata_experiment
 from test_training import build_task
 
 ENCODERS = ("encode_text", "gcn_forward", "er_attention")
-VARIANTS = {"full": {}, "no-gcn": {"use_gcn": False}, "no-er": {"use_er": False}}
 
 
 @pytest.fixture(scope="module")
@@ -67,22 +66,16 @@ def _assert_rows_equal(questions, model, config):
     return rows
 
 
-@pytest.mark.parametrize(
-    "split, variant",
-    [("train", "full"), ("dev", "full"), ("test", "full"), ("dev", "no-gcn"), ("dev", "no-er")],
-)
-def test_act_know_rows_equal_the_two_pass_oracle_on_lowdata(split, variant, lowdata_model):
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_act_know_rows_equal_the_two_pass_oracle_on_lowdata(split, lowdata_model):
     config, model, splits = lowdata_model
-    config = dataclasses.replace(config, **VARIANTS[variant])
     rows = _assert_rows_equal(splits[split], model, config)
     assert len({row["entropy"] for row in rows}) > 1  # the entropy weights differ by question
-    with_attention = any("node_attention" in choice for row in rows for choice in row["attention"])
-    assert with_attention == config.use_gcn
+    assert any("node_attention" in choice for row in rows for choice in row["attention"])
 
 
-@pytest.mark.parametrize("variant", list(VARIANTS))
-def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task(variant):
-    task = build_task(mode="act-know", batch_size=3, **VARIANTS[variant])  # 4 questions: a full and a part chunk
+def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task():
+    task = build_task(mode="act-know", batch_size=3)  # 4 questions: a full and a part chunk
     _assert_rows_equal(task.prepared, task.model, task.config)
 
 
@@ -122,12 +115,12 @@ UNREAD_BY_EVAL = {
 def test_eval_reads_only_its_own_settings(split, lowdata_model):
     """prepare_split and evaluate of one model give byte-identical rows
     under the defaults and under a non-default value of every TrainConfig
-    field outside eval's seven. The train split is left out: there
+    field outside eval's five. The train split is left out: there
     prepare_split draws the data_fraction sample that training reads, and
     eval always leaves data_fraction at 1."""
     config, model, _ = lowdata_model
     read = {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
-    assert read == {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len", "use_gcn", "use_er"}
+    assert read == {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"}
     assert set(UNREAD_BY_EVAL) == {f.name for f in dataclasses.fields(training.TrainConfig)} - read
     defaults = training_config_for(
         dataclasses.replace(config, **{f.name: f.default for f in dataclasses.fields(training.TrainConfig)

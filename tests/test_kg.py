@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +53,18 @@ def test_empty_file_rejected(tmp_path):
 def test_label_normalization():
     assert normalize_label("  Ice_Cream  ") == "ice cream"
     assert normalize_label("a\t b") == "a b"
+    # the tokens retrieval.tokenize splits text into
+    assert normalize_label("T-Shirt") == "t shirt"
+    assert normalize_label("Mother's_Day!") == "mother s day"
+    assert normalize_label(" -- ") == ""
+
+
+@pytest.mark.parametrize("head, tail", [("--", "animal"), ("goat", "_._")])
+def test_a_label_without_a_word_token_names_its_line(head, tail, tmp_path):
+    path = write_kg(tmp_path, ["goat\tIsA\tanimal", f"{head}\tIsA\t{tail}"])
+    label = re.escape(tail if head == "goat" else head)
+    with pytest.raises(ConfigError, match=rf"kg\.tsv:2: entity label '{label}' has no word token"):
+        load_triples(path)
 
 
 def test_triple_links_both_ends():

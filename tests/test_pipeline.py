@@ -1,9 +1,9 @@
 """build_model trains the KG embedding tables only where ER attention, their
 one reader, runs, against the model on trained tables that it replaces.
 
-A cell without ER attention (text-only, or use_er off) reads no table row,
-so it trains and evaluates exactly as on the trained tables; only the two
-tables in its state differ, and they are the seeded init of 0 epochs.
+A text-only cell runs no ER attention and so reads no table row: it trains
+and evaluates exactly as on the trained tables; only the two tables in its
+state differ, and they are the seeded init of 0 epochs.
 """
 
 import numpy as np
@@ -31,13 +31,11 @@ def _model_on_trained_tables(pipe, tc):
     return init_model(len(pipe.vocab.tokens), ent, rel, node_features, tc)
 
 
-@pytest.mark.parametrize(
-    "overrides", [{"mode": "text-only"}, {"mode": "base-know", "use_er": False}], ids=["text-only", "no-er"]
-)
-def test_a_cell_without_er_attention_trains_as_on_trained_tables(overrides, lowdata):
+@pytest.mark.parametrize("mode", ["text-only"])
+def test_a_cell_without_er_attention_trains_as_on_trained_tables(mode, lowdata):
     cfg, pipe = lowdata
-    tc = training_config_for(cfg, data_fraction=0.2, **overrides)
-    assert not tc.graph_encoders[1] and tc.kg_epochs > 0
+    tc = training_config_for(cfg, data_fraction=0.2, mode=mode)
+    assert not tc.graph_side and tc.kg_epochs > 0
     train_qs, dev_qs, test_qs = (prepare_split(pipe, split, tc) for split in ("train", "dev", "test"))
 
     runs = []

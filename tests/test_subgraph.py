@@ -44,6 +44,13 @@ def test_identify_concepts_prefers_longest_match():
     assert identify_concepts(tokenize("ice cream melts"), graph) == [graph.entity_ids["ice cream"]]
 
 
+def test_identify_concepts_finds_labels_with_punctuation():
+    """A label splits into the tokens its mentions split into."""
+    graph = graph_from_triples([("T-shirt", "MadeOf", "cotton"), ("Mother's_Day", "r", "gift")])
+    mentions = identify_concepts(tokenize("a t-shirt of cotton for mother's day"), graph)
+    assert mentions == [graph.entity_ids[label] for label in ("t shirt", "cotton", "mother s day")]
+
+
 def test_identify_concepts_no_overlap():
     graph = graph_from_triples([("ice cream", "r", "milk"), ("cream soda", "r", "sugar")])
     # "ice cream" claims tokens 0-1, leaving "soda" alone which is no entity

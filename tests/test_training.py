@@ -59,18 +59,19 @@ def build_task(items=None, **overrides):
 def manual_logits(pq, model, weight, config):
     """Assemble per-choice logits from the individual encoder calls, each on
     a batch of one choice."""
+    graph_side = config.mode != "text-only"
     out = []
     for choice in pq.choices:
         text = encode_text([choice.token_ids], model.text)
         t = text.data[0]
-        if config.use_gcn and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
+        if graph_side and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
             nodes = gcn_forward([choice.subgraph], model.gcn)[0].data[0]
             scores = nodes @ t
             e = np.exp(scores - scores.max())
             g = (e / e.sum()) @ nodes
         else:
             g = np.zeros(model.dim)
-        if config.use_er:
+        if graph_side:
             k = er_attention(text, model.er, config.gumbel_temperature, train=False).data[0]
         else:
             k = np.zeros(2 * model.dim)
@@ -82,8 +83,7 @@ def manual_logits(pq, model, weight, config):
 # ---------------------------------------------------------------------------
 # preparation
 
-NO_GCN = [pytest.param({"mode": "text-only"}, id="text-only"),
-          pytest.param({"mode": "base-know", "use_gcn": False}, id="base-know-no-gcn")]
+NO_GCN = [pytest.param({"mode": "text-only"}, id="text-only")]
 
 
 @pytest.mark.parametrize("overrides", NO_GCN)
@@ -110,8 +110,8 @@ def test_the_gcn_refuses_questions_prepared_without_it():
         training.encode_batch(task.prepared, task.model, tiny_config())
     with pytest.raises(ValueError, match="without their subgraphs"):
         evaluate(task.prepared, task.model, tiny_config(mode="act-know"))
-    # without the GCN only the text is read
-    training.encode_batch(task.prepared, task.model, tiny_config(use_gcn=False))
+    # text-only reads only the text
+    training.encode_batch(task.prepared, task.model, task.config)
 
 
 @pytest.mark.parametrize("overrides", NO_GCN)
@@ -122,10 +122,10 @@ def test_cells_without_a_gcn_train_the_same_bytes_from_either_preparation(overri
     cfg = training_config_for(lowdata_experiment(lowdata_dir, str(tmp_path)), data_fraction=0.2, **overrides)
     pipe = load_pipeline(cfg)
     outputs = []
-    for prep in (cfg, training_config_for(cfg, mode="base-know", use_gcn=True)):
+    for prep in (cfg, training_config_for(cfg, mode="base-know")):
         train_qs, dev_qs, test_qs = (prepare_split(pipe, split, prep) for split in ("train", "dev", "test"))
         built = [c.subgraph is not None for pq in train_qs for c in pq.choices]
-        assert any(built) == train_qs[0].graph_side == prep.graph_encoders[0]
+        assert any(built) == train_qs[0].graph_side == prep.graph_side
         out = tmp_path / str(len(outputs))
         run_cell(pipe, cfg, train_qs, dev_qs, test_qs, str(out))
         outputs.append(tuple((out / name).read_bytes()
@@ -369,8 +369,7 @@ def test_untrained_model_scores_like_chance_on_random_golds():
 
 
 def test_overfits_single_question():
-    # er attention injects gumbel noise while training, so leave it off here
-    task = build_task(master_epochs=50, learning_rate=1e-2, use_er=False)
+    task = build_task(master_epochs=50, learning_rate=1e-2)
     result = train(task.model, task.prepared[:1], None, task.config)
     train_rows = [r for r in result.stats if r["split"] == "train"]
     assert train_rows[-1]["accuracy"] == 1.0
@@ -642,10 +641,9 @@ def test_pretraining_computes_no_text_gradient(monkeypatch):
     "overrides, unused",
     [
         ({"mode": "text-only"}, ("gcn.layer0", "gcn.layer1", "er.entity_proj", "er.relation_proj")),
-        ({"use_gcn": False}, ("gcn.layer0", "gcn.layer1")),
-        ({"use_er": False}, ("er.entity_proj", "er.relation_proj")),
+        ({"mode": "base-know"}, ()),
     ],
-    ids=["text-only", "no-gcn", "no-er"],
+    ids=["text-only", "base-know"],
 )
 def test_unused_tensors_keep_their_init_values(overrides, unused):
     """Weight decay would move a tensor the optimizer steps without a
