@@ -2,8 +2,11 @@
 
 Tensors record the operations that produced them; backward() walks that
 record in reverse topological order and accumulates gradients into leaf
-tensors created with requires_grad=True. All math is double precision and
-single-threaded, so identical inputs give bit-identical outputs.
+tensors created with requires_grad=True. All math is double precision.
+Products go to numpy's BLAS: its bundled OpenBLAS runs one thread per core
+unless OPENBLAS_NUM_THREADS sets the count, and bench/run.py sets 1.
+Identical inputs give bit-identical outputs on one numpy build, with one
+thread or two (tests/test_golden.py passes either way).
 """
 
 from __future__ import annotations
@@ -168,8 +171,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    """max(a, 0), with +0.0 for both signed zeros. The pullback builds the
+    a > 0 mask, so an eval pass never does. A NaN input stays NaN, and the
+    loss check then raises, where a masked select would have zeroed it."""
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:

@@ -4,7 +4,9 @@ Three per-choice representations feed the classifier:
   text_vec       relu(P @ mean(token embeddings) + bias), dim d; the means
                  of a batch are one bag-of-words product over the table
                  rows of the batch's distinct tokens
-  graph_vec      text-attention pooling over GCN node outputs, dim d
+  graph_vec      text-attention pooling over GCN node outputs, dim d; the
+                 last layer's weight is applied after pooling, so its
+                 node outputs are never built
   knowledge_vec  concat of attention-pooled projected entity and relation
                  tables, dim 2d; entity attention uses Gumbel softmax while
                  training and plain softmax at eval time
@@ -156,13 +158,15 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
 
-def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray]:
-    """Stacked propagation per subgraph: H' = act(A_norm @ H @ W), relu
-    between layers, identity after the last.
+def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Stacked propagation per subgraph, H' = relu(A_norm @ H @ W), through
+    every layer but the last: the last has no activation, so
+    graph_attention_pool applies it to what it pools.
 
-    Subgraphs are padded to the largest one: returns the (S, N, d) node
-    outputs, whose padded rows are exact zeros, and the (S, N) mask of
-    real nodes."""
+    Subgraphs are padded to the largest one: returns the (S, N, k) hidden
+    stack the last layer reads (the node features when there is one layer)
+    and the (S, N, N) stack of normalized adjacencies, both exact zeros on
+    padding, and the (S, N) mask of real nodes."""
     if not subgraphs or any(sub.n_nodes == 0 for sub in subgraphs):
         raise ValueError("gcn_forward: need at least one subgraph, none of them empty")
     n = max(sub.n_nodes for sub in subgraphs)
@@ -175,31 +179,41 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     features = np.zeros(mask.shape + (params.node_features.shape[1],))
     features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
     a_norm, h = Tensor(adjacency), Tensor(features)
-    last = len(params.layers) - 1
-    for i, w in enumerate(params.layers):
+    for w in params.layers[:-1]:
         h = ad.matmul(a_norm, h)
         rows = ad.matmul(ad.reshape(h, (-1, h.shape[2])), w)
-        h = ad.reshape(rows, (len(subgraphs), n, w.shape[1]))
-        if i != last:
-            h = ad.relu(h)
-    return h, mask
+        h = ad.relu(ad.reshape(rows, (len(subgraphs), n, w.shape[1])))
+    return h, a_norm, mask
 
 
-def graph_attention_pool(node_outputs: Tensor, mask: np.ndarray, text_vecs: Tensor) -> tuple[Tensor, Tensor]:
-    """Per subgraph, the softmax(text . node_k) weighted sum of its node
-    outputs: (S, d), and the (S, N) attention weights, 0 on padding."""
-    if node_outputs.data.ndim != 3 or node_outputs.shape[0] == 0:
-        raise ValueError("graph_attention_pool: need a non-empty (S, N, d) stack")
-    s, n, d = node_outputs.shape
+def graph_attention_pool(
+    hidden: Tensor, adjacency: Tensor, mask: np.ndarray, text_vecs: Tensor, last_layer: Tensor
+) -> tuple[Tensor, Tensor]:
+    """Per subgraph, the softmax(text . node_k) weighted sum of the last GCN
+    layer's node outputs A_norm @ H @ W: (S, d), and the (S, N) attention
+    weights, 0 on padding.
+
+    The node outputs are never built. The scores are A_norm @ (H @ u) with
+    u = W @ text, and the pooled vector is ((weights @ A_norm) @ H) @ W:
+    products of one row per subgraph, not of the (S*N, k) node stack."""
+    if hidden.data.ndim != 3 or hidden.shape[0] == 0:
+        raise ValueError("graph_attention_pool: need a non-empty (S, N, k) stack")
+    s, n, k = hidden.shape
+    if last_layer.data.ndim != 2 or last_layer.shape[0] != k:
+        raise ValueError(f"graph_attention_pool: last layer {last_layer.shape} does not take width {k}")
+    d = last_layer.shape[1]
+    if adjacency.shape != (s, n, n):
+        raise ValueError(f"graph_attention_pool: adjacency {adjacency.shape} does not match ({s}, {n}, {n})")
     if text_vecs.shape != (s, d):
         raise ValueError(f"graph_attention_pool: text vectors {text_vecs.shape} do not match ({s}, {d})")
     if mask.shape != (s, n) or not mask.any(axis=1).all():
         raise ValueError(f"graph_attention_pool: need a ({s}, {n}) mask with a real node in every row")
-    scores = ad.reshape(ad.matmul(node_outputs, ad.reshape(text_vecs, (s, d, 1))), (s, n))
+    u = ad.reshape(ad.matmul(text_vecs, ad.transpose(last_layer)), (s, k, 1))
+    scores = ad.reshape(ad.matmul(adjacency, ad.matmul(hidden, u)), (s, n))
     # padding scores -inf, so its softmax weight is exactly 0
     weights = ad.row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
-    pooled = ad.matmul(ad.reshape(weights, (s, 1, n)), node_outputs)
-    return ad.reshape(pooled, (s, d)), weights
+    mixed = ad.matmul(ad.matmul(ad.reshape(weights, (s, 1, n)), adjacency), hidden)
+    return ad.matmul(ad.reshape(mixed, (s, k)), last_layer), weights
 
 
 def er_attention(

@@ -263,8 +263,11 @@ def random_node_features(graph: KnowledgeGraph, dim: int, seed: int) -> Embeddin
 
 
 def load_text_embeddings(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Read a `token v1 v2 ... vd` text embedding file."""
+    """Read a `token v1 v2 ... vd` text embedding file, keyed by normalized
+    label. A label with no word token, or one that normalizes to an earlier
+    line's label, is a ConfigError naming the line."""
     table: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     dim: int | None = None
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.split()
@@ -282,7 +285,15 @@ def load_text_embeddings(path: str) -> tuple[dict[str, np.ndarray], int]:
             dim = vec.size
         elif vec.size != dim:
             raise ConfigError(f"{path}:{lineno}: dimension mismatch ({vec.size} vs {dim})")
-        table[normalize_label(parts[0])] = vec
+        label = normalize_label(parts[0])
+        if not label:
+            raise ConfigError(f"{path}:{lineno}: label {parts[0]!r} has no word token")
+        if label in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: label {parts[0]!r} repeats {label!r}, first on line {first_line[label]}"
+            )
+        first_line[label] = lineno
+        table[label] = vec
     if dim is None:
         raise ConfigError(f"{path}: empty embedding file")
     return table, dim

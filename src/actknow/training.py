@@ -403,8 +403,10 @@ def encode_batch(
         rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
         if rows:
             subgraphs = [choices[i].subgraph for i in rows]
-            nodes, mask = gcn_forward(subgraphs, params.gcn)
-            pooled, attn = graph_attention_pool(nodes, mask, ad.gather(text, np.array(rows)))
+            hidden, adjacency, mask = gcn_forward(subgraphs, params.gcn)
+            pooled, attn = graph_attention_pool(
+                hidden, adjacency, mask, ad.gather(text, np.array(rows)), params.gcn.layers[-1]
+            )
             # choices without a subgraph read the zero row appended after the pooled ones
             slot = np.full(len(choices), len(rows))
             slot[rows] = np.arange(len(rows))

@@ -297,6 +297,29 @@ def test_relu_grad_away_from_kink():
     grad_check(lambda t: project(relu(t), w), x0)
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, 1.5, -1.5]
+
+
+@pytest.mark.parametrize("shape", [(12,), (7, 12), (3, 5, 12)], ids=["1d", "2d", "3d"])
+def test_relu_bytes_match_the_masked_select(shape):
+    """relu's max(a, 0) writes the bytes of np.where(a > 0, a, 0.0): +0.0
+    for both signed zeros, subnormals and huge values kept or zeroed by
+    sign, in numpy's vector loops and their scalar tails alike; and the
+    pullback passes g exactly where a > 0."""
+    x = np.resize(EDGE_VALUES, int(np.prod(shape))).reshape(shape)
+    x = np.random.default_rng(3).permutation(x.reshape(-1)).reshape(shape)
+    t = Tensor(x, requires_grad=True)
+    out = relu(t)
+    assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    g = RNG.normal(size=shape)
+    assert np.array_equal(out._pullback(g)[0], np.where(x > 0, g, 0.0))
+
+
+def test_relu_lets_nan_through():
+    assert np.isnan(relu(Tensor([np.nan, -1.0])).data[0])
+
+
 def test_mean_full_grad_is_uniform():
     t = Tensor(np.arange(5.0), requires_grad=True)
     backward(mean(t))

@@ -276,6 +276,18 @@ def _wordless_label_on_line_two(data):
     return b"\n".join(lines)
 
 
+def _feature_labels(second, first=None):
+    """Corrupt a node features file by relabeling its second line, and its
+    first too when a label for it is given."""
+    def corrupt(data):
+        lines = data.split(b"\n")
+        for i, label in enumerate((first, second)):
+            if label is not None:
+                lines[i] = label + b" " + lines[i].split(b" ", 1)[1]
+        return b"\n".join(lines)
+    return corrupt
+
+
 # eval reads every input file but the node features, which train reads
 INPUT_FLAGS = ("--kg", "--corpus", "train --node-features", "--train", "--dev", "--test", "--checkpoint", "--config")
 
@@ -301,6 +313,10 @@ BAD_INPUTS = [
     ("wordless-choice", "--test", _edit_second_question(lambda q, _: q.update(choices=[*q["choices"][:-1], "?"])),
      "2: every choice needs a word token"),
     ("non-finite-feature", "train --node-features", _nan_on_line_two, "2: non-finite value"),
+    ("wordless-feature-label", "train --node-features", _feature_labels(b"--"),
+     "2: label '--' has no word token"),
+    ("duplicate-feature-label", "train --node-features", _feature_labels(b"T_shirt", first=b"t-shirt"),
+     "2: label 'T_shirt' repeats 't shirt', first on line 1"),
     ("wordless-label", "--kg", _wordless_label_on_line_two, "2: entity label '--' has no word token"),
     ("config-bad-seed", "train --config", lambda _: b"seed = abc\n", "1: setting seed:"),
     ("config-unread-setting", "--config", lambda _: b"learning_rate = 0.1\n",

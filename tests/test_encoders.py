@@ -189,11 +189,27 @@ def test_encode_text_rejects_out_of_range_ids():
 # graph convolution
 
 
+def node_outputs(subgraphs, params):
+    """The last layer's (S, N, d) node outputs A_norm @ H @ W, built from
+    gcn_forward's stacks the way graph_attention_pool never builds them,
+    and the mask."""
+    hidden, adjacency, mask = gcn_forward(subgraphs, params)
+    return adjacency.data @ hidden.data @ params.layers[-1].data, mask
+
+
+def pooled_by_brute_force(nodes, text):
+    """softmax(nodes @ text) @ nodes for one (N, d) matrix of real nodes."""
+    scores = nodes @ text
+    e = np.exp(scores - scores.max())
+    weights = e / e.sum()
+    return weights @ nodes, weights
+
+
 def test_gcn_isolated_node_identity_weights():
     graph, sub = make_subgraph([("a", "r", "b"), ("x", "r", "y")], ["a"])
     feats = embedding(graph.n_entities, 3, seed=2)
     params = GCNParams(layers=[Tensor(np.eye(3))], node_features=Tensor(feats.vectors))
-    out = gcn_forward([sub], params)[0].data[0]
+    out = node_outputs([sub], params)[0][0]
     # single node: normalized adjacency is the 1x1 identity
     assert np.allclose(out, feats.vectors[sub.nodes[0]], atol=1e-12)
 
@@ -202,7 +218,7 @@ def test_gcn_two_connected_nodes_average():
     graph, sub = make_subgraph([("a", "r", "b")], ["a", "b"])
     feats = embedding(graph.n_entities, 4, seed=3)
     params = GCNParams(layers=[Tensor(np.eye(4))], node_features=Tensor(feats.vectors))
-    out = gcn_forward([sub], params)[0].data[0]
+    out = node_outputs([sub], params)[0][0]
     expected = 0.5 * (feats.vectors[sub.nodes[0]] + feats.vectors[sub.nodes[1]])
     assert np.max(np.abs(out[0] - expected)) < 1e-12
     assert np.max(np.abs(out[1] - expected)) < 1e-12
@@ -214,7 +230,7 @@ def test_gcn_matches_dense_oracle():
     feats = embedding(graph.n_entities, 5, seed=4)
     rng = np.random.default_rng(5)
     params = init_gcn_params([5, 7, 4], feats, rng)
-    out = gcn_forward([sub], params)[0].data[0]
+    out = node_outputs([sub], params)[0][0]
     expected = dense_gcn(
         sub.norm_adjacency,
         feats.vectors[np.asarray(sub.nodes)],
@@ -223,24 +239,47 @@ def test_gcn_matches_dense_oracle():
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
+PADDED_TRIPLES = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("a", "s", "d"), ("b", "s", "e")]
+PADDED_SEEDS = (["a", "c", "e"], ["a"], ["b", "d"])
+
+
 def test_gcn_batch_pads_with_exact_zeros():
-    triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("a", "s", "d"), ("b", "s", "e")]
-    subs = [make_subgraph(triples, seeds)[1] for seeds in (["a", "c", "e"], ["a"], ["b", "d"])]
-    graph = graph_from_triples(triples)
+    subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
+    graph = graph_from_triples(PADDED_TRIPLES)
     feats = embedding(graph.n_entities, 5, seed=4)
     params = init_gcn_params([5, 7, 4], feats, np.random.default_rng(5))
-    out, mask = gcn_forward(subs, params)
+    hidden, adjacency, mask = gcn_forward(subs, params)
+    out = node_outputs(subs, params)[0]
     n = max(sub.n_nodes for sub in subs)
-    assert out.shape == (3, n, 4)
+    assert hidden.shape == (3, n, 7) and adjacency.shape == (3, n, n) and out.shape == (3, n, 4)
     for i, sub in enumerate(subs):
-        assert list(mask[i]) == [True] * sub.n_nodes + [False] * (n - sub.n_nodes)
-        assert np.all(out.data[i, sub.n_nodes:] == 0.0)
+        k = sub.n_nodes
+        assert list(mask[i]) == [True] * k + [False] * (n - k)
+        assert np.all(hidden.data[i, k:] == 0.0) and np.all(out[i, k:] == 0.0)
+        assert np.all(adjacency.data[i, k:] == 0.0) and np.all(adjacency.data[i, :, k:] == 0.0)
         expected = dense_gcn(
             sub.norm_adjacency,
             feats.vectors[np.asarray(sub.nodes)],
             [w.data for w in params.layers],
         )
-        assert np.max(np.abs(out.data[i, : sub.n_nodes] - expected)) < 1e-10
+        assert np.max(np.abs(out[i, :k] - expected)) < 1e-10
+
+
+def test_one_layer_gcn_hands_the_node_features_to_the_pool():
+    """With gcn_layers=1 the hidden stack is the padded node features, and
+    the pool applies the one layer."""
+    subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
+    graph = graph_from_triples(PADDED_TRIPLES)
+    feats = embedding(graph.n_entities, 5, seed=4)
+    params = init_gcn_params([5, 4], feats, np.random.default_rng(5))
+    hidden, adjacency, mask = gcn_forward(subs, params)
+    text = np.random.default_rng(6).normal(size=(3, 4))
+    pooled, _ = graph_attention_pool(hidden, adjacency, mask, Tensor(text), params.layers[0])
+    for i, sub in enumerate(subs):
+        k = sub.n_nodes
+        assert np.array_equal(hidden.data[i, :k], feats.vectors[np.asarray(sub.nodes)])
+        nodes = dense_gcn(sub.norm_adjacency, feats.vectors[np.asarray(sub.nodes)], [params.layers[0].data])
+        assert np.max(np.abs(pooled.data[i] - pooled_by_brute_force(nodes, text[i])[0])) < 1e-10
 
 
 SECOND_LAYER = np.random.default_rng(60).normal(size=(3, 4))
@@ -259,11 +298,9 @@ def test_gcn_pooled_output_permutation_invariant():
         base = embedding(3, 3, seed=6).vectors
         feats = np.stack([base[ord(graph.entities[e]) - ord("a")] for e in range(graph.n_entities)])
         params = GCNParams(layers=[Tensor(np.eye(3)), Tensor(SECOND_LAYER)], node_features=Tensor(feats))
-        node_out, mask = gcn_forward([sub], params)
-        outputs.append(graph_attention_pool(node_out, mask, Tensor(text[None]))[0].data[0])
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), params.layers[-1])
+        outputs.append(pooled.data[0])
     assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
-
-
 
 
 def test_gcn_rejects_empty_and_bad_dims():
@@ -274,49 +311,65 @@ def test_gcn_rejects_empty_and_bad_dims():
         init_gcn_params([5, 3], feats, np.random.default_rng(0))
 
 
-def test_gcn_gradient_matches_fd():
+def check_gcn_gradient(dims):
+    """Finite-difference gradients of every GCN layer and of the text
+    vector, through the pool."""
     graph, sub = make_subgraph([("a", "r", "b"), ("b", "r", "c")], ["a", "c"])
     feats = embedding(graph.n_entities, 3, seed=8)
-    params = init_gcn_params([3, 4, 3], feats, np.random.default_rng(9))
-    mark_leaves(*params.layers)
+    params = init_gcn_params(dims, feats, np.random.default_rng(9))
     text = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
+    leaves = mark_leaves(*params.layers, text)
     w = np.random.default_rng(11).normal(size=3)
 
     def forward():
-        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text)
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text, params.layers[-1])
         return matmul(reshape(pooled, (-1,)), Tensor(w))
 
     backward(forward())
-    for leaf in params.layers:
+    for leaf in leaves:
         numeric = fd_gradient(lambda: forward().item(), leaf.data)
         assert max_rel_error(leaf.grad, numeric) < 1e-4
+
+
+def test_gcn_gradient_matches_fd():
+    check_gcn_gradient([3, 4, 3])
+
+
+def test_one_layer_gcn_gradient_matches_fd():
+    check_gcn_gradient([3, 3])
 
 
 # ---------------------------------------------------------------------------
 # attention pooling
 
 
+def pool_nodes(nodes, mask, text):
+    """graph_attention_pool over given (S, N, d) node outputs: with identity
+    adjacencies and an identity last layer the stack is its own output."""
+    s, n, d = nodes.shape
+    adjacency = Tensor(np.broadcast_to(np.eye(n), (s, n, n)).copy())
+    return graph_attention_pool(Tensor(nodes), adjacency, mask, Tensor(text), Tensor(np.eye(d)))
+
+
 def test_pool_single_node_returns_it():
     node = RNG.normal(size=(1, 1, 4))
-    out, _ = graph_attention_pool(Tensor(node), np.ones((1, 1), bool), Tensor(RNG.normal(size=(1, 4))))
+    out, _ = pool_nodes(node, np.ones((1, 1), bool), RNG.normal(size=(1, 4)))
     assert np.allclose(out.data[0], node[0, 0], atol=1e-12)
 
 
 def test_pool_orthogonal_nodes_average():
     nodes = np.eye(3) * 2.0
     text = np.zeros(3)  # all scores zero, weights uniform
-    out, _ = graph_attention_pool(Tensor(nodes[None]), np.ones((1, 3), bool), Tensor(text[None]))
+    out, _ = pool_nodes(nodes[None], np.ones((1, 3), bool), text[None])
     assert np.allclose(out.data[0], nodes.mean(axis=0), atol=1e-12)
 
 
 def test_pool_matches_brute_force():
     nodes = RNG.normal(size=(5, 6))
     text = RNG.normal(size=6)
-    out, attn = graph_attention_pool(Tensor(nodes[None]), np.ones((1, 5), bool), Tensor(text[None]))
-    scores = nodes @ text
-    e = np.exp(scores - scores.max())
-    weights = e / e.sum()
-    assert np.max(np.abs(out.data[0] - weights @ nodes)) < 1e-10
+    out, attn = pool_nodes(nodes[None], np.ones((1, 5), bool), text[None])
+    pooled, weights = pooled_by_brute_force(nodes, text)
+    assert np.max(np.abs(out.data[0] - pooled)) < 1e-10
     assert np.max(np.abs(attn.data[0] - weights)) < 1e-10
 
 
@@ -325,22 +378,47 @@ def test_pool_ignores_padding():
     nodes[1, 2:] = 0.0
     mask = np.array([[True] * 4, [True, True, False, False]])
     text = RNG.normal(size=(2, 3))
-    out, attn = graph_attention_pool(Tensor(nodes), mask, Tensor(text))
+    out, attn = pool_nodes(nodes, mask, text)
     assert np.all(attn.data[1, 2:] == 0.0)
     for i, k in ((0, 4), (1, 2)):
-        scores = nodes[i, :k] @ text[i]
-        e = np.exp(scores - scores.max())
-        weights = e / e.sum()
-        assert np.max(np.abs(out.data[i] - weights @ nodes[i, :k])) < 1e-10
+        assert np.max(np.abs(out.data[i] - pooled_by_brute_force(nodes[i, :k], text[i])[0])) < 1e-10
+
+
+def test_pool_matches_pooling_the_built_node_outputs():
+    """Folding the last layer into the pool gives the vectors and weights of
+    pooling A_norm @ H @ W, on a padded batch with a real adjacency and a
+    non-square last layer; padding gets exactly 0 attention."""
+    subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
+    graph = graph_from_triples(PADDED_TRIPLES)
+    params = init_gcn_params([5, 7, 4], embedding(graph.n_entities, 5, seed=4), np.random.default_rng(5))
+    text = np.random.default_rng(6).normal(size=(3, 4))
+    pooled, attn = graph_attention_pool(*gcn_forward(subs, params), Tensor(text), params.layers[-1])
+    nodes, _ = node_outputs(subs, params)
+    for i, sub in enumerate(subs):
+        k = sub.n_nodes
+        want, weights = pooled_by_brute_force(nodes[i, :k], text[i])
+        assert np.max(np.abs(pooled.data[i] - want)) < 1e-10
+        assert np.max(np.abs(attn.data[i, :k] - weights)) < 1e-10
+        assert np.all(attn.data[i, k:] == 0.0)
 
 
 def test_pool_rejects_empty():
+    def pool(shape, mask, adjacency=None, last_layer=(3, 3)):
+        s, n, k = shape
+        adjacency = np.zeros((s, n, n)) if adjacency is None else adjacency
+        return graph_attention_pool(Tensor(np.zeros(shape)), Tensor(adjacency), mask,
+                                    Tensor(np.zeros((s, last_layer[1]))), Tensor(np.zeros(last_layer)))
+
     with pytest.raises(ValueError):
-        graph_attention_pool(Tensor(np.zeros((0, 2, 3))), np.zeros((0, 2), bool), Tensor(np.zeros((0, 3))))
+        pool((0, 2, 3), np.zeros((0, 2), bool))
     with pytest.raises(ValueError):
-        graph_attention_pool(Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2), bool), Tensor(np.zeros((1, 3))))
+        pool((1, 2, 3), np.zeros((1, 2), bool))
     with pytest.raises(ValueError):  # a mask of the wrong shape
-        graph_attention_pool(Tensor(np.zeros((1, 2, 3))), np.ones((1, 3), bool), Tensor(np.zeros((1, 3))))
+        pool((1, 2, 3), np.ones((1, 3), bool))
+    with pytest.raises(ValueError):  # an adjacency of the wrong size
+        pool((1, 2, 3), np.ones((1, 2), bool), adjacency=np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):  # a last layer that takes another width
+        pool((1, 2, 3), np.ones((1, 2), bool), last_layer=(4, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ PINNED_NUMPY = "2.4.6"
 # evaluation's (id, predicted, logits) rows, as bench/harness.py digests them
 PINS = {
     ("lowdata-act", "act-know"): {
-        "stats.csv": "750cae55ab37bcfffb4342a772a1e8597187fc86c4a5adc3af8048764969befd",
-        "checkpoint.txt": "9fb83c8d565f885a8c1e74d6fa5df4bf6da032c10150cb743155d677bdd667dc",
-        "test": "1bf5b96bb07d2bb659317f6dce00dbc3b8ac72ffcb24da3a40b202505e42542f",
+        "stats.csv": "c4c40c2148a4603140d6aaeaae937763a561caf8c7b8cc62051064a7d7f5333f",
+        "checkpoint.txt": "473bb24d11c325b0e7169ff76ee0fdcb2c5fcad21ec07ab062c57e676dcca2fa",
+        "test": "63c684760de3c8452f1b355c554078426176025033f1115c47051e0a922e0a52",
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
@@ -50,19 +50,19 @@ PINS = {
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
-        "stats.csv": "e18ccc8affed618b5944d69ab68ac6233f1b24cbdacc1ae7e57cd8afc863ae27",
-        "checkpoint.txt": "8b4766971d32ec79fe497cd42b7217d5aa2ee2cbefbccfe4c04d2f9dbf82b6d4",
-        "test": "215e54d7fd097e67c8665d9c8c11ab9257f44a1d85c4b6420b684ec28e156477",
+        "stats.csv": "93bc699ff4c3117fb33bb4a20246f9194f9f84f60104d137382698b6e2eec158",
+        "checkpoint.txt": "37ce9bf3327771e669f1f5864f8e970496ca6d9c6118facc7cbc0c1eddf7d20e",
+        "test": "d7360dfe93ff3cbc0b0e713aa8aba27a015fd93156f4946d928e9f3bd0b4d688",
     },
     ("noisy-ablation", "max-nodes-20"): {
-        "stats.csv": "cc96f0730fc4984492f9149471e370f4218654af4a0fd04baefa76c5264d8818",
-        "checkpoint.txt": "81654df8be84dd72184db62015b39c0f1395ecdb57f09b0e9bb8ff1868a5bb12",
-        "test": "6ab1841c6e800b1cc1368131583571f96c7a5c7b43defdc7d413cb879db3feae",
+        "stats.csv": "b915697e1d4e8492d296293d1438a8ddbdaeb4a82c319bb416a16ccdcdaac0ee",
+        "checkpoint.txt": "d370d5095f578a5de9d4809ed4618fb16d14199acfaecf7ecf0830815f24585e",
+        "test": "db5e99aa26251b63af040fc259622955c8be586ba5d0cb1217490e0e26a95489",
     },
     ("noisy-ablation", "max-nodes-60"): {
-        "stats.csv": "a0010047f9c6ebde749ae9cdef8a815b4e8e79751bdadc1e6110d5497fc225d6",
-        "checkpoint.txt": "b52b9bfe6594c89b2c9265fefb7862827be5f802b7aaa6ab55d219b023ecf455",
-        "test": "4229aed5faab1d2b1b989e8be86aea7c80486d8465d06b29754e7d5022b7af81",
+        "stats.csv": "14703f209530b2a3a622918b38113194667233506318461fce52c6e67fcefcf1",
+        "checkpoint.txt": "de7ff29617a6b19f45aae2415c17021ee06f9ecfb70409ad231825a8bfcfa35d",
+        "test": "41c19ae86fe46cda8a5cb0ee8bdf4bc9ba115c519d55af2530c67f0b2a6e81d8",
     },
 }
 

@@ -2,9 +2,10 @@
 
 The oracle in _oracles.py builds one small tape per choice; score_batch
 scores a whole stack of questions at once. Logits and every parameter
-gradient must agree to 1e-12 on the tiny task and on the bundled lowdata
-task, in eval mode and in train mode with same-seed Gumbel noise, with
-different weights for every question.
+gradient must agree to 1e-12 on the tiny task, on the bundled lowdata task
+and on the bundled noisy task at node budget 60, whose padded subgraph
+stacks hold the most padding, in eval mode and in train mode with
+same-seed Gumbel noise, with different weights for every question.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import _oracles
 from actknow import autodiff as ad
 from actknow.pipeline import build_model, load_pipeline, training_config_for
-from actknow.scenarios import lowdata_experiment
+from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.training import _batch_loss, prepare_questions, score_batch
 from conftest import mark_leaves
 from test_training import build_task
@@ -21,20 +22,33 @@ from test_training import build_task
 TOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def lowdata_task(lowdata_dir, tmp_path_factory):
-    cfg = lowdata_experiment(lowdata_dir, str(tmp_path_factory.mktemp("out")))
-    config = training_config_for(cfg, mode="act-know")
+def _bundled_task(cfg, **overrides):
+    """The first 24 training questions of a bundled task, prepared, and a
+    freshly built model."""
+    config = training_config_for(cfg, **overrides)
     pipe = load_pipeline(cfg)
     questions = prepare_questions(pipe.items["train"][:24], pipe.corpus, pipe.index, pipe.graph, pipe.vocab, config)
     return config, questions, build_model(pipe, config)
 
 
-def _tasks(name, lowdata_task):
+@pytest.fixture(scope="module")
+def lowdata_task(lowdata_dir, tmp_path_factory):
+    return _bundled_task(lowdata_experiment(lowdata_dir, str(tmp_path_factory.mktemp("out"))), mode="act-know")
+
+
+@pytest.fixture(scope="module")
+def noisy60_task(noisy_dir, tmp_path_factory):
+    return _bundled_task(noisy_experiment(noisy_dir, str(tmp_path_factory.mktemp("out"))), max_nodes=60)
+
+
+def _tasks(name, request):
     if name == "tiny":
         task = build_task()
         return task.config, task.prepared, task.model
-    return lowdata_task
+    return request.getfixturevalue(f"{name}_task")
+
+
+TASKS = ["tiny", "lowdata", "noisy60"]
 
 
 def _mixed_weights(questions):
@@ -52,9 +66,9 @@ def _grads(loss_fn, tensors):
     return loss.item(), [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
 
-@pytest.mark.parametrize("name", ["tiny", "lowdata"])
-def test_eval_logits_match_per_choice_oracle(name, lowdata_task):
-    config, questions, model = _tasks(name, lowdata_task)
+@pytest.mark.parametrize("name", TASKS)
+def test_eval_logits_match_per_choice_oracle(name, request):
+    config, questions, model = _tasks(name, request)
     weights = _mixed_weights(questions)
     logits, starts = score_batch(questions, model, weights, config)
     assert list(starts) == list(np.cumsum([0] + [len(pq.choices) for pq in questions[:-1]]))
@@ -79,10 +93,10 @@ def _oracle_loss(questions, model, weights, config, train):
     return ad.mean(ad.concat(losses))
 
 
-@pytest.mark.parametrize("name", ["tiny", "lowdata"])
+@pytest.mark.parametrize("name", TASKS)
 @pytest.mark.parametrize("train", [False, True])
-def test_loss_and_gradients_match_per_choice_oracle(name, train, lowdata_task):
-    config, questions, model = _tasks(name, lowdata_task)
+def test_loss_and_gradients_match_per_choice_oracle(name, train, request):
+    config, questions, model = _tasks(name, request)
     weights = _mixed_weights(questions)
     tensors = mark_leaves(*model.trainable(config))
     got_loss, got = _grads(lambda: _batched_loss(questions, model, weights, config, train), tensors)
