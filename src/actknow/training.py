@@ -470,15 +470,31 @@ def score_question(
     return score_batch([pq], params, [weights], config, train, rng)[0]
 
 
-def question_entropy(logits: np.ndarray) -> float:
-    """Shannon entropy (natural log) of softmax(logits)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("question_entropy: logits must be a non-empty 1-D vector")
-    shifted = z - np.max(z)
-    lse = np.log(np.sum(np.exp(shifted)))
-    probs = np.exp(shifted - lse)
-    return float(-np.sum(probs * (shifted - lse)))
+def _tables(logits: np.ndarray, counts: np.ndarray):
+    """Flat per-choice logits as (questions × choices) tables, one per
+    distinct choice count, in increasing count: yields (rows, table), rows
+    the boolean mask of the questions whose logits the table holds.
+
+    A table is never padded: a row reduced along axis 1 takes the same
+    steps as the question's vector alone, so the results are bit-equal.
+    Padding a short row up to a width of 8 or more would change numpy's
+    pairwise summation order, and its last bits."""
+    for count in sorted(set(counts.tolist())):
+        rows = counts == count
+        yield rows, logits[np.repeat(rows, counts)].reshape(-1, count)
+
+
+def question_entropies(logits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (natural log) of softmax over each question's
+    choices: logits flat in question order, counts the choices of each."""
+    if counts.size == 0 or counts.min() < 1:
+        raise ValueError("question_entropies: every question needs at least one logit")
+    out = np.empty(len(counts))
+    for rows, table in _tables(logits, counts):
+        shifted = table - table.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        out[rows] = -np.sum(np.exp(log_probs) * log_probs, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +514,11 @@ def evaluate(
     weights, whose logits give each question's entropy: the entropy a record
     holds, and the one act-know training weights by. act-know then runs a
     second classifier product with the features scaled by that entropy; the
-    weights enter only after the encoders, so it shares their pass. With
-    details, a record also holds each choice's node attention.
+    weights enter only after the encoders, so it shares their pass. A
+    chunk's entropies and predictions are row reductions of its logits as
+    (questions × choices) tables (question_entropies), bit-equal to one
+    question at a time. With details, a record also holds each choice's
+    node attention.
     """
     if not questions:
         raise ConfigError("evaluate: empty question list")
@@ -507,24 +526,28 @@ def evaluate(
     for start in range(0, len(questions), config.batch_size):
         chunk = questions[start : start + config.batch_size]
         feats = encode_batch(chunk, params, config)
-        logits = np.split(classify(feats, params.classifier, np.ones(len(chunk))).data, feats.starts[1:])
-        entropies = [question_entropy(z) for z in logits]
+        logits = classify(feats, params.classifier, np.ones(len(chunk))).data
+        entropies = question_entropies(logits, feats.counts)
         if config.mode == "act-know":
-            logits = np.split(classify(feats, params.classifier, np.array(entropies)).data, feats.starts[1:])
-        for pq, z, entropy, first in zip(chunk, logits, entropies, feats.starts):
-            pred = int(np.argmax(z))
+            logits = classify(feats, params.classifier, entropies).data
+        predicted = np.empty(len(chunk), dtype=np.intp)
+        for sel, table in _tables(logits, feats.counts):
+            predicted[sel] = table.argmax(axis=1)
+        values = logits.tolist()
+        for pq, pred, entropy, first, count in zip(chunk, predicted.tolist(), entropies.tolist(),
+                                                   feats.starts.tolist(), feats.counts.tolist()):
             row = {
                 "id": pq.qid,
                 "predicted": pred,
                 "gold": pq.answer_index,
-                "correct": bool(pred == pq.answer_index),
+                "correct": pred == pq.answer_index,
                 "entropy": entropy,
-                "logits": [float(v) for v in z],
+                "logits": values[first : first + count],
             }
             if with_details:
                 row["attention"] = [
                     {} if a is None else {"node_attention": {int(e): float(x) for e, x in zip(*a)}}
-                    for a in feats.node_attention[first : first + len(pq.choices)]
+                    for a in feats.node_attention[first : first + count]
                 ]
             rows.append(row)
     return sum(row["correct"] for row in rows) / len(questions), rows
@@ -559,13 +582,19 @@ def _batch_loss(
 
 
 def _mean_loss(rows: list[dict]) -> float:
-    """Mean cross-entropy of the logits in `evaluate`'s rows."""
+    """Mean cross-entropy of the logits in `evaluate`'s rows, each row's
+    loss a table row reduction (see _tables) and summed in row order."""
+    counts = np.array([len(row["logits"]) for row in rows])
+    logits = np.array([v for row in rows for v in row["logits"]])
+    gold = np.array([row["gold"] for row in rows])
+    losses = np.empty(len(rows))
+    for sel, table in _tables(logits, counts):
+        z = table - table.max(axis=1, keepdims=True)
+        losses[sel] = np.log(np.sum(np.exp(z), axis=1)) - z[np.arange(len(z)), gold[sel]]
+    # sequential, as sum() compensates its float additions on Python 3.12+
     total = 0.0
-    for row in rows:
-        logits = np.array(row["logits"])
-        z = logits - np.max(logits)
-        lse = np.log(np.sum(np.exp(z)))
-        total += lse - z[row["gold"]]
+    for loss in losses.tolist():
+        total += loss
     return float(total / len(rows))
 
 

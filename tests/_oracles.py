@@ -2,17 +2,18 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Eleven package paths that simpler or faster ones
+no code with src/. Twelve package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
 `cross_entropy` that `segment_cross_entropy` replaced, the `segment_mean`
 op and the gather + segment-mean text encoder built on it that the
 bag-of-words product replaced, the two-pass act-know prediction that one
-encoder pass with two classifier products replaced, the functional Adam
-step that the in-place `Adam` replaced, the n-gram mention scan and
-neighbor-loop DFS that the label trie and the last-hop membership test
-replaced, the KG embedding loop that drew its corruptions per triple
+encoder pass with two classifier products replaced, the per-question
+entropy and dev loss that row reductions of a logit table replaced, the
+functional Adam step that the in-place `Adam` replaced, the n-gram mention
+scan and neighbor-loop DFS that the label trie and the last-hop membership
+test replaced, the KG embedding loop that drew its corruptions per triple
 before one draw per epoch replaced it, and the masked softmax op that the
 pool's row softmax over -inf padding scores replaced. The second to
 fifth and the last run on the package's autodiff tape so that gradients
@@ -34,7 +35,7 @@ from actknow.errors import ConfigError
 from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
-from actknow.training import ModelParams, PreparedQuestion, TrainConfig, question_entropy, score_batch
+from actknow.training import ModelParams, PreparedQuestion, TrainConfig, score_batch
 
 _TOKEN = re.compile(r"\w+")
 
@@ -333,7 +334,33 @@ def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams
 # ---------------------------------------------------------------------------
 # prediction of a stack of questions before the encoders ran once per
 # chunk: act-know scored the whole stack twice, once with unit weights for
-# the entropies and once with the entropy weights
+# the entropies and once with the entropy weights. Each question's entropy,
+# prediction and dev loss came from its own logit vector, before one
+# (questions × choices) table per chunk replaced those; the per-vector
+# forms are the references the table reductions must equal bit for bit
+
+
+def question_entropy(logits: np.ndarray) -> float:
+    """Shannon entropy (natural log) of softmax(logits)."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("question_entropy: logits must be a non-empty 1-D vector")
+    shifted = z - np.max(z)
+    lse = np.log(np.sum(np.exp(shifted)))
+    probs = np.exp(shifted - lse)
+    return float(-np.sum(probs * (shifted - lse)))
+
+
+def mean_loss(rows: list[dict]) -> float:
+    """Mean cross-entropy of the logits in `evaluate`'s rows, one row at a
+    time."""
+    total = 0.0
+    for row in rows:
+        logits = np.array(row["logits"])
+        z = logits - np.max(logits)
+        lse = np.log(np.sum(np.exp(z)))
+        total += lse - z[row["gold"]]
+    return float(total / len(rows))
 
 
 def _eval_logits(

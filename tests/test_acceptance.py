@@ -32,7 +32,7 @@ from actknow.retrieval import build_index, corpus_from_sentences, retrieve, toke
 from actknow.subgraph import Subgraph, connect_concepts, identify_concepts, normalize_adjacency
 from actknow.training import (
     prepare_questions,
-    question_entropy,
+    question_entropies,
     score_batch,
     score_question,
     train,
@@ -266,21 +266,22 @@ def test_criterion_2_normalization_oracles():
 def test_criterion_3_entropy_bounds():
     rng = np.random.default_rng(303)
     bound = math.log(4)
-    worst_low, worst_high = 0.0, 0.0
-    for _ in range(10_000):
-        scale = rng.uniform(0.2, 6.0)
-        s = question_entropy(rng.normal(0.0, scale, 4))
-        worst_low = min(worst_low, s)
-        worst_high = max(worst_high, s)
 
-    uniform_err = max(abs(question_entropy(np.full(4, c)) - bound) for c in (0.0, 1.0, -3.5, 100.0))
+    def entropies(vectors):
+        return question_entropies(np.concatenate(vectors), np.full(len(vectors), 4))
 
-    peak_worst = 0.0
+    random = entropies([rng.normal(0.0, rng.uniform(0.2, 6.0), 4) for _ in range(10_000)])
+    worst_low, worst_high = min(0.0, float(random.min())), max(0.0, float(random.max()))
+
+    uniform_err = float(np.max(np.abs(entropies([np.full(4, c) for c in (0.0, 1.0, -3.5, 100.0)]) - bound)))
+
+    peaks = []
     for i in range(4):
         for scale in (40.0, 55.0, 80.0):
             z = np.zeros(4)
             z[i] = scale
-            peak_worst = max(peak_worst, question_entropy(z))
+            peaks.append(z)
+    peak_worst = max(0.0, float(entropies(peaks).max()))
 
     ok = worst_low >= 0.0 and worst_high <= bound + 1e-12 and uniform_err <= 1e-9 and peak_worst < 1e-10
     _report(3, "entropy bounds", ok,
@@ -317,8 +318,12 @@ def test_criterion_4_infusion_neutralization(monkeypatch):
     model_b = tiny_model(graph_from_triples([(s, "hunts", o) for s, o in zip(SUBJECTS, OBJECTS)]),
                          cfg_base, vocab_size=model_a.text.token_embedding.data.shape[0])
     with monkeypatch.context() as m:
-        m.setattr(training, "question_entropy", lambda logits: 1.0)
+        m.setattr(training, "question_entropies", lambda logits, counts: np.ones(len(counts)))
         result_a = train(model_a, prepared_a, None, cfg_act)
+    # the pin reached every master epoch's weights
+    pinned = len(result_a.entropy_history) == 3 and all(
+        np.array_equal(h, np.ones(len(prepared_a))) for h in result_a.entropy_history
+    )
     result_b = train(model_b, prepared_a, None, cfg_base)
     losses_a = [r["loss"] for r in result_a.stats if r["split"] == "train"]
     losses_b = [r["loss"] for r in result_b.stats if r["split"] == "train"]
@@ -327,10 +332,10 @@ def test_criterion_4_infusion_neutralization(monkeypatch):
         np.array_equal(result_a.best_state[k], result_b.best_state[k]) for k in result_a.best_state
     )
 
-    ok = graph_norm < 1e-8 and text_norm > 0.0 and loss_gap <= 1e-12 and states_match
+    ok = graph_norm < 1e-8 and text_norm > 0.0 and pinned and loss_gap <= 1e-12 and states_match
     _report(4, "infusion weight neutralization", ok,
-            f"zero-weight graph grad norm {graph_norm:.2e}, unit-weight loss gap {loss_gap:.2e}, "
-            f"states match {states_match}")
+            f"zero-weight graph grad norm {graph_norm:.2e}, unit weights pinned {pinned}, "
+            f"unit-weight loss gap {loss_gap:.2e}, states match {states_match}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 number of encoder calls one evaluation makes.
 
 The oracle in _oracles.py scores every chunk twice, once with unit weights
-for the entropies and once with the entropy weights. evaluate() runs the
-encoders once per chunk and only the classifier product twice, so every
-row's prediction, logits and entropy must be equal to the oracle's, not
-just close. Each choice's node attention is checked against the per-choice
-scorer's, to 1e-12.
+for the entropies and once with the entropy weights, and reduces each
+question's logit vector on its own. evaluate() runs the encoders once per
+chunk and only the classifier product twice, and reduces the chunk's
+logits as tables, so every row's prediction, logits and entropy must be
+equal to the oracle's, not just close; so must the dev loss of the rows.
+Each choice's node attention is checked against the per-choice scorer's,
+to 1e-12.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ from actknow import training
 from actknow.cli import READS
 from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from actknow.scenarios import lowdata_experiment
-from test_training import build_task
+from actknow.nli import QAItem
+from test_training import OBJECTS, SUBJECTS, build_task
 
 ENCODERS = ("encode_text", "gcn_forward", "er_attention")
 
@@ -77,6 +80,49 @@ def test_act_know_rows_equal_the_two_pass_oracle_on_lowdata(split, lowdata_model
 def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task():
     task = build_task(mode="act-know", batch_size=3)  # 4 questions: a full and a part chunk
     _assert_rows_equal(task.prepared, task.model, task.config)
+
+
+# choice counts 2, 4, 9 and 3; the 9 repeat choices, whose logits tie
+MIXED_CHOICES = [OBJECTS[:2], OBJECTS, OBJECTS * 2 + OBJECTS[:1], OBJECTS[1:]]
+
+
+@pytest.mark.parametrize("batch_size", [3, 4])
+@pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
+def test_rows_and_loss_equal_the_oracle_under_mixed_choice_counts(mode, batch_size):
+    items = [QAItem(id=f"q{i}", stem=f"what does the {s} hunts ?", choices=list(choices), answer_index=i % 2)
+             for i, (s, choices) in enumerate(zip(SUBJECTS, MIXED_CHOICES))]
+    task = build_task(items=items, mode=mode, batch_size=batch_size)
+    rows = _assert_rows_equal(task.prepared, task.model, task.config)
+    assert [len(row["logits"]) for row in rows] == [2, 4, 9, 3]
+    assert training._mean_loss(rows) == _oracles.mean_loss(rows)
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_mean_loss_equals_the_row_loop_on_lowdata(split, lowdata_model):
+    config, model, splits = lowdata_model
+    _, rows = training.evaluate(splits[split], model, config)
+    assert training._mean_loss(rows) == _oracles.mean_loss(rows)
+
+
+def _assert_details_change_nothing_else(questions, model, config):
+    _, plain = training.evaluate(questions, model, config)
+    _, detailed = training.evaluate(questions, model, config, with_details=True)
+    assert len(plain) == len(detailed) == len(questions)
+    for a, b in zip(plain, detailed):
+        assert set(b) - set(a) == {"attention"}
+        for key, value in a.items():
+            assert b[key] == value, (a["id"], key)
+
+
+def test_details_change_no_other_field_on_lowdata(lowdata_model):
+    config, model, splits = lowdata_model
+    _assert_details_change_nothing_else(splits["dev"], model, config)
+
+
+@pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
+def test_details_change_no_other_field_on_the_tiny_task(mode):
+    task = build_task(mode=mode, batch_size=3)
+    _assert_details_change_nothing_else(task.prepared, task.model, task.config)
 
 
 def _count_encoder_calls(monkeypatch):

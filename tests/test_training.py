@@ -23,13 +23,14 @@ from actknow.training import (
     evaluate,
     init_model,
     prepare_questions,
-    question_entropy,
+    question_entropies,
     sample_fraction,
     score_question,
     train,
     write_stats_csv,
 )
 
+import _oracles
 from conftest import mark_leaves, tiny_config, tiny_model
 
 SUBJECTS = ["lynx", "heron", "otter", "viper"]
@@ -202,41 +203,80 @@ def test_prepared_seed_budget_keeps_lowest_ids():
 
 
 # ---------------------------------------------------------------------------
-# entropy
+# entropy: question_entropies reduces a chunk's logits as tables, and each
+# question's entropy must equal the per-vector oracle's bit for bit
+
+
+def entropies_of(vectors):
+    """question_entropies of a chunk whose questions hold `vectors`."""
+    return question_entropies(np.concatenate(vectors), np.array([len(z) for z in vectors]))
+
+
+def assert_oracle_bytes(vectors):
+    want = np.array([_oracles.question_entropy(z) for z in vectors])
+    assert entropies_of(vectors).tobytes() == want.tobytes()
 
 
 def test_entropy_uniform_is_log_m():
-    assert abs(question_entropy(np.zeros(4)) - np.log(4.0)) < 1e-12
+    h = entropies_of([np.zeros(4), np.full(2, 3.5), np.full(9, -1.0), np.full(4, 100.0)])
+    assert np.all(np.abs(h - np.log([4.0, 2.0, 9.0, 4.0])) < 1e-12)
 
 
 def test_entropy_peaked_is_near_zero():
-    assert question_entropy(np.array([100.0, 0.0, 0.0, 0.0])) < 1e-10
+    assert entropies_of([np.array([100.0, 0.0, 0.0, 0.0])])[0] < 1e-10
 
 
 def test_entropy_known_distribution():
     logits = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
     expected = -(0.7 * np.log(0.7) + 0.3 * np.log(0.1))
-    assert abs(question_entropy(logits) - expected) < 1e-12
+    assert abs(entropies_of([logits])[0] - expected) < 1e-12
 
 
 def test_entropy_shift_invariant():
     z = np.array([1.3, -0.2, 0.9])
-    assert abs(question_entropy(z) - question_entropy(z + 50.0)) < 1e-12
+    h = entropies_of([z, z + 50.0])
+    assert abs(h[0] - h[1]) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 10**9))
-def test_entropy_bounds(m, seed):
-    z = np.random.default_rng(seed).normal(scale=5.0, size=m)
-    h = question_entropy(z)
-    assert 0.0 <= h <= np.log(m) + 1e-12
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=10), st.integers(0, 10**9))
+def test_entropy_bounds(counts, seed):
+    rng = np.random.default_rng(seed)
+    h = entropies_of([rng.normal(scale=5.0, size=m) for m in counts])
+    assert np.all((0.0 <= h) & (h <= np.log(counts) + 1e-12))
 
 
 def test_entropy_rejects_bad_input():
     with pytest.raises(ValueError):
-        question_entropy(np.zeros((2, 2)))
+        question_entropies(np.array([]), np.array([], dtype=int))
     with pytest.raises(ValueError):
-        question_entropy(np.array([]))
+        question_entropies(np.zeros(2), np.array([2, 0]))
+
+
+def test_entropies_equal_the_oracle_on_random_chunks():
+    """Uniform and ragged chunks, choice counts 1 to 13 (a ragged chunk
+    mixing counts below and above 8 included), scales 1e-3 to 1e3, ties and
+    one dominating logit, each compared byte for byte."""
+    rng = np.random.default_rng(27)
+    for trial in range(600):
+        size = int(rng.integers(1, 12))
+        counts = rng.integers(1, 14, size) if trial % 2 else np.full(size, int(rng.integers(1, 14)))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        vectors = [rng.normal(0.0, scale, c) for c in counts]
+        if trial % 3 == 0:  # ties
+            vectors = [np.round(z) for z in vectors]
+        if trial % 5 == 0:  # one dominating logit
+            for z in vectors:
+                z[rng.integers(len(z))] = 800.0
+        assert_oracle_bytes(vectors)
+    assert_oracle_bytes([np.zeros(4), np.zeros(9), np.full(2, 7.0), np.array([3.0, 3.0, -1.0])])
+    assert_oracle_bytes([rng.normal(size=c) for c in [4] * 500 + [3, 5, 8]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12), min_size=1, max_size=10))
+def test_entropies_equal_the_oracle_on_any_chunk(vectors):
+    assert_oracle_bytes([np.array(z) for z in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +353,7 @@ def test_predict_act_mode_uses_two_passes():
     task = build_task(mode="act-know")
     pq = task.prepared[1]
     first = score_question(pq, task.model, 1.0, task.config).data
-    h = question_entropy(first)
+    h = _oracles.question_entropy(first)
     expected = score_question(pq, task.model, h, task.config).data
     _, rows = evaluate([pq], task.model, task.config)
     assert rows[0]["entropy"] == h
@@ -397,8 +437,11 @@ def test_act_with_pinned_weight_one_matches_plain_training(monkeypatch):
     base_task = build_task(master_epochs=3)
     base = train(base_task.model, base_task.prepared, None, base_task.config)
     act_task = build_task(master_epochs=3, mode="act-know")
-    monkeypatch.setattr(training, "question_entropy", lambda logits: 1.0)
+    monkeypatch.setattr(training, "question_entropies", lambda logits, counts: np.ones(len(counts)))
     act = train(act_task.model, act_task.prepared, None, act_task.config)
+    assert len(act.entropy_history) == 3
+    for weights in act.entropy_history:
+        assert np.array_equal(weights, np.ones(len(act_task.prepared)))
     base_losses = [r["loss"] for r in base.stats if r["split"] == "train"]
     act_losses = [r["loss"] for r in act.stats if r["split"] == "train"]
     assert len(base_losses) == len(act_losses) == 3
@@ -512,7 +555,7 @@ def test_training_evaluates_each_split_once_per_epoch(mode, pin, extra, has_dev,
     when every entropy is pinned to one value."""
     task = build_task(master_epochs=3, mode=mode)
     if pin is not None:
-        monkeypatch.setattr(training, "question_entropy", lambda logits: pin)
+        monkeypatch.setattr(training, "question_entropies", lambda logits, counts: np.full(len(counts), pin))
     dev_qs = task.prepared[1:] if has_dev else None
     evaluate = training.evaluate
     calls = []
@@ -522,10 +565,14 @@ def test_training_evaluates_each_split_once_per_epoch(mode, pin, extra, has_dev,
         return evaluate(qs, *args, **kwargs)
 
     monkeypatch.setattr(training, "evaluate", counting_evaluate)
-    train(task.model, task.prepared, dev_qs, task.config)
+    result = train(task.model, task.prepared, dev_qs, task.config)
     assert len(calls) == extra + 3 * (1 + has_dev)
     if extra:
         assert calls[0] is task.prepared
+    if pin is not None:
+        assert len(result.entropy_history) == 3
+        for weights in result.entropy_history:
+            assert np.array_equal(weights, np.full(len(task.prepared), pin))
 
 
 def test_training_leaves_the_shared_kg_tables_unchanged():
