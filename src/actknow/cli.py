@@ -13,12 +13,12 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
-from .config import ExperimentConfig, parse_setting, resolve_config
+from .config import ExperimentConfig, parse_setting, resolve_config, stored_train_config
 from .errors import ConfigError
 from .experiments import ablate_subgraph, prepare_splits, run_cell, sweep_fraction, write_jsonl
-from .pipeline import load_pipeline, prepare_split
+from .pipeline import build_model, load_pipeline, prepare_split
 from .synth import SyntheticSpec, generate
-from .training import TrainConfig, evaluate, model_from_state
+from .training import TrainConfig, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -42,11 +42,11 @@ _TRAIN = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 # the ExperimentConfig fields each subcommand reads, and so its flags and
 # the config-file keys it accepts. eval scores with the checkpoint's own
-# weights, node features included; each sweep cell sets the fields its
-# loop varies
+# settings and weights, node features included; each sweep cell sets the
+# fields its loop varies
 READS = {
     "train": (*_FILES, "node_features", *_TRAIN),
-    "eval": (*_FILES, "checkpoint", "split", "mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"),
+    "eval": (*_FILES, "checkpoint", "split"),
     "sweep-fraction": (*_FILES, "node_features", *(n for n in _TRAIN if n not in ("mode", "seed", "data_fraction")),
                        "fractions", "modes", "seeds"),
     "ablate-subgraph": (*_FILES, "node_features", *(n for n in _TRAIN if n != "max_nodes"), "node_budgets"),
@@ -120,25 +120,18 @@ def cmd_train(args: argparse.Namespace) -> None:
 def cmd_eval(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "checkpoint", cfg.split)
+    settings, state = load_checkpoint(cfg.checkpoint)
+    # the train split is scored whole, not as the sample training read
+    tc = dataclasses.replace(stored_train_config(cfg.checkpoint, settings), data_fraction=1.0)
     pipe = load_pipeline(cfg)
-    state = load_checkpoint(cfg.checkpoint)
+    # built as train builds it, so every tensor's shape is checked against the data
+    model = build_model(pipe, tc)
     try:
-        model = model_from_state(state)
+        model.load_state_arrays(state)
     except ConfigError as exc:
         raise ConfigError(f"{cfg.checkpoint}: {exc}") from exc
-    if model.text.token_embedding.data.shape[0] != len(pipe.vocab.tokens):
-        raise ConfigError(
-            f"checkpoint vocabulary has {model.text.token_embedding.data.shape[0]} tokens "
-            f"but the supplied corpus and questions build {len(pipe.vocab.tokens)}; "
-            "evaluate with the files used for training"
-        )
-    if model.er.entity_table.data.shape[0] != pipe.graph.n_entities:
-        raise ConfigError("checkpoint entity table does not match the supplied graph")
-
-    # eval cannot set data_fraction, so at its default of 1 a train split is
-    # scored whole
-    questions = prepare_split(pipe, cfg.split, cfg)
-    acc, rows = evaluate(questions, model, cfg, with_details=True)
+    questions = prepare_split(pipe, cfg.split, tc)
+    acc, rows = evaluate(questions, model, tc, with_details=True)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "eval.jsonl")
     write_jsonl(out_path, rows)

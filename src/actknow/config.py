@@ -7,7 +7,7 @@ Values merge as: command-line flag > config file > built-in default.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -80,6 +80,34 @@ def parse_setting(settings: type, name: str, raw: str) -> object:
     except ValueError as exc:
         raise ConfigError(f"setting {name}: {exc}") from exc
     return raw
+
+
+def train_settings(tc: TrainConfig) -> dict[str, str]:
+    """The TrainConfig fields of `tc` as text, in field order: the settings
+    block of its checkpoint, each of which parse_setting reads back."""
+    return {f.name: str(getattr(tc, f.name)) for f in dataclasses.fields(TrainConfig)}
+
+
+def stored_train_config(path: str, settings: Mapping[str, str]) -> TrainConfig:
+    """The TrainConfig of the settings that load_checkpoint read from `path`:
+    each field once, typed by parse_setting and in validate's range. An
+    error names the setting's line (setting k is on line k + 2) or, for a
+    missing one, the block's header on line 1."""
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    values = {}
+    for lineno, (name, text) in enumerate(settings.items(), start=2):
+        try:
+            if name not in names:
+                raise ConfigError(f"unknown setting {name!r}")
+            values[name] = parse_setting(TrainConfig, name, text)
+            # each of validate's rules reads one field, so the others may stay at their defaults
+            TrainConfig(**{name: values[name]}).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise ConfigError(f"{path}:1: the settings block lacks {', '.join(missing)}")
+    return TrainConfig(**values)
 
 
 def parse_config_file(settings: type, path: str, command: str, reads: Collection[str]) -> dict[str, object]:

@@ -20,7 +20,7 @@ from math import comb
 
 from .atomic import atomic_write
 from .checkpoint import save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, train_settings
 from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for, training_sample
 from .training import PreparedQuestion, TrainConfig, TrainResult, evaluate, write_stats_csv
 
@@ -44,14 +44,15 @@ def write_jsonl(path: str, rows: list[dict]) -> None:
 
 def run_cell(pipe: Pipeline, tc: TrainConfig, train_qs: list[PreparedQuestion], dev_qs: list[PreparedQuestion] | None,
              test_qs: list[PreparedQuestion] | None, cell_dir: str) -> tuple[TrainResult, float | None]:
-    """Train one cell on exactly `train_qs` and write `checkpoint.txt` (the
-    best state) and `stats.csv` into cell_dir. With test questions, score
-    the best state on them and write the rows to `test_predictions.jsonl`.
+    """Train one cell on exactly `train_qs` and write `checkpoint.txt` (tc's
+    TrainConfig fields and the best state) and `stats.csv` into cell_dir.
+    With test questions, score the best state on them and write the rows to
+    `test_predictions.jsonl`.
     Returns the training result and the test accuracy (None without test
     questions)."""
     model, result = run_training(pipe, tc, train_qs, dev_qs)
     os.makedirs(cell_dir, exist_ok=True)
-    save_checkpoint(os.path.join(cell_dir, "checkpoint.txt"), result.best_state)
+    save_checkpoint(os.path.join(cell_dir, "checkpoint.txt"), result.best_state, train_settings(tc))
     write_stats_csv(os.path.join(cell_dir, "stats.csv"), result.stats)
     if test_qs is None:
         return result, None

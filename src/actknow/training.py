@@ -186,71 +186,6 @@ class ModelParams:
             tensor.data = state[name].copy()
 
 
-def model_from_state(state: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild a model straight from checkpoint arrays. A missing or unknown
-    tensor, or one whose shape does not chain with the others, is a
-    ConfigError naming it."""
-    n_layers = 0
-    while f"gcn.layer{n_layers}" in state:
-        n_layers += 1
-    layer_names = [f"gcn.layer{i}" for i in range(n_layers)]
-    try:
-        params = ModelParams(
-            text=TextEncoderParams(
-                token_embedding=Tensor(state["text.token_embedding"]),
-                projection=Tensor(state["text.projection"]),
-                bias=Tensor(state["text.bias"]),
-            ),
-            gcn=GCNParams(
-                layers=[Tensor(state[n]) for n in layer_names],
-                node_features=Tensor(state["gcn.node_features"]),
-            ),
-            er=ERAttentionParams(
-                entity_table=Tensor(state["er.entity_table"]),
-                relation_table=Tensor(state["er.relation_table"]),
-                entity_proj=Tensor(state["er.entity_proj"]),
-                relation_proj=Tensor(state["er.relation_proj"]),
-            ),
-            classifier=Tensor(state["classifier"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint is missing tensor {exc}") from exc
-    named = params.named()
-    if set(state) - set(named):
-        raise ConfigError(f"checkpoint holds tensors no model has: {sorted(set(state) - set(named))}")
-    if not n_layers:
-        raise ConfigError("checkpoint has no gcn layers")
-    _check_shapes({name: t.data.shape for name, t in named.items()}, n_layers)
-    return params
-
-
-def _check_shapes(shape: dict[str, tuple[int, ...]], n_layers: int) -> None:
-    """Each tensor's shape against the dims the others fix: the text width d
-    (text.bias), the entity count (er.entity_table), the node feature width
-    (gcn.node_features) and the KG table widths."""
-    for name, dims in shape.items():
-        rank = 1 if name in ("text.bias", "classifier") else 2
-        if len(dims) != rank:
-            raise ConfigError(f"checkpoint tensor {name} has shape {dims}, expected {rank} dimensions")
-    d = shape["text.bias"][0]
-    expected = {
-        "text.token_embedding": (shape["text.token_embedding"][0], d),
-        "text.projection": (d, d),
-        "gcn.node_features": (shape["er.entity_table"][0], shape["gcn.node_features"][1]),
-        "er.entity_proj": (shape["er.entity_table"][1], d),
-        "er.relation_proj": (shape["er.relation_table"][1], d),
-        "classifier": (4 * d,),
-    }
-    fan_in = shape["gcn.node_features"][1]
-    for i in range(n_layers):
-        fan_out = d if i == n_layers - 1 else shape[f"gcn.layer{i}"][1]
-        expected[f"gcn.layer{i}"] = fan_in, fan_out
-        fan_in = fan_out
-    for name, want in expected.items():
-        if shape[name] != want:
-            raise ConfigError(f"checkpoint tensor {name} has shape {shape[name]}, expected {want}")
-
-
 def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 

@@ -33,8 +33,8 @@ def test_failing_stats_write_keeps_previous_stats(tmp_path):
 
 
 def test_writes_the_same_bytes_as_a_plain_write(tmp_path):
-    save_checkpoint(str(tmp_path / "ckpt.txt"), {"w": np.array([[1.5, -2.0]])})
-    assert (tmp_path / "ckpt.txt").read_bytes() == b"tensors 1\nw 2 1 2\n1.5 -2.0\n"
+    save_checkpoint(str(tmp_path / "ckpt.txt"), {"w": np.array([[1.5, -2.0]])}, {"mode": "act-know"})
+    assert (tmp_path / "ckpt.txt").read_bytes() == b"settings 1\nmode = act-know\ntensors 1\nw 2 1 2\n1.5 -2.0\n"
     with atomic_write(str(tmp_path / "rows.csv"), newline="") as fh:
         fh.write("a\r\nb\n")
     assert (tmp_path / "rows.csv").read_bytes() == b"a\r\nb\n"

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 from actknow import checkpoint, nli, pipeline, training
@@ -43,6 +44,20 @@ def test_instrument_wraps_every_call_site_and_restores_it(bench):
 )
 def test_bound_arguments_keep_their_names(fn, names):
     assert names <= set(inspect.signature(fn).parameters)
+
+
+def test_the_benchmark_call_form_of_save_checkpoint_writes_a_loadable_file(tmp_path):
+    """bench/harness.py saves a cell's best state with two arguments, no
+    settings; that file holds an empty settings block and loads back."""
+    call = 'checkpoint.save_checkpoint(os.path.join(cell_dir, "checkpoint.txt"), result.best_state)'
+    with open(os.path.join(BENCH_DIR, "harness.py"), encoding="utf-8") as fh:
+        assert call in fh.read()
+    state = build_task().model.state_arrays()
+    cell_dir = str(tmp_path)
+    checkpoint.save_checkpoint(os.path.join(cell_dir, "checkpoint.txt"), state)
+    settings, loaded = checkpoint.load_checkpoint(os.path.join(cell_dir, "checkpoint.txt"))
+    assert settings == {} and list(loaded) == list(state)
+    assert all(np.array_equal(loaded[name], state[name]) for name in state)
 
 
 def test_the_tracer_sees_each_encoder_once_per_eval_chunk(bench):

@@ -29,8 +29,6 @@ ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hi
                 "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
                 "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
 TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
-# the preparation and scoring settings of TINY_FLAGS, the ones eval reads
-EVAL_FLAGS = ["--batch-size", "4", "--max-nodes", "10", "--retrieve-k", "3"]
 
 
 def data_flags(task_dir, with_features=True):
@@ -117,10 +115,10 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    """29 + 13 + 29 + 29 (subcommand, setting) pairs, each an ExperimentConfig
+    """29 + 8 + 29 + 29 (subcommand, setting) pairs, each an ExperimentConfig
     field named once."""
     assert {command: len(names) for command, names in READS.items()} == {
-        "train": 29, "eval": 13, "sweep-fraction": 29, "ablate-subgraph": 29}
+        "train": 29, "eval": 8, "sweep-fraction": 29, "ablate-subgraph": 29}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for names in READS.values():
         assert len(set(names)) == len(names) and set(names) <= fields
@@ -134,6 +132,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     ("ablate-subgraph", "--split=dev"), ("train", "--entropy-split=dev"),
     ("sweep-fraction", "--warmup-steps=3"), ("eval", "--dataset-name=arc-easy"),
     ("train", "--use-gcn"), ("eval", "--no-use-er"), ("sweep-fraction", "--use-er"),
+    ("eval", "--mode=act-know"), ("eval", "--batch-size=4"), ("eval", "--max-nodes=10"),
 ])
 def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
     assert main([command, flag]) == 1
@@ -153,7 +152,7 @@ def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_pat
 def test_eval_reports_accuracy(task_dir, trained_dir, tmp_path, capsys):
     out = str(tmp_path / "eval")
     rc = main([
-        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
+        "eval", *data_flags(task_dir, with_features=False),
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--split", "test", "--out-dir", out,
     ])
@@ -170,7 +169,7 @@ def test_eval_scores_the_whole_split_under_any_data_fraction(task_dir, trained_d
     --data-fraction and scores every question of its split."""
     out = str(tmp_path / "eval")
     argv = lambda *fraction: [
-        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS, *fraction,
+        "eval", *data_flags(task_dir, with_features=False), *fraction,
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--split", "train", "--out-dir", out,
     ]
@@ -202,7 +201,7 @@ def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, cap
                  "--n-relations", "3", "--n-questions", "12", "--seed", "8",
                  "--node-dim", "8"]) == 0
     rc = main([
-        "eval", *data_flags(other, with_features=False), *EVAL_FLAGS,
+        "eval", *data_flags(other, with_features=False),
         "--checkpoint", os.path.join(trained_dir, "checkpoint.txt"),
         "--out-dir", str(tmp_path / "evalx"),
     ])
@@ -212,16 +211,17 @@ def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, cap
 
 def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, capsys):
     lines = open(os.path.join(trained_dir, "checkpoint.txt")).read().splitlines()
-    values = lines[2].split()
-    lines[2] = " ".join(["nan"] + values[1:])
+    at = next(i for i, line in enumerate(lines) if line.startswith("tensors ")) + 2  # the first tensor's values
+    values = lines[at].split()
+    lines[at] = " ".join(["nan"] + values[1:])
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     rc = main([
-        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
+        "eval", *data_flags(task_dir, with_features=False),
         "--checkpoint", str(bad), "--out-dir", str(tmp_path / "evalbad"),
     ])
     assert rc == 1
-    assert f"{bad}:3: non-finite value" in capsys.readouterr().err
+    assert f"{bad}:{at + 1}: non-finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, shape", [("classifier", (31,)), ("gcn.layer1", (7, 8))],
@@ -237,7 +237,7 @@ def test_eval_rejects_a_checkpoint_whose_shapes_do_not_chain(name, shape, task_d
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     rc = main([
-        "eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS,
+        "eval", *data_flags(task_dir, with_features=False),
         "--checkpoint", str(bad), "--out-dir", str(tmp_path / "evalbad"),
     ])
     err = capsys.readouterr().err
@@ -323,6 +323,32 @@ BAD_INPUTS = [
      "1: eval does not read setting 'learning_rate'"),
     ("eval-node-features", "--node-features", "node_features.txt",
      "unrecognized arguments: --node-features=node_features.txt"),
+    # the checkpoint of TINY_FLAGS: 'settings 22' on line 1, TrainConfig's
+    # fields in order on lines 2-23 (learning_rate on 5, batch_size on 6, seed
+    # on 7), 'tensors 11' on 24, then text.token_embedding, text.projection
+    # and text.bias, each on a header line and a values line
+    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 23)[23],
+     "1: expected the header 'settings <n>', got 'tensors 11'"),
+    ("checkpoint-missing-setting", "--checkpoint",
+     lambda data: data.replace(b"settings 22\n", b"settings 21\n").replace(b"batch_size = 4\n", b""),
+     "1: the settings block lacks batch_size"),
+    ("checkpoint-unknown-setting", "--checkpoint",
+     lambda data: data.replace(b"batch_size = 4\n", b"warmup_steps = 4\n"), "6: unknown setting 'warmup_steps'"),
+    ("checkpoint-repeated-setting", "--checkpoint", lambda data: data.replace(b"seed = 0\n", b"batch_size = 4\n"),
+     "7: repeated setting batch_size"),
+    ("checkpoint-untyped-setting", "--checkpoint",
+     lambda data: data.replace(b"batch_size = 4\n", b"batch_size = x\n"), "6: setting batch_size: "),
+    ("checkpoint-out-of-range-setting", "--checkpoint",
+     lambda data: data.replace(b"learning_rate = 0.01\n", b"learning_rate = nan\n"),
+     "5: learning_rate must be positive and finite"),
+    ("checkpoint-header-field", "--checkpoint", lambda data: data.replace(b"tensors 11\n", b"tensors 11 junk\n"),
+     "24: expected the header 'tensors <n>'"),
+    ("checkpoint-dims-past-ndim", "--checkpoint",
+     lambda data: data.replace(b"\ntext.projection 2 8 8\n", b"\ntext.projection 2 8 8 99 7\n"),
+     "27: bad tensor header"),
+    ("checkpoint-loose-value", "--checkpoint",
+     lambda data: data.replace(b"\ntext.bias 1 8\n", b"\ntext.bias 1 8\n2_0 "),
+     "30: bad value in tensor text.bias"),
     *[(f"{flag.split()[-1][2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),
@@ -351,12 +377,13 @@ def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, tr
         copy = tmp_path / "task"
         shutil.copytree(task_dir, copy)
         shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
-        (copy / "run.conf").write_text("# a valid settings file\nbatch_size = 4\n")
+        setting = "batch_size = 4" if command else "split = test"
+        (copy / "run.conf").write_text(f"# a valid settings file\n{setting}\n")
         if command:
             argv = [command, *data_flags(str(copy)), *TINY_FLAGS]
         else:
             argv = ["eval", *data_flags(str(copy), with_features=False), "--checkpoint",
-                    str(copy / "checkpoint.txt"), *EVAL_FLAGS]
+                    str(copy / "checkpoint.txt")]
         argv += ["--config", str(copy / "run.conf"), "--out-dir", str(tmp_path / "out")]
     if isinstance(corrupt, str):
         argv.append(f"{flag}={corrupt}")
@@ -417,7 +444,7 @@ def swept_dir(task_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("swept"))
     # three epochs, so that a cell's best state need not be its last
     assert main(["sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, "--master-epochs", "3", "--fractions",
-                 "0.5,1.0", "--modes", "text-only,act-know", "--seeds", "1", "--out-dir", out]) == 0
+                 "0.5,1.0", "--modes", "text-only,base-know,act-know", "--seeds", "1", "--out-dir", out]) == 0
     return out
 
 
@@ -426,7 +453,7 @@ def test_each_command_writes_its_csv_and_one_directory_per_cell(task_dir, swept_
     per cell holding exactly the cell's checkpoint, stats and test rows;
     train writes those three files into its out dir, the test rows only
     when a test split is given."""
-    sweep_cells = [f"fraction-{f}-{m}-seed-1" for f in ("0.5", "1.0") for m in ("act-know", "text-only")]
+    sweep_cells = [f"fraction-{f}-{m}-seed-1" for f in ("0.5", "1.0") for m in ("act-know", "base-know", "text-only")]
     assert sorted(os.listdir(swept_dir)) == [*sweep_cells, "sweep.csv"]
     ablated = tmp_path / "ablate"
     assert main(["ablate-subgraph", *data_flags(task_dir), *ABLATE_FLAGS, "--node-budgets", "3,6",
@@ -443,15 +470,16 @@ def test_each_command_writes_its_csv_and_one_directory_per_cell(task_dir, swept_
         assert sorted(os.listdir(out)) == files
 
 
-@pytest.mark.parametrize("mode", ["act-know", "text-only"])
+@pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
 def test_eval_of_a_sweep_cell_checkpoint_reproduces_its_test_predictions(mode, task_dir, swept_dir, tmp_path):
-    """A sweep cell's checkpoint, evaluated by `eval` with the sweep's
-    preparation settings, the same batch size (a question's logits depend
-    on its chunk-mates) and the cell's mode, scores every test question
-    exactly as the cell's own test_predictions.jsonl records."""
+    """A sweep cell's checkpoint, evaluated by `eval` given only the data
+    files, scores every test question exactly as the cell's own
+    test_predictions.jsonl records: the checkpoint carries the cell's mode,
+    its preparation settings and its batch size (a question's logits depend
+    on its chunk-mates)."""
     cell_dir = os.path.join(swept_dir, f"fraction-0.5-{mode}-seed-1")
     out = tmp_path / "eval"
-    assert main(["eval", *data_flags(task_dir, with_features=False), *EVAL_FLAGS, "--mode", mode,
+    assert main(["eval", *data_flags(task_dir, with_features=False),
                  "--checkpoint", os.path.join(cell_dir, "checkpoint.txt"), "--split", "test",
                  "--out-dir", str(out)]) == 0
     fields = lambda path: [{k: row[k] for k in ("id", "predicted", "gold", "entropy", "logits")}

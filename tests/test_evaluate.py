@@ -148,7 +148,8 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 
 
 
-# a non-default value for every TrainConfig field that eval does not read
+# a non-default value for every TrainConfig field that preparation and
+# scoring do not read
 UNREAD_BY_EVAL = {
     "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "seed": 9, "data_fraction": 0.3,
     "gumbel_temperature": 0.25, "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5,
@@ -159,14 +160,15 @@ UNREAD_BY_EVAL = {
 
 @pytest.mark.parametrize("split", ["dev", "test"])
 def test_eval_reads_only_its_own_settings(split, lowdata_model):
-    """prepare_split and evaluate of one model give byte-identical rows
-    under the defaults and under a non-default value of every TrainConfig
-    field outside eval's five. The train split is left out: there
-    prepare_split draws the data_fraction sample that training reads, and
-    eval always leaves data_fraction at 1."""
+    """eval takes no TrainConfig flag: it scores with the config its
+    checkpoint stores. Of that config, prepare_split and evaluate of one
+    model read only five fields: they give byte-identical rows under the
+    defaults and under a non-default value of every other field. The train
+    split is left out: there prepare_split draws the data_fraction sample
+    that training reads, and eval sets data_fraction to 1."""
     config, model, _ = lowdata_model
-    read = {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
-    assert read == {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"}
+    assert not {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
+    read = {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"}
     assert set(UNREAD_BY_EVAL) == {f.name for f in dataclasses.fields(training.TrainConfig)} - read
     defaults = training_config_for(
         dataclasses.replace(config, **{f.name: f.default for f in dataclasses.fields(training.TrainConfig)

@@ -7,7 +7,11 @@ lowdata cells, and `noisy_ablation` (criterion 8's ablation) every
 noisy-ablation cell, each through experiments.run_cell. This file trains
 nothing itself. Each benchmark cell (bench/harness.py `WORKLOADS`) is
 checked to resolve to the same config as the fixture cell whose files are
-hashed, so the pins hold for the benchmark's outputs too.
+hashed, so the stats.csv and test pins hold for the benchmark's outputs too.
+The checkpoint.txt pins do not: run_cell writes the cell's TrainConfig into
+the checkpoint's settings block, while bench/harness.py saves with two
+arguments and so writes an empty block ("settings 0") before the same
+tensor lines.
 
 Criterion 9 checks that a rerun of the same code matches itself. These pins
 check that a change to the code leaves every output byte-identical, and a
@@ -41,27 +45,27 @@ PINNED_NUMPY = "2.4.6"
 PINS = {
     ("lowdata-act", "act-know"): {
         "stats.csv": "c4c40c2148a4603140d6aaeaae937763a561caf8c7b8cc62051064a7d7f5333f",
-        "checkpoint.txt": "473bb24d11c325b0e7169ff76ee0fdcb2c5fcad21ec07ab062c57e676dcca2fa",
+        "checkpoint.txt": "7544533f8e5ef08b6824f8bef698a501e0448bb0b1e821f590a1207461bfdd0c",
         "test": "63c684760de3c8452f1b355c554078426176025033f1115c47051e0a922e0a52",
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "d86954a79410d0fb76a67c421b315e821294dc4996ce4d59d21d889a3910d698",
+        "checkpoint.txt": "01d9ab3d7a7e40f2a2e634b4af73c0dee7db47eacbeea80c5c28c75bd585d5a1",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
         "stats.csv": "93bc699ff4c3117fb33bb4a20246f9194f9f84f60104d137382698b6e2eec158",
-        "checkpoint.txt": "37ce9bf3327771e669f1f5864f8e970496ca6d9c6118facc7cbc0c1eddf7d20e",
+        "checkpoint.txt": "da8cad75c975740e3934ea02fbbe12142ae2f3c768eff5a341738a0c3f88490a",
         "test": "d7360dfe93ff3cbc0b0e713aa8aba27a015fd93156f4946d928e9f3bd0b4d688",
     },
     ("noisy-ablation", "max-nodes-20"): {
         "stats.csv": "b915697e1d4e8492d296293d1438a8ddbdaeb4a82c319bb416a16ccdcdaac0ee",
-        "checkpoint.txt": "d370d5095f578a5de9d4809ed4618fb16d14199acfaecf7ecf0830815f24585e",
+        "checkpoint.txt": "4630fea74b9e9639311fd47eb51bc92c04c8f0a1b7be633808981cd0a46211ef",
         "test": "db5e99aa26251b63af040fc259622955c8be586ba5d0cb1217490e0e26a95489",
     },
     ("noisy-ablation", "max-nodes-60"): {
         "stats.csv": "14703f209530b2a3a622918b38113194667233506318461fce52c6e67fcefcf1",
-        "checkpoint.txt": "de7ff29617a6b19f45aae2415c17021ee06f9ecfb70409ad231825a8bfcfa35d",
+        "checkpoint.txt": "d0f00a3e43289f367d834440d0ad4d04b454cdf09e343382161e3ba4cc8a6149",
         "test": "41c19ae86fe46cda8a5cb0ee8bdf4bc9ba115c519d55af2530c67f0b2a6e81d8",
     },
 }
