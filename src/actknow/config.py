@@ -112,10 +112,12 @@ def stored_train_config(path: str, settings: Mapping[str, str]) -> TrainConfig:
 
 def parse_config_file(settings: type, path: str, command: str, reads: Collection[str]) -> dict[str, object]:
     """Typed values of `key = value` lines naming fields of the dataclass
-    `settings` that `command` reads (`reads`); '#' starts a comment, blank
-    lines are skipped, and every error names path:line."""
+    `settings` that `command` reads (`reads`), each at most once; '#'
+    starts a comment, blank lines are skipped, and every error names
+    path:line."""
     names = {f.name for f in dataclasses.fields(settings)}
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,6 +133,9 @@ def parse_config_file(settings: type, path: str, command: str, reads: Collection
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         if key not in reads:
             raise ConfigError(f"{path}:{lineno}: {command} does not read setting {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: setting {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = parse_setting(settings, key, value)
         except ConfigError as exc:

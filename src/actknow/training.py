@@ -15,9 +15,14 @@ never carries gradient.
 Scoring is choice-stacked: encode_batch runs every choice of a batch of
 questions through each encoder at once, and classify applies the
 per-question weights and the classifier to those features. Training runs
-one of each per batch (score_batch). evaluate() runs one encoder pass per
-chunk and, in act-know, two classifier products on it: unit weights for
-the entropies, then the entropy weights for the final logits.
+one of each per batch of config.batch_size questions (score_batch).
+evaluate() runs one encoder pass per chunk and, in act-know, two
+classifier products on it: unit weights for the entropies, then the
+entropy weights for the final logits. Its chunks do not follow
+batch_size: each grows to at most 128 choices, which pays the encoders'
+fixed per-call cost over many questions, and at most 1,280 padded node
+rows, which keeps the GCN stack of a chunk of large subgraphs small
+(eval_chunks).
 
 Parameters are inert outside _run_updates: it marks exactly its
 optimizer's tensors trainable while the batches run, so evaluation builds
@@ -32,6 +37,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,9 +310,10 @@ class Features:
     knowledge: Tensor  # (n_choices, 2d)
     counts: np.ndarray  # choices per question
     starts: np.ndarray  # offset of each question's first choice
-    # per choice: (subgraph nodes, their pooling attention weights), or None
-    # where the GCN did not pool a subgraph
-    node_attention: list[tuple[np.ndarray, np.ndarray] | None]
+    # the choices whose subgraph the GCN pooled, in order, and their (S, N)
+    # pooling weights, 0 on padding; both empty where the GCN did not run
+    pooled: np.ndarray
+    attention: np.ndarray
 
 
 def encode_batch(
@@ -332,24 +339,23 @@ def encode_batch(
 
     graph = Tensor(np.zeros((len(choices), d)))
     knowledge = Tensor(np.zeros((len(choices), 2 * d)))
-    node_attention: list = [None] * len(choices)
+    rows = np.zeros(0, dtype=np.intp)
+    attention = np.zeros((0, 0))
     if config.graph_side:
         # a built subgraph holds at least its seeds
-        rows = [i for i, c in enumerate(choices) if c.subgraph is not None]
-        if rows:
-            subgraphs = [choices[i].subgraph for i in rows]
-            hidden, adjacency, mask = gcn_forward(subgraphs, params.gcn)
+        rows = np.flatnonzero([c.subgraph is not None for c in choices])
+        if rows.size:
+            hidden, adjacency, mask = gcn_forward([choices[i].subgraph for i in rows], params.gcn)
             pooled, attn = graph_attention_pool(
-                hidden, adjacency, mask, ad.gather(text, np.array(rows)), params.gcn.layers[-1]
+                hidden, adjacency, mask, ad.gather(text, rows), params.gcn.layers[-1]
             )
             # choices without a subgraph read the zero row appended after the pooled ones
-            slot = np.full(len(choices), len(rows))
-            slot[rows] = np.arange(len(rows))
+            slot = np.full(len(choices), rows.size)
+            slot[rows] = np.arange(rows.size)
             graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
-            for i, sub, w in zip(rows, subgraphs, attn.data):
-                node_attention[i] = (sub.nodes, w)
+            attention = attn.data
         knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
-    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, node_attention)
+    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
 
 
 def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor:
@@ -435,6 +441,39 @@ def question_entropies(logits: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# Caps on one evaluate() chunk, fixed by measurement on the bundled tasks
+# (2 vCPUs, one BLAS thread). Most of a chunk's cost is fixed per-call work
+# in the encoders and numpy dispatch, so a chunk takes up to 128 choices.
+# gcn_forward pads every subgraph of a chunk to the largest one, so a chunk
+# also holds at most 1,280 padded node rows, about 0.65 MB of (rows x 64)
+# float64 stack. Caps of 1,920 and 2,560 rows ran slower on the noisy task
+# at node budget 60, and chunks of 32 questions with no row cap raised its
+# peak memory by about 10%.
+EVAL_CHUNK_CHOICES = 128
+EVAL_CHUNK_ROWS = 1280
+
+
+def eval_chunks(questions: list[PreparedQuestion]) -> Iterator[list[PreparedQuestion]]:
+    """Consecutive runs of `questions`, the chunks evaluate() scores
+    together. A chunk grows while it holds at most EVAL_CHUNK_CHOICES
+    choices and at most EVAL_CHUNK_ROWS padded node rows, its choices times
+    its largest subgraph's node count; a question alone may exceed either
+    cap. So the chunks depend only on the questions' order and subgraph
+    sizes, and a chunk of questions without subgraphs is bounded by its
+    choices alone."""
+    chunk: list[PreparedQuestion] = []
+    choices = largest = 0
+    for pq in questions:
+        nodes = max((c.subgraph.n_nodes for c in pq.choices if c.subgraph is not None), default=0)
+        grown, widest = choices + len(pq.choices), max(largest, nodes)
+        if chunk and (grown > EVAL_CHUNK_CHOICES or grown * widest > EVAL_CHUNK_ROWS):
+            yield chunk
+            chunk, grown, widest = [], len(pq.choices), nodes
+        chunk.append(pq)
+        choices, largest = grown, widest
+    if chunk:
+        yield chunk
+
 
 def evaluate(
     questions: list[PreparedQuestion],
@@ -442,8 +481,9 @@ def evaluate(
     config: TrainConfig,
     with_details: bool = False,
 ) -> tuple[float, list[dict]]:
-    """Accuracy plus one record per question, scored config.batch_size
-    questions at a time. Ties resolve to the lowest index.
+    """Accuracy plus one record per question, scored a chunk of questions
+    at a time (eval_chunks: at most 128 choices and 1,280 padded node rows,
+    whatever config.batch_size is). Ties resolve to the lowest index.
 
     Each chunk runs the encoders once, then the classifier product with unit
     weights, whose logits give each question's entropy: the entropy a record
@@ -458,8 +498,7 @@ def evaluate(
     if not questions:
         raise ConfigError("evaluate: empty question list")
     rows = []
-    for start in range(0, len(questions), config.batch_size):
-        chunk = questions[start : start + config.batch_size]
+    for chunk in eval_chunks(questions):
         feats = encode_batch(chunk, params, config)
         logits = classify(feats, params.classifier, np.ones(len(chunk))).data
         entropies = question_entropies(logits, feats.counts)
@@ -469,6 +508,12 @@ def evaluate(
         for sel, table in _tables(logits, feats.counts):
             predicted[sel] = table.argmax(axis=1)
         values = logits.tolist()
+        if with_details:
+            choices = [c for pq in chunk for c in pq.choices]
+            attention: list[dict] = [{} for _ in choices]
+            for i, weights in zip(feats.pooled.tolist(), feats.attention):
+                nodes = choices[i].subgraph.nodes
+                attention[i] = {"node_attention": {int(e): float(x) for e, x in zip(nodes, weights)}}
         for pq, pred, entropy, first, count in zip(chunk, predicted.tolist(), entropies.tolist(),
                                                    feats.starts.tolist(), feats.counts.tolist()):
             row = {
@@ -480,10 +525,7 @@ def evaluate(
                 "logits": values[first : first + count],
             }
             if with_details:
-                row["attention"] = [
-                    {} if a is None else {"node_attention": {int(e): float(x) for e, x in zip(*a)}}
-                    for a in feats.node_attention[first : first + count]
-                ]
+                row["attention"] = attention[first : first + count]
             rows.append(row)
     return sum(row["correct"] for row in rows) / len(questions), rows
 

@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Twelve package paths that simpler or faster ones
+no code with src/. Thirteen package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -14,10 +14,11 @@ entropy and dev loss that row reductions of a logit table replaced, the
 functional Adam step that the in-place `Adam` replaced, the n-gram mention
 scan and neighbor-loop DFS that the label trie and the last-hop membership
 test replaced, the KG embedding loop that drew its corruptions per triple
-before one draw per epoch replaced it, and the masked softmax op that the
-pool's row softmax over -inf padding scores replaced. The second to
-fifth and the last run on the package's autodiff tape so that gradients
-can be compared too.
+before one draw per epoch replaced it, the masked softmax op that the
+pool's row softmax over -inf padding scores replaced, and evaluation in
+chunks of batch_size questions that chunks sized by their choices and
+padded node rows replaced. The second to fifth and the masked softmax run
+on the package's autodiff tape so that gradients can be compared too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from actknow.errors import ConfigError
 from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
-from actknow.training import ModelParams, PreparedQuestion, TrainConfig, score_batch
+from actknow.training import (
+    ModelParams,
+    PreparedQuestion,
+    TrainConfig,
+    classify,
+    encode_batch,
+    question_entropies,
+    score_batch,
+)
 
 _TOKEN = re.compile(r"\w+")
 
@@ -588,3 +597,31 @@ def softmax_over_mask(a: Tensor, mask: np.ndarray) -> Tensor:
         return (out * (g - dot),)
 
     return ad._result(out, (a,), pullback)
+
+
+# ---------------------------------------------------------------------------
+# evaluation in chunks of config.batch_size questions, before eval_chunks
+# sized each chunk by its choices and its padded GCN stack. A question's
+# logits depend on its chunk-mates in the last bits, so the two agree to
+# 1e-12, not exactly
+
+
+def evaluate_by_batch_size(
+    questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
+) -> list[dict]:
+    """evaluate()'s rows, without details, scored config.batch_size
+    questions at a time."""
+    rows = []
+    for start in range(0, len(questions), config.batch_size):
+        chunk = questions[start : start + config.batch_size]
+        feats = encode_batch(chunk, params, config)
+        logits = classify(feats, params.classifier, np.ones(len(chunk))).data
+        entropies = question_entropies(logits, feats.counts)
+        if config.mode == "act-know":
+            logits = classify(feats, params.classifier, entropies).data
+        for pq, first, count, entropy in zip(chunk, feats.starts, feats.counts, entropies.tolist()):
+            z = logits[first : first + count]
+            pred = int(np.argmax(z))
+            rows.append({"id": pq.qid, "predicted": pred, "gold": pq.answer_index,
+                         "correct": pred == pq.answer_index, "entropy": entropy, "logits": z.tolist()})
+    return rows

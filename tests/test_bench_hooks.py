@@ -60,17 +60,20 @@ def test_the_benchmark_call_form_of_save_checkpoint_writes_a_loadable_file(tmp_p
     assert all(np.array_equal(loaded[name], state[name]) for name in state)
 
 
-def test_the_tracer_sees_each_encoder_once_per_eval_chunk(bench):
+def test_the_tracer_sees_each_encoder_once_per_eval_chunk(bench, monkeypatch):
     """The per-layer encoder metrics come from the wrappers on `training`'s
     module attributes; scoring that bypassed them would report zeros."""
     layers, spans = bench
-    task = build_task(mode="act-know", batch_size=3)  # 4 questions: 2 chunks
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", 12)
+    task = build_task(mode="act-know")
+    chunks = len(list(training.eval_chunks(task.prepared)))
+    assert chunks == 2  # 4 questions of 4 choices, 3 a chunk
     tracer = spans.Tracer()
     with layers.instrument(tracer):
         training.evaluate(task.prepared, task.model, task.config)
     names = [span.name for span in tracer.spans]
     for name in ("encoders.encode_text", "encoders.gcn_forward", "encoders.er_attention"):
-        assert names.count(name) == 2, name
+        assert names.count(name) == chunks, name
 
 
 @pytest.mark.parametrize("mode", ["base-know", "text-only"])

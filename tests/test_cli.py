@@ -474,9 +474,10 @@ def test_each_command_writes_its_csv_and_one_directory_per_cell(task_dir, swept_
 def test_eval_of_a_sweep_cell_checkpoint_reproduces_its_test_predictions(mode, task_dir, swept_dir, tmp_path):
     """A sweep cell's checkpoint, evaluated by `eval` given only the data
     files, scores every test question exactly as the cell's own
-    test_predictions.jsonl records: the checkpoint carries the cell's mode,
-    its preparation settings and its batch size (a question's logits depend
-    on its chunk-mates)."""
+    test_predictions.jsonl records: the checkpoint carries the cell's mode
+    and its preparation settings, and evaluation chunks a split by its
+    choices and subgraph sizes alone (training.eval_chunks), so a
+    question's chunk-mates are the same in both."""
     cell_dir = os.path.join(swept_dir, f"fraction-0.5-{mode}-seed-1")
     out = tmp_path / "eval"
     assert main(["eval", *data_flags(task_dir, with_features=False),

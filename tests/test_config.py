@@ -1,12 +1,13 @@
 """Config file parsing, setting parsing, and setting precedence."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from actknow.cli import READS, _flag_values, build_parser
+from actknow.cli import READS, _flag_values, build_parser, main
 from actknow.config import ExperimentConfig, parse_config_file, parse_setting, resolve_config
 from actknow.errors import ConfigError
 from actknow.pipeline import training_config_for
@@ -56,6 +57,17 @@ def test_parse_rejects_unknown_key(tmp_path):
         path = write_config(tmp_path, line + "\n")
         with pytest.raises(ConfigError, match=rf":1: unknown setting '{line.split()[0]}'"):
             parse_config_file(ExperimentConfig, path, "train", READS["train"])
+
+
+def test_parse_rejects_a_repeated_key(tmp_path, capsys):
+    """A repeated key is refused, as in a checkpoint's settings block,
+    rather than the last line winning."""
+    path = write_config(tmp_path, "seed = 1\n# a comment\nlearning_rate = 0.5\n\nseed = 1\n")
+    message = f"{path}:5: setting 'seed' repeats line 1"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        parse_config_file(ExperimentConfig, path, "train", READS["train"])
+    assert main(["train", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_rejects_missing_equals(tmp_path):

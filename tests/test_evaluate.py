@@ -1,14 +1,21 @@
-"""Evaluation against the two-pass act-know prediction it replaced, and the
-number of encoder calls one evaluation makes.
+"""Evaluation against the two-pass act-know prediction it replaced, against
+the chunks of batch_size questions its chunks replaced, and the number of
+encoder calls one evaluation makes.
 
-The oracle in _oracles.py scores every chunk twice, once with unit weights
-for the entropies and once with the entropy weights, and reduces each
-question's logit vector on its own. evaluate() runs the encoders once per
-chunk and only the classifier product twice, and reduces the chunk's
-logits as tables, so every row's prediction, logits and entropy must be
-equal to the oracle's, not just close; so must the dev loss of the rows.
-Each choice's node attention is checked against the per-choice scorer's,
-to 1e-12.
+The two-pass oracle in _oracles.py scores every chunk of eval_chunks twice,
+once with unit weights for the entropies and once with the entropy
+weights, and reduces each question's logit vector on its own. evaluate()
+runs the encoders once per chunk and only the classifier product twice,
+and reduces the chunk's logits as tables, so every row's prediction,
+logits and entropy must be equal to the oracle's, not just close; so must
+the dev loss of the rows. Each choice's node attention is checked against
+the per-choice scorer's, to 1e-12.
+
+evaluate()'s chunks are sized by their choices and padded node rows, not
+by batch_size. A question's logits depend on its chunk-mates in the last
+bits, so against evaluation in chunks of batch_size questions logits and
+entropies agree to 1e-12 and predictions exactly; and evaluate()'s rows
+are byte-identical under any batch_size.
 """
 
 import dataclasses
@@ -20,11 +27,24 @@ import _oracles
 from actknow import training
 from actknow.cli import READS
 from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
-from actknow.scenarios import lowdata_experiment
+from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.nli import QAItem
 from test_training import OBJECTS, SUBJECTS, build_task
 
 ENCODERS = ("encode_text", "gcn_forward", "er_attention")
+
+
+SPLITS = ("train", "dev", "test")
+
+
+def _trained(cfg, **overrides):
+    """A model trained for one master epoch under cfg with `overrides`, its
+    config, and the prepared train, dev and test splits."""
+    config = training_config_for(cfg, master_epochs=1, **overrides)
+    pipe = load_pipeline(cfg)
+    splits = {split: prepare_split(pipe, split, config) for split in SPLITS}
+    model, _ = run_training(pipe, config, splits["train"], splits["dev"])
+    return config, model, splits
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +52,27 @@ def lowdata_model(lowdata_dir, tmp_path_factory):
     """An act-know model trained for one master epoch on the lowdata
     fraction, and the prepared train, dev and test splits."""
     cfg = lowdata_experiment(lowdata_dir, str(tmp_path_factory.mktemp("out")))
-    config = training_config_for(cfg, mode="act-know", data_fraction=0.2, master_epochs=1)
-    pipe = load_pipeline(cfg)
-    splits = {split: prepare_split(pipe, split, config) for split in ("train", "dev", "test")}
-    model, _ = run_training(pipe, config, splits["train"], splits["dev"])
-    return config, model, splits
+    return _trained(cfg, mode="act-know", data_fraction=0.2)
+
+
+@pytest.fixture(scope="module")
+def lowdata_text_model(lowdata_dir, tmp_path_factory):
+    """The same for a text-only model."""
+    cfg = lowdata_experiment(lowdata_dir, str(tmp_path_factory.mktemp("out")))
+    return _trained(cfg, mode="text-only", data_fraction=0.2)
+
+
+@pytest.fixture(scope="module")
+def noisy_models(noisy_dir, tmp_path_factory):
+    """Per node budget of the noisy ablation, a base-know model trained for
+    one master epoch at that budget and its prepared splits."""
+    cfg = noisy_experiment(noisy_dir, str(tmp_path_factory.mktemp("out")))
+    return {budget: _trained(cfg, max_nodes=budget) for budget in cfg.node_budgets}
 
 
 def _oracle_rows(questions, model, config):
     rows = []
-    for start in range(0, len(questions), config.batch_size):
-        chunk = questions[start : start + config.batch_size]
+    for chunk in training.eval_chunks(questions):
         for pred, logits, entropy in _oracles.predict_batch(chunk, model, config):
             rows.append({"predicted": pred, "logits": [float(v) for v in logits], "entropy": entropy})
     return rows
@@ -77,8 +107,10 @@ def test_act_know_rows_equal_the_two_pass_oracle_on_lowdata(split, lowdata_model
     assert any("node_attention" in choice for row in rows for choice in row["attention"])
 
 
-def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task():
-    task = build_task(mode="act-know", batch_size=3)  # 4 questions: a full and a part chunk
+def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", 12)  # 4 questions of 4 choices: chunks of 3 and 1
+    task = build_task(mode="act-know")
+    assert [len(chunk) for chunk in training.eval_chunks(task.prepared)] == [3, 1]
     _assert_rows_equal(task.prepared, task.model, task.config)
 
 
@@ -86,12 +118,14 @@ def test_act_know_rows_equal_the_two_pass_oracle_on_the_tiny_task():
 MIXED_CHOICES = [OBJECTS[:2], OBJECTS, OBJECTS * 2 + OBJECTS[:1], OBJECTS[1:]]
 
 
-@pytest.mark.parametrize("batch_size", [3, 4])
+@pytest.mark.parametrize("first_chunk", [3, 4])  # questions in the first chunk
 @pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
-def test_rows_and_loss_equal_the_oracle_under_mixed_choice_counts(mode, batch_size):
+def test_rows_and_loss_equal_the_oracle_under_mixed_choice_counts(mode, first_chunk, monkeypatch):
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", sum(map(len, MIXED_CHOICES[:first_chunk])))
     items = [QAItem(id=f"q{i}", stem=f"what does the {s} hunts ?", choices=list(choices), answer_index=i % 2)
              for i, (s, choices) in enumerate(zip(SUBJECTS, MIXED_CHOICES))]
-    task = build_task(items=items, mode=mode, batch_size=batch_size)
+    task = build_task(items=items, mode=mode)
+    assert len(next(training.eval_chunks(task.prepared))) == first_chunk
     rows = _assert_rows_equal(task.prepared, task.model, task.config)
     assert [len(row["logits"]) for row in rows] == [2, 4, 9, 3]
     assert training._mean_loss(rows) == _oracles.mean_loss(rows)
@@ -102,6 +136,94 @@ def test_mean_loss_equals_the_row_loop_on_lowdata(split, lowdata_model):
     config, model, splits = lowdata_model
     _, rows = training.evaluate(splits[split], model, config)
     assert training._mean_loss(rows) == _oracles.mean_loss(rows)
+
+
+def _bundled(name, request):
+    """(config, model, splits) of a bundled task by name: lowdata-act,
+    lowdata-text or noisy-<budget>."""
+    if name.startswith("noisy-"):
+        return request.getfixturevalue("noisy_models")[int(name.split("-")[1])]
+    return request.getfixturevalue({"lowdata-act": "lowdata_model", "lowdata-text": "lowdata_text_model"}[name])
+
+
+BUNDLED = ["lowdata-act", "lowdata-text", "noisy-3", "noisy-20", "noisy-60"]
+
+
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("name", BUNDLED)
+def test_rows_agree_with_chunks_of_batch_size(name, split, request):
+    """Chunks sized by eval_chunks, against the chunks of batch_size
+    questions they replaced: the same predictions, logits and entropies
+    within 1e-12, on every split of the bundled tasks."""
+    config, model, splits = _bundled(name, request)
+    questions = splits[split]
+    _, rows = training.evaluate(questions, model, config)
+    want = _oracles.evaluate_by_batch_size(questions, model, config)
+    assert [row["id"] for row in rows] == [row["id"] for row in want]
+    assert [row["predicted"] for row in rows] == [row["predicted"] for row in want]
+    for got, expected in zip(rows, want):
+        assert got["correct"] == expected["correct"] and len(got["logits"]) == len(expected["logits"])
+        assert max(abs(a - b) for a, b in zip(got["logits"], expected["logits"])) <= 1e-12, got["id"]
+        assert abs(got["entropy"] - expected["entropy"]) <= 1e-12, got["id"]
+
+
+@pytest.mark.parametrize("name", ["lowdata-act", "lowdata-text"])
+def test_rows_are_byte_identical_under_any_batch_size(name, request):
+    """evaluate() chunks by eval_chunks alone, so two configs that differ
+    only in batch_size give byte-identical rows: `eval` reproduces
+    `train`'s rows whatever batch_size a checkpoint stores."""
+    config, model, splits = _bundled(name, request)
+
+    def rows(questions, batch_size):
+        tc = dataclasses.replace(config, batch_size=batch_size)
+        return json.dumps(training.evaluate(questions, model, tc, with_details=True)[1]).encode("utf-8")
+
+    for split in SPLITS:
+        assert len({rows(splits[split], size) for size in (1, config.batch_size, 1000)}) == 1, split
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_eval_chunks_hold_the_caps_and_keep_the_order(name, request):
+    """Every chunk but a lone question holds at most EVAL_CHUNK_CHOICES
+    choices and EVAL_CHUNK_ROWS padded node rows, and could not take the
+    next question; the chunks joined are the questions in order."""
+    _, _, splits = _bundled(name, request)
+    for questions in splits.values():
+        chunks = list(training.eval_chunks(questions))
+        assert [pq for chunk in chunks for pq in chunk] == questions
+        for chunk, following in zip(chunks, chunks[1:] + [None]):
+            assert len(chunk) == 1 or (_choices(chunk) <= training.EVAL_CHUNK_CHOICES
+                                       and _padded_rows(chunk) <= training.EVAL_CHUNK_ROWS)
+            if following is not None:
+                grown = chunk + following[:1]
+                assert (_choices(grown) > training.EVAL_CHUNK_CHOICES
+                        or _padded_rows(grown) > training.EVAL_CHUNK_ROWS)
+
+
+def _choices(chunk):
+    return sum(len(pq.choices) for pq in chunk)
+
+
+def _padded_rows(chunk):
+    nodes = [c.subgraph.n_nodes for pq in chunk for c in pq.choices if c.subgraph is not None]
+    return _choices(chunk) * max(nodes, default=0)
+
+
+def test_eval_chunks_bound_text_only_chunks_by_choices_alone(lowdata_text_model):
+    _, _, splits = lowdata_text_model
+    chunks = list(training.eval_chunks(splits["test"]))
+    assert all(_padded_rows(chunk) == 0 for chunk in chunks)
+    assert [_choices(chunk) for chunk in chunks[:-1]] == [training.EVAL_CHUNK_CHOICES] * (len(chunks) - 1)
+
+
+def test_a_question_over_the_caps_is_a_chunk_of_its_own(monkeypatch):
+    task = build_task()
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", 3)  # under each question's 4 choices
+    assert [len(chunk) for chunk in training.eval_chunks(task.prepared)] == [1, 1, 1, 1]
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", 128)
+    monkeypatch.setattr(training, "EVAL_CHUNK_ROWS", 1)
+    assert [len(chunk) for chunk in training.eval_chunks(task.prepared)] == [1, 1, 1, 1]
+    assert list(training.eval_chunks([])) == []
 
 
 def _assert_details_change_nothing_else(questions, model, config):
@@ -140,10 +262,12 @@ def _count_encoder_calls(monkeypatch):
 
 @pytest.mark.parametrize("mode, graph_calls", [("act-know", 1), ("base-know", 1), ("text-only", 0)])
 def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatch):
-    task = build_task(mode=mode, batch_size=3)
+    monkeypatch.setattr(training, "EVAL_CHUNK_CHOICES", 12)
+    task = build_task(mode=mode)
+    chunks = len(list(training.eval_chunks(task.prepared)))
+    assert chunks == 2  # 4 questions of 4 choices, 3 a chunk
     counts = _count_encoder_calls(monkeypatch)
     training.evaluate(task.prepared, task.model, task.config, with_details=True)
-    chunks = 2  # 4 questions, 3 a chunk
     assert counts == {"encode_text": chunks, "gcn_forward": graph_calls * chunks, "er_attention": graph_calls * chunks}
 
 
@@ -151,7 +275,7 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 # a non-default value for every TrainConfig field that preparation and
 # scoring do not read
 UNREAD_BY_EVAL = {
-    "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "seed": 9, "data_fraction": 0.3,
+    "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "batch_size": 3, "seed": 9, "data_fraction": 0.3,
     "gumbel_temperature": 0.25, "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5,
     "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4, "kg_epochs": 1,
     "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 0.125, "weight_decay": 0.0,
@@ -162,13 +286,13 @@ UNREAD_BY_EVAL = {
 def test_eval_reads_only_its_own_settings(split, lowdata_model):
     """eval takes no TrainConfig flag: it scores with the config its
     checkpoint stores. Of that config, prepare_split and evaluate of one
-    model read only five fields: they give byte-identical rows under the
+    model read only four fields: they give byte-identical rows under the
     defaults and under a non-default value of every other field. The train
     split is left out: there prepare_split draws the data_fraction sample
     that training reads, and eval sets data_fraction to 1."""
     config, model, _ = lowdata_model
     assert not {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
-    read = {"mode", "batch_size", "retrieve_k", "max_nodes", "max_path_len"}
+    read = {"mode", "retrieve_k", "max_nodes", "max_path_len"}
     assert set(UNREAD_BY_EVAL) == {f.name for f in dataclasses.fields(training.TrainConfig)} - read
     defaults = training_config_for(
         dataclasses.replace(config, **{f.name: f.default for f in dataclasses.fields(training.TrainConfig)

@@ -44,9 +44,9 @@ PINNED_NUMPY = "2.4.6"
 # evaluation's (id, predicted, logits) rows, as bench/harness.py digests them
 PINS = {
     ("lowdata-act", "act-know"): {
-        "stats.csv": "c4c40c2148a4603140d6aaeaae937763a561caf8c7b8cc62051064a7d7f5333f",
-        "checkpoint.txt": "7544533f8e5ef08b6824f8bef698a501e0448bb0b1e821f590a1207461bfdd0c",
-        "test": "63c684760de3c8452f1b355c554078426176025033f1115c47051e0a922e0a52",
+        "stats.csv": "24d2f2861deed864436b02a616c898494e279959a0a1f89d5dccd00c5eda4895",
+        "checkpoint.txt": "3935210780a110ee07ed03098702bd52cb7455c48ae015bc6b1b2cd54cf349ad",
+        "test": "94f9879f7d6dd966fdc90be72f546321cffdc72aa1cfcc53e16f9be506bf8b81",
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
@@ -54,19 +54,19 @@ PINS = {
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
-        "stats.csv": "93bc699ff4c3117fb33bb4a20246f9194f9f84f60104d137382698b6e2eec158",
+        "stats.csv": "b7edb542754715dfa8fcda83119be52ebff0d17b4119754e8b9e64cc871c5713",
         "checkpoint.txt": "da8cad75c975740e3934ea02fbbe12142ae2f3c768eff5a341738a0c3f88490a",
-        "test": "d7360dfe93ff3cbc0b0e713aa8aba27a015fd93156f4946d928e9f3bd0b4d688",
+        "test": "4e3db14db90beea3d1258e5738b33d94bbef733e2af408fac3d7eb765f3fb6f3",
     },
     ("noisy-ablation", "max-nodes-20"): {
-        "stats.csv": "b915697e1d4e8492d296293d1438a8ddbdaeb4a82c319bb416a16ccdcdaac0ee",
+        "stats.csv": "1e427e2b9b1cef2f2a00dae66cf379e0dd53dd3ccbe7b5a63618de0d31944bfe",
         "checkpoint.txt": "4630fea74b9e9639311fd47eb51bc92c04c8f0a1b7be633808981cd0a46211ef",
         "test": "db5e99aa26251b63af040fc259622955c8be586ba5d0cb1217490e0e26a95489",
     },
     ("noisy-ablation", "max-nodes-60"): {
-        "stats.csv": "14703f209530b2a3a622918b38113194667233506318461fce52c6e67fcefcf1",
+        "stats.csv": "1d5cf3d32acb5bd75baf73c41a77fff416e938377593269cb603efcd003b3884",
         "checkpoint.txt": "d0f00a3e43289f367d834440d0ad4d04b454cdf09e343382161e3ba4cc8a6149",
-        "test": "41c19ae86fe46cda8a5cb0ee8bdf4bc9ba115c519d55af2530c67f0b2a6e81d8",
+        "test": "e070f77355836c265cc7a0cdb49469cf6e10ce0a36ba2799ef369b40e452aa22",
     },
 }
 
