@@ -2,7 +2,10 @@
 
 Tensors record the operations that produced them; backward() walks that
 record in reverse topological order and accumulates gradients into leaf
-tensors created with requires_grad=True. All math is double precision.
+tensors created with requires_grad=True. An op is one call of record() with
+its output and its pullback, so a module can add one of its own: the
+encoders make the GCN's hidden stack and the attention pool one node each.
+All math is double precision.
 Products go to numpy's BLAS: its bundled OpenBLAS runs one thread per core
 unless OPENBLAS_NUM_THREADS sets the count, and bench/run.py sets 1.
 Identical inputs give bit-identical outputs on one numpy build, with one
@@ -46,8 +49,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
-    """Wrap an op result, keeping graph edges only when a parent needs grad."""
+def record(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
+    """An op's output as a tape node. pullback maps the output's gradient
+    to one gradient per parent, None where none is needed; the edges are
+    kept only when a parent needs grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -63,7 +68,7 @@ def _result(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _result(a.data + b.data, (a, b), lambda g: (g, g))
+    return record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -73,34 +78,26 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def pullback(g: Array):
         return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
-    return _result(a.data * b.data, (a, b), pullback)
+    return record(a.data * b.data, (a, b), pullback)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _result(a.data * c, (a,), lambda g: (g * c,))
+    return record(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """numpy matmul semantics for the 1-D/2-D operand combinations, plus the
-    batched (S, n, k) @ (S, k, m) product of two 3-D stacks."""
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError("matmul: operands must be at least 1-D")
+    """numpy matmul semantics for the 1-D/2-D operand combinations."""
     an, bn = a.data.ndim, b.data.ndim
-    if max(an, bn) > 2 and (an, bn) != (3, 3):
-        raise ValueError(f"matmul: a 3-D operand needs a 3-D partner, got {a.shape} @ {b.shape}")
-    if an == 3 and a.shape[0] != b.shape[0]:
-        raise ValueError(f"matmul: batch sizes differ {a.shape} @ {b.shape}")
+    if not (1 <= an <= 2 and 1 <= bn <= 2):
+        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
 
     # each pullback computes a gradient only for an operand that needs one
-    if an == 3:
-        grad_a = lambda g: g @ b.data.swapaxes(1, 2)
-        grad_b = lambda g: a.data.swapaxes(1, 2) @ g
-    elif an == 2 and bn == 2:
+    if an == 2 and bn == 2:
         grad_a = lambda g: g @ b.data.T
         grad_b = lambda g: a.data.T @ g
     elif an == 2 and bn == 1:
@@ -116,20 +113,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def pullback(g: Array):
         return (grad_a(g) if a.requires_grad else None, grad_b(g) if b.requires_grad else None)
 
-    return _result(data, (a, b), pullback)
+    return record(data, (a, b), pullback)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose: input must be 2-D")
-    return _result(a.data.T, (a,), lambda g: (g.T,))
+    return record(a.data.T, (a,), lambda g: (g.T,))
 
 
 def add_row(a: Tensor, row: Tensor) -> Tensor:
     """(n, d) + (d,): the same row added to every row of a."""
     if a.data.ndim != 2 or row.data.ndim != 1 or a.shape[1] != row.shape[0]:
         raise ValueError(f"add_row: need (n, d) + (d,), got {a.shape} + {row.shape}")
-    return _result(a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0)))
+    return record(a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0)))
 
 
 def row_dot(a: Tensor, v: Tensor) -> Tensor:
@@ -138,7 +135,7 @@ def row_dot(a: Tensor, v: Tensor) -> Tensor:
     sit; a BLAS matrix-vector product does not promise that."""
     if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
         raise ValueError(f"row_dot: need (n, d) . (d,), got {a.shape} . {v.shape}")
-    return _result(np.sum(a.data * v.data, axis=1), (a, v), lambda g: (np.outer(g, v.data), g @ a.data))
+    return record(np.sum(a.data * v.data, axis=1), (a, v), lambda g: (np.outer(g, v.data), g @ a.data))
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -162,19 +159,14 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
             grads.append(g[tuple(index)])
         return tuple(grads)
 
-    return _result(data, tuple(parts), pullback)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.data.shape
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return record(data, tuple(parts), pullback)
 
 
 def relu(a: Tensor) -> Tensor:
     """max(a, 0), with +0.0 for both signed zeros. The pullback builds the
     a > 0 mask, so an eval pass never does. A NaN input stays NaN, and the
     loss check then raises, where a masked select would have zeroed it."""
-    return _result(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
+    return record(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -183,30 +175,13 @@ def mean(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         n = a.data.size
         shape = a.data.shape
-        return _result(np.mean(a.data), (a,), lambda g: (np.full(shape, g / n),))
+        return record(np.mean(a.data), (a,), lambda g: (np.full(shape, g / n),))
     n = a.data.shape[axis]
 
     def pullback(g: Array):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
-    return _result(np.mean(a.data, axis=axis), (a,), pullback)
-
-
-def gather(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup: out[i] = table[ids[i]]. Pullback scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("gather: ids must be a non-empty 1-D integer array")
-    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
-        raise IndexError("gather: id out of range")
-    shape = table.data.shape
-
-    def pullback(g: Array):
-        acc = np.zeros(shape)
-        np.add.at(acc, ids, g)
-        return (acc,)
-
-    return _result(table.data[ids], (table,), pullback)
+    return record(np.mean(a.data, axis=axis), (a,), pullback)
 
 
 def take_distinct_rows(table: Tensor, ids: Array) -> Tensor:
@@ -226,7 +201,19 @@ def take_distinct_rows(table: Tensor, ids: Array) -> Tensor:
         out[ids] = g
         return (out,)
 
-    return _result(table.data[ids], (table,), pullback)
+    return record(table.data[ids], (table,), pullback)
+
+
+def softmax_last(x: Array) -> Array:
+    """Numerically stable softmax over the last axis of an array."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def softmax_last_pullback(out: Array, g: Array) -> Array:
+    """The gradient of softmax_last's input, given its output and the
+    gradient of that output."""
+    return out * (g - np.sum(g * out, axis=-1, keepdims=True))
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -235,15 +222,8 @@ def row_softmax(a: Tensor) -> Tensor:
         raise ValueError("row_softmax: input must be 1-D or 2-D")
     if a.data.shape[-1] == 0:
         raise ValueError("row_softmax: empty row")
-    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=-1, keepdims=True)
-
-    def pullback(g: Array):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _result(out, (a,), pullback)
+    out = softmax_last(a.data)
+    return record(out, (a,), lambda g: (softmax_last_pullback(out, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +264,7 @@ def segment_cross_entropy(logits: Tensor, starts: Array, targets: Array) -> Tens
         grad[picked] -= 1.0
         return (grad * np.repeat(g, counts),)
 
-    return _result(lse - z[picked], (logits,), pullback)
+    return record(lse - z[picked], (logits,), pullback)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Three per-choice representations feed the classifier:
 
 Each forward pass takes a batch of choices at once and returns one row per
 choice, so a batch costs a few array ops rather than one small tape per
-choice.
+choice. The graph side is two tape nodes with hand-written pullbacks, the
+GCN's hidden layers and the attention pool, where a tape of primitives
+takes nineteen at two GCN layers; each pullback runs the products that tape
+would, so the gradients have the same bits.
 """
 
 from __future__ import annotations
@@ -158,44 +161,66 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
 
-def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Stacked propagation per subgraph, H' = relu(A_norm @ H @ W), through
+def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Stacked propagation per subgraph, H' = relu((A_norm @ H) @ W), through
     every layer but the last: the last has no activation, so
     graph_attention_pool applies it to what it pools.
 
     Subgraphs are padded to the largest one: returns the (S, N, k) hidden
     stack the last layer reads (the node features when there is one layer)
     and the (S, N, N) stack of normalized adjacencies, both exact zeros on
-    padding, and the (S, N) mask of real nodes."""
+    padding, and the (S, N) mask of real nodes. The hidden layers are one
+    tape node, whose pullback runs each layer's products in reverse."""
     if not subgraphs or any(sub.n_nodes == 0 for sub in subgraphs):
         raise ValueError("gcn_forward: need at least one subgraph, none of them empty")
-    n = max(sub.n_nodes for sub in subgraphs)
-    adjacency = np.zeros((len(subgraphs), n, n))
-    mask = np.zeros((len(subgraphs), n), dtype=bool)
+    sizes = np.array([sub.n_nodes for sub in subgraphs])
+    s, n = len(subgraphs), int(sizes.max())
+    mask = np.arange(n) < sizes[:, None]
+    adjacency = np.zeros((s, n, n))
     for i, sub in enumerate(subgraphs):
         adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
-        mask[i, : sub.n_nodes] = True
     # node features are fixed inputs, so the padded stack is a constant
-    features = np.zeros(mask.shape + (params.node_features.shape[1],))
-    features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
-    a_norm, h = Tensor(adjacency), Tensor(features)
-    for w in params.layers[:-1]:
-        h = ad.matmul(a_norm, h)
-        rows = ad.matmul(ad.reshape(h, (-1, h.shape[2])), w)
-        h = ad.relu(ad.reshape(rows, (len(subgraphs), n, w.shape[1])))
-    return h, a_norm, mask
+    h = np.zeros(mask.shape + (params.node_features.shape[1],))
+    h[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
+    layers = params.layers[:-1]
+    if not layers:
+        return Tensor(h), adjacency, mask
+    # per layer, the (S*N, k) rows A_norm @ H that meet W, and the relu
+    # output, which is > 0 exactly where its input is
+    inputs, outputs = [], []
+    for w in layers:
+        inputs.append(np.matmul(adjacency, h).reshape(-1, h.shape[2]))
+        h = np.maximum(inputs[-1] @ w.data, 0.0).reshape(s, n, -1)
+        outputs.append(h)
+
+    def pullback(g: np.ndarray):
+        grads = [None] * len(layers)
+        for i in reversed(range(len(layers))):
+            g = (g * (outputs[i] > 0)).reshape(inputs[i].shape[0], -1)
+            if layers[i].requires_grad:
+                grads[i] = inputs[i].T @ g
+            if i:
+                g = adjacency.swapaxes(1, 2) @ (g @ layers[i].data.T).reshape(s, n, -1)
+        return tuple(grads)
+
+    return ad.record(h, tuple(layers), pullback), adjacency, mask
 
 
 def graph_attention_pool(
-    hidden: Tensor, adjacency: Tensor, mask: np.ndarray, text_vecs: Tensor, last_layer: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Per subgraph, the softmax(text . node_k) weighted sum of the last GCN
-    layer's node outputs A_norm @ H @ W: (S, d), and the (S, N) attention
-    weights, 0 on padding.
+    hidden: Tensor, adjacency: np.ndarray, mask: np.ndarray, text: Tensor, rows: np.ndarray, last_layer: Tensor
+) -> tuple[Tensor, np.ndarray]:
+    """Text-attention pooling of the subgraphs of choices `rows` of a (C, d)
+    text matrix: returns the (C, d) graph features, zero on every other row,
+    and the (S, N) attention weights, 0 on padding. Subgraph i is pooled
+    against text row rows[i] as the softmax(text . node_k) weighted sum of the
+    last GCN layer's node outputs A_norm @ H @ W.
 
     The node outputs are never built. The scores are A_norm @ (H @ u) with
     u = W @ text, and the pooled vector is ((weights @ A_norm) @ H) @ W:
-    products of one row per subgraph, not of the (S*N, k) node stack."""
+    products of one row per subgraph, not of the (S*N, k) node stack. The
+    pool is one tape node. Its pullback runs the products a tape of those
+    steps would, except that the two outer products of a column and a row
+    are broadcasts; each gradient it sums has two terms."""
     if hidden.data.ndim != 3 or hidden.shape[0] == 0:
         raise ValueError("graph_attention_pool: need a non-empty (S, N, k) stack")
     s, n, k = hidden.shape
@@ -204,16 +229,42 @@ def graph_attention_pool(
     d = last_layer.shape[1]
     if adjacency.shape != (s, n, n):
         raise ValueError(f"graph_attention_pool: adjacency {adjacency.shape} does not match ({s}, {n}, {n})")
-    if text_vecs.shape != (s, d):
-        raise ValueError(f"graph_attention_pool: text vectors {text_vecs.shape} do not match ({s}, {d})")
+    if text.data.ndim != 2 or text.shape[1] != d:
+        raise ValueError(f"graph_attention_pool: text {text.shape} is not (C, {d})")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.shape != (s,) or rows[0] < 0 or rows[-1] >= text.shape[0] or np.any(rows[1:] <= rows[:-1]):
+        raise ValueError(f"graph_attention_pool: need {s} increasing text rows below {text.shape[0]}")
     if mask.shape != (s, n) or not mask.any(axis=1).all():
         raise ValueError(f"graph_attention_pool: need a ({s}, {n}) mask with a real node in every row")
-    u = ad.reshape(ad.matmul(text_vecs, ad.transpose(last_layer)), (s, k, 1))
-    scores = ad.reshape(ad.matmul(adjacency, ad.matmul(hidden, u)), (s, n))
+    w, nodes, t = last_layer.data, hidden.data, text.data[rows]
+    u = (t @ w.T).reshape(s, k, 1)
+    scores = (adjacency @ (nodes @ u)).reshape(s, n)
     # padding scores -inf, so its softmax weight is exactly 0
-    weights = ad.row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
-    mixed = ad.matmul(ad.matmul(ad.reshape(weights, (s, 1, n)), adjacency), hidden)
-    return ad.matmul(ad.reshape(mixed, (s, k)), last_layer), weights
+    weights = ad.softmax_last(scores + np.where(mask, 0.0, -np.inf))
+    weighted = weights.reshape(s, 1, n) @ adjacency
+    mixed = weighted @ nodes
+    out = np.zeros((text.shape[0], d))
+    out[rows] = mixed.reshape(s, k) @ w
+
+    def pullback(g: np.ndarray):
+        # + 0.0 writes +0.0 for -0.0, as the scatter-add of a row gather does
+        g_pooled = g[rows] + 0.0
+        g_mixed = (g_pooled @ w.T).reshape(s, 1, k)
+        g_weighted = g_mixed @ nodes.swapaxes(1, 2)
+        g_scores = ad.softmax_last_pullback(weights, (g_weighted @ adjacency.swapaxes(1, 2)).reshape(s, n))
+        g_projected = adjacency.swapaxes(1, 2) @ g_scores.reshape(s, n, 1)
+        g_u = (nodes.swapaxes(1, 2) @ g_projected).reshape(s, k)
+        g_text = g_nodes = g_w = None
+        if text.requires_grad:
+            g_text = np.zeros(text.shape)
+            g_text[rows] = g_u @ w + 0.0
+        if hidden.requires_grad:
+            g_nodes = weighted.swapaxes(1, 2) * g_mixed + g_projected * u.swapaxes(1, 2)
+        if last_layer.requires_grad:
+            g_w = mixed.reshape(s, k).T @ g_pooled + (t.T @ g_u).T
+        return g_text, g_nodes, g_w
+
+    return ad.record(out, (text, hidden, last_layer), pullback), weights
 
 
 def er_attention(

@@ -43,12 +43,28 @@ class Adam:
                 raise ValueError(f"Adam: grad shape {g.shape} does not match param {p.data.shape}")
         self.steps += 1
         t = self.steps
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+        # p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), with
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
+        # updated in place. Each operation and its order is that of the
+        # expressions, so the bits are too; the step is built in one scratch
+        # array and the denominator in one more
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            step = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += step
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
+            v *= self.beta2
+            v += step
+            denom = np.divide(v, 1.0 - self.beta2**t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1.0 - self.beta1**t, out=step)
+            step /= denom
+            np.multiply(p.data, self.weight_decay, out=denom)
+            step += denom
+            step *= self.lr
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -14,7 +14,11 @@ never carries gradient.
 
 Scoring is choice-stacked: encode_batch runs every choice of a batch of
 questions through each encoder at once, and classify applies the
-per-question weights and the classifier to those features. Training runs
+per-question weights and the classifier to those features. The attention
+pool takes the whole text matrix and writes every choice's graph row
+itself. Zero features are built only where classify reads them: graph
+and knowledge rows in text-only, graph rows where no choice of a batch
+has a subgraph. Training runs
 one of each per batch of config.batch_size questions (score_batch).
 evaluate() runs one encoder pass per chunk and, in act-know, two
 classifier products on it: unit weights for the entropies, then the
@@ -337,23 +341,18 @@ def encode_batch(
         raise ValueError("encode_batch: the GCN runs on questions prepared without their subgraphs")
     text = encode_text([c.token_ids for c in choices], params.text)
 
-    graph = Tensor(np.zeros((len(choices), d)))
-    knowledge = Tensor(np.zeros((len(choices), 2 * d)))
     rows = np.zeros(0, dtype=np.intp)
     attention = np.zeros((0, 0))
-    if config.graph_side:
+    if not config.graph_side:
+        graph, knowledge = Tensor(np.zeros((len(choices), d))), Tensor(np.zeros((len(choices), 2 * d)))
+    else:
         # a built subgraph holds at least its seeds
         rows = np.flatnonzero([c.subgraph is not None for c in choices])
         if rows.size:
             hidden, adjacency, mask = gcn_forward([choices[i].subgraph for i in rows], params.gcn)
-            pooled, attn = graph_attention_pool(
-                hidden, adjacency, mask, ad.gather(text, rows), params.gcn.layers[-1]
-            )
-            # choices without a subgraph read the zero row appended after the pooled ones
-            slot = np.full(len(choices), rows.size)
-            slot[rows] = np.arange(rows.size)
-            graph = ad.gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
-            attention = attn.data
+            graph, attention = graph_attention_pool(hidden, adjacency, mask, text, rows, params.gcn.layers[-1])
+        else:
+            graph = Tensor(np.zeros((len(choices), d)))
         knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
 

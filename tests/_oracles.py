@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Thirteen package paths that simpler or faster ones
+no code with src/. Fourteen package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -15,10 +15,13 @@ functional Adam step that the in-place `Adam` replaced, the n-gram mention
 scan and neighbor-loop DFS that the label trie and the last-hop membership
 test replaced, the KG embedding loop that drew its corruptions per triple
 before one draw per epoch replaced it, the masked softmax op that the
-pool's row softmax over -inf padding scores replaced, and evaluation in
+pool's row softmax over -inf padding scores replaced, evaluation in
 chunks of batch_size questions that chunks sized by their choices and
-padded node rows replaced. The second to fifth and the masked softmax run
-on the package's autodiff tape so that gradients can be compared too.
+padded node rows replaced, and the graph side as a tape of primitives
+(gather, reshape and a batched matmul among them) that the hand-
+differentiated GCN hidden stack and attention pool nodes replaced. The
+second to fifth, the masked softmax and the composed graph side run on the
+package's autodiff tape so that gradients can be compared too.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from actknow.errors import ConfigError
 from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
+from actknow import training
 from actknow.training import (
+    Features,
     ModelParams,
     PreparedQuestion,
     TrainConfig,
@@ -192,7 +197,7 @@ def retrieve(index: InvertedIndex, query: str, k: int) -> list[tuple[int, float]
 def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
     if token_ids.size == 0:
         raise ValueError("encode_text: empty token sequence")
-    embedded = ad.gather(params.token_embedding, token_ids)
+    embedded = gather(params.token_embedding, token_ids)
     pooled = ad.mean(embedded, axis=0)
     return ad.relu(ad.add(ad.matmul(params.projection, pooled), params.bias))
 
@@ -203,7 +208,7 @@ def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
     if sub.n_nodes == 0:
         raise ValueError("gcn_forward: empty subgraph")
     a_norm = Tensor(sub.norm_adjacency)
-    h = ad.gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
+    h = gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
     last = len(params.layers) - 1
     for i, w in enumerate(params.layers):
         h = ad.matmul(ad.matmul(a_norm, h), w)
@@ -291,7 +296,7 @@ def score_question(
             [text_vec, ad.scalar_mul(graph_vec, weight), ad.scalar_mul(knowledge_vec, weight)]
         )
         logit = ad.matmul(params.classifier, feats)
-        parts.append(ad.reshape(logit, (1,)))
+        parts.append(reshape(logit, (1,)))
         if details is not None:
             details.append(choice_detail)
     return ad.concat(parts)
@@ -314,7 +319,7 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
         grad[target] -= 1.0
         return (grad * g,)
 
-    return ad._result(np.asarray(lse - logits.data[target]), (logits,), pullback)
+    return ad.record(np.asarray(lse - logits.data[target]), (logits,), pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +335,12 @@ def segment_mean(a: Tensor, starts: np.ndarray) -> Tensor:
     counts = ad._segment_counts(starts, a.shape[0])
     scale = counts.reshape((-1,) + (1,) * (a.data.ndim - 1))
     data = np.add.reduceat(a.data, starts, axis=0) / scale
-    return ad._result(data, (a,), lambda g: (np.repeat(g / scale, counts, axis=0),))
+    return ad.record(data, (a,), lambda g: (np.repeat(g / scale, counts, axis=0),))
 
 
 def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
     starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
-    embedded = ad.gather(params.token_embedding, np.concatenate(sequences))
+    embedded = gather(params.token_embedding, np.concatenate(sequences))
     pooled = segment_mean(embedded, starts)
     return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
 
@@ -596,7 +601,7 @@ def softmax_over_mask(a: Tensor, mask: np.ndarray) -> Tensor:
         dot = np.sum(g * out, axis=1, keepdims=True)
         return (out * (g - dot),)
 
-    return ad._result(out, (a,), pullback)
+    return ad.record(out, (a,), pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +630,116 @@ def evaluate_by_batch_size(
             rows.append({"id": pq.qid, "predicted": pred, "gold": pq.answer_index,
                          "correct": pred == pq.answer_index, "entropy": entropy, "logits": z.tolist()})
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the graph side as a tape of primitives, before the GCN hidden stack and
+# the attention pool each became one node with a hand-written pullback: the
+# ops it was built from, which the package no longer runs, and the composed
+# forward passes. The fused nodes must match them bit for bit, gradients too
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    old = a.data.shape
+    return ad.record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
+def gather(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup: out[i] = table[ids[i]]. Pullback scatter-adds."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("gather: ids must be a non-empty 1-D integer array")
+    if ids.min() < 0 or ids.max() >= table.data.shape[0]:
+        raise IndexError("gather: id out of range")
+    shape = table.data.shape
+
+    def pullback(g: np.ndarray):
+        acc = np.zeros(shape)
+        np.add.at(acc, ids, g)
+        return (acc,)
+
+    return ad.record(table.data[ids], (table,), pullback)
+
+
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The batched (S, n, k) @ (S, k, m) product of two 3-D stacks."""
+    if a.data.ndim != 3 or b.data.ndim != 3:
+        raise ValueError(f"batched_matmul: need two 3-D stacks, got {a.shape} @ {b.shape}")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"batched_matmul: batch sizes differ {a.shape} @ {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as exc:
+        raise ValueError(f"batched_matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
+
+    def pullback(g: np.ndarray):
+        return (g @ b.data.swapaxes(1, 2) if a.requires_grad else None,
+                a.data.swapaxes(1, 2) @ g if b.requires_grad else None)
+
+    return ad.record(data, (a, b), pullback)
+
+
+def gcn_forward_composed(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, Tensor, np.ndarray]:
+    """encoders.gcn_forward as a tape of primitives: the padded hidden
+    stack, the adjacency stack as a constant Tensor, and the mask."""
+    n = max(sub.n_nodes for sub in subgraphs)
+    adjacency = np.zeros((len(subgraphs), n, n))
+    mask = np.zeros((len(subgraphs), n), dtype=bool)
+    for i, sub in enumerate(subgraphs):
+        adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
+        mask[i, : sub.n_nodes] = True
+    features = np.zeros(mask.shape + (params.node_features.shape[1],))
+    features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
+    a_norm, h = Tensor(adjacency), Tensor(features)
+    for w in params.layers[:-1]:
+        h = batched_matmul(a_norm, h)
+        rows = ad.matmul(reshape(h, (-1, h.shape[2])), w)
+        h = ad.relu(reshape(rows, (len(subgraphs), n, w.shape[1])))
+    return h, a_norm, mask
+
+
+def graph_attention_pool_composed(
+    hidden: Tensor, adjacency: Tensor, mask: np.ndarray, text_vecs: Tensor, last_layer: Tensor
+) -> tuple[Tensor, Tensor]:
+    """encoders.graph_attention_pool as a tape of primitives, over the
+    (S, d) text rows of the pooled choices: the (S, d) pooled vectors and
+    the (S, N) attention weights."""
+    s, n, k = hidden.shape
+    u = reshape(ad.matmul(text_vecs, ad.transpose(last_layer)), (s, k, 1))
+    scores = reshape(batched_matmul(adjacency, batched_matmul(hidden, u)), (s, n))
+    weights = ad.row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
+    mixed = batched_matmul(batched_matmul(reshape(weights, (s, 1, n)), adjacency), hidden)
+    return ad.matmul(reshape(mixed, (s, k)), last_layer), weights
+
+
+def encode_batch_composed(
+    questions: list[PreparedQuestion],
+    params: ModelParams,
+    config: TrainConfig,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> Features:
+    """training.encode_batch with the composed graph side: the pooled text
+    rows gathered from the text matrix, and the graph features gathered
+    from the pooled rows and a zero row."""
+    choices = [c for pq in questions for c in pq.choices]
+    counts = np.array([len(pq.choices) for pq in questions])
+    d = params.dim
+    text = training.encode_text([c.token_ids for c in choices], params.text)
+    graph = Tensor(np.zeros((len(choices), d)))
+    knowledge = Tensor(np.zeros((len(choices), 2 * d)))
+    rows = np.zeros(0, dtype=np.intp)
+    attention = np.zeros((0, 0))
+    if config.graph_side:
+        rows = np.flatnonzero([c.subgraph is not None for c in choices])
+        if rows.size:
+            hidden, adjacency, mask = gcn_forward_composed([choices[i].subgraph for i in rows], params.gcn)
+            pooled, attn = graph_attention_pool_composed(
+                hidden, adjacency, mask, gather(text, rows), params.gcn.layers[-1]
+            )
+            slot = np.full(len(choices), rows.size)
+            slot[rows] = np.arange(rows.size)
+            graph = gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
+            attention = attn.data
+        knowledge = training.er_attention(text, params.er, config.gumbel_temperature, train, rng)
+    return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)

@@ -14,11 +14,14 @@ from conftest import mark_leaves, tiny_config, tiny_model
 
 from _oracles import (
     all_simple_paths,
+    batched_matmul,
     bm25_scan,
     dense_gcn,
     dense_normalize,
     fd_gradient,
+    gather,
     max_rel_error,
+    reshape,
 )
 from actknow import autodiff as ad
 from actknow import training
@@ -74,7 +77,7 @@ def _small_task(**overrides):
 
 
 def _project(t: Tensor, w: np.ndarray) -> Tensor:
-    flat = ad.reshape(t, (-1,))
+    flat = reshape(t, (-1,))
     return ad.matmul(flat, Tensor(w.reshape(-1)))
 
 
@@ -114,7 +117,7 @@ def _primitive_factories():
 
     def f_reshape(rng):
         w = rng.normal(size=6)
-        return lambda leaf: _project(ad.reshape(leaf, (2, 3)), w), rng.normal(size=6)
+        return lambda leaf: _project(reshape(leaf, (2, 3)), w), rng.normal(size=6)
 
     def f_relu(rng):
         w = rng.normal(size=5)
@@ -128,7 +131,7 @@ def _primitive_factories():
     def f_gather(rng):
         ids = np.array([0, 2, 2, 4], dtype=np.int64)
         w = rng.normal(size=12)
-        return lambda leaf: _project(ad.gather(leaf, ids), w), rng.normal(size=(5, 3))
+        return lambda leaf: _project(gather(leaf, ids), w), rng.normal(size=(5, 3))
 
     def f_row_softmax(rng):
         w = rng.normal(size=12)
@@ -156,7 +159,7 @@ def _primitive_factories():
 
     def f_batched_matmul(rng):
         b, w = rng.normal(size=(2, 3, 2)), rng.normal(size=8)
-        return lambda leaf: _project(ad.matmul(leaf, Tensor(b)), w), rng.normal(size=(2, 2, 3))
+        return lambda leaf: _project(batched_matmul(leaf, Tensor(b)), w), rng.normal(size=(2, 2, 3))
 
     def f_row_dot(rng):
         v, w = rng.normal(size=4), rng.normal(size=3)
@@ -167,9 +170,35 @@ def _primitive_factories():
         w = rng.normal(size=3)
         return lambda leaf: _project(ad.segment_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
 
+    def f_gcn_hidden_stack(rng):
+        # two subgraphs padded to three nodes; the leaf is the first of two hidden layers
+        subs = [Subgraph(nodes=[0, 2, 4], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 3)), paths=[]),
+                Subgraph(nodes=[1, 3], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 2)), paths=[])]
+        features, second, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 4)), rng.normal(size=24)
+
+        def build(leaf):
+            params = GCNParams(layers=[leaf, Tensor(second), Tensor(np.eye(4))], node_features=Tensor(features))
+            return _project(gcn_forward(subs, params)[0], w)
+
+        return build, rng.normal(size=(3, 4))
+
+    def f_attention_pool(rng):
+        # the leaf is a padded (2, 3, 4) hidden stack, pooled against text rows 0 and 2 of 3
+        adjacency = np.stack([normalize_adjacency(_random_symmetric(rng, 3)), np.zeros((3, 3))])
+        adjacency[1, :2, :2] = normalize_adjacency(_random_symmetric(rng, 2))
+        mask = np.array([[True, True, True], [True, True, False]])
+        text, last, w = rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), rng.normal(size=6)
+
+        def build(leaf):
+            pooled, _ = graph_attention_pool(leaf, adjacency, mask, Tensor(text), np.array([0, 2]), Tensor(last))
+            return _project(pooled, w)
+
+        return build, rng.normal(size=(2, 3, 4))
+
     return [f_add, f_mul, f_scalar_mul, f_matmul, f_concat, f_reshape, f_relu,
             f_mean, f_gather, f_row_softmax, f_gumbel, f_transpose, f_add_row,
-            f_concat_axis, f_batched_matmul, f_row_dot, f_segment_cross_entropy]
+            f_concat_axis, f_batched_matmul, f_row_dot, f_segment_cross_entropy,
+            f_gcn_hidden_stack, f_attention_pool]
 
 
 def test_criterion_1_gradient_suite():
@@ -247,7 +276,8 @@ def test_criterion_2_normalization_oracles():
         sub = Subgraph(nodes=list(range(n)), norm_adjacency=norm, paths=[])
         params = GCNParams(layers=[Tensor(w1), Tensor(w2)], node_features=Tensor(features))
         text = text_rng.normal(size=d2)
-        got, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), params.layers[-1])
+        got, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), np.arange(1),
+                                      params.layers[-1])
         nodes = dense_gcn(dense_normalize(c), features, [w1, w2])
         scores = nodes @ text
         e = np.exp(scores - scores.max())

@@ -9,14 +9,12 @@ from actknow.autodiff import (
     add_row,
     backward,
     concat,
-    gather,
     gumbel_softmax,
     gumbel_softmax_with_noise,
     matmul,
     mean,
     mul,
     relu,
-    reshape,
     row_dot,
     row_softmax,
     scalar_mul,
@@ -27,7 +25,7 @@ from actknow.autodiff import (
 from actknow.errors import ConfigError
 
 import _oracles
-from _oracles import cross_entropy, fd_gradient, max_rel_error, segment_mean
+from _oracles import batched_matmul, cross_entropy, fd_gradient, gather, max_rel_error, reshape, segment_mean
 
 RNG = np.random.default_rng(42)
 
@@ -86,27 +84,28 @@ def test_matmul_grad_all_rank_pairs():
 
 
 def _constant_operand_cases():
-    """(a, b, explicit grad of a, explicit grad of b) per matmul rank pair,
-    each formula taking the upstream gradient g."""
+    """(op, a, b, explicit grad of a, explicit grad of b) per matmul rank
+    pair, each formula taking the upstream gradient g. The 3-D pair is the
+    batched product the graph side's oracles run."""
     m, k, n = 3, 4, 2
     a2, b2 = RNG.normal(size=(m, k)), RNG.normal(size=(k, n))
     a3, b3 = RNG.normal(size=(2, m, k)), RNG.normal(size=(2, k, n))
     u, v = RNG.normal(size=m), RNG.normal(size=k)
     return [
-        (a3, b3, lambda g: g @ b3.swapaxes(1, 2), lambda g: a3.swapaxes(1, 2) @ g),
-        (a2, b2, lambda g: g @ b2.T, lambda g: a2.T @ g),
-        (a2, v, lambda g: np.outer(g, v), lambda g: a2.T @ g),
-        (u, a2, lambda g: a2 @ g, lambda g: np.outer(u, g)),
-        (v, v[::-1].copy(), lambda g: g * v[::-1], lambda g: g * v),
+        (batched_matmul, a3, b3, lambda g: g @ b3.swapaxes(1, 2), lambda g: a3.swapaxes(1, 2) @ g),
+        (matmul, a2, b2, lambda g: g @ b2.T, lambda g: a2.T @ g),
+        (matmul, a2, v, lambda g: np.outer(g, v), lambda g: a2.T @ g),
+        (matmul, u, a2, lambda g: a2 @ g, lambda g: np.outer(u, g)),
+        (matmul, v, v[::-1].copy(), lambda g: g * v[::-1], lambda g: g * v),
     ]
 
 
 @pytest.mark.parametrize("case", range(5), ids=["3d@3d", "2d@2d", "2d@1d", "1d@2d", "1d@1d"])
 @pytest.mark.parametrize("trainable", [0, 1])
 def test_matmul_skips_the_constant_operand(case, trainable):
-    a, b, grad_a, grad_b = _constant_operand_cases()[case]
+    op, a, b, grad_a, grad_b = _constant_operand_cases()[case]
     ta, tb = Tensor(a, requires_grad=trainable == 0), Tensor(b, requires_grad=trainable == 1)
-    out = matmul(ta, tb)
+    out = op(ta, tb)
     g = RNG.normal(size=out.shape)
     pulled = out._pullback(g)
     assert pulled[1 - trainable] is None
@@ -158,16 +157,18 @@ def test_concat_along_axes():
 
 def test_batched_matmul():
     a, b = RNG.normal(size=(3, 2, 4)), RNG.normal(size=(3, 4, 5))
-    out = matmul(Tensor(a), Tensor(b))
+    out = batched_matmul(Tensor(a), Tensor(b))
     assert out.shape == (3, 2, 5)
     assert np.max(np.abs(out.data[1] - a[1] @ b[1])) < 1e-12
     with pytest.raises(ValueError):
-        matmul(Tensor(a), Tensor(b[:2]))  # batch sizes differ
+        batched_matmul(Tensor(a), Tensor(b[:2]))  # batch sizes differ
     with pytest.raises(ValueError):
-        matmul(Tensor(a), Tensor(b[0]))  # 3-D needs a 3-D partner
+        batched_matmul(Tensor(a), Tensor(b[0]))  # 3-D needs a 3-D partner
+    with pytest.raises(ValueError):
+        matmul(Tensor(a), Tensor(b))  # the package's matmul takes 1-D and 2-D operands
     w = RNG.normal(size=30)
-    grad_check(lambda t: project(matmul(t, Tensor(b)), w), a, tol=1e-5)
-    grad_check(lambda t: project(matmul(Tensor(a), t), w), b, tol=1e-5)
+    grad_check(lambda t: project(batched_matmul(t, Tensor(b)), w), a, tol=1e-5)
+    grad_check(lambda t: project(batched_matmul(Tensor(a), t), w), b, tol=1e-5)
 
 
 def test_transpose():

@@ -1,10 +1,13 @@
 """Text encoder, graph convolution, attention pooling, entity/relation attention."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from actknow import autodiff
-from actknow.autodiff import Tensor, backward, matmul, reshape
+from actknow.autodiff import Tensor, backward, matmul
 from actknow.encoders import (
     GCNParams,
     SEP_ID,
@@ -23,7 +26,7 @@ from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
-from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, max_rel_error
+from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, max_rel_error, reshape
 from conftest import mark_leaves
 
 RNG = np.random.default_rng(21)
@@ -146,11 +149,12 @@ def test_bag_product_matches_gather_and_segment_mean():
             assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
-def test_encode_text_backward_does_no_scatter(monkeypatch):
-    def no_gather(*args, **kwargs):
-        raise AssertionError("the text encoder must not gather token rows")
-
-    monkeypatch.setattr(autodiff, "gather", no_gather)
+def test_encode_text_backward_does_no_scatter():
+    # the package has no scatter-add at all: no gather op, no np.add.at
+    assert not hasattr(autodiff, "gather")
+    for path in glob.glob(os.path.join(os.path.dirname(autodiff.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            assert "add.at" not in fh.read(), path
     params = init_text_params(vocab_size=9, dim=4, rng=np.random.default_rng(3))
     mark_leaves(params.token_embedding, params.projection, params.bias)
     out = encode_text([np.array([2, 8, 2]), np.array([SEP_ID])], params)
@@ -194,7 +198,7 @@ def node_outputs(subgraphs, params):
     gcn_forward's stacks the way graph_attention_pool never builds them,
     and the mask."""
     hidden, adjacency, mask = gcn_forward(subgraphs, params)
-    return adjacency.data @ hidden.data @ params.layers[-1].data, mask
+    return adjacency @ hidden.data @ params.layers[-1].data, mask
 
 
 def pooled_by_brute_force(nodes, text):
@@ -256,7 +260,7 @@ def test_gcn_batch_pads_with_exact_zeros():
         k = sub.n_nodes
         assert list(mask[i]) == [True] * k + [False] * (n - k)
         assert np.all(hidden.data[i, k:] == 0.0) and np.all(out[i, k:] == 0.0)
-        assert np.all(adjacency.data[i, k:] == 0.0) and np.all(adjacency.data[i, :, k:] == 0.0)
+        assert np.all(adjacency[i, k:] == 0.0) and np.all(adjacency[i, :, k:] == 0.0)
         expected = dense_gcn(
             sub.norm_adjacency,
             feats.vectors[np.asarray(sub.nodes)],
@@ -274,7 +278,7 @@ def test_one_layer_gcn_hands_the_node_features_to_the_pool():
     params = init_gcn_params([5, 4], feats, np.random.default_rng(5))
     hidden, adjacency, mask = gcn_forward(subs, params)
     text = np.random.default_rng(6).normal(size=(3, 4))
-    pooled, _ = graph_attention_pool(hidden, adjacency, mask, Tensor(text), params.layers[0])
+    pooled, _ = graph_attention_pool(hidden, adjacency, mask, Tensor(text), np.arange(3), params.layers[0])
     for i, sub in enumerate(subs):
         k = sub.n_nodes
         assert np.array_equal(hidden.data[i, :k], feats.vectors[np.asarray(sub.nodes)])
@@ -298,7 +302,8 @@ def test_gcn_pooled_output_permutation_invariant():
         base = embedding(3, 3, seed=6).vectors
         feats = np.stack([base[ord(graph.entities[e]) - ord("a")] for e in range(graph.n_entities)])
         params = GCNParams(layers=[Tensor(np.eye(3)), Tensor(SECOND_LAYER)], node_features=Tensor(feats))
-        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), params.layers[-1])
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), np.arange(1),
+                                         params.layers[-1])
         outputs.append(pooled.data[0])
     assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
 
@@ -322,7 +327,7 @@ def check_gcn_gradient(dims):
     w = np.random.default_rng(11).normal(size=3)
 
     def forward():
-        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text, params.layers[-1])
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text, np.arange(1), params.layers[-1])
         return matmul(reshape(pooled, (-1,)), Tensor(w))
 
     backward(forward())
@@ -347,8 +352,8 @@ def pool_nodes(nodes, mask, text):
     """graph_attention_pool over given (S, N, d) node outputs: with identity
     adjacencies and an identity last layer the stack is its own output."""
     s, n, d = nodes.shape
-    adjacency = Tensor(np.broadcast_to(np.eye(n), (s, n, n)).copy())
-    return graph_attention_pool(Tensor(nodes), adjacency, mask, Tensor(text), Tensor(np.eye(d)))
+    adjacency = np.broadcast_to(np.eye(n), (s, n, n)).copy()
+    return graph_attention_pool(Tensor(nodes), adjacency, mask, Tensor(text), np.arange(s), Tensor(np.eye(d)))
 
 
 def test_pool_single_node_returns_it():
@@ -370,7 +375,7 @@ def test_pool_matches_brute_force():
     out, attn = pool_nodes(nodes[None], np.ones((1, 5), bool), text[None])
     pooled, weights = pooled_by_brute_force(nodes, text)
     assert np.max(np.abs(out.data[0] - pooled)) < 1e-10
-    assert np.max(np.abs(attn.data[0] - weights)) < 1e-10
+    assert np.max(np.abs(attn[0] - weights)) < 1e-10
 
 
 def test_pool_ignores_padding():
@@ -379,7 +384,7 @@ def test_pool_ignores_padding():
     mask = np.array([[True] * 4, [True, True, False, False]])
     text = RNG.normal(size=(2, 3))
     out, attn = pool_nodes(nodes, mask, text)
-    assert np.all(attn.data[1, 2:] == 0.0)
+    assert np.all(attn[1, 2:] == 0.0)
     for i, k in ((0, 4), (1, 2)):
         assert np.max(np.abs(out.data[i] - pooled_by_brute_force(nodes[i, :k], text[i])[0])) < 1e-10
 
@@ -392,22 +397,23 @@ def test_pool_matches_pooling_the_built_node_outputs():
     graph = graph_from_triples(PADDED_TRIPLES)
     params = init_gcn_params([5, 7, 4], embedding(graph.n_entities, 5, seed=4), np.random.default_rng(5))
     text = np.random.default_rng(6).normal(size=(3, 4))
-    pooled, attn = graph_attention_pool(*gcn_forward(subs, params), Tensor(text), params.layers[-1])
+    pooled, attn = graph_attention_pool(*gcn_forward(subs, params), Tensor(text), np.arange(3), params.layers[-1])
     nodes, _ = node_outputs(subs, params)
     for i, sub in enumerate(subs):
         k = sub.n_nodes
         want, weights = pooled_by_brute_force(nodes[i, :k], text[i])
         assert np.max(np.abs(pooled.data[i] - want)) < 1e-10
-        assert np.max(np.abs(attn.data[i, :k] - weights)) < 1e-10
-        assert np.all(attn.data[i, k:] == 0.0)
+        assert np.max(np.abs(attn[i, :k] - weights)) < 1e-10
+        assert np.all(attn[i, k:] == 0.0)
 
 
 def test_pool_rejects_empty():
-    def pool(shape, mask, adjacency=None, last_layer=(3, 3)):
+    def pool(shape, mask, adjacency=None, last_layer=(3, 3), rows=None):
         s, n, k = shape
         adjacency = np.zeros((s, n, n)) if adjacency is None else adjacency
-        return graph_attention_pool(Tensor(np.zeros(shape)), Tensor(adjacency), mask,
-                                    Tensor(np.zeros((s, last_layer[1]))), Tensor(np.zeros(last_layer)))
+        rows = np.arange(s) if rows is None else rows
+        return graph_attention_pool(Tensor(np.zeros(shape)), adjacency, mask,
+                                    Tensor(np.zeros((s, last_layer[1]))), rows, Tensor(np.zeros(last_layer)))
 
     with pytest.raises(ValueError):
         pool((0, 2, 3), np.zeros((0, 2), bool))
@@ -419,6 +425,12 @@ def test_pool_rejects_empty():
         pool((1, 2, 3), np.ones((1, 2), bool), adjacency=np.zeros((1, 3, 3)))
     with pytest.raises(ValueError):  # a last layer that takes another width
         pool((1, 2, 3), np.ones((1, 2), bool), last_layer=(4, 3))
+    with pytest.raises(ValueError):  # a text row past the text matrix
+        pool((1, 2, 3), np.ones((1, 2), bool), rows=np.array([1]))
+    with pytest.raises(ValueError):  # one text row per subgraph
+        pool((1, 2, 3), np.ones((1, 2), bool), rows=np.array([0, 0]))
+    with pytest.raises(ValueError):  # rows in increasing order, none repeated
+        pool((2, 2, 3), np.ones((2, 2), bool), rows=np.array([1, 0]))
 
 
 # ---------------------------------------------------------------------------

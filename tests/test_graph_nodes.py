@@ -1,0 +1,164 @@
+"""The graph side's two hand-differentiated tape nodes, the GCN hidden stack
+(encoders.gcn_forward) and the attention pool (graph_attention_pool),
+against the tape of primitives they replaced
+(_oracles.encode_batch_composed).
+
+On the training batches of the bundled noisy task at node budgets 3, 20
+and 60 and of the bundled lowdata task's act-know cell, the fused path must
+give the composed path's features, logits, loss and every gradient bit for
+bit: in the main updates, in graph-side pretraining, where the text encoder
+is frozen and the pool returns no text gradient, and at evaluation, which
+builds no tape. The tiny task adds one and three GCN layers, checked
+against the oracle and against finite differences.
+"""
+
+import importlib
+import os
+
+import numpy as np
+import pytest
+
+import _oracles
+from actknow import autodiff as ad
+from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
+from actknow.scenarios import lowdata_experiment, noisy_experiment
+from actknow.training import _batch_loss, classify, encode_batch, eval_chunks, score_batch
+from conftest import mark_leaves
+from test_training import build_task
+
+BUNDLED = ["noisy3", "noisy20", "noisy60", "lowdata"]
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture(scope="module")
+def bundled(noisy_dir, lowdata_dir, tmp_path_factory):
+    """name -> (config, prepared train split, freshly built model), each
+    prepared once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            out = str(tmp_path_factory.mktemp("out"))
+            if name == "lowdata":
+                cfg = training_config_for(lowdata_experiment(lowdata_dir, out), mode="act-know", data_fraction=0.2)
+            else:
+                cfg = training_config_for(noisy_experiment(noisy_dir, out), max_nodes=int(name[len("noisy"):]))
+            pipe = load_pipeline(cfg)
+            cache[name] = (cfg, prepare_split(pipe, "train", cfg), build_model(pipe, cfg))
+        return cache[name]
+
+    return get
+
+
+def _task(name, bundled):
+    if name.startswith("tiny"):
+        task = build_task(gcn_layers=int(name[len("tiny"):]))
+        return task.config, task.prepared, task.model
+    return bundled(name)
+
+
+def _batches(questions, config):
+    return [questions[i : i + config.batch_size] for i in range(0, len(questions), config.batch_size)]
+
+
+def _weights(batch, config):
+    """Unit weights, as base-know trains; random ones in act-know."""
+    if config.mode != "act-know":
+        return np.ones(len(batch))
+    return np.random.default_rng(len(batch)).uniform(0.0, 1.5, size=len(batch))
+
+
+def _step(encode, batch, model, config, tensors):
+    """Features, logits, loss and the gradient of every tensor of one
+    training batch, encoded by `encode` with a fresh same-seed Gumbel rng."""
+    for t in tensors:
+        t.grad = None
+    feats = encode(batch, model, config, train=True, rng=np.random.default_rng(17))
+    logits = classify(feats, model.classifier, _weights(batch, config))
+    loss = ad.mean(ad.segment_cross_entropy(logits, feats.starts, [pq.answer_index for pq in batch]))
+    ad.backward(loss)
+    return feats, logits, loss, [t.grad for t in tensors]
+
+
+def _assert_same_features(got, want):
+    for name in ("text", "graph", "knowledge"):
+        assert np.array_equal(getattr(got, name).data, getattr(want, name).data), name
+    assert np.array_equal(got.pooled, want.pooled)
+    assert np.array_equal(got.attention, want.attention)
+
+
+def _assert_fused_matches_composed(config, questions, model, with_text):
+    tensors = model.trainable(config, with_text=with_text)
+    mark_leaves(*tensors)
+    try:
+        for batch in _batches(questions, config):
+            got = _step(encode_batch, batch, model, config, tensors)
+            want = _step(_oracles.encode_batch_composed, batch, model, config, tensors)
+            _assert_same_features(got[0], want[0])
+            assert np.array_equal(got[1].data, want[1].data)
+            assert got[2].item() == want[2].item()
+            for tensor, g, w in zip(tensors, got[3], want[3]):
+                assert (g is None) == (w is None), tensor
+                assert g is None or np.array_equal(g, w), tensor
+            if got[0].pooled.size and not with_text:
+                # the frozen text gets no gradient from the pool
+                assert got[0].graph._pullback(np.ones(got[0].graph.shape))[0] is None
+    finally:
+        for t in tensors:
+            t.requires_grad = False
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["tiny1", "tiny3"])
+@pytest.mark.parametrize("with_text", [True, False], ids=["updates", "pretraining"])
+def test_fused_graph_side_matches_the_composed_tape(name, with_text, bundled):
+    config, questions, model = _task(name, bundled)
+    _assert_fused_matches_composed(config, questions, model, with_text)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_eval_builds_no_tape_and_matches_the_composed_features(name, bundled):
+    config, questions, model = _task(name, bundled)
+    assert not any(t.requires_grad for t in model.named().values())
+    for chunk in eval_chunks(questions):
+        got = encode_batch(chunk, model, config)
+        _assert_same_features(got, _oracles.encode_batch_composed(chunk, model, config))
+        for tensor in (got.text, got.graph, got.knowledge):
+            assert not tensor.requires_grad and tensor._pullback is None and not tensor._parents
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_batch_loss_gradients_match_fd(layers):
+    """Finite differences of one batch's loss, eval-mode attention, for
+    every GCN layer, the text projection and the classifier."""
+    task = build_task(gcn_layers=layers)
+    model, config, batch = task.model, task.config, task.prepared
+    tensors = mark_leaves(*model.gcn.layers, model.text.projection, model.classifier)
+    weights = np.array([1.0, 0.5, 1.5, 0.8])
+
+    def loss():
+        logits, starts = score_batch(batch, model, weights, config)
+        return ad.mean(ad.segment_cross_entropy(logits, starts, [pq.answer_index for pq in batch]))
+
+    ad.backward(loss())
+    for tensor in tensors:
+        numeric = _oracles.fd_gradient(lambda: loss().item(), tensor.data)
+        assert _oracles.max_rel_error(tensor.grad, numeric) < 1e-5, tensor
+
+
+def test_a_training_batch_tape_stays_small(bundled, monkeypatch):
+    """One base-know training batch on the noisy task at node budget 60,
+    its tape counted as the traced benchmark counts it: the graph side is
+    two nodes, so the tape holds at most 35 (52 when the graph side was a
+    tape of primitives)."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    tape_size = importlib.import_module("layers").tape_size
+    config, questions, model = bundled("noisy60")
+    batch = questions[: config.batch_size]
+    assert config.mode == "base-know"
+    tensors = mark_leaves(*model.trainable(config))
+    try:
+        loss = _batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
+        assert tape_size(loss) <= 35
+    finally:
+        for t in tensors:
+            t.requires_grad = False
