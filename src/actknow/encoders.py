@@ -13,10 +13,12 @@ Three per-choice representations feed the classifier:
 
 Each forward pass takes a batch of choices at once and returns one row per
 choice, so a batch costs a few array ops rather than one small tape per
-choice. The graph side is two tape nodes with hand-written pullbacks, the
-GCN's hidden layers and the attention pool, where a tape of primitives
-takes nineteen at two GCN layers; each pullback runs the products that tape
-would, so the gradients have the same bits.
+choice. Each encoder is one tape node with a hand-written pullback: the
+text encoder, the GCN's hidden layers, the attention pool and ER
+attention, where a tape of primitives takes 38 at two GCN layers. Each
+pullback runs the products that tape would, in the same orientation, and
+lists a parent once per gradient term where backward must add the terms
+as that tape did, so the gradients have the same bits.
 """
 
 from __future__ import annotations
@@ -132,33 +134,57 @@ def init_er_params(
 # forward passes, each over a batch of choices stacked along the first axis
 
 
-def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
-    """relu(P @ mean(token embeddings) + bias) per token sequence: (C, d).
-
-    The means are one product bag @ rows, where rows are the table rows of
-    the U distinct ids in the batch and bag is the constant (C, U) matrix
-    whose row c holds count(token in c) / len(c). The product's cost grows
-    with the batch's tokens, not the vocabulary, and backward writes the
-    rows' gradient bag.T @ g into the table's with no scatter-add."""
+def token_bag(sequences: list[np.ndarray], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The U distinct ids of a batch of token sequences, in increasing
+    order, and the (C, U) bag-of-words matrix whose row c holds
+    count(token in c) / len(c)."""
     lengths = np.array([seq.size for seq in sequences], dtype=np.int64)
     if lengths.size == 0 or lengths.min() == 0:
         raise ValueError("encode_text: need at least one sequence, none of them empty")
     ids = np.concatenate(sequences)
-    vocab = params.token_embedding.shape[0]
-    if ids.min() < 0 or ids.max() >= vocab:
+    if ids.min() < 0 or ids.max() >= vocab_size:
         raise IndexError("encode_text: token id out of range")
-    # the distinct ids in increasing order and each id's bag column, by
-    # counting: a few times faster than np.unique's sort on ~3,000 tokens
-    distinct = np.flatnonzero(np.bincount(ids, minlength=vocab))
-    column = np.zeros(vocab, dtype=np.int64)
+    # the distinct ids and each id's bag column, by counting: a few times
+    # faster than np.unique's sort on ~3,000 tokens
+    distinct = np.flatnonzero(np.bincount(ids, minlength=vocab_size))
+    column = np.zeros(vocab_size, dtype=np.int64)
     column[distinct] = np.arange(distinct.size)
     n_seq, n_distinct = len(sequences), distinct.size
     rows = np.repeat(np.arange(n_seq), lengths)
     weights = np.repeat(1.0 / lengths, lengths)
     bag = np.bincount(rows * n_distinct + column[ids], weights=weights, minlength=n_seq * n_distinct)
-    table_rows = ad.take_distinct_rows(params.token_embedding, distinct)
-    pooled = ad.matmul(Tensor(bag.reshape(n_seq, n_distinct)), table_rows)
-    return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
+    return distinct, bag.reshape(n_seq, n_distinct)
+
+
+def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
+    """relu(P @ mean(token embeddings) + bias) per token sequence: (C, d).
+
+    The means are one product bag @ rows (token_bag), where rows are the
+    table rows of the batch's distinct ids, so its cost grows with the
+    batch's tokens, not the vocabulary. The encoder is one tape node;
+    backward writes the rows' gradient bag.T @ g into the table's with no
+    scatter-add."""
+    table, projection, bias = params.token_embedding, params.projection, params.bias
+    distinct, bag = token_bag(sequences, table.shape[0])
+    pooled = bag @ table.data[distinct]
+    summed = pooled @ projection.data.T + bias.data
+
+    def pullback(g: np.ndarray):
+        # relu's mask: summed > 0 exactly where the output is
+        g = g * (summed > 0)
+        g_table = g_projection = g_bias = None
+        if table.requires_grad:
+            g_table = np.zeros(table.shape)
+            g_table[distinct] = bag.T @ (g @ projection.data)
+        if projection.requires_grad:
+            g_projection = (pooled.T @ g).T
+        if bias.requires_grad:
+            g_bias = g.sum(axis=0)
+        return g_table, g_projection, g_bias
+
+    # max(summed, 0) gives +0.0 for both signed zeros; a NaN stays NaN, and
+    # the loss check then raises
+    return ad.record(np.maximum(summed, 0.0), (table, projection, bias), pullback)
 
 
 def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -277,21 +303,51 @@ def er_attention(
     """Per text vector, the concat of attention-weighted projected entity and
     relation vectors: (C, d) -> (C, 2d). The tables are projected once.
 
-    Entity weights are Gumbel-softmax samples in train mode (rng required;
-    one row of noise per text vector, drawn in row order) and plain softmax
-    at eval; relation weights are always plain softmax.
-    """
-    projected_entities = ad.matmul(params.entity_table, params.entity_proj)
-    entity_scores = ad.matmul(text_vecs, ad.transpose(projected_entities))
+    Entity weights are Gumbel-softmax samples in train mode, softmax((scores
+    + noise) / T) (rng required; one row of noise per text vector, drawn in
+    row order), and plain softmax at eval; relation weights are always plain
+    softmax.
+
+    ER attention is one tape node. It lists the text twice, once for each
+    term of its gradient, entity scores first, and sums each projection's
+    two terms itself, so backward adds the same terms in the same order as
+    a tape of the steps above would."""
     if train:
         if rng is None:
             raise ValueError("er_attention: train mode needs an rng")
-        entity_weights = ad.gumbel_softmax(entity_scores, temperature, rng)
-    else:
-        entity_weights = ad.row_softmax(entity_scores)
-    entity_vecs = ad.matmul(entity_weights, projected_entities)
+        if temperature <= 0:
+            raise ConfigError(f"gumbel temperature must be positive, got {temperature}")
+    t = text_vecs.data
+    entity_table, relation_table = params.entity_table.data, params.relation_table.data
+    entity_proj, relation_proj = params.entity_proj, params.relation_proj
+    entities = entity_table @ entity_proj.data
+    entity_scores = t @ entities.T
+    if train:
+        entity_scores = (entity_scores + ad.sample_gumbel(entity_scores.shape, rng)) * (1.0 / temperature)
+    entity_weights = ad.softmax_last(entity_scores)
+    relations = relation_table @ relation_proj.data
+    relation_weights = ad.softmax_last(t @ relations.T)
+    d = entities.shape[1]
 
-    projected_relations = ad.matmul(params.relation_table, params.relation_proj)
-    relation_weights = ad.row_softmax(ad.matmul(text_vecs, ad.transpose(projected_relations)))
-    relation_vecs = ad.matmul(relation_weights, projected_relations)
-    return ad.concat([entity_vecs, relation_vecs], axis=1)
+    def side(weights, projected, g_vecs, proj, table, scale):
+        """One side's (text term, projection gradient), None where not needed."""
+        g_text = g_proj = None
+        if text_vecs.requires_grad or proj.requires_grad:
+            g_scores = ad.softmax_last_pullback(weights, g_vecs @ projected.T)
+            if scale is not None:
+                g_scores = g_scores * scale
+            if text_vecs.requires_grad:
+                g_text = g_scores @ projected
+            if proj.requires_grad:
+                g_proj = table.T @ (weights.T @ g_vecs + (t.T @ g_scores).T)
+        return g_text, g_proj
+
+    def pullback(g: np.ndarray):
+        g_text_e, g_entity_proj = side(entity_weights, entities, g[:, :d], entity_proj, entity_table,
+                                       1.0 / temperature if train else None)
+        g_text_r, g_relation_proj = side(relation_weights, relations, g[:, d:], relation_proj,
+                                         relation_table, None)
+        return g_text_e, g_text_r, g_entity_proj, g_relation_proj
+
+    out = np.concatenate([entity_weights @ entities, relation_weights @ relations], axis=1)
+    return ad.record(out, (text_vecs, text_vecs, entity_proj, relation_proj), pullback)

@@ -19,7 +19,11 @@ pool takes the whole text matrix and writes every choice's graph row
 itself. Zero features are built only where classify reads them: graph
 and knowledge rows in text-only, graph rows where no choice of a batch
 has a subgraph. Training runs
-one of each per batch of config.batch_size questions (score_batch).
+one of each per batch of config.batch_size questions (score_batch), then
+the mean cross-entropy of the batch's questions (mean_cross_entropy).
+classify and the loss are one tape node each, like each encoder, so a
+graph-side training batch's tape holds six nodes on top of its trainable
+tensors, and a text-only one three.
 evaluate() runs one encoder pass per chunk and, in act-know, two
 classifier products on it: unit weights for the entropies, then the
 entropy weights for the final logits. Its chunks do not follow
@@ -360,18 +364,50 @@ def encode_batch(
 def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor:
     """Logit of every choice: the classifier's dot product with
     concat(text, graph * w, knowledge * w), where weights holds one w per
-    question."""
+    question. One tape node; each row's dot product is summed the same way,
+    so equal rows give bit-equal logits wherever they sit, which a BLAS
+    matrix-vector product does not promise."""
     scale = np.repeat(np.asarray(weights, dtype=np.float64), feats.counts)[:, None]
-    graph, knowledge = feats.graph, feats.knowledge
-    rows = ad.concat(
-        [
-            feats.text,
-            ad.mul(graph, Tensor(np.broadcast_to(scale, graph.shape))),
-            ad.mul(knowledge, Tensor(np.broadcast_to(scale, knowledge.shape))),
-        ],
-        axis=1,
-    )
-    return ad.row_dot(rows, classifier)
+    text, graph, knowledge = feats.text, feats.graph, feats.knowledge
+    rows = np.concatenate([text.data, graph.data * scale, knowledge.data * scale], axis=1)
+    d = text.shape[1]
+
+    def pullback(g: np.ndarray):
+        g_rows = np.outer(g, classifier.data)
+        return (
+            g_rows[:, :d] if text.requires_grad else None,
+            g_rows[:, d : 2 * d] * scale if graph.requires_grad else None,
+            g_rows[:, 2 * d :] * scale if knowledge.requires_grad else None,
+            g @ rows if classifier.requires_grad else None,
+        )
+
+    return ad.record(np.sum(rows * classifier.data, axis=1), (text, graph, knowledge, classifier), pullback)
+
+
+def mean_cross_entropy(logits: Tensor, starts: np.ndarray, targets: list[int]) -> Tensor:
+    """Mean over questions of -log softmax(question's logits)[target]: flat
+    (C,) logits, each question's choices a segment given by its start
+    offset, targets indexing within their segment. One tape node."""
+    if logits.data.ndim != 1:
+        raise ValueError("mean_cross_entropy: logits must be 1-D")
+    counts = ad._segment_counts(starts, logits.shape[0])
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != counts.shape:
+        raise ValueError(f"mean_cross_entropy: {targets.size} targets for {counts.size} segments")
+    if np.any(targets < 0) or np.any(targets >= counts):
+        raise IndexError("mean_cross_entropy: target out of range for its segment")
+    z = logits.data
+    zmax = np.maximum.reduceat(z, starts)
+    lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, counts)), starts))
+    picked = starts + targets
+    probs = np.exp(z - np.repeat(lse, counts))
+
+    def pullback(g: np.ndarray):
+        grad = probs.copy()
+        grad[picked] -= 1.0
+        return (grad * (g / counts.size),)
+
+    return ad.record(np.mean(lse - z[picked]), (logits,), pullback)
 
 
 def score_batch(
@@ -553,8 +589,7 @@ def _batch_loss(
     """Mean over the batch's questions of each question's cross-entropy,
     each question's features scaled by its weight."""
     logits, starts = score_batch(batch, params, weights, config, train=True, rng=rng)
-    targets = [pq.answer_index for pq in batch]
-    return ad.mean(ad.segment_cross_entropy(logits, starts, targets))
+    return mean_cross_entropy(logits, starts, [pq.answer_index for pq in batch])
 
 
 def _mean_loss(rows: list[dict]) -> float:

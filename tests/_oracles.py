@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Fourteen package paths that simpler or faster ones
+no code with src/. Fifteen package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -17,10 +17,13 @@ test replaced, the KG embedding loop that drew its corruptions per triple
 before one draw per epoch replaced it, the masked softmax op that the
 pool's row softmax over -inf padding scores replaced, evaluation in
 chunks of batch_size questions that chunks sized by their choices and
-padded node rows replaced, and the graph side as a tape of primitives
+padded node rows replaced, the graph side as a tape of primitives
 (gather, reshape and a batched matmul among them) that the hand-
-differentiated GCN hidden stack and attention pool nodes replaced. The
-second to fifth, the masked softmax and the composed graph side run on the
+differentiated GCN hidden stack and attention pool nodes replaced, and the
+rest of the training step as a tape of primitives (matmul, concat, relu,
+row_dot, segment_cross_entropy and the Gumbel softmax among them) that the
+text encoder, ER attention, classifier and loss nodes replaced. The second
+to fifth, the masked softmax and the composed training step run on the
 package's autodiff tape so that gradients can be compared too.
 """
 
@@ -34,12 +37,11 @@ import numpy as np
 
 from actknow import autodiff as ad
 from actknow.autodiff import Tensor
-from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams
+from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams, token_bag
 from actknow.errors import ConfigError
 from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
 from actknow.subgraph import Subgraph
-from actknow import training
 from actknow.training import (
     Features,
     ModelParams,
@@ -199,7 +201,7 @@ def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
         raise ValueError("encode_text: empty token sequence")
     embedded = gather(params.token_embedding, token_ids)
     pooled = ad.mean(embedded, axis=0)
-    return ad.relu(ad.add(ad.matmul(params.projection, pooled), params.bias))
+    return relu(ad.add(matmul(params.projection, pooled), params.bias))
 
 
 def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
@@ -211,9 +213,9 @@ def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
     h = gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
     last = len(params.layers) - 1
     for i, w in enumerate(params.layers):
-        h = ad.matmul(ad.matmul(a_norm, h), w)
+        h = matmul(matmul(a_norm, h), w)
         if i != last:
-            h = ad.relu(h)
+            h = relu(h)
     return h
 
 
@@ -222,9 +224,9 @@ def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor
     attention weights."""
     if node_outputs.data.ndim != 2 or node_outputs.data.shape[0] == 0:
         raise ValueError("graph_attention_pool: need a non-empty (N, d) matrix")
-    scores = ad.matmul(node_outputs, text_vec)
-    weights = ad.row_softmax(scores)
-    return ad.matmul(weights, node_outputs), weights
+    scores = matmul(node_outputs, text_vec)
+    weights = row_softmax(scores)
+    return matmul(weights, node_outputs), weights
 
 
 def er_attention(
@@ -239,20 +241,20 @@ def er_attention(
     Entity weights are Gumbel-softmax samples in train mode (rng required)
     and plain softmax at eval; relation weights are always plain softmax.
     """
-    projected_entities = ad.matmul(params.entity_table, params.entity_proj)
-    entity_scores = ad.matmul(projected_entities, text_vec)
+    projected_entities = matmul(params.entity_table, params.entity_proj)
+    entity_scores = matmul(projected_entities, text_vec)
     if train:
         if rng is None:
             raise ValueError("er_attention: train mode needs an rng")
-        entity_weights = ad.gumbel_softmax(entity_scores, temperature, rng)
+        entity_weights = gumbel_softmax(entity_scores, temperature, rng)
     else:
-        entity_weights = ad.row_softmax(entity_scores)
-    entity_vec = ad.matmul(entity_weights, projected_entities)
+        entity_weights = row_softmax(entity_scores)
+    entity_vec = matmul(entity_weights, projected_entities)
 
-    projected_relations = ad.matmul(params.relation_table, params.relation_proj)
-    relation_weights = ad.row_softmax(ad.matmul(projected_relations, text_vec))
-    relation_vec = ad.matmul(relation_weights, projected_relations)
-    return ad.concat([entity_vec, relation_vec])
+    projected_relations = matmul(params.relation_table, params.relation_proj)
+    relation_weights = row_softmax(matmul(projected_relations, text_vec))
+    relation_vec = matmul(relation_weights, projected_relations)
+    return concat([entity_vec, relation_vec])
 
 
 def _zero_vec(n: int) -> Tensor:
@@ -292,14 +294,14 @@ def score_question(
             knowledge_vec = er_attention(text_vec, params.er, config.gumbel_temperature, train, rng)
         else:
             knowledge_vec = _zero_vec(2 * d)
-        feats = ad.concat(
-            [text_vec, ad.scalar_mul(graph_vec, weight), ad.scalar_mul(knowledge_vec, weight)]
+        feats = concat(
+            [text_vec, scalar_mul(graph_vec, weight), scalar_mul(knowledge_vec, weight)]
         )
-        logit = ad.matmul(params.classifier, feats)
+        logit = matmul(params.classifier, feats)
         parts.append(reshape(logit, (1,)))
         if details is not None:
             details.append(choice_detail)
-    return ad.concat(parts)
+    return concat(parts)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -342,7 +344,7 @@ def encode_text_by_gather(sequences: list[np.ndarray], params: TextEncoderParams
     starts = np.cumsum([0] + [ids.size for ids in sequences[:-1]])
     embedded = gather(params.token_embedding, np.concatenate(sequences))
     pooled = segment_mean(embedded, starts)
-    return ad.relu(ad.add_row(ad.matmul(pooled, ad.transpose(params.projection)), params.bias))
+    return relu(add_row(matmul(pooled, transpose(params.projection)), params.bias))
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +695,8 @@ def gcn_forward_composed(subgraphs: list[Subgraph], params: GCNParams) -> tuple[
     a_norm, h = Tensor(adjacency), Tensor(features)
     for w in params.layers[:-1]:
         h = batched_matmul(a_norm, h)
-        rows = ad.matmul(reshape(h, (-1, h.shape[2])), w)
-        h = ad.relu(reshape(rows, (len(subgraphs), n, w.shape[1])))
+        rows = matmul(reshape(h, (-1, h.shape[2])), w)
+        h = relu(reshape(rows, (len(subgraphs), n, w.shape[1])))
     return h, a_norm, mask
 
 
@@ -705,11 +707,11 @@ def graph_attention_pool_composed(
     (S, d) text rows of the pooled choices: the (S, d) pooled vectors and
     the (S, N) attention weights."""
     s, n, k = hidden.shape
-    u = reshape(ad.matmul(text_vecs, ad.transpose(last_layer)), (s, k, 1))
+    u = reshape(matmul(text_vecs, transpose(last_layer)), (s, k, 1))
     scores = reshape(batched_matmul(adjacency, batched_matmul(hidden, u)), (s, n))
-    weights = ad.row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
+    weights = row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
     mixed = batched_matmul(batched_matmul(reshape(weights, (s, 1, n)), adjacency), hidden)
-    return ad.matmul(reshape(mixed, (s, k)), last_layer), weights
+    return matmul(reshape(mixed, (s, k)), last_layer), weights
 
 
 def encode_batch_composed(
@@ -719,13 +721,14 @@ def encode_batch_composed(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Features:
-    """training.encode_batch with the composed graph side: the pooled text
-    rows gathered from the text matrix, and the graph features gathered
+    """training.encode_batch as a tape of primitives: the composed text
+    encoder and ER attention, and the composed graph side, with the pooled
+    text rows gathered from the text matrix and the graph features gathered
     from the pooled rows and a zero row."""
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
     d = params.dim
-    text = training.encode_text([c.token_ids for c in choices], params.text)
+    text = encode_text_composed([c.token_ids for c in choices], params.text)
     graph = Tensor(np.zeros((len(choices), d)))
     knowledge = Tensor(np.zeros((len(choices), 2 * d)))
     rows = np.zeros(0, dtype=np.intp)
@@ -739,7 +742,225 @@ def encode_batch_composed(
             )
             slot = np.full(len(choices), rows.size)
             slot[rows] = np.arange(rows.size)
-            graph = gather(ad.concat([pooled, Tensor(np.zeros((1, d)))]), slot)
+            graph = gather(concat([pooled, Tensor(np.zeros((1, d)))]), slot)
             attention = attn.data
-        knowledge = training.er_attention(text, params.er, config.gumbel_temperature, train, rng)
+        knowledge = er_attention_composed(text, params.er, config.gumbel_temperature, train, rng)
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
+
+
+# ---------------------------------------------------------------------------
+# the rest of the training step as a tape of primitives, before the text
+# encoder, ER attention, the classifier and the loss each became one node
+# with a hand-written pullback: the ops that tape was built from, which the
+# package no longer runs, and the composed stages. The fused step must match
+# them bit for bit, gradients and the next Gumbel draw too
+
+
+def scalar_mul(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return ad.record(a.data * c, (a,), lambda g: (g * c,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """numpy matmul semantics for the 1-D/2-D operand combinations."""
+    an, bn = a.data.ndim, b.data.ndim
+    if not (1 <= an <= 2 and 1 <= bn <= 2):
+        raise ValueError(f"matmul: operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as exc:
+        raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
+
+    # each pullback computes a gradient only for an operand that needs one
+    if an == 2 and bn == 2:
+        grad_a = lambda g: g @ b.data.T
+        grad_b = lambda g: a.data.T @ g
+    elif an == 2 and bn == 1:
+        grad_a = lambda g: np.outer(g, b.data)
+        grad_b = lambda g: a.data.T @ g
+    elif an == 1 and bn == 2:
+        grad_a = lambda g: b.data @ g
+        grad_b = lambda g: np.outer(a.data, g)
+    else:  # 1-D @ 1-D -> scalar
+        grad_a = lambda g: g * b.data
+        grad_b = lambda g: g * a.data
+
+    def pullback(g: np.ndarray):
+        return (grad_a(g) if a.requires_grad else None, grad_b(g) if b.requires_grad else None)
+
+    return ad.record(data, (a, b), pullback)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ValueError("transpose: input must be 2-D")
+    return ad.record(a.data.T, (a,), lambda g: (g.T,))
+
+
+def add_row(a: Tensor, row: Tensor) -> Tensor:
+    """(n, d) + (d,): the same row added to every row of a."""
+    if a.data.ndim != 2 or row.data.ndim != 1 or a.shape[1] != row.shape[0]:
+        raise ValueError(f"add_row: need (n, d) + (d,), got {a.shape} + {row.shape}")
+    return ad.record(a.data + row.data, (a, row), lambda g: (g, g.sum(axis=0)))
+
+
+def row_dot(a: Tensor, v: Tensor) -> Tensor:
+    """(n, d) . (d,) -> (n,): each row's dot product with v. Every row is
+    summed the same way, so equal rows give bit-equal results wherever they
+    sit; a BLAS matrix-vector product does not promise that."""
+    if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
+        raise ValueError(f"row_dot: need (n, d) . (d,), got {a.shape} . {v.shape}")
+    return ad.record(np.sum(a.data * v.data, axis=1), (a, v), lambda g: (np.outer(g, v.data), g @ a.data))
+
+
+def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate tensors of equal rank along `axis`."""
+    if not parts:
+        raise ValueError("concat: need at least one tensor")
+    ndim = parts[0].data.ndim
+    if ndim == 0 or any(p.data.ndim != ndim for p in parts) or not 0 <= axis < ndim:
+        raise ValueError(f"concat: need tensors of one rank >= 1 and an axis below it, got axis {axis}")
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError as exc:
+        raise ValueError(f"concat: shapes {[p.shape for p in parts]} differ off axis {axis}") from exc
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+
+    def pullback(g: np.ndarray):
+        index = [slice(None)] * ndim
+        grads = []
+        for i in range(len(parts)):
+            index[axis] = slice(offsets[i], offsets[i + 1])
+            grads.append(g[tuple(index)])
+        return tuple(grads)
+
+    return ad.record(data, tuple(parts), pullback)
+
+
+def relu(a: Tensor) -> Tensor:
+    """max(a, 0), with +0.0 for both signed zeros. The pullback builds the
+    a > 0 mask, so an eval pass never does. A NaN input stays NaN, and the
+    loss check then raises, where a masked select would have zeroed it."""
+    return ad.record(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0),))
+
+
+def take_distinct_rows(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup for strictly increasing ids: out[i] = table[ids[i]]. No row
+    repeats, so the pullback writes g into its rows with no scatter-add."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("take_distinct_rows: ids must be a non-empty 1-D integer array")
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("take_distinct_rows: ids must be strictly increasing")
+    if ids[0] < 0 or ids[-1] >= table.data.shape[0]:
+        raise IndexError("take_distinct_rows: id out of range")
+    shape = table.data.shape
+
+    def pullback(g: np.ndarray):
+        out = np.zeros(shape)
+        out[ids] = g
+        return (out,)
+
+    return ad.record(table.data[ids], (table,), pullback)
+
+
+def row_softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis of a 1-D or 2-D tensor."""
+    if a.data.ndim not in (1, 2):
+        raise ValueError("row_softmax: input must be 1-D or 2-D")
+    if a.data.shape[-1] == 0:
+        raise ValueError("row_softmax: empty row")
+    out = ad.softmax_last(a.data)
+    return ad.record(out, (a,), lambda g: (ad.softmax_last_pullback(out, g),))
+
+
+def segment_cross_entropy(logits: Tensor, starts: np.ndarray, targets: np.ndarray) -> Tensor:
+    """Per-segment -log softmax(segment)[target] of a flat 1-D logit vector:
+    (C,) -> (n_segments,). targets index within their segment."""
+    if logits.data.ndim != 1:
+        raise ValueError("segment_cross_entropy: logits must be 1-D")
+    counts = ad._segment_counts(starts, logits.shape[0])
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != counts.shape:
+        raise ValueError(f"segment_cross_entropy: {targets.size} targets for {counts.size} segments")
+    if np.any(targets < 0) or np.any(targets >= counts):
+        raise IndexError("segment_cross_entropy: target out of range for its segment")
+    z = logits.data
+    zmax = np.maximum.reduceat(z, starts)
+    lse = zmax + np.log(np.add.reduceat(np.exp(z - np.repeat(zmax, counts)), starts))
+    picked = starts + targets
+    probs = np.exp(z - np.repeat(lse, counts))
+
+    def pullback(g: np.ndarray):
+        grad = probs.copy()
+        grad[picked] -= 1.0
+        return (grad * np.repeat(g, counts),)
+
+    return ad.record(lse - z[picked], (logits,), pullback)
+
+
+def gumbel_softmax_with_noise(logits: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
+    """Differentiable part of the Gumbel softmax: softmax((logits + noise) / T)."""
+    if temperature <= 0:
+        raise ConfigError(f"gumbel temperature must be positive, got {temperature}")
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != logits.shape:
+        raise ValueError("gumbel noise shape must match logits")
+    return row_softmax(scalar_mul(ad.add(logits, Tensor(noise)), 1.0 / temperature))
+
+
+def gumbel_softmax(logits: Tensor, temperature: float, rng: np.random.Generator) -> Tensor:
+    """Soft sample from a categorical defined by logits (reparameterized)."""
+    return gumbel_softmax_with_noise(logits, ad.sample_gumbel(logits.shape, rng), temperature)
+
+
+def encode_text_composed(sequences: list[np.ndarray], params: TextEncoderParams) -> Tensor:
+    """encoders.encode_text as a tape of primitives: the table rows of the
+    batch's distinct ids, the bag product, the projection, bias and relu."""
+    distinct, bag = token_bag(sequences, params.token_embedding.shape[0])
+    pooled = matmul(Tensor(bag), take_distinct_rows(params.token_embedding, distinct))
+    return relu(add_row(matmul(pooled, transpose(params.projection)), params.bias))
+
+
+def er_attention_composed(
+    text_vecs: Tensor,
+    params: ERAttentionParams,
+    temperature: float,
+    train: bool,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """encoders.er_attention as a tape of primitives."""
+    projected_entities = matmul(params.entity_table, params.entity_proj)
+    entity_scores = matmul(text_vecs, transpose(projected_entities))
+    if train:
+        if rng is None:
+            raise ValueError("er_attention: train mode needs an rng")
+        entity_weights = gumbel_softmax(entity_scores, temperature, rng)
+    else:
+        entity_weights = row_softmax(entity_scores)
+    entity_vecs = matmul(entity_weights, projected_entities)
+
+    projected_relations = matmul(params.relation_table, params.relation_proj)
+    relation_weights = row_softmax(matmul(text_vecs, transpose(projected_relations)))
+    relation_vecs = matmul(relation_weights, projected_relations)
+    return concat([entity_vecs, relation_vecs], axis=1)
+
+
+def classify_composed(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor:
+    """training.classify as a tape of primitives."""
+    scale = np.repeat(np.asarray(weights, dtype=np.float64), feats.counts)[:, None]
+    graph, knowledge = feats.graph, feats.knowledge
+    rows = concat(
+        [
+            feats.text,
+            ad.mul(graph, Tensor(np.broadcast_to(scale, graph.shape))),
+            ad.mul(knowledge, Tensor(np.broadcast_to(scale, knowledge.shape))),
+        ],
+        axis=1,
+    )
+    return row_dot(rows, classifier)
+
+
+def mean_cross_entropy_composed(logits: Tensor, starts: np.ndarray, targets: list[int]) -> Tensor:
+    """training.mean_cross_entropy as a tape of primitives."""
+    return ad.mean(segment_cross_entropy(logits, starts, targets))

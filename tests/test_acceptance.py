@@ -4,6 +4,7 @@ and cross-checked against the independent reference implementations in
 _oracles.py rather than against the package's own code.
 """
 
+import itertools
 import math
 import os
 import time
@@ -13,27 +14,49 @@ import pytest
 from conftest import mark_leaves, tiny_config, tiny_model
 
 from _oracles import (
+    add_row,
     all_simple_paths,
     batched_matmul,
     bm25_scan,
+    concat,
     dense_gcn,
     dense_normalize,
     fd_gradient,
     gather,
+    gumbel_softmax_with_noise,
+    matmul,
     max_rel_error,
+    relu,
     reshape,
+    row_dot,
+    row_softmax,
+    scalar_mul,
+    segment_cross_entropy,
+    transpose,
 )
 from actknow import autodiff as ad
 from actknow import training
 from actknow.autodiff import Tensor, backward, sample_gumbel
 from actknow.cli import main
-from actknow.encoders import GCNParams, build_vocab, gcn_forward, graph_attention_pool
+from actknow.encoders import (
+    ERAttentionParams,
+    GCNParams,
+    TextEncoderParams,
+    build_vocab,
+    encode_text,
+    er_attention,
+    gcn_forward,
+    graph_attention_pool,
+)
 from actknow.experiments import sign_test_p
 from actknow.kg import graph_from_triples
 from actknow.nli import QAItem, make_hypothesis
 from actknow.retrieval import build_index, corpus_from_sentences, retrieve, tokenize
 from actknow.subgraph import Subgraph, connect_concepts, identify_concepts, normalize_adjacency
 from actknow.training import (
+    Features,
+    classify,
+    mean_cross_entropy,
     prepare_questions,
     question_entropies,
     score_batch,
@@ -78,7 +101,7 @@ def _small_task(**overrides):
 
 def _project(t: Tensor, w: np.ndarray) -> Tensor:
     flat = reshape(t, (-1,))
-    return ad.matmul(flat, Tensor(w.reshape(-1)))
+    return matmul(flat, Tensor(w.reshape(-1)))
 
 
 def _fd_instance(build, x0) -> float:
@@ -105,15 +128,15 @@ def _primitive_factories():
 
     def f_scalar_mul(rng):
         s, w = float(rng.normal()), rng.normal(size=5)
-        return lambda leaf: _project(ad.scalar_mul(leaf, s), w), rng.normal(size=5)
+        return lambda leaf: _project(scalar_mul(leaf, s), w), rng.normal(size=5)
 
     def f_matmul(rng):
         b, w = rng.normal(size=(3, 2)), rng.normal(size=4)
-        return lambda leaf: _project(ad.matmul(leaf, Tensor(b)), w), rng.normal(size=(2, 3))
+        return lambda leaf: _project(matmul(leaf, Tensor(b)), w), rng.normal(size=(2, 3))
 
     def f_concat(rng):
         other, w = rng.normal(size=3), rng.normal(size=7)
-        return lambda leaf: _project(ad.concat([leaf, Tensor(other)]), w), rng.normal(size=4)
+        return lambda leaf: _project(concat([leaf, Tensor(other)]), w), rng.normal(size=4)
 
     def f_reshape(rng):
         w = rng.normal(size=6)
@@ -121,7 +144,7 @@ def _primitive_factories():
 
     def f_relu(rng):
         w = rng.normal(size=5)
-        return lambda leaf: _project(ad.relu(leaf), w), _away_from_zero(rng, 5)
+        return lambda leaf: _project(relu(leaf), w), _away_from_zero(rng, 5)
 
     def f_mean(rng):
         axis = int(rng.integers(0, 2))
@@ -135,27 +158,27 @@ def _primitive_factories():
 
     def f_row_softmax(rng):
         w = rng.normal(size=12)
-        return lambda leaf: _project(ad.row_softmax(leaf), w), rng.normal(size=(3, 4))
+        return lambda leaf: _project(row_softmax(leaf), w), rng.normal(size=(3, 4))
 
     def f_gumbel(rng):
         noise = sample_gumbel((4,), np.random.default_rng(int(rng.integers(0, 10_000))))
         w = rng.normal(size=4)
         return (
-            lambda leaf: _project(ad.gumbel_softmax_with_noise(leaf, noise, 1.0), w),
+            lambda leaf: _project(gumbel_softmax_with_noise(leaf, noise, 1.0), w),
             rng.normal(size=4),
         )
 
     def f_transpose(rng):
         w = rng.normal(size=6)
-        return lambda leaf: _project(ad.transpose(leaf), w), rng.normal(size=(2, 3))
+        return lambda leaf: _project(transpose(leaf), w), rng.normal(size=(2, 3))
 
     def f_add_row(rng):
         row, w = rng.normal(size=3), rng.normal(size=6)
-        return lambda leaf: _project(ad.add_row(leaf, Tensor(row)), w), rng.normal(size=(2, 3))
+        return lambda leaf: _project(add_row(leaf, Tensor(row)), w), rng.normal(size=(2, 3))
 
     def f_concat_axis(rng):
         other, w = rng.normal(size=(2, 2)), rng.normal(size=10)
-        return lambda leaf: _project(ad.concat([Tensor(other), leaf], axis=1), w), rng.normal(size=(2, 3))
+        return lambda leaf: _project(concat([Tensor(other), leaf], axis=1), w), rng.normal(size=(2, 3))
 
     def f_batched_matmul(rng):
         b, w = rng.normal(size=(2, 3, 2)), rng.normal(size=8)
@@ -163,12 +186,12 @@ def _primitive_factories():
 
     def f_row_dot(rng):
         v, w = rng.normal(size=4), rng.normal(size=3)
-        return lambda leaf: _project(ad.row_dot(leaf, Tensor(v)), w), rng.normal(size=(3, 4))
+        return lambda leaf: _project(row_dot(leaf, Tensor(v)), w), rng.normal(size=(3, 4))
 
     def f_segment_cross_entropy(rng):
         starts, targets = np.array([0, 4, 6]), rng.integers(0, 2, size=3)
         w = rng.normal(size=3)
-        return lambda leaf: _project(ad.segment_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
+        return lambda leaf: _project(segment_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
 
     def f_gcn_hidden_stack(rng):
         # two subgraphs padded to three nodes; the leaf is the first of two hidden layers
@@ -195,10 +218,77 @@ def _primitive_factories():
 
         return build, rng.normal(size=(2, 3, 4))
 
-    return [f_add, f_mul, f_scalar_mul, f_matmul, f_concat, f_reshape, f_relu,
+    # the training step's other nodes take several differentiable inputs:
+    # each factory's instances take them as the leaf in turn
+    text_slot, er_train_slot, er_eval_slot, classify_slot = (_cycle(n) for n in (3, 3, 3, 4))
+
+    def f_encode_text(rng):
+        # a table of 6 tokens, width 3, and two sequences, one with a repeat
+        sequences = [np.array([0, 2, 2, 5]), np.array([1, 2])]
+        inputs = [rng.normal(size=(6, 3)), rng.normal(size=(3, 3)), rng.normal(size=3)]
+        slot, w = next(text_slot), rng.normal(size=6)
+
+        def build(leaf):
+            params = TextEncoderParams(*_with_leaf(inputs, slot, leaf))
+            return _project(encode_text(sequences, params), w)
+
+        return build, inputs[slot]
+
+    def er_factory(train, slots):
+        def f_er_attention(rng):
+            # three text rows against 4 entities and 2 relations of width 3
+            text, entity_proj, relation_proj = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+            tables = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+            seed, slot, w = int(rng.integers(0, 10_000)), next(slots), rng.normal(size=12)
+
+            def build(leaf):
+                text_vecs, e_proj, r_proj = _with_leaf([text, entity_proj, relation_proj], slot, leaf)
+                params = ERAttentionParams(Tensor(tables[0]), Tensor(tables[1]), e_proj, r_proj)
+                # the same noise for every evaluation of the loss
+                noise_rng = np.random.default_rng(seed) if train else None
+                return _project(er_attention(text_vecs, params, 0.7, train, noise_rng), w)
+
+            return build, [text, entity_proj, relation_proj][slot]
+
+        f_er_attention.__name__ = f"f_er_attention_{'train' if train else 'eval'}"
+        return f_er_attention
+
+    def f_classify(rng):
+        # five choices over two questions, width 2, weighted 0.6 and 1.3
+        inputs = [rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 4)), rng.normal(size=8)]
+        counts, slot, w = np.array([2, 3]), next(classify_slot), rng.normal(size=5)
+
+        def build(leaf):
+            text, graph, knowledge, classifier = _with_leaf(inputs, slot, leaf)
+            feats = Features(text, graph, knowledge, counts, np.array([0, 2]), np.zeros(0, dtype=np.intp),
+                             np.zeros((0, 0)))
+            return _project(classify(feats, classifier, np.array([0.6, 1.3])), w)
+
+        return build, inputs[slot]
+
+    def f_mean_cross_entropy(rng):
+        starts, targets = np.array([0, 4, 6]), rng.integers(0, 2, size=3)
+        w = rng.normal(size=1)
+        return lambda leaf: _project(mean_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
+
+    # the 84 instances give the first 12 factories four each and the rest
+    # three, so each node's inputs all take their turn as the leaf
+    return [f_classify, f_encode_text, er_factory(True, er_train_slot), er_factory(False, er_eval_slot),
+            f_mean_cross_entropy, f_gcn_hidden_stack, f_attention_pool,
+            f_add, f_mul, f_scalar_mul, f_matmul, f_concat, f_reshape, f_relu,
             f_mean, f_gather, f_row_softmax, f_gumbel, f_transpose, f_add_row,
-            f_concat_axis, f_batched_matmul, f_row_dot, f_segment_cross_entropy,
-            f_gcn_hidden_stack, f_attention_pool]
+            f_concat_axis, f_batched_matmul, f_row_dot, f_segment_cross_entropy]
+
+
+def _cycle(n: int):
+    """0, 1, ..., n - 1, 0, ...: which input of a node the next instance
+    differentiates."""
+    return itertools.cycle(range(n))
+
+
+def _with_leaf(inputs: list[np.ndarray], slot: int, leaf: Tensor) -> list[Tensor]:
+    """The inputs as constant tensors, but the leaf at index slot."""
+    return [leaf if i == slot else Tensor(value) for i, value in enumerate(inputs)]
 
 
 def test_criterion_1_gradient_suite():
@@ -227,7 +317,7 @@ def test_criterion_1_gradient_suite():
             # the loss training builds, on a batch of this one question
             noise_rng = np.random.default_rng(1000 + i) if train else None
             logits, starts = score_batch([pq], model, np.ones(1), config, train=train, rng=noise_rng)
-            return ad.mean(ad.segment_cross_entropy(logits, starts, [pq.answer_index]))
+            return mean_cross_entropy(logits, starts, [pq.answer_index])
 
         for t in tensors:
             t.grad = None
@@ -329,7 +419,7 @@ def test_criterion_4_infusion_neutralization(monkeypatch):
     assert any(c.subgraph is not None and c.subgraph.n_nodes > 0 for c in prepared[0].choices)
     for t in mark_leaves(*model.trainable(config)):
         t.grad = None
-    loss = ad.mean(ad.segment_cross_entropy(
+    loss = ad.mean(segment_cross_entropy(
         score_question(prepared[0], model, 0.0, config, train=True, rng=np.random.default_rng(3)),
         np.array([0]), [prepared[0].answer_index],
     ))

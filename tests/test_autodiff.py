@@ -1,31 +1,36 @@
-"""Gradient correctness for every primitive, checked against central differences."""
+"""Gradient correctness for the package's generic ops and for the
+primitives the training step was once built from (tests/_oracles.py, the
+references its fused nodes are compared against), checked against central
+differences."""
 
 import numpy as np
 import pytest
 
-from actknow.autodiff import (
-    Tensor,
-    add,
+from actknow.autodiff import Tensor, add, backward, mean, mul
+from actknow.errors import ConfigError
+
+import _oracles
+from _oracles import (
     add_row,
-    backward,
+    batched_matmul,
     concat,
+    cross_entropy,
+    fd_gradient,
+    gather,
     gumbel_softmax,
     gumbel_softmax_with_noise,
     matmul,
-    mean,
-    mul,
+    max_rel_error,
     relu,
+    reshape,
     row_dot,
     row_softmax,
     scalar_mul,
     segment_cross_entropy,
+    segment_mean,
     take_distinct_rows,
     transpose,
 )
-from actknow.errors import ConfigError
-
-import _oracles
-from _oracles import batched_matmul, cross_entropy, fd_gradient, gather, max_rel_error, reshape, segment_mean
 
 RNG = np.random.default_rng(42)
 

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from actknow import autodiff
-from actknow.autodiff import Tensor, backward, matmul
+from actknow import autodiff, encoders
+from actknow.autodiff import Tensor, backward
 from actknow.encoders import (
     GCNParams,
     SEP_ID,
@@ -26,7 +26,7 @@ from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
-from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, max_rel_error, reshape
+from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, matmul, max_rel_error, reshape
 from conftest import mark_leaves
 
 RNG = np.random.default_rng(21)
@@ -167,13 +167,14 @@ def test_encode_text_bag_spans_only_the_batch_tokens(monkeypatch):
     """The bag has one column per distinct id in the batch, not per vocabulary
     entry, so a large vocabulary costs nothing beyond the gradient's table."""
     bag_shapes = []
-    real_matmul = autodiff.matmul
+    real_token_bag = encoders.token_bag
 
-    def recording_matmul(a, b):
-        bag_shapes.append(a.shape)
-        return real_matmul(a, b)
+    def recording_token_bag(sequences, vocab_size):
+        distinct, bag = real_token_bag(sequences, vocab_size)
+        bag_shapes.append(bag.shape)
+        return distinct, bag
 
-    monkeypatch.setattr(autodiff, "matmul", recording_matmul)
+    monkeypatch.setattr(encoders, "token_bag", recording_token_bag)
     params = init_text_params(vocab_size=50_000, dim=4, rng=np.random.default_rng(1))
     mark_leaves(params.token_embedding, params.projection, params.bias)
     out = encode_text([np.array([7, 49_999, 7]), np.array([SEP_ID, 7])], params)
@@ -511,6 +512,13 @@ def test_er_train_mode_requires_rng():
     params = make_er_params()
     with pytest.raises(ValueError):
         er_attention(Tensor(np.zeros((1, 5))), params, 1.0, train=True)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_er_train_mode_rejects_a_nonpositive_temperature(temperature):
+    params = make_er_params()
+    with pytest.raises(ConfigError, match="temperature"):
+        er_attention(Tensor(np.zeros((1, 5))), params, temperature, train=True, rng=np.random.default_rng(0))
 
 
 def test_er_output_shape_is_twice_d():

@@ -1,15 +1,17 @@
-"""The graph side's two hand-differentiated tape nodes, the GCN hidden stack
-(encoders.gcn_forward) and the attention pool (graph_attention_pool),
-against the tape of primitives they replaced
-(_oracles.encode_batch_composed).
+"""The training step's hand-differentiated tape nodes against the tape of
+primitives they replaced (tests/_oracles.py): the text encoder
+(encoders.encode_text), the GCN hidden stack (gcn_forward), the attention
+pool (graph_attention_pool), ER attention (er_attention), the classifier
+(training.classify) and the loss (mean_cross_entropy).
 
-On the training batches of the bundled noisy task at node budgets 3, 20
-and 60 and of the bundled lowdata task's act-know cell, the fused path must
-give the composed path's features, logits, loss and every gradient bit for
-bit: in the main updates, in graph-side pretraining, where the text encoder
-is frozen and the pool returns no text gradient, and at evaluation, which
-builds no tape. The tiny task adds one and three GCN layers, checked
-against the oracle and against finite differences.
+On every training batch of the bundled noisy task at node budgets 3, 20
+and 60 and of the bundled lowdata task's act-know and text-only cells, the
+fused step must give the composed step's features, logits, loss, every
+gradient and the Gumbel rng's next draw bit for bit: in the main updates,
+in graph-side pretraining, where the text encoder is frozen and no node
+returns a text gradient, and at evaluation, which builds no tape. The tiny
+task adds one and three GCN layers, checked against the oracle and against
+finite differences.
 """
 
 import importlib
@@ -22,11 +24,11 @@ import _oracles
 from actknow import autodiff as ad
 from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
 from actknow.scenarios import lowdata_experiment, noisy_experiment
-from actknow.training import _batch_loss, classify, encode_batch, eval_chunks, score_batch
+from actknow.training import _batch_loss, classify, encode_batch, eval_chunks, mean_cross_entropy, score_batch
 from conftest import mark_leaves
 from test_training import build_task
 
-BUNDLED = ["noisy3", "noisy20", "noisy60", "lowdata"]
+BUNDLED = ["noisy3", "noisy20", "noisy60", "lowdata", "lowdata-text"]
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -39,8 +41,9 @@ def bundled(noisy_dir, lowdata_dir, tmp_path_factory):
     def get(name):
         if name not in cache:
             out = str(tmp_path_factory.mktemp("out"))
-            if name == "lowdata":
-                cfg = training_config_for(lowdata_experiment(lowdata_dir, out), mode="act-know", data_fraction=0.2)
+            if name.startswith("lowdata"):
+                mode = "text-only" if name == "lowdata-text" else "act-know"
+                cfg = training_config_for(lowdata_experiment(lowdata_dir, out), mode=mode, data_fraction=0.2)
             else:
                 cfg = training_config_for(noisy_experiment(noisy_dir, out), max_nodes=int(name[len("noisy"):]))
             pipe = load_pipeline(cfg)
@@ -68,16 +71,23 @@ def _weights(batch, config):
     return np.random.default_rng(len(batch)).uniform(0.0, 1.5, size=len(batch))
 
 
-def _step(encode, batch, model, config, tensors):
-    """Features, logits, loss and the gradient of every tensor of one
-    training batch, encoded by `encode` with a fresh same-seed Gumbel rng."""
+FUSED = (encode_batch, classify, mean_cross_entropy)
+COMPOSED = (_oracles.encode_batch_composed, _oracles.classify_composed, _oracles.mean_cross_entropy_composed)
+
+
+def _step(stages, batch, model, config, tensors):
+    """Features, logits, loss, the gradient of every tensor of one training
+    batch and the next draw of its Gumbel rng, a fresh same-seed one, with
+    the encoders, classifier and loss of `stages`."""
+    encode, score, loss_of = stages
     for t in tensors:
         t.grad = None
-    feats = encode(batch, model, config, train=True, rng=np.random.default_rng(17))
-    logits = classify(feats, model.classifier, _weights(batch, config))
-    loss = ad.mean(ad.segment_cross_entropy(logits, feats.starts, [pq.answer_index for pq in batch]))
+    rng = np.random.default_rng(17)
+    feats = encode(batch, model, config, train=True, rng=rng)
+    logits = score(feats, model.classifier, _weights(batch, config))
+    loss = loss_of(logits, feats.starts, [pq.answer_index for pq in batch])
     ad.backward(loss)
-    return feats, logits, loss, [t.grad for t in tensors]
+    return feats, logits, loss, [t.grad for t in tensors], rng.random()
 
 
 def _assert_same_features(got, want):
@@ -92,17 +102,23 @@ def _assert_fused_matches_composed(config, questions, model, with_text):
     mark_leaves(*tensors)
     try:
         for batch in _batches(questions, config):
-            got = _step(encode_batch, batch, model, config, tensors)
-            want = _step(_oracles.encode_batch_composed, batch, model, config, tensors)
+            got = _step(FUSED, batch, model, config, tensors)
+            want = _step(COMPOSED, batch, model, config, tensors)
             _assert_same_features(got[0], want[0])
             assert np.array_equal(got[1].data, want[1].data)
             assert got[2].item() == want[2].item()
             for tensor, g, w in zip(tensors, got[3], want[3]):
                 assert (g is None) == (w is None), tensor
                 assert g is None or np.array_equal(g, w), tensor
-            if got[0].pooled.size and not with_text:
-                # the frozen text gets no gradient from the pool
-                assert got[0].graph._pullback(np.ones(got[0].graph.shape))[0] is None
+            assert got[4] == want[4]
+            if not with_text:
+                # the frozen text gets no gradient from the nodes that read it
+                feats = got[0]
+                readers = [feats.knowledge] if config.graph_side else []
+                if feats.pooled.size:
+                    readers.append(feats.graph)
+                for node in readers:
+                    assert node._pullback(np.ones(node.shape))[0] is None
     finally:
         for t in tensors:
             t.requires_grad = False
@@ -121,8 +137,12 @@ def test_eval_builds_no_tape_and_matches_the_composed_features(name, bundled):
     assert not any(t.requires_grad for t in model.named().values())
     for chunk in eval_chunks(questions):
         got = encode_batch(chunk, model, config)
-        _assert_same_features(got, _oracles.encode_batch_composed(chunk, model, config))
-        for tensor in (got.text, got.graph, got.knowledge):
+        want = _oracles.encode_batch_composed(chunk, model, config)
+        _assert_same_features(got, want)
+        weights = np.ones(len(chunk))
+        logits = classify(got, model.classifier, weights)
+        assert np.array_equal(logits.data, _oracles.classify_composed(want, model.classifier, weights).data)
+        for tensor in (got.text, got.graph, got.knowledge, logits):
             assert not tensor.requires_grad and tensor._pullback is None and not tensor._parents
 
 
@@ -137,7 +157,7 @@ def test_batch_loss_gradients_match_fd(layers):
 
     def loss():
         logits, starts = score_batch(batch, model, weights, config)
-        return ad.mean(ad.segment_cross_entropy(logits, starts, [pq.answer_index for pq in batch]))
+        return mean_cross_entropy(logits, starts, [pq.answer_index for pq in batch])
 
     ad.backward(loss())
     for tensor in tensors:
@@ -145,20 +165,34 @@ def test_batch_loss_gradients_match_fd(layers):
         assert _oracles.max_rel_error(tensor.grad, numeric) < 1e-5, tensor
 
 
-def test_a_training_batch_tape_stays_small(bundled, monkeypatch):
-    """One base-know training batch on the noisy task at node budget 60,
-    its tape counted as the traced benchmark counts it: the graph side is
-    two nodes, so the tape holds at most 35 (52 when the graph side was a
-    tape of primitives)."""
+def _tape_size_of_a_training_batch(name, bundled, monkeypatch):
+    """The tape of the first training batch of a bundled cell, counted as
+    the traced benchmark counts it: the loss and every ancestor that needs
+    a gradient."""
     monkeypatch.syspath_prepend(BENCH_DIR)
     tape_size = importlib.import_module("layers").tape_size
-    config, questions, model = bundled("noisy60")
+    config, questions, model = bundled(name)
     batch = questions[: config.batch_size]
-    assert config.mode == "base-know"
     tensors = mark_leaves(*model.trainable(config))
     try:
         loss = _batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
-        assert tape_size(loss) <= 35
+        return config.mode, tape_size(loss)
     finally:
         for t in tensors:
             t.requires_grad = False
+
+
+def test_a_training_batch_tape_stays_small(bundled, monkeypatch):
+    """One base-know training batch on the noisy task at node budget 60: 8
+    trainable leaves and one node per stage, at most 14 in all (52 when every stage
+    was a tape of primitives, 35 with the graph side fused)."""
+    mode, size = _tape_size_of_a_training_batch("noisy60", bundled, monkeypatch)
+    assert mode == "base-know" and size <= 14
+
+
+def test_a_text_only_training_batch_tape_stays_small(bundled, monkeypatch):
+    """One text-only training batch on the lowdata task: the text encoder's
+    3 leaves and the classifier, and the text, classifier and loss nodes:
+    at most 7."""
+    mode, size = _tape_size_of_a_training_batch("lowdata-text", bundled, monkeypatch)
+    assert mode == "text-only" and size <= 7

@@ -15,7 +15,7 @@ import _oracles
 from actknow import autodiff as ad
 from actknow.pipeline import build_model, load_pipeline, training_config_for
 from actknow.scenarios import lowdata_experiment, noisy_experiment
-from actknow.training import _batch_loss, prepare_questions, score_batch
+from actknow.training import _batch_loss, mean_cross_entropy, prepare_questions, score_batch
 from conftest import mark_leaves
 from test_training import build_task
 
@@ -80,7 +80,7 @@ def test_eval_logits_match_per_choice_oracle(name, request):
 def _batched_loss(questions, model, weights, config, train):
     rng = np.random.default_rng(17) if train else None
     logits, starts = score_batch(questions, model, weights, config, train, rng)
-    return ad.mean(ad.segment_cross_entropy(logits, starts, [pq.answer_index for pq in questions]))
+    return mean_cross_entropy(logits, starts, [pq.answer_index for pq in questions])
 
 
 def _oracle_loss(questions, model, weights, config, train):
@@ -90,7 +90,7 @@ def _oracle_loss(questions, model, weights, config, train):
             _oracles.score_question(pq, model, w, config, train, rng), pq.answer_index), (1,))
         for pq, w in zip(questions, weights)
     ]
-    return ad.mean(ad.concat(losses))
+    return ad.mean(_oracles.concat(losses))
 
 
 @pytest.mark.parametrize("name", TASKS)

@@ -174,7 +174,7 @@ def test_zero_entropy_weight_blocks_graph_gradients():
     logits = score_question(
         pq, task.model, 0.0, task.config, train=True, rng=np.random.default_rng(0)
     )
-    ad.backward(ad.mean(ad.segment_cross_entropy(logits, np.array([0]), [pq.answer_index])))
+    ad.backward(training.mean_cross_entropy(logits, np.array([0]), [pq.answer_index]))
     named = task.model.named()
     for name, tensor in named.items():
         if name.startswith(("gcn.layer", "er.entity_proj", "er.relation_proj")):
@@ -480,6 +480,20 @@ def test_act_weights_each_question_by_its_own_entropy_under_a_shared_id(monkeypa
     result = train(task.model, task.prepared, None, task.config)
     assert list(result.entropy_history[0]) == entropies
     assert [weight_of[id(pq)] for pq in task.prepared] == entropies
+
+
+def test_mean_cross_entropy_rejects_bad_segments_and_targets():
+    logits = ad.Tensor(np.zeros(4))
+    for starts in ([1], [0, 0], [0, 4], [0, 3, 2], np.array([0.0])):
+        with pytest.raises(ValueError):
+            training.mean_cross_entropy(logits, np.array(starts), [0] * len(starts))
+    with pytest.raises(ValueError):
+        training.mean_cross_entropy(logits, np.array([0, 2]), [0])
+    with pytest.raises(ValueError):
+        training.mean_cross_entropy(ad.Tensor(np.zeros((2, 2))), np.array([0]), [0])
+    for targets in ([2, 0], [0, -1]):
+        with pytest.raises(IndexError):
+            training.mean_cross_entropy(logits, np.array([0, 2]), targets)
 
 
 def test_training_rejects_empty_set():
