@@ -65,44 +65,6 @@ def record(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# generic ops: the package's training step is built from fused nodes alone
-# (encoders, training), and these three stay for the benchmark's own test of
-# its tape counter (bench/tests/test_bench_spans.py), which builds a tape
-# from them; the other primitives live in tests/_oracles.py as references
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return record(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-
-    def pullback(g: Array):
-        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
-
-    return record(a.data * b.data, (a, b), pullback)
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if a.data.size == 0:
-        raise ValueError("mean: empty input")
-    if axis is None:
-        n = a.data.size
-        shape = a.data.shape
-        return record(np.mean(a.data), (a,), lambda g: (np.full(shape, g / n),))
-    n = a.data.shape[axis]
-
-    def pullback(g: Array):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return record(np.mean(a.data, axis=axis), (a,), pullback)
-
-
-# ---------------------------------------------------------------------------
 # helpers of the fused nodes
 
 

@@ -20,9 +20,10 @@ chunks of batch_size questions that chunks sized by their choices and
 padded node rows replaced, the graph side as a tape of primitives
 (gather, reshape and a batched matmul among them) that the hand-
 differentiated GCN hidden stack and attention pool nodes replaced, and the
-rest of the training step as a tape of primitives (matmul, concat, relu,
-row_dot, segment_cross_entropy and the Gumbel softmax among them) that the
-text encoder, ER attention, classifier and loss nodes replaced. The second
+rest of the training step as a tape of primitives (add, mul, mean,
+matmul, concat, relu, row_dot, segment_cross_entropy and the Gumbel
+softmax among them) that the text encoder, ER attention, classifier and
+loss nodes replaced. The second
 to fifth, the masked softmax and the composed training step run on the
 package's autodiff tape so that gradients can be compared too.
 """
@@ -200,8 +201,8 @@ def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
     if token_ids.size == 0:
         raise ValueError("encode_text: empty token sequence")
     embedded = gather(params.token_embedding, token_ids)
-    pooled = ad.mean(embedded, axis=0)
-    return relu(ad.add(matmul(params.projection, pooled), params.bias))
+    pooled = mean(embedded, axis=0)
+    return relu(add(matmul(params.projection, pooled), params.bias))
 
 
 def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
@@ -709,7 +710,7 @@ def graph_attention_pool_composed(
     s, n, k = hidden.shape
     u = reshape(matmul(text_vecs, transpose(last_layer)), (s, k, 1))
     scores = reshape(batched_matmul(adjacency, batched_matmul(hidden, u)), (s, n))
-    weights = row_softmax(ad.add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
+    weights = row_softmax(add(scores, Tensor(np.where(mask, 0.0, -np.inf))))
     mixed = batched_matmul(batched_matmul(reshape(weights, (s, 1, n)), adjacency), hidden)
     return matmul(reshape(mixed, (s, k)), last_layer), weights
 
@@ -754,6 +755,37 @@ def encode_batch_composed(
 # with a hand-written pullback: the ops that tape was built from, which the
 # package no longer runs, and the composed stages. The fused step must match
 # them bit for bit, gradients and the next Gumbel draw too
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    return ad.record(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+
+    def pullback(g: np.ndarray):
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
+
+    return ad.record(a.data * b.data, (a, b), pullback)
+
+
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    if a.data.size == 0:
+        raise ValueError("mean: empty input")
+    if axis is None:
+        n = a.data.size
+        shape = a.data.shape
+        return ad.record(np.mean(a.data), (a,), lambda g: (np.full(shape, g / n),))
+    n = a.data.shape[axis]
+
+    def pullback(g: np.ndarray):
+        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
+
+    return ad.record(np.mean(a.data, axis=axis), (a,), pullback)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
@@ -906,7 +938,7 @@ def gumbel_softmax_with_noise(logits: Tensor, noise: np.ndarray, temperature: fl
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != logits.shape:
         raise ValueError("gumbel noise shape must match logits")
-    return row_softmax(scalar_mul(ad.add(logits, Tensor(noise)), 1.0 / temperature))
+    return row_softmax(scalar_mul(add(logits, Tensor(noise)), 1.0 / temperature))
 
 
 def gumbel_softmax(logits: Tensor, temperature: float, rng: np.random.Generator) -> Tensor:
@@ -953,8 +985,8 @@ def classify_composed(feats: Features, classifier: Tensor, weights: np.ndarray) 
     rows = concat(
         [
             feats.text,
-            ad.mul(graph, Tensor(np.broadcast_to(scale, graph.shape))),
-            ad.mul(knowledge, Tensor(np.broadcast_to(scale, knowledge.shape))),
+            mul(graph, Tensor(np.broadcast_to(scale, graph.shape))),
+            mul(knowledge, Tensor(np.broadcast_to(scale, knowledge.shape))),
         ],
         axis=1,
     )
@@ -963,4 +995,4 @@ def classify_composed(feats: Features, classifier: Tensor, weights: np.ndarray) 
 
 def mean_cross_entropy_composed(logits: Tensor, starts: np.ndarray, targets: list[int]) -> Tensor:
     """training.mean_cross_entropy as a tape of primitives."""
-    return ad.mean(segment_cross_entropy(logits, starts, targets))
+    return mean(segment_cross_entropy(logits, starts, targets))

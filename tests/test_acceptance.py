@@ -14,6 +14,7 @@ import pytest
 from conftest import mark_leaves, tiny_config, tiny_model
 
 from _oracles import (
+    add,
     add_row,
     all_simple_paths,
     batched_matmul,
@@ -26,6 +27,8 @@ from _oracles import (
     gumbel_softmax_with_noise,
     matmul,
     max_rel_error,
+    mean,
+    mul,
     relu,
     reshape,
     row_dot,
@@ -120,11 +123,11 @@ def _away_from_zero(rng, shape):
 def _primitive_factories():
     def f_add(rng):
         c, w = rng.normal(size=4), rng.normal(size=4)
-        return lambda leaf: _project(ad.add(leaf, Tensor(c)), w), rng.normal(size=4)
+        return lambda leaf: _project(add(leaf, Tensor(c)), w), rng.normal(size=4)
 
     def f_mul(rng):
         c, w = rng.normal(size=4), rng.normal(size=4)
-        return lambda leaf: _project(ad.mul(leaf, Tensor(c)), w), rng.normal(size=4)
+        return lambda leaf: _project(mul(leaf, Tensor(c)), w), rng.normal(size=4)
 
     def f_scalar_mul(rng):
         s, w = float(rng.normal()), rng.normal(size=5)
@@ -149,7 +152,7 @@ def _primitive_factories():
     def f_mean(rng):
         axis = int(rng.integers(0, 2))
         w = rng.normal(size=4 if axis == 0 else 3)
-        return lambda leaf: _project(ad.mean(leaf, axis=axis), w), rng.normal(size=(3, 4))
+        return lambda leaf: _project(mean(leaf, axis=axis), w), rng.normal(size=(3, 4))
 
     def f_gather(rng):
         ids = np.array([0, 2, 2, 4], dtype=np.int64)
@@ -419,7 +422,7 @@ def test_criterion_4_infusion_neutralization(monkeypatch):
     assert any(c.subgraph is not None and c.subgraph.n_nodes > 0 for c in prepared[0].choices)
     for t in mark_leaves(*model.trainable(config)):
         t.grad = None
-    loss = ad.mean(segment_cross_entropy(
+    loss = mean(segment_cross_entropy(
         score_question(prepared[0], model, 0.0, config, train=True, rng=np.random.default_rng(3)),
         np.array([0]), [prepared[0].answer_index],
     ))

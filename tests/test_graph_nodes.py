@@ -112,13 +112,16 @@ def _assert_fused_matches_composed(config, questions, model, with_text):
                 assert g is None or np.array_equal(g, w), tensor
             assert got[4] == want[4]
             if not with_text:
-                # the frozen text gets no gradient from the nodes that read it
+                # the frozen text gets no gradient from the nodes that read
+                # it, in any of its slots (ER lists it once per term)
                 feats = got[0]
                 readers = [feats.knowledge] if config.graph_side else []
                 if feats.pooled.size:
                     readers.append(feats.graph)
                 for node in readers:
-                    assert node._pullback(np.ones(node.shape))[0] is None
+                    slots = [pg for pg, parent in zip(node._pullback(np.ones(node.shape)), node._parents)
+                             if parent is feats.text]
+                    assert slots and all(pg is None for pg in slots)
     finally:
         for t in tensors:
             t.requires_grad = False

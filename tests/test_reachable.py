@@ -2,9 +2,6 @@
 package itself, the benchmark or the scripts.
 
 A function that only tests call belongs in tests/_oracles.py, not in src/.
-The benchmark's own tests (bench/tests) count as the benchmark: they run as
-a suite of their own, on the package alone, and cannot import
-tests/_oracles.py.
 References are resolved by name: a module's own top-level names, names
 imported with `from <module> import name`, and `alias.name` where the alias
 is an imported package module. A word search would be fooled by `np.exp`
@@ -89,7 +86,7 @@ def test_every_package_definition_is_referenced_outside_itself():
     reached = set()
     for path in glob.glob(os.path.join(PACKAGE, "*.py")):
         reached |= _references(path, os.path.basename(path)[:-3])
-    for folder in ("bench", os.path.join("bench", "tests"), "scripts"):
+    for folder in ("bench", "scripts"):
         for path in glob.glob(os.path.join(ROOT, folder, "*.py")):
             reached |= _references(path, None)
     unreached = sorted(f"{m}.{n}" for m, n in _package_definitions() - reached)

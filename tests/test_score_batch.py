@@ -90,7 +90,7 @@ def _oracle_loss(questions, model, weights, config, train):
             _oracles.score_question(pq, model, w, config, train, rng), pq.answer_index), (1,))
         for pq, w in zip(questions, weights)
     ]
-    return ad.mean(_oracles.concat(losses))
+    return _oracles.mean(_oracles.concat(losses))
 
 
 @pytest.mark.parametrize("name", TASKS)
