@@ -296,46 +296,40 @@ def graph_attention_pool(
 def er_attention(
     text_vecs: Tensor,
     params: ERAttentionParams,
-    temperature: float,
     train: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Per text vector, the concat of attention-weighted projected entity and
     relation vectors: (C, d) -> (C, 2d). The tables are projected once.
 
-    Entity weights are Gumbel-softmax samples in train mode, softmax((scores
-    + noise) / T) (rng required; one row of noise per text vector, drawn in
-    row order), and plain softmax at eval; relation weights are always plain
-    softmax.
+    Entity weights are Gumbel-softmax samples at temperature 1 in train
+    mode, softmax(scores + noise) (rng required; one row of noise per text
+    vector, drawn in row order), and plain softmax at eval; relation weights
+    are always plain softmax.
 
     ER attention is one tape node. It lists the text twice, once for each
     term of its gradient, entity scores first, and sums each projection's
     two terms itself, so backward adds the same terms in the same order as
     a tape of the steps above would."""
-    if train:
-        if rng is None:
-            raise ValueError("er_attention: train mode needs an rng")
-        if temperature <= 0:
-            raise ConfigError(f"gumbel temperature must be positive, got {temperature}")
+    if train and rng is None:
+        raise ValueError("er_attention: train mode needs an rng")
     t = text_vecs.data
     entity_table, relation_table = params.entity_table.data, params.relation_table.data
     entity_proj, relation_proj = params.entity_proj, params.relation_proj
     entities = entity_table @ entity_proj.data
     entity_scores = t @ entities.T
     if train:
-        entity_scores = (entity_scores + ad.sample_gumbel(entity_scores.shape, rng)) * (1.0 / temperature)
+        entity_scores = entity_scores + ad.sample_gumbel(entity_scores.shape, rng)
     entity_weights = ad.softmax_last(entity_scores)
     relations = relation_table @ relation_proj.data
     relation_weights = ad.softmax_last(t @ relations.T)
     d = entities.shape[1]
 
-    def side(weights, projected, g_vecs, proj, table, scale):
+    def side(weights, projected, g_vecs, proj, table):
         """One side's (text term, projection gradient), None where not needed."""
         g_text = g_proj = None
         if text_vecs.requires_grad or proj.requires_grad:
             g_scores = ad.softmax_last_pullback(weights, g_vecs @ projected.T)
-            if scale is not None:
-                g_scores = g_scores * scale
             if text_vecs.requires_grad:
                 g_text = g_scores @ projected
             if proj.requires_grad:
@@ -343,10 +337,8 @@ def er_attention(
         return g_text, g_proj
 
     def pullback(g: np.ndarray):
-        g_text_e, g_entity_proj = side(entity_weights, entities, g[:, :d], entity_proj, entity_table,
-                                       1.0 / temperature if train else None)
-        g_text_r, g_relation_proj = side(relation_weights, relations, g[:, d:], relation_proj,
-                                         relation_table, None)
+        g_text_e, g_entity_proj = side(entity_weights, entities, g[:, :d], entity_proj, entity_table)
+        g_text_r, g_relation_proj = side(relation_weights, relations, g[:, d:], relation_proj, relation_table)
         return g_text_e, g_text_r, g_entity_proj, g_relation_proj
 
     out = np.concatenate([entity_weights @ entities, relation_weights @ relations], axis=1)

@@ -79,13 +79,12 @@ def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]
     (run_cell) to `fraction-<repr(fraction)>-<mode>-seed-<seed>/` there.
 
     The whole train split is prepared once, and each cell draws its
-    fraction sample from it. The splits carry subgraphs when any mode
+    fraction sample from it. The splits carry subgraphs only when a mode
     other than text-only is swept; text-only cells ignore them."""
     cfg.require("kg", "corpus", "train", "test")
     pipe = load_pipeline(cfg)
-    whole = training_config_for(cfg, data_fraction=1.0)
-    configs = [training_config_for(whole, mode=mode) for mode in cfg.modes]
-    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_side), whole))
+    configs = [training_config_for(cfg, mode=mode, data_fraction=1.0) for mode in cfg.modes]
+    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_side), configs[0]))
 
     rows = []
     for fraction in cfg.fractions:

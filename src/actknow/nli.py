@@ -20,6 +20,9 @@ from .errors import ConfigError
 from .retrieval import Corpus, InvertedIndex, has_token, retrieve, tokenize
 from .textfile import read_lines
 
+# premise sentences retrieved per choice, for the model and the task verifier alike
+RETRIEVE_K = 5
+
 _WH = re.compile(r"\b(what|which|where|who|when|why|how)\b", re.IGNORECASE)
 
 

@@ -1,5 +1,6 @@
 """Adam with decoupled weight decay (AdamW) at a constant learning rate,
-stepping a fixed list of leaf tensors in place."""
+stepping a fixed list of leaf tensors in place. The moment decay rates and
+the denominator's epsilon are fixed: BETA1, BETA2 and EPS."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-6
+
 
 @dataclass
 class Adam:
@@ -19,9 +24,6 @@ class Adam:
 
     params: list[Tensor]
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
     weight_decay: float = 0.1
     steps: int = field(init=False, default=0)
     m: list[np.ndarray] = field(init=False)
@@ -43,23 +45,23 @@ class Adam:
                 raise ValueError(f"Adam: grad shape {g.shape} does not match param {p.data.shape}")
         self.steps += 1
         t = self.steps
-        # p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p), with
-        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g * g
+        # p -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * p), with
+        # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g
         # updated in place. Each operation and its order is that of the
         # expressions, so the bits are too; the step is built in one scratch
         # array and the denominator in one more
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            step = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            step = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += step
-            np.multiply(g, 1.0 - self.beta2, out=step)
+            np.multiply(g, 1.0 - BETA2, out=step)
             step *= g
-            v *= self.beta2
+            v *= BETA2
             v += step
-            denom = np.divide(v, 1.0 - self.beta2**t)
+            denom = np.divide(v, 1.0 - BETA2**t)
             np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, 1.0 - self.beta1**t, out=step)
+            denom += EPS
+            np.divide(m, 1.0 - BETA1**t, out=step)
             step /= denom
             np.multiply(p.data, self.weight_decay, out=denom)
             step += denom

@@ -7,7 +7,10 @@ run the identical pipeline.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .config import ExperimentConfig
 from .encoders import Vocab, build_vocab
@@ -22,7 +25,6 @@ from .training import (
     TrainResult,
     init_model,
     prepare_questions,
-    sample_fraction,
     train,
 )
 
@@ -79,16 +81,38 @@ def prepare_split(pipe: Pipeline, split: str, tc: TrainConfig) -> list[PreparedQ
 
 
 def training_sample(questions: list, tc: TrainConfig) -> list:
-    """The tc.data_fraction sample of a train split, drawn by
-    sample_fraction; it reads only answer_index and list order, so it draws
-    the same questions from QAItems as from their prepared questions."""
-    if tc.data_fraction == 1.0:
+    """The tc.data_fraction sample of a train split: floor(fraction * n)
+    questions, stratified by gold answer index with largest-remainder
+    rounding and drawn from tc.seed, in split order. It reads only
+    answer_index and list order, so it draws the same questions from
+    QAItems as from their prepared questions. tc.validate has checked the
+    fraction."""
+    fraction = tc.data_fraction
+    if fraction == 1.0:
         return questions
-    sample = sample_fraction(questions, tc.data_fraction, tc.seed)
-    if not sample:
-        raise ConfigError(f"data_fraction {tc.data_fraction} selects none of the {len(questions)} train questions")
-    log.info("training on %d questions after fraction sampling", len(sample))
-    return sample
+    groups: dict[int, list[int]] = {}
+    for i, q in enumerate(questions):
+        groups.setdefault(q.answer_index, []).append(i)
+    keys = sorted(groups)
+    quotas = {k: math.floor(fraction * len(groups[k])) for k in keys}
+    remainder = math.floor(fraction * len(questions)) - sum(quotas.values())
+    by_frac = sorted(keys, key=lambda k: (-(fraction * len(groups[k]) % 1.0), k))
+    for k in by_frac:
+        if remainder <= 0:
+            break
+        if quotas[k] < len(groups[k]):
+            quotas[k] += 1
+            remainder -= 1
+    rng = np.random.default_rng(np.random.SeedSequence([tc.seed, 77]))
+    chosen: list[int] = []
+    for k in keys:
+        perm = rng.permutation(len(groups[k]))
+        chosen.extend(groups[k][i] for i in perm[: quotas[k]])
+    if not chosen:
+        raise ConfigError(f"data_fraction {fraction} selects none of the {len(questions)} train questions")
+    chosen.sort()
+    log.info("training on %d questions after fraction sampling", len(chosen))
+    return [questions[i] for i in chosen]
 
 
 def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConfigError
 from .kg import KnowledgeGraph
 
+# the longest seed-to-seed path, in edges, a question's subgraph searches for
+MAX_PATH_LEN = 2
+
 
 @dataclass
 class Subgraph:
@@ -113,7 +116,7 @@ def _dfs_path(graph: KnowledgeGraph, src: int, dst: int, max_len: int) -> list[i
 def connect_concepts(
     graph: KnowledgeGraph,
     seeds: list[int],
-    max_path_len: int = 2,
+    max_path_len: int = MAX_PATH_LEN,
     max_nodes: int = 50,
 ) -> Subgraph:
     """Build the subgraph for a set of seed entities.

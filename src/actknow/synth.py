@@ -26,7 +26,7 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import ConfigError
 from .kg import KnowledgeGraph, load_triples, normalize_label
-from .nli import QAItem, convert, load_qa_jsonl, save_qa_jsonl
+from .nli import RETRIEVE_K, QAItem, convert, load_qa_jsonl, save_qa_jsonl
 from .retrieval import build_index, load_corpus, tokenize
 from .subgraph import identify_concepts
 
@@ -335,14 +335,15 @@ def _paths_up_to(graph: KnowledgeGraph, src: int, max_len: int) -> dict[int, set
     return reach
 
 
-def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_depth: int, k: int = 5) -> dict:
+def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_depth: int) -> dict:
     """Re-check every question from the written files.
 
     A question passes when the correct choice lies on a simple path of
     exactly hop_depth from the stem entity, no distractor is reachable
     within hop_depth, the correct choice's token never appears in its
-    retrieved premise, and at least one distractor's token appears in its
-    own premise (the lexical bait).
+    retrieved premise (the RETRIEVE_K sentences the model reads), and at
+    least one distractor's token appears in its own premise (the lexical
+    bait).
     """
     graph = load_triples(kg_path)
     corpus = load_corpus(corpus_path)
@@ -382,7 +383,7 @@ def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_dept
 
             bait_here = False
             # the premise the model reads for each choice
-            for i, (choice, pair) in enumerate(zip(item.choices, convert(item, index, corpus, k))):
+            for i, (choice, pair) in enumerate(zip(item.choices, convert(item, index, corpus, RETRIEVE_K))):
                 overlap = bool(set(tokenize(choice)) & set(pair.premise))
                 if i == item.answer_index:
                     if overlap:

@@ -69,10 +69,10 @@ from .encoders import (
 )
 from .errors import ConfigError
 from .kg import EmbeddingTable, KnowledgeGraph
-from .nli import QAItem, convert
+from .nli import RETRIEVE_K, QAItem, convert
 from .optim import Adam
 from .retrieval import Corpus, InvertedIndex
-from .subgraph import Subgraph, connect_concepts, identify_concepts
+from .subgraph import MAX_PATH_LEN, Subgraph, connect_concepts, identify_concepts
 
 log = logging.getLogger(__name__)
 
@@ -90,10 +90,7 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     data_fraction: float = 1.0
-    gumbel_temperature: float = 1.0
-    max_path_len: int = 2
     max_nodes: int = 50
-    retrieve_k: int = 5
     pretrain_epochs: int = 2
     text_dim: int = 64
     node_dim: int = 32
@@ -101,17 +98,13 @@ class TrainConfig:
     gcn_hidden: int = 64
     gcn_layers: int = 2
     kg_epochs: int = 30
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-6
     weight_decay: float = 0.1
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("master_epochs", "sub_epochs", "batch_size", "max_path_len",
-                     "max_nodes", "retrieve_k", "text_dim", "node_dim", "gcn_hidden",
-                     "gcn_layers"):
+        for name in ("master_epochs", "sub_epochs", "batch_size", "max_nodes", "text_dim",
+                     "node_dim", "gcn_hidden", "gcn_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kg_dim < 2:
@@ -120,20 +113,13 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.pretrain_epochs < 0 or self.kg_epochs < 0:
             raise ConfigError("pretrain_epochs and kg_epochs must be >= 0")
-        # written as ranges that nan falls outside of. An adam_eps of 0
-        # divides 0 by 0 where a gradient is 0, and an infinite one zeroes
-        # every update, leaving only weight decay to move a tensor
-        for name in ("learning_rate", "gumbel_temperature", "adam_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # written as ranges that nan falls outside of
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.data_fraction <= 1:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
-        # a beta of 1 zeroes the bias correction's divisor: nan parameters
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     @property
     def graph_side(self) -> bool:
@@ -260,48 +246,18 @@ def prepare_questions(
     prepared = []
     for item in items:
         choices = []
-        for pair in convert(item, index, corpus, config.retrieve_k):
+        for pair in convert(item, index, corpus, RETRIEVE_K):
             token_ids = encode_pair_tokens(vocab, pair.premise, pair.hypothesis)
             sub = None
             if graph_side:
                 mentions = identify_concepts(pair.premise, graph) + identify_concepts(pair.hypothesis, graph)
                 seeds = sorted(set(mentions))[: config.max_nodes]
                 if seeds:
-                    sub = connect_concepts(graph, seeds, config.max_path_len, config.max_nodes)
+                    sub = connect_concepts(graph, seeds, MAX_PATH_LEN, config.max_nodes)
             choices.append(PreparedChoice(token_ids=token_ids, subgraph=sub))
         prepared.append(PreparedQuestion(qid=item.id, answer_index=item.answer_index, choices=choices,
                                          graph_side=graph_side))
     return prepared
-
-
-def sample_fraction(items: list, fraction: float, seed: int) -> list:
-    """Seeded subsample of floor(fraction * n) questions, stratified by gold
-    answer index with largest-remainder rounding."""
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"data_fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return list(items)
-    target = math.floor(fraction * len(items))
-    groups: dict[int, list[int]] = {}
-    for i, q in enumerate(items):
-        groups.setdefault(q.answer_index, []).append(i)
-    keys = sorted(groups)
-    quotas = {k: math.floor(fraction * len(groups[k])) for k in keys}
-    remainder = target - sum(quotas.values())
-    by_frac = sorted(keys, key=lambda k: (-(fraction * len(groups[k]) % 1.0), k))
-    for k in by_frac:
-        if remainder <= 0:
-            break
-        if quotas[k] < len(groups[k]):
-            quotas[k] += 1
-            remainder -= 1
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-    chosen: list[int] = []
-    for k in keys:
-        perm = rng.permutation(len(groups[k]))
-        chosen.extend(groups[k][i] for i in perm[: quotas[k]])
-    chosen.sort()
-    return [items[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +313,7 @@ def encode_batch(
             graph, attention = graph_attention_pool(hidden, adjacency, mask, text, rows, params.gcn.layers[-1])
         else:
             graph = Tensor(np.zeros((len(choices), d)))
-        knowledge = er_attention(text, params.er, config.gumbel_temperature, train, rng)
+        knowledge = er_attention(text, params.er, train, rng)
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
 
 
@@ -631,14 +587,7 @@ def train(
     gumbel_rng = _stream(config.seed, 2)
 
     def adam(params: list[Tensor]) -> Adam:
-        return Adam(
-            params,
-            lr=config.learning_rate,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-            weight_decay=config.weight_decay,
-        )
+        return Adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
 
     opt = adam(model.trainable(config))
     unit = np.ones(len(train_qs))

@@ -233,7 +233,6 @@ def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor
 def er_attention(
     text_vec: Tensor,
     params: ERAttentionParams,
-    temperature: float,
     train: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -247,7 +246,7 @@ def er_attention(
     if train:
         if rng is None:
             raise ValueError("er_attention: train mode needs an rng")
-        entity_weights = gumbel_softmax(entity_scores, temperature, rng)
+        entity_weights = gumbel_softmax(entity_scores, 1.0, rng)
     else:
         entity_weights = row_softmax(entity_scores)
     entity_vec = matmul(entity_weights, projected_entities)
@@ -292,7 +291,7 @@ def score_question(
         else:
             graph_vec = _zero_vec(d)
         if graph_side:
-            knowledge_vec = er_attention(text_vec, params.er, config.gumbel_temperature, train, rng)
+            knowledge_vec = er_attention(text_vec, params.er, train, rng)
         else:
             knowledge_vec = _zero_vec(2 * d)
         feats = concat(
@@ -745,7 +744,7 @@ def encode_batch_composed(
             slot[rows] = np.arange(rows.size)
             graph = gather(concat([pooled, Tensor(np.zeros((1, d)))]), slot)
             attention = attn.data
-        knowledge = er_attention_composed(text, params.er, config.gumbel_temperature, train, rng)
+        knowledge = er_attention_composed(text, params.er, train, rng)
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
 
 
@@ -957,7 +956,6 @@ def encode_text_composed(sequences: list[np.ndarray], params: TextEncoderParams)
 def er_attention_composed(
     text_vecs: Tensor,
     params: ERAttentionParams,
-    temperature: float,
     train: bool,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -967,7 +965,7 @@ def er_attention_composed(
     if train:
         if rng is None:
             raise ValueError("er_attention: train mode needs an rng")
-        entity_weights = gumbel_softmax(entity_scores, temperature, rng)
+        entity_weights = gumbel_softmax(entity_scores, 1.0, rng)
     else:
         entity_weights = row_softmax(entity_scores)
     entity_vecs = matmul(entity_weights, projected_entities)

@@ -249,7 +249,7 @@ def _primitive_factories():
                 params = ERAttentionParams(Tensor(tables[0]), Tensor(tables[1]), e_proj, r_proj)
                 # the same noise for every evaluation of the loss
                 noise_rng = np.random.default_rng(seed) if train else None
-                return _project(er_attention(text_vecs, params, 0.7, train, noise_rng), w)
+                return _project(er_attention(text_vecs, params, train, noise_rng), w)
 
             return build, [text, entity_proj, relation_proj][slot]
 
@@ -617,7 +617,7 @@ GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
 TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
               "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
               "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-              "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
+              "--weight-decay", "0.01", "--learning-rate", "0.01"]
 
 
 def test_criterion_9_deterministic_reruns(tmp_path):

@@ -5,18 +5,21 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from actknow import training
+from actknow.checkpoint import load_checkpoint, save_checkpoint
 from actknow.cli import READS, _resolved, build_parser, main
 from actknow.config import ExperimentConfig
 from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER, sweep_fraction
 from actknow.pipeline import training_config_for
 from actknow.scenarios import NOISY_SPEC
-from actknow.training import STATS_HEADER
+from actknow.training import STATS_HEADER, TrainConfig
 
 TASK_FILES = ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.jsonl", "test.jsonl")
 
@@ -27,7 +30,7 @@ GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
 ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
                 "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
                 "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-                "--retrieve-k", "3", "--weight-decay", "0.01", "--learning-rate", "0.01"]
+                "--weight-decay", "0.01", "--learning-rate", "0.01"]
 TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
 
 
@@ -115,13 +118,30 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    """29 + 8 + 29 + 29 (subcommand, setting) pairs, each an ExperimentConfig
+    """23 + 8 + 23 + 23 (subcommand, setting) pairs, each an ExperimentConfig
     field named once."""
     assert {command: len(names) for command, names in READS.items()} == {
-        "train": 29, "eval": 8, "sweep-fraction": 29, "ablate-subgraph": 29}
+        "train": 23, "eval": 8, "sweep-fraction": 23, "ablate-subgraph": 23}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for names in READS.values():
         assert len(set(names)) == len(names) and set(names) <= fields
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_counts_the_settings_each_subcommand_reads():
+    """README's "Subcommand | Reads | Count" table, its total of pairs and
+    its count of TrainConfig fields are written by hand; they must match
+    cli.READS and TrainConfig."""
+    text = open(README, encoding="utf-8").read()
+    table = dict(re.findall(r"^\| `([a-z-]+)` \|[^\n]*\| (\d+) \|$", text, flags=re.MULTILINE))
+    assert {command: int(count) for command, count in table.items()} == {
+        command: len(names) for command, names in READS.items()}
+    total = re.findall(r"\(`cli\.READS`\), (\d+)\s+\(subcommand, setting\) pairs", text)
+    assert [int(n) for n in total] == [sum(len(names) for names in READS.values())]
+    fields = re.findall(r"(\d+) `TrainConfig` fields", text)
+    assert fields and {int(n) for n in fields} == {len(dataclasses.fields(TrainConfig))}
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -139,8 +159,51 @@ def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--gumbel-temperature", "inf"),
-                                         ("--weight-decay", "-0.1"), ("--seed", "-1")])
+# the settings that are module constants now, each with the text the
+# checkpoint block of a cell trained before stored for it, after the
+# setting it followed there
+REMOVED = {"gumbel_temperature": ("1.0", "data_fraction"), "max_path_len": ("2", "data_fraction"),
+           "retrieve_k": ("5", "max_nodes"), "adam_beta1": ("0.9", "kg_epochs"),
+           "adam_beta2": ("0.98", "kg_epochs"), "adam_eps": ("1e-06", "kg_epochs")}
+
+
+@pytest.mark.parametrize("where", ["flag", "config", "checkpoint"])
+@pytest.mark.parametrize("name", list(REMOVED))
+def test_a_removed_setting_exits_one(name, where, task_dir, trained_dir, tmp_path, capsys):
+    """No subcommand takes a removed setting as a flag or a config line, and
+    eval refuses a checkpoint whose settings block still holds it, naming
+    its line. gumbel_temperature, the first of them in such a block, is on
+    line 9."""
+    value, after = REMOVED[name]
+    flag = "--" + name.replace("_", "-")
+    argv = ["train", *data_flags(task_dir), *TINY_FLAGS, "--out-dir", str(tmp_path / "out")]
+    if where == "flag":
+        want = f"unrecognized arguments: {flag} {value}"
+        argv += [flag, value]
+    elif where == "config":
+        config = tmp_path / "run.conf"
+        config.write_text(f"{name} = {value}\n")
+        want = f"{config}:1: unknown setting {name!r}"
+        argv += ["--config", str(config)]
+    else:
+        settings, state = load_checkpoint(os.path.join(trained_dir, "checkpoint.txt"))
+        block = {}
+        for key, text in settings.items():
+            block[key] = text
+            if key == after:
+                block[name] = value
+        path = tmp_path / "checkpoint.txt"
+        save_checkpoint(str(path), state, block)
+        want = f"{path}:{list(block).index(name) + 2}: unknown setting {name!r}"
+        argv = ["eval", *data_flags(task_dir, with_features=False), "--checkpoint", str(path),
+                "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {want}" in capsys.readouterr().err
+    if name == "gumbel_temperature" and where == "checkpoint":
+        assert want.endswith(":9: unknown setting 'gumbel_temperature'")
+
+
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--weight-decay", "-0.1"), ("--seed", "-1")])
 def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_path, capsys, caplog):
     rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, flag, value, "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -323,14 +386,14 @@ BAD_INPUTS = [
      "1: eval does not read setting 'learning_rate'"),
     ("eval-node-features", "--node-features", "node_features.txt",
      "unrecognized arguments: --node-features=node_features.txt"),
-    # the checkpoint of TINY_FLAGS: 'settings 22' on line 1, TrainConfig's
-    # fields in order on lines 2-23 (learning_rate on 5, batch_size on 6, seed
-    # on 7), 'tensors 11' on 24, then text.token_embedding, text.projection
+    # the checkpoint of TINY_FLAGS: 'settings 16' on line 1, TrainConfig's
+    # fields in order on lines 2-17 (learning_rate on 5, batch_size on 6, seed
+    # on 7), 'tensors 11' on 18, then text.token_embedding, text.projection
     # and text.bias, each on a header line and a values line
-    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 23)[23],
+    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 17)[17],
      "1: expected the header 'settings <n>', got 'tensors 11'"),
     ("checkpoint-missing-setting", "--checkpoint",
-     lambda data: data.replace(b"settings 22\n", b"settings 21\n").replace(b"batch_size = 4\n", b""),
+     lambda data: data.replace(b"settings 16\n", b"settings 15\n").replace(b"batch_size = 4\n", b""),
      "1: the settings block lacks batch_size"),
     ("checkpoint-unknown-setting", "--checkpoint",
      lambda data: data.replace(b"batch_size = 4\n", b"warmup_steps = 4\n"), "6: unknown setting 'warmup_steps'"),
@@ -342,13 +405,13 @@ BAD_INPUTS = [
      lambda data: data.replace(b"learning_rate = 0.01\n", b"learning_rate = nan\n"),
      "5: learning_rate must be positive and finite"),
     ("checkpoint-header-field", "--checkpoint", lambda data: data.replace(b"tensors 11\n", b"tensors 11 junk\n"),
-     "24: expected the header 'tensors <n>'"),
+     "18: expected the header 'tensors <n>'"),
     ("checkpoint-dims-past-ndim", "--checkpoint",
      lambda data: data.replace(b"\ntext.projection 2 8 8\n", b"\ntext.projection 2 8 8 99 7\n"),
-     "27: bad tensor header"),
+     "21: bad tensor header"),
     ("checkpoint-loose-value", "--checkpoint",
      lambda data: data.replace(b"\ntext.bias 1 8\n", b"\ntext.bias 1 8\n2_0 "),
-     "30: bad value in tensor text.bias"),
+     "24: bad value in tensor text.bias"),
     *[(f"{flag.split()[-1][2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),
@@ -537,6 +600,31 @@ def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path, c
     assert open(f"{a}/sweep.csv", "rb").read() == open(f"{b}/sweep.csv", "rb").read()
 
 
+def test_a_text_only_sweep_builds_no_subgraph(task_dir, tmp_path, monkeypatch):
+    """With text-only the one swept mode, the splits are prepared as its
+    cells read them: no subgraph is built, and each cell writes the bytes of
+    the same cell in a sweep that also trains base-know, whose splits carry
+    subgraphs, and so does each row of the CSV."""
+    argv = lambda out, modes: [
+        "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS,
+        "--fractions", "0.5,1.0", "--modes", modes, "--seeds", "0", "--out-dir", out,
+    ]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv(str(b), "text-only,base-know")) == 0
+    calls = []
+    connect = training.connect_concepts
+    monkeypatch.setattr(training, "connect_concepts", lambda *args: calls.append(args) or connect(*args))
+    assert main(argv(str(a), "text-only")) == 0
+    assert calls == []
+    cells = sorted(os.listdir(a))
+    assert cells == ["fraction-0.5-text-only-seed-0", "fraction-1.0-text-only-seed-0", "sweep.csv"]
+    for cell in cells[:-1]:
+        for name in CELL_FILES:
+            assert (a / cell / name).read_bytes() == (b / cell / name).read_bytes(), (cell, name)
+    rows = (b / "sweep.csv").read_bytes().split(b"\r\n")
+    assert (a / "sweep.csv").read_bytes() == b"\r\n".join(r for r in rows if b",base-know," not in r)
+
+
 def test_ablate_subgraph_csv(task_dir, tmp_path):
     out = str(tmp_path / "ablate")
     argv = [
@@ -556,15 +644,6 @@ def test_ablate_rejects_zero_budget(task_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "node_budgets" in capsys.readouterr().err
-
-
-def test_train_rejects_a_beta_of_one(task_dir, tmp_path, capsys):
-    config = tmp_path / "adam.cfg"
-    config.write_text("adam_beta1 = 1.0\n")
-    rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, "--config", str(config),
-               "--out-dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "adam_beta1" in capsys.readouterr().err
 
 
 def test_module_entry_point(task_dir, tmp_path):

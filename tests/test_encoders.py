@@ -450,7 +450,7 @@ def make_er_params(n_entities=6, n_relations=3, kg_dim=4, d=5, seed=12):
 
 def test_er_single_entry_tables_get_full_weight():
     params = make_er_params(n_entities=1, n_relations=1)
-    out = er_attention(Tensor(RNG.normal(size=(1, 5))), params, temperature=1.0, train=False)
+    out = er_attention(Tensor(RNG.normal(size=(1, 5))), params, train=False)
     proj_e = params.entity_table.data @ params.entity_proj.data
     proj_r = params.relation_table.data @ params.relation_proj.data
     assert np.max(np.abs(out.data[0, :5] - proj_e[0])) < 1e-12
@@ -468,7 +468,7 @@ def test_er_eval_matches_brute_force():
     pr = params.relation_table.data @ params.relation_proj.data
     text = RNG.normal(size=4)
     expected = np.concatenate([softmax_np(pe @ text) @ pe, softmax_np(pr @ text) @ pr])
-    out = er_attention(Tensor(text[None]), params, temperature=1.0, train=False).data[0]
+    out = er_attention(Tensor(text[None]), params, train=False).data[0]
     assert np.max(np.abs(out - expected)) < 1e-10
 
 
@@ -481,17 +481,17 @@ def test_er_eval_weights_concentrate_on_aligned_entity():
     weights = softmax_np(pe @ text)
     winner = int(weights.argmax())
     assert weights[winner] > 0.99  # the construction gives a decisive margin
-    out = er_attention(Tensor(text[None]), params, temperature=1.0, train=False).data[0]
+    out = er_attention(Tensor(text[None]), params, train=False).data[0]
     assert np.max(np.abs(out[:4] - weights @ pe)) < 1e-9
 
 
 def test_er_train_mode_is_seeded_and_reproducible():
     params = make_er_params()
     text = Tensor(RNG.normal(size=(1, 5)))
-    a = er_attention(text, params, 1.0, train=True, rng=np.random.default_rng(33)).data
-    b = er_attention(text, params, 1.0, train=True, rng=np.random.default_rng(33)).data
+    a = er_attention(text, params, train=True, rng=np.random.default_rng(33)).data
+    b = er_attention(text, params, train=True, rng=np.random.default_rng(33)).data
     assert np.array_equal(a, b)
-    c = er_attention(text, params, 1.0, train=True, rng=np.random.default_rng(34)).data
+    c = er_attention(text, params, train=True, rng=np.random.default_rng(34)).data
     assert not np.array_equal(a, c)
 
 
@@ -501,29 +501,22 @@ def test_er_batch_rows_match_single_rows_in_draw_order():
     params = make_er_params()
     texts = RNG.normal(size=(3, 5))
     for train in (False, True):
-        batch = er_attention(Tensor(texts), params, 0.7, train=train, rng=np.random.default_rng(40)).data
+        batch = er_attention(Tensor(texts), params, train=train, rng=np.random.default_rng(40)).data
         shared = np.random.default_rng(40)
         for row, text in zip(batch, texts):
-            alone = er_attention(Tensor(text[None]), params, 0.7, train=train, rng=shared).data[0]
+            alone = er_attention(Tensor(text[None]), params, train=train, rng=shared).data[0]
             assert np.max(np.abs(row - alone)) < 1e-12
 
 
 def test_er_train_mode_requires_rng():
     params = make_er_params()
     with pytest.raises(ValueError):
-        er_attention(Tensor(np.zeros((1, 5))), params, 1.0, train=True)
-
-
-@pytest.mark.parametrize("temperature", [0.0, -1.0])
-def test_er_train_mode_rejects_a_nonpositive_temperature(temperature):
-    params = make_er_params()
-    with pytest.raises(ConfigError, match="temperature"):
-        er_attention(Tensor(np.zeros((1, 5))), params, temperature, train=True, rng=np.random.default_rng(0))
+        er_attention(Tensor(np.zeros((1, 5))), params, train=True)
 
 
 def test_er_output_shape_is_twice_d():
     params = make_er_params(d=5)
-    out = er_attention(Tensor(np.zeros((3, 5))), params, 1.0, train=False)
+    out = er_attention(Tensor(np.zeros((3, 5))), params, train=False)
     assert out.shape == (3, 10)
 
 
@@ -534,7 +527,7 @@ def test_er_gradient_matches_fd():
     w = np.random.default_rng(15).normal(size=6)
 
     def forward():
-        return matmul(reshape(er_attention(text, params, 1.0, train=False), (-1,)), Tensor(w))
+        return matmul(reshape(er_attention(text, params, train=False), (-1,)), Tensor(w))
 
     backward(forward())
     for leaf in (params.entity_proj, params.relation_proj):

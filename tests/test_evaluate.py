@@ -276,9 +276,8 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 # scoring do not read
 UNREAD_BY_EVAL = {
     "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "batch_size": 3, "seed": 9, "data_fraction": 0.3,
-    "gumbel_temperature": 0.25, "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5,
-    "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4, "kg_epochs": 1,
-    "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 0.125, "weight_decay": 0.0,
+    "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5, "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4,
+    "kg_epochs": 1, "weight_decay": 0.0,
 }
 
 
@@ -286,13 +285,13 @@ UNREAD_BY_EVAL = {
 def test_eval_reads_only_its_own_settings(split, lowdata_model):
     """eval takes no TrainConfig flag: it scores with the config its
     checkpoint stores. Of that config, prepare_split and evaluate of one
-    model read only four fields: they give byte-identical rows under the
+    model read only two fields: they give byte-identical rows under the
     defaults and under a non-default value of every other field. The train
     split is left out: there prepare_split draws the data_fraction sample
     that training reads, and eval sets data_fraction to 1."""
     config, model, _ = lowdata_model
     assert not {f.name for f in dataclasses.fields(training.TrainConfig)} & set(READS["eval"])
-    read = {"mode", "retrieve_k", "max_nodes", "max_path_len"}
+    read = {"mode", "max_nodes"}
     assert set(UNREAD_BY_EVAL) == {f.name for f in dataclasses.fields(training.TrainConfig)} - read
     defaults = training_config_for(
         dataclasses.replace(config, **{f.name: f.default for f in dataclasses.fields(training.TrainConfig)

@@ -45,27 +45,27 @@ PINNED_NUMPY = "2.4.6"
 PINS = {
     ("lowdata-act", "act-know"): {
         "stats.csv": "24d2f2861deed864436b02a616c898494e279959a0a1f89d5dccd00c5eda4895",
-        "checkpoint.txt": "3935210780a110ee07ed03098702bd52cb7455c48ae015bc6b1b2cd54cf349ad",
+        "checkpoint.txt": "7185f00a8208a8479eaeed737802a068b638d226ec687d5d3c8186c2f6d2ab4b",
         "test": "94f9879f7d6dd966fdc90be72f546321cffdc72aa1cfcc53e16f9be506bf8b81",
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "01d9ab3d7a7e40f2a2e634b4af73c0dee7db47eacbeea80c5c28c75bd585d5a1",
+        "checkpoint.txt": "091dee4e6848e3e353e46575a1d1afd5583aa85cdb835b0a82eb2d1ff70cd7f3",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
         "stats.csv": "b7edb542754715dfa8fcda83119be52ebff0d17b4119754e8b9e64cc871c5713",
-        "checkpoint.txt": "da8cad75c975740e3934ea02fbbe12142ae2f3c768eff5a341738a0c3f88490a",
+        "checkpoint.txt": "7926bdc6474b646725e1a99ea478a06a626b1cb1ed5abd828c308ef52598fe4d",
         "test": "4e3db14db90beea3d1258e5738b33d94bbef733e2af408fac3d7eb765f3fb6f3",
     },
     ("noisy-ablation", "max-nodes-20"): {
         "stats.csv": "1e427e2b9b1cef2f2a00dae66cf379e0dd53dd3ccbe7b5a63618de0d31944bfe",
-        "checkpoint.txt": "4630fea74b9e9639311fd47eb51bc92c04c8f0a1b7be633808981cd0a46211ef",
+        "checkpoint.txt": "7ff63ed353da420540c08de72fcee830365a87468717336bc69a0538898809d3",
         "test": "db5e99aa26251b63af040fc259622955c8be586ba5d0cb1217490e0e26a95489",
     },
     ("noisy-ablation", "max-nodes-60"): {
         "stats.csv": "1d5cf3d32acb5bd75baf73c41a77fff416e938377593269cb603efcd003b3884",
-        "checkpoint.txt": "d0f00a3e43289f367d834440d0ad4d04b454cdf09e343382161e3ba4cc8a6149",
+        "checkpoint.txt": "5c86fe1bffdb2ece7dd40097704fd52ed11edcc37f8b3ecd45d2acba161f04c3",
         "test": "e070f77355836c265cc7a0cdb49469cf6e10ce0a36ba2799ef369b40e452aa22",
     },
 }

@@ -6,9 +6,8 @@ import pytest
 
 from actknow.encoders import build_vocab, encode_pair_tokens
 from actknow.errors import ConfigError
-from actknow.nli import QAItem, convert, load_qa_jsonl, make_hypothesis, save_qa_jsonl
+from actknow.nli import RETRIEVE_K, QAItem, convert, load_qa_jsonl, make_hypothesis, save_qa_jsonl
 from actknow.retrieval import build_index, corpus_from_sentences, load_corpus, retrieve, tokenize
-from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.subgraph import identify_concepts
 from actknow.textfile import read_lines
 
@@ -99,14 +98,12 @@ def test_convert_premise_concatenates_top_sentences_tokens():
     assert pairs[0].premise == ["salt", "melts", "ice", "ice", "melts", "fast"]
 
 
-@pytest.mark.parametrize("data, experiment", [("lowdata_dir", lowdata_experiment), ("noisy_dir", noisy_experiment)],
-                         ids=["lowdata", "noisy"])
-def test_convert_tokens_equal_the_tokens_of_the_joined_text(data, experiment, request, tmp_path):
-    """Every choice of a bundled task at its retrieve_k, plus one question
-    that retrieves nothing: the premise is the token list of the retrieved
+@pytest.mark.parametrize("data", ["lowdata_dir", "noisy_dir"], ids=["lowdata", "noisy"])
+def test_convert_tokens_equal_the_tokens_of_the_joined_text(data, request):
+    """Every choice of a bundled task at RETRIEVE_K, plus one question that
+    retrieves nothing: the premise is the token list of the retrieved
     sentences joined by spaces, and the hypothesis that of make_hypothesis."""
     data_dir = request.getfixturevalue(data)
-    k = experiment(data_dir, str(tmp_path)).retrieve_k
     path = os.path.join(data_dir, "corpus.txt")
     sentences = [line for line in read_lines(path) if line.strip()]
     corpus = load_corpus(path)
@@ -116,10 +113,10 @@ def test_convert_tokens_equal_the_tokens_of_the_joined_text(data, experiment, re
     items.append(QAItem(id="unmatched", stem="what is zqx ?", choices=["vwq", "jxk"], answer_index=0))
     empty = 0
     for item in items:
-        pairs = convert(item, index, corpus, k)
+        pairs = convert(item, index, corpus, RETRIEVE_K)
         assert len(pairs) == len(item.choices)
         for choice, pair in zip(item.choices, pairs):
-            hits = retrieve(index, item.stem + " " + choice, k)
+            hits = retrieve(index, item.stem + " " + choice, RETRIEVE_K)
             assert pair.premise == tokenize(" ".join(sentences[sid] for sid, _ in hits))
             assert pair.hypothesis == tokenize(make_hypothesis(item.stem, choice))
             empty += not pair.premise

@@ -6,7 +6,7 @@ import pytest
 import _oracles
 from actknow.autodiff import Tensor, backward
 from actknow.errors import ConfigError
-from actknow.optim import Adam
+from actknow.optim import BETA1, BETA2, EPS, Adam
 from test_training import build_task
 
 
@@ -108,8 +108,7 @@ def test_adam_matches_the_functional_oracle():
     functional reference step bitwise after every step."""
     task = build_task(mode="act-know")
     params = task.model.trainable(task.config)
-    settings = dict(beta1=0.85, beta2=0.97, eps=1e-7, weight_decay=0.1)
-    opt = Adam(params, lr=0.02, **settings)
+    opt = Adam(params, lr=0.02, weight_decay=0.1)
     arrays = [p.data.copy() for p in params]
     state = _oracles.init_adam_state(arrays)
     rng = np.random.default_rng(5)
@@ -122,6 +121,6 @@ def test_adam_matches_the_functional_oracle():
             p.grad = None if missing else g
             grads.append(np.zeros_like(p.data) if missing else g)
         opt.step()
-        arrays, state = _oracles.adam_step(arrays, grads, state, 0.02, **settings)
+        arrays, state = _oracles.adam_step(arrays, grads, state, 0.02, BETA1, BETA2, EPS, weight_decay=0.1)
         for p, expected in zip(params, arrays):
             assert np.array_equal(p.data, expected)

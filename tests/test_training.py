@@ -14,17 +14,17 @@ from actknow.errors import ConfigError
 from actknow.experiments import run_cell
 from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
-from actknow.pipeline import load_pipeline, prepare_split, training_config_for
+from actknow.pipeline import load_pipeline, prepare_split, training_config_for, training_sample
 from actknow.retrieval import build_index, corpus_from_sentences, tokenize
 from actknow.scenarios import lowdata_experiment
 from actknow.training import (
     PreparedQuestion,
     STATS_HEADER,
+    TrainConfig,
     evaluate,
     init_model,
     prepare_questions,
     question_entropies,
-    sample_fraction,
     score_question,
     train,
     write_stats_csv,
@@ -74,7 +74,7 @@ def manual_logits(pq, model, weight, config):
         else:
             g = np.zeros(model.dim)
         if graph_side:
-            k = er_attention(text, model.er, config.gumbel_temperature, train=False).data[0]
+            k = er_attention(text, model.er, train=False).data[0]
         else:
             k = np.zeros(2 * model.dim)
         feats = np.concatenate([t, weight * g, weight * k])
@@ -285,27 +285,28 @@ def test_entropies_equal_the_oracle_on_any_chunk(vectors):
 
 def test_sample_fraction_stratified():
     items = [SimpleNamespace(answer_index=i % 4) for i in range(8)]
-    half = sample_fraction(items, 0.5, seed=0)
+    half = training_sample(items, TrainConfig(data_fraction=0.5, seed=0))
     assert len(half) == 4
     assert sorted(q.answer_index for q in half) == [0, 1, 2, 3]
 
 
 def test_sample_fraction_seeded():
     items = [SimpleNamespace(answer_index=i % 4) for i in range(40)]
-    a = sample_fraction(items, 0.3, seed=5)
-    b = sample_fraction(items, 0.3, seed=5)
+    a = training_sample(items, TrainConfig(data_fraction=0.3, seed=5))
+    b = training_sample(items, TrainConfig(data_fraction=0.3, seed=5))
     assert [id(x) for x in a] == [id(x) for x in b]
-    c = sample_fraction(items, 0.3, seed=6)
+    c = training_sample(items, TrainConfig(data_fraction=0.3, seed=6))
     assert [id(x) for x in a] != [id(x) for x in c]
 
 
 def test_sample_fraction_full_and_invalid():
+    """The whole split at fraction 1; TrainConfig.validate, which every
+    config passes before it samples, refuses a fraction outside (0, 1]."""
     items = [SimpleNamespace(answer_index=0)]
-    assert sample_fraction(items, 1.0, seed=0) == items
-    with pytest.raises(ConfigError):
-        sample_fraction(items, 0.0, seed=0)
-    with pytest.raises(ConfigError):
-        sample_fraction(items, 1.5, seed=0)
+    assert training_sample(items, TrainConfig(data_fraction=1.0)) == items
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ConfigError):
+            TrainConfig(data_fraction=fraction).validate()
 
 
 @pytest.mark.parametrize("mode", ["base-know", "text-only"])
@@ -321,7 +322,7 @@ def test_train_split_prepares_the_sample_of_the_whole_preparation(mode, lowdata_
         for seed in (0, 3):
             tc = training_config_for(cfg, data_fraction=fraction, seed=seed)
             got = prepare_split(load_pipeline(cfg), "train", tc)
-            want = sample_fraction(whole, fraction, seed)
+            want = training_sample(whole, tc)
             assert [(pq.qid, pq.answer_index) for pq in got] == [(pq.qid, pq.answer_index) for pq in want]
             for g, w in zip(got, want):
                 assert g.graph_side == w.graph_side == (mode == "base-know")
@@ -515,8 +516,6 @@ def test_config_validation():
         tiny_config(data_fraction=1.2)
     with pytest.raises(ConfigError):
         tiny_config(kg_dim=1)
-    with pytest.raises(ConfigError):
-        tiny_config(gumbel_temperature=0.0)
 
 
 def test_stats_csv_roundtrip(tmp_path):
