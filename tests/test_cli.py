@@ -646,6 +646,16 @@ def test_ablate_rejects_zero_budget(task_dir, tmp_path, capsys):
     assert "node_budgets" in capsys.readouterr().err
 
 
+def test_train_rejects_a_beta_of_one(task_dir, tmp_path, capsys):
+    """adam_beta1 is fixed in optim: a config that sets it is refused."""
+    config = tmp_path / "adam.cfg"
+    config.write_text("adam_beta1 = 1.0\n")
+    rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, "--config", str(config),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "unknown setting 'adam_beta1'" in capsys.readouterr().err
+
+
 def test_module_entry_point(task_dir, tmp_path):
     out = str(tmp_path / "module_gen")
     # the child finds the package the way this process does, from a checkout too

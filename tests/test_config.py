@@ -230,11 +230,29 @@ def test_training_config_for_overrides_a_copy():
         training_config_for(cfg, max_nodes=0)
 
 
+# settings that are module constants now: a config line that sets one is
+# refused as an unknown setting, whatever its value
+REMOVED = ("gumbel_temperature", "adam_beta1", "adam_beta2", "adam_eps")
+
+
+def rejection(name):
+    return f"unknown setting '{name}'" if name in REMOVED else name
+
+
+@pytest.mark.parametrize("line", ["adam_beta1 = 1.0", "adam_beta2 = 1.0", "adam_eps = 0"])
+def test_rejects_adam_settings_whose_first_step_is_nan(tmp_path, line):
+    """Adam's betas and eps are fixed in optim, so a config can no longer set
+    a value whose first step is nan: the line is refused."""
+    name = line.split()[0]
+    with pytest.raises(ConfigError, match=rejection(name)):
+        resolve(write_config(tmp_path, line + "\n"))
+
+
 @pytest.mark.parametrize("name, value", [
-    ("learning_rate", "nan"), ("learning_rate", "inf"),
+    *[(name, value) for name in ("learning_rate", "gumbel_temperature", "adam_eps") for value in ("nan", "inf")],
     ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-0.1"),
 ])
 def test_rejects_a_non_finite_or_negative_rate(tmp_path, name, value):
     """nan compares false with every bound, so each check is a range it must lie in."""
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=rejection(name)):
         resolve(write_config(tmp_path, f"{name} = {value}\n"))
