@@ -21,14 +21,18 @@ are byte-identical under any batch_size.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import _oracles
+from actknow import autodiff as ad
 from actknow import training
 from actknow.cli import READS
 from actknow.pipeline import load_pipeline, prepare_split, run_training, training_config_for
 from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.nli import QAItem
+from actknow.optim import Adam
+from conftest import mark_leaves
 from test_training import OBJECTS, SUBJECTS, build_task
 
 ENCODERS = ("encode_text", "gcn_forward", "er_attention")
@@ -207,6 +211,46 @@ def _choices(chunk):
 def _padded_rows(chunk):
     nodes = [c.subgraph.n_nodes for pq in chunk for c in pq.choices if c.subgraph is not None]
     return _choices(chunk) * max(nodes, default=0)
+
+
+def _text_only_outputs(model, config, splits):
+    """evaluate()'s rows with details on every split, then the gradients
+    and the Adam update of one training step on the first batch; the model
+    is back at its state afterwards."""
+    rows = [training.evaluate(splits[split], model, config, with_details=True)[1] for split in SPLITS]
+    tensors = mark_leaves(*model.trainable(config))
+    before = [t.data.copy() for t in tensors]
+    batch = splits["train"][: config.batch_size]
+    try:
+        opt = Adam(tensors, lr=config.learning_rate, weight_decay=config.weight_decay)
+        opt.zero_grad()  # training leaves its last step's gradients behind
+        loss = training._batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
+        ad.backward(loss)
+        grads = [t.grad.copy() for t in tensors]
+        opt.step()
+        updates = [t.data - b for t, b in zip(tensors, before)]
+    finally:
+        for t, b in zip(tensors, before):
+            t.data, t.grad, t.requires_grad = b, None, False
+    return rows, loss.item(), grads, updates
+
+
+def test_text_only_reads_no_graph_side_tensor(lowdata_dir, tmp_path):
+    """A trained text-only model scores, differentiates and steps the same
+    bits whatever its GCN, node features and ER tensors hold: no logit
+    reads them, so its checkpoint need not hold them."""
+    cfg = lowdata_experiment(lowdata_dir, str(tmp_path))
+    config, model, splits = _trained(cfg, mode="text-only", data_fraction=0.2)
+    want = _text_only_outputs(model, config, splits)
+    rng = np.random.default_rng(3)
+    unread = [*model.gcn.layers, model.gcn.node_features, model.er.entity_table, model.er.relation_table,
+              model.er.entity_proj, model.er.relation_proj]
+    for tensor in unread:
+        tensor.data = rng.normal(0.0, 5.0, size=tensor.data.shape)
+    got = _text_only_outputs(model, config, splits)
+    assert got[0] == want[0] and got[1] == want[1]
+    for g, w in zip(got[2] + got[3], want[2] + want[3]):
+        assert np.array_equal(g, w)
 
 
 def test_eval_chunks_bound_text_only_chunks_by_choices_alone(lowdata_text_model):

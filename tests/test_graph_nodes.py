@@ -149,6 +149,38 @@ def test_eval_builds_no_tape_and_matches_the_composed_features(name, bundled):
             assert not tensor.requires_grad and tensor._pullback is None and not tensor._parents
 
 
+@pytest.mark.parametrize("name", ["lowdata-text", "tiny-text"])
+def test_text_only_scores_as_the_composed_path_with_zero_blocks(name, bundled):
+    """text-only against the composed path, which feeds zero graph and
+    knowledge blocks through the 4d-wide classifier: on every training
+    batch the same logits, loss and gradients of the text encoder and the
+    classifier, and on every eval chunk the same logits, all bit for bit."""
+    if name == "tiny-text":
+        task = build_task(mode="text-only")
+        config, questions, model = task.config, task.prepared, task.model
+    else:
+        config, questions, model = bundled(name)
+    assert not config.graph_side
+    tensors = mark_leaves(model.text.token_embedding, model.text.projection, model.text.bias, model.classifier)
+    try:
+        for batch in _batches(questions, config):
+            got = _step(FUSED, batch, model, config, tensors)
+            want = _step(COMPOSED, batch, model, config, tensors)
+            assert np.array_equal(got[1].data, want[1].data)
+            assert got[2].item() == want[2].item()
+            for tensor, g, w in zip(tensors, got[3], want[3]):
+                assert g is not None and np.array_equal(g, w), tensor
+    finally:
+        for t in tensors:
+            t.requires_grad = False
+    for chunk in eval_chunks(questions):
+        weights = np.ones(len(chunk))
+        got = classify(encode_batch(chunk, model, config), model.classifier, weights)
+        want = _oracles.classify_composed(_oracles.encode_batch_composed(chunk, model, config), model.classifier,
+                                          weights)
+        assert np.array_equal(got.data, want.data)
+
+
 @pytest.mark.parametrize("layers", [1, 3])
 def test_batch_loss_gradients_match_fd(layers):
     """Finite differences of one batch's loss, eval-mode attention, for
