@@ -42,8 +42,9 @@ _TRAIN = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 # the ExperimentConfig fields each subcommand reads, and so its flags and
 # the config-file keys it accepts. eval scores with the checkpoint's own
-# settings and weights, node features included; each sweep cell sets the
-# fields its loop varies
+# settings and tensors, the node features among them outside text-only,
+# so it reads no node-features file; each sweep cell sets the fields its
+# loop varies
 READS = {
     "train": (*_FILES, "node_features", *_TRAIN),
     "eval": (*_FILES, "checkpoint", "split"),

@@ -4,24 +4,24 @@ One loop of master epochs, each containing sub-epochs of Adam updates,
 serves all three modes. Every question carries one infusion weight that
 scales its graph and knowledge features alike; the weights of a list of
 questions are one array aligned with it. base-know and text-only weight
-every question by 1 (text-only feeds zeros in place of those features).
-act-know weights each question, for and only for one master epoch's
-updates, by the prediction entropy that the last evaluate() of the entropy
-split recorded for it: one evaluation after pretraining for the first
-epoch, the end-of-epoch evaluation for each later one. The parameters have
-not moved since, so these are the entropies of the current model. Entropy
-never carries gradient.
+every question by 1 (text-only has no such features, so its logits read
+the text alone). act-know weights each question, for and only for one
+master epoch's updates, by the prediction entropy that the last
+evaluate() of the entropy split recorded for it: one evaluation after
+pretraining for the first epoch, the end-of-epoch evaluation for each
+later one. The parameters have not moved since, so these are the
+entropies of the current model. Entropy never carries gradient.
 
 Scoring is choice-stacked: encode_batch runs every choice of a batch of
 questions through each encoder at once, and classify applies the
 per-question weights and the classifier to those features. The attention
 pool takes the whole text matrix and writes every choice's graph row
-itself. Zero features are built only where classify reads them: graph
-and knowledge rows in text-only, graph rows where no choice of a batch
-has a subgraph. Training runs
-one of each per batch of config.batch_size questions (score_batch), then
-the mean cross-entropy of the batch's questions (mean_cross_entropy).
-classify and the loss are one tape node each, like each encoder, so a
+itself. text-only builds no graph or knowledge features: its logits are
+the text rows' dot products with the classifier's text slice. A
+graph-side batch where no choice has a subgraph gets zero graph rows.
+Training runs one of each per batch of config.batch_size questions
+(score_batch), then the mean cross-entropy of the batch's questions
+(mean_cross_entropy). classify and the loss are one tape node each, like each encoder, so a
 graph-side training batch's tape holds six nodes on top of its trainable
 tensors, and a text-only one three.
 evaluate() runs one encoder pass per chunk and, in act-know, two
@@ -37,7 +37,10 @@ optimizer's tensors trainable while the batches run, so evaluation builds
 no tape. Each phase's list is ModelParams.trainable: graph-side
 pretraining trains the classifier and the graph-side encoders (GCN layers
 and ER projections, outside text-only) with the text encoder frozen, and
-the main updates add the text encoder.
+the main updates add the text encoder. A model holds every tensor in
+every mode, but a text-only model names only those that reach a logit,
+the text encoder's and the classifier, so its state and checkpoint hold
+those four alone (ModelParams.named).
 """
 
 from __future__ import annotations
@@ -125,12 +128,17 @@ class TrainConfig:
     def graph_side(self) -> bool:
         """Whether the GCN and the ER attention run: in every mode but
         text-only. Preparation, encode_batch, the trainable sets, graph-side
-        pretraining and the KG-table build all read this."""
+        pretraining, the KG-table build and the tensors a model names all
+        read this."""
         return self.mode != "text-only"
 
 
 # ---------------------------------------------------------------------------
 # model parameters
+
+
+# the tensors a text-only model names: all that reach its logits
+TEXT_SIDE = ("text.token_embedding", "text.projection", "text.bias", "classifier")
 
 
 @dataclass
@@ -139,6 +147,9 @@ class ModelParams:
     gcn: GCNParams
     er: ERAttentionParams
     classifier: Tensor  # (4d,) over concat(text, graph, knowledge)
+    # whether the model was built for a config with a graph side: named()
+    # holds the GCN and ER tensors only then
+    graph_side: bool
 
     @property
     def dim(self) -> int:
@@ -155,6 +166,8 @@ class ModelParams:
         ]
 
     def named(self) -> dict[str, Tensor]:
+        """The tensors of the model's state and checkpoint, by name: all of
+        them for a graph-side model, TEXT_SIDE for a text-only one."""
         out = {
             "text.token_embedding": self.text.token_embedding,
             "text.projection": self.text.projection,
@@ -168,6 +181,8 @@ class ModelParams:
         }
         for i, layer in enumerate(self.gcn.layers):
             out[f"gcn.layer{i}"] = layer
+        if not self.graph_side:
+            return {name: out[name] for name in TEXT_SIDE}
         return out
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -204,7 +219,7 @@ def init_model(
     gcn = init_gcn_params(dims, node_features, rng)
     er = init_er_params(entity_table, relation_table, d, rng)
     classifier = Tensor(rng.normal(0.0, 0.1, size=(4 * d,)))
-    return ModelParams(text=text, gcn=gcn, er=er, classifier=classifier)
+    return ModelParams(text=text, gcn=gcn, er=er, classifier=classifier, graph_side=config.graph_side)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +284,10 @@ class Features:
     """Encoder outputs of a stack of questions, one row per choice in
     question order, before the per-question weights are applied."""
 
-    text: Tensor       # (n_choices, d)
-    graph: Tensor      # (n_choices, d), zero rows where no graph feature
-    knowledge: Tensor  # (n_choices, 2d)
+    text: Tensor              # (n_choices, d)
+    # (n_choices, d), zero rows where no graph feature; None in text-only
+    graph: Tensor | None
+    knowledge: Tensor | None  # (n_choices, 2d); None in text-only
     counts: np.ndarray  # choices per question
     starts: np.ndarray  # offset of each question's first choice
     # the choices whose subgraph the GCN pooled, in order, and their (S, N)
@@ -290,29 +306,27 @@ def encode_batch(
     """Run every choice of a stack of questions through the text encoder,
     the GCN with text-attention pooling and ER attention, each once.
 
-    text-only mode skips the graph side and feeds zeros in its place. A
-    graph-side run on a question prepared without its graph side is a
-    ValueError.
+    text-only mode skips the graph side and builds no graph or knowledge
+    features in its place. A graph-side run on a question prepared without
+    its graph side is a ValueError.
     """
     choices = [c for pq in questions for c in pq.choices]
     counts = np.array([len(pq.choices) for pq in questions])
-    d = params.dim
     if config.graph_side and not all(pq.graph_side for pq in questions):
         raise ValueError("encode_batch: the GCN runs on questions prepared without their subgraphs")
     text = encode_text([c.token_ids for c in choices], params.text)
 
     rows = np.zeros(0, dtype=np.intp)
     attention = np.zeros((0, 0))
-    if not config.graph_side:
-        graph, knowledge = Tensor(np.zeros((len(choices), d))), Tensor(np.zeros((len(choices), 2 * d)))
-    else:
+    graph = knowledge = None
+    if config.graph_side:
         # a built subgraph holds at least its seeds
         rows = np.flatnonzero([c.subgraph is not None for c in choices])
         if rows.size:
             hidden, adjacency, mask = gcn_forward([choices[i].subgraph for i in rows], params.gcn)
             graph, attention = graph_attention_pool(hidden, adjacency, mask, text, rows, params.gcn.layers[-1])
         else:
-            graph = Tensor(np.zeros((len(choices), d)))
+            graph = Tensor(np.zeros((len(choices), params.dim)))
         knowledge = er_attention(text, params.er, train, rng)
     return Features(text, graph, knowledge, counts, np.cumsum(counts) - counts, rows, attention)
 
@@ -320,11 +334,15 @@ def encode_batch(
 def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor:
     """Logit of every choice: the classifier's dot product with
     concat(text, graph * w, knowledge * w), where weights holds one w per
-    question. One tape node; each row's dot product is summed the same way,
-    so equal rows give bit-equal logits wherever they sit, which a BLAS
-    matrix-vector product does not promise."""
-    scale = np.repeat(np.asarray(weights, dtype=np.float64), feats.counts)[:, None]
+    question; in text-only, which has no graph or knowledge features, with
+    the text alone (_classify_text), which reads no weight. One tape node;
+    each row's dot product is summed the same way, so equal rows give
+    bit-equal logits wherever they sit, which a BLAS matrix-vector product
+    does not promise."""
     text, graph, knowledge = feats.text, feats.graph, feats.knowledge
+    if knowledge is None:
+        return _classify_text(text, classifier)
+    scale = np.repeat(np.asarray(weights, dtype=np.float64), feats.counts)[:, None]
     rows = np.concatenate([text.data, graph.data * scale, knowledge.data * scale], axis=1)
     d = text.shape[1]
 
@@ -338,6 +356,25 @@ def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor
         )
 
     return ad.record(np.sum(rows * classifier.data, axis=1), (text, graph, knowledge, classifier), pullback)
+
+
+def _classify_text(text: Tensor, classifier: Tensor) -> Tensor:
+    """classify in text-only: each text row's dot product with
+    classifier[:d]; the classifier's gradient is zero past d. Where d is a
+    multiple of 8, logits and gradients are bit-equal to the 4d-wide
+    product with zero graph and knowledge columns: numpy sums such a row
+    in eight running sums, to which the zero columns add only zeros."""
+    d = text.shape[1]
+    head = classifier.data[:d]
+
+    def pullback(g: np.ndarray):
+        g_classifier = None
+        if classifier.requires_grad:
+            g_classifier = np.zeros(classifier.shape)
+            g_classifier[:d] = g @ text.data
+        return np.outer(g, head) if text.requires_grad else None, g_classifier
+
+    return ad.record(np.sum(text.data * head, axis=1), (text, classifier), pullback)
 
 
 def mean_cross_entropy(logits: Tensor, starts: np.ndarray, targets: list[int]) -> Tensor:

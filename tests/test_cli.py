@@ -272,6 +272,24 @@ def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_text_only_checkpoint_with_graph_side_tensors(task_dir, swept_dir, tmp_path, capsys):
+    """A text-only checkpoint as written before text-only models named only
+    their text encoder and classifier: the same settings and four tensors,
+    and the GCN, node-feature and ER tensors of a graph-side model. eval
+    exits 1 naming the file and the tensors the text-only model lacks."""
+    cell = lambda mode: os.path.join(swept_dir, f"fraction-0.5-{mode}-seed-1", "checkpoint.txt")
+    settings, text_only = load_checkpoint(cell("text-only"))
+    old = {**load_checkpoint(cell("base-know"))[1], **text_only}
+    extra = sorted(set(old) - set(training.TEXT_SIDE))
+    assert sorted(text_only) == sorted(training.TEXT_SIDE) and len(old) == 11
+    path = str(tmp_path / "old.txt")
+    save_checkpoint(path, old, settings)
+    rc = main(["eval", *data_flags(task_dir, with_features=False), "--checkpoint", path,
+               "--out-dir", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"{path}: checkpoint does not match model, differing tensors: {extra}" in capsys.readouterr().err
+
+
 def test_eval_rejects_non_finite_checkpoint(task_dir, trained_dir, tmp_path, capsys):
     lines = open(os.path.join(trained_dir, "checkpoint.txt")).read().splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("tensors ")) + 2  # the first tensor's values

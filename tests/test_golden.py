@@ -50,7 +50,7 @@ PINS = {
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "091dee4e6848e3e353e46575a1d1afd5583aa85cdb835b0a82eb2d1ff70cd7f3",
+        "checkpoint.txt": "8e426115cc169e20a9757c5db8d873d9b7b669cf9ee58dfbe8c458fe6ac88a83",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {

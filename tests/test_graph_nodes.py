@@ -91,8 +91,15 @@ def _step(stages, batch, model, config, tensors):
 
 
 def _assert_same_features(got, want):
-    for name in ("text", "graph", "knowledge"):
-        assert np.array_equal(getattr(got, name).data, getattr(want, name).data), name
+    """The features equal, but for the graph and knowledge blocks that
+    text-only no longer builds, which the composed path fills with zeros;
+    its logits and gradients are compared instead."""
+    assert np.array_equal(got.text.data, want.text.data)
+    for name in ("graph", "knowledge"):
+        if getattr(got, name) is None:
+            assert not np.any(getattr(want, name).data), name
+        else:
+            assert np.array_equal(getattr(got, name).data, getattr(want, name).data), name
     assert np.array_equal(got.pooled, want.pooled)
     assert np.array_equal(got.attention, want.attention)
 
@@ -145,7 +152,7 @@ def test_eval_builds_no_tape_and_matches_the_composed_features(name, bundled):
         weights = np.ones(len(chunk))
         logits = classify(got, model.classifier, weights)
         assert np.array_equal(logits.data, _oracles.classify_composed(want, model.classifier, weights).data)
-        for tensor in (got.text, got.graph, got.knowledge, logits):
+        for tensor in (t for t in (got.text, got.graph, got.knowledge, logits) if t is not None):
             assert not tensor.requires_grad and tensor._pullback is None and not tensor._parents
 
 

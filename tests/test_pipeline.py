@@ -2,9 +2,13 @@
 one reader, runs, against the model on trained tables that it replaces.
 
 A text-only cell runs no ER attention and so reads no table row: it trains
-and evaluates exactly as on the trained tables; only the two tables in its
-state differ, and they are the seeded init of 0 epochs.
+and evaluates exactly as on the trained tables; of all the tensors the
+model holds, only the two tables differ, and they are the seeded init of 0
+epochs. The tables are read from the models, since a text-only state
+does not hold them.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +35,12 @@ def _model_on_trained_tables(pipe, tc):
     return init_model(len(pipe.vocab.tokens), ent, rel, node_features, tc)
 
 
+def _every_tensor(model):
+    """Every tensor the model holds, by name: the named tensors of the same
+    model viewed as graph-side."""
+    return {name: t.data.copy() for name, t in replace(model, graph_side=True).named().items()}
+
+
 @pytest.mark.parametrize("mode", ["text-only"])
 def test_a_cell_without_er_attention_trains_as_on_trained_tables(mode, lowdata):
     cfg, pipe = lowdata
@@ -42,7 +52,7 @@ def test_a_cell_without_er_attention_trains_as_on_trained_tables(mode, lowdata):
     for model in (build_model(pipe, tc), _model_on_trained_tables(pipe, tc)):
         result = train(model, train_qs, dev_qs, tc)
         model.load_state_arrays(result.best_state)
-        runs.append((result, evaluate(test_qs, model, tc, with_details=True), model.state_arrays()))
+        runs.append((result, evaluate(test_qs, model, tc, with_details=True), _every_tensor(model)))
     (got, got_eval, got_state), (want, want_eval, want_state) = runs
 
     assert got.stats == want.stats

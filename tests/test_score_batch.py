@@ -109,8 +109,9 @@ def test_loss_and_gradients_match_per_choice_oracle(name, train, request):
 
 @pytest.mark.parametrize("train", [False, True])
 def test_text_only_logits_and_gradients_ignore_the_weights(train):
-    """text-only feeds zero graph and knowledge columns, so every weight
-    gives bit-equal logits and gradients; training weights it by 1."""
+    """text-only has no graph or knowledge features for a weight to scale,
+    so every weight gives bit-equal logits and gradients; training weights
+    it by 1."""
     task = build_task(mode="text-only")
     questions, model, config = task.prepared, task.model, task.config
     tensors = mark_leaves(*model.trainable(config))
