@@ -362,8 +362,9 @@ def _classify_text(text: Tensor, classifier: Tensor) -> Tensor:
     """classify in text-only: each text row's dot product with
     classifier[:d]; the classifier's gradient is zero past d. Where d is a
     multiple of 8, logits and gradients are bit-equal to the 4d-wide
-    product with zero graph and knowledge columns: numpy sums such a row
-    in eight running sums, to which the zero columns add only zeros."""
+    product over zero graph and knowledge columns
+    (tests/_oracles.classify_composed): numpy sums such a row in eight
+    running sums, to which the zero columns add only zeros."""
     d = text.shape[1]
     head = classifier.data[:d]
 
