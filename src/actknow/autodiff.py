@@ -10,6 +10,10 @@ the loss (encoders, training), on top of the trainable leaves. A node may
 list a parent more than once, one gradient term each; backward adds the
 terms in the listed order, so a pullback can reproduce the order in which a
 tape of small ops would have summed them.
+The helpers of the fused nodes follow the encoders' allocation rule:
+softmax_last and its pullback each build their result in one array of
+their own and write no argument, and sample_gumbel transforms its uniform
+draw in place.
 All math is double precision.
 Products go to numpy's BLAS: its bundled OpenBLAS runs one thread per core
 unless OPENBLAS_NUM_THREADS sets the count, and bench/run.py sets 1.
@@ -69,15 +73,22 @@ def record(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
 
 
 def softmax_last(x: Array) -> Array:
-    """Numerically stable softmax over the last axis of an array."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Numerically stable softmax over the last axis of an array, computed
+    in one array of x's shape; x is left as it was."""
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_last_pullback(out: Array, g: Array) -> Array:
     """The gradient of softmax_last's input, given its output and the
-    gradient of that output."""
-    return out * (g - np.sum(g * out, axis=-1, keepdims=True))
+    gradient of that output, computed in one array of g's shape; neither
+    argument is written."""
+    grad = g * out
+    np.subtract(g, np.sum(grad, axis=-1, keepdims=True), out=grad)
+    grad *= out
+    return grad
 
 
 def _segment_counts(starts: Array, total: int) -> Array:
@@ -95,7 +106,10 @@ def _segment_counts(starts: Array, total: int) -> Array:
 def sample_gumbel(shape: tuple[int, ...], rng: np.random.Generator) -> Array:
     """Standard Gumbel noise: -log(-log(u)), u ~ U(0, 1), guarded away from 0/1."""
     u = rng.uniform(low=1e-12, high=1.0 - 1e-12, size=shape)
-    return -np.log(-np.log(u))
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,16 @@ attention, where a tape of primitives takes 38 at two GCN layers. Each
 pullback runs the products that tape would, in the same orientation, and
 lists a parent once per gradient term where backward must add the terms
 as that tape did, so the gradients have the same bits.
+
+Allocation rule: a large per-node or per-choice array is allocated once
+and then written in place, with the same ufunc on the same operands, so
+the bits are those of the fresh-array form: the text encoder's bias and
+relu, the padded node-feature stack (one take, then its padding zeroed)
+and the first hidden layer's product, which share one array, each hidden
+layer's relu, the Gumbel noise and the pool's node gradient.
+A call writes only into arrays it allocated itself, never into its
+inputs, the subgraphs' adjacencies or the fixed tables, and keeps no
+buffer from one call to the next.
 """
 
 from __future__ import annotations
@@ -167,11 +177,16 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
     table, projection, bias = params.token_embedding, params.projection, params.bias
     distinct, bag = token_bag(sequences, table.shape[0])
     pooled = bag @ table.data[distinct]
-    summed = pooled @ projection.data.T + bias.data
+    # the bias and relu go into the product in place; max(x, 0) gives +0.0
+    # for both signed zeros, and a NaN stays NaN, which the loss check
+    # then refuses
+    out = pooled @ projection.data.T
+    out += bias.data
+    np.maximum(out, 0.0, out=out)
 
     def pullback(g: np.ndarray):
-        # relu's mask: summed > 0 exactly where the output is
-        g = g * (summed > 0)
+        # relu's mask: the output is > 0 exactly where its input is
+        g = g * (out > 0)
         g_table = g_projection = g_bias = None
         if table.requires_grad:
             g_table = np.zeros(table.shape)
@@ -182,9 +197,7 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
             g_bias = g.sum(axis=0)
         return g_table, g_projection, g_bias
 
-    # max(summed, 0) gives +0.0 for both signed zeros; a NaN stays NaN, and
-    # the loss check then raises
-    return ad.record(np.maximum(summed, 0.0), (table, projection, bias), pullback)
+    return ad.record(out, (table, projection, bias), pullback)
 
 
 def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -205,18 +218,30 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     adjacency = np.zeros((s, n, n))
     for i, sub in enumerate(subgraphs):
         adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
-    # node features are fixed inputs, so the padded stack is a constant
-    h = np.zeros(mask.shape + (params.node_features.shape[1],))
-    h[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
+    # node features are fixed inputs, so the padded stack is a constant:
+    # one take over a padded index, whose padding rows are then zeroed. It
+    # is taken into the front of the array that the first hidden layer's
+    # product then fills, once A_norm @ H has read it (mode="clip" writes
+    # straight into it; every index is in range)
+    index = np.zeros(mask.shape, dtype=np.intp)
+    index[mask] = np.concatenate([sub.nodes for sub in subgraphs])
     layers = params.layers[:-1]
+    k = params.node_features.shape[1]
+    width = max([k] + [w.shape[1] for w in layers[:1]])
+    first = np.empty((s * n, width))
+    h = first.reshape(-1)[: s * n * k].reshape(s, n, k)
+    np.take(params.node_features.data, index, axis=0, out=h, mode="clip")
+    h[~mask] = 0.0
     if not layers:
         return Tensor(h), adjacency, mask
     # per layer, the (S*N, k) rows A_norm @ H that meet W, and the relu
-    # output, which is > 0 exactly where its input is
+    # output, written into the product; it is > 0 exactly where its input
+    # is
     inputs, outputs = [], []
-    for w in layers:
+    for i, w in enumerate(layers):
         inputs.append(np.matmul(adjacency, h).reshape(-1, h.shape[2]))
-        h = np.maximum(inputs[-1] @ w.data, 0.0).reshape(s, n, -1)
+        h = np.matmul(inputs[-1], w.data, out=first if i == 0 and w.shape[1] == width else None)
+        h = np.maximum(h, 0.0, out=h).reshape(s, n, -1)
         outputs.append(h)
 
     def pullback(g: np.ndarray):
@@ -285,7 +310,8 @@ def graph_attention_pool(
             g_text = np.zeros(text.shape)
             g_text[rows] = g_u @ w + 0.0
         if hidden.requires_grad:
-            g_nodes = weighted.swapaxes(1, 2) * g_mixed + g_projected * u.swapaxes(1, 2)
+            g_nodes = weighted.swapaxes(1, 2) * g_mixed
+            g_nodes += g_projected * u.swapaxes(1, 2)
         if last_layer.requires_grad:
             g_w = mixed.reshape(s, k).T @ g_pooled + (t.T @ g_u).T
         return g_text, g_nodes, g_w
@@ -319,7 +345,7 @@ def er_attention(
     entities = entity_table @ entity_proj.data
     entity_scores = t @ entities.T
     if train:
-        entity_scores = entity_scores + ad.sample_gumbel(entity_scores.shape, rng)
+        entity_scores += ad.sample_gumbel(entity_scores.shape, rng)
     entity_weights = ad.softmax_last(entity_scores)
     relations = relation_table @ relation_proj.data
     relation_weights = ad.softmax_last(t @ relations.T)

@@ -556,6 +556,8 @@ def evaluate(
             if with_details:
                 row["attention"] = attention[first : first + count]
             rows.append(row)
+        # the chunk's features go before the next chunk is encoded
+        del feats
     return sum(row["correct"] for row in rows) / len(questions), rows
 
 
@@ -695,7 +697,7 @@ def _run_updates(
 
     The optimizer's tensors are the only ones that require a gradient, and
     only while the batches run, so the tape reaches exactly what this phase
-    trains."""
+    trains. They hold no gradient afterwards."""
     order = shuffle_rng.permutation(len(train_qs))
     losses = []
     for p in opt.params:
@@ -712,6 +714,8 @@ def _run_updates(
             opt.step()
             losses.append(value)
     finally:
+        # the last step's gradients go with the marks
+        opt.zero_grad()
         for p in opt.params:
             p.requires_grad = False
     return float(np.mean(losses))

@@ -16,6 +16,7 @@ finite differences.
 
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,17 @@ import _oracles
 from actknow import autodiff as ad
 from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
 from actknow.scenarios import lowdata_experiment, noisy_experiment
-from actknow.training import _batch_loss, classify, encode_batch, eval_chunks, mean_cross_entropy, score_batch
+from actknow.optim import Adam
+from actknow.training import (
+    _batch_loss,
+    _run_updates,
+    classify,
+    encode_batch,
+    eval_chunks,
+    evaluate,
+    mean_cross_entropy,
+    score_batch,
+)
 from conftest import mark_leaves
 from test_training import build_task
 
@@ -238,3 +249,79 @@ def test_a_text_only_training_batch_tape_stays_small(bundled, monkeypatch):
     at most 7."""
     mode, size = _tape_size_of_a_training_batch("lowdata-text", bundled, monkeypatch)
     assert mode == "text-only" and size <= 7
+
+
+def _traced_peak(run):
+    """tracemalloc's peak over a second call of run, after a first one has
+    made whatever a first call makes."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _padded_rows(chunk):
+    return sum(len(pq.choices) for pq in chunk) * max(
+        (c.subgraph.n_nodes for pq in chunk for c in pq.choices if c.subgraph is not None), default=0)
+
+
+def test_an_eval_chunk_peaks_below_one_and_a_half_mb(bundled):
+    """evaluate on the noisy task's largest eval chunk at node budget 60,
+    1,280 padded node rows, peaks at about 1,391 KB traced (2,340 KB while
+    the padded stacks were built with zeros and copies, and each relu and
+    softmax made a fresh array)."""
+    config, questions, model = bundled("noisy60")
+    chunk = max(eval_chunks(questions), key=_padded_rows)
+    assert _padded_rows(chunk) == 1280
+    assert _traced_peak(lambda: evaluate(chunk, model, config)) <= 1.5 * 2**20
+
+
+def test_a_training_step_peaks_no_higher_than_before(bundled):
+    """One update step, loss, backward and Adam, on the first base-know
+    batch of the noisy task at node budget 60 peaks at about 3,206 KB
+    traced, under the 3,223 KB it took before the graph side wrote its
+    temporaries in place."""
+    config, questions, model = bundled("noisy60")
+    batch = questions[: config.batch_size]
+    state = model.state_arrays()
+    tensors = mark_leaves(*model.trainable(config))
+    opt = Adam(tensors, lr=config.learning_rate, weight_decay=config.weight_decay)
+
+    def step():
+        loss = _batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
+        opt.zero_grad()
+        ad.backward(loss)
+        opt.step()
+
+    try:
+        assert _traced_peak(step) <= 3223 * 2**10
+    finally:
+        opt.zero_grad()
+        for t in tensors:
+            t.requires_grad = False
+        model.load_state_arrays(state)
+
+
+@pytest.mark.parametrize("name", ["noisy60", "lowdata"])
+def test_the_graph_side_writes_into_no_input(name, bundled):
+    """The encoders write in place only into arrays they allocated: after
+    every eval chunk and one pass of update steps, each subgraph's
+    normalized adjacency, the node features and the KG tables hold the
+    bytes they held before."""
+    config, questions, model = bundled(name)
+    inputs = [c.subgraph.norm_adjacency for pq in questions for c in pq.choices if c.subgraph is not None]
+    inputs += [model.gcn.node_features.data, model.er.entity_table.data, model.er.relation_table.data]
+    before = [a.copy() for a in inputs]
+    state = model.state_arrays()
+    opt = Adam(model.trainable(config), lr=config.learning_rate, weight_decay=config.weight_decay)
+    try:
+        evaluate(questions, model, config)
+        rng = np.random.default_rng(0)
+        _run_updates(questions, model, np.ones(len(questions)), config, opt, rng, rng)
+    finally:
+        model.load_state_arrays(state)
+    for got, want in zip(inputs, before):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -684,6 +684,17 @@ def test_parameters_are_inert_outside_the_update_loop(monkeypatch):
     assert _marked(task.model) == []
 
 
+@pytest.mark.parametrize("mode", training.MODES)
+def test_a_trained_model_holds_no_gradient(mode):
+    """The update loop clears the last step's gradients with its marks, so
+    no trained tensor keeps one and a later backward through the model
+    starts from none."""
+    task = build_task(mode=mode, master_epochs=2, pretrain_epochs=1)
+    train(task.model, task.prepared, task.prepared[:2], task.config)
+    held = [name for name, t in replace(task.model, graph_side=True).named().items() if t.grad is not None]
+    assert held == []
+
+
 def test_pretraining_computes_no_text_gradient(monkeypatch):
     """The tiny task is one batch per epoch: two pretraining backward passes,
     then the main loop's. Only the main loop's reach the text encoder."""
