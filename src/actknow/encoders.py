@@ -227,7 +227,7 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     index[mask] = np.concatenate([sub.nodes for sub in subgraphs])
     layers = params.layers[:-1]
     k = params.node_features.shape[1]
-    width = max([k] + [w.shape[1] for w in layers[:1]])
+    width = max(k, layers[0].shape[1]) if layers else k
     first = np.empty((s * n, width))
     h = first.reshape(-1)[: s * n * k].reshape(s, n, k)
     np.take(params.node_features.data, index, axis=0, out=h, mode="clip")
