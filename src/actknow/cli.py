@@ -15,7 +15,7 @@ import sys
 from .checkpoint import load_checkpoint
 from .config import ExperimentConfig, parse_setting, resolve_config, stored_train_config
 from .errors import ConfigError
-from .experiments import ablate_subgraph, prepare_splits, run_cell, sweep_fraction, write_jsonl
+from .experiments import ablate_subgraph, run_cells, sweep_fraction, write_jsonl
 from .pipeline import build_model, load_pipeline, prepare_split
 from .synth import SyntheticSpec, generate
 from .training import TrainConfig, evaluate
@@ -109,10 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args: argparse.Namespace) -> None:
     cfg = _resolved(args)
     cfg.require("kg", "corpus", "train")
-    pipe = load_pipeline(cfg)
-    result, test_accuracy = run_cell(pipe, cfg, *prepare_splits(pipe, cfg), cfg.out_dir)
-    select = "dev" if "dev" in pipe.items else "train"
-    print(f"best {select} accuracy {result.best_accuracy:.4f} at epoch {result.best_epoch}")
+    [(result, test_accuracy)] = run_cells(cfg, [("", {})])
+    print(f"best {'dev' if cfg.dev else 'train'} accuracy {result.best_accuracy:.4f} at epoch {result.best_epoch}")
     if test_accuracy is not None:
         print(f"test accuracy {test_accuracy:.4f}")
     print(f"files in {cfg.out_dir}")

@@ -45,6 +45,10 @@ class ExperimentConfig(TrainConfig):
         bad = [m for m in self.modes if m not in MODES]
         if not self.modes or bad:
             raise ConfigError(f"modes must be drawn from {MODES}, got {bad}")
+        for name in ("fractions", "modes", "seeds", "node_budgets"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
 
     def require(self, *names: str) -> None:
         for name in names:

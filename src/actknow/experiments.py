@@ -3,6 +3,8 @@ line, the runner scripts and the acceptance tests so every entry point
 writes the same bytes.
 
 * run_cell: train one cell and write its files into one directory.
+* run_cells: the cells of `train`, the sweep or the ablation, in order, on
+  one loaded pipeline.
 * sweep_fraction: test accuracy for every training fraction x mode x seed
   cell, written to `sweep.csv`.
 * ablate_subgraph: test accuracy for every subgraph node budget, written to
@@ -14,27 +16,20 @@ Both CSVs go through csv.writer (CRLF line ends) with repr floats.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
+from collections.abc import Iterator
 from math import comb
 
 from .atomic import atomic_write
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, train_settings
-from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for, training_sample
+from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
 from .training import PreparedQuestion, TrainConfig, TrainResult, evaluate, write_stats_csv
 
 SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
 ABLATION_HEADER = ["max_nodes", "accuracy"]
-
-
-def prepare_splits(
-    pipe: Pipeline, tc: TrainConfig
-) -> tuple[list[PreparedQuestion], list[PreparedQuestion] | None, list[PreparedQuestion] | None]:
-    """Train, dev and test questions; None for a split that is not supplied."""
-    train_qs = prepare_split(pipe, "train", tc)
-    dev_qs, test_qs = (prepare_split(pipe, split, tc) if split in pipe.items else None for split in ("dev", "test"))
-    return train_qs, dev_qs, test_qs
 
 
 def write_jsonl(path: str, rows: list[dict]) -> None:
@@ -72,46 +67,48 @@ def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[l
     print(f"{kind} {path}")
 
 
-def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:
-    """Train every fraction x mode x seed cell, in that nesting order, on
-    splits prepared once; return (fraction, mode, seed, test accuracy) rows
-    and write them to `sweep.csv` in cfg.out_dir, and each cell's files
-    (run_cell) to `fraction-<repr(fraction)>-<mode>-seed-<seed>/` there.
-
-    The whole train split is prepared once, and each cell draws its
-    fraction sample from it. The splits carry subgraphs only when a mode
-    other than text-only is swept; text-only cells ignore them."""
-    cfg.require("kg", "corpus", "train", "test")
+def run_cells(cfg: ExperimentConfig, cells: list[tuple[str, dict]]) -> Iterator[tuple[TrainResult, float | None]]:
+    """Run each (directory under cfg.out_dir, TrainConfig overrides) cell in
+    order on one loaded pipeline, yielding run_cell's result as each cell
+    finishes. A cell prepares its own train sample (prepare_split). Dev and
+    test are prepared once per run of consecutive cells that share
+    max_nodes, with subgraphs when any cell of the run has a graph side;
+    a cell without one never reads them."""
     pipe = load_pipeline(cfg)
-    configs = [training_config_for(cfg, mode=mode, data_fraction=1.0) for mode in cfg.modes]
-    train_qs, dev_qs, test_qs = prepare_splits(pipe, next((tc for tc in configs if tc.graph_side), configs[0]))
+    configs = [(name, training_config_for(cfg, **overrides)) for name, overrides in cells]
+    for _, run in itertools.groupby(configs, key=lambda cell: cell[1].max_nodes):
+        run = list(run)
+        tc = next((tc for _, tc in run if tc.graph_side), run[0][1])
+        dev_qs, test_qs = (prepare_split(pipe, split, tc) if split in pipe.items else None for split in ("dev", "test"))
+        for name, tc in run:
+            yield run_cell(pipe, tc, prepare_split(pipe, "train", tc), dev_qs, test_qs, os.path.join(cfg.out_dir, name))
 
+
+def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:
+    """Train every fraction x mode x seed cell, in that nesting order; return
+    (fraction, mode, seed, test accuracy) rows and write them to `sweep.csv`
+    in cfg.out_dir, and each cell's files (run_cell) to
+    `fraction-<repr(fraction)>-<mode>-seed-<seed>/` there."""
+    cfg.require("kg", "corpus", "train", "test")
+    grid = [(fraction, mode, seed) for fraction in cfg.fractions for mode in cfg.modes for seed in cfg.seeds]
+    cells = [(f"fraction-{float(f)!r}-{m}-seed-{s}", dict(mode=m, seed=s, data_fraction=f)) for f, m, s in grid]
     rows = []
-    for fraction in cfg.fractions:
-        for mode in cfg.modes:
-            for seed in cfg.seeds:
-                tc = training_config_for(cfg, mode=mode, seed=seed, data_fraction=fraction)
-                cell_dir = os.path.join(cfg.out_dir, f"fraction-{float(fraction)!r}-{mode}-seed-{seed}")
-                _, acc = run_cell(pipe, tc, training_sample(train_qs, tc), dev_qs, test_qs, cell_dir)
-                rows.append((fraction, mode, seed, acc))
-                print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
+    for (fraction, mode, seed), (_, acc) in zip(grid, run_cells(cfg, cells)):
+        rows.append((fraction, mode, seed, acc))
+        print(f"fraction {fraction} mode {mode} seed {seed}: accuracy {acc:.4f}")
 
     _write_csv(cfg, "sweep", SWEEP_HEADER, [[repr(float(f)), m, s, repr(a)] for f, m, s, a in rows])
     return rows
 
 
 def ablate_subgraph(cfg: ExperimentConfig) -> list[tuple[int, float]]:
-    """Prepare the splits and train once per node budget; return
-    (max_nodes, test accuracy) rows and write them to `ablation.csv` in
-    cfg.out_dir, and each cell's files (run_cell) to `max-nodes-<budget>/`
-    there."""
+    """Train once per node budget; return (max_nodes, test accuracy) rows and
+    write them to `ablation.csv` in cfg.out_dir, and each cell's files
+    (run_cell) to `max-nodes-<budget>/` there."""
     cfg.require("kg", "corpus", "train", "test")
-    pipe = load_pipeline(cfg)
-
+    cells = [(f"max-nodes-{budget}", {"max_nodes": budget}) for budget in cfg.node_budgets]
     rows = []
-    for budget in cfg.node_budgets:
-        tc = training_config_for(cfg, max_nodes=budget)
-        _, acc = run_cell(pipe, tc, *prepare_splits(pipe, tc), os.path.join(cfg.out_dir, f"max-nodes-{budget}"))
+    for budget, (_, acc) in zip(cfg.node_budgets, run_cells(cfg, cells)):
         rows.append((budget, acc))
         print(f"max_nodes {budget}: accuracy {acc:.4f}")
 

@@ -435,6 +435,11 @@ BAD_INPUTS = [
     ("kg-dashes", "--kg", "--", "--: cannot read"),
     ("seeds-dashes", "sweep-fraction --seeds", "--", "setting seeds: "),
     ("negative-seeds", "sweep-fraction --seeds", "0,-1", "seeds must be one or more integers >= 0"),
+    # a repeated value would train one cell directory twice and write its CSV row twice
+    ("repeated-seeds", "sweep-fraction --seeds", "1,1", "seeds must not repeat a value, got (1, 1)"),
+    ("repeated-fractions", "sweep-fraction --fractions", "1,1.0", "fractions must not repeat a value, got (1.0, 1.0)"),
+    ("repeated-modes", "sweep-fraction --modes", "act-know,text-only,act-know", "modes must not repeat a value"),
+    ("repeated-node-budgets", "ablate-subgraph --node-budgets", "3,3", "node_budgets must not repeat a value"),
     ("gen-synth-negative-seed", "gen-synth --seed", "-1", "seed must be >= 0"),
     ("gen-synth-nan-feature-noise", "gen-synth --feature-noise", "nan", "feature_noise must be finite"),
     ("gen-synth-inf-feature-noise", "gen-synth --feature-noise", "inf", "feature_noise must be finite"),
@@ -461,7 +466,7 @@ def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, tr
         setting = "batch_size = 4" if command else "split = test"
         (copy / "run.conf").write_text(f"# a valid settings file\n{setting}\n")
         if command:
-            argv = [command, *data_flags(str(copy)), *TINY_FLAGS]
+            argv = [command, *data_flags(str(copy)), *(ABLATE_FLAGS if command == "ablate-subgraph" else TINY_FLAGS)]
         else:
             argv = ["eval", *data_flags(str(copy), with_features=False), "--checkpoint",
                     str(copy / "checkpoint.txt")]
@@ -570,14 +575,40 @@ def test_eval_of_a_sweep_cell_checkpoint_reproduces_its_test_predictions(mode, t
     assert want and fields(out / "eval.jsonl") == want
 
 
+@pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
+def test_train_writes_the_bytes_of_the_same_sweep_cell(mode, task_dir, swept_dir, tmp_path):
+    """`train` runs one cell through the runner that runs every sweep cell:
+    given a sweep cell's settings it writes that cell's files byte for
+    byte, although the sweep prepared dev and test once for all its modes
+    and `train` prepares them for its own."""
+    out = tmp_path / "train"
+    assert main(["train", *data_flags(task_dir), *TINY_FLAGS, "--master-epochs", "3", "--data-fraction", "0.5",
+                 "--mode", mode, "--seed", "1", "--out-dir", str(out)]) == 0
+    cell_dir = os.path.join(swept_dir, f"fraction-0.5-{mode}-seed-1")
+    for name in CELL_FILES:
+        assert (out / name).read_bytes() == open(os.path.join(cell_dir, name), "rb").read(), name
+
+
+def test_train_writes_the_bytes_of_the_same_ablation_cell(task_dir, tmp_path):
+    """Given an ablation cell's node budget, `train` writes that cell's
+    files byte for byte; the budget is the ablation's second, prepared
+    after the first budget's cell has run on the same pipeline."""
+    ablated, out = tmp_path / "ablate", tmp_path / "train"
+    assert main(["ablate-subgraph", *data_flags(task_dir), *ABLATE_FLAGS, "--node-budgets", "6,3",
+                 "--out-dir", str(ablated)]) == 0
+    assert main(["train", *data_flags(task_dir), *ABLATE_FLAGS, "--max-nodes", "3", "--out-dir", str(out)]) == 0
+    for name in CELL_FILES:
+        assert (out / name).read_bytes() == (ablated / "max-nodes-3" / name).read_bytes(), name
+
+
 def _cli_config(argv):
     """The ExperimentConfig that the command line `argv` resolves to."""
     return _resolved(build_parser().parse_args(argv))
 
 
 def test_sweep_prepares_the_whole_train_split_under_any_data_fraction(task_dir, tmp_path, caplog, capsys):
-    """Each sweep cell draws its own fraction from one preparation of the
-    whole train split, so a data_fraction in the sweep's config changes
+    """Each sweep cell sets its own data_fraction and prepares that sample
+    of the train split, so a data_fraction in the sweep's config changes
     neither the sample sizes logged nor the CSV. The command line cannot
     set one."""
     caplog.set_level(logging.INFO, logger="actknow.pipeline")
@@ -600,10 +631,10 @@ def test_sweep_prepares_the_whole_train_split_under_any_data_fraction(task_dir, 
 
 
 def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path, capsys):
-    """The sweep prepares its splits once for every mode. Prepared under a
-    text-only mode in the sweep's config they must still carry the subgraphs
-    that the base-know cells' GCN reads, so the CSV matches the default
-    mode's. The command line cannot set a mode."""
+    """The sweep prepares dev and test once for every mode, and each cell its
+    train sample under its own mode. A text-only mode in the sweep's config
+    must not strip the subgraphs that the base-know cells' GCN reads, so the
+    CSV matches the default mode's. The command line cannot set a mode."""
     argv = lambda out, *mode: [
         "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS, *mode,
         "--fractions", "1.0", "--modes", "text-only,base-know", "--seeds", "0",
@@ -621,8 +652,8 @@ def test_sweep_prepares_subgraphs_when_any_mode_reads_them(task_dir, tmp_path, c
 def test_a_text_only_sweep_builds_no_subgraph(task_dir, tmp_path, monkeypatch):
     """With text-only the one swept mode, the splits are prepared as its
     cells read them: no subgraph is built, and each cell writes the bytes of
-    the same cell in a sweep that also trains base-know, whose splits carry
-    subgraphs, and so does each row of the CSV."""
+    the same cell in a sweep that also trains base-know, whose dev and test
+    splits carry subgraphs, and so does each row of the CSV."""
     argv = lambda out, modes: [
         "sweep-fraction", *data_flags(task_dir), *TINY_FLAGS,
         "--fractions", "0.5,1.0", "--modes", modes, "--seeds", "0", "--out-dir", out,
