@@ -58,8 +58,10 @@ class Tensor:
 
 def record(data: Array, parents: tuple[Tensor, ...], pullback) -> Tensor:
     """An op's output as a tape node. pullback maps the output's gradient
-    to one gradient per parent, None where none is needed; the edges are
-    kept only when a parent needs grad."""
+    to one gradient per parent, or None where it computes none; backward
+    drops the gradients of parents that need none. The package's pullbacks
+    return None only for the text while pretraining freezes it. The edges
+    are kept only when a parent needs grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True

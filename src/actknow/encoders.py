@@ -18,7 +18,10 @@ text encoder, the GCN's hidden layers, the attention pool and ER
 attention, where a tape of primitives takes 38 at two GCN layers. Each
 pullback runs the products that tape would, in the same orientation, and
 lists a parent once per gradient term where backward must add the terms
-as that tape did, so the gradients have the same bits.
+as that tape did, so the gradients have the same bits. A pullback returns
+a gradient for every parent, but for the text while graph-side
+pretraining freezes it: the phase's trainable set alone decides what
+trains (training.ModelParams.trainable), and backward drops the rest.
 
 Allocation rule: a large per-node or per-choice array is allocated once
 and then written in place, with the same ufunc on the same operands, so
@@ -187,15 +190,9 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
     def pullback(g: np.ndarray):
         # relu's mask: the output is > 0 exactly where its input is
         g = g * (out > 0)
-        g_table = g_projection = g_bias = None
-        if table.requires_grad:
-            g_table = np.zeros(table.shape)
-            g_table[distinct] = bag.T @ (g @ projection.data)
-        if projection.requires_grad:
-            g_projection = (pooled.T @ g).T
-        if bias.requires_grad:
-            g_bias = g.sum(axis=0)
-        return g_table, g_projection, g_bias
+        g_table = np.zeros(table.shape)
+        g_table[distinct] = bag.T @ (g @ projection.data)
+        return g_table, (pooled.T @ g).T, g.sum(axis=0)
 
     return ad.record(out, (table, projection, bias), pullback)
 
@@ -248,8 +245,7 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
         grads = [None] * len(layers)
         for i in reversed(range(len(layers))):
             g = (g * (outputs[i] > 0)).reshape(inputs[i].shape[0], -1)
-            if layers[i].requires_grad:
-                grads[i] = inputs[i].T @ g
+            grads[i] = inputs[i].T @ g
             if i:
                 g = adjacency.swapaxes(1, 2) @ (g @ layers[i].data.T).reshape(s, n, -1)
         return tuple(grads)
@@ -305,16 +301,13 @@ def graph_attention_pool(
         g_scores = ad.softmax_last_pullback(weights, (g_weighted @ adjacency.swapaxes(1, 2)).reshape(s, n))
         g_projected = adjacency.swapaxes(1, 2) @ g_scores.reshape(s, n, 1)
         g_u = (nodes.swapaxes(1, 2) @ g_projected).reshape(s, k)
-        g_text = g_nodes = g_w = None
+        g_text = None
         if text.requires_grad:
             g_text = np.zeros(text.shape)
             g_text[rows] = g_u @ w + 0.0
-        if hidden.requires_grad:
-            g_nodes = weighted.swapaxes(1, 2) * g_mixed
-            g_nodes += g_projected * u.swapaxes(1, 2)
-        if last_layer.requires_grad:
-            g_w = mixed.reshape(s, k).T @ g_pooled + (t.T @ g_u).T
-        return g_text, g_nodes, g_w
+        g_nodes = weighted.swapaxes(1, 2) * g_mixed
+        g_nodes += g_projected * u.swapaxes(1, 2)
+        return g_text, g_nodes, mixed.reshape(s, k).T @ g_pooled + (t.T @ g_u).T
 
     return ad.record(out, (text, hidden, last_layer), pullback), weights
 
@@ -351,20 +344,16 @@ def er_attention(
     relation_weights = ad.softmax_last(t @ relations.T)
     d = entities.shape[1]
 
-    def side(weights, projected, g_vecs, proj, table):
-        """One side's (text term, projection gradient), None where not needed."""
-        g_text = g_proj = None
-        if text_vecs.requires_grad or proj.requires_grad:
-            g_scores = ad.softmax_last_pullback(weights, g_vecs @ projected.T)
-            if text_vecs.requires_grad:
-                g_text = g_scores @ projected
-            if proj.requires_grad:
-                g_proj = table.T @ (weights.T @ g_vecs + (t.T @ g_scores).T)
-        return g_text, g_proj
+    def side(weights, projected, g_vecs, table):
+        """One side's (text term, projection gradient); the text term is
+        None while the text is frozen."""
+        g_scores = ad.softmax_last_pullback(weights, g_vecs @ projected.T)
+        g_text = g_scores @ projected if text_vecs.requires_grad else None
+        return g_text, table.T @ (weights.T @ g_vecs + (t.T @ g_scores).T)
 
     def pullback(g: np.ndarray):
-        g_text_e, g_entity_proj = side(entity_weights, entities, g[:, :d], entity_proj, entity_table)
-        g_text_r, g_relation_proj = side(relation_weights, relations, g[:, d:], relation_proj, relation_table)
+        g_text_e, g_entity_proj = side(entity_weights, entities, g[:, :d], entity_table)
+        g_text_r, g_relation_proj = side(relation_weights, relations, g[:, d:], relation_table)
         return g_text_e, g_text_r, g_entity_proj, g_relation_proj
 
     out = np.concatenate([entity_weights @ entities, relation_weights @ relations], axis=1)

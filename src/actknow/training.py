@@ -34,7 +34,10 @@ rows, which keeps the GCN stack of a chunk of large subgraphs small
 
 Parameters are inert outside _run_updates: it marks exactly its
 optimizer's tensors trainable while the batches run, so evaluation builds
-no tape. Each phase's list is ModelParams.trainable: graph-side
+no tape. The pullbacks of classify and of every encoder return a gradient
+for each parent, but for the text while pretraining freezes it, and
+backward keeps those of the marked tensors, so the marks alone decide
+what trains. Each phase's list is ModelParams.trainable: graph-side
 pretraining trains the classifier and the graph-side encoders (GCN layers
 and ER projections, outside text-only) with the text encoder frozen, and
 the main updates add the text encoder. A model holds every tensor in
@@ -348,12 +351,8 @@ def classify(feats: Features, classifier: Tensor, weights: np.ndarray) -> Tensor
 
     def pullback(g: np.ndarray):
         g_rows = np.outer(g, classifier.data)
-        return (
-            g_rows[:, :d] if text.requires_grad else None,
-            g_rows[:, d : 2 * d] * scale if graph.requires_grad else None,
-            g_rows[:, 2 * d :] * scale if knowledge.requires_grad else None,
-            g @ rows if classifier.requires_grad else None,
-        )
+        g_text = g_rows[:, :d] if text.requires_grad else None
+        return g_text, g_rows[:, d : 2 * d] * scale, g_rows[:, 2 * d :] * scale, g @ rows
 
     return ad.record(np.sum(rows * classifier.data, axis=1), (text, graph, knowledge, classifier), pullback)
 
@@ -369,10 +368,8 @@ def _classify_text(text: Tensor, classifier: Tensor) -> Tensor:
     head = classifier.data[:d]
 
     def pullback(g: np.ndarray):
-        g_classifier = None
-        if classifier.requires_grad:
-            g_classifier = np.zeros(classifier.shape)
-            g_classifier[:d] = g @ text.data
+        g_classifier = np.zeros(classifier.shape)
+        g_classifier[:d] = g @ text.data
         return np.outer(g, head) if text.requires_grad else None, g_classifier
 
     return ad.record(np.sum(text.data * head, axis=1), (text, classifier), pullback)

@@ -88,3 +88,25 @@ def test_the_tracer_sees_preparation_build_subgraphs_only_with_a_gcn(bench, mode
     assert "nli.convert" in names
     graph_side = {"subgraph.identify_concepts", "subgraph.connect_concepts"}
     assert graph_side <= names if mode == "base-know" else not graph_side & names
+
+
+@pytest.mark.parametrize("mode", ["base-know", "act-know", "text-only"])
+def test_the_tracer_sees_one_backward_and_one_step_per_training_batch(bench, mode):
+    """training.train under the tracer, with one pretraining epoch: each
+    batch is one autodiff.backward span, then one optim.Adam.step span, and
+    layers.tape_size reads 10 on a pretraining batch (the GCN layers, the ER
+    projections, the classifier and five stage nodes), 14 on an update batch
+    (the text encoder's three leaves and its node besides) and 7 on a
+    text-only one."""
+    layers, spans = bench
+    task = build_task(mode=mode, pretrain_epochs=1)
+    config = task.config
+    batches = -(-len(task.prepared) // config.batch_size)
+    pretraining = batches * config.pretrain_epochs if config.graph_side else 0
+    updates = batches * config.master_epochs * config.sub_epochs
+    tracer = spans.Tracer()
+    with layers.instrument(tracer):
+        training.train(task.model, task.prepared, None, config)
+    steps = [span.name for span in tracer.spans if span.name in ("autodiff.backward", "optim.Adam.step")]
+    assert steps == ["autodiff.backward", "optim.Adam.step"] * (pretraining + updates)
+    assert tracer.samples["tape_nodes"] == [10] * pretraining + [14 if config.graph_side else 7] * updates

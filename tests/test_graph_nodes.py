@@ -9,9 +9,10 @@ and 60 and of the bundled lowdata task's act-know and text-only cells, the
 fused step must give the composed step's features, logits, loss, every
 gradient and the Gumbel rng's next draw bit for bit: in the main updates,
 in graph-side pretraining, where the text encoder is frozen and no node
-returns a text gradient, and at evaluation, which builds no tape. The tiny
-task adds one and three GCN layers, checked against the oracle and against
-finite differences.
+returns a text gradient, and at evaluation, which builds no tape. Every
+pullback slot of the fused step is an array, but for the frozen text's. The
+tiny task adds one and three GCN layers, checked against the oracle and
+against finite differences, and a batch with no subgraph.
 """
 
 import importlib
@@ -115,6 +116,21 @@ def _assert_same_features(got, want):
     assert np.array_equal(got.attention, want.attention)
 
 
+def _tape_nodes(loss):
+    """The nodes of the tape backward walks from loss: the loss and every
+    ancestor that needs a gradient and has a pullback."""
+    nodes, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._pullback is not None:
+            nodes.append(node)
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
 def _assert_fused_matches_composed(config, questions, model, with_text):
     tensors = model.trainable(config, with_text=with_text)
     mark_leaves(*tensors)
@@ -140,6 +156,15 @@ def _assert_fused_matches_composed(config, questions, model, with_text):
                     slots = [pg for pg, parent in zip(node._pullback(np.ones(node.shape)), node._parents)
                              if parent is feats.text]
                     assert slots and all(pg is None for pg in slots)
+            # the trainable set alone decides what trains: every slot of a
+            # node on the tape is an array, a constant parent's too, but for
+            # the text while pretraining freezes it
+            for node in _tape_nodes(got[2]):
+                for pg, parent in zip(node._pullback(np.ones(node.shape)), node._parents):
+                    if parent is got[0].text and not with_text:
+                        assert pg is None
+                    else:
+                        assert isinstance(pg, np.ndarray), (node, parent)
     finally:
         for t in tensors:
             t.requires_grad = False
@@ -150,6 +175,24 @@ def _assert_fused_matches_composed(config, questions, model, with_text):
 def test_fused_graph_side_matches_the_composed_tape(name, with_text, bundled):
     config, questions, model = _task(name, bundled)
     _assert_fused_matches_composed(config, questions, model, with_text)
+
+
+@pytest.mark.parametrize("with_text", [True, False], ids=["updates", "pretraining"])
+def test_a_batch_with_no_subgraph_matches_the_composed_tape(with_text):
+    """The tiny task with every choice's subgraph dropped: the graph rows
+    are the zero constant, no GCN runs, and the GCN layers get no gradient
+    on either path."""
+    task = build_task()
+    config, questions, model = task.config, task.prepared, task.model
+    for pq in questions:
+        for choice in pq.choices:
+            choice.subgraph = None
+    feats = encode_batch(questions, model, config)
+    assert not feats.pooled.size and feats.graph.shape == feats.text.shape and not np.any(feats.graph.data)
+    _assert_fused_matches_composed(config, questions, model, with_text)
+    # the last step run was the composed one, whose GCN gradients the fused
+    # step's matched
+    assert all(layer.grad is None for layer in model.gcn.layers)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
