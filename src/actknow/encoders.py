@@ -14,11 +14,11 @@ Three per-choice representations feed the classifier:
 Each forward pass takes a batch of choices at once and returns one row per
 choice, so a batch costs a few array ops rather than one small tape per
 choice. Each encoder is one tape node with a hand-written pullback: the
-text encoder, the GCN's hidden layers, the attention pool and ER
-attention, where a tape of primitives takes 38 at two GCN layers. Each
-pullback runs the products that tape would, in the same orientation, and
-lists a parent once per gradient term where backward must add the terms
-as that tape did, so the gradients have the same bits. A pullback returns
+text encoder, the GCN's hidden layer, the attention pool and ER
+attention, where a tape of primitives takes 38. Each pullback runs the
+products that tape would, in the same orientation, and lists a parent
+once per gradient term where backward must add the terms as that tape
+did, so the gradients have the same bits. A pullback returns
 a gradient for every parent, but for the text while graph-side
 pretraining freezes it: the phase's trainable set alone decides what
 trains (training.ModelParams.trainable), and backward drops the rest.
@@ -27,8 +27,8 @@ Allocation rule: a large per-node or per-choice array is allocated once
 and then written in place, with the same ufunc on the same operands, so
 the bits are those of the fresh-array form: the text encoder's bias and
 relu, the padded node-feature stack (one take, then its padding zeroed)
-and the first hidden layer's product, which share one array, each hidden
-layer's relu, the Gumbel noise and the pool's node gradient.
+and the hidden layer's product and relu, which share one array, the
+Gumbel noise and the pool's node gradient.
 A call writes only into arrays it allocated itself, never into its
 inputs, the subgraphs' adjacencies or the fixed tables, and keeps no
 buffer from one call to the next.
@@ -98,7 +98,8 @@ class TextEncoderParams:
 
 @dataclass
 class GCNParams:
-    layers: list[Tensor]     # weight per layer, chained dims
+    hidden_layer: Tensor     # (node_dim, hidden)
+    last_layer: Tensor       # (hidden, d), applied by graph_attention_pool
     node_features: Tensor    # (n_entities, node_dim), fixed input features
 
 
@@ -123,13 +124,13 @@ def init_text_params(vocab_size: int, dim: int, rng: np.random.Generator) -> Tex
     )
 
 
-def init_gcn_params(dims: list[int], node_features: EmbeddingTable, rng: np.random.Generator) -> GCNParams:
-    if len(dims) < 2:
-        raise ConfigError("gcn needs at least one layer (two dims)")
-    if dims[0] != node_features.dim:
-        raise ConfigError(f"gcn input dim {dims[0]} does not match node features ({node_features.dim})")
-    layers = [Tensor(_xavier(rng, dims[i], dims[i + 1])) for i in range(len(dims) - 1)]
-    return GCNParams(layers=layers, node_features=Tensor(node_features.vectors))
+def init_gcn_params(
+    node_dim: int, hidden: int, out: int, node_features: EmbeddingTable, rng: np.random.Generator
+) -> GCNParams:
+    if node_dim != node_features.dim:
+        raise ConfigError(f"gcn input dim {node_dim} does not match node features ({node_features.dim})")
+    return GCNParams(hidden_layer=Tensor(_xavier(rng, node_dim, hidden)),
+                     last_layer=Tensor(_xavier(rng, hidden, out)), node_features=Tensor(node_features.vectors))
 
 
 def init_er_params(
@@ -198,15 +199,14 @@ def encode_text(sequences: list[np.ndarray], params: TextEncoderParams) -> Tenso
 
 
 def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Stacked propagation per subgraph, H' = relu((A_norm @ H) @ W), through
-    every layer but the last: the last has no activation, so
+    """Stacked propagation per subgraph through the hidden layer,
+    H = relu((A_norm @ X) @ W): the last layer has no activation, so
     graph_attention_pool applies it to what it pools.
 
-    Subgraphs are padded to the largest one: returns the (S, N, k) hidden
-    stack the last layer reads (the node features when there is one layer)
-    and the (S, N, N) stack of normalized adjacencies, both exact zeros on
-    padding, and the (S, N) mask of real nodes. The hidden layers are one
-    tape node, whose pullback runs each layer's products in reverse."""
+    Subgraphs are padded to the largest one: returns the (S, N, hidden)
+    stack the last layer reads and the (S, N, N) stack of normalized
+    adjacencies, both exact zeros on padding, and the (S, N) mask of real
+    nodes. The hidden layer is one tape node."""
     if not subgraphs or any(sub.n_nodes == 0 for sub in subgraphs):
         raise ValueError("gcn_forward: need at least one subgraph, none of them empty")
     sizes = np.array([sub.n_nodes for sub in subgraphs])
@@ -217,40 +217,27 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
         adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
     # node features are fixed inputs, so the padded stack is a constant:
     # one take over a padded index, whose padding rows are then zeroed. It
-    # is taken into the front of the array that the first hidden layer's
-    # product then fills, once A_norm @ H has read it (mode="clip" writes
-    # straight into it; every index is in range)
+    # is taken into the front of the array that the hidden layer's product
+    # then fills, once A_norm @ X has read it (mode="clip" writes straight
+    # into it; every index is in range)
     index = np.zeros(mask.shape, dtype=np.intp)
     index[mask] = np.concatenate([sub.nodes for sub in subgraphs])
-    layers = params.layers[:-1]
-    k = params.node_features.shape[1]
-    width = max(k, layers[0].shape[1]) if layers else k
-    first = np.empty((s * n, width))
-    h = first.reshape(-1)[: s * n * k].reshape(s, n, k)
-    np.take(params.node_features.data, index, axis=0, out=h, mode="clip")
-    h[~mask] = 0.0
-    if not layers:
-        return Tensor(h), adjacency, mask
-    # per layer, the (S*N, k) rows A_norm @ H that meet W, and the relu
-    # output, written into the product; it is > 0 exactly where its input
-    # is
-    inputs, outputs = [], []
-    for i, w in enumerate(layers):
-        inputs.append(np.matmul(adjacency, h).reshape(-1, h.shape[2]))
-        h = np.matmul(inputs[-1], w.data, out=first if i == 0 and w.shape[1] == width else None)
-        h = np.maximum(h, 0.0, out=h).reshape(s, n, -1)
-        outputs.append(h)
+    w = params.hidden_layer
+    k, width = params.node_features.shape[1], w.shape[1]
+    first = np.empty((s * n, max(k, width)))
+    x = first.reshape(-1)[: s * n * k].reshape(s, n, k)
+    np.take(params.node_features.data, index, axis=0, out=x, mode="clip")
+    x[~mask] = 0.0
+    # the (S*N, k) rows A_norm @ X that meet W, and the relu output,
+    # written into the product; it is > 0 exactly where its input is
+    rows = np.matmul(adjacency, x).reshape(-1, k)
+    h = np.matmul(rows, w.data, out=first.reshape(-1)[: s * n * width].reshape(-1, width))
+    np.maximum(h, 0.0, out=h)
 
     def pullback(g: np.ndarray):
-        grads = [None] * len(layers)
-        for i in reversed(range(len(layers))):
-            g = (g * (outputs[i] > 0)).reshape(inputs[i].shape[0], -1)
-            grads[i] = inputs[i].T @ g
-            if i:
-                g = adjacency.swapaxes(1, 2) @ (g @ layers[i].data.T).reshape(s, n, -1)
-        return tuple(grads)
+        return (rows.T @ (g.reshape(h.shape) * (h > 0)),)
 
-    return ad.record(h, tuple(layers), pullback), adjacency, mask
+    return ad.record(h.reshape(s, n, width), (w,), pullback), adjacency, mask
 
 
 def graph_attention_pool(

@@ -54,7 +54,7 @@ class KnowledgeGraph:
     path_memo: dict[tuple[int, int, int], tuple[int, ...] | None] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # (dim, epochs, seed, lr, margin) -> read-only (entity, relation) tables,
+    # (dim, epochs, seed) -> read-only (entity, relation) tables,
     # filled by train_kg_embeddings
     embedding_memo: dict[tuple, tuple[EmbeddingTable, EmbeddingTable]] = field(
         default_factory=dict, repr=False, compare=False
@@ -164,13 +164,13 @@ class EmbeddingTable:
     vectors: np.ndarray  # (n_items, dim) float64
 
 
+# the SGD step and the margin of KG embedding training
+KG_LR = 0.05
+KG_MARGIN = 1.0
+
+
 def train_kg_embeddings(
-    graph: KnowledgeGraph,
-    dim: int,
-    epochs: int,
-    seed: int,
-    lr: float = 0.05,
-    margin: float = 1.0,
+    graph: KnowledgeGraph, dim: int, epochs: int, seed: int
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
     """Train entity/relation tables with a margin loss against uniformly
     sampled corruptions. epochs=0 returns the seeded random init unchanged.
@@ -187,7 +187,7 @@ def train_kg_embeddings(
         raise ConfigError(f"embedding dim must be >= 2, got {dim}")
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
-    key = (dim, epochs, seed, lr, margin)
+    key = (dim, epochs, seed)
     if key in graph.embedding_memo:
         return graph.embedding_memo[key]
     rng = np.random.default_rng(seed)
@@ -207,7 +207,7 @@ def train_kg_embeddings(
     # row views and a 0-d step: cheaper to index and to multiply by than
     # ent[i] and a Python float, with the same products
     ent_rows, rel_rows = list(ent), list(rel)
-    step = np.asarray(lr, dtype=np.float64)
+    step = np.asarray(KG_LR, dtype=np.float64)
     for _ in range(epochs):
         order = rng.permutation(n_triples)
         draws = rng.integers(0, highs)
@@ -227,7 +227,7 @@ def train_kg_embeddings(
             e_nh_r = e_nh * r
             pos = add(e_h_r * e_t)
             neg = add(e_nh_r * e_nt)
-            if margin - pos + neg <= 0:
+            if KG_MARGIN - pos + neg <= 0:
                 continue
             # ascend the positive score, descend the negative one; every
             # gradient is taken before the first write, and the tails'

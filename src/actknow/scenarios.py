@@ -20,7 +20,6 @@ LOWDATA_SPEC = SyntheticSpec(
     n_entities=200,
     n_relations=6,
     n_questions=600,
-    hop_depth=2,
     distractor_count=3,
     seed=7,
     node_dim=32,
@@ -31,7 +30,6 @@ NOISY_SPEC = SyntheticSpec(
     n_entities=120,
     n_relations=6,
     n_questions=240,
-    hop_depth=2,
     distractor_count=3,
     seed=11,
     noise_entities=80,

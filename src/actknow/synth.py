@@ -1,12 +1,12 @@
 """Synthetic multiple-hop QA task generator with an exhaustive verifier.
 
-The generator builds disjoint relation chains (stem entity, middle entity,
-answer entity for two hops; stem and answer for one hop) and asks which
-entity the stem entity reaches. The corpus never states the final hop and
-never mentions answer entities, so no question is answerable from text
-overlap: the retrieved premise for the correct choice never contains its
-token, while a planted "bait" distractor does co-occur with the stem entity
-in the corpus. Solving the task requires following the graph.
+The generator builds disjoint two-hop relation chains (stem entity, middle
+entity, answer entity) and asks which entity the stem entity reaches. The
+corpus never states the final hop and never mentions answer entities, so
+no question is answerable from text overlap: the retrieved premise for
+the correct choice never contains its token, while a planted "bait"
+distractor does co-occur with the stem entity in the corpus. Solving the
+task requires following the graph.
 
 Optional noise knobs add extra entities mentioned alongside the stem
 entity, plus random edges among them, to study how the subgraph node
@@ -44,13 +44,15 @@ _RESERVED = {
     "river", "rested", "beside", "dawn", "travelers", "crossed", "valley",
 }
 
+# relations on the path from a stem entity to its answer
+HOPS = 2
+
 
 @dataclass
 class SyntheticSpec:
     n_entities: int = 200
     n_relations: int = 6
     n_questions: int = 600
-    hop_depth: int = 2
     distractor_count: int = 3
     seed: int = 0
     noise_entities: int = 0
@@ -63,8 +65,6 @@ class SyntheticSpec:
     split_by_chain: bool = False
 
     def validate(self) -> None:
-        if self.hop_depth not in (1, 2):
-            raise ConfigError(f"hop_depth must be 1 or 2, got {self.hop_depth}")
         if self.n_relations < 1:
             raise ConfigError("n_relations must be >= 1")
         if self.n_questions < 1:
@@ -88,9 +88,8 @@ class SyntheticSpec:
             raise ConfigError("split fractions must be in (0, 1)")
         if self.train_fraction + self.dev_fraction >= 1:
             raise ConfigError("train_fraction + dev_fraction must leave room for a test split")
-        per_chain = 3 if self.hop_depth == 2 else 2
         bait = max(1, self.n_entities // 10)
-        chains = (self.n_entities - bait) // per_chain
+        chains = (self.n_entities - bait) // (HOPS + 1)
         if chains < 3:
             raise ConfigError(
                 f"n_entities={self.n_entities} leaves only {chains} chains; need at least 3"
@@ -101,7 +100,7 @@ class SyntheticSpec:
 class _Chain:
     stem: str
     answer: str
-    middle: str | None
+    middle: str
     relations: list[str]
 
 
@@ -116,10 +115,8 @@ def _pseudowords(rng: np.random.Generator, count: int, taken: set[str]) -> list[
     return words
 
 
-def _stem(chain: _Chain, hop_depth: int) -> str:
-    if hop_depth == 2:
-        return f"what does the {chain.stem} {chain.relations[0]} then {chain.relations[1]} ?"
-    return f"what does the {chain.stem} {chain.relations[0]} ?"
+def _stem(chain: _Chain) -> str:
+    return f"what does the {chain.stem} {chain.relations[0]} then {chain.relations[1]} ?"
 
 
 def generate(spec: SyntheticSpec, out_dir: str) -> dict:
@@ -130,7 +127,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1001]))
     os.makedirs(out_dir, exist_ok=True)
 
-    per_chain = 3 if spec.hop_depth == 2 else 2
+    per_chain = HOPS + 1
     bait_count = max(1, spec.n_entities // 10)
     n_chains = (spec.n_entities - bait_count) // per_chain
     bait_count = spec.n_entities - per_chain * n_chains
@@ -139,13 +136,13 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     relations = _pseudowords(rng, spec.n_relations, taken)
     noise_labels = _pseudowords(rng, spec.noise_entities, taken)
     stem_labels = _pseudowords(rng, n_chains, taken)
-    middle_labels = _pseudowords(rng, n_chains, taken) if spec.hop_depth == 2 else [None] * n_chains
+    middle_labels = _pseudowords(rng, n_chains, taken)
     answer_labels = _pseudowords(rng, n_chains, taken)
     bait_labels = _pseudowords(rng, bait_count, taken)
 
     chains = []
     for i in range(n_chains):
-        rels = [relations[int(rng.integers(0, spec.n_relations))] for _ in range(spec.hop_depth)]
+        rels = [relations[int(rng.integers(0, spec.n_relations))] for _ in range(HOPS)]
         chains.append(_Chain(stem=stem_labels[i], answer=answer_labels[i], middle=middle_labels[i], relations=rels))
 
     if n_chains < spec.distractor_count:
@@ -161,11 +158,8 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     # low ids, so chain entities come first and noise entities last
     triples: list[tuple[str, str, str]] = []
     for chain in chains:
-        if spec.hop_depth == 2:
-            triples.append((chain.stem, chain.relations[0], chain.middle))
-            triples.append((chain.middle, chain.relations[1], chain.answer))
-        else:
-            triples.append((chain.stem, chain.relations[0], chain.answer))
+        triples.append((chain.stem, chain.relations[0], chain.middle))
+        triples.append((chain.middle, chain.relations[1], chain.answer))
     for i, bait in enumerate(bait_labels):  # bait entities live in their own ring
         other = bait_labels[(i + 1) % len(bait_labels)]
         if other != bait:
@@ -212,7 +206,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
             all_items.append(
                 QAItem(
                     id=f"q{qid:05d}",
-                    stem=_stem(chain, spec.hop_depth),
+                    stem=_stem(chain),
                     choices=shuffled,
                     answer_index=answer_index,
                 )
@@ -275,8 +269,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     for label in stem_labels:
         pools[label] = "stem"
     for label in middle_labels:
-        if label is not None:
-            pools[label] = "middle"
+        pools[label] = "middle"
     for label in answer_labels:
         pools[label] = "answer"
     for label in bait_labels:
@@ -300,7 +293,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         save_qa_jsonl(path, items)
         split_paths[name] = path
 
-    report = verify_task(kg_path, corpus_path, list(split_paths.values()), spec.hop_depth)
+    report = verify_task(kg_path, corpus_path, list(split_paths.values()))
     report.update(
         {
             "entities": spec.n_entities + spec.noise_entities,
@@ -335,12 +328,12 @@ def _paths_up_to(graph: KnowledgeGraph, src: int, max_len: int) -> dict[int, set
     return reach
 
 
-def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_depth: int) -> dict:
+def verify_task(kg_path: str, corpus_path: str, split_paths: list[str]) -> dict:
     """Re-check every question from the written files.
 
     A question passes when the correct choice lies on a simple path of
-    exactly hop_depth from the stem entity, no distractor is reachable
-    within hop_depth, the correct choice's token never appears in its
+    exactly HOPS from the stem entity, no distractor is reachable
+    within HOPS, the correct choice's token never appears in its
     retrieved premise (the RETRIEVE_K sentences the model reads), and at
     least one distractor's token appears in its own premise (the lexical
     bait).
@@ -362,21 +355,21 @@ def verify_task(kg_path: str, corpus_path: str, split_paths: list[str], hop_dept
                 failures.append(f"{item.id}: stem should mention exactly one entity")
                 continue
             src = mentions[0]
-            reach = _paths_up_to(graph, src, hop_depth)
+            reach = _paths_up_to(graph, src, HOPS)
             within = set().union(*reach.values())
 
             ok = True
             correct_label = normalize_label(item.choices[item.answer_index])
             correct_ent = graph.entity_ids.get(correct_label)
-            if correct_ent is None or correct_ent not in reach[hop_depth]:
-                failures.append(f"{item.id}: correct choice not at hop {hop_depth}")
+            if correct_ent is None or correct_ent not in reach[HOPS]:
+                failures.append(f"{item.id}: correct choice not at hop {HOPS}")
                 ok = False
             for i, choice in enumerate(item.choices):
                 if i == item.answer_index:
                     continue
                 ent = graph.entity_ids.get(normalize_label(choice))
                 if ent is not None and ent in within:
-                    failures.append(f"{item.id}: distractor {choice!r} reachable within {hop_depth}")
+                    failures.append(f"{item.id}: distractor {choice!r} reachable within {HOPS}")
                     ok = False
             if ok:
                 kg_answerable += 1

@@ -102,7 +102,6 @@ class TrainConfig:
     node_dim: int = 32
     kg_dim: int = 32
     gcn_hidden: int = 64
-    gcn_layers: int = 2
     kg_epochs: int = 30
     weight_decay: float = 0.1
 
@@ -110,7 +109,7 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("master_epochs", "sub_epochs", "batch_size", "max_nodes", "text_dim",
-                     "node_dim", "gcn_hidden", "gcn_layers"):
+                     "node_dim", "gcn_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kg_dim < 2:
@@ -164,7 +163,8 @@ class ModelParams:
         with_text; graph-side pretraining freezes it."""
         return [
             *((self.text.token_embedding, self.text.projection, self.text.bias) if with_text else ()),
-            *((*self.gcn.layers, self.er.entity_proj, self.er.relation_proj) if config.graph_side else ()),
+            *((self.gcn.hidden_layer, self.gcn.last_layer, self.er.entity_proj, self.er.relation_proj)
+              if config.graph_side else ()),
             self.classifier,
         ]
 
@@ -181,9 +181,9 @@ class ModelParams:
             "er.entity_proj": self.er.entity_proj,
             "er.relation_proj": self.er.relation_proj,
             "classifier": self.classifier,
+            "gcn.layer0": self.gcn.hidden_layer,
+            "gcn.layer1": self.gcn.last_layer,
         }
-        for i, layer in enumerate(self.gcn.layers):
-            out[f"gcn.layer{i}"] = layer
         if not self.graph_side:
             return {name: out[name] for name in TEXT_SIDE}
         return out
@@ -218,8 +218,7 @@ def init_model(
     rng = _stream(config.seed, 0)
     d = config.text_dim
     text = init_text_params(vocab_size, d, rng)
-    dims = [config.node_dim] + [config.gcn_hidden] * (config.gcn_layers - 1) + [d]
-    gcn = init_gcn_params(dims, node_features, rng)
+    gcn = init_gcn_params(config.node_dim, config.gcn_hidden, d, node_features, rng)
     er = init_er_params(entity_table, relation_table, d, rng)
     classifier = Tensor(rng.normal(0.0, 0.1, size=(4 * d,)))
     return ModelParams(text=text, gcn=gcn, er=er, classifier=classifier, graph_side=config.graph_side)
@@ -327,7 +326,7 @@ def encode_batch(
         rows = np.flatnonzero([c.subgraph is not None for c in choices])
         if rows.size:
             hidden, adjacency, mask = gcn_forward([choices[i].subgraph for i in rows], params.gcn)
-            graph, attention = graph_attention_pool(hidden, adjacency, mask, text, rows, params.gcn.layers[-1])
+            graph, attention = graph_attention_pool(hidden, adjacency, mask, text, rows, params.gcn.last_layer)
         else:
             graph = Tensor(np.zeros((len(choices), params.dim)))
         knowledge = er_attention(text, params.er, train, rng)

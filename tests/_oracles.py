@@ -206,18 +206,15 @@ def encode_text(token_ids: np.ndarray, params: TextEncoderParams) -> Tensor:
 
 
 def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
-    """Stacked propagation: H' = act(A_norm @ H @ W), relu between layers,
-    identity after the last. Returns the (N, d) node matrix."""
+    """Two propagations, A_norm @ relu(A_norm @ X @ W0) @ W1: relu after
+    the hidden layer, identity after the last. Returns the (N, d) node
+    matrix."""
     if sub.n_nodes == 0:
         raise ValueError("gcn_forward: empty subgraph")
     a_norm = Tensor(sub.norm_adjacency)
     h = gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
-    last = len(params.layers) - 1
-    for i, w in enumerate(params.layers):
-        h = matmul(matmul(a_norm, h), w)
-        if i != last:
-            h = relu(h)
-    return h
+    h = relu(matmul(matmul(a_norm, h), params.hidden_layer))
+    return matmul(matmul(a_norm, h), params.last_layer)
 
 
 def graph_attention_pool(node_outputs: Tensor, text_vec: Tensor) -> tuple[Tensor, Tensor]:
@@ -683,7 +680,8 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gcn_forward_composed(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, Tensor, np.ndarray]:
     """encoders.gcn_forward as a tape of primitives: the padded hidden
-    stack, the adjacency stack as a constant Tensor, and the mask."""
+    layer's output stack, the adjacency stack as a constant Tensor, and
+    the mask."""
     n = max(sub.n_nodes for sub in subgraphs)
     adjacency = np.zeros((len(subgraphs), n, n))
     mask = np.zeros((len(subgraphs), n), dtype=bool)
@@ -692,12 +690,10 @@ def gcn_forward_composed(subgraphs: list[Subgraph], params: GCNParams) -> tuple[
         mask[i, : sub.n_nodes] = True
     features = np.zeros(mask.shape + (params.node_features.shape[1],))
     features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
-    a_norm, h = Tensor(adjacency), Tensor(features)
-    for w in params.layers[:-1]:
-        h = batched_matmul(a_norm, h)
-        rows = matmul(reshape(h, (-1, h.shape[2])), w)
-        h = relu(reshape(rows, (len(subgraphs), n, w.shape[1])))
-    return h, a_norm, mask
+    a_norm, w = Tensor(adjacency), params.hidden_layer
+    h = batched_matmul(a_norm, Tensor(features))
+    rows = matmul(reshape(h, (-1, h.shape[2])), w)
+    return relu(reshape(rows, (len(subgraphs), n, w.shape[1]))), a_norm, mask
 
 
 def graph_attention_pool_composed(
@@ -738,7 +734,7 @@ def encode_batch_composed(
         if rows.size:
             hidden, adjacency, mask = gcn_forward_composed([choices[i].subgraph for i in rows], params.gcn)
             pooled, attn = graph_attention_pool_composed(
-                hidden, adjacency, mask, gather(text, rows), params.gcn.layers[-1]
+                hidden, adjacency, mask, gather(text, rows), params.gcn.last_layer
             )
             slot = np.full(len(choices), rows.size)
             slot[rows] = np.arange(rows.size)

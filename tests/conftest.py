@@ -91,7 +91,6 @@ def tiny_config(**overrides) -> TrainConfig:
         node_dim=6,
         kg_dim=4,
         gcn_hidden=8,
-        gcn_layers=2,
         pretrain_epochs=0,
         kg_epochs=0,
         weight_decay=0.0,

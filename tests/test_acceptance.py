@@ -197,13 +197,14 @@ def _primitive_factories():
         return lambda leaf: _project(segment_cross_entropy(leaf, starts, targets), w), rng.normal(size=9)
 
     def f_gcn_hidden_stack(rng):
-        # two subgraphs padded to three nodes; the leaf is the first of two hidden layers
+        # two subgraphs padded to three nodes; the leaf is the hidden layer, and
+        # the last layer, which the pool applies, does not reach the stack
         subs = [Subgraph(nodes=[0, 2, 4], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 3)), paths=[]),
                 Subgraph(nodes=[1, 3], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 2)), paths=[])]
         features, second, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 4)), rng.normal(size=24)
 
         def build(leaf):
-            params = GCNParams(layers=[leaf, Tensor(second), Tensor(np.eye(4))], node_features=Tensor(features))
+            params = GCNParams(hidden_layer=leaf, last_layer=Tensor(second), node_features=Tensor(features))
             return _project(gcn_forward(subs, params)[0], w)
 
         return build, rng.normal(size=(3, 4))
@@ -367,10 +368,10 @@ def test_criterion_2_normalization_oracles():
         features = rng.normal(size=(n, d0))
         w1, w2 = rng.normal(size=(d0, d1)), rng.normal(size=(d1, d2))
         sub = Subgraph(nodes=list(range(n)), norm_adjacency=norm, paths=[])
-        params = GCNParams(layers=[Tensor(w1), Tensor(w2)], node_features=Tensor(features))
+        params = GCNParams(hidden_layer=Tensor(w1), last_layer=Tensor(w2), node_features=Tensor(features))
         text = text_rng.normal(size=d2)
         got, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), np.arange(1),
-                                      params.layers[-1])
+                                      params.last_layer)
         nodes = dense_gcn(dense_normalize(c), features, [w1, w2])
         scores = nodes @ text
         e = np.exp(scores - scores.max())
@@ -427,7 +428,7 @@ def test_criterion_4_infusion_neutralization(monkeypatch):
         np.array([0]), [prepared[0].answer_index],
     ))
     backward(loss)
-    graph_side = [*model.gcn.layers, model.er.entity_proj, model.er.relation_proj]
+    graph_side = [model.gcn.hidden_layer, model.gcn.last_layer, model.er.entity_proj, model.er.relation_proj]
     graph_norm = max(
         0.0 if t.grad is None else float(np.linalg.norm(t.grad)) for t in graph_side
     )
@@ -615,7 +616,7 @@ GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
 # the settings all three commands read; sweep-fraction takes its seed from
 # --seeds and ablate-subgraph its node budget from --node-budgets
 TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
-              "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
+              "--master-epochs", "1", "--sub-epochs", "1",
               "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
               "--weight-decay", "0.01", "--learning-rate", "0.01"]
 

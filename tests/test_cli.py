@@ -28,7 +28,7 @@ GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
 
 # ablate-subgraph sets max_nodes from --node-budgets, so it takes no --max-nodes
 ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
-                "--gcn-layers", "2", "--master-epochs", "1", "--sub-epochs", "1",
+                "--master-epochs", "1", "--sub-epochs", "1",
                 "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
                 "--weight-decay", "0.01", "--learning-rate", "0.01"]
 TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
@@ -118,10 +118,10 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    """23 + 8 + 23 + 23 (subcommand, setting) pairs, each an ExperimentConfig
+    """22 + 8 + 22 + 22 (subcommand, setting) pairs, each an ExperimentConfig
     field named once."""
     assert {command: len(names) for command, names in READS.items()} == {
-        "train": 23, "eval": 8, "sweep-fraction": 23, "ablate-subgraph": 23}
+        "train": 22, "eval": 8, "sweep-fraction": 22, "ablate-subgraph": 22}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for names in READS.values():
         assert len(set(names)) == len(names) and set(names) <= fields
@@ -146,7 +146,7 @@ def test_readme_counts_the_settings_each_subcommand_reads():
 
 @pytest.mark.parametrize("command, flag", [
     ("train", "--fractions=0.5"), ("train", "--checkpoint=x"),
-    ("eval", "--gcn-layers=3"), ("eval", "--learning-rate=0.1"), ("eval", "--seed=1"),
+    ("eval", "--gcn-hidden=3"), ("eval", "--learning-rate=0.1"), ("eval", "--seed=1"),
     ("sweep-fraction", "--seed=9"), ("sweep-fraction", "--mode=text-only"),
     ("sweep-fraction", "--data-fraction=0.5"), ("ablate-subgraph", "--max-nodes=5"),
     ("ablate-subgraph", "--split=dev"), ("train", "--entropy-split=dev"),
@@ -159,12 +159,21 @@ def test_a_setting_the_command_does_not_read_exits_one(command, flag, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-# the settings that are module constants now, each with the text the
-# checkpoint block of a cell trained before stored for it, after the
-# setting it followed there
+def test_gen_synth_takes_no_hop_depth(tmp_path, capsys):
+    """Every generated task is two-hop (synth.HOPS); gen-synth refuses the
+    setting that chose between one and two hops, and writes nothing."""
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "task"), "--hop-depth", "2"]) == 1
+    assert "unrecognized arguments: --hop-depth 2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "task")
+
+
+# the settings that are module constants now or have one value left, each
+# with the text the checkpoint block of a cell trained before stored for
+# it, after the setting it followed there
 REMOVED = {"gumbel_temperature": ("1.0", "data_fraction"), "max_path_len": ("2", "data_fraction"),
            "retrieve_k": ("5", "max_nodes"), "adam_beta1": ("0.9", "kg_epochs"),
-           "adam_beta2": ("0.98", "kg_epochs"), "adam_eps": ("1e-06", "kg_epochs")}
+           "adam_beta2": ("0.98", "kg_epochs"), "adam_eps": ("1e-06", "kg_epochs"),
+           "gcn_layers": ("2", "gcn_hidden")}
 
 
 @pytest.mark.parametrize("where", ["flag", "config", "checkpoint"])
@@ -173,7 +182,8 @@ def test_a_removed_setting_exits_one(name, where, task_dir, trained_dir, tmp_pat
     """No subcommand takes a removed setting as a flag or a config line, and
     eval refuses a checkpoint whose settings block still holds it, naming
     its line. gumbel_temperature, the first of them in such a block, is on
-    line 9."""
+    line 9, and gcn_layers, in a block written before the GCN had one
+    depth, on line 15."""
     value, after = REMOVED[name]
     flag = "--" + name.replace("_", "-")
     argv = ["train", *data_flags(task_dir), *TINY_FLAGS, "--out-dir", str(tmp_path / "out")]
@@ -201,6 +211,8 @@ def test_a_removed_setting_exits_one(name, where, task_dir, trained_dir, tmp_pat
     assert f"error: {want}" in capsys.readouterr().err
     if name == "gumbel_temperature" and where == "checkpoint":
         assert want.endswith(":9: unknown setting 'gumbel_temperature'")
+    if name == "gcn_layers" and where == "checkpoint":
+        assert want.endswith(":15: unknown setting 'gcn_layers'")
 
 
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--weight-decay", "-0.1"), ("--seed", "-1")])
@@ -404,14 +416,14 @@ BAD_INPUTS = [
      "1: eval does not read setting 'learning_rate'"),
     ("eval-node-features", "--node-features", "node_features.txt",
      "unrecognized arguments: --node-features=node_features.txt"),
-    # the checkpoint of TINY_FLAGS: 'settings 16' on line 1, TrainConfig's
-    # fields in order on lines 2-17 (learning_rate on 5, batch_size on 6, seed
-    # on 7), 'tensors 11' on 18, then text.token_embedding, text.projection
+    # the checkpoint of TINY_FLAGS: 'settings 15' on line 1, TrainConfig's
+    # fields in order on lines 2-16 (learning_rate on 5, batch_size on 6, seed
+    # on 7), 'tensors 11' on 17, then text.token_embedding, text.projection
     # and text.bias, each on a header line and a values line
-    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 17)[17],
+    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 16)[16],
      "1: expected the header 'settings <n>', got 'tensors 11'"),
     ("checkpoint-missing-setting", "--checkpoint",
-     lambda data: data.replace(b"settings 16\n", b"settings 15\n").replace(b"batch_size = 4\n", b""),
+     lambda data: data.replace(b"settings 15\n", b"settings 14\n").replace(b"batch_size = 4\n", b""),
      "1: the settings block lacks batch_size"),
     ("checkpoint-unknown-setting", "--checkpoint",
      lambda data: data.replace(b"batch_size = 4\n", b"warmup_steps = 4\n"), "6: unknown setting 'warmup_steps'"),
@@ -423,13 +435,13 @@ BAD_INPUTS = [
      lambda data: data.replace(b"learning_rate = 0.01\n", b"learning_rate = nan\n"),
      "5: learning_rate must be positive and finite"),
     ("checkpoint-header-field", "--checkpoint", lambda data: data.replace(b"tensors 11\n", b"tensors 11 junk\n"),
-     "18: expected the header 'tensors <n>'"),
+     "17: expected the header 'tensors <n>'"),
     ("checkpoint-dims-past-ndim", "--checkpoint",
      lambda data: data.replace(b"\ntext.projection 2 8 8\n", b"\ntext.projection 2 8 8 99 7\n"),
-     "21: bad tensor header"),
+     "20: bad tensor header"),
     ("checkpoint-loose-value", "--checkpoint",
      lambda data: data.replace(b"\ntext.bias 1 8\n", b"\ntext.bias 1 8\n2_0 "),
-     "24: bad value in tensor text.bias"),
+     "23: bad value in tensor text.bias"),
     *[(f"{flag.split()[-1][2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),

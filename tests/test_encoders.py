@@ -199,7 +199,7 @@ def node_outputs(subgraphs, params):
     gcn_forward's stacks the way graph_attention_pool never builds them,
     and the mask."""
     hidden, adjacency, mask = gcn_forward(subgraphs, params)
-    return adjacency @ hidden.data @ params.layers[-1].data, mask
+    return adjacency @ hidden.data @ params.last_layer.data, mask
 
 
 def pooled_by_brute_force(nodes, text):
@@ -210,21 +210,27 @@ def pooled_by_brute_force(nodes, text):
     return weights @ nodes, weights
 
 
+def identity_gcn(features):
+    """Identity hidden and last layers: the node outputs are
+    A_norm @ relu(A_norm @ X)."""
+    eye = np.eye(features.shape[1])
+    return GCNParams(hidden_layer=Tensor(eye), last_layer=Tensor(eye), node_features=Tensor(features))
+
+
 def test_gcn_isolated_node_identity_weights():
     graph, sub = make_subgraph([("a", "r", "b"), ("x", "r", "y")], ["a"])
     feats = embedding(graph.n_entities, 3, seed=2)
-    params = GCNParams(layers=[Tensor(np.eye(3))], node_features=Tensor(feats.vectors))
-    out = node_outputs([sub], params)[0][0]
+    out = node_outputs([sub], identity_gcn(feats.vectors))[0][0]
     # single node: normalized adjacency is the 1x1 identity
-    assert np.allclose(out, feats.vectors[sub.nodes[0]], atol=1e-12)
+    assert np.allclose(out, np.maximum(feats.vectors[sub.nodes[0]], 0.0), atol=1e-12)
 
 
 def test_gcn_two_connected_nodes_average():
     graph, sub = make_subgraph([("a", "r", "b")], ["a", "b"])
     feats = embedding(graph.n_entities, 4, seed=3)
-    params = GCNParams(layers=[Tensor(np.eye(4))], node_features=Tensor(feats.vectors))
-    out = node_outputs([sub], params)[0][0]
-    expected = 0.5 * (feats.vectors[sub.nodes[0]] + feats.vectors[sub.nodes[1]])
+    out = node_outputs([sub], identity_gcn(feats.vectors))[0][0]
+    # the first propagation gives both nodes the average, which the second keeps
+    expected = np.maximum(0.5 * (feats.vectors[sub.nodes[0]] + feats.vectors[sub.nodes[1]]), 0.0)
     assert np.max(np.abs(out[0] - expected)) < 1e-12
     assert np.max(np.abs(out[1] - expected)) < 1e-12
 
@@ -234,12 +240,12 @@ def test_gcn_matches_dense_oracle():
     graph, sub = make_subgraph(triples, ["a", "c", "e"])
     feats = embedding(graph.n_entities, 5, seed=4)
     rng = np.random.default_rng(5)
-    params = init_gcn_params([5, 7, 4], feats, rng)
+    params = init_gcn_params(5, 7, 4, feats, rng)
     out = node_outputs([sub], params)[0][0]
     expected = dense_gcn(
         sub.norm_adjacency,
         feats.vectors[np.asarray(sub.nodes)],
-        [w.data for w in params.layers],
+        [params.hidden_layer.data, params.last_layer.data],
     )
     assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -252,7 +258,7 @@ def test_gcn_batch_pads_with_exact_zeros():
     subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
     graph = graph_from_triples(PADDED_TRIPLES)
     feats = embedding(graph.n_entities, 5, seed=4)
-    params = init_gcn_params([5, 7, 4], feats, np.random.default_rng(5))
+    params = init_gcn_params(5, 7, 4, feats, np.random.default_rng(5))
     hidden, adjacency, mask = gcn_forward(subs, params)
     out = node_outputs(subs, params)[0]
     n = max(sub.n_nodes for sub in subs)
@@ -265,26 +271,9 @@ def test_gcn_batch_pads_with_exact_zeros():
         expected = dense_gcn(
             sub.norm_adjacency,
             feats.vectors[np.asarray(sub.nodes)],
-            [w.data for w in params.layers],
+            [params.hidden_layer.data, params.last_layer.data],
         )
         assert np.max(np.abs(out[i, :k] - expected)) < 1e-10
-
-
-def test_one_layer_gcn_hands_the_node_features_to_the_pool():
-    """With gcn_layers=1 the hidden stack is the padded node features, and
-    the pool applies the one layer."""
-    subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
-    graph = graph_from_triples(PADDED_TRIPLES)
-    feats = embedding(graph.n_entities, 5, seed=4)
-    params = init_gcn_params([5, 4], feats, np.random.default_rng(5))
-    hidden, adjacency, mask = gcn_forward(subs, params)
-    text = np.random.default_rng(6).normal(size=(3, 4))
-    pooled, _ = graph_attention_pool(hidden, adjacency, mask, Tensor(text), np.arange(3), params.layers[0])
-    for i, sub in enumerate(subs):
-        k = sub.n_nodes
-        assert np.array_equal(hidden.data[i, :k], feats.vectors[np.asarray(sub.nodes)])
-        nodes = dense_gcn(sub.norm_adjacency, feats.vectors[np.asarray(sub.nodes)], [params.layers[0].data])
-        assert np.max(np.abs(pooled.data[i] - pooled_by_brute_force(nodes, text[i])[0])) < 1e-10
 
 
 SECOND_LAYER = np.random.default_rng(60).normal(size=(3, 4))
@@ -302,47 +291,40 @@ def test_gcn_pooled_output_permutation_invariant():
         # same feature per label regardless of id assignment
         base = embedding(3, 3, seed=6).vectors
         feats = np.stack([base[ord(graph.entities[e]) - ord("a")] for e in range(graph.n_entities)])
-        params = GCNParams(layers=[Tensor(np.eye(3)), Tensor(SECOND_LAYER)], node_features=Tensor(feats))
+        params = GCNParams(hidden_layer=Tensor(np.eye(3)), last_layer=Tensor(SECOND_LAYER),
+                           node_features=Tensor(feats))
         pooled, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), np.arange(1),
-                                         params.layers[-1])
+                                         params.last_layer)
         outputs.append(pooled.data[0])
     assert np.max(np.abs(outputs[0] - outputs[1])) < 1e-10
 
 
 def test_gcn_rejects_empty_and_bad_dims():
     feats = embedding(3, 4, seed=7)
+    with pytest.raises(ValueError):
+        gcn_forward([], init_gcn_params(4, 3, 4, feats, np.random.default_rng(0)))
     with pytest.raises(ConfigError):
-        init_gcn_params([4], feats, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        init_gcn_params([5, 3], feats, np.random.default_rng(0))
+        init_gcn_params(5, 3, 4, feats, np.random.default_rng(0))
 
 
-def check_gcn_gradient(dims):
-    """Finite-difference gradients of every GCN layer and of the text
+def test_gcn_gradient_matches_fd():
+    """Finite-difference gradients of both GCN layers and of the text
     vector, through the pool."""
     graph, sub = make_subgraph([("a", "r", "b"), ("b", "r", "c")], ["a", "c"])
     feats = embedding(graph.n_entities, 3, seed=8)
-    params = init_gcn_params(dims, feats, np.random.default_rng(9))
+    params = init_gcn_params(3, 4, 3, feats, np.random.default_rng(9))
     text = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
-    leaves = mark_leaves(*params.layers, text)
+    leaves = mark_leaves(params.hidden_layer, params.last_layer, text)
     w = np.random.default_rng(11).normal(size=3)
 
     def forward():
-        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text, np.arange(1), params.layers[-1])
+        pooled, _ = graph_attention_pool(*gcn_forward([sub], params), text, np.arange(1), params.last_layer)
         return matmul(reshape(pooled, (-1,)), Tensor(w))
 
     backward(forward())
     for leaf in leaves:
         numeric = fd_gradient(lambda: forward().item(), leaf.data)
         assert max_rel_error(leaf.grad, numeric) < 1e-4
-
-
-def test_gcn_gradient_matches_fd():
-    check_gcn_gradient([3, 4, 3])
-
-
-def test_one_layer_gcn_gradient_matches_fd():
-    check_gcn_gradient([3, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +378,9 @@ def test_pool_matches_pooling_the_built_node_outputs():
     non-square last layer; padding gets exactly 0 attention."""
     subs = [make_subgraph(PADDED_TRIPLES, seeds)[1] for seeds in PADDED_SEEDS]
     graph = graph_from_triples(PADDED_TRIPLES)
-    params = init_gcn_params([5, 7, 4], embedding(graph.n_entities, 5, seed=4), np.random.default_rng(5))
+    params = init_gcn_params(5, 7, 4, embedding(graph.n_entities, 5, seed=4), np.random.default_rng(5))
     text = np.random.default_rng(6).normal(size=(3, 4))
-    pooled, attn = graph_attention_pool(*gcn_forward(subs, params), Tensor(text), np.arange(3), params.layers[-1])
+    pooled, attn = graph_attention_pool(*gcn_forward(subs, params), Tensor(text), np.arange(3), params.last_layer)
     nodes, _ = node_outputs(subs, params)
     for i, sub in enumerate(subs):
         k = sub.n_nodes

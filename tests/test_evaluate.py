@@ -243,8 +243,8 @@ def test_text_only_reads_no_graph_side_tensor(lowdata_dir, tmp_path):
     config, model, splits = _trained(cfg, mode="text-only", data_fraction=0.2)
     want = _text_only_outputs(model, config, splits)
     rng = np.random.default_rng(3)
-    unread = [*model.gcn.layers, model.gcn.node_features, model.er.entity_table, model.er.relation_table,
-              model.er.entity_proj, model.er.relation_proj]
+    unread = [model.gcn.hidden_layer, model.gcn.last_layer, model.gcn.node_features, model.er.entity_table,
+              model.er.relation_table, model.er.entity_proj, model.er.relation_proj]
     for tensor in unread:
         tensor.data = rng.normal(0.0, 5.0, size=tensor.data.shape)
     got = _text_only_outputs(model, config, splits)
@@ -320,7 +320,7 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 # scoring do not read
 UNREAD_BY_EVAL = {
     "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "batch_size": 3, "seed": 9, "data_fraction": 0.3,
-    "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5, "kg_dim": 6, "gcn_hidden": 7, "gcn_layers": 4,
+    "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5, "kg_dim": 6, "gcn_hidden": 7,
     "kg_epochs": 1, "weight_decay": 0.0,
 }
 

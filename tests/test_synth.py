@@ -16,7 +16,6 @@ SMALL = SyntheticSpec(
     n_entities=20,
     n_relations=3,
     n_questions=30,
-    hop_depth=2,
     distractor_count=3,
     seed=5,
     node_dim=8,
@@ -81,13 +80,6 @@ def test_seed_changes_output(tmp_path):
     assert read_all(str(a)) != read_all(str(b))
 
 
-def test_one_hop_task_verifies_clean(tmp_path):
-    spec = dataclasses.replace(SMALL, hop_depth=1)
-    report = generate(spec, str(tmp_path))
-    assert report["failures"] == []
-    assert report["kg_answerable"] == spec.n_questions
-
-
 def test_noise_knobs_add_entities_without_breaking_task(tmp_path):
     spec = dataclasses.replace(SMALL, noise_entities=4, noise_edges=6, premise_noise=2)
     report = generate(spec, str(tmp_path))
@@ -116,8 +108,6 @@ def test_chain_split_keeps_entities_disjoint(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        dataclasses.replace(SMALL, hop_depth=3).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(SMALL, n_entities=8).validate()
     with pytest.raises(ConfigError):

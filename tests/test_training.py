@@ -68,7 +68,7 @@ def manual_logits(pq, model, weight, config):
         t = text.data[0]
         if graph_side and choice.subgraph is not None and choice.subgraph.n_nodes > 0:
             hidden, adjacency, _ = gcn_forward([choice.subgraph], model.gcn)
-            nodes = adjacency[0] @ hidden.data[0] @ model.gcn.layers[-1].data
+            nodes = adjacency[0] @ hidden.data[0] @ model.gcn.last_layer.data
             scores = nodes @ t
             e = np.exp(scores - scores.max())
             g = (e / e.sum()) @ nodes
