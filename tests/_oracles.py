@@ -990,3 +990,47 @@ def classify_composed(feats: Features, classifier: Tensor, weights: np.ndarray) 
 def mean_cross_entropy_composed(logits: Tensor, starts: np.ndarray, targets: list[int]) -> Tensor:
     """training.mean_cross_entropy as a tape of primitives."""
     return mean(segment_cross_entropy(logits, starts, targets))
+
+
+# the dense path the edge lists replaced: each subgraph held its (n, n)
+# normalized adjacency, built from the 0/1 matrix of KG edges among its
+# nodes, and gcn_forward filled the padded stack with one slice copy per
+# subgraph
+
+
+def normalize_adjacency(c: np.ndarray) -> np.ndarray:
+    """Symmetric degree normalization with self-loops:
+    D^-1/2 (C + I) D^-1/2 where D = rowsum(C + I). C must be a float64
+    symmetric 0/1 matrix with a zero diagonal; nothing checks it."""
+    with_self = c + np.eye(c.shape[0])
+    degrees = with_self.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    return with_self * np.outer(inv_sqrt, inv_sqrt)
+
+
+def zero_one_adjacency(graph: KnowledgeGraph, nodes: list[int]) -> np.ndarray:
+    """The 0/1 matrix C of KG edges among `nodes`, as connect_concepts
+    built it before normalizing it."""
+    index = {e: i for i, e in enumerate(nodes)}
+    c = np.zeros((len(nodes), len(nodes)))
+    for i, e in enumerate(nodes):
+        for nb in graph.adjacency[e]:
+            j = index.get(nb)
+            if j is not None:
+                c[i, j] = 1.0
+    return c
+
+
+def dense_adjacency(sub: Subgraph) -> np.ndarray:
+    """The subgraph's (n, n) normalized adjacency."""
+    return sub.norm_adjacency
+
+
+def padded_adjacency(subgraphs: list[Subgraph]) -> np.ndarray:
+    """The (S, N, N) stack of dense adjacencies, zero-padded to the largest
+    subgraph by one slice copy per subgraph."""
+    n = max(sub.n_nodes for sub in subgraphs)
+    adjacency = np.zeros((len(subgraphs), n, n))
+    for i, sub in enumerate(subgraphs):
+        adjacency[i, : sub.n_nodes, : sub.n_nodes] = dense_adjacency(sub)
+    return adjacency

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actknow import training
+from actknow.encoders import gcn_forward
 from actknow.errors import ConfigError
 from actknow.kg import graph_from_triples, load_triples
 from actknow.nli import convert, load_qa_jsonl
+from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
 from actknow.retrieval import build_index, load_corpus, tokenize
+from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.subgraph import _dfs_path, connect_concepts, identify_concepts, normalize_adjacency
+from actknow.training import evaluate, train
 
 import _oracles
 from _oracles import all_simple_paths, dense_normalize
@@ -407,3 +412,46 @@ def test_path_memo_keys_on_path_length():
     assert connect_concepts(graph, [a, c], max_path_len=2).paths == [(a, graph.entity_ids["b"], c)]
     assert connect_concepts(graph, [a, c], max_path_len=1).paths == []
     assert graph.path_memo == {(a, c, 2): (a, graph.entity_ids["b"], c), (a, c, 1): None}
+
+
+BUDGETS = (1, 3, 20, 60)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("task", ["lowdata", "noisy"])
+def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_dir, tmp_path, monkeypatch):
+    """On every choice subgraph of the three splits of a bundled task, the
+    edge list's dense view is normalize_adjacency of the 0/1 matrix of KG
+    edges among its nodes, byte for byte; and on every training batch of
+    one pass and every eval chunk of the three splits, gcn_forward's padded
+    adjacency stack is the slice-copy fill of those dense views."""
+    experiment, data_dir = (lowdata_experiment, lowdata_dir) if task == "lowdata" else (noisy_experiment, noisy_dir)
+    cfg = training_config_for(experiment(data_dir, str(tmp_path)), mode="base-know", max_nodes=budget,
+                              data_fraction=1.0, master_epochs=1, sub_epochs=1, pretrain_epochs=0, kg_epochs=0)
+    pipe = load_pipeline(cfg)
+    splits = {split: prepare_split(pipe, split, cfg) for split in ("train", "dev", "test")}
+    subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
+    assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
+    for sub in subgraphs:
+        want = _oracles.normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, sub.nodes))
+        got = _oracles.dense_adjacency(sub)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    stacks = []
+
+    def checked(batch, params):
+        hidden, adjacency, mask = gcn_forward(batch, params)
+        want = _oracles.padded_adjacency(batch)
+        assert adjacency.dtype == want.dtype and adjacency.shape == want.shape
+        assert adjacency.tobytes() == want.tobytes()
+        stacks.append(len(batch))
+        return hidden, adjacency, mask
+
+    monkeypatch.setattr(training, "gcn_forward", checked)
+    model = build_model(pipe, cfg)
+    train(model, splits["train"], splits["dev"], cfg)
+    evaluate(splits["test"], model, cfg)
+    # the update pass and the eval of train, dev and test each stacked
+    # every subgraph of their split once
+    n_train = sum(c.subgraph is not None for pq in splits["train"] for c in pq.choices)
+    assert sum(stacks) == len(subgraphs) + n_train
