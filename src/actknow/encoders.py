@@ -81,7 +81,9 @@ def encode_pair_tokens(vocab: Vocab, premise_tokens: list[str], hypothesis_token
         raise TypeError("encode_pair_tokens takes token lists, not strs")
     if not hypothesis_tokens:
         raise ValueError("hypothesis must be non-empty")
-    ids = [vocab.lookup(t) for t in premise_tokens] + [SEP_ID] + [vocab.lookup(t) for t in hypothesis_tokens]
+    # one bound dict.get for the call, not a Vocab.lookup call per token
+    lookup = vocab.ids.get
+    ids = [lookup(t, UNK_ID) for t in premise_tokens] + [SEP_ID] + [lookup(t, UNK_ID) for t in hypothesis_tokens]
     return np.array(ids, dtype=np.int64)
 
 
@@ -212,9 +214,15 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     sizes = np.array([sub.n_nodes for sub in subgraphs])
     s, n = len(subgraphs), int(sizes.max())
     mask = np.arange(n) < sizes[:, None]
+    # one scatter of every subgraph's edge list into its block of the
+    # stack; the int32 offsets row * n + col stay below n * n, which fits
+    # for any block that fits in memory
+    local = np.concatenate([sub.rows for sub in subgraphs]) * n
+    local += np.concatenate([sub.cols for sub in subgraphs])
+    at = np.repeat(np.arange(0, s * n * n, n * n), [sub.values.size for sub in subgraphs])
+    at += local
     adjacency = np.zeros((s, n, n))
-    for i, sub in enumerate(subgraphs):
-        adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
+    adjacency.reshape(-1)[at] = np.concatenate([sub.values for sub in subgraphs])
     # node features are fixed inputs, so the padded stack is a constant:
     # one take over a padded index, whose padding rows are then zeroed. It
     # is taken into the front of the array that the hidden layer's product

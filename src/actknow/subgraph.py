@@ -6,9 +6,10 @@ occurrences overlap the longest wins, then the earliest; a scan returns
 the mentioned entity ids in text order. A subgraph starts from the
 mentioned entities (seeds), adds the first depth-limited DFS path between
 each seed pair, then keeps every KG edge among the included nodes. A
-subgraph keeps only the degree-normalized adjacency the graph encoder
-reads, and its paths are the graph's memoised tuples, shared by every
-subgraph that selects them.
+subgraph keeps only the non-zeros of the degree-normalized adjacency the
+graph encoder reads, as an edge list of O(nodes + edges) size, and its
+paths are the graph's memoised tuples, shared by every subgraph that
+selects them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,14 @@ MAX_PATH_LEN = 2
 
 @dataclass
 class Subgraph:
+    """The non-zeros of A_norm = D^-1/2 (C+I) D^-1/2, C the 0/1 KG edges
+    among the nodes and D = rowsum(C+I), as local (row, column, value)
+    triples: one self-loop per node, then its neighbours, row by row."""
+
     nodes: list[int]                      # entity ids, seeds first
-    norm_adjacency: np.ndarray            # D^-1/2 (C+I) D^-1/2, C the 0/1 KG edges among nodes
+    rows: np.ndarray                      # (nnz,) int32 local row of each non-zero
+    cols: np.ndarray                      # (nnz,) int32 local column
+    values: np.ndarray                    # (nnz,) float64 A_norm[row, col]
     # selected seed-to-seed paths: graph.path_memo's own tuples, not copies
     paths: list[tuple[int, ...]] = field(default_factory=list)
 
@@ -157,27 +164,23 @@ def connect_concepts(
             node_set.add(p)
         paths.append(path)
 
+    # each node's self-loop, then its neighbours among nodes: C is
+    # symmetric because every neighbour list holds its partner's id, with a
+    # zero diagonal because graph_from_triples drops self-loops. A value is
+    # the product D^-1/2 (C+I) D^-1/2 takes there, so it has the same bits
     index = {e: i for i, e in enumerate(nodes)}
-    n = len(nodes)
-    adjacency = np.zeros((n, n))
+    local: list[int] = []
+    degrees: list[int] = []
     for i, e in enumerate(nodes):
+        start = len(local)
+        local.append(i)
         for nb in graph.adjacency[e]:
             j = index.get(nb)
             if j is not None:
-                adjacency[i, j] = 1.0
-
-    # symmetric because every neighbor list holds its partner's id, 0/1 as
-    # built above, with a zero diagonal because graph_from_triples drops
-    # self-loops: what normalize_adjacency needs
-    norm = normalize_adjacency(adjacency)
-    return Subgraph(nodes=nodes, norm_adjacency=norm, paths=paths)
-
-
-def normalize_adjacency(c: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization with self-loops:
-    D^-1/2 (C + I) D^-1/2 where D = rowsum(C + I). C must be a float64
-    symmetric 0/1 matrix with a zero diagonal; nothing checks it."""
-    with_self = c + np.eye(c.shape[0])
-    degrees = with_self.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    return with_self * np.outer(inv_sqrt, inv_sqrt)
+                local.append(j)
+        degrees.append(len(local) - start)
+    degree = np.array(degrees, dtype=np.float64)
+    rows = np.repeat(np.arange(len(nodes), dtype=np.int32), degrees)
+    cols = np.array(local, dtype=np.int32)
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    return Subgraph(nodes=nodes, rows=rows, cols=cols, values=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)

@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Fifteen package paths that simpler or faster ones
+no code with src/. Sixteen package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -23,7 +23,9 @@ differentiated GCN hidden stack and attention pool nodes replaced, and the
 rest of the training step as a tape of primitives (add, mul, mean,
 matmul, concat, relu, row_dot, segment_cross_entropy and the Gumbel
 softmax among them) that the text encoder, ER attention, classifier and
-loss nodes replaced. The second
+loss nodes replaced, and the dense (n, n) normalized adjacency of each
+subgraph and the slice-copy fill of the padded stack that edge lists and
+one scatter replaced. The second
 to fifth, the masked softmax and the composed training step run on the
 package's autodiff tape so that gradients can be compared too.
 """
@@ -211,7 +213,7 @@ def gcn_forward(sub: Subgraph, params: GCNParams) -> Tensor:
     matrix."""
     if sub.n_nodes == 0:
         raise ValueError("gcn_forward: empty subgraph")
-    a_norm = Tensor(sub.norm_adjacency)
+    a_norm = Tensor(dense_adjacency(sub))
     h = gather(params.node_features, np.asarray(sub.nodes, dtype=np.int64))
     h = relu(matmul(matmul(a_norm, h), params.hidden_layer))
     return matmul(matmul(a_norm, h), params.last_layer)
@@ -682,11 +684,10 @@ def gcn_forward_composed(subgraphs: list[Subgraph], params: GCNParams) -> tuple[
     """encoders.gcn_forward as a tape of primitives: the padded hidden
     layer's output stack, the adjacency stack as a constant Tensor, and
     the mask."""
-    n = max(sub.n_nodes for sub in subgraphs)
-    adjacency = np.zeros((len(subgraphs), n, n))
+    adjacency = padded_adjacency(subgraphs)
+    n = adjacency.shape[1]
     mask = np.zeros((len(subgraphs), n), dtype=bool)
     for i, sub in enumerate(subgraphs):
-        adjacency[i, : sub.n_nodes, : sub.n_nodes] = sub.norm_adjacency
         mask[i, : sub.n_nodes] = True
     features = np.zeros(mask.shape + (params.node_features.shape[1],))
     features[mask] = params.node_features.data[np.concatenate([sub.nodes for sub in subgraphs])]
@@ -1022,8 +1023,19 @@ def zero_one_adjacency(graph: KnowledgeGraph, nodes: list[int]) -> np.ndarray:
 
 
 def dense_adjacency(sub: Subgraph) -> np.ndarray:
-    """The subgraph's (n, n) normalized adjacency."""
-    return sub.norm_adjacency
+    """The (n, n) normalized adjacency of the subgraph's edge list, +0.0
+    off it."""
+    a = np.zeros((sub.n_nodes, sub.n_nodes))
+    a[sub.rows, sub.cols] = sub.values
+    return a
+
+
+def subgraph_from_dense(nodes: list[int], norm: np.ndarray) -> Subgraph:
+    """The subgraph holding a dense normalized adjacency's non-zeros, row by
+    row, and no paths."""
+    rows, cols = np.nonzero(norm)
+    return Subgraph(nodes=list(nodes), rows=rows.astype(np.int32), cols=cols.astype(np.int32),
+                    values=norm[rows, cols], paths=[])
 
 
 def padded_adjacency(subgraphs: list[Subgraph]) -> np.ndarray:

@@ -29,12 +29,14 @@ from _oracles import (
     max_rel_error,
     mean,
     mul,
+    normalize_adjacency,
     relu,
     reshape,
     row_dot,
     row_softmax,
     scalar_mul,
     segment_cross_entropy,
+    subgraph_from_dense,
     transpose,
 )
 from actknow import autodiff as ad
@@ -55,7 +57,7 @@ from actknow.experiments import sign_test_p
 from actknow.kg import graph_from_triples
 from actknow.nli import QAItem, make_hypothesis
 from actknow.retrieval import build_index, corpus_from_sentences, retrieve, tokenize
-from actknow.subgraph import Subgraph, connect_concepts, identify_concepts, normalize_adjacency
+from actknow.subgraph import connect_concepts, identify_concepts
 from actknow.training import (
     Features,
     classify,
@@ -199,8 +201,8 @@ def _primitive_factories():
     def f_gcn_hidden_stack(rng):
         # two subgraphs padded to three nodes; the leaf is the hidden layer, and
         # the last layer, which the pool applies, does not reach the stack
-        subs = [Subgraph(nodes=[0, 2, 4], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 3)), paths=[]),
-                Subgraph(nodes=[1, 3], norm_adjacency=normalize_adjacency(_random_symmetric(rng, 2)), paths=[])]
+        subs = [subgraph_from_dense([0, 2, 4], normalize_adjacency(_random_symmetric(rng, 3))),
+                subgraph_from_dense([1, 3], normalize_adjacency(_random_symmetric(rng, 2)))]
         features, second, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 4)), rng.normal(size=24)
 
         def build(leaf):
@@ -367,7 +369,7 @@ def test_criterion_2_normalization_oracles():
         d0, d1, d2 = 5, 7, 3
         features = rng.normal(size=(n, d0))
         w1, w2 = rng.normal(size=(d0, d1)), rng.normal(size=(d1, d2))
-        sub = Subgraph(nodes=list(range(n)), norm_adjacency=norm, paths=[])
+        sub = subgraph_from_dense(list(range(n)), norm)
         params = GCNParams(hidden_layer=Tensor(w1), last_layer=Tensor(w2), node_features=Tensor(features))
         text = text_rng.normal(size=d2)
         got, _ = graph_attention_pool(*gcn_forward([sub], params), Tensor(text[None]), np.arange(1),

@@ -26,7 +26,7 @@ from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
-from _oracles import dense_gcn, encode_text_by_gather, fd_gradient, matmul, max_rel_error, reshape
+from _oracles import dense_adjacency, dense_gcn, encode_text_by_gather, fd_gradient, matmul, max_rel_error, reshape
 from conftest import mark_leaves
 
 RNG = np.random.default_rng(21)
@@ -243,7 +243,7 @@ def test_gcn_matches_dense_oracle():
     params = init_gcn_params(5, 7, 4, feats, rng)
     out = node_outputs([sub], params)[0][0]
     expected = dense_gcn(
-        sub.norm_adjacency,
+        dense_adjacency(sub),
         feats.vectors[np.asarray(sub.nodes)],
         [params.hidden_layer.data, params.last_layer.data],
     )
@@ -269,7 +269,7 @@ def test_gcn_batch_pads_with_exact_zeros():
         assert np.all(hidden.data[i, k:] == 0.0) and np.all(out[i, k:] == 0.0)
         assert np.all(adjacency[i, k:] == 0.0) and np.all(adjacency[i, :, k:] == 0.0)
         expected = dense_gcn(
-            sub.norm_adjacency,
+            dense_adjacency(sub),
             feats.vectors[np.asarray(sub.nodes)],
             [params.hidden_layer.data, params.last_layer.data],
         )

@@ -352,10 +352,11 @@ def test_a_training_step_peaks_no_higher_than_before(bundled):
 def test_the_graph_side_writes_into_no_input(name, bundled):
     """The encoders write in place only into arrays they allocated: after
     every eval chunk and one pass of update steps, each subgraph's
-    normalized adjacency, the node features and the KG tables hold the
+    edge list, the node features and the KG tables hold the
     bytes they held before."""
     config, questions, model = bundled(name)
-    inputs = [c.subgraph.norm_adjacency for pq in questions for c in pq.choices if c.subgraph is not None]
+    inputs = [a for pq in questions for c in pq.choices if c.subgraph is not None
+              for a in (c.subgraph.rows, c.subgraph.cols, c.subgraph.values)]
     inputs += [model.gcn.node_features.data, model.er.entity_table.data, model.er.relation_table.data]
     before = [a.copy() for a in inputs]
     state = model.state_arrays()

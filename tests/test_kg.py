@@ -107,7 +107,7 @@ def test_pair_joined_by_several_triples_is_one_neighbor():
     want = connect_concepts(single, [a, c])
     assert got.nodes == want.nodes
     assert got.paths == want.paths
-    assert np.array_equal(got.norm_adjacency, want.norm_adjacency)
+    assert np.array_equal(_oracles.dense_adjacency(got), _oracles.dense_adjacency(want))
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,11 +15,11 @@ from actknow.nli import convert, load_qa_jsonl
 from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
 from actknow.retrieval import build_index, load_corpus, tokenize
 from actknow.scenarios import lowdata_experiment, noisy_experiment
-from actknow.subgraph import _dfs_path, connect_concepts, identify_concepts, normalize_adjacency
+from actknow.subgraph import _dfs_path, connect_concepts, identify_concepts
 from actknow.training import evaluate, train
 
 import _oracles
-from _oracles import all_simple_paths, dense_normalize
+from _oracles import all_simple_paths, dense_adjacency, dense_normalize, normalize_adjacency
 
 
 def adjacency_dict(graph):
@@ -27,15 +27,17 @@ def adjacency_dict(graph):
 
 
 def assert_edges(sub, n_edges):
-    """The 0/1 edges C behind sub.norm_adjacency, its off-diagonal non-zeros,
-    are n_edges undirected edges, symmetric, with a zero diagonal: that
-    leaves only the self-loop on the normalized diagonal, 1/rowsum(C + I)."""
-    support = (sub.norm_adjacency != 0.0).astype(float)
+    """The 0/1 edges C behind the subgraph's normalized adjacency, its
+    off-diagonal non-zeros, are n_edges undirected edges, symmetric, with a
+    zero diagonal: that leaves only the self-loop on the normalized
+    diagonal, 1/rowsum(C + I)."""
+    norm = dense_adjacency(sub)
+    support = (norm != 0.0).astype(float)
     np.fill_diagonal(support, 0.0)
     assert np.triu(support).sum() == n_edges
     assert np.array_equal(support, support.T)
-    assert np.array_equal(sub.norm_adjacency, sub.norm_adjacency.T)
-    diag = np.diag(sub.norm_adjacency)
+    assert np.array_equal(norm, norm.T)
+    diag = np.diag(norm)
     assert np.max(np.abs(diag - 1.0 / (support.sum(axis=1) + 1.0))) < 1e-12
 
 
@@ -218,7 +220,7 @@ def test_duplicate_seeds_collapse(chain_graph):
     a = chain_graph.entity_ids["a"]
     sub = connect_concepts(chain_graph, [a, a, a], max_path_len=2, max_nodes=5)
     assert sub.nodes == [a]
-    assert sub.norm_adjacency.shape == (1, 1)
+    assert dense_adjacency(sub).shape == (1, 1)
     assert_edges(sub, 0)
 
 
@@ -347,7 +349,7 @@ def noisy_seed_sets(data_dir, graph):
 
 def assert_same_subgraph(got, want):
     assert got.nodes == want.nodes
-    assert np.array_equal(got.norm_adjacency, want.norm_adjacency)
+    assert np.array_equal(dense_adjacency(got), dense_adjacency(want))
     assert got.paths == want.paths
 
 
@@ -388,22 +390,17 @@ def test_path_memo_matches_a_fresh_graph_in_any_budget_order(noisy_dir):
 def test_unchecked_normalization_matches_the_checked_one(noisy_dir):
     """normalize_adjacency checks nothing; on every choice subgraph of the
     noisy task the 0/1 matrix of KG edges among its nodes is what it needs
-    (non-empty, symmetric, 0/1, zero diagonal), and connect_concepts
-    normalizes exactly that matrix."""
+    (non-empty, symmetric, 0/1, zero diagonal), and connect_concepts's edge
+    list holds exactly that matrix normalized."""
     graph = load_triples(os.path.join(noisy_dir, "kg.tsv"))
     for seeds in noisy_seed_sets(noisy_dir, graph):
         sub = connect_concepts(graph, seeds[:60], 2, 60)
-        index = {e: i for i, e in enumerate(sub.nodes)}
-        rebuilt = np.zeros((sub.n_nodes, sub.n_nodes))
-        for e in sub.nodes:
-            for nb in graph.adjacency[e]:
-                if nb in index:
-                    rebuilt[index[e], index[nb]] = 1.0
+        rebuilt = _oracles.zero_one_adjacency(graph, sub.nodes)
         assert sub.n_nodes > 0
         assert np.array_equal(rebuilt, rebuilt.T)
         assert np.all((rebuilt == 0.0) | (rebuilt == 1.0))
         assert not np.any(np.diag(rebuilt))
-        assert np.array_equal(sub.norm_adjacency, normalize_adjacency(rebuilt))
+        assert np.array_equal(dense_adjacency(sub), normalize_adjacency(rebuilt))
 
 
 def test_path_memo_keys_on_path_length():
@@ -412,6 +409,23 @@ def test_path_memo_keys_on_path_length():
     assert connect_concepts(graph, [a, c], max_path_len=2).paths == [(a, graph.entity_ids["b"], c)]
     assert connect_concepts(graph, [a, c], max_path_len=1).paths == []
     assert graph.path_memo == {(a, c, 2): (a, graph.entity_ids["b"], c), (a, c, 1): None}
+
+
+def _arrays(sub):
+    return [value for value in vars(sub).values() if isinstance(value, np.ndarray)]
+
+
+def test_a_subgraph_grows_with_its_edges_not_its_nodes_squared():
+    """A 300-node subgraph of a chain KG, 299 edges, holds its normalized
+    adjacency in under a tenth of the bytes of a dense 300 x 300 float64
+    matrix, and no array of it is two-dimensional."""
+    graph = graph_from_triples([(f"e{i}", "next", f"e{i + 1}") for i in range(299)])
+    sub = connect_concepts(graph, list(range(300)), max_path_len=2, max_nodes=300)
+    assert sub.n_nodes == 300
+    assert_edges(sub, 299)
+    arrays = _arrays(sub)
+    assert arrays and all(a.ndim == 1 for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 300 * 300 * 8 / 10
 
 
 BUDGETS = (1, 3, 20, 60)
@@ -433,8 +447,9 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
     assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
     for sub in subgraphs:
-        want = _oracles.normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, sub.nodes))
-        got = _oracles.dense_adjacency(sub)
+        assert all(a.ndim == 1 for a in _arrays(sub))
+        want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, sub.nodes))
+        got = dense_adjacency(sub)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     stacks = []

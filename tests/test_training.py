@@ -335,8 +335,9 @@ def test_train_split_prepares_the_sample_of_the_whole_preparation(mode, lowdata_
                     if gc.subgraph is not None:
                         assert gc.subgraph.nodes == wc.subgraph.nodes
                         assert gc.subgraph.paths == wc.subgraph.paths
-                        assert gc.subgraph.norm_adjacency.tobytes() == wc.subgraph.norm_adjacency.tobytes()
-                        assert gc.subgraph.norm_adjacency.shape == wc.subgraph.norm_adjacency.shape
+                        got, want = _oracles.dense_adjacency(gc.subgraph), _oracles.dense_adjacency(wc.subgraph)
+                        assert got.tobytes() == want.tobytes()
+                        assert got.shape == want.shape
 
 
 # ---------------------------------------------------------------------------
