@@ -30,8 +30,10 @@ relu, the padded node-feature stack (one take, then its padding zeroed)
 and the hidden layer's product and relu, which share one array, the
 Gumbel noise and the pool's node gradient.
 A call writes only into arrays it allocated itself, never into its
-inputs, the subgraphs' adjacencies or the fixed tables, and keeps no
-buffer from one call to the next.
+inputs, the subgraphs' edge lists or the fixed tables, and keeps no
+buffer from one call to the next. The GCN's padded adjacency stack is one
+scatter of the batch's edge lists into zeros, bit-equal to copying each
+subgraph's dense normalized adjacency into its block.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from math import comb
 from .atomic import atomic_write
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, train_settings
-from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for
+from .pipeline import Pipeline, load_pipeline, prepare_split, run_training, training_config_for, training_indices
 from .training import PreparedQuestion, TrainConfig, TrainResult, evaluate, write_stats_csv
 
 SWEEP_HEADER = ["fraction", "mode", "seed", "accuracy"]
@@ -70,18 +70,23 @@ def _write_csv(cfg: ExperimentConfig, kind: str, header: list[str], rows: list[l
 def run_cells(cfg: ExperimentConfig, cells: list[tuple[str, dict]]) -> Iterator[tuple[TrainResult, float | None]]:
     """Run each (directory under cfg.out_dir, TrainConfig overrides) cell in
     order on one loaded pipeline, yielding run_cell's result as each cell
-    finishes. A cell prepares its own train sample (prepare_split). Dev and
-    test are prepared once per run of consecutive cells that share
-    max_nodes, with subgraphs when any cell of the run has a graph side;
-    a cell without one never reads them."""
+    finishes. Each split is prepared once per run of consecutive cells that
+    share max_nodes, with subgraphs when any cell of the run has a graph
+    side; a cell without one never reads them. Of train, that is the union
+    of the run's training samples (training_indices), and each cell trains
+    on its own sample of it."""
     pipe = load_pipeline(cfg)
     configs = [(name, training_config_for(cfg, **overrides)) for name, overrides in cells]
     for _, run in itertools.groupby(configs, key=lambda cell: cell[1].max_nodes):
         run = list(run)
         tc = next((tc for _, tc in run if tc.graph_side), run[0][1])
         dev_qs, test_qs = (prepare_split(pipe, split, tc) if split in pipe.items else None for split in ("dev", "test"))
-        for name, tc in run:
-            yield run_cell(pipe, tc, prepare_split(pipe, "train", tc), dev_qs, test_qs, os.path.join(cfg.out_dir, name))
+        samples = [training_indices(pipe.items["train"], cell_tc) for _, cell_tc in run]
+        union = sorted(set().union(*samples))
+        prepared = dict(zip(union, prepare_split(pipe, "train", tc, union)))
+        for (name, cell_tc), sample in zip(run, samples):
+            yield run_cell(pipe, cell_tc, [prepared[i] for i in sample], dev_qs, test_qs,
+                           os.path.join(cfg.out_dir, name))
 
 
 def sweep_fraction(cfg: ExperimentConfig) -> list[tuple[float, str, int, float]]:

@@ -69,27 +69,36 @@ def load_pipeline(cfg: ExperimentConfig) -> Pipeline:
     )
 
 
-def prepare_split(pipe: Pipeline, split: str, tc: TrainConfig) -> list[PreparedQuestion]:
-    """The prepared questions of `split`; for "train", only the
-    tc.data_fraction sample that training reads."""
+def prepare_split(pipe: Pipeline, split: str, tc: TrainConfig, indices: list[int] | None = None
+                  ) -> list[PreparedQuestion]:
+    """The prepared questions of `split` at `indices`, in split order. By
+    default all of them, but for "train" only the tc.data_fraction sample
+    that training reads."""
     if split not in pipe.items:
         raise ConfigError(f"no {split} split was supplied")
     items = pipe.items[split]
-    if split == "train":
+    if indices is not None:
+        items = [items[i] for i in indices]
+    elif split == "train":
         items = training_sample(items, tc)
     return prepare_questions(items, pipe.corpus, pipe.index, pipe.graph, pipe.vocab, tc)
 
 
 def training_sample(questions: list, tc: TrainConfig) -> list:
-    """The tc.data_fraction sample of a train split: floor(fraction * n)
-    questions, stratified by gold answer index with largest-remainder
-    rounding and drawn from tc.seed, in split order. It reads only
+    """The questions at training_indices."""
+    return [questions[i] for i in training_indices(questions, tc)]
+
+
+def training_indices(questions: list, tc: TrainConfig) -> list[int]:
+    """The increasing indices of the tc.data_fraction sample of a train
+    split: floor(fraction * n) questions, stratified by gold answer index
+    with largest-remainder rounding and drawn from tc.seed. It reads only
     answer_index and list order, so it draws the same questions from
     QAItems as from their prepared questions. tc.validate has checked the
     fraction."""
     fraction = tc.data_fraction
     if fraction == 1.0:
-        return questions
+        return list(range(len(questions)))
     groups: dict[int, list[int]] = {}
     for i, q in enumerate(questions):
         groups.setdefault(q.answer_index, []).append(i)
@@ -112,7 +121,7 @@ def training_sample(questions: list, tc: TrainConfig) -> list:
         raise ConfigError(f"data_fraction {fraction} selects none of the {len(questions)} train questions")
     chosen.sort()
     log.info("training on %d questions after fraction sampling", len(chosen))
-    return [questions[i] for i in chosen]
+    return chosen
 
 
 def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:

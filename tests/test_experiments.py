@@ -55,37 +55,48 @@ def test_a_sweep_cell_draws_its_node_features_from_its_own_seed(tmp_path, monkey
 
 def recorded_preparations(monkeypatch) -> list:
     """(split, config, prepared questions) of every prepare_split call the
-    cell runner makes from now on, in call order."""
-    calls = []
-    prepare_split = experiments.prepare_split
+    cell runner makes from now on, in call order, and (config, train
+    questions) of every cell it trains."""
+    calls, cells = [], []
+    prepare_split, run_cell = experiments.prepare_split, experiments.run_cell
 
-    def recording_prepare_split(pipe, split, tc):
-        calls.append((split, tc, prepare_split(pipe, split, tc)))
+    def recording_prepare_split(pipe, split, tc, *indices):
+        calls.append((split, tc, prepare_split(pipe, split, tc, *indices)))
         return calls[-1][2]
 
+    def recording_run_cell(pipe, tc, train_qs, *rest):
+        cells.append((tc, train_qs))
+        return run_cell(pipe, tc, train_qs, *rest)
+
     monkeypatch.setattr(experiments, "prepare_split", recording_prepare_split)
-    return calls
+    monkeypatch.setattr(experiments, "run_cell", recording_run_cell)
+    return calls, cells
 
 
-def test_a_sweep_prepares_dev_and_test_once_and_each_cell_its_own_sample(tmp_path, monkeypatch):
-    """Dev and test are prepared once for the whole sweep, with subgraphs
-    since base-know reads them; each cell prepares the train sample of its
-    own fraction and seed under its own mode, so a text-only cell's sample
-    carries no subgraph."""
+def test_a_sweep_prepares_every_split_once_and_each_cell_trains_its_own_sample(tmp_path, monkeypatch):
+    """Dev, test and the union of the cells' train samples are each
+    prepared once for the whole sweep, with subgraphs since base-know reads
+    them; each cell trains on the sample of its own fraction and seed, the
+    questions of that one preparation, so a text-only cell's sample
+    carries the subgraphs it never reads."""
     cfg = tiny_experiment(tmp_path, dev=str(tmp_path / "dev.jsonl"), fractions=(0.5, 1.0),
                           modes=("text-only", "base-know"), seeds=(0, 1))
-    calls = recorded_preparations(monkeypatch)
+    calls, cells = recorded_preparations(monkeypatch)
     sweep_fraction(cfg)
     prepared = {split: [(tc, qs) for s, tc, qs in calls if s == split] for split in ("train", "dev", "test")}
-    assert [len(prepared[split]) for split in ("train", "dev", "test")] == [8, 1, 1]
-    assert all(tc.graph_side and all(pq.graph_side for pq in qs) for tc, qs in prepared["dev"] + prepared["test"])
-    trained = [(tc.data_fraction, tc.mode, tc.seed) for tc, _ in prepared["train"]]
+    assert [len(prepared[split]) for split in ("train", "dev", "test")] == [1, 1, 1]
+    assert all(tc.graph_side and all(pq.graph_side for pq in qs) for tc, qs in sum(prepared.values(), []))
+    trained = [(tc.data_fraction, tc.mode, tc.seed) for tc, _ in cells]
     assert trained == [(f, m, s) for f in (0.5, 1.0) for m in ("text-only", "base-know") for s in (0, 1)]
     train_items = load_qa_jsonl(cfg.train)
-    for tc, qs in prepared["train"]:
+    [(_, whole)] = prepared["train"]
+    assert [pq.qid for pq in whole] == [item.id for item in train_items]
+    union = set()
+    for tc, qs in cells:
         assert [pq.qid for pq in qs] == [item.id for item in pipeline.training_sample(train_items, tc)]
-        built = [c.subgraph is not None for pq in qs for c in pq.choices]
-        assert all(pq.graph_side == tc.graph_side for pq in qs) and any(built) == tc.graph_side
+        assert all(any(pq is held for held in whole) for pq in qs)
+        union.update(map(id, qs))
+    assert union == set(map(id, whole))
 
 
 def test_an_ablation_prepares_every_split_once_per_budget(tmp_path, monkeypatch):
@@ -93,7 +104,7 @@ def test_an_ablation_prepares_every_split_once_per_budget(tmp_path, monkeypatch)
     ablation over B budgets prepares each split B times, once at each
     budget."""
     cfg = tiny_experiment(tmp_path, dev=str(tmp_path / "dev.jsonl"), node_budgets=(3, 6, 10))
-    calls = recorded_preparations(monkeypatch)
+    calls, _ = recorded_preparations(monkeypatch)
     ablate_subgraph(cfg)
     assert sorted((split, tc.max_nodes) for split, tc, _ in calls) == [
         (split, budget) for split in ("dev", "test", "train") for budget in (3, 6, 10)]
