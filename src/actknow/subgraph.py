@@ -28,9 +28,10 @@ MAX_PATH_LEN = 2
 
 @dataclass
 class Subgraph:
-    """The non-zeros of A_norm = D^-1/2 (C+I) D^-1/2, C the 0/1 KG edges
-    among the nodes and D = rowsum(C+I), as local (row, column, value)
-    triples: one self-loop per node, then its neighbours, row by row."""
+    """A question's entity ids, the non-zeros of A_norm = D^-1/2 (C+I)
+    D^-1/2 as local (row, column, value) triples, C the 0/1 KG edges among
+    the nodes and D = rowsum(C+I), and the selected paths. The triples run
+    row by row: each node's self-loop, then its neighbours."""
 
     nodes: list[int]                      # entity ids, seeds first
     rows: np.ndarray                      # (nnz,) int32 local row of each non-zero
@@ -179,8 +180,7 @@ def connect_concepts(
             if j is not None:
                 local.append(j)
         degrees.append(len(local) - start)
-    degree = np.array(degrees, dtype=np.float64)
     rows = np.repeat(np.arange(len(nodes), dtype=np.int32), degrees)
     cols = np.array(local, dtype=np.int32)
-    inv_sqrt = 1.0 / np.sqrt(degree)
+    inv_sqrt = 1.0 / np.sqrt(np.array(degrees, dtype=np.float64))
     return Subgraph(nodes=nodes, rows=rows, cols=cols, values=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)
