@@ -219,12 +219,13 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     # one scatter of every subgraph's edge list into its block of the
     # stack; the int32 offsets row * n + col stay below n * n, which fits
     # for any block that fits in memory
-    local = np.concatenate([sub.rows for sub in subgraphs]) * n
-    local += np.concatenate([sub.cols for sub in subgraphs])
-    at = np.repeat(np.arange(0, s * n * n, n * n), [sub.values.size for sub in subgraphs])
+    rows, cols = np.concatenate([sub.edge_index for sub in subgraphs], axis=1)
+    local = rows * n
+    local += cols
+    at = np.repeat(np.arange(0, s * n * n, n * n), [sub.edge_weight.size for sub in subgraphs])
     at += local
     adjacency = np.zeros((s, n, n))
-    adjacency.reshape(-1)[at] = np.concatenate([sub.values for sub in subgraphs])
+    adjacency.reshape(-1)[at] = np.concatenate([sub.edge_weight for sub in subgraphs])
     # node features are fixed inputs, so the padded stack is a constant:
     # one take over a padded index, whose padding rows are then zeroed. It
     # is taken into the front of the array that the hidden layer's product

@@ -29,14 +29,13 @@ MAX_PATH_LEN = 2
 @dataclass
 class Subgraph:
     """A question's entity ids, the non-zeros of A_norm = D^-1/2 (C+I)
-    D^-1/2 as local (row, column, value) triples, C the 0/1 KG edges among
-    the nodes and D = rowsum(C+I), and the selected paths. The triples run
-    row by row: each node's self-loop, then its neighbours."""
+    D^-1/2 as an edge list, C the 0/1 KG edges among the nodes and
+    D = rowsum(C+I), and the selected paths. The edges run row by row:
+    each node's self-loop, then its neighbours."""
 
     nodes: list[int]                      # entity ids, seeds first
-    rows: np.ndarray                      # (nnz,) int32 local row of each non-zero
-    cols: np.ndarray                      # (nnz,) int32 local column
-    values: np.ndarray                    # (nnz,) float64 A_norm[row, col]
+    edge_index: np.ndarray                # (2, nnz) int32 local (row, column) of each non-zero
+    edge_weight: np.ndarray               # (nnz,) float64 A_norm[row, column]
     # selected seed-to-seed paths: graph.path_memo's own tuples, not copies
     paths: list[tuple[int, ...]] = field(default_factory=list)
 
@@ -180,7 +179,8 @@ def connect_concepts(
             if j is not None:
                 local.append(j)
         degrees.append(len(local) - start)
-    rows = np.repeat(np.arange(len(nodes), dtype=np.int32), degrees)
-    cols = np.array(local, dtype=np.int32)
+    edge_index = np.stack([np.repeat(np.arange(len(nodes), dtype=np.int32), degrees),
+                           np.array(local, dtype=np.int32)])
     inv_sqrt = 1.0 / np.sqrt(np.array(degrees, dtype=np.float64))
-    return Subgraph(nodes=nodes, rows=rows, cols=cols, values=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)
+    rows, cols = edge_index
+    return Subgraph(nodes=nodes, edge_index=edge_index, edge_weight=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)

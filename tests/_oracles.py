@@ -1026,16 +1026,16 @@ def dense_adjacency(sub: Subgraph) -> np.ndarray:
     """The (n, n) normalized adjacency of the subgraph's edge list, +0.0
     off it."""
     a = np.zeros((sub.n_nodes, sub.n_nodes))
-    a[sub.rows, sub.cols] = sub.values
+    a[tuple(sub.edge_index)] = sub.edge_weight
     return a
 
 
 def subgraph_from_dense(nodes: list[int], norm: np.ndarray) -> Subgraph:
     """The subgraph holding a dense normalized adjacency's non-zeros, row by
     row, and no paths."""
-    rows, cols = np.nonzero(norm)
-    return Subgraph(nodes=list(nodes), rows=rows.astype(np.int32), cols=cols.astype(np.int32),
-                    values=norm[rows, cols], paths=[])
+    nonzero = np.nonzero(norm)
+    return Subgraph(nodes=list(nodes), edge_index=np.array(nonzero, dtype=np.int32), edge_weight=norm[nonzero],
+                    paths=[])
 
 
 def padded_adjacency(subgraphs: list[Subgraph]) -> np.ndarray:

@@ -356,7 +356,7 @@ def test_the_graph_side_writes_into_no_input(name, bundled):
     bytes they held before."""
     config, questions, model = bundled(name)
     inputs = [a for pq in questions for c in pq.choices if c.subgraph is not None
-              for a in (c.subgraph.rows, c.subgraph.cols, c.subgraph.values)]
+              for a in (c.subgraph.edge_index, c.subgraph.edge_weight)]
     inputs += [model.gcn.node_features.data, model.er.entity_table.data, model.er.relation_table.data]
     before = [a.copy() for a in inputs]
     state = model.state_arrays()

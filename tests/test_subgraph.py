@@ -411,21 +411,29 @@ def test_path_memo_keys_on_path_length():
     assert graph.path_memo == {(a, c, 2): (a, graph.entity_ids["b"], c), (a, c, 1): None}
 
 
-def _arrays(sub):
-    return [value for value in vars(sub).values() if isinstance(value, np.ndarray)]
+def assert_only_an_edge_list(sub):
+    """The subgraph's only arrays are its edge list: int32 (row, column)
+    pairs and their float64 weights, 16 bytes per non-zero, one of them per
+    self-loop and two per edge."""
+    arrays = {name: value for name, value in vars(sub).items() if isinstance(value, np.ndarray)}
+    assert sorted(arrays) == ["edge_index", "edge_weight"]
+    nnz = sub.edge_weight.size
+    assert sub.edge_index.dtype == np.int32 and sub.edge_index.shape == (2, nnz)
+    assert sub.edge_weight.dtype == np.float64 and sub.edge_weight.shape == (nnz,)
+    assert sum(a.nbytes for a in arrays.values()) == 16 * nnz
 
 
 def test_a_subgraph_grows_with_its_edges_not_its_nodes_squared():
     """A 300-node subgraph of a chain KG, 299 edges, holds its normalized
     adjacency in under a tenth of the bytes of a dense 300 x 300 float64
-    matrix, and no array of it is two-dimensional."""
+    matrix: 898 non-zeros, 14,368 bytes."""
     graph = graph_from_triples([(f"e{i}", "next", f"e{i + 1}") for i in range(299)])
     sub = connect_concepts(graph, list(range(300)), max_path_len=2, max_nodes=300)
     assert sub.n_nodes == 300
     assert_edges(sub, 299)
-    arrays = _arrays(sub)
-    assert arrays and all(a.ndim == 1 for a in arrays)
-    assert sum(a.nbytes for a in arrays) < 300 * 300 * 8 / 10
+    assert_only_an_edge_list(sub)
+    assert sub.edge_weight.size == 300 + 2 * 299
+    assert sub.edge_index.nbytes + sub.edge_weight.nbytes < 300 * 300 * 8 / 10
 
 
 BUDGETS = (1, 3, 20, 60)
@@ -447,7 +455,7 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
     assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
     for sub in subgraphs:
-        assert all(a.ndim == 1 for a in _arrays(sub))
+        assert_only_an_edge_list(sub)
         want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, sub.nodes))
         got = dense_adjacency(sub)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
