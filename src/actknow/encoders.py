@@ -61,9 +61,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def lookup(self, token: str) -> int:
-        return self.ids.get(token, UNK_ID)
-
 
 def build_vocab(token_lists: list[list[str]]) -> Vocab:
     """Sorted-unique token vocabulary with reserved unknown and separator ids."""
@@ -83,7 +80,7 @@ def encode_pair_tokens(vocab: Vocab, premise_tokens: list[str], hypothesis_token
         raise TypeError("encode_pair_tokens takes token lists, not strs")
     if not hypothesis_tokens:
         raise ValueError("hypothesis must be non-empty")
-    # one bound dict.get for the call, not a Vocab.lookup call per token
+    # one bound dict.get for the call, not an attribute read per token
     lookup = vocab.ids.get
     ids = [lookup(t, UNK_ID) for t in premise_tokens] + [SEP_ID] + [lookup(t, UNK_ID) for t in hypothesis_tokens]
     return np.array(ids, dtype=np.int64)

@@ -50,8 +50,8 @@ def test_vocab_reserves_special_ids():
     vocab = build_vocab([["b", "a"], ["a", "c"]])
     assert vocab.tokens[:2] == ["<unk>", "<sep>"]
     assert vocab.tokens[2:] == ["a", "b", "c"]
-    assert vocab.lookup("a") == 2
-    assert vocab.lookup("zzz") == UNK_ID
+    assert vocab.ids["a"] == 2
+    assert list(encode_pair_tokens(vocab, ["zzz"], ["a"])) == [UNK_ID, SEP_ID, 2]
 
 
 def test_encode_pair_layout():
@@ -59,13 +59,13 @@ def test_encode_pair_layout():
     ids = encode_pair_tokens(vocab, ["sun", "warms"], ["soil", "warms"])
     sep = list(ids).index(SEP_ID)
     assert sep == 2
-    assert ids[-2] == vocab.lookup("soil")
+    assert ids[-2] == vocab.ids["soil"]
 
 
 def test_encode_pair_empty_premise_ok():
     vocab = build_vocab([["a", "b"]])
     ids = encode_pair_tokens(vocab, [], ["a"])
-    assert list(ids) == [SEP_ID, vocab.lookup("a")]
+    assert list(ids) == [SEP_ID, vocab.ids["a"]]
 
 
 def test_encode_pair_empty_hypothesis_rejected():
