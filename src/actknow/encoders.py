@@ -32,8 +32,7 @@ Gumbel noise and the pool's node gradient.
 A call writes only into arrays it allocated itself, never into its
 inputs, the subgraphs' edge lists or the fixed tables, and keeps no
 buffer from one call to the next. The GCN's padded adjacency stack is one
-scatter of the batch's edge lists into zeros, bit-equal to copying each
-subgraph's dense normalized adjacency into its block.
+scatter of the batch's edge lists into zeros.
 """
 
 from __future__ import annotations

@@ -164,10 +164,11 @@ def connect_concepts(
             node_set.add(p)
         paths.append(path)
 
-    # each node's self-loop, then its neighbours among nodes: C is
-    # symmetric because every neighbour list holds its partner's id, with a
-    # zero diagonal because graph_from_triples drops self-loops. A value is
-    # the product D^-1/2 (C+I) D^-1/2 takes there, so it has the same bits
+    # each node's self-loop, then its neighbours among nodes: C is 0/1 and
+    # symmetric because every neighbour list holds each partner's id once,
+    # with a zero diagonal because graph_from_triples drops self-loops. A
+    # value is the product D^-1/2 (C+I) D^-1/2 takes there, so it has the
+    # same bits
     index = {e: i for i, e in enumerate(nodes)}
     local: list[int] = []
     degrees: list[int] = []
