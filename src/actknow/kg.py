@@ -164,9 +164,12 @@ class EmbeddingTable:
     vectors: np.ndarray  # (n_items, dim) float64
 
 
-# the SGD step and the margin of KG embedding training
+# the SGD step and the margin of KG embedding training, and the width and
+# epochs of the tables a model's ER attention reads (pipeline.build_model)
 KG_LR = 0.05
 KG_MARGIN = 1.0
+KG_DIM = 32
+KG_EPOCHS = 20
 
 
 def train_kg_embeddings(

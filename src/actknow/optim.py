@@ -1,6 +1,7 @@
 """Adam with decoupled weight decay (AdamW) at a constant learning rate,
-stepping a fixed list of leaf tensors in place. The moment decay rates and
-the denominator's epsilon are fixed: BETA1, BETA2 and EPS."""
+stepping a fixed list of leaf tensors in place. The moment decay rates, the
+denominator's epsilon and the weight decay are fixed: BETA1, BETA2, EPS and
+WEIGHT_DECAY."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .errors import ConfigError
 BETA1 = 0.9
 BETA2 = 0.98
 EPS = 1e-6
+WEIGHT_DECAY = 0.01
 
 
 @dataclass
@@ -24,7 +26,6 @@ class Adam:
 
     params: list[Tensor]
     lr: float
-    weight_decay: float = 0.1
     steps: int = field(init=False, default=0)
     m: list[np.ndarray] = field(init=False)
     v: list[np.ndarray] = field(init=False)
@@ -45,7 +46,7 @@ class Adam:
                 raise ValueError(f"Adam: grad shape {g.shape} does not match param {p.data.shape}")
         self.steps += 1
         t = self.steps
-        # p -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * p), with
+        # p -= lr * (m_hat / (sqrt(v_hat) + EPS) + WEIGHT_DECAY * p), with
         # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g
         # updated in place. Each operation and its order is that of the
         # expressions, so the bits are too; the step is built in one scratch
@@ -63,7 +64,7 @@ class Adam:
             denom += EPS
             np.divide(m, 1.0 - BETA1**t, out=step)
             step /= denom
-            np.multiply(p.data, self.weight_decay, out=denom)
+            np.multiply(p.data, WEIGHT_DECAY, out=denom)
             step += denom
             step *= self.lr
             p.data -= step

@@ -15,7 +15,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .encoders import Vocab, build_vocab
 from .errors import ConfigError
-from .kg import KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
+from .kg import KG_DIM, KG_EPOCHS, KnowledgeGraph, load_triples, node_feature_table, train_kg_embeddings
 from .nli import QAItem, load_qa_jsonl
 from .retrieval import Corpus, InvertedIndex, build_index, load_corpus, tokenize
 from .training import (
@@ -127,12 +127,12 @@ def training_indices(questions: list, tc: TrainConfig) -> list[int]:
 def build_model(pipe: Pipeline, tc: TrainConfig) -> ModelParams:
     """Seeded model init on top of the graph embedding tables and the node
     features: the file's rows, and rows drawn from tc.seed for the entities
-    it does not name. The tables are trained for tc.kg_epochs only where ER
+    it does not name. The tables are trained for KG_EPOCHS only where ER
     attention, their one reader, runs (tc.graph_side); in text-only they
     are the seeded init of 0 epochs."""
     node_features = node_feature_table(pipe.graph, tc.node_dim, tc.seed, pipe.node_features_path)
-    kg_epochs = tc.kg_epochs if tc.graph_side else 0
-    ent_table, rel_table = train_kg_embeddings(pipe.graph, tc.kg_dim, kg_epochs, tc.seed)
+    epochs = KG_EPOCHS if tc.graph_side else 0
+    ent_table, rel_table = train_kg_embeddings(pipe.graph, KG_DIM, epochs, tc.seed)
     return init_model(len(pipe.vocab.tokens), ent_table, rel_table, node_features, tc)
 
 

@@ -18,9 +18,7 @@ from .synth import SyntheticSpec, generate
 
 LOWDATA_SPEC = SyntheticSpec(
     n_entities=200,
-    n_relations=6,
     n_questions=600,
-    distractor_count=3,
     seed=7,
     node_dim=32,
     feature_noise=1.4,
@@ -28,9 +26,7 @@ LOWDATA_SPEC = SyntheticSpec(
 
 NOISY_SPEC = SyntheticSpec(
     n_entities=120,
-    n_relations=6,
     n_questions=240,
-    distractor_count=3,
     seed=11,
     noise_entities=80,
     noise_edges=400,
@@ -72,9 +68,6 @@ def lowdata_experiment(data_dir: str, out_dir: str) -> ExperimentConfig:
     cfg.sub_epochs = 1
     cfg.pretrain_epochs = 1
     cfg.learning_rate = 8e-4
-    cfg.batch_size = 8
-    cfg.weight_decay = 0.01
-    cfg.kg_epochs = 20
     cfg.max_nodes = 20
     cfg.validate()
     return cfg
@@ -89,7 +82,5 @@ def noisy_experiment(data_dir: str, out_dir: str) -> ExperimentConfig:
     cfg.sub_epochs = 2
     cfg.pretrain_epochs = 2
     cfg.learning_rate = 1.5e-3
-    cfg.weight_decay = 0.01
-    cfg.kg_epochs = 20
     cfg.validate()
     return cfg

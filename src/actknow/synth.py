@@ -46,31 +46,33 @@ _RESERVED = {
 
 # relations on the path from a stem entity to its answer
 HOPS = 2
+# relation labels the graph draws from, and wrong choices per question:
+# one bait and DISTRACTOR_COUNT - 1 answers of other chains
+N_RELATIONS = 6
+DISTRACTOR_COUNT = 3
+# the shares of questions (or, split by chain, of chains) in train and dev;
+# test takes the rest
+TRAIN_FRACTION = 0.7
+DEV_FRACTION = 0.1
+# random draws of a pair of noise entities allowed per noise edge asked for
+NOISE_DRAWS_PER_EDGE = 20
 
 
 @dataclass
 class SyntheticSpec:
     n_entities: int = 200
-    n_relations: int = 6
     n_questions: int = 600
-    distractor_count: int = 3
     seed: int = 0
     noise_entities: int = 0
     noise_edges: int = 0
     premise_noise: int = 0
     node_dim: int = 32
     feature_noise: float = 0.3
-    train_fraction: float = 0.7
-    dev_fraction: float = 0.1
     split_by_chain: bool = False
 
     def validate(self) -> None:
-        if self.n_relations < 1:
-            raise ConfigError("n_relations must be >= 1")
         if self.n_questions < 1:
             raise ConfigError("n_questions must be >= 1")
-        if self.distractor_count < 1:
-            raise ConfigError("distractor_count must be >= 1")
         if self.node_dim < 1:
             raise ConfigError("node_dim must be >= 1")
         if self.seed < 0:
@@ -80,20 +82,29 @@ class SyntheticSpec:
             raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
         if self.noise_entities < 0 or self.noise_edges < 0 or self.premise_noise < 0:
             raise ConfigError("noise knobs must be >= 0")
-        if self.noise_edges > 0 and self.noise_entities < 2:
-            raise ConfigError("noise_edges needs at least 2 noise entities")
+        pairs = self.noise_entities * (self.noise_entities - 1) // 2
+        if self.noise_edges > pairs:
+            raise ConfigError(
+                f"noise_edges={self.noise_edges} exceeds the {pairs} pairs of {self.noise_entities} noise entities"
+            )
         if self.premise_noise > 0 and self.noise_entities < self.premise_noise:
             raise ConfigError("premise_noise needs at least that many noise entities")
-        if not 0 < self.train_fraction < 1 or not 0 < self.dev_fraction < 1:
-            raise ConfigError("split fractions must be in (0, 1)")
-        if self.train_fraction + self.dev_fraction >= 1:
-            raise ConfigError("train_fraction + dev_fraction must leave room for a test split")
         bait = max(1, self.n_entities // 10)
         chains = (self.n_entities - bait) // (HOPS + 1)
         if chains < 3:
             raise ConfigError(
                 f"n_entities={self.n_entities} leaves only {chains} chains; need at least 3"
             )
+        n, unit = (chains, "chains") if self.split_by_chain else (self.n_questions, "questions")
+        n_train, n_dev = _split_sizes(n)
+        if n_train < 1 or n_dev < 1 or n - n_train - n_dev < 1:
+            raise ConfigError(f"{n} {unit} are too few to split into train, dev and test")
+
+
+def _split_sizes(n: int) -> tuple[int, int]:
+    """The train and dev sizes of a split of n questions or chains; test
+    takes the rest."""
+    return int(np.floor(TRAIN_FRACTION * n)), int(np.floor(DEV_FRACTION * n))
 
 
 @dataclass
@@ -133,7 +144,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     bait_count = spec.n_entities - per_chain * n_chains
 
     taken: set[str] = set()
-    relations = _pseudowords(rng, spec.n_relations, taken)
+    relations = _pseudowords(rng, N_RELATIONS, taken)
     noise_labels = _pseudowords(rng, spec.noise_entities, taken)
     stem_labels = _pseudowords(rng, n_chains, taken)
     middle_labels = _pseudowords(rng, n_chains, taken)
@@ -142,13 +153,9 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
 
     chains = []
     for i in range(n_chains):
-        rels = [relations[int(rng.integers(0, spec.n_relations))] for _ in range(HOPS)]
+        rels = [relations[int(rng.integers(0, N_RELATIONS))] for _ in range(HOPS)]
         chains.append(_Chain(stem=stem_labels[i], answer=answer_labels[i], middle=middle_labels[i], relations=rels))
 
-    if n_chains < spec.distractor_count:
-        raise ConfigError(
-            f"{n_chains} chains are too few to supply {spec.distractor_count - 1} distractors per question"
-        )
     # an unused draw: every file generated after this point depends on the
     # RNG stream it advances, so removing it would change them all
     rng.permutation(n_chains)
@@ -163,20 +170,22 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
     for i, bait in enumerate(bait_labels):  # bait entities live in their own ring
         other = bait_labels[(i + 1) % len(bait_labels)]
         if other != bait:
-            triples.append((bait, relations[int(rng.integers(0, spec.n_relations))], other))
+            triples.append((bait, relations[int(rng.integers(0, N_RELATIONS))], other))
     seen_edges: set[tuple[str, str]] = set()
     if spec.noise_edges:
         made = 0
         guard = 0
-        while made < spec.noise_edges and guard < spec.noise_edges * 20:
+        while made < spec.noise_edges and guard < spec.noise_edges * NOISE_DRAWS_PER_EDGE:
             guard += 1
             x = noise_labels[int(rng.integers(0, len(noise_labels)))]
             y = noise_labels[int(rng.integers(0, len(noise_labels)))]
             if x == y or (x, y) in seen_edges or (y, x) in seen_edges:
                 continue
             seen_edges.add((x, y))
-            triples.append((x, relations[int(rng.integers(0, spec.n_relations))], y))
+            triples.append((x, relations[int(rng.integers(0, N_RELATIONS))], y))
             made += 1
+        if made < spec.noise_edges:
+            raise ConfigError(f"noise_edges: placed {made} of {spec.noise_edges} noise edges in {guard} draws")
 
     kg_path = os.path.join(out_dir, "kg.tsv")
     with atomic_write(kg_path) as fh:
@@ -197,7 +206,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         for _ in range(base_q + (1 if ci < extra_q else 0)):
             bait = bait_labels[int(rng.integers(0, len(bait_labels)))]
             candidates = [a for a in pool if a != chain.answer]
-            picks = rng.permutation(len(candidates))[: spec.distractor_count - 1]
+            picks = rng.permutation(len(candidates))[: DISTRACTOR_COUNT - 1]
             wrong = [bait] + [candidates[i] for i in picks]
             choices = [chain.answer] + wrong
             perm = rng.permutation(len(choices))
@@ -226,10 +235,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         # hold out whole chains: test questions share no entities with
         # training ones, so only graph structure can generalize
         chain_order = rng.permutation(n_chains)
-        c_train = int(np.floor(spec.train_fraction * n_chains))
-        c_dev = int(np.floor(spec.dev_fraction * n_chains))
-        if c_train < 1 or c_dev < 1 or n_chains - c_train - c_dev < 1:
-            raise ConfigError("too few chains for the requested split fractions")
+        c_train, c_dev = _split_sizes(n_chains)
         group = {}
         for pos, ci in enumerate(chain_order):
             name = "train" if pos < c_train else "dev" if pos < c_train + c_dev else "test"
@@ -240,10 +246,7 @@ def generate(spec: SyntheticSpec, out_dir: str) -> dict:
         split_items = {name: sorted(items, key=lambda q: q.id) for name, items in buckets.items()}
     else:
         order = rng.permutation(len(all_items))
-        n_train = int(np.floor(spec.train_fraction * len(all_items)))
-        n_dev = int(np.floor(spec.dev_fraction * len(all_items)))
-        if n_train < 1 or n_dev < 1 or len(all_items) - n_train - n_dev < 1:
-            raise ConfigError("too few questions for the requested split fractions")
+        n_train, n_dev = _split_sizes(len(all_items))
         split_items = {
             "train": sorted((all_items[i] for i in order[:n_train]), key=lambda q: q.id),
             "dev": sorted((all_items[i] for i in order[n_train : n_train + n_dev]), key=lambda q: q.id),

@@ -19,7 +19,7 @@ pool takes the whole text matrix and writes every choice's graph row
 itself. text-only builds no graph or knowledge features: its logits are
 the text rows' dot products with the classifier's text slice. A
 graph-side batch where no choice has a subgraph gets zero graph rows.
-Training runs one of each per batch of config.batch_size questions
+Training runs one of each per batch of BATCH_SIZE questions
 (score_batch), then the mean cross-entropy of the batch's questions
 (mean_cross_entropy). classify and the loss are one tape node each, like each encoder, so a
 graph-side training batch's tape holds six nodes on top of its trainable
@@ -27,7 +27,7 @@ tensors, and a text-only one three.
 evaluate() runs one encoder pass per chunk and, in act-know, two
 classifier products on it: unit weights for the entropies, then the
 entropy weights for the final logits. Its chunks do not follow
-batch_size: each grows to at most 128 choices, which pays the encoders'
+BATCH_SIZE: each grows to at most 128 choices, which pays the encoders'
 fixed per-call cost over many questions, and at most 1,280 padded node
 rows, which keeps the GCN stack of a chunk of large subgraphs small
 (eval_chunks).
@@ -86,6 +86,9 @@ MODES = ("text-only", "base-know", "act-know")
 
 STATS_HEADER = ["epoch", "split", "accuracy", "mean_entropy", "loss"]
 
+# questions per training batch
+BATCH_SIZE = 8
+
 
 @dataclass
 class TrainConfig:
@@ -93,36 +96,27 @@ class TrainConfig:
     master_epochs: int = 10
     sub_epochs: int = 3
     learning_rate: float = 1e-3
-    batch_size: int = 8
     seed: int = 0
     data_fraction: float = 1.0
     max_nodes: int = 50
     pretrain_epochs: int = 2
     text_dim: int = 64
     node_dim: int = 32
-    kg_dim: int = 32
     gcn_hidden: int = 64
-    kg_epochs: int = 30
-    weight_decay: float = 0.1
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("master_epochs", "sub_epochs", "batch_size", "max_nodes", "text_dim",
-                     "node_dim", "gcn_hidden"):
+        for name in ("master_epochs", "sub_epochs", "max_nodes", "text_dim", "node_dim", "gcn_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.kg_dim < 2:
-            raise ConfigError(f"kg_dim must be >= 2, got {self.kg_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.pretrain_epochs < 0 or self.kg_epochs < 0:
-            raise ConfigError("pretrain_epochs and kg_epochs must be >= 0")
-        # written as ranges that nan falls outside of
+        if self.pretrain_epochs < 0:
+            raise ConfigError("pretrain_epochs must be >= 0")
+        # a range that nan falls outside of
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 < self.data_fraction <= 1:
             raise ConfigError(f"data_fraction must be in (0, 1], got {self.data_fraction}")
 
@@ -508,7 +502,7 @@ def evaluate(
 ) -> tuple[float, list[dict]]:
     """Accuracy plus one record per question, scored a chunk of questions
     at a time (eval_chunks: at most 128 choices and 1,280 padded node rows,
-    whatever config.batch_size is). Ties resolve to the lowest index.
+    not training's BATCH_SIZE questions). Ties resolve to the lowest index.
 
     Each chunk runs the encoders once, then the classifier product with unit
     weights, whose logits give each question's entropy: the entropy a record
@@ -622,15 +616,12 @@ def train(
     shuffle_rng = _stream(config.seed, 1)
     gumbel_rng = _stream(config.seed, 2)
 
-    def adam(params: list[Tensor]) -> Adam:
-        return Adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
-
-    opt = adam(model.trainable(config))
+    opt = Adam(model.trainable(config), lr=config.learning_rate)
     unit = np.ones(len(train_qs))
 
     if config.pretrain_epochs > 0 and config.graph_side:
         # graph-side warm start: text encoder frozen at its random init
-        pre_opt = adam(model.trainable(config, with_text=False))
+        pre_opt = Adam(model.trainable(config, with_text=False), lr=config.learning_rate)
         for _ in range(config.pretrain_epochs):
             _run_updates(train_qs, model, unit, config, pre_opt, shuffle_rng, gumbel_rng)
 
@@ -699,8 +690,8 @@ def _run_updates(
     for p in opt.params:
         p.requires_grad = True
     try:
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             loss = _batch_loss([train_qs[i] for i in idx], model, weights[idx], config, gumbel_rng)
             value = loss.item()
             if not np.isfinite(value):

@@ -16,7 +16,7 @@ scan and neighbor-loop DFS that the label trie and the last-hop membership
 test replaced, the KG embedding loop that drew its corruptions per triple
 before one draw per epoch replaced it, the masked softmax op that the
 pool's row softmax over -inf padding scores replaced, evaluation in
-chunks of batch_size questions that chunks sized by their choices and
+chunks of BATCH_SIZE questions that chunks sized by their choices and
 padded node rows replaced, the graph side as a tape of primitives
 (gather, reshape and a batched matmul among them) that the hand-
 differentiated GCN hidden stack and attention pool nodes replaced, and the
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from actknow import autodiff as ad
+from actknow import training
 from actknow.autodiff import Tensor
 from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams, token_bag
 from actknow.errors import ConfigError
@@ -606,7 +607,7 @@ def softmax_over_mask(a: Tensor, mask: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# evaluation in chunks of config.batch_size questions, before eval_chunks
+# evaluation in chunks of training.BATCH_SIZE questions, before eval_chunks
 # sized each chunk by its choices and its padded GCN stack. A question's
 # logits depend on its chunk-mates in the last bits, so the two agree to
 # 1e-12, not exactly
@@ -615,11 +616,11 @@ def softmax_over_mask(a: Tensor, mask: np.ndarray) -> Tensor:
 def evaluate_by_batch_size(
     questions: list[PreparedQuestion], params: ModelParams, config: TrainConfig
 ) -> list[dict]:
-    """evaluate()'s rows, without details, scored config.batch_size
+    """evaluate()'s rows, without details, scored training.BATCH_SIZE
     questions at a time."""
     rows = []
-    for start in range(0, len(questions), config.batch_size):
-        chunk = questions[start : start + config.batch_size]
+    for start in range(0, len(questions), training.BATCH_SIZE):
+        chunk = questions[start : start + training.BATCH_SIZE]
         feats = encode_batch(chunk, params, config)
         logits = classify(feats, params.classifier, np.ones(len(chunk))).data
         entropies = question_entropies(logits, feats.counts)

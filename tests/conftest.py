@@ -11,6 +11,20 @@ from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.scenarios import LOWDATA_SPEC, NOISY_SPEC, ensure_generated, lowdata_experiment, noisy_experiment
 from actknow.training import TrainConfig, init_model
 
+# a small task for the command-line tests: `gen-synth` flags, and the model
+# flags that train, sweep-fraction and ablate-subgraph all read.
+# ablate-subgraph sets max_nodes from --node-budgets, so it takes no
+# --max-nodes; sweep-fraction takes its seed from --seeds
+GEN_FLAGS = ["--n-entities", "20", "--n-questions", "12", "--seed", "3", "--node-dim", "8"]
+ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--gcn-hidden", "8",
+                "--master-epochs", "1", "--sub-epochs", "1", "--pretrain-epochs", "0",
+                "--learning-rate", "0.01"]
+TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
+
+# the width of tiny_model's KG tables, drawn here rather than trained, so
+# that the finite-difference suites stay small; a built model's is kg.KG_DIM
+TINY_KG_DIM = 4
+
 
 @pytest.fixture(scope="session")
 def lowdata_dir(tmp_path_factory):
@@ -85,15 +99,11 @@ def tiny_config(**overrides) -> TrainConfig:
         master_epochs=2,
         sub_epochs=1,
         learning_rate=1e-2,
-        batch_size=4,
         seed=0,
         text_dim=8,
         node_dim=6,
-        kg_dim=4,
         gcn_hidden=8,
         pretrain_epochs=0,
-        kg_epochs=0,
-        weight_decay=0.0,
     )
     base.update(overrides)
     cfg = TrainConfig(**base)
@@ -114,10 +124,10 @@ def mark_leaves(*tensors):
 def tiny_model(graph, config: TrainConfig, vocab_size: int = 20):
     rng = np.random.default_rng(7)
     entities = EmbeddingTable(
-        dim=config.kg_dim, vectors=rng.normal(0.0, 0.5, (graph.n_entities, config.kg_dim))
+        dim=TINY_KG_DIM, vectors=rng.normal(0.0, 0.5, (graph.n_entities, TINY_KG_DIM))
     )
     relations = EmbeddingTable(
-        dim=config.kg_dim, vectors=rng.normal(0.0, 0.5, (graph.n_relations, config.kg_dim))
+        dim=TINY_KG_DIM, vectors=rng.normal(0.0, 0.5, (graph.n_relations, TINY_KG_DIM))
     )
     nodes = EmbeddingTable(
         dim=config.node_dim, vectors=rng.normal(0.0, 0.5, (graph.n_entities, config.node_dim))

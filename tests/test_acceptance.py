@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import mark_leaves, tiny_config, tiny_model
+from conftest import ABLATE_FLAGS, GEN_FLAGS, TINY_FLAGS, mark_leaves, tiny_config, tiny_model
 
 from _oracles import (
     add,
@@ -613,16 +613,6 @@ def test_criterion_8_budget_ablation(noisy_ablation):
 # criterion 9: byte-identical reruns
 
 
-GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
-             "--seed", "3", "--node-dim", "8"]
-# the settings all three commands read; sweep-fraction takes its seed from
-# --seeds and ablate-subgraph its node budget from --node-budgets
-TINY_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
-              "--master-epochs", "1", "--sub-epochs", "1",
-              "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-              "--weight-decay", "0.01", "--learning-rate", "0.01"]
-
-
 def test_criterion_9_deterministic_reruns(tmp_path):
     task = str(tmp_path / "task")
     assert main(["gen-synth", "--out-dir", task, *GEN_FLAGS]) == 0
@@ -635,11 +625,11 @@ def test_criterion_9_deterministic_reruns(tmp_path):
         train_out = str(tmp_path / f"train_{run}")
         sweep_out = str(tmp_path / f"sweep_{run}")
         ablate_out = str(tmp_path / f"ablate_{run}")
-        assert main(["train", *data, *TINY_FLAGS, "--max-nodes", "10", "--seed", "1",
+        assert main(["train", *data, *TINY_FLAGS, "--seed", "1",
                      "--out-dir", train_out]) == 0
-        assert main(["sweep-fraction", *data, *TINY_FLAGS, "--max-nodes", "10", "--fractions", "0.5,1.0",
+        assert main(["sweep-fraction", *data, *TINY_FLAGS, "--fractions", "0.5,1.0",
                      "--modes", "act-know", "--seeds", "1", "--out-dir", sweep_out]) == 0
-        assert main(["ablate-subgraph", *data, *TINY_FLAGS, "--seed", "1", "--node-budgets", "3,6",
+        assert main(["ablate-subgraph", *data, *ABLATE_FLAGS, "--seed", "1", "--node-budgets", "3,6",
                      "--out-dir", ablate_out]) == 0
         outputs[run] = {
             "train/stats.csv": open(os.path.join(train_out, "stats.csv"), "rb").read(),

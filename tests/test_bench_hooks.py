@@ -101,7 +101,7 @@ def test_the_tracer_sees_one_backward_and_one_step_per_training_batch(bench, mod
     layers, spans = bench
     task = build_task(mode=mode, pretrain_epochs=1)
     config = task.config
-    batches = -(-len(task.prepared) // config.batch_size)
+    batches = -(-len(task.prepared) // training.BATCH_SIZE)
     pretraining = batches * config.pretrain_epochs if config.graph_side else 0
     updates = batches * config.master_epochs * config.sub_epochs
     tracer = spans.Tracer()

@@ -49,7 +49,7 @@ def test_one_and_two_blas_threads_write_the_same_bytes(lowdata_dir, tmp_path):
             (("kg", "tsv"), ("corpus", "txt"), ("train", "jsonl"), ("dev", "jsonl"), ("test", "jsonl"))]
     data.append(f"--node-features={os.path.join(lowdata_dir, 'node_features.txt')}")
     cell = ["--mode", "act-know", "--data-fraction", "0.2", "--master-epochs", "2", "--sub-epochs", "1",
-            "--pretrain-epochs", "1", "--kg-epochs", "5", "--max-nodes", "20"]
+            "--pretrain-epochs", "1", "--max-nodes", "20"]
     files = {}
     for threads in (1, 2):
         reported = _run(["-c", REPORT_THREADS], threads).split()

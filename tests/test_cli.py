@@ -11,27 +11,20 @@ import subprocess
 import sys
 
 import pytest
+from conftest import ABLATE_FLAGS, GEN_FLAGS, TINY_FLAGS
 
 from actknow import training
 from actknow.checkpoint import load_checkpoint, save_checkpoint
 from actknow.cli import READS, _resolved, build_parser, main
-from actknow.config import ExperimentConfig
+from actknow.config import ExperimentConfig, resolve_config
+from actknow.errors import ConfigError
 from actknow.experiments import ABLATION_HEADER, SWEEP_HEADER, sweep_fraction
 from actknow.pipeline import training_config_for
 from actknow.scenarios import NOISY_SPEC
+from actknow.synth import SyntheticSpec
 from actknow.training import STATS_HEADER, TrainConfig
 
 TASK_FILES = ("kg.tsv", "corpus.txt", "node_features.txt", "train.jsonl", "dev.jsonl", "test.jsonl")
-
-GEN_FLAGS = ["--n-entities", "20", "--n-relations", "3", "--n-questions", "12",
-             "--seed", "3", "--node-dim", "8"]
-
-# ablate-subgraph sets max_nodes from --node-budgets, so it takes no --max-nodes
-ABLATE_FLAGS = ["--text-dim", "8", "--node-dim", "8", "--kg-dim", "4", "--gcn-hidden", "8",
-                "--master-epochs", "1", "--sub-epochs", "1",
-                "--kg-epochs", "2", "--pretrain-epochs", "0", "--batch-size", "4",
-                "--weight-decay", "0.01", "--learning-rate", "0.01"]
-TINY_FLAGS = [*ABLATE_FLAGS, "--max-nodes", "10"]
 
 
 def data_flags(task_dir, with_features=True):
@@ -118,10 +111,10 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    """22 + 8 + 22 + 22 (subcommand, setting) pairs, each an ExperimentConfig
+    """18 + 8 + 18 + 18 (subcommand, setting) pairs, each an ExperimentConfig
     field named once."""
     assert {command: len(names) for command, names in READS.items()} == {
-        "train": 22, "eval": 8, "sweep-fraction": 22, "ablate-subgraph": 22}
+        "train": 18, "eval": 8, "sweep-fraction": 18, "ablate-subgraph": 18}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for names in READS.values():
         assert len(set(names)) == len(names) and set(names) <= fields
@@ -169,11 +162,13 @@ def test_gen_synth_takes_no_hop_depth(tmp_path, capsys):
 
 # the settings that are module constants now or have one value left, each
 # with the text the checkpoint block of a cell trained before stored for
-# it, after the setting it followed there
+# it, after the setting it followed there (or, where that setting is
+# removed too, after the nearest one before it that remains)
 REMOVED = {"gumbel_temperature": ("1.0", "data_fraction"), "max_path_len": ("2", "data_fraction"),
-           "retrieve_k": ("5", "max_nodes"), "adam_beta1": ("0.9", "kg_epochs"),
-           "adam_beta2": ("0.98", "kg_epochs"), "adam_eps": ("1e-06", "kg_epochs"),
-           "gcn_layers": ("2", "gcn_hidden")}
+           "retrieve_k": ("5", "max_nodes"), "adam_beta1": ("0.9", "gcn_hidden"),
+           "adam_beta2": ("0.98", "gcn_hidden"), "adam_eps": ("1e-06", "gcn_hidden"),
+           "gcn_layers": ("2", "gcn_hidden"), "batch_size": ("4", "learning_rate"),
+           "kg_dim": ("4", "node_dim"), "kg_epochs": ("2", "gcn_hidden"), "weight_decay": ("0.01", "gcn_hidden")}
 
 
 @pytest.mark.parametrize("where", ["flag", "config", "checkpoint"])
@@ -181,9 +176,8 @@ REMOVED = {"gumbel_temperature": ("1.0", "data_fraction"), "max_path_len": ("2",
 def test_a_removed_setting_exits_one(name, where, task_dir, trained_dir, tmp_path, capsys):
     """No subcommand takes a removed setting as a flag or a config line, and
     eval refuses a checkpoint whose settings block still holds it, naming
-    its line. gumbel_temperature, the first of them in such a block, is on
-    line 9, and gcn_layers, in a block written before the GCN had one
-    depth, on line 15."""
+    its line: gumbel_temperature, after data_fraction, on line 8, and
+    gcn_layers, after gcn_hidden, the block's last setting, on line 13."""
     value, after = REMOVED[name]
     flag = "--" + name.replace("_", "-")
     argv = ["train", *data_flags(task_dir), *TINY_FLAGS, "--out-dir", str(tmp_path / "out")]
@@ -210,12 +204,61 @@ def test_a_removed_setting_exits_one(name, where, task_dir, trained_dir, tmp_pat
     assert main(argv) == 1
     assert f"error: {want}" in capsys.readouterr().err
     if name == "gumbel_temperature" and where == "checkpoint":
-        assert want.endswith(":9: unknown setting 'gumbel_temperature'")
+        assert want.endswith(":8: unknown setting 'gumbel_temperature'")
     if name == "gcn_layers" and where == "checkpoint":
-        assert want.endswith(":15: unknown setting 'gcn_layers'")
+        assert want.endswith(":13: unknown setting 'gcn_layers'")
 
 
-@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--weight-decay", "-0.1"), ("--seed", "-1")])
+def test_a_checkpoint_with_the_fifteen_setting_block_exits_one(task_dir, trained_dir, tmp_path, capsys):
+    """A checkpoint whose settings block holds the 15 settings TrainConfig
+    had before batch_size, kg_dim, kg_epochs and weight_decay became module
+    constants: eval exits 1 at the first of them, batch_size on line 6."""
+    settings, state = load_checkpoint(os.path.join(trained_dir, "checkpoint.txt"))
+    old = {"mode": "", "master_epochs": "", "sub_epochs": "", "learning_rate": "", "batch_size": "4", "seed": "",
+           "data_fraction": "", "max_nodes": "", "pretrain_epochs": "", "text_dim": "", "node_dim": "",
+           "kg_dim": "4", "gcn_hidden": "", "kg_epochs": "2", "weight_decay": "0.01"}
+    block = {name: settings.get(name, text) for name, text in old.items()}
+    assert len(block) == 15 and set(settings) < set(block)
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(str(path), state, block)
+    assert path.read_text().startswith("settings 15\nmode = base-know\n")
+    rc = main(["eval", *data_flags(task_dir, with_features=False), "--checkpoint", str(path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {path}:6: unknown setting 'batch_size'" in capsys.readouterr().err
+
+
+# the SyntheticSpec fields that are synth module constants now, with the
+# value every bundled task used
+REMOVED_SYNTH = {"n_relations": "6", "distractor_count": "3", "train_fraction": "0.7", "dev_fraction": "0.1"}
+
+
+@pytest.mark.parametrize("name", list(REMOVED_SYNTH))
+def test_a_removed_synth_setting_exits_one(name, tmp_path, capsys):
+    """gen-synth takes no flag for a removed SyntheticSpec setting and writes
+    nothing, and a settings file for SyntheticSpec that names it is refused
+    at its line."""
+    flag, value = "--" + name.replace("_", "-"), REMOVED_SYNTH[name]
+    out = tmp_path / "task"
+    assert main(["gen-synth", "--out-dir", str(out), *GEN_FLAGS, flag, value]) == 1
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+    config = tmp_path / "spec.conf"
+    config.write_text(f"seed = 3\n{name} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:2: unknown setting {name!r}$"):
+        resolve_config(SyntheticSpec, {}, str(config), "gen-synth", [f.name for f in dataclasses.fields(SyntheticSpec)])
+
+
+def test_gen_synth_refuses_more_noise_edges_than_pairs(tmp_path, capsys):
+    """3 noise entities have 3 pairs to place an edge on: asking for 5 noise
+    edges exits 1 naming noise_edges, and writes no graph."""
+    out = tmp_path / "task"
+    assert main(["gen-synth", "--out-dir", str(out), *GEN_FLAGS, "--noise-entities", "3", "--noise-edges", "5"]) == 1
+    assert "error: noise_edges=5 exceeds the 3 pairs of 3 noise entities" in capsys.readouterr().err
+    assert not (out / "kg.tsv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--pretrain-epochs", "-1"), ("--seed", "-1")])
 def test_non_finite_or_negative_setting_exits_one(flag, value, task_dir, tmp_path, capsys, caplog):
     rc = main(["train", *data_flags(task_dir), *TINY_FLAGS, flag, value, "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
@@ -272,8 +315,7 @@ def test_a_fraction_that_selects_no_question_exits_one(command, task_dir, tmp_pa
 
 def test_eval_rejects_mismatched_checkpoint(task_dir, trained_dir, tmp_path, capsys):
     other = str(tmp_path / "other_task")
-    assert main(["gen-synth", "--out-dir", other, "--n-entities", "23",
-                 "--n-relations", "3", "--n-questions", "12", "--seed", "8",
+    assert main(["gen-synth", "--out-dir", other, "--n-entities", "23", "--n-questions", "12", "--seed", "8",
                  "--node-dim", "8"]) == 0
     rc = main([
         "eval", *data_flags(other, with_features=False),
@@ -416,32 +458,33 @@ BAD_INPUTS = [
      "1: eval does not read setting 'learning_rate'"),
     ("eval-node-features", "--node-features", "node_features.txt",
      "unrecognized arguments: --node-features=node_features.txt"),
-    # the checkpoint of TINY_FLAGS: 'settings 15' on line 1, TrainConfig's
-    # fields in order on lines 2-16 (learning_rate on 5, batch_size on 6, seed
-    # on 7), 'tensors 11' on 17, then text.token_embedding, text.projection
-    # and text.bias, each on a header line and a values line
-    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 16)[16],
+    # the checkpoint of TINY_FLAGS: 'settings 11' on line 1, TrainConfig's
+    # fields in order on lines 2-12 (learning_rate on 5, seed on 6,
+    # data_fraction on 7, max_nodes on 8), 'tensors 11' on 13, then
+    # text.token_embedding, text.projection and text.bias, each on a header
+    # line and a values line
+    ("checkpoint-without-settings", "--checkpoint", lambda data: data.split(b"\n", 12)[12],
      "1: expected the header 'settings <n>', got 'tensors 11'"),
     ("checkpoint-missing-setting", "--checkpoint",
-     lambda data: data.replace(b"settings 15\n", b"settings 14\n").replace(b"batch_size = 4\n", b""),
-     "1: the settings block lacks batch_size"),
+     lambda data: data.replace(b"settings 11\n", b"settings 10\n").replace(b"max_nodes = 10\n", b""),
+     "1: the settings block lacks max_nodes"),
     ("checkpoint-unknown-setting", "--checkpoint",
-     lambda data: data.replace(b"batch_size = 4\n", b"warmup_steps = 4\n"), "6: unknown setting 'warmup_steps'"),
-    ("checkpoint-repeated-setting", "--checkpoint", lambda data: data.replace(b"seed = 0\n", b"batch_size = 4\n"),
-     "7: repeated setting batch_size"),
+     lambda data: data.replace(b"max_nodes = 10\n", b"warmup_steps = 4\n"), "8: unknown setting 'warmup_steps'"),
+    ("checkpoint-repeated-setting", "--checkpoint",
+     lambda data: data.replace(b"data_fraction = 1.0\n", b"seed = 0\n"), "7: repeated setting seed"),
     ("checkpoint-untyped-setting", "--checkpoint",
-     lambda data: data.replace(b"batch_size = 4\n", b"batch_size = x\n"), "6: setting batch_size: "),
+     lambda data: data.replace(b"max_nodes = 10\n", b"max_nodes = x\n"), "8: setting max_nodes: "),
     ("checkpoint-out-of-range-setting", "--checkpoint",
      lambda data: data.replace(b"learning_rate = 0.01\n", b"learning_rate = nan\n"),
      "5: learning_rate must be positive and finite"),
     ("checkpoint-header-field", "--checkpoint", lambda data: data.replace(b"tensors 11\n", b"tensors 11 junk\n"),
-     "17: expected the header 'tensors <n>'"),
+     "13: expected the header 'tensors <n>'"),
     ("checkpoint-dims-past-ndim", "--checkpoint",
      lambda data: data.replace(b"\ntext.projection 2 8 8\n", b"\ntext.projection 2 8 8 99 7\n"),
-     "20: bad tensor header"),
+     "16: bad tensor header"),
     ("checkpoint-loose-value", "--checkpoint",
      lambda data: data.replace(b"\ntext.bias 1 8\n", b"\ntext.bias 1 8\n2_0 "),
-     "23: bad value in tensor text.bias"),
+     "19: bad value in tensor text.bias"),
     *[(f"{flag.split()[-1][2:]}-not-utf8", flag, _bad_byte_on_line_two, "2: not valid UTF-8") for flag in INPUT_FLAGS],
     *[(f"{flag.split()[-1][2:]}-missing", flag, None, " cannot read") for flag in INPUT_FLAGS],
     ("kg-dashes", "--kg", "--", "--: cannot read"),
@@ -475,7 +518,7 @@ def test_bad_input_file_exits_one_naming_it(flag, corrupt, message, task_dir, tr
         copy = tmp_path / "task"
         shutil.copytree(task_dir, copy)
         shutil.copy(os.path.join(trained_dir, "checkpoint.txt"), copy)
-        setting = "batch_size = 4" if command else "split = test"
+        setting = "pretrain_epochs = 0" if command else "split = test"
         (copy / "run.conf").write_text(f"# a valid settings file\n{setting}\n")
         if command:
             argv = [command, *data_flags(str(copy)), *(ABLATE_FLAGS if command == "ablate-subgraph" else TINY_FLAGS)]

@@ -232,7 +232,7 @@ def test_training_config_for_overrides_a_copy():
 
 # settings that are module constants now: a config line that sets one is
 # refused as an unknown setting, whatever its value
-REMOVED = ("gumbel_temperature", "adam_beta1", "adam_beta2", "adam_eps")
+REMOVED = ("gumbel_temperature", "adam_beta1", "adam_beta2", "adam_eps", "weight_decay")
 
 
 def rejection(name):

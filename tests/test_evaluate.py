@@ -1,5 +1,5 @@
 """Evaluation against the two-pass act-know prediction it replaced, against
-the chunks of batch_size questions its chunks replaced, and the number of
+the chunks of BATCH_SIZE questions its chunks replaced, and the number of
 encoder calls one evaluation makes.
 
 The two-pass oracle in _oracles.py scores every chunk of eval_chunks twice,
@@ -12,10 +12,10 @@ the dev loss of the rows. Each choice's node attention is checked against
 the per-choice scorer's, to 1e-12.
 
 evaluate()'s chunks are sized by their choices and padded node rows, not
-by batch_size. A question's logits depend on its chunk-mates in the last
-bits, so against evaluation in chunks of batch_size questions logits and
-entropies agree to 1e-12 and predictions exactly; and evaluate()'s rows
-are byte-identical under any batch_size.
+by training.BATCH_SIZE. A question's logits depend on its chunk-mates in
+the last bits, so against evaluation in chunks of BATCH_SIZE questions
+logits and entropies agree to 1e-12 and predictions exactly; and
+evaluate()'s rows are byte-identical under any BATCH_SIZE.
 """
 
 import dataclasses
@@ -156,7 +156,7 @@ BUNDLED = ["lowdata-act", "lowdata-text", "noisy-3", "noisy-20", "noisy-60"]
 @pytest.mark.parametrize("split", SPLITS)
 @pytest.mark.parametrize("name", BUNDLED)
 def test_rows_agree_with_chunks_of_batch_size(name, split, request):
-    """Chunks sized by eval_chunks, against the chunks of batch_size
+    """Chunks sized by eval_chunks, against the chunks of BATCH_SIZE
     questions they replaced: the same predictions, logits and entropies
     within 1e-12, on every split of the bundled tasks."""
     config, model, splits = _bundled(name, request)
@@ -172,18 +172,17 @@ def test_rows_agree_with_chunks_of_batch_size(name, split, request):
 
 
 @pytest.mark.parametrize("name", ["lowdata-act", "lowdata-text"])
-def test_rows_are_byte_identical_under_any_batch_size(name, request):
-    """evaluate() chunks by eval_chunks alone, so two configs that differ
-    only in batch_size give byte-identical rows: `eval` reproduces
-    `train`'s rows whatever batch_size a checkpoint stores."""
+def test_rows_are_byte_identical_under_any_batch_size(name, request, monkeypatch):
+    """evaluate() chunks by eval_chunks alone, so its rows are
+    byte-identical whatever training.BATCH_SIZE is."""
     config, model, splits = _bundled(name, request)
 
     def rows(questions, batch_size):
-        tc = dataclasses.replace(config, batch_size=batch_size)
-        return json.dumps(training.evaluate(questions, model, tc, with_details=True)[1]).encode("utf-8")
+        monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
+        return json.dumps(training.evaluate(questions, model, config, with_details=True)[1]).encode("utf-8")
 
     for split in SPLITS:
-        assert len({rows(splits[split], size) for size in (1, config.batch_size, 1000)}) == 1, split
+        assert len({rows(splits[split], size) for size in (1, training.BATCH_SIZE, 1000)}) == 1, split
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -220,9 +219,9 @@ def _text_only_outputs(model, config, splits):
     rows = [training.evaluate(splits[split], model, config, with_details=True)[1] for split in SPLITS]
     tensors = mark_leaves(*model.trainable(config))
     before = [t.data.copy() for t in tensors]
-    batch = splits["train"][: config.batch_size]
+    batch = splits["train"][: training.BATCH_SIZE]
     try:
-        opt = Adam(tensors, lr=config.learning_rate, weight_decay=config.weight_decay)
+        opt = Adam(tensors, lr=config.learning_rate)
         opt.zero_grad()  # training leaves its last step's gradients behind
         loss = training._batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
         ad.backward(loss)
@@ -287,7 +286,7 @@ def test_details_change_no_other_field_on_lowdata(lowdata_model):
 
 @pytest.mark.parametrize("mode", ["act-know", "base-know", "text-only"])
 def test_details_change_no_other_field_on_the_tiny_task(mode):
-    task = build_task(mode=mode, batch_size=3)
+    task = build_task(mode=mode)
     _assert_details_change_nothing_else(task.prepared, task.model, task.config)
 
 
@@ -319,9 +318,8 @@ def test_evaluate_runs_each_encoder_once_per_chunk(mode, graph_calls, monkeypatc
 # a non-default value for every TrainConfig field that preparation and
 # scoring do not read
 UNREAD_BY_EVAL = {
-    "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "batch_size": 3, "seed": 9, "data_fraction": 0.3,
-    "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5, "kg_dim": 6, "gcn_hidden": 7,
-    "kg_epochs": 1, "weight_decay": 0.0,
+    "master_epochs": 4, "sub_epochs": 5, "learning_rate": 0.5, "seed": 9, "data_fraction": 0.3,
+    "pretrain_epochs": 7, "text_dim": 3, "node_dim": 5, "gcn_hidden": 7,
 }
 
 

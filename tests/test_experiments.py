@@ -26,11 +26,11 @@ def test_sign_test_p_hand_values(wins, losses, p):
 def tiny_experiment(task_dir, **settings) -> ExperimentConfig:
     """A one-epoch experiment on the task generated into task_dir, with no
     node-features file and no dev split unless `settings` names one."""
-    generate(SyntheticSpec(n_entities=20, n_relations=3, n_questions=12, seed=3, node_dim=8), str(task_dir))
+    generate(SyntheticSpec(n_entities=20, n_questions=12, seed=3, node_dim=8), str(task_dir))
     return ExperimentConfig(
         kg=str(task_dir / "kg.tsv"), corpus=str(task_dir / "corpus.txt"), train=str(task_dir / "train.jsonl"),
-        test=str(task_dir / "test.jsonl"), out_dir=str(task_dir / "out"), text_dim=8, node_dim=8, kg_dim=4,
-        gcn_hidden=8, master_epochs=1, sub_epochs=1, kg_epochs=2, pretrain_epochs=0, **settings,
+        test=str(task_dir / "test.jsonl"), out_dir=str(task_dir / "out"), text_dim=8, node_dim=8,
+        gcn_hidden=8, master_epochs=1, sub_epochs=1, pretrain_epochs=0, **settings,
     )
 
 

@@ -45,27 +45,27 @@ PINNED_NUMPY = "2.4.6"
 PINS = {
     ("lowdata-act", "act-know"): {
         "stats.csv": "24d2f2861deed864436b02a616c898494e279959a0a1f89d5dccd00c5eda4895",
-        "checkpoint.txt": "61f76e8351666197f0b27182d26fc6e59b8736afcc85a9169c3890b04cf13980",
+        "checkpoint.txt": "e1ef5d1e4252e6ed5a5c9f705893c4d456a2dab2caf1d77711180cabdca314ac",
         "test": "94f9879f7d6dd966fdc90be72f546321cffdc72aa1cfcc53e16f9be506bf8b81",
     },
     ("lowdata-text", "text-only"): {
         "stats.csv": "1550e4b4a6c9dfb5361b8f17130b66485c46416cbaefb9a77de8cba31a12b1ed",
-        "checkpoint.txt": "1b17f9f6fc9f51e697ebc500b529e70f62772b6b8f7a78658057add5f485c43d",
+        "checkpoint.txt": "4d0f27b2d8cc13d537bb2d4acfeac3110ffd6cb2e91f7758f919cb1390ac0113",
         "test": "f945a355b1a6d9ac6e81f93eb215937cae1ca720be55374c1317d08fcb5723d0",
     },
     ("noisy-ablation", "max-nodes-3"): {
         "stats.csv": "b7edb542754715dfa8fcda83119be52ebff0d17b4119754e8b9e64cc871c5713",
-        "checkpoint.txt": "3c4f7fead1db3b3f1371b130d99da238347bf606686255a23835253febeb2ff6",
+        "checkpoint.txt": "9d6933b467cea717f47b1644d4b40e4d8a7f0075003a0699ccaee13b34da70e4",
         "test": "4e3db14db90beea3d1258e5738b33d94bbef733e2af408fac3d7eb765f3fb6f3",
     },
     ("noisy-ablation", "max-nodes-20"): {
         "stats.csv": "1e427e2b9b1cef2f2a00dae66cf379e0dd53dd3ccbe7b5a63618de0d31944bfe",
-        "checkpoint.txt": "f803c202f2e69a4fa8e2dd39a6b5f9c4bc98a89ab8bacdb419df5c6245f76422",
+        "checkpoint.txt": "8becaa256d6e1ede4633742f906024ef7d481bc0e52573e5fd739f8150271602",
         "test": "db5e99aa26251b63af040fc259622955c8be586ba5d0cb1217490e0e26a95489",
     },
     ("noisy-ablation", "max-nodes-60"): {
         "stats.csv": "1d5cf3d32acb5bd75baf73c41a77fff416e938377593269cb603efcd003b3884",
-        "checkpoint.txt": "4b43d6d7c0f4b02a6f11296e55af60aa3582bfd80ce314f47fb6996e79a24b01",
+        "checkpoint.txt": "1b2c7a62d9a23464f8c462eca6d19e9a227c9cbf42c8e0743b51c2a110a7dde8",
         "test": "e070f77355836c265cc7a0cdb49469cf6e10ce0a36ba2799ef369b40e452aa22",
     },
 }

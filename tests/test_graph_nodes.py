@@ -28,6 +28,7 @@ from actknow.pipeline import build_model, load_pipeline, prepare_split, training
 from actknow.scenarios import lowdata_experiment, noisy_experiment
 from actknow.optim import Adam
 from actknow.training import (
+    BATCH_SIZE,
     _batch_loss,
     _run_updates,
     classify,
@@ -72,8 +73,8 @@ def _task(name, bundled):
     return bundled(name)
 
 
-def _batches(questions, config):
-    return [questions[i : i + config.batch_size] for i in range(0, len(questions), config.batch_size)]
+def _batches(questions):
+    return [questions[i : i + BATCH_SIZE] for i in range(0, len(questions), BATCH_SIZE)]
 
 
 def _weights(batch, config):
@@ -135,7 +136,7 @@ def _assert_fused_matches_composed(config, questions, model, with_text):
     tensors = model.trainable(config, with_text=with_text)
     mark_leaves(*tensors)
     try:
-        for batch in _batches(questions, config):
+        for batch in _batches(questions):
             got = _step(FUSED, batch, model, config, tensors)
             want = _step(COMPOSED, batch, model, config, tensors)
             _assert_same_features(got[0], want[0])
@@ -224,7 +225,7 @@ def test_text_only_scores_as_the_composed_path_with_zero_blocks(name, bundled):
     assert not config.graph_side
     tensors = mark_leaves(model.text.token_embedding, model.text.projection, model.text.bias, model.classifier)
     try:
-        for batch in _batches(questions, config):
+        for batch in _batches(questions):
             got = _step(FUSED, batch, model, config, tensors)
             want = _step(COMPOSED, batch, model, config, tensors)
             assert np.array_equal(got[1].data, want[1].data)
@@ -268,7 +269,7 @@ def _tape_size_of_a_training_batch(name, bundled, monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     tape_size = importlib.import_module("layers").tape_size
     config, questions, model = bundled(name)
-    batch = questions[: config.batch_size]
+    batch = questions[:BATCH_SIZE]
     tensors = mark_leaves(*model.trainable(config))
     try:
         loss = _batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
@@ -328,10 +329,10 @@ def test_a_training_step_peaks_no_higher_than_before(bundled):
     traced, under the 3,223 KB it took before the graph side wrote its
     temporaries in place."""
     config, questions, model = bundled("noisy60")
-    batch = questions[: config.batch_size]
+    batch = questions[:BATCH_SIZE]
     state = model.state_arrays()
     tensors = mark_leaves(*model.trainable(config))
-    opt = Adam(tensors, lr=config.learning_rate, weight_decay=config.weight_decay)
+    opt = Adam(tensors, lr=config.learning_rate)
 
     def step():
         loss = _batch_loss(batch, model, np.ones(len(batch)), config, np.random.default_rng(0))
@@ -360,7 +361,7 @@ def test_the_graph_side_writes_into_no_input(name, bundled):
     inputs += [model.gcn.node_features.data, model.er.entity_table.data, model.er.relation_table.data]
     before = [a.copy() for a in inputs]
     state = model.state_arrays()
-    opt = Adam(model.trainable(config), lr=config.learning_rate, weight_decay=config.weight_decay)
+    opt = Adam(model.trainable(config), lr=config.learning_rate)
     try:
         evaluate(questions, model, config)
         rng = np.random.default_rng(0)

@@ -10,6 +10,8 @@ import _oracles
 from actknow import kg
 from actknow.errors import ConfigError
 from actknow.kg import (
+    KG_DIM,
+    KG_EPOCHS,
     graph_from_triples,
     load_triples,
     normalize_label,
@@ -246,7 +248,7 @@ def test_bundled_graphs_train_the_per_triple_tables(data_dir, experiment, reques
     cfg = experiment(request.getfixturevalue(data_dir), str(tmp_path))
     graph = load_triples(cfg.kg)
     for seed in range(5):
-        assert_matches_per_triple_loop(graph, cfg.kg_dim, cfg.kg_epochs, seed)
+        assert_matches_per_triple_loop(graph, KG_DIM, KG_EPOCHS, seed)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actknow.kg import node_feature_table, train_kg_embeddings
+from actknow.kg import KG_DIM, KG_EPOCHS, node_feature_table, train_kg_embeddings
 from actknow.pipeline import build_model, load_pipeline, prepare_split, training_config_for
 from actknow.scenarios import lowdata_experiment
 from actknow.training import evaluate, init_model, train
@@ -28,10 +28,10 @@ def lowdata(lowdata_dir, tmp_path_factory):
 
 
 def _model_on_trained_tables(pipe, tc):
-    """The oracle: the model on tables trained for tc.kg_epochs, as
+    """The oracle: the model on tables trained for KG_EPOCHS, as
     build_model built it in every mode before it checked for ER attention."""
     node_features = node_feature_table(pipe.graph, tc.node_dim, tc.seed, pipe.node_features_path)
-    ent, rel = train_kg_embeddings(pipe.graph, tc.kg_dim, tc.kg_epochs, tc.seed)
+    ent, rel = train_kg_embeddings(pipe.graph, KG_DIM, KG_EPOCHS, tc.seed)
     return init_model(len(pipe.vocab.tokens), ent, rel, node_features, tc)
 
 
@@ -45,7 +45,7 @@ def _every_tensor(model):
 def test_a_cell_without_er_attention_trains_as_on_trained_tables(mode, lowdata):
     cfg, pipe = lowdata
     tc = training_config_for(cfg, data_fraction=0.2, mode=mode)
-    assert not tc.graph_side and tc.kg_epochs > 0
+    assert not tc.graph_side and KG_EPOCHS > 0
     train_qs, dev_qs, test_qs = (prepare_split(pipe, split, tc) for split in ("train", "dev", "test"))
 
     runs = []
@@ -59,7 +59,7 @@ def test_a_cell_without_er_attention_trains_as_on_trained_tables(mode, lowdata):
     assert got_eval == want_eval
     assert got_state.keys() == want_state.keys()
     assert [n for n in got_state if not np.array_equal(got_state[n], want_state[n])] == TABLES
-    for name, table in zip(TABLES, train_kg_embeddings(pipe.graph, tc.kg_dim, 0, tc.seed)):
+    for name, table in zip(TABLES, train_kg_embeddings(pipe.graph, KG_DIM, 0, tc.seed)):
         assert np.array_equal(got_state[name], table.vectors)
 
 
@@ -67,6 +67,6 @@ def test_an_act_know_cell_reads_the_trained_tables(lowdata):
     cfg, pipe = lowdata
     tc = training_config_for(cfg, mode="act-know")
     model = build_model(pipe, tc)
-    ent, rel = train_kg_embeddings(pipe.graph, tc.kg_dim, tc.kg_epochs, tc.seed)
+    ent, rel = train_kg_embeddings(pipe.graph, KG_DIM, KG_EPOCHS, tc.seed)
     assert model.er.entity_table.data is ent.vectors
     assert model.er.relation_table.data is rel.vectors

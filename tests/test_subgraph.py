@@ -449,7 +449,7 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
     adjacency stack is the slice-copy fill of those dense views."""
     experiment, data_dir = (lowdata_experiment, lowdata_dir) if task == "lowdata" else (noisy_experiment, noisy_dir)
     cfg = training_config_for(experiment(data_dir, str(tmp_path)), mode="base-know", max_nodes=budget,
-                              data_fraction=1.0, master_epochs=1, sub_epochs=1, pretrain_epochs=0, kg_epochs=0)
+                              data_fraction=1.0, master_epochs=1, sub_epochs=1, pretrain_epochs=0)
     pipe = load_pipeline(cfg)
     splits = {split: prepare_split(pipe, split, cfg) for split in ("train", "dev", "test")}
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]

@@ -14,9 +14,7 @@ from actknow.synth import SyntheticSpec, generate
 
 SMALL = SyntheticSpec(
     n_entities=20,
-    n_relations=3,
     n_questions=30,
-    distractor_count=3,
     seed=5,
     node_dim=8,
     feature_noise=0.3,
@@ -90,7 +88,8 @@ def test_noise_knobs_add_entities_without_breaking_task(tmp_path):
 
 
 def test_chain_split_keeps_entities_disjoint(tmp_path):
-    spec = dataclasses.replace(SMALL, split_by_chain=True, dev_fraction=0.2)
+    # 40 entities make 12 chains: 8 train, 1 dev and 3 test
+    spec = dataclasses.replace(SMALL, n_entities=40, split_by_chain=True)
     report = generate(spec, str(tmp_path))
     assert report["failures"] == []
 
@@ -116,15 +115,18 @@ def test_spec_validation():
         dataclasses.replace(SMALL, premise_noise=1).validate()
     with pytest.raises(ConfigError):
         dataclasses.replace(SMALL, feature_noise=-0.1).validate()
-    with pytest.raises(ConfigError):
-        dataclasses.replace(SMALL, train_fraction=0.9, dev_fraction=0.2).validate()
+    # a tenth of 9 questions floors to no dev question
+    with pytest.raises(ConfigError, match="9 questions are too few to split"):
+        dataclasses.replace(SMALL, n_questions=9).validate()
 
 
 def test_chain_split_needs_enough_chains(tmp_path):
-    # six chains at a 0.1 dev fraction floor to zero dev chains
+    # six chains at a 0.1 dev fraction floor to zero dev chains; the spec is
+    # refused before any file is written
     spec = dataclasses.replace(SMALL, split_by_chain=True)
-    with pytest.raises(ConfigError, match="chains"):
-        generate(spec, str(tmp_path))
+    with pytest.raises(ConfigError, match="6 chains are too few to split"):
+        generate(spec, str(tmp_path / "task"))
+    assert not (tmp_path / "task").exists()
 
 
 def test_ensure_generated_skips_existing(tmp_path):
@@ -165,7 +167,35 @@ def test_bundled_scenario_specs_are_valid():
     assert NOISY_SPEC.split_by_chain is True
 
 
-def test_too_few_chains_for_the_distractors(tmp_path):
-    # six chains cannot supply six distractors other than the answer
-    with pytest.raises(ConfigError, match="chains"):
-        generate(dataclasses.replace(SMALL, distractor_count=7), str(tmp_path))
+def test_the_fewest_chains_supply_the_distractors(tmp_path):
+    """validate requires 3 chains, and 3 chains supply every question its
+    DISTRACTOR_COUNT - 1 answers of other chains beside the bait."""
+    spec = dataclasses.replace(SMALL, n_entities=10, n_questions=12)
+    with pytest.raises(ConfigError, match="leaves only 2 chains"):
+        dataclasses.replace(spec, n_entities=9).validate()
+    report = generate(spec, str(tmp_path))
+    assert report["chains"] == 3 and report["failures"] == []
+    for item in all_items(str(tmp_path)):
+        assert len(set(item.choices)) == synth.DISTRACTOR_COUNT + 1, item.id
+
+
+@pytest.mark.parametrize("entities, edges", [(0, 1), (1, 1), (3, 4), (5, 11)])
+def test_more_noise_edges_than_pairs_are_refused(entities, edges):
+    """n noise entities have n(n-1)/2 pairs to place an edge on."""
+    spec = dataclasses.replace(SMALL, noise_entities=entities, noise_edges=edges)
+    with pytest.raises(ConfigError, match=f"noise_edges={edges} exceeds the {entities * (entities - 1) // 2} pairs"):
+        spec.validate()
+    dataclasses.replace(spec, noise_edges=edges - 1).validate()
+
+
+def test_noise_edges_the_draws_fall_short_of_are_refused(tmp_path, monkeypatch):
+    """generate draws noise edges at random, a bounded number of draws per
+    edge; a task with fewer edges than its spec asks for is refused before
+    any file is written."""
+    spec = dataclasses.replace(SMALL, noise_entities=3, noise_edges=3)
+    monkeypatch.setattr(synth, "NOISE_DRAWS_PER_EDGE", 1)
+    with pytest.raises(ConfigError, match=r"noise_edges: placed [0-2] of 3 noise edges in 3 draws"):
+        generate(spec, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert generate(spec, str(tmp_path))["failures"] == []

@@ -13,7 +13,7 @@ from actknow import training
 from actknow.encoders import build_vocab, encode_text, er_attention, gcn_forward
 from actknow.errors import ConfigError
 from actknow.experiments import run_cell
-from actknow.kg import EmbeddingTable, graph_from_triples, train_kg_embeddings
+from actknow.kg import KG_DIM, EmbeddingTable, graph_from_triples, train_kg_embeddings
 from actknow.nli import QAItem
 from actknow.pipeline import load_pipeline, prepare_split, training_config_for, training_sample
 from actknow.retrieval import build_index, corpus_from_sentences, tokenize
@@ -517,7 +517,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(data_fraction=1.2)
     with pytest.raises(ConfigError):
-        tiny_config(kg_dim=1)
+        tiny_config(pretrain_epochs=-1)
 
 
 def test_stats_csv_roundtrip(tmp_path):
@@ -594,12 +594,12 @@ def test_training_leaves_the_shared_kg_tables_unchanged():
     """Models built on one graph share its memoised ER tables; training one
     of them changes neither the tables nor the other model's copy."""
     task = build_task(mode="act-know", master_epochs=2, pretrain_epochs=1)
-    ent, rel = train_kg_embeddings(task.graph, task.config.kg_dim, 5, task.config.seed)
+    ent, rel = train_kg_embeddings(task.graph, KG_DIM, 5, task.config.seed)
     before = ent.vectors.copy(), rel.vectors.copy()
     nodes = EmbeddingTable(task.config.node_dim, np.ones((task.graph.n_entities, task.config.node_dim)))
     trained, other = (init_model(len(task.vocab), ent, rel, nodes, task.config) for _ in range(2))
     train(trained, task.prepared, task.prepared[:2], task.config)
-    again = train_kg_embeddings(task.graph, task.config.kg_dim, 5, task.config.seed)
+    again = train_kg_embeddings(task.graph, KG_DIM, 5, task.config.seed)
     assert again[0] is ent and again[1] is rel
     for model in (trained, other):
         assert np.array_equal(model.er.entity_table.data, before[0])
@@ -726,7 +726,7 @@ def test_unused_tensors_keep_their_init_values(overrides, unused):
     gradient; a tensor that reaches no logit is never stepped, in
     pretraining or after it. Every tensor the model holds is read, as a
     text-only state names only the four it trains."""
-    task = build_task(master_epochs=2, pretrain_epochs=1, weight_decay=0.1, **overrides)
+    task = build_task(master_epochs=2, pretrain_epochs=1, **overrides)
     every = lambda: {name: t.data.copy() for name, t in replace(task.model, graph_side=True).named().items()}
     init = every()
     train(task.model, task.prepared, None, task.config)
