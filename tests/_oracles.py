@@ -32,6 +32,7 @@ package's autodiff tape so that gradients can be compared too.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 from actknow import autodiff as ad
 from actknow import training
 from actknow.autodiff import Tensor
-from actknow.encoders import ERAttentionParams, GCNParams, TextEncoderParams, token_bag
+from actknow.encoders import SEP_ID, UNK_ID, ERAttentionParams, GCNParams, TextEncoderParams, token_bag
 from actknow.errors import ConfigError
 from actknow.kg import KnowledgeGraph
 from actknow.retrieval import InvertedIndex, bm25_idf, bm25_term_weight, tokenize
@@ -1037,6 +1038,48 @@ def subgraph_from_dense(nodes: list[int], norm: np.ndarray) -> Subgraph:
     nonzero = np.nonzero(norm)
     return Subgraph(nodes=list(nodes), edge_index=np.array(nonzero, dtype=np.int32), edge_weight=norm[nonzero],
                     paths=[])
+
+
+# the wide build that narrow ids and one-triangle edge lists replaced: token
+# ids held as int64, node ids as a list, and every non-zero of A_norm, both
+# triangles row by row, with int32 (row, column) pairs
+
+
+def encode_pair_tokens_wide(vocab, premise_tokens: list[str], hypothesis_tokens: list[str]) -> np.ndarray:
+    """encoders.encode_pair_tokens with int64 ids."""
+    lookup = vocab.ids.get
+    ids = [lookup(t, UNK_ID) for t in premise_tokens] + [SEP_ID] + [lookup(t, UNK_ID) for t in hypothesis_tokens]
+    return np.array(ids, dtype=np.int64)
+
+
+def connect_concepts_wide(graph: KnowledgeGraph, seeds: list[int], max_path_len: int, max_nodes: int) -> Subgraph:
+    """subgraph.connect_concepts with a node list and the full int32 edge
+    list: each node's self-loop, then each of its neighbours among the
+    nodes, in adjacency order."""
+    seed_list = sorted(set(seeds))
+    nodes = list(seed_list)
+    paths = []
+    for a, b in itertools.combinations(seed_list, 2):
+        if len(nodes) >= max_nodes:
+            break
+        path = dfs_path(graph, a, b, max_path_len)
+        if path is None:
+            continue
+        new = [p for p in path if p not in nodes]
+        if len(nodes) + len(new) > max_nodes:
+            break
+        nodes += new
+        paths.append(tuple(path))
+    index = {e: i for i, e in enumerate(nodes)}
+    rows, cols = [], []
+    for i, e in enumerate(nodes):
+        neighbours = [i] + [index[nb] for nb in graph.adjacency[e] if nb in index]
+        rows += [i] * len(neighbours)
+        cols += neighbours
+    edge_index = np.array([rows, cols], dtype=np.int32)
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(edge_index[0]).astype(np.float64))
+    return Subgraph(nodes=nodes, edge_index=edge_index, edge_weight=inv_sqrt[edge_index[0]] * inv_sqrt[edge_index[1]],
+                    paths=paths)
 
 
 def padded_adjacency(subgraphs: list[Subgraph]) -> np.ndarray:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actknow import training
-from actknow.encoders import gcn_forward
+from actknow import encoders, training
+from actknow.encoders import gcn_forward, token_bag
 from actknow.errors import ConfigError
 from actknow.kg import graph_from_triples, load_triples
 from actknow.nli import convert, load_qa_jsonl
@@ -437,44 +437,82 @@ def test_a_subgraph_grows_with_its_edges_not_its_nodes_squared():
 
 
 BUDGETS = (1, 3, 20, 60)
+SPLITS = ("train", "dev", "test")
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("task", ["lowdata", "noisy"])
 def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_dir, tmp_path, monkeypatch):
-    """On every choice subgraph of the three splits of a bundled task, the
-    edge list's dense view is normalize_adjacency of the 0/1 matrix of KG
-    edges among its nodes, byte for byte; and on every training batch of
-    one pass and every eval chunk of the three splits, gcn_forward's padded
-    adjacency stack is the slice-copy fill of those dense views."""
+    """On every choice of the three splits of a bundled task, the edge
+    list's dense view is normalize_adjacency of the 0/1 matrix of KG edges
+    among its nodes, byte for byte, and the ids are those of the wide build
+    (_oracles.connect_concepts_wide and encode_pair_tokens_wide). On every
+    training batch of one pass and every eval chunk of the three splits,
+    gcn_forward's padded adjacency stack is the slice-copy fill of those
+    dense views, and its stacks and token_bag's bag matrix are those of the
+    wide build, byte for byte."""
     experiment, data_dir = (lowdata_experiment, lowdata_dir) if task == "lowdata" else (noisy_experiment, noisy_dir)
     cfg = training_config_for(experiment(data_dir, str(tmp_path)), mode="base-know", max_nodes=budget,
                               data_fraction=1.0, master_epochs=1, sub_epochs=1, pretrain_epochs=0)
     pipe = load_pipeline(cfg)
-    splits = {split: prepare_split(pipe, split, cfg) for split in ("train", "dev", "test")}
+    splits = {split: prepare_split(pipe, split, cfg) for split in SPLITS}
+    with monkeypatch.context() as wide_build:
+        wide_build.setattr(training, "connect_concepts", _oracles.connect_concepts_wide)
+        wide_build.setattr(training, "encode_pair_tokens", _oracles.encode_pair_tokens_wide)
+        wide_pipe = load_pipeline(cfg)
+        wide = {split: prepare_split(wide_pipe, split, cfg) for split in SPLITS}
+    twin = {}  # id of a prepared token array or subgraph -> its wide build
+    for split in SPLITS:
+        for pq, wq in zip(splits[split], wide[split], strict=True):
+            for c, w in zip(pq.choices, wq.choices, strict=True):
+                assert np.asarray(c.token_ids).tolist() == w.token_ids.tolist()
+                twin[id(c.token_ids)] = w.token_ids
+                assert (c.subgraph is None) == (w.subgraph is None)
+                if c.subgraph is not None:
+                    twin[id(c.subgraph)] = w.subgraph
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
     assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
     for sub in subgraphs:
         assert_only_an_edge_list(sub)
-        want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, sub.nodes))
-        got = dense_adjacency(sub)
+        wide_sub = twin[id(sub)]
+        assert np.asarray(sub.nodes).tolist() == wide_sub.nodes
+        assert sub.paths == wide_sub.paths
+        want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, wide_sub.nodes))
+        for got in (dense_adjacency(sub), dense_adjacency(wide_sub)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    stacks, bags = [], []
+
+    def assert_same_bytes(got, want):
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    stacks = []
-
-    def checked(batch, params):
+    def checked_gcn(batch, params):
         hidden, adjacency, mask = gcn_forward(batch, params)
-        want = _oracles.padded_adjacency(batch)
-        assert adjacency.dtype == want.dtype and adjacency.shape == want.shape
-        assert adjacency.tobytes() == want.tobytes()
+        wide_batch = [twin[id(sub)] for sub in batch]
+        wide_hidden, wide_adjacency, wide_mask = gcn_forward(wide_batch, params)
+        assert_same_bytes(adjacency, _oracles.padded_adjacency(wide_batch))
+        assert_same_bytes(adjacency, wide_adjacency)
+        assert_same_bytes(hidden.data, wide_hidden.data)
+        assert_same_bytes(mask, wide_mask)
         stacks.append(len(batch))
         return hidden, adjacency, mask
 
-    monkeypatch.setattr(training, "gcn_forward", checked)
+    def checked_bag(sequences, vocab_size):
+        distinct, bag = token_bag(sequences, vocab_size)
+        wide_distinct, wide_bag = token_bag([twin[id(seq)] for seq in sequences], vocab_size)
+        assert_same_bytes(distinct, wide_distinct)
+        assert_same_bytes(bag, wide_bag)
+        bags.append(len(sequences))
+        return distinct, bag
+
+    monkeypatch.setattr(training, "gcn_forward", checked_gcn)
+    monkeypatch.setattr(encoders, "token_bag", checked_bag)
     model = build_model(pipe, cfg)
     train(model, splits["train"], splits["dev"], cfg)
     evaluate(splits["test"], model, cfg)
     # the update pass and the eval of train, dev and test each stacked
-    # every subgraph of their split once
+    # every subgraph and bagged every choice of their split once
     n_train = sum(c.subgraph is not None for pq in splits["train"] for c in pq.choices)
     assert sum(stacks) == len(subgraphs) + n_train
+    n_choices = [sum(len(pq.choices) for pq in splits[split]) for split in SPLITS]
+    assert sum(bags) == sum(n_choices) + n_choices[0]
