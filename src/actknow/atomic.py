@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 
 
 @contextlib.contextmanager
@@ -15,9 +14,10 @@ def atomic_write(path: str, newline: str | None = None):
     The text goes to a temporary file in the same directory, which
     os.replace then moves onto `path`, so readers see the old file or the
     whole new one, never a part. A block that raises removes the temporary
-    file and leaves `path` as it was.
+    file and leaves `path` as it was. The name's random part comes from
+    os.urandom, not the secrets module, which loads OpenSSL through hmac.
     """
-    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
         with fh:

@@ -32,7 +32,9 @@ Gumbel noise and the pool's node gradient.
 A call writes only into arrays it allocated itself, never into its
 inputs, the subgraphs' edge lists or the fixed tables, and keeps no
 buffer from one call to the next. The GCN's padded adjacency stack is one
-scatter of the batch's edge lists into zeros.
+scatter of the batch's one-triangle edge lists and one of their mirror
+into zeros. Token and node ids arrive in the narrowest unsigned type that
+holds them and only index; arithmetic on them widens them first.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ def build_vocab(token_lists: list[list[str]]) -> Vocab:
 
 
 def encode_pair_tokens(vocab: Vocab, premise_tokens: list[str], hypothesis_tokens: list[str]) -> np.ndarray:
-    """Token id sequence `premise [SEP] hypothesis`. The premise may be empty
-    (the sequence then starts at the separator); the hypothesis may not."""
+    """Token id sequence `premise [SEP] hypothesis`, in np.min_scalar_type
+    of the vocabulary's largest id. The premise may be empty (the sequence
+    then starts at the separator); the hypothesis may not."""
     if isinstance(premise_tokens, str) or isinstance(hypothesis_tokens, str):
         raise TypeError("encode_pair_tokens takes token lists, not strs")
     if not hypothesis_tokens:
@@ -82,7 +85,7 @@ def encode_pair_tokens(vocab: Vocab, premise_tokens: list[str], hypothesis_token
     # one bound dict.get for the call, not an attribute read per token
     lookup = vocab.ids.get
     ids = [lookup(t, UNK_ID) for t in premise_tokens] + [SEP_ID] + [lookup(t, UNK_ID) for t in hypothesis_tokens]
-    return np.array(ids, dtype=np.int64)
+    return np.array(ids, dtype=np.min_scalar_type(len(vocab) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +216,17 @@ def gcn_forward(subgraphs: list[Subgraph], params: GCNParams) -> tuple[Tensor, n
     s, n = len(subgraphs), int(sizes.max())
     mask = np.arange(n) < sizes[:, None]
     # one scatter of every subgraph's edge list into its block of the
-    # stack; the int32 offsets row * n + col stay below n * n, which fits
-    # for any block that fits in memory
-    rows, cols = np.concatenate([sub.edge_index for sub in subgraphs], axis=1)
-    local = rows * n
-    local += cols
-    at = np.repeat(np.arange(0, s * n * n, n * n), [sub.edge_weight.size for sub in subgraphs])
-    at += local
+    # stack, each weight at (row, col) and at (col, row). The ids are
+    # widened to int32 first: a uint8 or uint16 row * n keeps its narrow
+    # dtype and wraps, while the offsets row * n + col reach n * n - 1 and
+    # fit in int32 for any block that fits in memory
+    rows, cols = np.concatenate([sub.edge_index for sub in subgraphs], axis=1).astype(np.int32)
+    block = np.repeat(np.arange(0, s * n * n, n * n), [sub.edge_weight.size for sub in subgraphs])
+    weight = np.concatenate([sub.edge_weight for sub in subgraphs])
     adjacency = np.zeros((s, n, n))
-    adjacency.reshape(-1)[at] = np.concatenate([sub.edge_weight for sub in subgraphs])
+    flat = adjacency.reshape(-1)
+    flat[block + (rows * n + cols)] = weight
+    flat[block + (cols * n + rows)] = weight
     # node features are fixed inputs, so the padded stack is a constant:
     # one take over a padded index, whose padding rows are then zeroed. It
     # is taken into the front of the array that the hidden layer's product

@@ -7,9 +7,10 @@ the mentioned entity ids in text order. A subgraph starts from the
 mentioned entities (seeds), adds the first depth-limited DFS path between
 each seed pair, then keeps every KG edge among the included nodes. A
 subgraph keeps only the non-zeros of the degree-normalized adjacency the
-graph encoder reads, as an edge list of O(nodes + edges) size, and its
-paths are the graph's memoised tuples, shared by every subgraph that
-selects them.
+graph encoder reads, as an edge list of O(nodes + edges) size that holds
+each entry of the symmetric matrix once, its ids in the narrowest unsigned
+type that holds them, and its paths are the graph's memoised tuples,
+shared by every subgraph that selects them.
 """
 
 from __future__ import annotations
@@ -26,15 +27,18 @@ from .kg import KnowledgeGraph
 MAX_PATH_LEN = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class Subgraph:
-    """A question's entity ids, the non-zeros of A_norm = D^-1/2 (C+I)
+    """A question's entity ids, the upper triangle of A_norm = D^-1/2 (C+I)
     D^-1/2 as an edge list, C the 0/1 KG edges among the nodes and
-    D = rowsum(C+I), and the selected paths. The edges run row by row:
-    each node's self-loop, then its neighbours."""
+    D = rowsum(C+I), and the selected paths. A_norm is symmetric, so each
+    non-zero is stored once: row by row, each node's self-loop, then its
+    neighbours with a larger local index. Ids take np.min_scalar_type of
+    the largest id they can hold: n_entities - 1 for the nodes, n_nodes - 1
+    for the edge list."""
 
-    nodes: list[int]                      # entity ids, seeds first
-    edge_index: np.ndarray                # (2, nnz) int32 local (row, column) of each non-zero
+    nodes: np.ndarray                     # (n,) entity ids, seeds first
+    edge_index: np.ndarray                # (2, nnz) local (row, column), row <= column, of each stored non-zero
     edge_weight: np.ndarray               # (nnz,) float64 A_norm[row, column]
     # selected seed-to-seed paths: graph.path_memo's own tuples, not copies
     paths: list[tuple[int, ...]] = field(default_factory=list)
@@ -132,7 +136,8 @@ def connect_concepts(
     the node budget still fits, and construction stops once it does not.
     Seeds are always included, connected or not. A pair's path depends only
     on the graph, the pair and max_path_len, never on max_nodes, so it is
-    searched once per graph and memoised in graph.path_memo.
+    searched once per graph and memoised in graph.path_memo. The edge list
+    holds each non-zero of the symmetric A_norm once, at row <= column.
     """
     if max_path_len < 1:
         raise ConfigError(f"max_path_len must be >= 1, got {max_path_len}")
@@ -164,24 +169,30 @@ def connect_concepts(
             node_set.add(p)
         paths.append(path)
 
-    # each node's self-loop, then its neighbours among nodes: C is 0/1 and
-    # symmetric because every neighbour list holds each partner's id once,
-    # with a zero diagonal because graph_from_triples drops self-loops. A
-    # value is the product D^-1/2 (C+I) D^-1/2 takes there, so it has the
-    # same bits
+    # each node's self-loop, then its neighbours among nodes with a larger
+    # local index: C is 0/1 and symmetric because every neighbour list holds
+    # each partner's id once, with a zero diagonal because
+    # graph_from_triples drops self-loops, so this is its upper triangle. A
+    # value is the product D^-1/2 (C+I) D^-1/2 takes there, and
+    # inv_sqrt[i] * inv_sqrt[j] has the bits of inv_sqrt[j] * inv_sqrt[i],
+    # so the mirrored entry has them too
     index = {e: i for i, e in enumerate(nodes)}
     local: list[int] = []
-    degrees: list[int] = []
+    counts: list[int] = []
+    degrees = [1] * len(nodes)
     for i, e in enumerate(nodes):
         start = len(local)
         local.append(i)
         for nb in graph.adjacency[e]:
             j = index.get(nb)
             if j is not None:
-                local.append(j)
-        degrees.append(len(local) - start)
-    edge_index = np.stack([np.repeat(np.arange(len(nodes), dtype=np.int32), degrees),
-                           np.array(local, dtype=np.int32)])
+                degrees[i] += 1
+                if j > i:
+                    local.append(j)
+        counts.append(len(local) - start)
+    width = np.min_scalar_type(len(nodes) - 1)
+    edge_index = np.stack([np.repeat(np.arange(len(nodes), dtype=width), counts), np.array(local, dtype=width)])
     inv_sqrt = 1.0 / np.sqrt(np.array(degrees, dtype=np.float64))
     rows, cols = edge_index
-    return Subgraph(nodes=nodes, edge_index=edge_index, edge_weight=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)
+    return Subgraph(nodes=np.array(nodes, dtype=np.min_scalar_type(graph.n_entities - 1)), edge_index=edge_index,
+                    edge_weight=inv_sqrt[rows] * inv_sqrt[cols], paths=paths)

@@ -222,15 +222,16 @@ def init_model(
 # data preparation
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedChoice:
+    # in np.min_scalar_type of the vocabulary's largest id
     token_ids: np.ndarray
     # None where no entity is mentioned, and for every choice of a question
     # prepared without its graph side
     subgraph: Subgraph | None
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedQuestion:
     qid: str
     answer_index: int

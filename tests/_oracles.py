@@ -1025,19 +1025,23 @@ def zero_one_adjacency(graph: KnowledgeGraph, nodes: list[int]) -> np.ndarray:
 
 
 def dense_adjacency(sub: Subgraph) -> np.ndarray:
-    """The (n, n) normalized adjacency of the subgraph's edge list, +0.0
-    off it."""
+    """The (n, n) symmetric normalized adjacency of the subgraph's edge
+    list, each stored entry at (row, column) and at (column, row), +0.0 off
+    them."""
+    rows, cols = sub.edge_index
     a = np.zeros((sub.n_nodes, sub.n_nodes))
-    a[tuple(sub.edge_index)] = sub.edge_weight
+    a[rows, cols] = sub.edge_weight
+    a[cols, rows] = sub.edge_weight
     return a
 
 
 def subgraph_from_dense(nodes: list[int], norm: np.ndarray) -> Subgraph:
-    """The subgraph holding a dense normalized adjacency's non-zeros, row by
-    row, and no paths."""
-    nonzero = np.nonzero(norm)
-    return Subgraph(nodes=list(nodes), edge_index=np.array(nonzero, dtype=np.int32), edge_weight=norm[nonzero],
-                    paths=[])
+    """The subgraph holding a dense symmetric normalized adjacency's upper
+    triangle of non-zeros, row by row, in the narrowest ids, and no paths."""
+    nonzero = np.nonzero(np.triu(norm))
+    return Subgraph(nodes=np.array(nodes, dtype=np.min_scalar_type(max(nodes))),
+                    edge_index=np.array(nonzero, dtype=np.min_scalar_type(len(nodes) - 1)),
+                    edge_weight=norm[nonzero], paths=[])
 
 
 # the wide build that narrow ids and one-triangle edge lists replaced: token

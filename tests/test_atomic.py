@@ -1,6 +1,8 @@
 """Output files are replaced whole or not at all."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,3 +41,14 @@ def test_writes_the_same_bytes_as_a_plain_write(tmp_path):
         fh.write("a\r\nb\n")
     assert (tmp_path / "rows.csv").read_bytes() == b"a\r\nb\n"
     assert sorted(os.listdir(tmp_path)) == ["ckpt.txt", "rows.csv"]
+
+
+def test_importing_the_cli_loads_no_openssl():
+    """The temporary name's random digits come from os.urandom: the secrets
+    module would import hmac, which loads libcrypto through _hashlib."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys, actknow.cli; print('_hashlib' in sys.modules)"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

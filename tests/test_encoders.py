@@ -26,6 +26,7 @@ from actknow.errors import ConfigError
 from actknow.kg import EmbeddingTable, graph_from_triples
 from actknow.subgraph import connect_concepts
 
+import _oracles
 from _oracles import dense_adjacency, dense_gcn, encode_text_by_gather, fd_gradient, matmul, max_rel_error, reshape
 from conftest import mark_leaves
 
@@ -274,6 +275,34 @@ def test_gcn_batch_pads_with_exact_zeros():
             [params.hidden_layer.data, params.last_layer.data],
         )
         assert np.max(np.abs(out[i, :k] - expected)) < 1e-10
+
+
+def test_a_batch_of_mixed_id_widths_gives_the_wide_build_bytes():
+    """A 300-node chain subgraph (uint16 ids) and a 3-node one (uint8 ids)
+    in one batch, with token ids of a 300-token vocabulary (uint16): the
+    GCN stacks and the bag matrix are those of the wide build, byte for
+    byte. The batch's offsets row * n + col reach 89,999, past what uint16
+    ids hold, so gcn_forward must widen them first."""
+    chain = graph_from_triples([(f"e{i}", "next", f"e{i + 1}") for i in range(299)])
+    seed_sets = ([list(range(300)), 300], [[chain.entity_ids["e0"], chain.entity_ids["e2"]], 3])
+    subs = [connect_concepts(chain, seeds, 2, budget) for seeds, budget in seed_sets]
+    wide = [_oracles.connect_concepts_wide(chain, seeds, 2, budget) for seeds, budget in seed_sets]
+    assert [sub.n_nodes for sub in subs] == [300, 3]
+    assert [sub.edge_index.dtype for sub in subs] == [np.uint16, np.uint8]
+    params = init_gcn_params(5, 7, 4, embedding(chain.n_entities, 5, seed=4), np.random.default_rng(5))
+    got, want = gcn_forward(subs, params), gcn_forward(wide, params)
+    for a, b in ((got[0].data, want[0].data), (got[1], want[1]), (got[1], _oracles.padded_adjacency(wide)),
+                 (got[2], want[2])):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    vocab = build_vocab([[f"t{i}" for i in range(298)]])
+    pairs = [(["t0", "t299"], ["t297", "t5"]), ([], ["t250", "t250", "t1"])]
+    sequences = [encode_pair_tokens(vocab, *pair) for pair in pairs]
+    assert len(vocab) == 300 and {seq.dtype for seq in sequences} == {np.dtype(np.uint16)}
+    got = encoders.token_bag(sequences, len(vocab))
+    want = encoders.token_bag([_oracles.encode_pair_tokens_wide(vocab, *pair) for pair in pairs], len(vocab))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 SECOND_LAYER = np.random.default_rng(60).normal(size=(3, 4))

@@ -1,5 +1,6 @@
 """Mention scanning, bounded subgraph construction, adjacency normalization."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_seeds_come_first_and_sorted(chain_graph):
     c = chain_graph.entity_ids["c"]
     a = chain_graph.entity_ids["a"]
     sub = connect_concepts(chain_graph, [c, a], max_path_len=2, max_nodes=10)
-    assert sub.nodes[:2] == sorted([a, c])
+    assert sub.nodes[:2].tolist() == sorted([a, c])
 
 
 def test_unreachable_seed_still_included():
@@ -219,7 +220,7 @@ def test_unknown_seed_rejected(chain_graph):
 def test_duplicate_seeds_collapse(chain_graph):
     a = chain_graph.entity_ids["a"]
     sub = connect_concepts(chain_graph, [a, a, a], max_path_len=2, max_nodes=5)
-    assert sub.nodes == [a]
+    assert sub.nodes.tolist() == [a]
     assert dense_adjacency(sub).shape == (1, 1)
     assert_edges(sub, 0)
 
@@ -348,7 +349,7 @@ def noisy_seed_sets(data_dir, graph):
 
 
 def assert_same_subgraph(got, want):
-    assert got.nodes == want.nodes
+    assert got.nodes.tolist() == want.nodes.tolist()
     assert np.array_equal(dense_adjacency(got), dense_adjacency(want))
     assert got.paths == want.paths
 
@@ -411,29 +412,51 @@ def test_path_memo_keys_on_path_length():
     assert graph.path_memo == {(a, c, 2): (a, graph.entity_ids["b"], c), (a, c, 1): None}
 
 
-def assert_only_an_edge_list(sub):
-    """The subgraph's only arrays are its edge list: int32 (row, column)
-    pairs and their float64 weights, 16 bytes per non-zero, one of them per
-    self-loop and two per edge."""
-    arrays = {name: value for name, value in vars(sub).items() if isinstance(value, np.ndarray)}
-    assert sorted(arrays) == ["edge_index", "edge_weight"]
+def assert_only_an_edge_list(sub, n_entities):
+    """The subgraph's arrays are its node ids and its edge list: (row,
+    column) pairs at row <= column and their float64 weights, one entry per
+    self-loop and one per edge, each id array in np.min_scalar_type of the
+    largest id it can hold."""
+    arrays = {f.name: getattr(sub, f.name) for f in dataclasses.fields(sub)
+              if isinstance(getattr(sub, f.name), np.ndarray)}
+    assert sorted(arrays) == ["edge_index", "edge_weight", "nodes"]
     nnz = sub.edge_weight.size
-    assert sub.edge_index.dtype == np.int32 and sub.edge_index.shape == (2, nnz)
+    assert sub.nodes.dtype == np.min_scalar_type(n_entities - 1) and sub.nodes.shape == (sub.n_nodes,)
+    assert sub.edge_index.dtype == np.min_scalar_type(sub.n_nodes - 1) and sub.edge_index.shape == (2, nnz)
+    assert np.all(sub.edge_index[0] <= sub.edge_index[1])
     assert sub.edge_weight.dtype == np.float64 and sub.edge_weight.shape == (nnz,)
-    assert sum(a.nbytes for a in arrays.values()) == 16 * nnz
 
 
 def test_a_subgraph_grows_with_its_edges_not_its_nodes_squared():
     """A 300-node subgraph of a chain KG, 299 edges, holds its normalized
-    adjacency in under a tenth of the bytes of a dense 300 x 300 float64
-    matrix: 898 non-zeros, 14,368 bytes."""
+    adjacency in under a hundredth of the bytes of a dense 300 x 300
+    float64 matrix: 599 entries, uint16 index pairs and float64 weights in
+    7,188 bytes."""
     graph = graph_from_triples([(f"e{i}", "next", f"e{i + 1}") for i in range(299)])
     sub = connect_concepts(graph, list(range(300)), max_path_len=2, max_nodes=300)
     assert sub.n_nodes == 300
     assert_edges(sub, 299)
-    assert_only_an_edge_list(sub)
-    assert sub.edge_weight.size == 300 + 2 * 299
-    assert sub.edge_index.nbytes + sub.edge_weight.nbytes < 300 * 300 * 8 / 10
+    assert_only_an_edge_list(sub, graph.n_entities)
+    assert sub.edge_index.dtype == np.uint16
+    assert sub.edge_weight.size == 300 + 299 == 599
+    assert sub.edge_index.nbytes + sub.edge_weight.nbytes == 599 * (2 * 2 + 8) == 7188
+
+
+def test_a_prepared_split_stores_each_id_in_one_byte(noisy_dir, tmp_path):
+    """The noisy budget-60 train split's 676 choices hold 219 tokens, 200
+    entities and subgraphs of at most 60 nodes, so every id is one byte,
+    and each symmetric non-zero is stored once. As int64 token ids and
+    full int32 edge lists they took 497,536, 1,163,936 and 1,163,936
+    bytes."""
+    cfg = training_config_for(noisy_experiment(noisy_dir, str(tmp_path)), max_nodes=60)
+    pipe = load_pipeline(cfg)
+    choices = [c for pq in prepare_split(pipe, "train", cfg) for c in pq.choices]
+    subgraphs = [c.subgraph for c in choices if c.subgraph is not None]
+    assert (len(choices), len(pipe.vocab), pipe.graph.n_entities) == (676, 219, 200)
+    assert sum(c.token_ids.nbytes for c in choices) == 62_192
+    assert sum(sub.edge_index.nbytes for sub in subgraphs) == 170_522
+    assert sum(sub.edge_weight.nbytes for sub in subgraphs) == 682_088
+    assert sum(sub.nodes.nbytes for sub in subgraphs) == 25_030
 
 
 BUDGETS = (1, 3, 20, 60)
@@ -465,7 +488,8 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
     for split in SPLITS:
         for pq, wq in zip(splits[split], wide[split], strict=True):
             for c, w in zip(pq.choices, wq.choices, strict=True):
-                assert np.asarray(c.token_ids).tolist() == w.token_ids.tolist()
+                assert c.token_ids.dtype == np.min_scalar_type(len(pipe.vocab) - 1)
+                assert c.token_ids.tolist() == w.token_ids.tolist()
                 twin[id(c.token_ids)] = w.token_ids
                 assert (c.subgraph is None) == (w.subgraph is None)
                 if c.subgraph is not None:
@@ -473,9 +497,9 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
     assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
     for sub in subgraphs:
-        assert_only_an_edge_list(sub)
+        assert_only_an_edge_list(sub, pipe.graph.n_entities)
         wide_sub = twin[id(sub)]
-        assert np.asarray(sub.nodes).tolist() == wide_sub.nodes
+        assert sub.nodes.tolist() == wide_sub.nodes
         assert sub.paths == wide_sub.paths
         want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, wide_sub.nodes))
         for got in (dense_adjacency(sub), dense_adjacency(wide_sub)):

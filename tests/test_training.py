@@ -333,7 +333,7 @@ def test_train_split_prepares_the_sample_of_the_whole_preparation(mode, lowdata_
                     assert np.array_equal(gc.token_ids, wc.token_ids)
                     assert (gc.subgraph is None) == (wc.subgraph is None)
                     if gc.subgraph is not None:
-                        assert gc.subgraph.nodes == wc.subgraph.nodes
+                        assert gc.subgraph.nodes.tolist() == wc.subgraph.nodes.tolist()
                         assert gc.subgraph.paths == wc.subgraph.paths
                         got, want = _oracles.dense_adjacency(gc.subgraph), _oracles.dense_adjacency(wc.subgraph)
                         assert got.tobytes() == want.tobytes()
