@@ -2,7 +2,7 @@
 
 Everything up to the per-choice scorer is written directly from the
 defining formulas with plain loops and dense matrices, deliberately sharing
-no code with src/. Sixteen package paths that simpler or faster ones
+no code with src/. Seventeen package paths that simpler or faster ones
 replaced follow at the end, kept as the references those are compared
 against: the dict-loop BM25 `retrieve` that impact scoring replaced, the
 per-choice scorer that choice-stacked scoring replaced, the per-question
@@ -25,7 +25,9 @@ matmul, concat, relu, row_dot, segment_cross_entropy and the Gumbel
 softmax among them) that the text encoder, ER attention, classifier and
 loss nodes replaced, and the dense (n, n) normalized adjacency of each
 subgraph and the slice-copy fill of the padded stack that edge lists and
-one scatter replaced. The second
+one scatter replaced, and the wide build (int64 token ids, node id lists
+and both triangles of each edge list as int32 pairs) that ids in their
+narrowest unsigned type and one-triangle edge lists replaced. The second
 to fifth, the masked softmax and the composed training step run on the
 package's autodiff tape so that gradients can be compared too.
 """

@@ -425,6 +425,8 @@ def assert_only_an_edge_list(sub, n_entities):
     assert sub.edge_index.dtype == np.min_scalar_type(sub.n_nodes - 1) and sub.edge_index.shape == (2, nnz)
     assert np.all(sub.edge_index[0] <= sub.edge_index[1])
     assert sub.edge_weight.dtype == np.float64 and sub.edge_weight.shape == (nnz,)
+    width = sub.edge_index.itemsize
+    assert sum(a.nbytes for a in arrays.values()) == sub.n_nodes * sub.nodes.itemsize + (2 * width + 8) * nnz
 
 
 def test_a_subgraph_grows_with_its_edges_not_its_nodes_squared():
@@ -494,6 +496,9 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
                 assert (c.subgraph is None) == (w.subgraph is None)
                 if c.subgraph is not None:
                     twin[id(c.subgraph)] = w.subgraph
+    def assert_same_bytes(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
     subgraphs = [c.subgraph for qs in splits.values() for pq in qs for c in pq.choices if c.subgraph is not None]
     assert subgraphs and max(sub.n_nodes for sub in subgraphs) <= budget
     for sub in subgraphs:
@@ -502,13 +507,10 @@ def test_edge_lists_give_the_dense_build_bytes(task, budget, lowdata_dir, noisy_
         assert sub.nodes.tolist() == wide_sub.nodes
         assert sub.paths == wide_sub.paths
         want = normalize_adjacency(_oracles.zero_one_adjacency(pipe.graph, wide_sub.nodes))
-        for got in (dense_adjacency(sub), dense_adjacency(wide_sub)):
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert_same_bytes(dense_adjacency(sub), want)
+        assert_same_bytes(dense_adjacency(wide_sub), want)
 
     stacks, bags = [], []
-
-    def assert_same_bytes(got, want):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def checked_gcn(batch, params):
         hidden, adjacency, mask = gcn_forward(batch, params)
